@@ -28,7 +28,7 @@
 //! for every `--threads` value.
 //!
 //! With `--json`, the greedy ring-stratified run is written to
-//! `BENCH_network.json` — per-channel wall-clock, serial-reference
+//! `BENCH_network.json` — per-channel statistics, wall-clock, serial-reference
 //! speedup, `host_cpus` and the per-round convergence trajectory —
 //! mirroring fig6's `BENCH_contention.json` schema.
 //!
@@ -40,7 +40,7 @@ use wsn_sim::policy::{
     StaticAllocation,
 };
 use wsn_sim::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
-use wsn_sim::{Runner, TimedScenarioRun};
+use wsn_sim::Runner;
 
 fn scenarios(superframes: u32, reps: u32) -> Vec<Scenario> {
     let channels = 8;
@@ -197,8 +197,7 @@ fn main() {
     if args.json {
         // The benchmark document records the greedy run on the
         // ring-stratified scenario: final-round channel statistics,
-        // wall-clock summed per channel across rounds, and the
-        // convergence trajectory.
+        // wall-clock summed across rounds, and the convergence trajectory.
         let greedy = &results[0].1[1];
         // Always run the serial reference — even when the measured run was
         // itself single-threaded — so `serial_wall_ms`/`speedup_vs_serial`
@@ -216,18 +215,6 @@ fn main() {
                 .run(&Runner::serial(), &mut GreedyRebalance::new(8))
                 .wall_ms()
         });
-        let channels = greedy.final_round().outcome.per_channel.len();
-        let mut channel_wall_ms = vec![0.0; channels];
-        for round in &greedy.rounds {
-            for (total, ms) in channel_wall_ms.iter_mut().zip(&round.channel_wall_ms) {
-                *total += ms;
-            }
-        }
-        let run = TimedScenarioRun {
-            outcome: greedy.final_round().outcome.clone(),
-            channel_wall_ms,
-            wall_ms: greedy.wall_ms(),
-        };
         let rounds_json: Vec<Json> = greedy
             .rounds
             .iter()
@@ -253,7 +240,8 @@ fn main() {
             args.superframes,
             reps,
             runner.threads(),
-            &run,
+            &greedy.final_round().outcome,
+            greedy.wall_ms(),
             serial_wall_ms,
             vec![
                 ("scenario", Json::Str(results[0].0.clone())),

@@ -17,13 +17,17 @@
 //! Paper reference values: average power 211 µW, delivery delay 1.45 s,
 //! transmission failure probability 16 %, load 42 %.
 //!
-//! With `--json`, per-channel wall-clock and statistics — plus a serial
-//! reference timing and the resulting speedup — are written to
+//! With `--json`, per-channel statistics, the grid's wall-clock, a serial
+//! reference timing and the resulting speedup are written to
 //! `BENCH_network.json`, mirroring fig6's `BENCH_contention.json` schema.
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin case_study [superframes] [--threads N] [--reps N] [--json]`
 
-use wsn_bench::{export_scenario_file, network_bench_json, RunArgs, BENCH_NETWORK_PATH};
+use std::time::Instant;
+
+use wsn_bench::{
+    elapsed_ms, export_scenario_file, network_bench_json, RunArgs, BENCH_NETWORK_PATH,
+};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{ContentionModel, IdealContention, MonteCarloContention};
@@ -41,7 +45,7 @@ fn main() {
     // `--export-scenario`: write the study's exact Scenario as saved JSON
     // (the batch-service fixture) instead of running anything. The export
     // is the plain scenario — the link-adapted per-node levels
-    // `simulate_timed` swaps in are a runtime refinement, not scenario
+    // `adapted_configs` swaps in are a runtime refinement, not scenario
     // state — so `Scenario::run` on the loaded file is the bit-identity
     // reference.
     if let Some(path) = &args.export_scenario {
@@ -116,8 +120,10 @@ fn main() {
 
     // The discrete-event reproduction: 16 channels × reps replications as
     // one parallel job grid, per-node link-adapted transmit power.
-    let timed = study.simulate_timed(&runner, &ber, &mc, args.superframes, reps);
-    let outcome = &timed.outcome;
+    let (scenario, configs) = study.adapted_configs(&ber, &mc, args.superframes, reps);
+    let t = Instant::now();
+    let outcome = &scenario.run_with(&runner, &configs, &ber);
+    let wall_ms = elapsed_ms(t);
     println!(
         "\n## simulator: 16 parallel channels × {reps} replications ({} threads)",
         runner.threads()
@@ -173,16 +179,17 @@ fn main() {
         // Serial reference pass for the recorded speedup (skipped when the
         // grid already ran single-threaded — it would be the same run).
         let serial_wall_ms = (runner.threads() > 1).then(|| {
-            study
-                .simulate_timed(&wsn_sim::Runner::serial(), &ber, &mc, args.superframes, reps)
-                .wall_ms
+            let t = Instant::now();
+            scenario.run_with(&wsn_sim::Runner::serial(), &configs, &ber);
+            elapsed_ms(t)
         });
         let doc = network_bench_json(
             "case_study_network",
             args.superframes,
             reps,
             runner.threads(),
-            &timed,
+            outcome,
+            wall_ms,
             serial_wall_ms,
             Vec::new(),
         );

@@ -255,29 +255,30 @@ pub fn export_scenario_file(path: &str, saved: &wsn_sim::SavedScenario) {
 }
 
 /// Builds the `BENCH_network.json` document, mirroring
-/// `BENCH_contention.json`'s schema: per-point (here: per-channel)
-/// wall-clock, a serial-reference speedup and `host_cpus`, plus the
-/// reduced per-channel statistics. `extra` pairs (e.g. the adaptive
-/// binary's round trajectory) are spliced in before `points`.
+/// `BENCH_contention.json`'s schema: the run's elapsed wall-clock, a
+/// serial-reference speedup and `host_cpus`, plus one point per channel
+/// with its reduced statistics. Per-job timing is not repeated here: the
+/// telemetry `job` timing stat reports it under `--metrics`. `extra` pairs
+/// (e.g. the adaptive binary's round trajectory) are spliced in before
+/// `points`.
+#[allow(clippy::too_many_arguments)]
 pub fn network_bench_json(
     benchmark: &str,
     superframes: u32,
     replications: u32,
     threads: usize,
-    run: &wsn_sim::TimedScenarioRun,
+    outcome: &wsn_sim::ScenarioOutcome,
+    wall_ms: f64,
     serial_wall_ms: Option<f64>,
     extra: Vec<(&'static str, Json)>,
 ) -> Json {
-    let points: Vec<Json> = run
-        .outcome
+    let points: Vec<Json> = outcome
         .per_channel
         .iter()
-        .zip(&run.channel_wall_ms)
         .enumerate()
-        .map(|(c, (s, &ms))| {
+        .map(|(c, s)| {
             Json::Obj(vec![
                 ("channel", Json::Int(c as i64)),
-                ("wall_ms", Json::Num(ms)),
                 ("power_uw", Json::Num(s.mean_node_power.microwatts())),
                 (
                     "power_se_uw",
@@ -292,7 +293,7 @@ pub fn network_bench_json(
         })
         .collect();
     let (serial_ms, speedup) = match serial_wall_ms {
-        Some(ms) => (Json::Num(ms), Json::Num(ms / run.wall_ms)),
+        Some(ms) => (Json::Num(ms), Json::Num(ms / wall_ms)),
         None => (Json::Null, Json::Null),
     };
     let mut pairs = vec![
@@ -309,16 +310,16 @@ pub fn network_bench_json(
             ),
         ),
         ("channels", Json::Int(points.len() as i64)),
-        ("wall_ms", Json::Num(run.wall_ms)),
+        ("wall_ms", Json::Num(wall_ms)),
         ("serial_wall_ms", serial_ms),
         ("speedup_vs_serial", speedup),
         (
             "overall_power_uw",
-            Json::Num(run.outcome.overall.mean_node_power.microwatts()),
+            Json::Num(outcome.overall.mean_node_power.microwatts()),
         ),
         (
             "overall_pr_fail",
-            Json::Num(run.outcome.overall.failure_ratio.value()),
+            Json::Num(outcome.overall.failure_ratio.value()),
         ),
     ];
     pairs.extend(extra);

@@ -92,7 +92,6 @@ impl<B: BerModel> Link<B> {
 /// The slow-fading validity condition of the paper's §3: the AWGN treatment
 /// holds while a packet fits within the channel coherence time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelAssumptions {
     /// Channel coherence time (paper cites > 4 ms at 2.45 GHz without
     /// mobility).

@@ -20,7 +20,6 @@ impl<T: PathLossModel + ?Sized> PathLossModel for &T {
 /// A distance-independent path loss — the wired-attenuator testbench of the
 /// paper's Figure 4, and the per-node abstraction of its case study.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FixedPathLoss(pub Db);
 
 impl PathLossModel for FixedPathLoss {
@@ -50,7 +49,6 @@ impl fmt::Display for FixedPathLoss {
 /// assert!((at_10m.db() - 60.2).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogDistance {
     reference_loss: Db,
     reference_distance: Meters,
@@ -132,7 +130,6 @@ impl PathLossModel for LogDistance {
 /// source works) and a deterministic integration grid; the analytical model
 /// averages over the grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct UniformPathLossPopulation {
     min: Db,
     max: Db,

@@ -16,9 +16,7 @@ use wsn_phy::frame::PacketLayout;
 use wsn_radio::{PhaseTag, StateKind, TxPowerLevel};
 use wsn_sim::network::TxPowerPolicy;
 use wsn_sim::policy::{AllocationPolicy, PolicyEngine, PolicyTrace};
-use wsn_sim::scenario::{
-    DeploymentSpec, Scenario, ScenarioOutcome, TimedScenarioRun, TrafficSpec,
-};
+use wsn_sim::scenario::{DeploymentSpec, Scenario, ScenarioOutcome, TrafficSpec};
 use wsn_sim::Runner;
 use wsn_units::{Db, Power, Probability, Seconds};
 
@@ -139,24 +137,9 @@ impl CaseStudy {
         superframes: u32,
         replications: u32,
     ) -> ScenarioOutcome {
-        self.simulate_timed(runner, ber, contention, superframes, replications)
-            .outcome
-    }
-
-    /// [`simulate`](Self::simulate) with per-channel wall-clock
-    /// instrumentation — the data behind `case_study --json`'s
-    /// `BENCH_network.json`. The outcome is identical to the untimed run.
-    pub fn simulate_timed<B: BerModel + Sync, C: ContentionModel>(
-        &self,
-        runner: &Runner,
-        ber: &B,
-        contention: &C,
-        superframes: u32,
-        replications: u32,
-    ) -> TimedScenarioRun {
         let (scenario, configs) =
             self.adapted_configs(ber, contention, superframes, replications);
-        scenario.run_with_timed(runner, &configs, ber)
+        scenario.run_with(runner, &configs, ber)
     }
 
     /// The simulation scenario plus its compiled per-channel configs with

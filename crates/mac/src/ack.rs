@@ -15,7 +15,6 @@ use wsn_phy::frame::ack_duration;
 
 /// The acknowledgement window timing of the transmission procedure.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AckTiming {
     /// Idle gap before the ACK can start (`t_ack⁻`).
     pub wait_min: Seconds,
@@ -58,7 +57,6 @@ impl Default for AckTiming {
 /// Retransmission policy: at most `n_max` transmissions of the same packet
 /// (the paper fixes `N_max = 5`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     n_max: u32,
 }
@@ -93,7 +91,6 @@ impl Default for RetryPolicy {
 
 /// Outcome of a full transmission transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransactionOutcome {
     /// Acknowledged on attempt `attempts` (1-based).
     Delivered {

@@ -23,7 +23,6 @@ use wsn_phy::noise::UniformSource;
 
 /// Parameters of the slotted CSMA/CA algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CsmaParams {
     /// Initial backoff exponent (`macMinBE`).
     pub min_be: u8,

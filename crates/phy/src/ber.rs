@@ -67,7 +67,6 @@ impl<T: BerModel + ?Sized> BerModel for &T {
 /// assert!(at_90 > 1e-4 && at_90 < 2e-4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmpiricalCc2420Ber {
     coefficient: f64,
     slope_per_dbm: f64,
@@ -140,7 +139,6 @@ pub fn chip_snr_linear(p_rx: DBm, noise_figure: Db) -> f64 {
 /// The default noise figure absorbs the CC2420's implementation losses; use
 /// [`calibrate_noise_figure`] to fit it to a measured anchor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HardDecisionDsssBer {
     noise_figure_db: f64,
 }
@@ -257,7 +255,6 @@ pub fn calibrate_noise_figure(anchor_p_rx: DBm, target_ber: f64) -> Db {
 /// with `SINR` the signal-to-noise ratio in the 2 MHz channel
 /// (`P_Rx / (N₀·B)`, linear).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StandardOqpskBer {
     noise_figure_db: f64,
     bandwidth_hz: f64,

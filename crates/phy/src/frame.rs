@@ -542,7 +542,6 @@ pub const PAPER_PREAMBLE_BYTES: usize = 4;
 /// # Ok::<(), wsn_phy::frame::FrameError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketLayout {
     payload_bytes: usize,
 }

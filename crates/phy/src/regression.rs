@@ -37,7 +37,6 @@ impl std::error::Error for RegressionError {}
 
 /// Result of fitting `y = c · exp(b · x)` by least squares on `ln y`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExponentialFit {
     ln_c: f64,
     b: f64,

@@ -18,7 +18,6 @@ use crate::state::{RadioState, StateKind};
 
 /// Protocol phase labels for energy attribution (paper Figure 9a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PhaseTag {
     /// Inter-superframe sleep.
     Sleep,
@@ -121,7 +120,6 @@ fn state_index(kind: StateKind) -> usize {
 /// assert!((fractions[1].1 - 1.0).abs() < 1e-12); // all energy in Beacon
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyLedger {
     state_time: [Seconds; 4],
     state_energy: [Energy; 4],

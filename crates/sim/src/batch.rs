@@ -8,16 +8,16 @@
 //! (one bad file fails the batch before any simulation starts), and
 //! [`BatchSet::run`] executes the whole set through one [`Runner`]:
 //!
-//! * **One shared worker pool.** Every open-loop scenario's
-//!   channels × replications jobs flatten into a single job list on one
-//!   [`Runner::map`] call — a 10 000-scenario directory saturates every
-//!   core for the entire batch instead of draining one small grid at a
-//!   time. Each job reproduces exactly what [`Scenario::run`] computes
-//!   for that (channel, replication), and each scenario reduces through
-//!   [`ScenarioOutcome::reduce`] in fixed order, so every per-scenario
-//!   summary is **bit-identical** to running that scenario alone — for
-//!   any thread count and any file ordering (results are keyed by
-//!   scenario, not by position). Scenarios carrying a
+//! * **One shared worker pool.** A wave of open-loop scenarios goes to
+//!   the same grid executor [`Scenario::run`] uses, which flattens every
+//!   scenario's channels × replications jobs into one job list on the
+//!   runner — a 10 000-scenario directory saturates every core for the
+//!   entire batch instead of draining one small grid at a time. Each
+//!   scenario reduces through [`ScenarioOutcome::reduce`] in fixed order,
+//!   so every per-scenario summary is **bit-identical** to running that
+//!   scenario alone (it is the same code path), for any thread count and
+//!   any file ordering (results are keyed by scenario, not by position).
+//!   Scenarios carrying a
 //!   [`PolicyChoice`](crate::persist::PolicyChoice) are closed-loop and
 //!   sequential by nature; they run after the grid, one
 //!   [`PolicyEngine`] each, on the same runner.
@@ -50,14 +50,14 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
-use crate::network::{NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary};
+use crate::network::NetworkSummary;
 use crate::persist::{
     self, fingerprint_scenario, load_scenario, render_compact, Node, ParseError, PolicyChoice,
     SavedScenario, Value,
 };
 use crate::policy::PolicyEngine;
-use crate::runner::{panic_message, replication_seed, JobPanic, Runner};
-use crate::scenario::{ResolvedBer, Scenario, ScenarioOutcome};
+use crate::runner::{panic_message, replication_seed, Runner};
+use crate::scenario::{run_grids, Grid, GridFailure, ResolvedBer, Scenario, ScenarioOutcome};
 use crate::sink::{ResultSink, WriteSink};
 
 /// The per-scenario master seed under a manifest batch seed: a pure
@@ -200,8 +200,9 @@ pub struct RunConfig {
     /// Per-scenario wall-clock watchdog. Cooperative: the deadline is
     /// checked before each grid job (open-loop) or before the entry
     /// starts (closed-loop), so a scenario that blows its budget becomes
-    /// a `"timeout"` record instead of hanging the farm. `Some(ZERO)`
-    /// times every scenario out deterministically (the test hook). When
+    /// a `"timeout"` record instead of hanging the farm. `Some(ZERO)` is
+    /// a deadline that has already passed, so every scenario times out
+    /// deterministically (the test hook). When
     /// set, scenarios run one wave each so the clock measures a single
     /// scenario. Timed-out scenarios are not retried.
     pub timeout: Option<Duration>,
@@ -331,53 +332,6 @@ impl BatchReport {
     /// scenarios count as ok — they completed in a previous run).
     pub fn all_ok(&self) -> bool {
         !self.strict_aborted && self.records.iter().all(|r| r.status.is_ok())
-    }
-}
-
-/// One open-loop scenario prepared for the shared grid.
-struct PlainPrep {
-    configs: Vec<NetworkConfig>,
-    bers: Vec<ResolvedBer>,
-    replications: u32,
-    shards: usize,
-}
-
-/// One job's result on the shared grid: the accumulator and its wall
-/// clock, `None` when the watchdog deadline had already passed.
-type GridJobResult = Result<Option<(NetworkAccumulator, f64)>, JobPanic>;
-
-/// One attempt over a scenario's jobs, classified.
-enum AttemptResult {
-    /// Every job ran: the accumulators in (channel, replication) order.
-    Done(Vec<(NetworkAccumulator, f64)>),
-    /// At least one job panicked (the first message, in job order —
-    /// deterministic because results are indexed, not raced).
-    Panicked(String),
-    /// At least one job was skipped by the watchdog deadline.
-    TimedOut,
-}
-
-fn classify_attempt(attempt: Vec<GridJobResult>) -> AttemptResult {
-    let mut done = Vec::with_capacity(attempt.len());
-    let mut timed_out = false;
-    let mut panic: Option<String> = None;
-    for result in attempt {
-        match result {
-            Err(p) => {
-                if panic.is_none() {
-                    panic = Some(p.message);
-                }
-            }
-            Ok(None) => timed_out = true,
-            Ok(Some(job)) => done.push(job),
-        }
-    }
-    if let Some(panic) = panic {
-        AttemptResult::Panicked(panic)
-    } else if timed_out {
-        AttemptResult::TimedOut
-    } else {
-        AttemptResult::Done(done)
     }
 }
 
@@ -810,7 +764,7 @@ impl BatchSet {
         // Compile with panic isolation: a config that blows up in
         // `compile` (main-thread work) must poison only itself. Compile
         // panics are deterministic, so they are not retried.
-        let preps: Vec<Result<PlainPrep, String>> = wave
+        let compiled: Vec<_> = wave
             .iter()
             .map(|&idx| {
                 let scenario = &scenarios[idx];
@@ -819,148 +773,88 @@ impl BatchSet {
                     let bers: Vec<ResolvedBer> = (0..configs.len())
                         .map(|c| scenario.channel_ber(c).model())
                         .collect();
-                    PlainPrep {
-                        configs,
-                        bers,
-                        replications: scenario.replications.max(1),
-                        shards: scenario.shards.max(1),
-                    }
+                    (configs, bers)
                 }))
                 .map_err(panic_message)
             })
             .collect();
 
-        let timeout_zero = config.timeout == Some(Duration::ZERO);
-        let deadline = config.timeout.map(|t| Instant::now() + t);
-
-        // One job, pure in (prep, channel, replication) — reproduces
-        // Scenario::run_grid's per-job computation exactly, so reductions
-        // stay bit-identical to standalone runs (and to any retry).
-        let run_job = |prep: &PlainPrep, c: usize, r: u64| -> (NetworkAccumulator, f64) {
-            let t = Instant::now();
-            let mut cfg = prep.configs[c].clone();
-            cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-            let sim = NetworkSimulator::new(cfg);
-            let acc = if prep.shards > 1 {
-                sim.run_accumulate_sharded(&prep.bers[c], prep.shards)
-            } else {
-                sim.run_accumulate(&prep.bers[c])
-            };
-            (acc, t.elapsed().as_secs_f64() * 1e3)
-        };
-
-        // Attempt 1: every compiled prep's jobs on one shared grid.
-        let grid_jobs: Vec<(usize, usize, u64)> = preps
+        // Attempt 1: every compiled scenario's jobs on one shared grid.
+        let grids: Vec<Grid<'_, ResolvedBer>> = wave
             .iter()
-            .enumerate()
-            .filter_map(|(p, prep)| prep.as_ref().ok().map(|prep| (p, prep)))
-            .flat_map(|(p, prep)| {
-                (0..prep.configs.len()).flat_map(move |c| {
-                    (0..prep.replications as u64).map(move |r| (p, c, r))
-                })
+            .zip(&compiled)
+            .filter_map(|(&idx, c)| {
+                let (configs, bers) = c.as_ref().ok()?;
+                Some(scenarios[idx].grid(configs, bers))
             })
             .collect();
-        let results: Vec<GridJobResult> = runner.map_catching(&grid_jobs, |_, &(p, c, r)| {
-            if timeout_zero || deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            let prep = preps[p].as_ref().expect("only compiled preps enqueue jobs");
-            Some(run_job(prep, c, r))
-        });
-        *jobs_run += grid_jobs.len();
+        *jobs_run += grids.iter().map(Grid::jobs).sum::<usize>();
+        let deadline = config.timeout.map(|t| Instant::now() + t);
+        let mut results = grids.iter().zip(run_grids(runner, &grids, deadline));
 
         let mut records = Vec::with_capacity(wave.len());
-        let mut cursor = results.into_iter();
-        for (p, prep) in preps.iter().enumerate() {
-            let idx = wave[p];
+        for (&idx, compiled) in wave.iter().zip(&compiled) {
             let scenario = &scenarios[idx];
-            let base = ScenarioRecord {
-                name: self.entries[idx].name.clone(),
-                seed: scenario.seed,
-                fingerprint: fingerprints[idx].clone(),
-                status: ScenarioStatus::Ok,
-                attempts: 1,
-                channels: scenario.channels,
-                outcome: None,
-                policy: None,
-                job_ms: 0.0,
-            };
-            let prep = match prep {
-                Err(panic) => {
-                    records.push(ScenarioRecord {
-                        status: ScenarioStatus::Failed {
-                            panic: panic.clone(),
-                        },
-                        ..base
-                    });
-                    continue;
-                }
-                Ok(prep) => prep,
-            };
-            let njobs = prep.configs.len() * prep.replications as usize;
-            let mut attempt = classify_attempt(cursor.by_ref().take(njobs).collect());
+            let base = self.base_record(idx, scenario, &fingerprints[idx]);
+            if let Err(panic) = compiled {
+                records.push(ScenarioRecord {
+                    status: ScenarioStatus::Failed {
+                        panic: panic.clone(),
+                    },
+                    ..base
+                });
+                continue;
+            }
+            let (grid, mut result) = results.next().expect("one result per compiled scenario");
             let mut attempts = 1u32;
 
             // Retry budget: only panicked attempts retry (timeouts would
             // just burn another budget on the same runaway config).
-            while matches!(attempt, AttemptResult::Panicked(_)) && attempts <= config.retries {
+            while matches!(result, Err(GridFailure::Panicked(_))) && attempts <= config.retries {
                 attempts += 1;
-                let retry_jobs: Vec<(usize, u64)> = (0..prep.configs.len())
-                    .flat_map(|c| (0..prep.replications as u64).map(move |r| (c, r)))
-                    .collect();
-                let retry_deadline = config.timeout.map(|t| Instant::now() + t);
-                let retry: Vec<GridJobResult> =
-                    runner.map_catching(&retry_jobs, |_, &(c, r)| {
-                        if timeout_zero || retry_deadline.is_some_and(|d| Instant::now() >= d) {
-                            return None;
-                        }
-                        Some(run_job(prep, c, r))
-                    });
-                *jobs_run += retry_jobs.len();
-                attempt = classify_attempt(retry);
+                let deadline = config.timeout.map(|t| Instant::now() + t);
+                *jobs_run += grid.jobs();
+                result = run_grids(runner, std::slice::from_ref(grid), deadline)
+                    .pop()
+                    .expect("one result per grid");
             }
 
-            records.push(match attempt {
-                AttemptResult::Panicked(panic) => ScenarioRecord {
+            records.push(match result {
+                Ok((outcome, job_ms)) => ScenarioRecord {
+                    attempts,
+                    outcome: Some(outcome),
+                    job_ms,
+                    ..base
+                },
+                Err(GridFailure::Panicked(panic)) => ScenarioRecord {
                     status: ScenarioStatus::Failed { panic },
                     attempts,
                     ..base
                 },
-                AttemptResult::TimedOut => ScenarioRecord {
+                Err(GridFailure::TimedOut) => ScenarioRecord {
                     status: ScenarioStatus::Timeout,
                     attempts,
                     ..base
                 },
-                AttemptResult::Done(done) => {
-                    let mut accs: Vec<Vec<NetworkAccumulator>> =
-                        Vec::with_capacity(prep.configs.len());
-                    let mut job_ms = 0.0;
-                    let mut it = done.into_iter();
-                    for _ in 0..prep.configs.len() {
-                        let mut reps = Vec::with_capacity(prep.replications as usize);
-                        for _ in 0..prep.replications {
-                            let (acc, ms) = it.next().expect("one result per grid job");
-                            reps.push(acc);
-                            job_ms += ms;
-                        }
-                        accs.push(reps);
-                    }
-                    let mut outcome = ScenarioOutcome::reduce(scenario.name.clone(), &accs);
-                    outcome.gts_denied = prep
-                        .configs
-                        .iter()
-                        .map(|c| c.channel.cfp.gts_denied)
-                        .collect();
-                    ScenarioRecord {
-                        attempts,
-                        outcome: Some(outcome),
-                        job_ms,
-                        ..base
-                    }
-                }
             });
         }
         records
+    }
+
+    /// An entry's `ok` record before it runs: identity, seed and
+    /// fingerprint, one attempt, no outcome.
+    fn base_record(&self, idx: usize, scenario: &Scenario, fingerprint: &str) -> ScenarioRecord {
+        ScenarioRecord {
+            name: self.entries[idx].name.clone(),
+            seed: scenario.seed,
+            fingerprint: fingerprint.to_string(),
+            status: ScenarioStatus::Ok,
+            attempts: 1,
+            channels: scenario.channels,
+            outcome: None,
+            policy: None,
+            job_ms: 0.0,
+        }
     }
 
     /// Runs one closed-loop (policy) entry with panic isolation and the
@@ -976,19 +870,8 @@ impl BatchSet {
         config: &RunConfig,
         jobs_run: &mut usize,
     ) -> ScenarioRecord {
-        let entry = &self.entries[idx];
-        let choice = entry.saved.policy.expect("policy entry");
-        let base = ScenarioRecord {
-            name: entry.name.clone(),
-            seed: scenario.seed,
-            fingerprint: fingerprint.to_string(),
-            status: ScenarioStatus::Ok,
-            attempts: 1,
-            channels: scenario.channels,
-            outcome: None,
-            policy: None,
-            job_ms: 0.0,
-        };
+        let choice = self.entries[idx].saved.policy.expect("policy entry");
+        let base = self.base_record(idx, scenario, fingerprint);
         if config.timeout == Some(Duration::ZERO) {
             return ScenarioRecord {
                 status: ScenarioStatus::Timeout,
@@ -1433,10 +1316,10 @@ mod tests {
         assert!(report.records[0].outcome.as_ref().unwrap().overall.transactions > 0);
     }
 
-    /// A scenario that passes [`Scenario::validate`] but panics in
-    /// `compile` (the deliberate poison used by the resilience suite):
-    /// `validate` does not check the disc radius sign, and
-    /// `uniform_disc` asserts it is positive.
+    /// A scenario that panics in `compile` (the deliberate poison of the
+    /// isolation tests): `uniform_disc` asserts a positive radius.
+    /// [`Scenario::validate`] rejects it, so poisoned batches are built by
+    /// [`unvalidated`].
     fn poisoned(name: &str) -> BatchEntry {
         let mut e = entry(name, 3);
         e.saved.scenario.deployment = DeploymentSpec::Disc {
@@ -1447,13 +1330,17 @@ mod tests {
         e
     }
 
+    /// A batch that skips validation, so a poisoned entry reaches the run.
+    fn unvalidated(entries: Vec<BatchEntry>) -> BatchSet {
+        BatchSet {
+            entries,
+            batch_seed: None,
+        }
+    }
+
     #[test]
     fn a_panicking_scenario_poisons_only_itself() {
-        let set = BatchSet::from_entries(
-            vec![entry("a", 11), poisoned("boom"), entry("b", 22)],
-            None,
-        )
-        .unwrap();
+        let set = unvalidated(vec![entry("a", 11), poisoned("boom"), entry("b", 22)]);
         let mut sink = WriteSink::new(Vec::new());
         let report = set
             .run_with(&Runner::serial(), &mut sink, &RunConfig::default())
@@ -1485,11 +1372,7 @@ mod tests {
 
     #[test]
     fn strict_mode_stops_at_the_first_failure() {
-        let set = BatchSet::from_entries(
-            vec![entry("a", 11), poisoned("boom"), entry("b", 22)],
-            None,
-        )
-        .unwrap();
+        let set = unvalidated(vec![entry("a", 11), poisoned("boom"), entry("b", 22)]);
         let mut sink = WriteSink::new(Vec::new());
         let config = RunConfig {
             strict: true,
@@ -1582,7 +1465,7 @@ mod tests {
             journal: Some(journal.clone()),
             ..RunConfig::default()
         };
-        let set = BatchSet::from_entries(vec![poisoned("boom")], None).unwrap();
+        let set = unvalidated(vec![poisoned("boom")]);
         let mut sink = WriteSink::new(Vec::new());
         let first = set.run_with(&runner, &mut sink, &config).unwrap();
         assert_eq!(first.failed(), 1);

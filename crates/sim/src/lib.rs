@@ -54,10 +54,11 @@
 //! 2. **config** — [`scenario::Scenario::compile`] lowers it into one
 //!    [`NetworkConfig`] per channel, with per-channel loads and
 //!    splitmix-derived seeds;
-//! 3. **runner** — [`Runner`] executes the channels × replications grid
-//!    on a scoped thread pool ([`Runner::sweep_network`],
-//!    [`Runner::replicate_network`], [`scenario::Scenario::run`]),
-//!    deriving each replication's seed from `(master, index)` only;
+//! 3. **runner** — one grid executor in [`scenario`] runs the channels ×
+//!    replications grid as flat jobs on the [`Runner`]'s scoped thread
+//!    pool, deriving each replication's seed from `(master, index)` only.
+//!    [`scenario::Scenario::run`], the policy loop and the batch farm all
+//!    run through it;
 //! 4. **accumulator** — every run streams into a mergeable
 //!    [`network::NetworkAccumulator`] (built on [`Accumulator`],
 //!    [`Counter`] and `EnergyLedger::merge`); shards merge in a fixed
@@ -168,7 +169,7 @@ pub use rng::Xoshiro256StarStar;
 pub use runner::{replication_seed, JobPanic, Runner, THREADS_ENV};
 pub use scenario::{
     BerChoice, ChannelAllocation, DeploymentSpec, ResolvedBer, Scenario, ScenarioOutcome,
-    TimedScenarioRun, TrafficSpec,
+    TrafficSpec,
 };
 pub use sink::{
     ResultSink, SinkCounters, StatsSink, TcpSink, TraceCollector, TraceSink, WriteSink,

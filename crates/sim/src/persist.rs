@@ -8,9 +8,11 @@
 //! position-carrying [`ParseError`] diagnostics. The format is described
 //! key by key in the repository's `SCHEMA.md`.
 //!
-//! serde is offline-gated in this build, so the JSON layer is hand-rolled:
-//! a small event-style recursive-descent parser over a [`Node`] tree that
-//! records the source line/column of every value, and a canonical writer.
+//! The workspace takes no third-party dependency, so the JSON layer is
+//! hand-rolled: a small recursive-descent parser over a [`Node`] tree that
+//! records the source line/column of every value (with a nesting cap, so
+//! hostile input is an error, not a stack overflow), and a canonical
+//! writer.
 //! Three properties make the format safe to commit as fixtures:
 //!
 //! * **Canonical output.** [`save_scenario`] emits keys in one fixed
@@ -279,11 +281,18 @@ pub fn parse_document(text: &str) -> Result<Node, ParseError> {
     Ok(node)
 }
 
+/// The deepest array/object nesting [`parse_document`] accepts. The
+/// parser recurses once per level, so the cap keeps hostile input (a
+/// megabyte of `[`) from overflowing the stack, which would abort the
+/// process rather than return an error.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     chars: Vec<char>,
     pos: usize,
     line: u32,
     col: u32,
+    depth: usize,
 }
 
 impl Parser {
@@ -293,6 +302,7 @@ impl Parser {
             pos: 0,
             line: 1,
             col: 1,
+            depth: 0,
         }
     }
 
@@ -353,8 +363,19 @@ impl Parser {
             Some('t') => self.literal("true", Value::Bool(true))?,
             Some('f') => self.literal("false", Value::Bool(false))?,
             Some('"') => Value::Str(self.string()?),
-            Some('[') => self.array()?,
-            Some('{') => self.object()?,
+            Some(c @ ('[' | '{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("no nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let nested = if c == '[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested?
+            }
             Some(c) if c == '-' || c.is_ascii_digit() => self.number()?,
             Some(_) => return Err(self.err("a value")),
         };
@@ -1680,6 +1701,20 @@ mod tests {
     fn parse_error_positions_point_at_the_token() {
         let err = parse_document("{\n  \"a\": [1, 2,\n}").unwrap_err();
         assert_eq!((err.line, err.col), (3, 1), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        let brackets = "[".repeat(1 << 20);
+        let objects = "{\"a\":".repeat(200_000);
+        for text in [&brackets, &objects] {
+            let err = load_scenario(text).unwrap_err();
+            assert!(err.expected.contains("nesting deeper than"), "{err}");
+            assert_eq!(err.line, 1, "{err}");
+        }
+        // The cap itself still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_document(&at_cap).is_ok());
     }
 
     #[test]

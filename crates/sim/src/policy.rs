@@ -47,6 +47,8 @@
 //! power policy's job), which keeps them implementable on a real
 //! coordinator from per-channel statistics alone.
 
+use std::time::Instant;
+
 use crate::network::NetworkSummary;
 use crate::runner::Runner;
 use crate::scenario::{AssignmentCache, Scenario, ScenarioOutcome};
@@ -406,8 +408,6 @@ pub struct PolicyRound {
     pub moved: usize,
     /// The round's full reduced outcome.
     pub outcome: ScenarioOutcome,
-    /// Per-channel wall-clock in milliseconds (summed over replications).
-    pub channel_wall_ms: Vec<f64>,
     /// Total wall-clock of the round's grid in milliseconds.
     pub wall_ms: f64,
 }
@@ -722,7 +722,9 @@ impl PolicyEngine {
                         (cfg.channel.cfp.downlink_rate + boost).min(1.0);
                 }
             }
-            let timed = scenario.run_grid(runner, &configs, &bers);
+            let t = Instant::now();
+            let outcome = scenario.run_resolved(runner, &configs, &bers);
+            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             // The last budgeted round has no successor to run a new
             // assignment in — don't consult the policy, and record no
             // (phantom) moves.
@@ -732,7 +734,7 @@ impl PolicyEngine {
                     channels: scenario.channels,
                     assignment: &assignment,
                     capacity: &capacities,
-                    per_channel: &timed.outcome.per_channel,
+                    per_channel: &outcome.per_channel,
                 })
             } else {
                 assignment.clone()
@@ -743,9 +745,8 @@ impl PolicyEngine {
                 round,
                 assignment: assignment.clone(),
                 moved,
-                outcome: timed.outcome,
-                channel_wall_ms: timed.channel_wall_ms,
-                wall_ms: timed.wall_ms,
+                outcome,
+                wall_ms,
             });
             if crate::telemetry::enabled() {
                 // Convergence signal: |Δ worst-channel failure| between
@@ -1039,7 +1040,6 @@ mod tests {
         for round in &trace.rounds {
             assert_eq!(round.assignment.len(), 24);
             assert_eq!(round.outcome.per_channel.len(), 3);
-            assert_eq!(round.channel_wall_ms.len(), 3);
         }
         assert_eq!(trace.worst_failure_trajectory().len(), trace.rounds.len());
         assert_eq!(trace.energy_trajectory_j().len(), trace.rounds.len());

@@ -56,10 +56,7 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
-use wsn_phy::ber::BerModel;
-
 use crate::contention::{run_channel_sim_into, ChannelSimConfig};
-use crate::network::{NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary};
 use crate::sink::StatsSink;
 use crate::stats::ContentionStats;
 
@@ -299,8 +296,8 @@ impl Runner {
     /// `(item_index, &item, replication_index)`.
     ///
     /// This is the shared fan-out discipline behind every replicated
-    /// sweep — contention prewarming, figure timing sweeps, scenario
-    /// grids: all jobs go to the pool as one list (maximum parallelism),
+    /// contention sweep — contention prewarming and figure timing sweeps:
+    /// all jobs go to the pool as one list (maximum parallelism),
     /// and callers merge each item's replications in replication order,
     /// which keeps the reduction bit-identical for every thread count.
     pub fn map_replicated<T, R, F>(&self, items: &[T], replications: u32, f: F) -> Vec<Vec<R>>
@@ -372,55 +369,6 @@ impl Runner {
     ) -> ContentionStats {
         self.replicate_contention_sink(base, replications)
             .contention_stats()
-    }
-
-    /// Simulates every network configuration in parallel, one streaming
-    /// replication each. Results are in `configs` order and bit-identical
-    /// to calling [`NetworkSimulator::run_streaming`] over the slice
-    /// serially — the paper's 16-channel case study is 16 entries here.
-    pub fn sweep_network<B: BerModel + Sync>(
-        &self,
-        configs: &[NetworkConfig],
-        ber: &B,
-    ) -> Vec<NetworkSummary> {
-        self.map(configs, |_, cfg| {
-            NetworkSimulator::new(cfg.clone()).run_streaming(ber)
-        })
-    }
-
-    /// Runs `replications` independent copies of the network simulation
-    /// `base` (channel seeds derived via [`replication_seed`], which also
-    /// reseeds the corruption oracle) and merges the per-replication
-    /// [`NetworkAccumulator`]s in replication order, so the summary's
-    /// standard errors are replication-based.
-    ///
-    /// Bit-identical for every thread count, like every runner reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replications` is zero.
-    pub fn replicate_network<B: BerModel + Sync>(
-        &self,
-        base: &NetworkConfig,
-        replications: u32,
-        ber: &B,
-    ) -> NetworkSummary {
-        assert!(replications > 0, "at least one replication required");
-        let indices: Vec<u64> = (0..replications as u64).collect();
-        let shards = self.map(&indices, |_, &i| {
-            // O(1) config view: the `Arc`-backed fields share storage, so
-            // each replication only writes its derived seed.
-            let mut cfg = base.clone();
-            cfg.channel.seed = replication_seed(base.channel.seed, i);
-            let mut acc = NetworkSimulator::new(cfg).run_accumulate(ber);
-            acc.seal_replication();
-            acc
-        });
-        let mut merged = NetworkAccumulator::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        merged.summary()
     }
 }
 
@@ -501,43 +449,6 @@ mod tests {
         // Four replications of samples → meaningful standard errors.
         assert!(sink.contention.contention_us.standard_error() > 0.0);
         assert!(sink.contention.ccas.standard_error() > 0.0);
-    }
-
-    #[test]
-    fn network_replications_are_bit_identical_across_thread_counts() {
-        use crate::network::{NetworkConfig, TxPowerPolicy};
-        use wsn_phy::ber::EmpiricalCc2420Ber;
-        use wsn_radio::RadioModel;
-        use wsn_units::{DBm, Db, Seconds};
-
-        let mut channel = ChannelSimConfig::figure6(120, 0.4, 0x11E7);
-        channel.nodes = 15;
-        channel.superframes = 5;
-        let base = NetworkConfig {
-            path_losses: vec![Db::new(75.0); channel.nodes].into(),
-            channel,
-            radio: RadioModel::cc2420(),
-            tx_policy: TxPowerPolicy::ChannelInversion {
-                target_rx: DBm::new(-88.0),
-            },
-            coordinator_tx: DBm::new(0.0),
-            wakeup_margin: Seconds::from_millis(1.0),
-            corrupt_probs: None,
-        };
-        let ber = EmpiricalCc2420Ber::paper();
-        let serial = Runner::serial().replicate_network(&base, 5, &ber);
-        assert_eq!(serial.replications, 5);
-        assert!(serial.power_standard_error.microwatts() > 0.0);
-        for threads in [2, 4] {
-            let parallel = Runner::with_threads(threads).replicate_network(&base, 5, &ber);
-            assert_eq!(
-                serial.mean_node_power, parallel.mean_node_power,
-                "threads={threads}"
-            );
-            assert_eq!(serial.failure_ratio, parallel.failure_ratio);
-            assert_eq!(serial.mean_delay, parallel.mean_delay);
-            assert_eq!(serial.power_standard_error, parallel.power_standard_error);
-        }
     }
 
     #[test]

@@ -905,8 +905,7 @@ impl Scenario {
                 t.downlink_rate
             ));
         }
-        let demand_nonzero =
-            t.gts_slots_per_node > 0 && t.gts_demand.map_or(true, |d| d > 0);
+        let demand_nonzero = t.gts_slots_per_node > 0 && t.gts_demand.map_or(true, |d| d > 0);
         if demand_nonzero && t.gts_slots_per_node > 15 {
             return Err(format!(
                 "a GTS allocation must span 1..=15 slots, got {}",
@@ -914,10 +913,7 @@ impl Scenario {
             ));
         }
         let f = &self.faults;
-        for (field, rate) in [
-            ("death_rate", f.death_rate),
-            ("outage_rate", f.outage_rate),
-        ] {
+        for (field, rate) in [("death_rate", f.death_rate), ("outage_rate", f.outage_rate)] {
             if !(0.0..1.0).contains(&rate) {
                 return Err(format!("fault {field} must lie in [0,1), got {rate}"));
             }
@@ -937,14 +933,58 @@ impl Scenario {
                 f.drift_amplitude_db
             ));
         }
-        if let DeploymentSpec::Rings { radii_m, .. } = &self.deployment {
-            if radii_m.is_empty() || self.total_nodes() % radii_m.len() != 0 {
-                return Err(format!(
-                    "total node count {} must divide over {} rings",
-                    self.total_nodes(),
-                    radii_m.len()
-                ));
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let exponent = match &self.deployment {
+            DeploymentSpec::UniformLossGrid { .. } => None,
+            DeploymentSpec::Disc {
+                radius_m, exponent, ..
+            } => {
+                if !positive(*radius_m) {
+                    return Err(format!(
+                        "disc radius must be finite and positive, got {radius_m}"
+                    ));
+                }
+                Some(*exponent)
             }
+            DeploymentSpec::Rings {
+                radii_m, exponent, ..
+            } => {
+                if radii_m.is_empty() || self.total_nodes() % radii_m.len() != 0 {
+                    return Err(format!(
+                        "total node count {} must divide over {} rings",
+                        self.total_nodes(),
+                        radii_m.len()
+                    ));
+                }
+                if let Some(bad) = radii_m.iter().find(|&&r| !positive(r)) {
+                    return Err(format!(
+                        "ring radius must be finite and positive, got {bad}"
+                    ));
+                }
+                Some(*exponent)
+            }
+            DeploymentSpec::Clustered {
+                field_radius_m,
+                cluster_radius_m,
+                exponent,
+                ..
+            } => {
+                if !(field_radius_m.is_finite()
+                    && *cluster_radius_m > 0.0
+                    && cluster_radius_m < field_radius_m)
+                {
+                    return Err(format!(
+                        "cluster radius must lie in (0, field radius {field_radius_m}), \
+                         got {cluster_radius_m}"
+                    ));
+                }
+                Some(*exponent)
+            }
+        };
+        if let Some(bad) = exponent.filter(|&e| !positive(e)) {
+            return Err(format!(
+                "path-loss exponent must be finite and positive, got {bad}"
+            ));
         }
         if let TxPowerPolicy::PerNode(levels) = &self.tx_policy {
             if levels.len() != self.nodes_per_channel {
@@ -1154,20 +1194,10 @@ impl Scenario {
     /// overrides ([`with_channel_ber`](Self::with_channel_ber)) apply
     /// here: config `c` runs against [`channel_ber(c)`](Self::channel_ber).
     pub fn run_compiled(&self, runner: &Runner, configs: &[NetworkConfig]) -> ScenarioOutcome {
-        self.run_compiled_timed(runner, configs).outcome
-    }
-
-    /// [`run_compiled`](Self::run_compiled) with per-channel wall-clock
-    /// instrumentation for the benchmark emitters.
-    pub fn run_compiled_timed(
-        &self,
-        runner: &Runner,
-        configs: &[NetworkConfig],
-    ) -> TimedScenarioRun {
         let bers: Vec<ResolvedBer> = (0..configs.len())
             .map(|c| self.channel_ber(c).model())
             .collect();
-        self.run_grid(runner, configs, &bers)
+        self.run_resolved(runner, configs, &bers)
     }
 
     /// Runs pre-compiled configs with an explicit BER model shared by all
@@ -1183,92 +1213,161 @@ impl Scenario {
         configs: &[NetworkConfig],
         ber: &B,
     ) -> ScenarioOutcome {
-        self.run_with_timed(runner, configs, ber).outcome
+        self.run_resolved(runner, configs, &vec![ber; configs.len()])
     }
 
-    /// [`run_with`](Self::run_with) with per-channel wall-clock
-    /// instrumentation for the benchmark emitters.
-    pub fn run_with_timed<B: BerModel + Sync>(
-        &self,
-        runner: &Runner,
-        configs: &[NetworkConfig],
-        ber: &B,
-    ) -> TimedScenarioRun {
-        let bers: Vec<&B> = (0..configs.len()).map(|_| ber).collect();
-        self.run_grid(runner, configs, &bers)
-    }
-
-    /// The shared grid executor: one BER model per channel, flat
-    /// channels × replications job list, fixed-order reduction, per-job
-    /// timing. Timing never feeds back into results, so the statistics are
-    /// bit-identical for every thread count. `pub(crate)` so the policy
-    /// loop can resolve its BER models once and reuse them across rounds.
-    pub(crate) fn run_grid<B: BerModel + Sync>(
+    /// Runs one grid of this scenario with one BER model per channel and
+    /// no deadline. A job's panic re-panics here with the job's own
+    /// message. `pub(crate)` so the policy loop can resolve its BER models
+    /// once and reuse them across rounds.
+    pub(crate) fn run_resolved<B: BerModel + Sync>(
         &self,
         runner: &Runner,
         configs: &[NetworkConfig],
         bers: &[B],
-    ) -> TimedScenarioRun {
+    ) -> ScenarioOutcome {
+        let result = run_grids(runner, &[self.grid(configs, bers)], None)
+            .pop()
+            .expect("one result per grid");
+        match result {
+            Ok((outcome, _)) => outcome,
+            Err(GridFailure::Panicked(message)) => std::panic::panic_any(message),
+            Err(GridFailure::TimedOut) => unreachable!("a grid without a deadline never times out"),
+        }
+    }
+
+    /// This scenario's replications and shards over `configs`, ready for
+    /// [`run_grids`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one BER model per config.
+    pub(crate) fn grid<'a, B>(
+        &'a self,
+        configs: &'a [NetworkConfig],
+        bers: &'a [B],
+    ) -> Grid<'a, B> {
         assert_eq!(
             bers.len(),
             configs.len(),
             "one BER model per channel config required"
         );
-        let t0 = Instant::now();
-        let shards = runner.map_replicated(configs, self.replications.max(1), |i, cfg, r| {
-            let t = Instant::now();
-            // O(1) view, not a deep copy: `path_losses` (and any `PerNode`
-            // level table) live behind `Arc`, so the only per-job state is
-            // the replication seed written below.
-            let mut cfg = cfg.clone();
-            cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-            let sim = NetworkSimulator::new(cfg);
-            let acc = if self.shards > 1 {
-                sim.run_accumulate_sharded(&bers[i], self.shards)
-            } else {
-                sim.run_accumulate(&bers[i])
-            };
-            (acc, t.elapsed().as_secs_f64() * 1e3)
-        });
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let mut accs = Vec::with_capacity(shards.len());
-        let mut channel_wall_ms = Vec::with_capacity(shards.len());
-        for channel_reps in shards {
-            let mut reps = Vec::with_capacity(channel_reps.len());
-            let mut ms = 0.0;
-            for (acc, shard_ms) in channel_reps {
-                reps.push(acc);
-                ms += shard_ms;
-            }
-            accs.push(reps);
-            channel_wall_ms.push(ms);
-        }
-
-        let mut outcome = ScenarioOutcome::reduce(self.name.clone(), &accs);
-        // Compile-time CFP bookkeeping rides on the configs, not the
-        // accumulators: surface each channel's denied GTS requests as the
-        // typed overflow signal.
-        outcome.gts_denied = configs.iter().map(|c| c.channel.cfp.gts_denied).collect();
-        TimedScenarioRun {
-            outcome,
-            channel_wall_ms,
-            wall_ms,
+        Grid {
+            name: &self.name,
+            configs,
+            bers,
+            replications: self.replications.max(1),
+            shards: self.shards.max(1),
         }
     }
 }
 
-/// A scenario run plus its wall-clock instrumentation, for the
-/// `BENCH_network.json` emitters.
-#[derive(Debug, Clone)]
-pub struct TimedScenarioRun {
-    /// The reduced outcome (identical to the untimed run).
-    pub outcome: ScenarioOutcome,
-    /// Per-channel wall-clock in milliseconds, summed over that channel's
-    /// replications (CPU cost, not elapsed time, under parallelism).
-    pub channel_wall_ms: Vec<f64>,
-    /// Total elapsed wall-clock of the grid in milliseconds.
-    pub wall_ms: f64,
+/// One compiled scenario for [`run_grids`]: a config and a BER model per
+/// channel, the replications per channel and the spatial shards per job.
+pub(crate) struct Grid<'a, B> {
+    name: &'a str,
+    configs: &'a [NetworkConfig],
+    bers: &'a [B],
+    replications: u32,
+    shards: usize,
+}
+
+impl<B> Grid<'_, B> {
+    /// Jobs the grid puts on the runner: channels × replications.
+    pub(crate) fn jobs(&self) -> usize {
+        self.configs.len() * self.replications as usize
+    }
+}
+
+/// Why a grid produced no outcome.
+pub(crate) enum GridFailure {
+    /// A job panicked; the first message in job order.
+    Panicked(String),
+    /// The deadline passed before a job started.
+    TimedOut,
+}
+
+/// The one grid executor behind [`Scenario::run`], the policy loop and the
+/// batch farm.
+///
+/// Every grid's (channel, replication) jobs go to the runner as one flat
+/// list, each under panic isolation. A job that starts after `deadline`
+/// is skipped. Each grid then reduces in fixed order through
+/// [`ScenarioOutcome::reduce`], so its outcome is bit-identical for every
+/// thread count and every set of grids it shares the runner with. A grid
+/// yields its outcome plus its summed job wall-clock in milliseconds, or
+/// its failure: a panic wins over a timeout.
+pub(crate) fn run_grids<B: BerModel + Sync>(
+    runner: &Runner,
+    grids: &[Grid<'_, B>],
+    deadline: Option<Instant>,
+) -> Vec<Result<(ScenarioOutcome, f64), GridFailure>> {
+    let jobs: Vec<(usize, usize, u64)> = grids
+        .iter()
+        .enumerate()
+        .flat_map(|(g, grid)| {
+            (0..grid.configs.len())
+                .flat_map(move |c| (0..u64::from(grid.replications)).map(move |r| (g, c, r)))
+        })
+        .collect();
+    let mut results = runner
+        .map_catching(&jobs, |_, &(g, c, r)| {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            let t = Instant::now();
+            let grid = &grids[g];
+            // O(1) view, not a deep copy: `path_losses` (and any `PerNode`
+            // level table) live behind `Arc`, so the only per-job state is
+            // the replication seed written below.
+            let mut cfg = grid.configs[c].clone();
+            cfg.channel.seed = replication_seed(cfg.channel.seed, r);
+            let acc = NetworkSimulator::new(cfg).run_accumulate_sharded(&grid.bers[c], grid.shards);
+            Some((acc, t.elapsed().as_secs_f64() * 1e3))
+        })
+        .into_iter();
+
+    grids
+        .iter()
+        .map(|grid| {
+            let mut accs = Vec::with_capacity(grid.configs.len());
+            let mut job_ms = 0.0;
+            let mut panic = None;
+            let mut timed_out = false;
+            for _ in grid.configs {
+                let mut reps = Vec::with_capacity(grid.replications as usize);
+                for result in results.by_ref().take(grid.replications as usize) {
+                    match result {
+                        Ok(Some((acc, ms))) => {
+                            reps.push(acc);
+                            job_ms += ms;
+                        }
+                        Ok(None) => timed_out = true,
+                        Err(p) => {
+                            panic.get_or_insert(p.message);
+                        }
+                    }
+                }
+                accs.push(reps);
+            }
+            if let Some(message) = panic {
+                return Err(GridFailure::Panicked(message));
+            }
+            if timed_out {
+                return Err(GridFailure::TimedOut);
+            }
+            let mut outcome = ScenarioOutcome::reduce(grid.name, &accs);
+            // Compile-time CFP bookkeeping rides on the configs, not the
+            // accumulators: surface each channel's denied GTS requests as
+            // the typed overflow signal.
+            outcome.gts_denied = grid
+                .configs
+                .iter()
+                .map(|c| c.channel.cfp.gts_denied)
+                .collect();
+            Ok((outcome, job_ms))
+        })
+        .collect()
 }
 
 /// Results of a scenario run: one summary per channel plus the
@@ -1623,5 +1722,55 @@ mod tests {
         let (worst, summary) = outcome.worst_channel();
         assert!(worst < 4);
         assert!(summary.failure_ratio.value() <= 1.0);
+    }
+
+    #[test]
+    fn validate_rejects_geometry_that_compile_would_panic_on() {
+        let disc = |radius_m, exponent| DeploymentSpec::Disc {
+            radius_m,
+            exponent,
+            shadowing_db: 0.0,
+        };
+        let rings = |radii_m: &[f64]| DeploymentSpec::Rings {
+            radii_m: radii_m.to_vec(),
+            exponent: 3.0,
+            shadowing_db: 0.0,
+        };
+        let clustered = |field_radius_m, cluster_radius_m| DeploymentSpec::Clustered {
+            field_radius_m,
+            cluster_radius_m,
+            exponent: 3.0,
+            shadowing_db: 0.0,
+        };
+        for (spec, message) in [
+            (disc(-1.0, 3.0), "disc radius"),
+            (disc(0.0, 3.0), "disc radius"),
+            (disc(f64::NAN, 3.0), "disc radius"),
+            (disc(f64::INFINITY, 3.0), "disc radius"),
+            (rings(&[5.0, 0.0]), "ring radius"),
+            (rings(&[f64::NAN, 10.0]), "ring radius"),
+            (rings(&[5.0, -3.0, 8.0, 9.0]), "ring radius"),
+            (clustered(40.0, 0.0), "cluster radius"),
+            (clustered(40.0, 40.0), "cluster radius"),
+            (clustered(40.0, f64::NAN), "cluster radius"),
+            (clustered(f64::INFINITY, 4.0), "cluster radius"),
+            (disc(30.0, 0.0), "path-loss exponent"),
+        ] {
+            let err = tiny(spec.clone()).validate().unwrap_err();
+            assert!(err.contains(message), "{spec:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one path loss per node required")]
+    fn a_panicking_job_re_panics_with_its_own_message() {
+        let s = tiny(DeploymentSpec::UniformLossGrid {
+            min_db: 60.0,
+            max_db: 85.0,
+        })
+        .with_replications(2);
+        let mut configs = s.compile();
+        configs[1].path_losses = configs[1].path_losses[1..].into();
+        s.run_compiled(&Runner::with_threads(2), &configs);
     }
 }

@@ -1,19 +1,19 @@
 //! The parallel runner's contract: for a fixed master seed its output is
 //! bit-identical to the serial engine's, for every thread count, and the
 //! streaming reduction is bit-identical to trace-then-reduce. The same
-//! guarantee covers the network layer: replicated network simulations and
-//! whole scenarios merge to bit-identical summaries for every thread
-//! count.
+//! guarantee covers the network layer: the scenario grid equals serial
+//! network runs reduced in replication order, and whole scenarios merge
+//! to bit-identical summaries for every thread count.
 
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::RadioModel;
 use wsn_sim::contention::run_channel_sim;
-use wsn_sim::network::{NetworkConfig, NetworkSummary, TxPowerPolicy};
+use wsn_sim::network::{NetworkAccumulator, NetworkConfig, NetworkSummary, TxPowerPolicy};
 use wsn_sim::policy::{GreedyRebalance, PolicyEngine, ProportionalFair};
 use wsn_sim::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{
-    simulate_contention, BatchSet, ChannelSimConfig, FaultPlan, NetworkSimulator, Runner,
-    StatsSink,
+    replication_seed, simulate_contention, BatchSet, ChannelSimConfig, FaultPlan, NetworkSimulator,
+    Runner, StatsSink,
 };
 use wsn_units::{DBm, Db, Seconds};
 
@@ -158,21 +158,44 @@ fn runner_output_is_reproducible_across_invocations() {
     assert_eq!(a, b);
 }
 
+/// A scenario grid over explicit network configs: `replications` per
+/// channel, run through `Scenario::run_with`.
+fn grid_probe(replications: u32) -> Scenario {
+    Scenario::new(
+        "network grid probe",
+        5,
+        12,
+        DeploymentSpec::UniformLossGrid {
+            min_db: 58.0,
+            max_db: 93.0,
+        },
+    )
+    .with_replications(replications)
+}
+
+/// Replication `r` of a grid channel, run serially: the channel's config
+/// reseeded with `replication_seed(seed, r)`.
+fn serial_replication(cfg: &NetworkConfig, r: u64) -> NetworkSimulator {
+    let mut cfg = cfg.clone();
+    cfg.channel.seed = replication_seed(cfg.channel.seed, r);
+    NetworkSimulator::new(cfg)
+}
+
 #[test]
 fn network_sweep_is_bit_identical_to_serial_streaming() {
     let ber = EmpiricalCc2420Ber::paper();
     let configs: Vec<NetworkConfig> = (0..5u64).map(|c| network_point(12, 0x4E7 + c)).collect();
 
-    // Reference: serial streaming runs, config by config.
+    // Reference: one serial streaming run per config, replication 0's seed.
     let serial: Vec<NetworkSummary> = configs
         .iter()
-        .map(|cfg| NetworkSimulator::new(cfg.clone()).run_streaming(&ber))
+        .map(|cfg| serial_replication(cfg, 0).run_streaming(&ber))
         .collect();
 
     for threads in [1, 2, 4] {
-        let parallel = Runner::with_threads(threads).sweep_network(&configs, &ber);
-        assert_eq!(parallel.len(), serial.len());
-        for (a, b) in serial.iter().zip(&parallel) {
+        let grid = grid_probe(1).run_with(&Runner::with_threads(threads), &configs, &ber);
+        assert_eq!(grid.per_channel.len(), serial.len());
+        for (a, b) in serial.iter().zip(&grid.per_channel) {
             assert_summaries_identical(a, b, &format!("sweep threads={threads}"));
         }
     }
@@ -181,12 +204,29 @@ fn network_sweep_is_bit_identical_to_serial_streaming() {
 #[test]
 fn network_replications_are_bit_identical_across_1_2_4_threads() {
     let ber = EmpiricalCc2420Ber::paper();
-    let base = network_point(15, 0xBEE);
-    let serial = Runner::with_threads(1).replicate_network(&base, 6, &ber);
-    assert_eq!(serial.replications, 6);
-    for threads in [2, 4] {
-        let parallel = Runner::with_threads(threads).replicate_network(&base, 6, &ber);
-        assert_summaries_identical(&serial, &parallel, &format!("replicate threads={threads}"));
+    let configs: Vec<NetworkConfig> = (0..3u64).map(|c| network_point(15, 0xBEE + c)).collect();
+    let reps = 4u32;
+
+    // Reference: serial runs, each sealed and merged in replication order.
+    let serial: Vec<NetworkSummary> = configs
+        .iter()
+        .map(|cfg| {
+            let mut merged = NetworkAccumulator::new();
+            for r in 0..u64::from(reps) {
+                let mut acc = serial_replication(cfg, r).run_accumulate(&ber);
+                acc.seal_replication();
+                merged.merge(&acc);
+            }
+            merged.summary()
+        })
+        .collect();
+    assert!(serial.iter().all(|s| s.replications == reps));
+
+    for threads in [1, 2, 4] {
+        let grid = grid_probe(reps).run_with(&Runner::with_threads(threads), &configs, &ber);
+        for (c, (a, b)) in serial.iter().zip(&grid.per_channel).enumerate() {
+            assert_summaries_identical(a, b, &format!("replicate ch{c} threads={threads}"));
+        }
     }
 }
 

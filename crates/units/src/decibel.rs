@@ -26,7 +26,6 @@ use crate::Power;
 /// assert_eq!(DBm::new(-85.0) - DBm::new(-94.0), Db::new(9.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DBm(f64);
 
 impl DBm {
@@ -112,7 +111,6 @@ impl Sub<DBm> for DBm {
 /// assert!((Db::new(3.0103).to_linear() - 2.0).abs() < 1e-4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Db(f64);
 
 impl Db {

@@ -21,7 +21,6 @@ use crate::{Power, Seconds};
 /// assert!((t.micros() - 187.9).abs() < 0.1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Energy(f64);
 
 impl Energy {

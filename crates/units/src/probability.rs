@@ -37,7 +37,6 @@ impl std::error::Error for ProbabilityError {}
 /// # Ok::<(), wsn_units::ProbabilityError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Probability(f64);
 
 impl Probability {

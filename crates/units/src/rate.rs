@@ -18,7 +18,6 @@ use crate::Seconds;
 /// assert!((rate.time_per_bits(8.0).micros() - 32.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataRate(f64);
 
 impl DataRate {
@@ -133,7 +132,6 @@ impl Div<DataRate> for DataRate {
 /// assert!((ch11.ghz() - 2.405).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frequency(f64);
 
 impl Frequency {

@@ -16,7 +16,6 @@ use core::ops::{Add, Div, Mul, Sub};
 /// assert_eq!(d * 2.0, Meters::new(25.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Meters(f64);
 
 impl Meters {

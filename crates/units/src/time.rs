@@ -21,7 +21,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert!((t_ib.secs() - 0.98304).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Seconds(f64);
 
 impl Seconds {
