@@ -34,7 +34,8 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin adaptive [superframes] [--threads N] [--reps N] [--rounds N] [--json]`
 
-use wsn_bench::{network_bench_json, Json, RunArgs, BENCH_NETWORK_PATH};
+use wsn_bench::{network_bench_json, RunArgs, BENCH_NETWORK_PATH};
+use wsn_sim::persist::{json, render_document, Node};
 use wsn_sim::policy::{
     AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, ProportionalFair,
     StaticAllocation,
@@ -215,23 +216,23 @@ fn main() {
                 .run(&Runner::serial(), &mut GreedyRebalance::new(8))
                 .wall_ms()
         });
-        let rounds_json: Vec<Json> = greedy
+        let rounds_json: Vec<Node> = greedy
             .rounds
             .iter()
             .map(|r| {
-                Json::Obj(vec![
-                    ("round", Json::Int(r.round as i64)),
-                    ("worst_pr_fail", Json::Num(r.worst_failure())),
+                json::obj(vec![
+                    ("round", json::uint(r.round as u64)),
+                    ("worst_pr_fail", json::num(r.worst_failure())),
                     (
                         "power_uw",
-                        Json::Num(r.outcome.overall.mean_node_power.microwatts()),
+                        json::num(r.outcome.overall.mean_node_power.microwatts()),
                     ),
                     (
                         "energy_j",
-                        Json::Num(r.outcome.overall.ledger.total_energy().joules()),
+                        json::num(r.outcome.overall.ledger.total_energy().joules()),
                     ),
-                    ("moved", Json::Int(r.moved as i64)),
-                    ("wall_ms", Json::Num(r.wall_ms)),
+                    ("moved", json::uint(r.moved as u64)),
+                    ("wall_ms", json::num(r.wall_ms)),
                 ])
             })
             .collect();
@@ -244,18 +245,18 @@ fn main() {
             greedy.wall_ms(),
             serial_wall_ms,
             vec![
-                ("scenario", Json::Str(results[0].0.clone())),
-                ("policy", Json::Str(greedy.policy.clone())),
+                ("scenario", json::string(&results[0].0)),
+                ("policy", json::string(&greedy.policy)),
                 (
                     "converged_at",
                     greedy
                         .converged_at
-                        .map_or(Json::Null, |r| Json::Int(r as i64)),
+                        .map_or(json::null(), |r| json::uint(r as u64)),
                 ),
-                ("rounds", Json::Arr(rounds_json)),
+                ("rounds", json::arr(rounds_json)),
             ],
         );
-        std::fs::write(BENCH_NETWORK_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_NETWORK_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_NETWORK_PATH}");
     }
 }

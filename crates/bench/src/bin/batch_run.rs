@@ -17,22 +17,20 @@
 //! * A panicking scenario becomes a `"status":"failed"` record (retried
 //!   `--retries` times) and the rest of the farm keeps running;
 //!   `--timeout-s` turns runaway scenarios into `"timeout"` records.
-//! * Results go to stdout, a file (`--out`, repaired and appended on
-//!   `--resume`) or a TCP peer (`--tcp HOST:PORT`) that reconnects with
-//!   seeded exponential backoff; `--tcp-ack` requires a 1-byte ack per
-//!   line (at-least-once delivery) and `--overflow FILE` spills to disk
-//!   while the peer is down, draining on reconnect.
+//! * Results go to stdout or a file (`--out`, whose torn final line is
+//!   repaired before appending on `--resume`). Pipe stdout onward if the
+//!   records must reach a socket.
 //!
 //! Exit codes: 0 all scenarios ok, 2 usage error, 3 when any scenario
 //! failed or timed out (`--strict` additionally stops the farm at the
 //! first such record), 1 on operational errors (load, journal, sink).
 //! Once the farm has started, every exit path first prints a structured
-//! `# summary:` JSON record on stderr (outcome counts, sink counters,
-//! exit code) so scripts never have to scrape prose.
+//! `# summary:` JSON record on stderr (outcome counts and exit code) so
+//! scripts never have to scrape prose.
 //!
 //! With `--json`, a `BENCH_batch.json` document is also written:
 //! scenarios/sec over the batch, per-scenario wall-clock, `host_cpus`,
-//! and the resume/retry/sink counters. With `--metrics PATH|-`, the
+//! and the resume/retry counters. With `--metrics PATH|-`, the
 //! [`wsn_sim::telemetry`] registry streams JSONL snapshots per wave
 //! plus a final one (see `SCHEMA.md` § OBSERVABILITY); telemetry is
 //! deterministically inert, so simulation output stays bit-identical.
@@ -40,10 +38,11 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use wsn_bench::{Json, BENCH_BATCH_PATH};
+use wsn_bench::{host_cpus, BENCH_BATCH_PATH};
+use wsn_sim::persist::{json, render_compact, render_document, Node};
 use wsn_sim::{
     repair_jsonl_tail, BatchReport, BatchSet, ResultSink, RunConfig, Runner, ScenarioStatus,
-    SinkCounters, TcpSink, WriteSink,
+    WriteSink,
 };
 
 struct BatchArgs {
@@ -55,18 +54,14 @@ struct BatchArgs {
     resume: bool,
     strict: bool,
     retries: u32,
-    timeout_s: Option<f64>,
+    timeout: Option<Duration>,
     out: Option<PathBuf>,
-    tcp: Option<String>,
-    tcp_ack: bool,
-    overflow: Option<PathBuf>,
     metrics: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: batch_run (--dir DIR | --manifest FILE) [--threads N] [--json]\n\
      \x20                [--journal FILE] [--resume] [--strict] [--retries N] [--timeout-s S]\n\
-     \x20                [--out FILE | --tcp HOST:PORT [--tcp-ack] [--overflow FILE]]\n\
-     \x20                [--metrics PATH|-] [--help]";
+     \x20                [--out FILE] [--metrics PATH|-] [--help]";
 
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}");
@@ -79,9 +74,11 @@ fn help() -> ! {
     println!(
         "\nRun a directory or manifest of saved scenarios as one fault-tolerant\n\
          job farm. One JSON record per scenario (JSON-lines) plus a final\n\
-         aggregate record go to the sink; progress goes to stderr, including a\n\
-         rate-limited `# heartbeat: done/total done, N failed, eta S, R events/s`\n\
-         line per wave and a final structured `# summary:` JSON record.\n\
+         aggregate record go to stdout, or to FILE with --out (pipe stdout\n\
+         onward if the records must reach a socket); progress goes to stderr,\n\
+         including a rate-limited\n\
+         `# heartbeat: done/total done, N failed, eta S, R events/s` line per\n\
+         wave and a final structured `# summary:` JSON record.\n\
          \n\
          --metrics PATH|-  enable wsn_sim::telemetry and stream snapshot pairs\n\
          \x20                 (one deterministic + one timing JSONL record per\n\
@@ -110,11 +107,8 @@ fn parse_args() -> BatchArgs {
         resume: false,
         strict: false,
         retries: 0,
-        timeout_s: None,
+        timeout: None,
         out: None,
-        tcp: None,
-        tcp_ack: false,
-        overflow: None,
         metrics: None,
     };
     let mut args = std::env::args().skip(1);
@@ -153,24 +147,15 @@ fn parse_args() -> BatchArgs {
                 let value = args
                     .next()
                     .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|&s| s.is_finite() && s >= 0.0);
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok());
                 match value {
-                    Some(s) => out.timeout_s = Some(s),
+                    Some(t) => out.timeout = Some(t),
                     None => usage("--timeout-s requires a non-negative number of seconds"),
                 }
             }
             "--out" => match args.next() {
                 Some(path) if !path.is_empty() => out.out = Some(PathBuf::from(path)),
                 _ => usage("--out requires a file path"),
-            },
-            "--tcp" => match args.next() {
-                Some(addr) if !addr.is_empty() => out.tcp = Some(addr),
-                _ => usage("--tcp requires a HOST:PORT address"),
-            },
-            "--tcp-ack" => out.tcp_ack = true,
-            "--overflow" => match args.next() {
-                Some(path) if !path.is_empty() => out.overflow = Some(PathBuf::from(path)),
-                _ => usage("--overflow requires a file path"),
             },
             "--metrics" => match args.next() {
                 Some(path) if !path.is_empty() => out.metrics = Some(PathBuf::from(path)),
@@ -186,14 +171,8 @@ fn parse_args() -> BatchArgs {
     if out.resume && out.journal.is_none() {
         usage("--resume requires --journal (the journal records what completed)");
     }
-    if out.out.is_some() && out.tcp.is_some() {
-        usage("--out and --tcp are mutually exclusive");
-    }
-    if (out.tcp_ack || out.overflow.is_some()) && out.tcp.is_none() {
-        usage("--tcp-ack/--overflow only apply to a --tcp sink");
-    }
-    if out.metrics.as_deref() == Some(Path::new("-")) && out.out.is_none() && out.tcp.is_none() {
-        usage("--metrics - (stdout) requires --out or --tcp so scenario records keep their own stream");
+    if out.metrics.as_deref() == Some(Path::new("-")) && out.out.is_none() {
+        usage("--metrics - (stdout) requires --out so scenario records keep their own stream");
     }
     out
 }
@@ -234,24 +213,15 @@ fn main() {
         journal: args.journal.clone(),
         resume: args.resume,
         strict: args.strict,
-        timeout: args.timeout_s.map(Duration::from_secs_f64),
+        timeout: args.timeout,
         retries: args.retries,
         metrics: args.metrics.clone(),
         heartbeat: true,
     };
 
-    // Build the result sink: stdout, an (append-on-resume) file, or a
-    // retrying TCP stream.
+    // Build the result sink: stdout or an (append-on-resume) file.
     let stdout = std::io::stdout();
-    let mut sink: Box<dyn ResultSink> = if let Some(addr) = &args.tcp {
-        let mut tcp = TcpSink::new(addr.clone())
-            .with_seed(set.batch_seed().unwrap_or(0))
-            .with_ack(args.tcp_ack);
-        if let Some(overflow) = &args.overflow {
-            tcp = tcp.with_overflow(overflow.clone());
-        }
-        Box::new(tcp)
-    } else if let Some(path) = &args.out {
+    let mut sink: Box<dyn ResultSink> = if let Some(path) = &args.out {
         if args.resume {
             // Drop the torn final line a killed run left, then append —
             // the concatenated stream stays clean JSONL.
@@ -279,7 +249,6 @@ fn main() {
     };
 
     let run = set.run_with(&runner, sink.as_mut(), &config);
-    let counters = sink.counters();
     drop(sink);
 
     // The farm has started, so every exit path from here first prints
@@ -288,7 +257,7 @@ fn main() {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
-            emit_summary(None, &counters, 1);
+            emit_summary(None, 1);
             std::process::exit(1);
         }
     };
@@ -303,87 +272,62 @@ fn main() {
         report.wall_ms,
         report.scenarios_per_sec()
     );
-    if counters != Default::default() {
-        eprintln!(
-            "# sink: {} connect retries, {} reconnects, {} spilled, {} drained",
-            counters.connect_retries,
-            counters.reconnects,
-            counters.spilled_lines,
-            counters.drained_lines
-        );
-    }
 
     if args.json {
-        let points: Vec<Json> = report
+        let points: Vec<Node> = report
             .records
             .iter()
             .map(|r| {
                 let (power, pr_fail, transactions) = match &r.outcome {
                     Some(o) => (
-                        Json::Num(o.overall.mean_node_power.microwatts()),
-                        Json::Num(o.overall.failure_ratio.value()),
-                        Json::Int(o.overall.transactions as i64),
+                        json::num(o.overall.mean_node_power.microwatts()),
+                        json::num(o.overall.failure_ratio.value()),
+                        json::uint(o.overall.transactions),
                     ),
-                    None => (Json::Null, Json::Null, Json::Null),
+                    None => (json::null(), json::null(), json::null()),
                 };
-                Json::Obj(vec![
-                    ("scenario", Json::Str(r.name.clone())),
-                    ("seed", Json::Str(r.seed.to_string())),
-                    ("status", Json::Str(r.status.as_str().into())),
-                    ("attempts", Json::Int(i64::from(r.attempts))),
-                    ("job_ms", Json::Num(r.job_ms)),
+                json::obj(vec![
+                    ("scenario", json::string(&r.name)),
+                    ("seed", json::string(&r.seed.to_string())),
+                    ("status", json::string(r.status.as_str())),
+                    ("attempts", json::uint(u64::from(r.attempts))),
+                    ("job_ms", json::num(r.job_ms)),
                     ("power_uw", power),
                     ("pr_fail", pr_fail),
                     ("transactions", transactions),
                 ])
             })
             .collect();
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("batch_run".into())),
-            ("scenarios", Json::Int(report.records.len() as i64)),
-            ("skipped", Json::Int(report.skipped as i64)),
-            ("failed", Json::Int(report.failed() as i64)),
-            ("timed_out", Json::Int(report.timed_out() as i64)),
-            ("strict_aborted", Json::Bool(report.strict_aborted)),
-            ("jobs", Json::Int(report.jobs as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
-            ("wall_ms", Json::Num(report.wall_ms)),
-            ("scenarios_per_sec", Json::Num(report.scenarios_per_sec())),
-            (
-                "sink",
-                Json::Obj(vec![
-                    ("connect_retries", Json::Int(counters.connect_retries as i64)),
-                    ("reconnects", Json::Int(counters.reconnects as i64)),
-                    ("spilled_lines", Json::Int(counters.spilled_lines as i64)),
-                    ("drained_lines", Json::Int(counters.drained_lines as i64)),
-                ]),
-            ),
-            ("points", Json::Arr(points)),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("batch_run")),
+            ("scenarios", json::uint(report.records.len() as u64)),
+            ("skipped", json::uint(report.skipped as u64)),
+            ("failed", json::uint(report.failed() as u64)),
+            ("timed_out", json::uint(report.timed_out() as u64)),
+            ("strict_aborted", json::boolean(report.strict_aborted)),
+            ("jobs", json::uint(report.jobs as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
+            ("wall_ms", json::num(report.wall_ms)),
+            ("scenarios_per_sec", json::num(report.scenarios_per_sec())),
+            ("points", json::arr(points)),
         ]);
-        std::fs::write(BENCH_BATCH_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_BATCH_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_BATCH_PATH}");
     }
 
     // Scripts must be able to tell a clean farm from a degraded one:
     // the summary record carries the counts and the exit code.
     let exit = if report.all_ok() { 0 } else { 3 };
-    emit_summary(Some(&report), &counters, exit);
+    emit_summary(Some(&report), exit);
     std::process::exit(exit);
 }
 
 /// Prints the structured end-of-run record: one `# summary:` line of
-/// JSON on stderr with outcome counts, sink counters, the exit code and
-/// (when degraded) the first failing scenario. Emitted on every exit
-/// path once the farm has started.
-fn emit_summary(report: Option<&BatchReport>, counters: &SinkCounters, exit: i32) {
+/// JSON on stderr with outcome counts, the exit code and (when degraded)
+/// the first failing scenario. Emitted on every exit path once the farm
+/// has started.
+fn emit_summary(report: Option<&BatchReport>, exit: i32) {
     let first_bad = report.and_then(|report| {
         report
             .records
@@ -396,36 +340,30 @@ fn emit_summary(report: Option<&BatchReport>, counters: &SinkCounters, exit: i32
             })
             .or_else(|| report.strict_aborted.then(|| "strict abort".to_string()))
     });
-    let count = |n: usize| Json::Int(n as i64);
-    let doc = Json::Obj(vec![
-        ("summary", Json::Int(1)),
+    let count = |n: usize| json::uint(n as u64);
+    let doc = json::obj(vec![
+        ("summary", json::uint(1)),
         (
             "ok",
-            report.map_or(Json::Null, |r| {
+            report.map_or(json::null(), |r| {
                 count(r.records.iter().filter(|r| r.status.is_ok()).count())
             }),
         ),
-        ("failed", report.map_or(Json::Null, |r| count(r.failed()))),
-        ("timeout", report.map_or(Json::Null, |r| count(r.timed_out()))),
-        ("skipped", report.map_or(Json::Null, |r| count(r.skipped))),
+        ("failed", report.map_or(json::null(), |r| count(r.failed()))),
+        (
+            "timeout",
+            report.map_or(json::null(), |r| count(r.timed_out())),
+        ),
+        ("skipped", report.map_or(json::null(), |r| count(r.skipped))),
         (
             "strict_aborted",
-            report.map_or(Json::Null, |r| Json::Bool(r.strict_aborted)),
+            report.map_or(json::null(), |r| json::boolean(r.strict_aborted)),
         ),
         (
             "first_degraded",
-            first_bad.map_or(Json::Null, Json::Str),
+            first_bad.map_or(json::null(), |s| json::string(&s)),
         ),
-        ("exit", Json::Int(i64::from(exit))),
-        (
-            "sink",
-            Json::Obj(vec![
-                ("connect_retries", Json::Int(counters.connect_retries as i64)),
-                ("reconnects", Json::Int(counters.reconnects as i64)),
-                ("spilled_lines", Json::Int(counters.spilled_lines as i64)),
-                ("drained_lines", Json::Int(counters.drained_lines as i64)),
-            ]),
-        ),
+        ("exit", json::uint(exit as u64)),
     ]);
-    eprintln!("# summary: {}", doc.render_compact());
+    eprintln!("# summary: {}", render_compact(&doc));
 }

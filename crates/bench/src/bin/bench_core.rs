@@ -28,8 +28,9 @@
 
 use std::time::Instant;
 
-use wsn_bench::{elapsed_ms, Json, RunArgs, BENCH_CORE_PATH};
+use wsn_bench::{elapsed_ms, host_cpus, RunArgs, BENCH_CORE_PATH};
 use wsn_sim::contention::run_channel_sim_into_ws;
+use wsn_sim::persist::{json, render_document};
 use wsn_sim::policy::{GreedyRebalance, PolicyEngine};
 use wsn_sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario};
 use wsn_sim::{ChannelSimConfig, SimWorkspace, StatsSink};
@@ -159,50 +160,43 @@ fn main() {
     );
 
     if args.json {
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("core_event_loop".into())),
-            ("superframes", Json::Int(args.superframes as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("core_event_loop")),
+            ("superframes", json::uint(args.superframes as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
             (
                 "grid",
-                Json::Obj(vec![
-                    ("points", Json::Int(configs.len() as i64)),
-                    ("events", Json::Int(total_events as i64)),
-                    ("procedures", Json::Int(total_procedures as i64)),
-                    ("wall_ms", Json::Num(grid_wall_ms)),
-                    ("events_per_sec", Json::Num(events_per_sec)),
+                json::obj(vec![
+                    ("points", json::uint(configs.len() as u64)),
+                    ("events", json::uint(total_events)),
+                    ("procedures", json::uint(total_procedures)),
+                    ("wall_ms", json::num(grid_wall_ms)),
+                    ("events_per_sec", json::num(events_per_sec)),
                 ]),
             ),
             (
                 "policy_round",
-                Json::Obj(vec![
-                    ("rounds", Json::Int(trace.rounds.len() as i64)),
-                    ("channels", Json::Int(scenario.channels as i64)),
-                    ("nodes", Json::Int(scenario.total_nodes() as i64)),
-                    ("superframes", Json::Int(scenario.superframes as i64)),
-                    ("wall_ms", Json::Num(policy_wall_ms)),
+                json::obj(vec![
+                    ("rounds", json::uint(trace.rounds.len() as u64)),
+                    ("channels", json::uint(scenario.channels as u64)),
+                    ("nodes", json::uint(scenario.total_nodes() as u64)),
+                    ("superframes", json::uint(scenario.superframes as u64)),
+                    ("wall_ms", json::num(policy_wall_ms)),
                 ]),
             ),
             (
                 "telemetry",
-                Json::Obj(vec![
-                    ("events", Json::Int(telem_events as i64)),
-                    ("inert", Json::Bool(telem_events == total_events)),
-                    ("wall_ms", Json::Num(telem_wall_ms)),
-                    ("enabled_events_per_sec", Json::Num(telem_events_per_sec)),
-                    ("enabled_overhead_pct", Json::Num(telem_overhead_pct)),
+                json::obj(vec![
+                    ("events", json::uint(telem_events)),
+                    ("inert", json::boolean(telem_events == total_events)),
+                    ("wall_ms", json::num(telem_wall_ms)),
+                    ("enabled_events_per_sec", json::num(telem_events_per_sec)),
+                    ("enabled_overhead_pct", json::num(telem_overhead_pct)),
                 ]),
             ),
         ]);
-        std::fs::write(BENCH_CORE_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_CORE_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_CORE_PATH}");
     }
     wsn_bench::finish_metrics(&args);

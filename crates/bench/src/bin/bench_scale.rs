@@ -29,10 +29,11 @@
 
 use std::time::Instant;
 
-use wsn_bench::{elapsed_ms, Json, RunArgs, BENCH_SCALE_PATH};
+use wsn_bench::{elapsed_ms, host_cpus, RunArgs, BENCH_SCALE_PATH};
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::RadioModel;
 use wsn_sim::network::{NetworkConfig, NetworkSimulator, NetworkSummary, TxPowerPolicy};
+use wsn_sim::persist::{json, render_document, Node};
 use wsn_sim::ChannelSimConfig;
 use wsn_units::{DBm, Db, Seconds};
 
@@ -114,8 +115,8 @@ fn main() {
         args.superframes
     );
 
-    let mut points: Vec<Json> = Vec::new();
-    let mut skipped: Vec<Json> = Vec::new();
+    let mut points: Vec<Node> = Vec::new();
+    let mut skipped: Vec<Node> = Vec::new();
     let mut ran: Vec<usize> = Vec::new();
     for &nodes in ladder.iter().filter(|&&n| n <= max_nodes) {
         let cfg = scale_config(nodes, args.superframes);
@@ -129,10 +130,10 @@ fn main() {
                     estimate as f64 / (1u64 << 30) as f64,
                     available as f64 / (1u64 << 30) as f64
                 );
-                skipped.push(Json::Obj(vec![
-                    ("nodes", Json::Int(nodes as i64)),
-                    ("estimated_bytes", Json::Int(estimate as i64)),
-                    ("available_bytes", Json::Int(available as i64)),
+                skipped.push(json::obj(vec![
+                    ("nodes", json::uint(nodes as u64)),
+                    ("estimated_bytes", json::uint(estimate)),
+                    ("available_bytes", json::uint(available)),
                 ]));
                 continue;
             }
@@ -156,14 +157,14 @@ fn main() {
             "{nodes:>9} timing: {wall_ms:>9.1} ms ⇒ {events_per_sec:>11.0} events/s ({} threads)",
             runner.threads()
         );
-        points.push(Json::Obj(vec![
-            ("nodes", Json::Int(nodes as i64)),
-            ("events", Json::Int(events as i64)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("events_per_sec", Json::Num(events_per_sec)),
-            ("power_uw_per_node", Json::Num(power_uw)),
-            ("pr_fail", Json::Num(summary.failure_ratio.value())),
-            ("transactions", Json::Int(summary.transactions as i64)),
+        points.push(json::obj(vec![
+            ("nodes", json::uint(nodes as u64)),
+            ("events", json::uint(events)),
+            ("wall_ms", json::num(wall_ms)),
+            ("events_per_sec", json::num(events_per_sec)),
+            ("power_uw_per_node", json::num(power_uw)),
+            ("pr_fail", json::num(summary.failure_ratio.value())),
+            ("transactions", json::uint(summary.transactions)),
         ]));
         ran.push(nodes);
     }
@@ -200,32 +201,25 @@ fn main() {
     );
 
     if args.json {
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("scale_ladder".into())),
-            ("superframes", Json::Int(args.superframes as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
-            ("load", Json::Num(LOAD)),
-            ("payload_bytes", Json::Int(PAYLOAD_BYTES as i64)),
-            ("points", Json::Arr(points)),
-            ("skipped", Json::Arr(skipped)),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("scale_ladder")),
+            ("superframes", json::uint(args.superframes as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
+            ("load", json::num(LOAD)),
+            ("payload_bytes", json::uint(PAYLOAD_BYTES as u64)),
+            ("points", json::arr(points)),
+            ("skipped", json::arr(skipped)),
             (
                 "sharded_identity",
-                Json::Obj(vec![
-                    ("nodes", Json::Int(identity_nodes as i64)),
-                    ("shards", Json::Int(SHARDS as i64)),
-                    ("identical", Json::Bool(identical)),
+                json::obj(vec![
+                    ("nodes", json::uint(identity_nodes as u64)),
+                    ("shards", json::uint(SHARDS as u64)),
+                    ("identical", json::boolean(identical)),
                 ]),
             ),
         ]);
-        std::fs::write(BENCH_SCALE_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_SCALE_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_SCALE_PATH}");
     }
 }

@@ -33,6 +33,7 @@ use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{ContentionModel, IdealContention, MonteCarloContention};
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::{PhaseTag, RadioModel, StateKind};
+use wsn_sim::persist::render_document;
 
 fn main() {
     let args = RunArgs::parse(60);
@@ -193,7 +194,7 @@ fn main() {
             serial_wall_ms,
             Vec::new(),
         );
-        std::fs::write(BENCH_NETWORK_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_NETWORK_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_NETWORK_PATH}");
     }
     wsn_bench::finish_metrics(&args);

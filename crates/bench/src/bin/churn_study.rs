@@ -28,7 +28,8 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin churn_study [superframes] [--threads N] [--reps N] [--json]`
 
-use wsn_bench::{elapsed_ms, export_scenario_file, Json, RunArgs, BENCH_FAULTS_PATH};
+use wsn_bench::{elapsed_ms, export_scenario_file, host_cpus, RunArgs, BENCH_FAULTS_PATH};
+use wsn_sim::persist::{json, render_document, Node};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{FaultPlan, Runner, ScenarioOutcome};
 
@@ -189,74 +190,67 @@ fn main() {
             let (_, ms) = run_sweep(&Runner::serial(), args.superframes, reps);
             ms
         };
-        let json_points: Vec<Json> = points
+        let json_points: Vec<Node> = points
             .iter()
             .map(|p| {
                 let o = &p.outcome.overall;
-                Json::Obj(vec![
-                    ("death_rate", Json::Num(p.death_rate)),
-                    ("outage_superframes", Json::Int(p.outage_sf as i64)),
-                    ("wall_ms", Json::Num(p.wall_ms)),
-                    ("delivery_ratio", Json::Num(p.delivery_ratio())),
-                    ("power_uw", Json::Num(o.mean_node_power.microwatts())),
+                json::obj(vec![
+                    ("death_rate", json::num(p.death_rate)),
+                    ("outage_superframes", json::uint(p.outage_sf as u64)),
+                    ("wall_ms", json::num(p.wall_ms)),
+                    ("delivery_ratio", json::num(p.delivery_ratio())),
+                    ("power_uw", json::num(o.mean_node_power.microwatts())),
                     (
                         "power_se_uw",
-                        Json::Num(o.power_standard_error.microwatts()),
+                        json::num(o.power_standard_error.microwatts()),
                     ),
                     (
                         "uj_per_delivered_packet",
-                        Json::Num(o.energy_per_delivered_packet_uj),
+                        json::num(o.energy_per_delivered_packet_uj),
                     ),
-                    ("deaths", Json::Int(o.deaths as i64)),
-                    ("orphan_scans", Json::Int(o.orphan_scans as i64)),
-                    ("join_attempts", Json::Int(o.join_attempts as i64)),
+                    ("deaths", json::uint(o.deaths)),
+                    ("orphan_scans", json::uint(o.orphan_scans)),
+                    ("join_attempts", json::uint(o.join_attempts)),
                     (
                         "join_failure_ratio",
-                        Json::Num(o.join_failure_ratio.value()),
+                        json::num(o.join_failure_ratio.value()),
                     ),
                     (
                         "reassociation_delay_s",
-                        Json::Num(o.mean_reassociation_delay.secs()),
+                        json::num(o.mean_reassociation_delay.secs()),
                     ),
-                    ("dormant_nodes", Json::Int(o.dormant_nodes as i64)),
-                    ("gts_transactions", Json::Int(o.gts_transactions as i64)),
-                    ("downlink_polls", Json::Int(o.downlink_polls as i64)),
+                    ("dormant_nodes", json::uint(o.dormant_nodes)),
+                    ("gts_transactions", json::uint(o.gts_transactions)),
+                    ("downlink_polls", json::uint(o.downlink_polls)),
                 ])
             })
             .collect();
         let baseline = &points[0];
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("churn_study_faults".into())),
-            ("superframes", Json::Int(args.superframes as i64)),
-            ("replications", Json::Int(reps as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
-            ("channels", Json::Int(CHANNELS as i64)),
-            ("nodes_per_channel", Json::Int(NODES_PER_CHANNEL as i64)),
-            ("outage_rate", Json::Num(OUTAGE_RATE)),
-            ("rejoin_delay_superframes", Json::Int(REJOIN_DELAY as i64)),
-            ("max_join_retries", Json::Int(MAX_JOIN_RETRIES as i64)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("serial_wall_ms", Json::Num(serial_wall_ms)),
-            ("speedup_vs_serial", Json::Num(serial_wall_ms / wall_ms)),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("churn_study_faults")),
+            ("superframes", json::uint(args.superframes as u64)),
+            ("replications", json::uint(reps as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
+            ("channels", json::uint(CHANNELS as u64)),
+            ("nodes_per_channel", json::uint(NODES_PER_CHANNEL as u64)),
+            ("outage_rate", json::num(OUTAGE_RATE)),
+            ("rejoin_delay_superframes", json::uint(REJOIN_DELAY as u64)),
+            ("max_join_retries", json::uint(MAX_JOIN_RETRIES as u64)),
+            ("wall_ms", json::num(wall_ms)),
+            ("serial_wall_ms", json::num(serial_wall_ms)),
+            ("speedup_vs_serial", json::num(serial_wall_ms / wall_ms)),
             (
                 "baseline_delivery_ratio",
-                Json::Num(baseline.delivery_ratio()),
+                json::num(baseline.delivery_ratio()),
             ),
             (
                 "baseline_uj_per_packet",
-                Json::Num(baseline.outcome.overall.energy_per_delivered_packet_uj),
+                json::num(baseline.outcome.overall.energy_per_delivered_packet_uj),
             ),
-            ("points", Json::Arr(json_points)),
+            ("points", json::arr(json_points)),
         ]);
-        std::fs::write(BENCH_FAULTS_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_FAULTS_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_FAULTS_PATH}");
     }
     wsn_bench::finish_metrics(&args);

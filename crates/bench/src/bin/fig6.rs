@@ -21,8 +21,9 @@
 
 use std::time::Instant;
 
-use wsn_bench::{elapsed_ms, Json, RunArgs};
+use wsn_bench::{elapsed_ms, host_cpus, RunArgs};
 use wsn_sim::contention::run_channel_sim_into;
+use wsn_sim::persist::{json, render_document, Node};
 use wsn_sim::{replication_seed, ChannelSimConfig, Runner, StatsSink};
 
 fn configs_for(payloads: &[usize], loads: &[f64], superframes: u32) -> Vec<ChannelSimConfig> {
@@ -154,66 +155,59 @@ fn main() {
         // sweep already ran single-threaded — it would be the same run).
         let (serial_wall_ms, speedup) = if runner.threads() > 1 {
             let (_, serial_ms) = timed_sweep(&Runner::serial(), &configs, reps);
-            (Json::Num(serial_ms), Json::Num(serial_ms / wall_ms))
+            (json::num(serial_ms), json::num(serial_ms / wall_ms))
         } else {
-            (Json::Null, Json::Null)
+            (json::null(), json::null())
         };
 
-        let points: Vec<Json> = configs
+        let points: Vec<Node> = configs
             .iter()
             .zip(&rows)
             .map(|(cfg, (sink, point_ms))| {
                 let stats = sink.contention_stats();
-                Json::Obj(vec![
-                    ("payload_bytes", Json::Int(cfg.packet.payload_bytes() as i64)),
-                    ("load", Json::Num(cfg.load)),
-                    ("wall_ms", Json::Num(*point_ms)),
-                    ("t_cont_ms", Json::Num(stats.mean_contention.millis())),
+                json::obj(vec![
+                    (
+                        "payload_bytes",
+                        json::uint(cfg.packet.payload_bytes() as u64),
+                    ),
+                    ("load", json::num(cfg.load)),
+                    ("wall_ms", json::num(*point_ms)),
+                    ("t_cont_ms", json::num(stats.mean_contention.millis())),
                     (
                         "t_cont_se_ms",
-                        Json::Num(sink.contention.contention_us.standard_error() / 1e3),
+                        json::num(sink.contention.contention_us.standard_error() / 1e3),
                     ),
-                    ("n_cca", Json::Num(stats.mean_ccas)),
-                    (
-                        "n_cca_se",
-                        Json::Num(sink.contention.ccas.standard_error()),
-                    ),
-                    ("pr_col", Json::Num(stats.pr_collision.value())),
+                    ("n_cca", json::num(stats.mean_ccas)),
+                    ("n_cca_se", json::num(sink.contention.ccas.standard_error())),
+                    ("pr_col", json::num(stats.pr_collision.value())),
                     (
                         "pr_col_se",
-                        Json::Num(sink.contention.collisions.standard_error()),
+                        json::num(sink.contention.collisions.standard_error()),
                     ),
-                    ("pr_cf", Json::Num(stats.pr_access_failure.value())),
+                    ("pr_cf", json::num(stats.pr_access_failure.value())),
                     (
                         "pr_cf_se",
-                        Json::Num(sink.contention.access_failures.standard_error()),
+                        json::num(sink.contention.access_failures.standard_error()),
                     ),
-                    ("procedures", Json::Int(stats.procedures as i64)),
+                    ("procedures", json::uint(stats.procedures)),
                 ])
             })
             .collect();
 
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("fig6_contention_sweep".into())),
-            ("superframes", Json::Int(args.superframes as i64)),
-            ("replications", Json::Int(reps as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
-            ("points_total", Json::Int(points.len() as i64)),
-            ("wall_ms", Json::Num(wall_ms)),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("fig6_contention_sweep")),
+            ("superframes", json::uint(args.superframes as u64)),
+            ("replications", json::uint(reps as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
+            ("points_total", json::uint(points.len() as u64)),
+            ("wall_ms", json::num(wall_ms)),
             ("serial_wall_ms", serial_wall_ms),
             ("speedup_vs_serial", speedup),
-            ("points", Json::Arr(points)),
+            ("points", json::arr(points)),
         ]);
         let path = "BENCH_contention.json";
-        std::fs::write(path, doc.render()).expect("write benchmark JSON");
+        std::fs::write(path, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {path}");
     }
     wsn_bench::finish_metrics(&args);

@@ -30,7 +30,8 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin gts_study [superframes] [--threads N] [--reps N] [--json]`
 
-use wsn_bench::{elapsed_ms, Json, RunArgs, BENCH_CFP_PATH};
+use wsn_bench::{elapsed_ms, host_cpus, RunArgs, BENCH_CFP_PATH};
+use wsn_sim::persist::{json, render_document, Node};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{Runner, ScenarioOutcome};
 
@@ -176,67 +177,63 @@ fn main() {
             let (_, ms) = run_sweep(&Runner::serial(), args.superframes, reps);
             ms
         };
-        let json_points: Vec<Json> = points
+        let json_points: Vec<Node> = points
             .iter()
             .map(|p| {
                 let o = &p.outcome.overall;
-                Json::Obj(vec![
-                    ("gts_nodes", Json::Int(p.gts_nodes as i64)),
-                    ("downlink_rate", Json::Num(p.downlink_rate)),
-                    ("wall_ms", Json::Num(p.wall_ms)),
-                    ("power_uw", Json::Num(o.mean_node_power.microwatts())),
+                json::obj(vec![
+                    ("gts_nodes", json::uint(p.gts_nodes as u64)),
+                    ("downlink_rate", json::num(p.downlink_rate)),
+                    ("wall_ms", json::num(p.wall_ms)),
+                    ("power_uw", json::num(o.mean_node_power.microwatts())),
                     (
                         "power_se_uw",
-                        Json::Num(o.power_standard_error.microwatts()),
+                        json::num(o.power_standard_error.microwatts()),
                     ),
-                    ("cap_uw", Json::Num(o.cap_power.microwatts())),
+                    ("cap_uw", json::num(o.cap_power.microwatts())),
                     (
                         "cap_se_uw",
-                        Json::Num(o.cap_power_standard_error.microwatts()),
+                        json::num(o.cap_power_standard_error.microwatts()),
                     ),
-                    ("cfp_uw", Json::Num(o.cfp_power.microwatts())),
+                    ("cfp_uw", json::num(o.cfp_power.microwatts())),
                     (
                         "cfp_se_uw",
-                        Json::Num(o.cfp_power_standard_error.microwatts()),
+                        json::num(o.cfp_power_standard_error.microwatts()),
                     ),
-                    ("pr_fail", Json::Num(o.failure_ratio.value())),
-                    ("pr_fail_se", Json::Num(o.failure_standard_error)),
-                    ("gts_denied", Json::Int(p.outcome.total_gts_denied() as i64)),
-                    ("gts_transactions", Json::Int(o.gts_transactions as i64)),
-                    ("downlink_polls", Json::Int(o.downlink_polls as i64)),
-                    ("downlink_deferred", Json::Int(o.downlink_deferred as i64)),
+                    ("pr_fail", json::num(o.failure_ratio.value())),
+                    ("pr_fail_se", json::num(o.failure_standard_error)),
+                    (
+                        "gts_denied",
+                        json::uint(p.outcome.total_gts_denied() as u64),
+                    ),
+                    ("gts_transactions", json::uint(o.gts_transactions)),
+                    ("downlink_polls", json::uint(o.downlink_polls)),
+                    ("downlink_deferred", json::uint(o.downlink_deferred)),
                 ])
             })
             .collect();
-        let doc = Json::Obj(vec![
-            ("benchmark", Json::Str("gts_study_cfp".into())),
-            ("superframes", Json::Int(args.superframes as i64)),
-            ("replications", Json::Int(reps as i64)),
-            ("threads", Json::Int(runner.threads() as i64)),
-            (
-                "host_cpus",
-                Json::Int(
-                    std::thread::available_parallelism()
-                        .map(|n| n.get() as i64)
-                        .unwrap_or(1),
-                ),
-            ),
-            ("channels", Json::Int(CHANNELS as i64)),
-            ("nodes_per_channel", Json::Int(NODES_PER_CHANNEL as i64)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("serial_wall_ms", Json::Num(serial_wall_ms)),
-            ("speedup_vs_serial", Json::Num(serial_wall_ms / wall_ms)),
+        let doc = json::obj(vec![
+            ("benchmark", json::string("gts_study_cfp")),
+            ("superframes", json::uint(args.superframes as u64)),
+            ("replications", json::uint(reps as u64)),
+            ("threads", json::uint(runner.threads() as u64)),
+            ("host_cpus", json::uint(host_cpus())),
+            ("channels", json::uint(CHANNELS as u64)),
+            ("nodes_per_channel", json::uint(NODES_PER_CHANNEL as u64)),
+            ("wall_ms", json::num(wall_ms)),
+            ("serial_wall_ms", json::num(serial_wall_ms)),
+            ("speedup_vs_serial", json::num(serial_wall_ms / wall_ms)),
             (
                 "crossover_gts_nodes",
-                crossover(&points, 0.0).map_or(Json::Null, |g| Json::Int(g as i64)),
+                crossover(&points, 0.0).map_or(json::null(), |g| json::uint(g as u64)),
             ),
             (
                 "crossover_gts_nodes_dl",
-                crossover(&points, DL_RATES[1]).map_or(Json::Null, |g| Json::Int(g as i64)),
+                crossover(&points, DL_RATES[1]).map_or(json::null(), |g| json::uint(g as u64)),
             ),
-            ("points", Json::Arr(json_points)),
+            ("points", json::arr(json_points)),
         ]);
-        std::fs::write(BENCH_CFP_PATH, doc.render()).expect("write benchmark JSON");
+        std::fs::write(BENCH_CFP_PATH, render_document(&doc)).expect("write benchmark JSON");
         eprintln!("wrote {BENCH_CFP_PATH}");
     }
     wsn_bench::finish_metrics(&args);

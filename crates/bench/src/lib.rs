@@ -2,11 +2,13 @@
 //!
 //! This library hosts the plumbing every figure binary shares: CLI parsing
 //! (`[superframes] [--threads N] [--json]`), construction of the parallel
-//! [`Runner`], and a dependency-free JSON emitter for machine-readable
-//! benchmark output (`BENCH_contention.json`).
+//! [`Runner`], and the shared pieces of the machine-readable `BENCH_*`
+//! documents, which are built with [`wsn_sim::persist::json`] and rendered
+//! by [`wsn_sim::persist::render_document`].
 
 use std::time::Instant;
 
+use wsn_sim::persist::{json, Node};
 use wsn_sim::Runner;
 
 /// Common command-line arguments of the figure binaries.
@@ -187,6 +189,12 @@ pub fn finish_metrics(args: &RunArgs) {
     );
 }
 
+/// Logical CPUs the host offers (1 when unknown), recorded as `host_cpus`
+/// in every `BENCH_*` document.
+pub fn host_cpus() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
 /// Milliseconds elapsed since `start`, as f64.
 pub fn elapsed_ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
@@ -270,220 +278,52 @@ pub fn network_bench_json(
     outcome: &wsn_sim::ScenarioOutcome,
     wall_ms: f64,
     serial_wall_ms: Option<f64>,
-    extra: Vec<(&'static str, Json)>,
-) -> Json {
-    let points: Vec<Json> = outcome
+    extra: Vec<(&'static str, Node)>,
+) -> Node {
+    let points: Vec<Node> = outcome
         .per_channel
         .iter()
         .enumerate()
         .map(|(c, s)| {
-            Json::Obj(vec![
-                ("channel", Json::Int(c as i64)),
-                ("power_uw", Json::Num(s.mean_node_power.microwatts())),
+            json::obj(vec![
+                ("channel", json::uint(c as u64)),
+                ("power_uw", json::num(s.mean_node_power.microwatts())),
                 (
                     "power_se_uw",
-                    Json::Num(s.power_standard_error.microwatts()),
+                    json::num(s.power_standard_error.microwatts()),
                 ),
-                ("pr_fail", Json::Num(s.failure_ratio.value())),
-                ("pr_fail_se", Json::Num(s.failure_standard_error)),
-                ("delay_s", Json::Num(s.mean_delay.secs())),
-                ("attempts", Json::Num(s.mean_attempts)),
-                ("transactions", Json::Int(s.transactions as i64)),
+                ("pr_fail", json::num(s.failure_ratio.value())),
+                ("pr_fail_se", json::num(s.failure_standard_error)),
+                ("delay_s", json::num(s.mean_delay.secs())),
+                ("attempts", json::num(s.mean_attempts)),
+                ("transactions", json::uint(s.transactions)),
             ])
         })
         .collect();
     let (serial_ms, speedup) = match serial_wall_ms {
-        Some(ms) => (Json::Num(ms), Json::Num(ms / wall_ms)),
-        None => (Json::Null, Json::Null),
+        Some(ms) => (json::num(ms), json::num(ms / wall_ms)),
+        None => (json::null(), json::null()),
     };
     let mut pairs = vec![
-        ("benchmark", Json::Str(benchmark.into())),
-        ("superframes", Json::Int(superframes as i64)),
-        ("replications", Json::Int(replications as i64)),
-        ("threads", Json::Int(threads as i64)),
-        (
-            "host_cpus",
-            Json::Int(
-                std::thread::available_parallelism()
-                    .map(|n| n.get() as i64)
-                    .unwrap_or(1),
-            ),
-        ),
-        ("channels", Json::Int(points.len() as i64)),
-        ("wall_ms", Json::Num(wall_ms)),
+        ("benchmark", json::string(benchmark)),
+        ("superframes", json::uint(superframes as u64)),
+        ("replications", json::uint(replications as u64)),
+        ("threads", json::uint(threads as u64)),
+        ("host_cpus", json::uint(host_cpus())),
+        ("channels", json::uint(points.len() as u64)),
+        ("wall_ms", json::num(wall_ms)),
         ("serial_wall_ms", serial_ms),
         ("speedup_vs_serial", speedup),
         (
             "overall_power_uw",
-            Json::Num(outcome.overall.mean_node_power.microwatts()),
+            json::num(outcome.overall.mean_node_power.microwatts()),
         ),
         (
             "overall_pr_fail",
-            Json::Num(outcome.overall.failure_ratio.value()),
+            json::num(outcome.overall.failure_ratio.value()),
         ),
     ];
     pairs.extend(extra);
-    pairs.push(("points", Json::Arr(points)));
-    Json::Obj(pairs)
-}
-
-/// A minimal JSON value with a canonical renderer — enough for the
-/// benchmark emitters, with no external dependency.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Integer (emitted without a decimal point).
-    Int(i64),
-    /// Finite float (non-finite values render as `null`).
-    Num(f64),
-    /// String (escaped on render).
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object: ordered key/value pairs.
-    Obj(Vec<(&'static str, Json)>),
-}
-
-impl Json {
-    /// Renders with 2-space indentation and a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    /// Renders on a single line with no trailing newline, for
-    /// machine-parsed records embedded in stderr streams.
-    pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{key}\":"));
-                    value.write_compact(out);
-                }
-                out.push('}');
-            }
-            scalar => scalar.write(out, 0),
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("\"{key}\": "));
-                    value.write(out, indent + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_renders_nested_structures() {
-        let doc = Json::Obj(vec![
-            ("name", Json::Str("fig6".into())),
-            ("threads", Json::Int(8)),
-            ("speedup", Json::Num(3.75)),
-            ("nan", Json::Num(f64::NAN)),
-            ("points", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
-            ("empty", Json::Arr(vec![])),
-        ]);
-        let text = doc.render();
-        assert!(text.contains("\"name\": \"fig6\""), "{text}");
-        assert!(text.contains("\"speedup\": 3.75"), "{text}");
-        assert!(text.contains("\"nan\": null"), "{text}");
-        assert!(text.contains("\"empty\": []"), "{text}");
-        assert!(text.ends_with("}\n"), "{text}");
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        let doc = Json::Str("a\"b\\c\nd".into());
-        assert_eq!(doc.render(), "\"a\\\"b\\\\c\\nd\"\n");
-    }
+    pairs.push(("points", json::arr(points)));
+    json::obj(pairs)
 }

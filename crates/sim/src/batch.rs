@@ -17,10 +17,9 @@
 //!   so every per-scenario summary is **bit-identical** to running that
 //!   scenario alone (it is the same code path), for any thread count and
 //!   any file ordering (results are keyed by scenario, not by position).
-//!   Scenarios carrying a
-//!   [`PolicyChoice`](crate::persist::PolicyChoice) are closed-loop and
-//!   sequential by nature; they run after the grid, one
-//!   [`PolicyEngine`] each, on the same runner.
+//!   Scenarios carrying a [`PolicyChoice`] are closed-loop and sequential
+//!   by nature; each runs in its place in entry order as a one-entry
+//!   wave, through one [`PolicyEngine`] on the same runner.
 //! * **Deterministic seeds.** By default every scenario runs with the
 //!   master seed saved in its file. A manifest may instead set a batch
 //!   seed: each scenario then runs with
@@ -31,8 +30,7 @@
 //!   record (JSON-lines) with the full [`NetworkSummary`] surface —
 //!   CAP/CFP split, fault counters and standard errors included — and
 //!   the batch ends with one aggregate record, all through a
-//!   [`ResultSink`] (any `Write` via [`WriteSink`], or a retrying
-//!   [`TcpSink`](crate::sink::TcpSink)).
+//!   [`ResultSink`] (any `Write` via [`WriteSink`]).
 //! * **Fault tolerance.** [`BatchSet::run_with`] takes a [`RunConfig`]:
 //!   an fsync'd progress [journal](crate::journal) makes a killed farm
 //!   resumable ([`RunConfig::resume`] skips scenarios whose
@@ -127,8 +125,8 @@ pub enum BatchError {
         /// The typed journal diagnostic.
         error: JournalError,
     },
-    /// The result sink failed — the record could be neither delivered nor
-    /// durably queued, so continuing would silently drop results.
+    /// The result sink failed — the record could not be written, so
+    /// continuing would silently drop results.
     Sink {
         /// The I/O error text.
         error: String,
@@ -202,7 +200,8 @@ pub struct RunConfig {
     /// starts (closed-loop), so a scenario that blows its budget becomes
     /// a `"timeout"` record instead of hanging the farm. `Some(ZERO)` is
     /// a deadline that has already passed, so every scenario times out
-    /// deterministically (the test hook). When
+    /// deterministically (the test hook); a timeout too large for the
+    /// clock to represent means no deadline. When
     /// set, scenarios run one wave each so the clock measures a single
     /// scenario. Timed-out scenarios are not retried.
     pub timeout: Option<Duration>,
@@ -224,6 +223,13 @@ pub struct RunConfig {
     /// printed as `-` otherwise). Stderr only — the record stream stays
     /// byte-identical.
     pub heartbeat: bool,
+}
+
+impl RunConfig {
+    /// The watchdog deadline for work starting now.
+    fn deadline(&self) -> Option<Instant> {
+        self.timeout.and_then(|t| Instant::now().checked_add(t))
+    }
 }
 
 /// How a scenario ended within a batch run.
@@ -501,8 +507,8 @@ impl BatchSet {
     ///
     /// # Errors
     ///
-    /// [`BatchError::Sink`] when a record can be neither delivered nor
-    /// durably queued; [`BatchError::Journal`] when the progress journal
+    /// [`BatchError::Sink`] when a record cannot be written;
+    /// [`BatchError::Journal`] when the progress journal
     /// cannot be read, repaired or appended. Simulation failures are
     /// *not* errors — they are typed records.
     pub fn run_with(
@@ -707,15 +713,6 @@ impl BatchSet {
             }
         }
 
-        if telem {
-            let c = sink.counters();
-            crate::telemetry::note_sink_counters(
-                c.connect_retries as u64,
-                c.reconnects as u64,
-                c.spilled_lines as u64,
-                c.drained_lines as u64,
-            );
-        }
         // Close the batch span before the final snapshot so the timing
         // record includes the whole-batch wall.
         drop(batch_span);
@@ -789,8 +786,9 @@ impl BatchSet {
             })
             .collect();
         *jobs_run += grids.iter().map(Grid::jobs).sum::<usize>();
-        let deadline = config.timeout.map(|t| Instant::now() + t);
-        let mut results = grids.iter().zip(run_grids(runner, &grids, deadline));
+        let mut results = grids
+            .iter()
+            .zip(run_grids(runner, &grids, config.deadline()));
 
         let mut records = Vec::with_capacity(wave.len());
         for (&idx, compiled) in wave.iter().zip(&compiled) {
@@ -812,9 +810,8 @@ impl BatchSet {
             // just burn another budget on the same runaway config).
             while matches!(result, Err(GridFailure::Panicked(_))) && attempts <= config.retries {
                 attempts += 1;
-                let deadline = config.timeout.map(|t| Instant::now() + t);
                 *jobs_run += grid.jobs();
-                result = run_grids(runner, std::slice::from_ref(grid), deadline)
+                result = run_grids(runner, std::slice::from_ref(grid), config.deadline())
                     .pop()
                     .expect("one result per grid");
             }
@@ -1409,6 +1406,19 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_means_no_deadline() {
+        let set = BatchSet::from_entries(vec![entry("a", 11), entry("b", 22)], None).unwrap();
+        let mut sink = WriteSink::new(Vec::new());
+        let config = RunConfig {
+            timeout: Some(Duration::MAX),
+            ..RunConfig::default()
+        };
+        let report = set.run_with(&Runner::serial(), &mut sink, &config).unwrap();
+        assert_eq!(report.records.len(), 2);
+        assert!(report.all_ok());
     }
 
     #[test]

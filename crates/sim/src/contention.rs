@@ -483,8 +483,8 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// network layer's corruption-probability buffer.
 ///
 /// Node state is deliberately struct-of-arrays — RNG streams, CSMA
-/// machines, hot scalars ([`NodeHot`]), the two pending-record slots and
-/// the cold fault group ([`NodeFault`]) live in parallel vectors — so the
+/// machines, hot scalars (`NodeHot`), the two pending-record slots and
+/// the cold fault group (`NodeFault`) live in parallel vectors — so the
 /// per-slot hot loop at 10⁵⁺ nodes loads only the arrays an event arm
 /// actually touches and stays L1/L2-resident instead of striding over a
 /// ~160-byte aggregate per node.

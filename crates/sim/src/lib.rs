@@ -81,15 +81,16 @@
 //! The batch service is a **fault-tolerant farm**: [`journal`] keeps an
 //! fsync'd progress journal keyed by config fingerprint
 //! ([`persist::fingerprint_scenario`]) so a killed run resumes exactly
-//! where it stopped ([`batch::RunConfig::resume`]), records flow through
-//! a retrying [`sink::ResultSink`] (plain writers via [`sink::WriteSink`],
-//! or [`sink::TcpSink`] with bounded exponential backoff, write timeouts
-//! and an on-disk overflow queue), and each scenario is isolated — a
-//! panicking config or a wall-clock overrun becomes a typed
-//! `"status":"failed"` / `"timeout"` record while the rest of the farm
-//! keeps running ([`runner::Runner::map_catching`]). The journal and
-//! record schemas — including the `status` field and the sink/backoff
-//! knobs — are documented in `SCHEMA.md` alongside the scenario format.
+//! where it stopped ([`batch::RunConfig::resume`]), records are written
+//! through a [`sink::ResultSink`] ([`sink::WriteSink`] over a file or
+//! stdout), and each scenario is isolated — a panicking config or a
+//! wall-clock overrun becomes a typed `"status":"failed"` / `"timeout"`
+//! record while the rest of the farm keeps running
+//! ([`runner::Runner::map_catching`]). The journal plus resume is the
+//! farm's delivery guarantee: a record is emitted before its journal entry
+//! is fsync'd, so a crash can duplicate one record but never lose one. The
+//! journal and record schemas — including the `status` field — are
+//! documented in `SCHEMA.md` alongside the scenario format.
 //!
 //! The whole stack is observable through [`telemetry`]: a process-wide,
 //! dependency-free metrics registry (counters, gauges, log₂ histograms,
@@ -171,7 +172,5 @@ pub use scenario::{
     BerChoice, ChannelAllocation, DeploymentSpec, ResolvedBer, Scenario, ScenarioOutcome,
     TrafficSpec,
 };
-pub use sink::{
-    ResultSink, SinkCounters, StatsSink, TcpSink, TraceCollector, TraceSink, WriteSink,
-};
+pub use sink::{ResultSink, SinkCounters, StatsSink, TraceCollector, TraceSink, WriteSink};
 pub use stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter, Extrema};

@@ -108,7 +108,7 @@ pub struct NetworkConfig {
     /// derive them from the BER model on entry; `Some` skips that
     /// derivation — the policy loop caches the full-population BER math
     /// once per drift value and remaps it per round. Values must equal
-    /// what [`corruption_probability`] computes bit-for-bit, or traces
+    /// what `corruption_probability` computes bit-for-bit, or traces
     /// diverge from the uncached path.
     pub corrupt_probs: Option<Arc<[f64]>>,
 }
@@ -610,7 +610,7 @@ impl NetworkSimulator {
     /// accrues that range's [`EnergyLedger`]s from the record stream the
     /// engine relays in order. Per-node accrual is a fixed f64 sequence
     /// per node regardless of which thread runs it, and the final fold
-    /// ([`finish_ledgers`]) walks the concatenated ledgers in node order
+    /// (`finish_ledgers`) walks the concatenated ledgers in node order
     /// on one thread, so the result is bit-identical by construction —
     /// the same contract the thread-count determinism suite pins for the
     /// runner.

@@ -15,19 +15,13 @@
 //!   reducing it afterwards, because records arrive in exactly the order
 //!   they would have been pushed.
 
-use std::fs;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::io::{self, Write};
 
 use wsn_units::Probability;
 
 use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord};
 use crate::contention::{AttemptOutcome, AttemptRecord, SimTrace, TransactionRecord, SLOT_US};
 use crate::faults::{FaultKind, FaultRecord};
-use crate::rng::Xoshiro256StarStar;
 use crate::stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter};
 
 /// Receives contention records as the engine finalizes them.
@@ -309,18 +303,18 @@ impl TraceSink for StatsSink {
 // Result sinks: where the batch farm's JSONL records go
 // ---------------------------------------------------------------------------
 
-/// Delivery counters a [`ResultSink`] accumulates over its lifetime.
+/// Delivery counters a [`ResultSink`] may report.
 ///
-/// All fields are zero for sinks that cannot fail ([`WriteSink`]); the
-/// `batch_run` CLI folds them into `BENCH_batch.json` so a farm run leaves a
-/// trail of how flaky its consumer was.
+/// Every sink in this crate writes to a plain writer and reports all
+/// zeros; the type stays for implementors outside the crate that forward
+/// [`ResultSink::counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCounters {
     /// Connection attempts that failed (before backoff + retry).
     pub connect_retries: u64,
     /// Successful connections after the first one.
     pub reconnects: u64,
-    /// Lines diverted to the on-disk overflow queue while the peer was down.
+    /// Lines diverted to an on-disk overflow queue while the peer was down.
     pub spilled_lines: u64,
     /// Overflow-queue lines later delivered to the peer.
     pub drained_lines: u64,
@@ -328,26 +322,25 @@ pub struct SinkCounters {
 
 /// Consumes the batch farm's JSONL record stream, one line per call.
 ///
-/// This lifts the raw `&mut dyn Write` the batch service used to take into a
-/// trait that can retry, reconnect and spill: [`WriteSink`] is the plain
-/// adapter for files and stdout, [`TcpSink`] streams to a socket with
-/// bounded exponential backoff and an optional on-disk overflow queue.
+/// [`WriteSink`] is the adapter for files, stdout and in-memory buffers;
+/// pipe stdout onward if the records must reach a socket.
 ///
 /// `line` never contains a newline; the sink supplies framing. An `Err`
-/// from [`emit`](Self::emit) means the line could not be delivered *or*
-/// durably queued — the batch aborts with [`BatchError::Sink`]
-/// (see [`crate::batch::BatchError`]).
+/// from [`emit`](Self::emit) means the line could not be written — the
+/// batch aborts with [`BatchError::Sink`](crate::batch::BatchError::Sink).
 pub trait ResultSink {
-    /// Delivers (or durably queues) one JSONL record.
+    /// Writes one JSONL record.
     fn emit(&mut self, line: &str) -> io::Result<()>;
 
-    /// Flushes buffered state after the last record. Called once by the
-    /// batch service; a `TcpSink` uses it for a final overflow drain.
+    /// Flushes buffered output after the last record. Called once by the
+    /// batch service.
     fn done(&mut self) -> io::Result<()> {
         Ok(())
     }
 
-    /// Delivery counters accumulated so far.
+    /// Delivery counters accumulated so far. Always zero for the sinks in
+    /// this crate; kept for implementors that wrap another sink and
+    /// forward its counters.
     fn counters(&self) -> SinkCounters {
         SinkCounters::default()
     }
@@ -380,307 +373,6 @@ impl<W: Write> ResultSink for WriteSink<W> {
 
     fn done(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// Streams records to a TCP peer, surviving a flaky one.
-///
-/// * **Backoff** — reconnects with bounded exponential backoff; the jitter
-///   is drawn from a seeded [`Xoshiro256StarStar`] so a farm run's retry
-///   schedule is reproducible from the batch seed ([`with_seed`](Self::with_seed)).
-/// * **Timeouts** — write (and, in ack mode, read) timeouts so a wedged
-///   peer cannot hang the farm ([`with_write_timeout`](Self::with_write_timeout)).
-/// * **Overflow queue** — with [`with_overflow`](Self::with_overflow), a
-///   down peer never blocks the farm: lines spill to an on-disk queue and
-///   drain, in order, on the next successful connect. Reconnect attempts
-///   are time-gated by the backoff schedule so at most one connect is
-///   tried per backoff window. Without an overflow path, `emit` blocks —
-///   sleeping through the backoff schedule — and gives up with the last
-///   I/O error after the attempt budget ([`with_backoff`](Self::with_backoff)).
-/// * **Acks** — with [`with_ack`](Self::with_ack), the sink reads one byte
-///   back per line before considering it delivered. TCP alone buffers
-///   writes, so a peer that vanishes can silently eat tail lines; the ack
-///   turns delivery into at-least-once (a line is retried unless the peer
-///   confirmed it — consumers must treat duplicate records as re-sends,
-///   which the journal's fingerprint makes trivial).
-#[derive(Debug)]
-pub struct TcpSink {
-    addr: String,
-    stream: Option<TcpStream>,
-    rng: Xoshiro256StarStar,
-    ack: bool,
-    write_timeout: Duration,
-    backoff_base: Duration,
-    backoff_max: Duration,
-    attempt_budget: u32,
-    overflow: Option<PathBuf>,
-    next_connect_at: Option<Instant>,
-    consecutive_failures: u32,
-    connected_once: bool,
-    counters: SinkCounters,
-}
-
-impl TcpSink {
-    /// Creates a sink for `addr` (`host:port`) with default knobs: no ack,
-    /// no overflow queue, 5 s write timeout, 50 ms–2 s backoff, 5 attempts.
-    pub fn new(addr: impl Into<String>) -> Self {
-        TcpSink {
-            addr: addr.into(),
-            stream: None,
-            rng: Xoshiro256StarStar::seed_from_u64(0),
-            ack: false,
-            write_timeout: Duration::from_secs(5),
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            attempt_budget: 5,
-            overflow: None,
-            next_connect_at: None,
-            consecutive_failures: 0,
-            connected_once: false,
-            counters: SinkCounters::default(),
-        }
-    }
-
-    /// Seeds the backoff jitter (pass the batch seed for a reproducible
-    /// retry schedule).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.rng = Xoshiro256StarStar::seed_from_u64(seed);
-        self
-    }
-
-    /// Requires a 1-byte ack from the peer per line (at-least-once
-    /// delivery).
-    pub fn with_ack(mut self, ack: bool) -> Self {
-        self.ack = ack;
-        self
-    }
-
-    /// Spills to `path` while the peer is down instead of blocking the
-    /// farm; drained on reconnect.
-    pub fn with_overflow(mut self, path: impl Into<PathBuf>) -> Self {
-        self.overflow = Some(path.into());
-        self
-    }
-
-    /// Write (and ack-read) timeout per line.
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Backoff schedule: delays grow `base, 2·base, 4·base, …` capped at
-    /// `max` (each halved-then-jittered deterministically); without an
-    /// overflow queue, `emit` gives up after `attempts` tries.
-    pub fn with_backoff(mut self, base: Duration, max: Duration, attempts: u32) -> Self {
-        self.backoff_base = base;
-        self.backoff_max = max;
-        self.attempt_budget = attempts.max(1);
-        self
-    }
-
-    /// Delay before retry number `attempt` (1-based): exponential, capped,
-    /// jittered into `[raw/2, raw]` from the seeded generator.
-    fn backoff_delay(&mut self, attempt: u32) -> Duration {
-        let base_ms = self.backoff_base.as_millis().max(1) as u64;
-        let max_ms = self.backoff_max.as_millis().max(1) as u64;
-        let raw = base_ms
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(16))
-            .min(max_ms)
-            .max(1);
-        let half = raw / 2;
-        let jitter = self.rng.next_u64() % (raw - half + 1);
-        Duration::from_millis(half + jitter)
-    }
-
-    fn disconnect(&mut self) {
-        self.stream = None;
-    }
-
-    /// Connects if disconnected, then drains any overflow backlog. On a
-    /// fresh connect failure the `connect_retries` counter ticks.
-    fn ensure_stream(&mut self) -> io::Result<()> {
-        if self.stream.is_some() {
-            return Ok(());
-        }
-        match TcpStream::connect(&self.addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_write_timeout(Some(self.write_timeout));
-                if self.ack {
-                    let _ = stream.set_read_timeout(Some(self.write_timeout));
-                }
-                self.stream = Some(stream);
-                if self.connected_once {
-                    self.counters.reconnects += 1;
-                } else {
-                    self.connected_once = true;
-                }
-                self.consecutive_failures = 0;
-                self.next_connect_at = None;
-                self.drain_overflow()
-            }
-            Err(e) => {
-                self.counters.connect_retries += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Writes one framed line (and reads the ack); disconnects on any I/O
-    /// error so the next attempt reconnects.
-    fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        let stream = match self.stream.as_mut() {
-            Some(s) => s,
-            None => return Err(io::Error::new(io::ErrorKind::NotConnected, "sink disconnected")),
-        };
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
-        let sent = stream.write_all(&framed).and_then(|()| stream.flush());
-        if let Err(e) = sent {
-            self.disconnect();
-            return Err(e);
-        }
-        if self.ack {
-            let mut ack = [0u8; 1];
-            if let Err(e) = stream.read_exact(&mut ack) {
-                self.disconnect();
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    fn try_send(&mut self, line: &str) -> io::Result<()> {
-        self.ensure_stream()?;
-        self.send_raw(line)
-    }
-
-    /// Appends one line to the overflow queue (fsync'd so a subsequent
-    /// crash cannot lose it).
-    fn spill(&mut self, line: &str) -> io::Result<()> {
-        let path = self
-            .overflow
-            .as_ref()
-            .expect("spill requires an overflow path");
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()?;
-        self.counters.spilled_lines += 1;
-        Ok(())
-    }
-
-    /// Sends every queued line in order; on a mid-drain failure the unsent
-    /// tail is written back so nothing is lost.
-    fn drain_overflow(&mut self) -> io::Result<()> {
-        let path = match self.overflow.clone() {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let lines: Vec<&str> = text.lines().collect();
-        if lines.is_empty() {
-            return fs::remove_file(&path);
-        }
-        for (i, line) in lines.iter().enumerate() {
-            if let Err(e) = self.send_raw(line) {
-                // Keep only the unsent tail queued.
-                let tail = lines[i..].join("\n");
-                fs::write(&path, format!("{tail}\n"))?;
-                return Err(e);
-            }
-            self.counters.drained_lines += 1;
-        }
-        fs::remove_file(&path)
-    }
-
-    /// True when the overflow queue still holds undelivered lines.
-    pub fn has_backlog(&self) -> bool {
-        self.overflow
-            .as_ref()
-            .map(|p| fs::metadata(p).map(|m| m.len() > 0).unwrap_or(false))
-            .unwrap_or(false)
-    }
-}
-
-impl ResultSink for TcpSink {
-    fn emit(&mut self, line: &str) -> io::Result<()> {
-        if self.overflow.is_some() {
-            // Never block the farm: respect the backoff time gate, spill
-            // while the peer is down, drain on the next connect.
-            if self.stream.is_none() {
-                if let Some(gate) = self.next_connect_at {
-                    if Instant::now() < gate {
-                        return self.spill(line);
-                    }
-                }
-            }
-            match self.try_send(line) {
-                Ok(()) => Ok(()),
-                Err(_) => {
-                    self.disconnect();
-                    self.consecutive_failures += 1;
-                    let delay = self.backoff_delay(self.consecutive_failures);
-                    self.next_connect_at = Some(Instant::now() + delay);
-                    self.spill(line)
-                }
-            }
-        } else {
-            // Blocking mode: sleep through the backoff schedule, give up
-            // with the last error once the attempt budget is spent.
-            let mut attempt = 0u32;
-            loop {
-                match self.try_send(line) {
-                    Ok(()) => return Ok(()),
-                    Err(e) => {
-                        self.disconnect();
-                        attempt += 1;
-                        if attempt >= self.attempt_budget {
-                            return Err(e);
-                        }
-                        let delay = self.backoff_delay(attempt);
-                        thread::sleep(delay);
-                    }
-                }
-            }
-        }
-    }
-
-    fn done(&mut self) -> io::Result<()> {
-        // Final drain attempt for the overflow backlog; an unreachable
-        // peer is not an error here — the queue file survives on disk.
-        if self.has_backlog() {
-            let mut attempt = 0u32;
-            while self.has_backlog() && attempt < self.attempt_budget {
-                self.next_connect_at = None;
-                if self.try_send_nothing().is_ok() && !self.has_backlog() {
-                    break;
-                }
-                attempt += 1;
-                let delay = self.backoff_delay(attempt);
-                thread::sleep(delay);
-            }
-        }
-        if let Some(stream) = self.stream.as_mut() {
-            stream.flush()?;
-        }
-        Ok(())
-    }
-
-    fn counters(&self) -> SinkCounters {
-        self.counters
-    }
-}
-
-impl TcpSink {
-    /// Connect-and-drain without a payload line (used by the final drain).
-    fn try_send_nothing(&mut self) -> io::Result<()> {
-        self.ensure_stream()
     }
 }
 

@@ -38,7 +38,7 @@ use std::time::Instant;
 use crate::persist::{json, render_compact, Node};
 
 /// Version key carried by every metrics record (`"telemetry"`).
-pub const TELEMETRY_VERSION: u64 = 1;
+pub const TELEMETRY_VERSION: u64 = 2;
 
 /// Number of log₂ histogram buckets: bucket 0 counts exact zeros and
 /// bucket `b ≥ 1` counts values `2^(b-1) ≤ v < 2^b`, up to `u64::MAX`.
@@ -380,8 +380,8 @@ impl Default for PolicyMetrics {
 }
 
 /// Farm-layer deterministic metrics: batch outcome tallies. Wave counts
-/// (sized from the worker pool) and sink counters (shaped by network
-/// weather) are *not* here — they live in [`TimingSet`].
+/// (sized from the worker pool) are *not* here — they live in
+/// [`TimingSet`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FarmMetrics {
     /// Scenarios known to the farm (skipped ones included); max-merged
@@ -569,8 +569,7 @@ pub enum Phase {
 /// The nondeterministic section: wall-clock spans, pool occupancy, and
 /// the counters whose values depend on the execution environment rather
 /// than the job set — `Runner::map` calls and farm waves (both sized
-/// from the worker count) and the result-sink retry counters (shaped by
-/// network behaviour).
+/// from the worker count).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingSet {
     /// Per-job wall clock.
@@ -595,14 +594,6 @@ pub struct TimingSet {
     /// grows the first time its workspace sees a long horizon, so the
     /// count follows workspace reuse — scheduling, not the job set.
     pub queue_window_growths: u64,
-    /// Sink connect retries (folded from `SinkCounters`).
-    pub sink_connect_retries: u64,
-    /// Sink reconnects after an established connection dropped.
-    pub sink_reconnects: u64,
-    /// Lines spilled to the sink overflow queue.
-    pub sink_spilled_lines: u64,
-    /// Lines drained back out of the overflow queue.
-    pub sink_drained_lines: u64,
 }
 
 impl TimingSet {
@@ -617,10 +608,6 @@ impl TimingSet {
         maps: 0,
         waves: 0,
         queue_window_growths: 0,
-        sink_connect_retries: 0,
-        sink_reconnects: 0,
-        sink_spilled_lines: 0,
-        sink_drained_lines: 0,
     };
 
     fn stat_mut(&mut self, phase: Phase) -> &mut TimingStat {
@@ -669,15 +656,6 @@ impl TimingSet {
                     ("maps", json::uint(self.maps)),
                     ("waves", json::uint(self.waves)),
                     ("queue_window_growths", json::uint(self.queue_window_growths)),
-                ]),
-            ),
-            (
-                "sink",
-                json::obj(vec![
-                    ("connect_retries", json::uint(self.sink_connect_retries)),
-                    ("reconnects", json::uint(self.sink_reconnects)),
-                    ("spilled_lines", json::uint(self.sink_spilled_lines)),
-                    ("drained_lines", json::uint(self.sink_drained_lines)),
                 ]),
             ),
             (
@@ -819,16 +797,6 @@ pub fn note_wave(wall_ms: f64) {
     let mut reg = registry();
     reg.timing.waves += 1;
     reg.timing.wave.record(wall_ms);
-}
-
-/// Folds a result sink's end-of-farm counters into the registry (timing
-/// section: retry counts follow network behaviour, not the job set).
-pub fn note_sink_counters(connect_retries: u64, reconnects: u64, spilled: u64, drained: u64) {
-    let mut reg = registry();
-    reg.timing.sink_connect_retries += connect_retries;
-    reg.timing.sink_reconnects += reconnects;
-    reg.timing.sink_spilled_lines += spilled;
-    reg.timing.sink_drained_lines += drained;
 }
 
 /// Records one pre-measured wall-clock span.
@@ -997,8 +965,8 @@ mod tests {
     fn snapshot_records_split_sections_and_carry_the_version() {
         let det = render_compact(&random_set(9).to_json(true));
         let timing = render_compact(&TimingSet::NEW.to_json(0, true));
-        assert!(det.starts_with("{\"telemetry\":1,\"section\":\"deterministic\",\"final\":true"));
-        assert!(timing.starts_with("{\"telemetry\":1,\"section\":\"timing\",\"final\":true"));
+        assert!(det.starts_with("{\"telemetry\":2,\"section\":\"deterministic\",\"final\":true"));
+        assert!(timing.starts_with("{\"telemetry\":2,\"section\":\"timing\",\"final\":true"));
         assert!(!det.contains("_ms"), "no wall clocks in the deterministic record");
     }
 

@@ -1,27 +1,20 @@
-//! The batch farm's fault-tolerance contract, end to end:
+//! The batch farm's fault-tolerance contract, end to end, over the
+//! committed fixture set:
 //!
 //! * **kill and resume** — a run killed mid-farm (torn journal tail, torn
 //!   output tail) resumes from its journal, and the concatenated record
 //!   stream is bit-identical (modulo per-record wall-clock) to an
-//!   uninterrupted run over the committed fixture set;
-//! * **flaky TCP sink** — an in-process listener that drops the
-//!   connection every N lines still receives every record at least once
-//!   (ack mode), through seeded-backoff reconnects;
-//! * **overflow queue** — with the peer down the farm never blocks:
-//!   records spill to the on-disk queue and drain, in order, once the
-//!   peer returns.
+//!   uninterrupted run;
+//! * **failing sink** — a sink that stops accepting records aborts the
+//!   farm with `BatchError::Sink`, the journal holds exactly the records
+//!   that were written, and a resume writes the rest — no record is lost.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-use wsn_sim::scenario::{DeploymentSpec, Scenario};
 use wsn_sim::{
-    load_journal, repair_jsonl_tail, BatchEntry, BatchSet, ResultSink, RunConfig, Runner,
-    SavedScenario, TcpSink, WriteSink,
+    load_journal, repair_jsonl_tail, BatchError, BatchSet, ResultSink, RunConfig, Runner, WriteSink,
 };
 
 /// The committed fixture directory at the repository root.
@@ -32,28 +25,6 @@ fn fixture_batch() -> BatchSet {
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wsn_resilience_{tag}_{}", std::process::id()))
-}
-
-/// A cheap open-loop entry for the sink tests (the fixture set is
-/// reserved for the resume test, which needs the committed files).
-fn tiny_entry(name: &str, seed: u64) -> BatchEntry {
-    let scenario = Scenario::new(
-        name,
-        2,
-        8,
-        DeploymentSpec::UniformLossGrid {
-            min_db: 60.0,
-            max_db: 85.0,
-        },
-    )
-    .with_superframes(3)
-    .with_replications(2)
-    .with_seed(seed);
-    BatchEntry {
-        name: name.to_string(),
-        path: PathBuf::from(format!("{name}.json")),
-        saved: SavedScenario::open_loop(scenario),
-    }
 }
 
 /// Drops the per-record wall-clock field — the only nondeterministic
@@ -172,135 +143,91 @@ fn killed_and_resumed_fixture_batch_matches_an_uninterrupted_run() {
     std::fs::remove_file(&output_path).unwrap();
 }
 
-/// An in-process TCP consumer that acks each line and drops the
-/// connection after `lines_per_conn` lines. Received lines accumulate in
-/// order across connections.
-fn flaky_listener(lines_per_conn: usize) -> (String, Arc<Mutex<Vec<String>>>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().unwrap().to_string();
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&received);
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(stream) = conn else { break };
-            let mut reader = BufReader::new(stream);
-            for _ in 0..lines_per_conn {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
-                    Ok(n) if n > 0 => {
-                        sink.lock()
-                            .unwrap()
-                            .push(line.trim_end_matches('\n').to_string());
-                        if reader.get_mut().write_all(b"+").is_err() {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            // Dropping the stream mid-conversation is the fault injection.
-        }
-    });
-    (addr, received)
+/// A sink that accepts `capacity` records, then fails every `emit`.
+struct FailingSink {
+    accepted: Vec<String>,
+    capacity: usize,
 }
 
-/// A peer that dies every 2 lines still ends up with every record: the
-/// ack turns delivery into at-least-once, and unacked lines are retried
-/// on the next (seeded-backoff) reconnect.
+impl ResultSink for FailingSink {
+    fn emit(&mut self, line: &str) -> io::Result<()> {
+        if self.accepted.len() == self.capacity {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "consumer went away",
+            ));
+        }
+        self.accepted.push(line.to_string());
+        Ok(())
+    }
+}
+
+/// The journal plus resume is the farm's delivery guarantee: a sink that
+/// fails on its third record stops the farm with exactly the two written
+/// records journaled, and resuming into a working sink writes the other
+/// four, so the union is the uninterrupted run.
 #[test]
-fn flaky_tcp_sink_delivers_every_record_at_least_once() {
-    let set = BatchSet::from_entries(
-        vec![tiny_entry("a", 11), tiny_entry("b", 22), tiny_entry("c", 33)],
-        None,
-    )
-    .unwrap();
-    let runner = Runner::serial();
+fn a_failing_sink_stops_the_farm_and_resume_writes_the_rest() {
+    let set = fixture_batch();
+    assert_eq!(set.entries().len(), 6, "the committed fixture set");
+    let runner = Runner::with_threads(2);
+    let journal_path = temp_path("failing_sink_journal");
+    let _ = std::fs::remove_file(&journal_path);
 
     let mut reference_sink = WriteSink::new(Vec::new());
     set.run_with(&runner, &mut reference_sink, &RunConfig::default())
         .unwrap();
-    let reference: BTreeSet<String> = record_lines(
-        std::str::from_utf8(&reference_sink.into_inner()).unwrap(),
-    )
-    .into_iter()
-    .collect();
+    let reference: BTreeSet<String> =
+        record_lines(std::str::from_utf8(&reference_sink.into_inner()).unwrap())
+            .into_iter()
+            .collect();
+    assert_eq!(reference.len(), 6);
 
-    let (addr, received) = flaky_listener(2);
-    let mut sink = TcpSink::new(addr)
-        .with_seed(7)
-        .with_ack(true)
-        .with_write_timeout(Duration::from_secs(2))
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(8), 20);
-    let report = set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
-    assert!(report.all_ok());
-    let counters = sink.counters();
-    assert!(
-        counters.reconnects >= 1,
-        "4 lines over a drop-every-2 peer must reconnect: {counters:?}"
-    );
+    let config = RunConfig {
+        journal: Some(journal_path.clone()),
+        ..RunConfig::default()
+    };
+    let mut failing = FailingSink {
+        accepted: Vec::new(),
+        capacity: 2,
+    };
+    let err = set.run_with(&runner, &mut failing, &config).unwrap_err();
+    assert!(matches!(err, BatchError::Sink { .. }), "{err}");
+    assert_eq!(failing.accepted.len(), 2);
 
-    let received = received.lock().unwrap().clone();
-    assert!(received.len() >= 4, "3 records + aggregate, maybe re-sent");
-    let unique: BTreeSet<String> = received.into_iter().collect();
-    assert_eq!(
-        unique.iter().filter(|l| l.contains("\"aggregate\":true")).count(),
-        1
-    );
-    let records: BTreeSet<String> = unique
+    let journal = load_journal(&journal_path).unwrap();
+    let journaled: Vec<&str> = journal
+        .records
         .iter()
-        .filter(|l| !l.contains("\"aggregate\":true"))
-        .map(|l| strip_job_ms(l))
+        .map(|r| r.scenario.as_str())
         .collect();
-    assert_eq!(records, reference);
-}
-
-/// With an overflow queue and the peer down, `emit` never blocks: every
-/// line spills to disk, and the final drain delivers the whole backlog in
-/// order once the peer is back.
-#[test]
-fn overflow_queue_spills_while_the_peer_is_down_and_drains_on_return() {
-    // Reserve a port, then free it: connects fail fast until the peer
-    // "comes back" on the same address.
-    let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = placeholder.local_addr().unwrap().to_string();
-    drop(placeholder);
-
-    let overflow = temp_path("overflow_queue");
-    let _ = std::fs::remove_file(&overflow);
-    let mut sink = TcpSink::new(addr.clone())
-        .with_seed(3)
-        .with_overflow(overflow.clone())
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(8), 30);
-
-    let lines: Vec<String> = (0..5).map(|i| format!("{{\"record\":{i}}}")).collect();
-    for line in &lines {
-        sink.emit(line).expect("a down peer must not fail emit");
-    }
-    assert!(sink.has_backlog());
-    assert_eq!(sink.counters().spilled_lines, 5);
-
-    // The peer returns on the same address; `done` drains the backlog.
-    let listener = TcpListener::bind(&addr).expect("rebind the reserved port");
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let drain = Arc::clone(&received);
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        for line in BufReader::new(stream).lines() {
-            let Ok(line) = line else { break };
-            drain.lock().unwrap().push(line);
-        }
-    });
-    sink.done().unwrap();
-    assert!(!sink.has_backlog());
-    let counters = sink.counters();
-    assert_eq!(counters.drained_lines, 5);
-    assert!(counters.connect_retries >= 1, "{counters:?}");
-    drop(sink); // close the stream so the reader sees EOF
-    server.join().unwrap();
-
-    assert_eq!(*received.lock().unwrap(), lines, "in order, nothing lost");
-    assert!(
-        !overflow.exists(),
-        "a fully drained queue file is removed"
+    let written: Vec<&str> = set.entries()[..2].iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(
+        journaled, written,
+        "exactly the written records are journaled"
     );
+
+    let mut resume_sink = WriteSink::new(Vec::new());
+    let resumed = set
+        .run_with(
+            &runner,
+            &mut resume_sink,
+            &RunConfig {
+                resume: true,
+                ..config
+            },
+        )
+        .unwrap();
+    assert_eq!(resumed.skipped, 2);
+    assert_eq!(resumed.records.len(), 4);
+
+    let mut combined: Vec<String> = failing.accepted.iter().map(|l| strip_job_ms(l)).collect();
+    combined.extend(record_lines(
+        std::str::from_utf8(&resume_sink.into_inner()).unwrap(),
+    ));
+    assert_eq!(combined.len(), 6, "no record written twice");
+    let combined: BTreeSet<String> = combined.into_iter().collect();
+    assert_eq!(combined, reference);
+
+    std::fs::remove_file(&journal_path).unwrap();
 }
