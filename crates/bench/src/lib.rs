@@ -327,3 +327,41 @@ pub fn network_bench_json(
     pairs.push(("points", json::arr(points)));
     json::obj(pairs)
 }
+
+#[cfg(test)]
+mod tests {
+    use wsn_sim::persist::{json, render_compact, render_document};
+
+    // The BENCH documents and the `# summary:` record are built with
+    // `persist::json`; these pin the rendering the emitters rely on.
+
+    #[test]
+    fn json_renders_nested_structures() {
+        let doc = json::obj(vec![
+            ("name", json::string("fig6")),
+            ("threads", json::uint(8)),
+            ("speedup", json::num(3.75)),
+            ("nan", json::num(f64::NAN)),
+            ("points", json::arr(vec![json::uint(1), json::uint(2)])),
+            ("empty", json::arr(Vec::new())),
+        ]);
+        let text = render_document(&doc);
+        assert!(text.contains("\"name\": \"fig6\""), "{text}");
+        assert!(text.contains("\"speedup\": 3.75"), "{text}");
+        assert!(text.contains("\"nan\": null"), "{text}");
+        assert!(text.contains("\"empty\": []"), "{text}");
+        assert!(text.ends_with("}\n"), "{text}");
+        assert_eq!(
+            render_compact(&doc),
+            "{\"name\":\"fig6\",\"threads\":8,\"speedup\":3.75,\"nan\":null,\
+             \"points\":[1,2],\"empty\":[]}"
+        );
+    }
+
+    #[test]
+    fn json_escapes_strings() {
+        let doc = json::string("a\"b\\c\nd");
+        assert_eq!(render_document(&doc), "\"a\\\"b\\\\c\\nd\"\n");
+        assert_eq!(render_compact(&doc), "\"a\\\"b\\\\c\\nd\"");
+    }
+}

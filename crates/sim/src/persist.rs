@@ -1727,23 +1727,6 @@ mod tests {
     }
 
     #[test]
-    fn built_documents_render_nan_as_null_empty_arrays_and_escapes() {
-        let doc = json::obj(vec![
-            ("nan", json::num(f64::NAN)),
-            ("empty", json::arr(Vec::new())),
-            ("text", json::string("a\"b\\c\nd")),
-        ]);
-        assert_eq!(
-            render_document(&doc),
-            "{\n  \"nan\": null,\n  \"empty\": [],\n  \"text\": \"a\\\"b\\\\c\\nd\"\n}\n"
-        );
-        assert_eq!(
-            render_compact(&doc),
-            "{\"nan\":null,\"empty\":[],\"text\":\"a\\\"b\\\\c\\nd\"}"
-        );
-    }
-
-    #[test]
     fn non_cc2420_radios_are_unsupported() {
         let mut saved = SavedScenario::open_loop(Scenario::paper_case_study());
         saved.scenario.radio = wsn_radio::RadioModel::builder()
