@@ -22,7 +22,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin ablations [superframes] [--threads N] [--reps N] [--rounds N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{
@@ -39,7 +39,7 @@ use wsn_sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec
 use wsn_sim::ChannelSimConfig;
 
 fn main() {
-    let args = RunArgs::parse(50);
+    let args = RunArgs::parse(50, &[Flag::Reps, Flag::Rounds]);
     let superframes = args.superframes;
     let runner = args.runner();
 

@@ -27,21 +27,14 @@
 //! what a real coordinator could measure. Every trace is bit-identical
 //! for every `--threads` value.
 //!
-//! With `--json`, the greedy ring-stratified run is written to
-//! `BENCH_network.json` — per-channel statistics, wall-clock, serial-reference
-//! speedup, `host_cpus` and the per-round convergence trajectory —
-//! mirroring fig6's `BENCH_contention.json` schema.
-//!
-//! Usage: `cargo run --release -p wsn-bench --bin adaptive [superframes] [--threads N] [--reps N] [--rounds N] [--json]`
+//! Usage: `cargo run --release -p wsn-bench --bin adaptive [superframes] [--threads N] [--reps N] [--rounds N] [--metrics PATH|-]`
 
-use wsn_bench::{network_bench_json, RunArgs, BENCH_NETWORK_PATH};
-use wsn_sim::persist::{json, render_document, Node};
+use wsn_bench::{Flag, RunArgs};
 use wsn_sim::policy::{
     AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, ProportionalFair,
     StaticAllocation,
 };
 use wsn_sim::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
-use wsn_sim::Runner;
 
 fn scenarios(superframes: u32, reps: u32) -> Vec<Scenario> {
     let channels = 8;
@@ -121,9 +114,8 @@ fn policies() -> Vec<Box<dyn AllocationPolicy>> {
     ]
 }
 
-// Wall-clock stays out of these rows (it lives in the JSON document) so
-// the stdout tables are byte-identical across runs and thread counts —
-// CI diffs them.
+// Wall-clock stays out of these rows so the stdout tables are
+// byte-identical across runs and thread counts — CI diffs them.
 fn print_trace(scenario: &str, trace: &PolicyTrace) {
     for round in &trace.rounds {
         println!(
@@ -140,7 +132,8 @@ fn print_trace(scenario: &str, trace: &PolicyTrace) {
 }
 
 fn main() {
-    let args = RunArgs::parse(16);
+    let args = RunArgs::parse(16, &[Flag::Reps, Flag::Rounds, Flag::Metrics]);
+    wsn_bench::init_metrics(&args);
     let runner = args.runner();
     let reps = args.reps_or(2);
     let rounds = args.rounds_or(6) as usize;
@@ -195,68 +188,5 @@ fn main() {
          static 16-channel split leaves unused."
     );
 
-    if args.json {
-        // The benchmark document records the greedy run on the
-        // ring-stratified scenario: final-round channel statistics,
-        // wall-clock summed across rounds, and the convergence trajectory.
-        let greedy = &results[0].1[1];
-        // Always run the serial reference — even when the measured run was
-        // itself single-threaded — so `serial_wall_ms`/`speedup_vs_serial`
-        // are real numbers on every host and the policy-loop speedup
-        // trajectory stays comparable across PRs (fig6 only skips the
-        // reference when it would literally repeat the measured run; here
-        // the dedicated pass also sidesteps warm-up skew).
-        let serial_wall_ms = Some({
-            let engine = PolicyEngine::new(
-                scenarios(args.superframes, reps)[0].clone(),
-            )
-            .with_rounds(rounds)
-            .run_all_rounds();
-            engine
-                .run(&Runner::serial(), &mut GreedyRebalance::new(8))
-                .wall_ms()
-        });
-        let rounds_json: Vec<Node> = greedy
-            .rounds
-            .iter()
-            .map(|r| {
-                json::obj(vec![
-                    ("round", json::uint(r.round as u64)),
-                    ("worst_pr_fail", json::num(r.worst_failure())),
-                    (
-                        "power_uw",
-                        json::num(r.outcome.overall.mean_node_power.microwatts()),
-                    ),
-                    (
-                        "energy_j",
-                        json::num(r.outcome.overall.ledger.total_energy().joules()),
-                    ),
-                    ("moved", json::uint(r.moved as u64)),
-                    ("wall_ms", json::num(r.wall_ms)),
-                ])
-            })
-            .collect();
-        let doc = network_bench_json(
-            "adaptive_policy_network",
-            args.superframes,
-            reps,
-            runner.threads(),
-            &greedy.final_round().outcome,
-            greedy.wall_ms(),
-            serial_wall_ms,
-            vec![
-                ("scenario", json::string(&results[0].0)),
-                ("policy", json::string(&greedy.policy)),
-                (
-                    "converged_at",
-                    greedy
-                        .converged_at
-                        .map_or(json::null(), |r| json::uint(r as u64)),
-                ),
-                ("rounds", json::arr(rounds_json)),
-            ],
-        );
-        std::fs::write(BENCH_NETWORK_PATH, render_document(&doc)).expect("write benchmark JSON");
-        eprintln!("wrote {BENCH_NETWORK_PATH}");
-    }
+    wsn_bench::finish_metrics(&args);
 }

@@ -28,18 +28,15 @@
 //! `# summary:` JSON record on stderr (outcome counts and exit code) so
 //! scripts never have to scrape prose.
 //!
-//! With `--json`, a `BENCH_batch.json` document is also written:
-//! scenarios/sec over the batch, per-scenario wall-clock, `host_cpus`,
-//! and the resume/retry counters. With `--metrics PATH|-`, the
-//! [`wsn_sim::telemetry`] registry streams JSONL snapshots per wave
-//! plus a final one (see `SCHEMA.md` § OBSERVABILITY); telemetry is
-//! deterministically inert, so simulation output stays bit-identical.
+//! With `--metrics PATH|-`, the [`wsn_sim::telemetry`] registry streams
+//! JSONL snapshots per wave plus a final one (see `SCHEMA.md` §
+//! OBSERVABILITY); telemetry is deterministically inert, so simulation
+//! output stays bit-identical.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use wsn_bench::{host_cpus, BENCH_BATCH_PATH};
-use wsn_sim::persist::{json, render_compact, render_document, Node};
+use wsn_sim::persist::{json, render_compact};
 use wsn_sim::{
     repair_jsonl_tail, BatchReport, BatchSet, ResultSink, RunConfig, Runner, ScenarioStatus,
     WriteSink,
@@ -49,7 +46,6 @@ struct BatchArgs {
     dir: Option<String>,
     manifest: Option<String>,
     threads: Option<usize>,
-    json: bool,
     journal: Option<PathBuf>,
     resume: bool,
     strict: bool,
@@ -59,7 +55,7 @@ struct BatchArgs {
     metrics: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: batch_run (--dir DIR | --manifest FILE) [--threads N] [--json]\n\
+const USAGE: &str = "usage: batch_run (--dir DIR | --manifest FILE) [--threads N]\n\
      \x20                [--journal FILE] [--resume] [--strict] [--retries N] [--timeout-s S]\n\
      \x20                [--out FILE] [--metrics PATH|-] [--help]";
 
@@ -102,7 +98,6 @@ fn parse_args() -> BatchArgs {
         dir: None,
         manifest: None,
         threads: None,
-        json: false,
         journal: None,
         resume: false,
         strict: false,
@@ -132,7 +127,6 @@ fn parse_args() -> BatchArgs {
                     None => usage("--threads requires a positive integer"),
                 }
             }
-            "--json" => out.json = true,
             "--journal" => match args.next() {
                 Some(path) if !path.is_empty() => out.journal = Some(PathBuf::from(path)),
                 _ => usage("--journal requires a file path"),
@@ -272,49 +266,6 @@ fn main() {
         report.wall_ms,
         report.scenarios_per_sec()
     );
-
-    if args.json {
-        let points: Vec<Node> = report
-            .records
-            .iter()
-            .map(|r| {
-                let (power, pr_fail, transactions) = match &r.outcome {
-                    Some(o) => (
-                        json::num(o.overall.mean_node_power.microwatts()),
-                        json::num(o.overall.failure_ratio.value()),
-                        json::uint(o.overall.transactions),
-                    ),
-                    None => (json::null(), json::null(), json::null()),
-                };
-                json::obj(vec![
-                    ("scenario", json::string(&r.name)),
-                    ("seed", json::string(&r.seed.to_string())),
-                    ("status", json::string(r.status.as_str())),
-                    ("attempts", json::uint(u64::from(r.attempts))),
-                    ("job_ms", json::num(r.job_ms)),
-                    ("power_uw", power),
-                    ("pr_fail", pr_fail),
-                    ("transactions", transactions),
-                ])
-            })
-            .collect();
-        let doc = json::obj(vec![
-            ("benchmark", json::string("batch_run")),
-            ("scenarios", json::uint(report.records.len() as u64)),
-            ("skipped", json::uint(report.skipped as u64)),
-            ("failed", json::uint(report.failed() as u64)),
-            ("timed_out", json::uint(report.timed_out() as u64)),
-            ("strict_aborted", json::boolean(report.strict_aborted)),
-            ("jobs", json::uint(report.jobs as u64)),
-            ("threads", json::uint(runner.threads() as u64)),
-            ("host_cpus", json::uint(host_cpus())),
-            ("wall_ms", json::num(report.wall_ms)),
-            ("scenarios_per_sec", json::num(report.scenarios_per_sec())),
-            ("points", json::arr(points)),
-        ]);
-        std::fs::write(BENCH_BATCH_PATH, render_document(&doc)).expect("write benchmark JSON");
-        eprintln!("wrote {BENCH_BATCH_PATH}");
-    }
 
     // Scripts must be able to tell a clean farm from a degraded one:
     // the summary record carries the counts and the exit code.

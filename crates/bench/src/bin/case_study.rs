@@ -17,26 +17,17 @@
 //! Paper reference values: average power 211 µW, delivery delay 1.45 s,
 //! transmission failure probability 16 %, load 42 %.
 //!
-//! With `--json`, per-channel statistics, the grid's wall-clock, a serial
-//! reference timing and the resulting speedup are written to
-//! `BENCH_network.json`, mirroring fig6's `BENCH_contention.json` schema.
-//!
-//! Usage: `cargo run --release -p wsn-bench --bin case_study [superframes] [--threads N] [--reps N] [--json]`
+//! Usage: `cargo run --release -p wsn-bench --bin case_study [superframes] [--threads N] [--reps N] [--export-scenario PATH] [--metrics PATH|-]`
 
-use std::time::Instant;
-
-use wsn_bench::{
-    elapsed_ms, export_scenario_file, network_bench_json, RunArgs, BENCH_NETWORK_PATH,
-};
+use wsn_bench::{export_scenario_file, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{ContentionModel, IdealContention, MonteCarloContention};
 use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::{PhaseTag, RadioModel, StateKind};
-use wsn_sim::persist::render_document;
 
 fn main() {
-    let args = RunArgs::parse(60);
+    let args = RunArgs::parse(60, &[Flag::Reps, Flag::ExportScenario, Flag::Metrics]);
     wsn_bench::init_metrics(&args);
     let reps = args.reps_or(4);
     let runner = args.runner();
@@ -122,9 +113,7 @@ fn main() {
     // The discrete-event reproduction: 16 channels × reps replications as
     // one parallel job grid, per-node link-adapted transmit power.
     let (scenario, configs) = study.adapted_configs(&ber, &mc, args.superframes, reps);
-    let t = Instant::now();
     let outcome = &scenario.run_with(&runner, &configs, &ber);
-    let wall_ms = elapsed_ms(t);
     println!(
         "\n## simulator: 16 parallel channels × {reps} replications ({} threads)",
         runner.threads()
@@ -176,26 +165,5 @@ fn main() {
         );
     }
 
-    if args.json {
-        // Serial reference pass for the recorded speedup (skipped when the
-        // grid already ran single-threaded — it would be the same run).
-        let serial_wall_ms = (runner.threads() > 1).then(|| {
-            let t = Instant::now();
-            scenario.run_with(&wsn_sim::Runner::serial(), &configs, &ber);
-            elapsed_ms(t)
-        });
-        let doc = network_bench_json(
-            "case_study_network",
-            args.superframes,
-            reps,
-            runner.threads(),
-            outcome,
-            wall_ms,
-            serial_wall_ms,
-            Vec::new(),
-        );
-        std::fs::write(BENCH_NETWORK_PATH, render_document(&doc)).expect("write benchmark JSON");
-        eprintln!("wrote {BENCH_NETWORK_PATH}");
-    }
     wsn_bench::finish_metrics(&args);
 }

@@ -22,14 +22,9 @@
 //! no cliff and no livelock (retries are bounded, so the dormant count
 //! caps the join traffic).
 //!
-//! With `--json`, the sweep is written to `BENCH_faults.json` — per-point
-//! wall-clock, a serial-reference speedup and `host_cpus` — mirroring
-//! `BENCH_cfp.json`'s schema.
-//!
-//! Usage: `cargo run --release -p wsn-bench --bin churn_study [superframes] [--threads N] [--reps N] [--json]`
+//! Usage: `cargo run --release -p wsn-bench --bin churn_study [superframes] [--threads N] [--reps N] [--export-scenario PATH] [--metrics PATH|-]`
 
-use wsn_bench::{elapsed_ms, export_scenario_file, host_cpus, RunArgs, BENCH_FAULTS_PATH};
-use wsn_sim::persist::{json, render_document, Node};
+use wsn_bench::{export_scenario_file, Flag, RunArgs};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{FaultPlan, Runner, ScenarioOutcome};
 
@@ -76,7 +71,6 @@ struct SweepPoint {
     death_rate: f64,
     outage_sf: u32,
     outcome: ScenarioOutcome,
-    wall_ms: f64,
 }
 
 impl SweepPoint {
@@ -85,27 +79,22 @@ impl SweepPoint {
     }
 }
 
-fn run_sweep(runner: &Runner, superframes: u32, reps: u32) -> (Vec<SweepPoint>, f64) {
-    let t0 = std::time::Instant::now();
+fn run_sweep(runner: &Runner, superframes: u32, reps: u32) -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &out_sf in &OUTAGE_SF {
         for &death in &DEATH_RATES {
-            let s = scenario(death, out_sf, superframes, reps);
-            let t = std::time::Instant::now();
-            let outcome = s.run(runner);
             points.push(SweepPoint {
                 death_rate: death,
                 outage_sf: out_sf,
-                outcome,
-                wall_ms: elapsed_ms(t),
+                outcome: scenario(death, out_sf, superframes, reps).run(runner),
             });
         }
     }
-    (points, elapsed_ms(t0))
+    points
 }
 
 fn main() {
-    let args = RunArgs::parse(20);
+    let args = RunArgs::parse(20, &[Flag::Reps, Flag::ExportScenario, Flag::Metrics]);
     wsn_bench::init_metrics(&args);
     let reps = args.reps_or(3);
 
@@ -128,7 +117,7 @@ fn main() {
         args.superframes,
         runner.threads()
     );
-    let (points, wall_ms) = run_sweep(&runner, args.superframes, reps);
+    let points = run_sweep(&runner, args.superframes, reps);
 
     println!(
         "\ndeath_rate,outage_sf,delivery_pct,power_uW,uj_per_pkt,deaths,orphan_scans,\
@@ -182,76 +171,5 @@ fn main() {
         );
     }
 
-    if args.json {
-        // Serial reference pass (always real, as in `gts_study`): the
-        // sweep is small, so the recorded speedup stays comparable
-        // across hosts.
-        let serial_wall_ms = {
-            let (_, ms) = run_sweep(&Runner::serial(), args.superframes, reps);
-            ms
-        };
-        let json_points: Vec<Node> = points
-            .iter()
-            .map(|p| {
-                let o = &p.outcome.overall;
-                json::obj(vec![
-                    ("death_rate", json::num(p.death_rate)),
-                    ("outage_superframes", json::uint(p.outage_sf as u64)),
-                    ("wall_ms", json::num(p.wall_ms)),
-                    ("delivery_ratio", json::num(p.delivery_ratio())),
-                    ("power_uw", json::num(o.mean_node_power.microwatts())),
-                    (
-                        "power_se_uw",
-                        json::num(o.power_standard_error.microwatts()),
-                    ),
-                    (
-                        "uj_per_delivered_packet",
-                        json::num(o.energy_per_delivered_packet_uj),
-                    ),
-                    ("deaths", json::uint(o.deaths)),
-                    ("orphan_scans", json::uint(o.orphan_scans)),
-                    ("join_attempts", json::uint(o.join_attempts)),
-                    (
-                        "join_failure_ratio",
-                        json::num(o.join_failure_ratio.value()),
-                    ),
-                    (
-                        "reassociation_delay_s",
-                        json::num(o.mean_reassociation_delay.secs()),
-                    ),
-                    ("dormant_nodes", json::uint(o.dormant_nodes)),
-                    ("gts_transactions", json::uint(o.gts_transactions)),
-                    ("downlink_polls", json::uint(o.downlink_polls)),
-                ])
-            })
-            .collect();
-        let baseline = &points[0];
-        let doc = json::obj(vec![
-            ("benchmark", json::string("churn_study_faults")),
-            ("superframes", json::uint(args.superframes as u64)),
-            ("replications", json::uint(reps as u64)),
-            ("threads", json::uint(runner.threads() as u64)),
-            ("host_cpus", json::uint(host_cpus())),
-            ("channels", json::uint(CHANNELS as u64)),
-            ("nodes_per_channel", json::uint(NODES_PER_CHANNEL as u64)),
-            ("outage_rate", json::num(OUTAGE_RATE)),
-            ("rejoin_delay_superframes", json::uint(REJOIN_DELAY as u64)),
-            ("max_join_retries", json::uint(MAX_JOIN_RETRIES as u64)),
-            ("wall_ms", json::num(wall_ms)),
-            ("serial_wall_ms", json::num(serial_wall_ms)),
-            ("speedup_vs_serial", json::num(serial_wall_ms / wall_ms)),
-            (
-                "baseline_delivery_ratio",
-                json::num(baseline.delivery_ratio()),
-            ),
-            (
-                "baseline_uj_per_packet",
-                json::num(baseline.outcome.overall.energy_per_delivered_packet_uj),
-            ),
-            ("points", json::arr(json_points)),
-        ]);
-        std::fs::write(BENCH_FAULTS_PATH, render_document(&doc)).expect("write benchmark JSON");
-        eprintln!("wrote {BENCH_FAULTS_PATH}");
-    }
     wsn_bench::finish_metrics(&args);
 }

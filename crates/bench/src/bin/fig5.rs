@@ -15,7 +15,7 @@ use wsn_radio::{RadioModel, RadioState, TxPowerLevel};
 use wsn_units::Seconds;
 
 fn main() {
-    let args = RunArgs::parse(40);
+    let args = RunArgs::parse(40, &[]);
 
     let radio = RadioModel::cc2420();
     let packet = PacketLayout::with_payload(120).expect("within range");

@@ -12,7 +12,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig7 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::contention::MonteCarloContention;
 use wsn_core::link_adaptation::LinkAdaptation;
@@ -23,7 +23,7 @@ use wsn_radio::{RadioModel, TxPowerLevel};
 use wsn_units::Db;
 
 fn main() {
-    let args = RunArgs::parse(40);
+    let args = RunArgs::parse(40, &[Flag::Reps]);
 
     let packet = PacketLayout::with_payload(120).expect("within range");
     let study = LinkAdaptation::new(

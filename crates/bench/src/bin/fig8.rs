@@ -10,7 +10,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig8 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::contention::MonteCarloContention;
 use wsn_core::packet_sizing::PacketSizing;
@@ -21,7 +21,7 @@ use wsn_radio::{RadioModel, TxPowerLevel};
 use wsn_units::Db;
 
 fn main() {
-    let args = RunArgs::parse(40);
+    let args = RunArgs::parse(40, &[Flag::Reps]);
 
     // A representative mid-population link: 75 dB at −5 dBm.
     let study = PacketSizing::new(

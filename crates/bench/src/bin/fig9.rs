@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig9 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::MonteCarloContention;
@@ -21,7 +21,7 @@ use wsn_phy::ber::EmpiricalCc2420Ber;
 use wsn_radio::{PhaseTag, RadioModel, StateKind};
 
 fn main() {
-    let args = RunArgs::parse(40);
+    let args = RunArgs::parse(40, &[Flag::Reps]);
     let superframes = args.superframes;
 
     let ber = EmpiricalCc2420Ber::paper();

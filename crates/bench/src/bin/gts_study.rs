@@ -24,14 +24,9 @@
 //! dense-network reading (100+ nodes per channel) caps the CFP share at
 //! 7 %, which is the paper's argument made quantitative.
 //!
-//! With `--json`, the sweep is written to `BENCH_cfp.json` — per-point
-//! wall-clock, a serial-reference speedup and `host_cpus` — mirroring
-//! `BENCH_network.json`'s schema.
-//!
-//! Usage: `cargo run --release -p wsn-bench --bin gts_study [superframes] [--threads N] [--reps N] [--json]`
+//! Usage: `cargo run --release -p wsn-bench --bin gts_study [superframes] [--threads N] [--reps N] [--metrics PATH|-]`
 
-use wsn_bench::{elapsed_ms, host_cpus, RunArgs, BENCH_CFP_PATH};
-use wsn_sim::persist::{json, render_document, Node};
+use wsn_bench::{Flag, RunArgs};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{Runner, ScenarioOutcome};
 
@@ -69,26 +64,20 @@ struct SweepPoint {
     gts_nodes: u32,
     downlink_rate: f64,
     outcome: ScenarioOutcome,
-    wall_ms: f64,
 }
 
-fn run_sweep(runner: &Runner, superframes: u32, reps: u32) -> (Vec<SweepPoint>, f64) {
-    let t0 = std::time::Instant::now();
+fn run_sweep(runner: &Runner, superframes: u32, reps: u32) -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &dl in &DL_RATES {
         for &gts in &GTS_STEPS {
-            let s = scenario(gts, dl, superframes, reps);
-            let t = std::time::Instant::now();
-            let outcome = s.run(runner);
             points.push(SweepPoint {
                 gts_nodes: gts,
                 downlink_rate: dl,
-                outcome,
-                wall_ms: elapsed_ms(t),
+                outcome: scenario(gts, dl, superframes, reps).run(runner),
             });
         }
     }
-    (points, elapsed_ms(t0))
+    points
 }
 
 /// First swept GTS fraction (at the given downlink rate) whose CFP power
@@ -104,7 +93,7 @@ fn crossover(points: &[SweepPoint], dl: f64) -> Option<u32> {
 }
 
 fn main() {
-    let args = RunArgs::parse(20);
+    let args = RunArgs::parse(20, &[Flag::Reps, Flag::Metrics]);
     wsn_bench::init_metrics(&args);
     let reps = args.reps_or(3);
     let runner = args.runner();
@@ -115,7 +104,7 @@ fn main() {
         args.superframes,
         runner.threads()
     );
-    let (points, wall_ms) = run_sweep(&runner, args.superframes, reps);
+    let points = run_sweep(&runner, args.superframes, reps);
 
     println!(
         "\ngts_nodes,dl_rate,power_uW,power_se_uW,cap_uW,cap_se_uW,cfp_uW,cfp_se_uW,\
@@ -169,72 +158,5 @@ fn main() {
         full_gts.outcome.overall.failure_ratio.value() * 100.0,
     );
 
-    if args.json {
-        // Serial reference pass (always real, as in `adaptive`): the
-        // sweep is small, so the recorded speedup stays comparable
-        // across hosts.
-        let serial_wall_ms = {
-            let (_, ms) = run_sweep(&Runner::serial(), args.superframes, reps);
-            ms
-        };
-        let json_points: Vec<Node> = points
-            .iter()
-            .map(|p| {
-                let o = &p.outcome.overall;
-                json::obj(vec![
-                    ("gts_nodes", json::uint(p.gts_nodes as u64)),
-                    ("downlink_rate", json::num(p.downlink_rate)),
-                    ("wall_ms", json::num(p.wall_ms)),
-                    ("power_uw", json::num(o.mean_node_power.microwatts())),
-                    (
-                        "power_se_uw",
-                        json::num(o.power_standard_error.microwatts()),
-                    ),
-                    ("cap_uw", json::num(o.cap_power.microwatts())),
-                    (
-                        "cap_se_uw",
-                        json::num(o.cap_power_standard_error.microwatts()),
-                    ),
-                    ("cfp_uw", json::num(o.cfp_power.microwatts())),
-                    (
-                        "cfp_se_uw",
-                        json::num(o.cfp_power_standard_error.microwatts()),
-                    ),
-                    ("pr_fail", json::num(o.failure_ratio.value())),
-                    ("pr_fail_se", json::num(o.failure_standard_error)),
-                    (
-                        "gts_denied",
-                        json::uint(p.outcome.total_gts_denied() as u64),
-                    ),
-                    ("gts_transactions", json::uint(o.gts_transactions)),
-                    ("downlink_polls", json::uint(o.downlink_polls)),
-                    ("downlink_deferred", json::uint(o.downlink_deferred)),
-                ])
-            })
-            .collect();
-        let doc = json::obj(vec![
-            ("benchmark", json::string("gts_study_cfp")),
-            ("superframes", json::uint(args.superframes as u64)),
-            ("replications", json::uint(reps as u64)),
-            ("threads", json::uint(runner.threads() as u64)),
-            ("host_cpus", json::uint(host_cpus())),
-            ("channels", json::uint(CHANNELS as u64)),
-            ("nodes_per_channel", json::uint(NODES_PER_CHANNEL as u64)),
-            ("wall_ms", json::num(wall_ms)),
-            ("serial_wall_ms", json::num(serial_wall_ms)),
-            ("speedup_vs_serial", json::num(serial_wall_ms / wall_ms)),
-            (
-                "crossover_gts_nodes",
-                crossover(&points, 0.0).map_or(json::null(), |g| json::uint(g as u64)),
-            ),
-            (
-                "crossover_gts_nodes_dl",
-                crossover(&points, DL_RATES[1]).map_or(json::null(), |g| json::uint(g as u64)),
-            ),
-            ("points", json::arr(json_points)),
-        ]);
-        std::fs::write(BENCH_CFP_PATH, render_document(&doc)).expect("write benchmark JSON");
-        eprintln!("wrote {BENCH_CFP_PATH}");
-    }
     wsn_bench::finish_metrics(&args);
 }

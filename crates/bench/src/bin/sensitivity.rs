@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin sensitivity [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 use wsn_core::activation::{ActivationModel, ModelInputs};
 use wsn_core::contention::{ContentionModel, MonteCarloContention};
 use wsn_mac::{BeaconOrder, RetryPolicy};
@@ -17,7 +17,7 @@ use wsn_radio::{RadioModel, TxPowerLevel};
 use wsn_units::Db;
 
 fn main() {
-    let args = RunArgs::parse(40);
+    let args = RunArgs::parse(40, &[Flag::Reps]);
 
     let ber = EmpiricalCc2420Ber::paper();
     let mc = MonteCarloContention::figure6()

@@ -1,33 +1,59 @@
-//! Experiment harness crate; see the `fig*` binaries.
+//! Experiment harness crate; see the `fig*` and study binaries.
 //!
-//! This library hosts the plumbing every figure binary shares: CLI parsing
-//! (`[superframes] [--threads N] [--json]`), construction of the parallel
-//! [`Runner`], and the shared pieces of the machine-readable `BENCH_*`
-//! documents, which are built with [`wsn_sim::persist::json`] and rendered
-//! by [`wsn_sim::persist::render_document`].
+//! This library hosts the plumbing every binary shares: CLI parsing
+//! ([`RunArgs`], each binary naming the optional [`Flag`]s it
+//! implements), construction of the parallel [`Runner`], the `--metrics`
+//! telemetry snapshot and the `--export-scenario` writer. Performance is
+//! measured by the repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`), not by these binaries.
 
-use std::time::Instant;
-
-use wsn_sim::persist::{json, Node};
 use wsn_sim::Runner;
 
-/// Common command-line arguments of the figure binaries.
+/// An optional command-line flag a binary implements. Every binary
+/// accepts a positional superframe count and `--threads N`; any other
+/// argument is a usage error unless the binary passes its flag to
+/// [`RunArgs::parse`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--reps N`: independent replications per Monte-Carlo point, for
+    /// replication-based standard errors.
+    Reps,
+    /// `--rounds N`: closed-loop policy rounds.
+    Rounds,
+    /// `--export-scenario PATH`: write the binary's scenario as saved
+    /// JSON ([`wsn_sim::persist`]) instead of running it.
+    ExportScenario,
+    /// `--save-dir PATH`: write a sweep's scenarios as saved JSON files
+    /// into the directory instead of running them.
+    SaveDir,
+    /// `--metrics PATH|-`: enable [`wsn_sim::telemetry`] and write its
+    /// end-of-run snapshot as JSONL — two records, deterministic then
+    /// timing; see the repository's `SCHEMA.md` § OBSERVABILITY — to the
+    /// path, `-` for stdout. Telemetry is deterministically inert, so all
+    /// simulation output is unchanged.
+    Metrics,
+}
+
+impl Flag {
+    /// The flag's spelling and the placeholder of its value.
+    fn spelling(self) -> (&'static str, &'static str) {
+        match self {
+            Flag::Reps => ("--reps", "N"),
+            Flag::Rounds => ("--rounds", "N"),
+            Flag::ExportScenario => ("--export-scenario", "PATH"),
+            Flag::SaveDir => ("--save-dir", "PATH"),
+            Flag::Metrics => ("--metrics", "PATH|-"),
+        }
+    }
+}
+
+/// Common command-line arguments of the figure and study binaries.
 ///
-/// Accepted forms: a positional superframe count, `--threads N` (worker
-/// threads; overrides the `WSN_SIM_THREADS` environment variable, which in
-/// turn overrides auto-detection), `--reps N` (independent replications
-/// per Monte-Carlo point, for replication-based standard errors),
-/// `--rounds N` (closed-loop policy rounds, where the binary runs one),
-/// `--json` (emit machine-readable benchmark output where the binary
-/// supports it), `--export-scenario <path>` (write the binary's scenario
-/// as saved JSON instead of running it, where supported),
-/// `--save-dir <path>` (write a sweep's scenarios into a directory
-/// instead of running them, where supported) and `--metrics <path|->`
-/// (enable [`wsn_sim::telemetry`] and write its end-of-run snapshot as
-/// JSONL — two records, deterministic then timing; see the repository's
-/// `SCHEMA.md` § OBSERVABILITY — to the path, `-` for stdout; telemetry
-/// is deterministically inert, so all simulation output is unchanged).
-#[derive(Debug, Clone)]
+/// `--threads N` sets the worker threads; it overrides the
+/// `WSN_SIM_THREADS` environment variable, which in turn overrides
+/// auto-detection. The other fields stay `None` unless the binary
+/// implements the matching [`Flag`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// Superframes simulated per Monte-Carlo point.
     pub superframes: u32,
@@ -39,13 +65,11 @@ pub struct RunArgs {
     /// Explicit policy-round budget (`--rounds N`), if given; the
     /// adaptive binaries fall back to their own defaults.
     pub rounds: Option<u32>,
-    /// `--json`: write machine-readable benchmark output.
-    pub json: bool,
-    /// `--export-scenario <path>`: write the scenario as saved JSON
-    /// ([`wsn_sim::persist`]) and exit, where the binary supports it.
+    /// `--export-scenario <path>`: write the scenario as saved JSON and
+    /// exit.
     pub export_scenario: Option<String>,
-    /// `--save-dir <path>`: write a sweep's scenarios as saved JSON
-    /// files into the directory and exit, where the binary supports it.
+    /// `--save-dir <path>`: write a sweep's scenarios as saved JSON files
+    /// into the directory and exit.
     pub save_dir: Option<String>,
     /// `--metrics <path|->`: enable telemetry and write the end-of-run
     /// snapshot (deterministic + timing JSONL records) there; `-` means
@@ -55,74 +79,74 @@ pub struct RunArgs {
 
 impl RunArgs {
     /// Parses `std::env::args`, falling back to `default_superframes`.
+    /// `flags` lists the optional flags the binary implements.
     ///
-    /// Unknown arguments abort with a usage message rather than being
-    /// silently ignored.
-    pub fn parse(default_superframes: u32) -> RunArgs {
+    /// Any other argument aborts with a usage message and exit status 2
+    /// rather than being silently ignored.
+    pub fn parse(default_superframes: u32, flags: &[Flag]) -> RunArgs {
+        match RunArgs::try_parse(std::env::args().skip(1), default_superframes, flags) {
+            Ok(args) => args,
+            Err(problem) => {
+                eprintln!("error: {problem}");
+                let mut line = String::from("usage: <binary> [superframes] [--threads N]");
+                for flag in flags {
+                    let (name, value) = flag.spelling();
+                    line.push_str(&format!(" [{name} {value}]"));
+                }
+                eprintln!("{line}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// [`parse`](Self::parse) over an explicit argument list (program
+    /// name excluded), returning the usage problem instead of exiting.
+    fn try_parse(
+        args: impl IntoIterator<Item = String>,
+        default_superframes: u32,
+        flags: &[Flag],
+    ) -> Result<RunArgs, String> {
         let mut out = RunArgs {
             superframes: default_superframes,
             threads: None,
             reps: None,
             rounds: None,
-            json: false,
             export_scenario: None,
             save_dir: None,
             metrics: None,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--threads" => {
-                    let value = args
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0);
-                    match value {
-                        Some(n) => out.threads = Some(n),
-                        None => usage("--threads requires a positive integer"),
-                    }
+            if arg == "--threads" {
+                out.threads = Some(positive(&arg, args.next())?);
+                continue;
+            }
+            match flags.iter().find(|f| f.spelling().0 == arg) {
+                Some(Flag::Reps) => out.reps = Some(positive(&arg, args.next())?),
+                Some(Flag::Rounds) => out.rounds = Some(positive(&arg, args.next())?),
+                Some(Flag::ExportScenario) => {
+                    out.export_scenario =
+                        Some(path(args.next(), "--export-scenario requires a file path")?)
                 }
-                "--reps" => {
-                    let value = args
-                        .next()
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .filter(|&n| n > 0);
-                    match value {
-                        Some(n) => out.reps = Some(n),
-                        None => usage("--reps requires a positive integer"),
-                    }
+                Some(Flag::SaveDir) => {
+                    out.save_dir = Some(path(args.next(), "--save-dir requires a directory path")?)
                 }
-                "--rounds" => {
-                    let value = args
-                        .next()
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .filter(|&n| n > 0);
-                    match value {
-                        Some(n) => out.rounds = Some(n),
-                        None => usage("--rounds requires a positive integer"),
-                    }
+                Some(Flag::Metrics) => {
+                    out.metrics = Some(path(
+                        args.next(),
+                        "--metrics requires a file path or `-` for stdout",
+                    )?)
                 }
-                "--json" => out.json = true,
-                "--export-scenario" => match args.next() {
-                    Some(path) if !path.is_empty() => out.export_scenario = Some(path),
-                    _ => usage("--export-scenario requires a file path"),
-                },
-                "--save-dir" => match args.next() {
-                    Some(path) if !path.is_empty() => out.save_dir = Some(path),
-                    _ => usage("--save-dir requires a directory path"),
-                },
-                "--metrics" => match args.next() {
-                    Some(path) if !path.is_empty() => out.metrics = Some(path),
-                    _ => usage("--metrics requires a file path or `-` for stdout"),
-                },
-                other => match other.parse::<u32>() {
+                None => match arg.parse::<u32>() {
                     Ok(sf) if sf >= 2 => out.superframes = sf,
-                    Ok(_) => usage("superframes must be at least 2 (the first is warm-up)"),
-                    Err(_) => usage(&format!("unrecognized argument `{other}`")),
+                    Ok(_) => {
+                        return Err("superframes must be at least 2 (the first is warm-up)".into())
+                    }
+                    Err(_) => return Err(format!("unrecognized argument `{arg}`")),
                 },
             }
         }
-        out
+        Ok(out)
     }
 
     /// The replication count: `--reps` if given, otherwise `default`.
@@ -145,13 +169,22 @@ impl RunArgs {
     }
 }
 
-fn usage(problem: &str) -> ! {
-    eprintln!("error: {problem}");
-    eprintln!(
-        "usage: <binary> [superframes] [--threads N] [--reps N] [--rounds N] [--json] \
-         [--export-scenario PATH] [--save-dir PATH] [--metrics PATH|-]"
-    );
-    std::process::exit(2);
+/// The positive integer following `flag`.
+fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: Option<String>,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse::<T>().ok())
+        .filter(|n| *n != T::from(0))
+        .ok_or_else(|| format!("{flag} requires a positive integer"))
+}
+
+/// The non-empty path following a flag, or `problem`.
+fn path(value: Option<String>, problem: &str) -> Result<String, String> {
+    value
+        .filter(|p| !p.is_empty())
+        .ok_or_else(|| problem.to_string())
 }
 
 /// Enables [`wsn_sim::telemetry`] when `--metrics` was given. Call
@@ -189,48 +222,6 @@ pub fn finish_metrics(args: &RunArgs) {
     );
 }
 
-/// Logical CPUs the host offers (1 when unknown), recorded as `host_cpus`
-/// in every `BENCH_*` document.
-pub fn host_cpus() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
-}
-
-/// Milliseconds elapsed since `start`, as f64.
-pub fn elapsed_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Canonical output path of the network benchmark document emitted by
-/// `case_study --json` and `adaptive --json`.
-pub const BENCH_NETWORK_PATH: &str = "BENCH_network.json";
-
-/// Canonical output path of the event-core hot-loop benchmark emitted by
-/// `bench_core --json`; CI diffs its `events_per_sec` against the
-/// committed baseline (warn-only).
-pub const BENCH_CORE_PATH: &str = "BENCH_core.json";
-
-/// Canonical output path of the CFP (GTS + downlink) study emitted by
-/// `gts_study --json`, mirroring `BENCH_network.json`'s schema with one
-/// point per swept `(gts_nodes, downlink_rate)` cell.
-pub const BENCH_CFP_PATH: &str = "BENCH_cfp.json";
-
-/// Canonical output path of the fault-injection study emitted by
-/// `churn_study --json`: one point per swept `(death_rate,
-/// outage_superframes)` cell, carrying the graceful-degradation curve
-/// (delivery ratio and µJ per delivered packet versus churn).
-pub const BENCH_FAULTS_PATH: &str = "BENCH_faults.json";
-
-/// Canonical output path of the scale ladder emitted by
-/// `bench_scale --json`: one point per decade of single-channel node
-/// count (10³ → 10⁶), carrying events/s and µW per node, plus the
-/// sharded-vs-unsharded bit-identity verdict.
-pub const BENCH_SCALE_PATH: &str = "BENCH_scale.json";
-
-/// Canonical output path of the batch-service benchmark emitted by
-/// `batch_run --json`: scenarios/sec over the whole batch, per-scenario
-/// wall-clock and `host_cpus`.
-pub const BENCH_BATCH_PATH: &str = "BENCH_batch.json";
-
 /// Writes a scenario as saved JSON at `path` (the `--export-scenario`
 /// implementation shared by the study binaries), creating parent
 /// directories as needed.
@@ -262,78 +253,95 @@ pub fn export_scenario_file(path: &str, saved: &wsn_sim::SavedScenario) {
     println!("wrote {path} ({} bytes)", text.len());
 }
 
-/// Builds the `BENCH_network.json` document, mirroring
-/// `BENCH_contention.json`'s schema: the run's elapsed wall-clock, a
-/// serial-reference speedup and `host_cpus`, plus one point per channel
-/// with its reduced statistics. Per-job timing is not repeated here: the
-/// telemetry `job` timing stat reports it under `--metrics`. `extra` pairs
-/// (e.g. the adaptive binary's round trajectory) are spliced in before
-/// `points`.
-#[allow(clippy::too_many_arguments)]
-pub fn network_bench_json(
-    benchmark: &str,
-    superframes: u32,
-    replications: u32,
-    threads: usize,
-    outcome: &wsn_sim::ScenarioOutcome,
-    wall_ms: f64,
-    serial_wall_ms: Option<f64>,
-    extra: Vec<(&'static str, Node)>,
-) -> Node {
-    let points: Vec<Node> = outcome
-        .per_channel
-        .iter()
-        .enumerate()
-        .map(|(c, s)| {
-            json::obj(vec![
-                ("channel", json::uint(c as u64)),
-                ("power_uw", json::num(s.mean_node_power.microwatts())),
-                (
-                    "power_se_uw",
-                    json::num(s.power_standard_error.microwatts()),
-                ),
-                ("pr_fail", json::num(s.failure_ratio.value())),
-                ("pr_fail_se", json::num(s.failure_standard_error)),
-                ("delay_s", json::num(s.mean_delay.secs())),
-                ("attempts", json::num(s.mean_attempts)),
-                ("transactions", json::uint(s.transactions)),
-            ])
-        })
-        .collect();
-    let (serial_ms, speedup) = match serial_wall_ms {
-        Some(ms) => (json::num(ms), json::num(ms / wall_ms)),
-        None => (json::null(), json::null()),
-    };
-    let mut pairs = vec![
-        ("benchmark", json::string(benchmark)),
-        ("superframes", json::uint(superframes as u64)),
-        ("replications", json::uint(replications as u64)),
-        ("threads", json::uint(threads as u64)),
-        ("host_cpus", json::uint(host_cpus())),
-        ("channels", json::uint(points.len() as u64)),
-        ("wall_ms", json::num(wall_ms)),
-        ("serial_wall_ms", serial_ms),
-        ("speedup_vs_serial", speedup),
-        (
-            "overall_power_uw",
-            json::num(outcome.overall.mean_node_power.microwatts()),
-        ),
-        (
-            "overall_pr_fail",
-            json::num(outcome.overall.failure_ratio.value()),
-        ),
-    ];
-    pairs.extend(extra);
-    pairs.push(("points", json::arr(points)));
-    json::obj(pairs)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::{Flag, RunArgs};
     use wsn_sim::persist::{json, render_compact, render_document};
 
-    // The BENCH documents and the `# summary:` record are built with
-    // `persist::json`; these pin the rendering the emitters rely on.
+    fn parse(args: &[&str], flags: &[Flag]) -> Result<RunArgs, String> {
+        RunArgs::try_parse(args.iter().map(|a| a.to_string()), 40, flags)
+    }
+
+    const ALL_FLAGS: [Flag; 5] = [
+        Flag::Reps,
+        Flag::Rounds,
+        Flag::ExportScenario,
+        Flag::SaveDir,
+        Flag::Metrics,
+    ];
+
+    #[test]
+    fn run_args_reject_json() {
+        let err = parse(&["--json"], &ALL_FLAGS).unwrap_err();
+        assert_eq!(err, "unrecognized argument `--json`");
+    }
+
+    #[test]
+    fn run_args_reject_flags_outside_the_binary_set() {
+        assert!(parse(&["--rounds", "3"], &[Flag::Reps]).is_err());
+        assert!(parse(
+            &["--export-scenario", "x.json"],
+            &[Flag::Reps, Flag::Metrics]
+        )
+        .is_err());
+        assert!(parse(&["--metrics", "m.jsonl"], &[]).is_err());
+        assert_eq!(
+            parse(&["--rounds", "3"], &[Flag::Rounds]).unwrap().rounds,
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn run_args_reject_zero_threads() {
+        let err = parse(&["--threads", "0"], &[]).unwrap_err();
+        assert_eq!(err, "--threads requires a positive integer");
+        assert!(parse(&["--threads"], &[]).is_err());
+        assert!(parse(&["--reps", "0"], &[Flag::Reps]).is_err());
+    }
+
+    #[test]
+    fn run_args_reject_superframes_below_two() {
+        assert!(parse(&["0"], &[]).is_err());
+        assert!(parse(&["1"], &[]).is_err());
+        assert_eq!(parse(&["2"], &[]).unwrap().superframes, 2);
+    }
+
+    #[test]
+    fn run_args_fill_every_field() {
+        let args = parse(
+            &[
+                "12",
+                "--threads",
+                "3",
+                "--reps",
+                "4",
+                "--rounds",
+                "5",
+                "--export-scenario",
+                "s.json",
+                "--save-dir",
+                "out",
+                "--metrics",
+                "-",
+            ],
+            &ALL_FLAGS,
+        );
+        let expected = RunArgs {
+            superframes: 12,
+            threads: Some(3),
+            reps: Some(4),
+            rounds: Some(5),
+            export_scenario: Some("s.json".into()),
+            save_dir: Some("out".into()),
+            metrics: Some("-".into()),
+        };
+        assert_eq!(args, Ok(expected));
+        let defaults = parse(&[], &[]).unwrap();
+        assert_eq!((defaults.superframes, defaults.threads), (40, None));
+    }
+
+    // `batch_run`'s `# summary:` record is built with `persist::json`;
+    // these pin the rendering it relies on.
 
     #[test]
     fn json_renders_nested_structures() {

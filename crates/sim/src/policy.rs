@@ -468,11 +468,6 @@ impl PolicyTrace {
             .collect()
     }
 
-    /// Total wall-clock across all rounds, in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.rounds.iter().map(|r| r.wall_ms).sum()
-    }
-
     /// Folds this trace into a mergeable accumulator.
     pub fn accumulate_into(&self, acc: &mut PolicyTraceAccumulator) {
         acc.record(self);

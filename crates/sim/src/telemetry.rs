@@ -1,9 +1,8 @@
 //! Process-wide metrics for the engine → runner → farm stack,
 //! deterministically inert by construction.
 //!
-//! The registry holds two strictly separated sections (the
-//! `BENCH_scale.json` deterministic-vs-timing line split, promoted to a
-//! schema rule — see `SCHEMA.md` § OBSERVABILITY):
+//! The registry holds two strictly separated sections; `SCHEMA.md` §
+//! OBSERVABILITY makes the split a schema rule:
 //!
 //! * **Deterministic** ([`MetricSet`]): monotonic `u64` counters,
 //!   max-merged gauges and log₂-bucketed histograms ([`Hist`]). Every
@@ -21,8 +20,8 @@
 //! run is bit-identical on every simulation output to a metrics-disabled
 //! one (pinned by the `telemetry_inert` suite). When disabled — the
 //! default — the hot-path cost is one relaxed atomic load per run plus a
-//! branch on an `Option` handle per event; `bench_core` guards the
-//! overhead.
+//! branch on an `Option` handle per event. The repository benchmark
+//! (`perfbench/`) reports the enabled cost as `telemetry.overhead_pct`.
 //!
 //! Shards: the engine accumulates into a private [`EngineMetrics`] per
 //! simulation run and folds it into the global registry once at the end

@@ -9,10 +9,10 @@
 
 use ieee802154_energy::sim::policy::{GreedyRebalance, PolicyEngine, StaticAllocation};
 use ieee802154_energy::sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario};
-use wsn_bench::RunArgs;
+use wsn_bench::{Flag, RunArgs};
 
 fn main() {
-    let args = RunArgs::parse(8);
+    let args = RunArgs::parse(8, &[Flag::Reps, Flag::Rounds]);
     let runner = args.runner();
     let reps = args.reps_or(2);
     let rounds = args.rounds_or(8) as usize;

@@ -14,7 +14,7 @@
 use ieee802154_energy::sim::scenario::{
     ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec,
 };
-use wsn_bench::{export_scenario_file, RunArgs};
+use wsn_bench::{export_scenario_file, Flag, RunArgs};
 use wsn_sim::SavedScenario;
 
 /// The scenario name as a file stem: lowercase alphanumerics, runs of
@@ -32,7 +32,7 @@ fn file_stem(name: &str) -> String {
 }
 
 fn main() {
-    let args = RunArgs::parse(12);
+    let args = RunArgs::parse(12, &[Flag::Reps, Flag::SaveDir]);
     let reps = args.reps_or(4);
     let scenarios = [
         Scenario::new(
