@@ -2,7 +2,7 @@
 //! scenarios ([`wsn_sim::persist`]) as one fault-tolerant job farm.
 //!
 //! Every scenario file is loaded and validated before anything runs; the
-//! whole set then executes through one shared worker pool
+//! whole set then executes on one set of long-lived workers
 //! ([`wsn_sim::BatchSet::run_with`]), streaming one compact JSON record
 //! per scenario (JSON-lines) plus a final aggregate record. Results are
 //! bit-identical to running each scenario alone, for every `--threads`
@@ -13,7 +13,8 @@
 //! * `--journal FILE` appends an fsync'd progress record per completed
 //!   scenario; `--resume` (requires `--journal`) skips scenarios whose
 //!   config fingerprint already completed and re-runs changed ones, so a
-//!   `kill -9` mid-farm loses at most one wave of work.
+//!   `kill -9` mid-farm loses at most the waves in flight (eight; one
+//!   one-scenario wave under `--timeout-s`).
 //! * A panicking scenario becomes a `"status":"failed"` record (retried
 //!   `--retries` times) and the rest of the farm keeps running;
 //!   `--timeout-s` turns runaway scenarios into `"timeout"` records.

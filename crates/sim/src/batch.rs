@@ -8,18 +8,23 @@
 //! (one bad file fails the batch before any simulation starts), and
 //! [`BatchSet::run`] executes the whole set through one [`Runner`]:
 //!
-//! * **One shared worker pool.** A wave of open-loop scenarios goes to
-//!   the same grid executor [`Scenario::run`] uses, which flattens every
-//!   scenario's channels × replications jobs into one job list on the
-//!   runner — a 10 000-scenario directory saturates every core for the
-//!   entire batch instead of draining one small grid at a time. Each
-//!   scenario reduces through [`ScenarioOutcome::reduce`] in fixed order,
+//! * **Long-lived workers, pipelined waves.** Consecutive open-loop
+//!   scenarios run as one [`Runner::stream`] on one set of workers. The
+//!   calling thread compiles *waves* — consecutive scenarios carrying
+//!   four jobs per worker — and queues up to eight of them ahead; it
+//!   receives each wave's channels × replications results in feed order,
+//!   reduces them and emits and journals the wave's records while the
+//!   workers simulate the waves behind it. Compile, emission and journal
+//!   fsyncs thus overlap simulation, and a 10 000-scenario directory
+//!   saturates every core for the entire batch. Each scenario runs the
+//!   same per-job body and reduces through the same per-grid reduction
+//!   ([`ScenarioOutcome::reduce`] in fixed order) as [`Scenario::run`],
 //!   so every per-scenario summary is **bit-identical** to running that
-//!   scenario alone (it is the same code path), for any thread count and
-//!   any file ordering (results are keyed by scenario, not by position).
-//!   Scenarios carrying a [`PolicyChoice`] are closed-loop and sequential
-//!   by nature; each runs in its place in entry order as a one-entry
-//!   wave, through one [`PolicyEngine`] on the same runner.
+//!   scenario alone, for any thread count and any file ordering (results
+//!   are keyed by scenario, not by position). Scenarios carrying a
+//!   [`PolicyChoice`] are closed-loop and sequential by nature; each ends
+//!   the open-loop stream and runs in its place in entry order as a
+//!   one-entry wave, through one [`PolicyEngine`] on the same runner.
 //! * **Deterministic seeds.** By default every scenario runs with the
 //!   master seed saved in its file. A manifest may instead set a batch
 //!   seed: each scenario then runs with
@@ -41,21 +46,24 @@
 //!   budget) while the rest of the farm keeps running, and a per-scenario
 //!   wall-clock watchdog turns runaway configs into `"timeout"` records.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
-use crate::network::NetworkSummary;
+use crate::network::{NetworkConfig, NetworkSummary};
 use crate::persist::{
     self, fingerprint_scenario, load_scenario, render_compact, Node, ParseError, PolicyChoice,
     SavedScenario, Value,
 };
 use crate::policy::PolicyEngine;
-use crate::runner::{panic_message, replication_seed, Runner};
-use crate::scenario::{run_grids, Grid, GridFailure, ResolvedBer, Scenario, ScenarioOutcome};
+use crate::runner::{panic_message, replication_seed, Runner, Stream};
+use crate::scenario::{run_grid, GridFailure, JobOutput, ResolvedBer, Scenario, ScenarioOutcome};
 use crate::sink::{ResultSink, WriteSink};
 
 /// The per-scenario master seed under a manifest batch seed: a pure
@@ -184,7 +192,9 @@ pub struct RunConfig {
     /// fsync'd [`JournalRecord`] *after* its result record was emitted
     /// (emit-then-journal: a crash between the two duplicates at most one
     /// record on resume — identifiable by fingerprint — and never loses
-    /// one).
+    /// one). Records are emitted and journaled wave by wave while up to
+    /// eight later waves are in flight, so a kill loses at most that
+    /// in-flight window, which a resume re-runs.
     pub journal: Option<PathBuf>,
     /// With a journal: skip scenarios whose config fingerprint already
     /// completed `ok` in the journal, append to the journal instead of
@@ -201,9 +211,10 @@ pub struct RunConfig {
     /// a `"timeout"` record instead of hanging the farm. `Some(ZERO)` is
     /// a deadline that has already passed, so every scenario times out
     /// deterministically (the test hook); a timeout too large for the
-    /// clock to represent means no deadline. When
-    /// set, scenarios run one wave each so the clock measures a single
-    /// scenario. Timed-out scenarios are not retried.
+    /// clock to represent means no deadline. When set, the in-flight
+    /// window shrinks to one one-scenario wave, so the clock measures a
+    /// single scenario and a kill loses at most that scenario.
+    /// Timed-out scenarios are not retried.
     pub timeout: Option<Duration>,
     /// Extra attempts for a scenario whose jobs panicked (0 = one
     /// attempt). Simulation is deterministic, so this matters for panics
@@ -220,7 +231,9 @@ pub struct RunConfig {
     /// Print a single-line `# heartbeat:` progress report to stderr after
     /// each wave (rate-limited) and once at the end: `done/total, failed,
     /// ETA, events/s` (events/s requires telemetry, i.e. `metrics`;
-    /// printed as `-` otherwise). Stderr only — the record stream stays
+    /// printed as `-` otherwise). `done` includes resume-skipped
+    /// scenarios, but the ETA extrapolates only from scenarios run in
+    /// this process. Stderr only — the record stream stays
     /// byte-identical.
     pub heartbeat: bool,
 }
@@ -304,8 +317,10 @@ pub struct BatchReport {
     pub strict_aborted: bool,
     /// Elapsed wall-clock of the whole batch in milliseconds.
     pub wall_ms: f64,
-    /// Jobs executed on the shared pool (open-loop channels ×
-    /// replications; policy rounds are counted per round grid).
+    /// Jobs whose results the farm used (open-loop channels ×
+    /// replications, retries included; policy rounds are counted per
+    /// round grid). Work simulated ahead of a strict abort and discarded
+    /// is not counted.
     pub jobs: usize,
 }
 
@@ -489,14 +504,23 @@ impl BatchSet {
     /// record per scenario (plus a final aggregate record) into `sink`,
     /// under the fault-tolerance knobs in `config`.
     ///
-    /// Consecutive open-loop scenarios execute in *waves*: each wave is
-    /// one flat job grid on the shared pool, sized to keep every worker
-    /// busy, and its records emit (and journal) as soon as it completes —
-    /// so a killed farm loses at most one wave of work. Policy-bearing
-    /// scenarios run alone, each through a [`PolicyEngine`] on the same
-    /// runner. Records stream in entry order. Per-scenario summaries are
-    /// bit-identical to running each scenario alone, for every thread
-    /// count, entry ordering, wave split and resume point.
+    /// Consecutive open-loop scenarios execute in *waves* on one
+    /// [`Runner::stream`] of long-lived workers: the calling thread
+    /// compiles and queues up to eight waves ahead (each sized to give
+    /// every worker four jobs), and emits and journals each wave's
+    /// records, strictly in entry order, once its last result arrives —
+    /// so a killed farm loses at most the in-flight window, one
+    /// one-scenario wave under a [`RunConfig::timeout`] watchdog.
+    /// Policy-bearing scenarios end the stream and run alone, each
+    /// through a [`PolicyEngine`] on the same runner. A single-threaded
+    /// runner runs every job inline on the calling thread. Per-scenario
+    /// summaries are bit-identical to running each scenario alone, for
+    /// every thread count, entry ordering, wave split and resume point.
+    ///
+    /// [`BatchReport::jobs`] counts the jobs of the waves the farm
+    /// consumed: after a strict abort, work the workers simulated ahead
+    /// of the failing wave is discarded and not counted (nor does it
+    /// reach telemetry).
     ///
     /// A panicking scenario — in `compile` or in any job — becomes a
     /// `"status":"failed"` record (after [`RunConfig::retries`] extra
@@ -556,7 +580,7 @@ impl BatchSet {
             }
         }
 
-        let mut journal = match &config.journal {
+        let journal = match &config.journal {
             Some(path) => {
                 let writer = if config.resume {
                     // Drop the torn final line a kill left behind, so
@@ -583,7 +607,7 @@ impl BatchSet {
         if config.metrics.is_some() {
             crate::telemetry::set_enabled(true);
         }
-        let mut metrics_out: Option<Box<dyn Write>> = match &config.metrics {
+        let metrics_out: Option<Box<dyn Write>> = match &config.metrics {
             Some(path) if path.as_os_str() == "-" => Some(Box::new(io::stdout())),
             Some(path) => {
                 let file = std::fs::File::create(path).map_err(|e| BatchError::Sink {
@@ -597,144 +621,89 @@ impl BatchSet {
         if telem {
             crate::telemetry::note_farm_start(self.entries.len() as u64, skipped as u64);
         }
-        let events_at_start = telem
-            .then(|| crate::telemetry::snapshot().engine.events)
-            .unwrap_or(0);
         let batch_span = telem.then(|| {
             crate::telemetry::Span::enter(crate::telemetry::Phase::Batch)
         });
-        let mut last_heartbeat = Instant::now();
+        let mut out = Emitter {
+            sink,
+            journal,
+            metrics: metrics_out,
+            telem,
+            strict: config.strict,
+            heartbeat: config.heartbeat,
+            last_heartbeat: Instant::now(),
+            t0,
+            skipped,
+            total: self.entries.len(),
+            events_at_start: if telem {
+                crate::telemetry::snapshot().engine.events
+            } else {
+                0
+            },
+            records: Vec::new(),
+            jobs: 0,
+            strict_aborted: false,
+        };
 
-        let mut records: Vec<ScenarioRecord> = Vec::new();
-        let mut jobs_run = 0usize;
-        let mut strict_aborted = false;
-
-        // Wave sizing: chunk consecutive open-loop entries until a wave
-        // carries enough jobs to saturate the pool, so incremental
-        // journalable emission costs almost no parallelism. A watchdog
-        // forces one scenario per wave so the clock measures a single
-        // scenario.
-        let wave_target = runner.threads().max(1) * 4;
-
+        // Each policy entry ends the open-loop stream before it and runs
+        // alone, in its place in entry order.
+        let open_loop = OpenLoop {
+            set: self,
+            runner,
+            config,
+            skip: &skip,
+            scenarios: &scenarios,
+            fingerprints: &fingerprints,
+        };
+        let n = self.entries.len();
         let mut i = 0usize;
-        'entries: while i < self.entries.len() {
+        while i < n && !out.strict_aborted {
             if skip[i] {
                 i += 1;
-                continue;
-            }
-            let policy_entry = self.entries[i].saved.policy.is_some();
-            let wave: Vec<usize> = if policy_entry {
-                let idx = i;
-                i += 1;
-                vec![idx]
-            } else {
-                let mut wave = Vec::new();
-                let mut wave_jobs = 0usize;
-                while i < self.entries.len() && self.entries[i].saved.policy.is_none() {
-                    if skip[i] {
-                        i += 1;
-                        continue;
-                    }
-                    let s = &scenarios[i];
-                    wave.push(i);
-                    wave_jobs += s.channels * s.replications.max(1) as usize;
-                    i += 1;
-                    if wave_jobs >= wave_target || config.timeout.is_some() {
-                        break;
-                    }
-                }
-                wave
-            };
-
-            let wave_t0 = Instant::now();
-            let wave_records = if policy_entry {
-                vec![self.run_policy_entry(
+            } else if self.entries[i].saved.policy.is_some() {
+                let t = Instant::now();
+                let record = self.run_policy_entry(
                     runner,
-                    wave[0],
-                    &scenarios[wave[0]],
-                    &fingerprints[wave[0]],
+                    i,
+                    &scenarios[i],
+                    &fingerprints[i],
                     config,
-                    &mut jobs_run,
-                )]
-            } else {
-                self.run_wave(runner, &wave, &scenarios, &fingerprints, config, &mut jobs_run)
-            };
-            if telem {
-                crate::telemetry::note_wave(wave_t0.elapsed().as_secs_f64() * 1e3);
-            }
-
-            for record in wave_records {
-                let line = render_compact(&record.to_json());
-                sink.emit(&line).map_err(|e| BatchError::Sink {
-                    error: e.to_string(),
-                })?;
-                if let Some(journal) = journal.as_mut() {
-                    journal
-                        .append(&JournalRecord {
-                            scenario: record.name.clone(),
-                            fingerprint: record.fingerprint.clone(),
-                            status: record.status.as_str().to_string(),
-                            attempts: u64::from(record.attempts),
-                            elapsed_ms: record.job_ms,
-                        })
-                        .map_err(|error| BatchError::Journal { error })?;
-                }
-                if telem {
-                    let outcome = match &record.status {
-                        ScenarioStatus::Ok => crate::telemetry::FarmOutcome::Ok,
-                        ScenarioStatus::Failed { .. } => crate::telemetry::FarmOutcome::Failed,
-                        ScenarioStatus::Timeout => crate::telemetry::FarmOutcome::Timeout,
-                    };
-                    crate::telemetry::note_farm_record(
-                        outcome,
-                        u64::from(record.attempts.saturating_sub(1)),
-                    );
-                }
-                let ok = record.status.is_ok();
-                records.push(record);
-                if !ok && config.strict {
-                    strict_aborted = true;
-                    break 'entries;
-                }
-            }
-
-            if let Some(out) = metrics_out.as_mut() {
-                write_metrics_snapshot(out.as_mut(), false)?;
-            }
-            if config.heartbeat && last_heartbeat.elapsed() >= Duration::from_millis(500) {
-                emit_heartbeat(
-                    skipped + records.len(),
-                    self.entries.len(),
-                    records.iter().filter(|r| !r.status.is_ok()).count(),
-                    t0.elapsed().as_secs_f64(),
-                    telem.then(|| crate::telemetry::snapshot().engine.events - events_at_start),
+                    &mut out.jobs,
                 );
-                last_heartbeat = Instant::now();
+                out.wave(ms_since(t), vec![record])?;
+                i += 1;
+            } else {
+                let end = (i..n)
+                    .find(|&k| self.entries[k].saved.policy.is_some())
+                    .unwrap_or(n);
+                open_loop.run(i..end, &mut out)?;
+                i = end;
             }
         }
 
         // Close the batch span before the final snapshot so the timing
         // record includes the whole-batch wall.
         drop(batch_span);
-        if let Some(out) = metrics_out.as_mut() {
-            write_metrics_snapshot(out.as_mut(), true)?;
+        if let Some(metrics) = out.metrics.as_mut() {
+            write_metrics_snapshot(metrics.as_mut(), true)?;
         }
-        if config.heartbeat {
-            emit_heartbeat(
-                skipped + records.len(),
-                self.entries.len(),
-                records.iter().filter(|r| !r.status.is_ok()).count(),
-                t0.elapsed().as_secs_f64(),
-                telem.then(|| crate::telemetry::snapshot().engine.events - events_at_start),
-            );
+        if out.heartbeat {
+            out.emit_heartbeat();
         }
 
+        let Emitter {
+            sink,
+            records,
+            jobs,
+            strict_aborted,
+            ..
+        } = out;
         let report = BatchReport {
             records,
             skipped,
             strict_aborted,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            jobs: jobs_run,
+            wall_ms: ms_since(t0),
+            jobs,
         };
         sink.emit(&render_compact(&report.aggregate_json()))
             .map_err(|e| BatchError::Sink {
@@ -744,98 +713,6 @@ impl BatchSet {
             error: e.to_string(),
         })?;
         Ok(report)
-    }
-
-    /// Runs one wave of open-loop entries as a shared grid with panic
-    /// isolation, the watchdog and the retry budget. Records come back in
-    /// wave (= entry) order.
-    fn run_wave(
-        &self,
-        runner: &Runner,
-        wave: &[usize],
-        scenarios: &[Scenario],
-        fingerprints: &[String],
-        config: &RunConfig,
-        jobs_run: &mut usize,
-    ) -> Vec<ScenarioRecord> {
-        // Compile with panic isolation: a config that blows up in
-        // `compile` (main-thread work) must poison only itself. Compile
-        // panics are deterministic, so they are not retried.
-        let compiled: Vec<_> = wave
-            .iter()
-            .map(|&idx| {
-                let scenario = &scenarios[idx];
-                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let configs = scenario.compile();
-                    let bers: Vec<ResolvedBer> = (0..configs.len())
-                        .map(|c| scenario.channel_ber(c).model())
-                        .collect();
-                    (configs, bers)
-                }))
-                .map_err(panic_message)
-            })
-            .collect();
-
-        // Attempt 1: every compiled scenario's jobs on one shared grid.
-        let grids: Vec<Grid<'_, ResolvedBer>> = wave
-            .iter()
-            .zip(&compiled)
-            .filter_map(|(&idx, c)| {
-                let (configs, bers) = c.as_ref().ok()?;
-                Some(scenarios[idx].grid(configs, bers))
-            })
-            .collect();
-        *jobs_run += grids.iter().map(Grid::jobs).sum::<usize>();
-        let mut results = grids
-            .iter()
-            .zip(run_grids(runner, &grids, config.deadline()));
-
-        let mut records = Vec::with_capacity(wave.len());
-        for (&idx, compiled) in wave.iter().zip(&compiled) {
-            let scenario = &scenarios[idx];
-            let base = self.base_record(idx, scenario, &fingerprints[idx]);
-            if let Err(panic) = compiled {
-                records.push(ScenarioRecord {
-                    status: ScenarioStatus::Failed {
-                        panic: panic.clone(),
-                    },
-                    ..base
-                });
-                continue;
-            }
-            let (grid, mut result) = results.next().expect("one result per compiled scenario");
-            let mut attempts = 1u32;
-
-            // Retry budget: only panicked attempts retry (timeouts would
-            // just burn another budget on the same runaway config).
-            while matches!(result, Err(GridFailure::Panicked(_))) && attempts <= config.retries {
-                attempts += 1;
-                *jobs_run += grid.jobs();
-                result = run_grids(runner, std::slice::from_ref(grid), config.deadline())
-                    .pop()
-                    .expect("one result per grid");
-            }
-
-            records.push(match result {
-                Ok((outcome, job_ms)) => ScenarioRecord {
-                    attempts,
-                    outcome: Some(outcome),
-                    job_ms,
-                    ..base
-                },
-                Err(GridFailure::Panicked(panic)) => ScenarioRecord {
-                    status: ScenarioStatus::Failed { panic },
-                    attempts,
-                    ..base
-                },
-                Err(GridFailure::TimedOut) => ScenarioRecord {
-                    status: ScenarioStatus::Timeout,
-                    attempts,
-                    ..base
-                },
-            });
-        }
-        records
     }
 
     /// An entry's `ok` record before it runs: identity, seed and
@@ -918,6 +795,334 @@ impl BatchSet {
             }
         }
     }
+}
+
+/// Waves a farm stream keeps in flight: while the calling thread reduces,
+/// emits and journals one wave, the workers simulate up to this many
+/// later ones, so a burst of slow fsyncs does not drain the pool.
+const WINDOW_WAVES: usize = 8;
+
+/// An entry's compiled channel configs and BER models, shared by its jobs.
+type Compiled = (Vec<NetworkConfig>, Vec<ResolvedBer>);
+
+/// One farm job: replication `r` of channel `c` of a compiled entry.
+struct FarmJob<'a> {
+    scenario: &'a Scenario,
+    compiled: Arc<Compiled>,
+    c: usize,
+    r: u64,
+    deadline: Option<Instant>,
+}
+
+/// A wave in flight: its entries in order, each compiled or carrying its
+/// compile panic, and how many jobs it fed.
+struct Wave {
+    entries: Vec<(usize, Result<Arc<Compiled>, String>)>,
+    jobs: usize,
+}
+
+/// What every wave of a farm stream shares: the set, its runner and
+/// knobs, and the per-entry resume flags, effective scenarios and
+/// fingerprints.
+struct OpenLoop<'a> {
+    set: &'a BatchSet,
+    runner: &'a Runner,
+    config: &'a RunConfig,
+    skip: &'a [bool],
+    scenarios: &'a [Scenario],
+    fingerprints: &'a [String],
+}
+
+impl<'a> OpenLoop<'a> {
+    /// Runs the open-loop entries in `span` as one [`Runner::stream`] on
+    /// long-lived workers. The calling thread compiles and feeds up to
+    /// [`WINDOW_WAVES`] waves ahead, then takes the oldest wave's results
+    /// in feed order, reduces them into records and emits those before
+    /// topping the window up again.
+    fn run(&self, span: Range<usize>, out: &mut Emitter<'_>) -> Result<(), BatchError> {
+        // Wave sizing: enough jobs to give every worker several, so
+        // per-wave emission costs almost no parallelism. A watchdog keeps
+        // one one-scenario wave in flight so the clock measures a single
+        // scenario.
+        let target = self.runner.threads() * 4;
+        let window = if self.config.timeout.is_some() {
+            1
+        } else {
+            WINDOW_WAVES
+        };
+        let run = |job: FarmJob<'a>| {
+            let (configs, bers) = &*job.compiled;
+            job.scenario
+                .grid(configs, bers)
+                .run_job(job.c, job.r, job.deadline)
+        };
+        self.runner.stream(usize::MAX, run, |stream| {
+            let mut next = span.start;
+            let mut waves = VecDeque::with_capacity(window);
+            let mut top_up = |waves: &mut VecDeque<Wave>, stream: &mut Stream<'_, _, _>| {
+                while waves.len() < window {
+                    match self.feed_wave(&mut next, span.end, target, stream) {
+                        Some(wave) => waves.push_back(wave),
+                        None => break,
+                    }
+                }
+            };
+            top_up(&mut waves, stream);
+            while let Some(wave) = waves.pop_front() {
+                let t = Instant::now();
+                let results: Vec<_> = (0..wave.jobs)
+                    .map(|_| stream.recv().expect("the wave's jobs are in flight"))
+                    .collect();
+                let wait_ms = ms_since(t);
+                // Refill the freed slot before the slow part, so the
+                // workers simulate while this wave is emitted and
+                // journaled — except under a watchdog, whose clock starts
+                // when a wave is fed and must not include this emission.
+                if self.config.timeout.is_none() {
+                    top_up(&mut waves, stream);
+                }
+                let records = self.finish_wave(wave, results, &mut out.jobs);
+                out.wave(wait_ms, records)?;
+                if out.strict_aborted {
+                    break;
+                }
+                top_up(&mut waves, stream);
+            }
+            Ok(())
+        })
+    }
+
+    /// Compiles the next wave — unskipped entries from `*next` until the
+    /// wave carries `target` jobs, or a single entry under a watchdog —
+    /// and feeds its jobs; `None` once `end` is reached.
+    fn feed_wave(
+        &self,
+        next: &mut usize,
+        end: usize,
+        target: usize,
+        stream: &mut Stream<'_, FarmJob<'a>, JobOutput>,
+    ) -> Option<Wave> {
+        let mut entries = Vec::new();
+        let mut wave_jobs = 0usize;
+        while *next < end {
+            let idx = *next;
+            *next += 1;
+            if self.skip[idx] {
+                continue;
+            }
+            let scenario = &self.scenarios[idx];
+            // Compile with panic isolation: a config that blows up in
+            // `compile` (calling-thread work) must poison only itself.
+            // Compile panics are deterministic, so they are not retried.
+            let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let configs = scenario.compile();
+                let bers = (0..configs.len())
+                    .map(|c| scenario.channel_ber(c).model())
+                    .collect();
+                Arc::new((configs, bers)) as Arc<Compiled>
+            }))
+            .map_err(panic_message);
+            entries.push((idx, compiled));
+            wave_jobs += scenario.channels * scenario.replications.max(1) as usize;
+            if wave_jobs >= target || self.config.timeout.is_some() {
+                break;
+            }
+        }
+        if entries.is_empty() {
+            return None;
+        }
+        let deadline = self.config.deadline();
+        let mut jobs = 0;
+        for (idx, compiled) in &entries {
+            let Ok(compiled) = compiled else { continue };
+            let scenario = &self.scenarios[*idx];
+            let grid = scenario.grid(&compiled.0, &compiled.1);
+            for (c, r) in grid.job_keys() {
+                stream.feed(FarmJob {
+                    scenario,
+                    compiled: Arc::clone(compiled),
+                    c,
+                    r,
+                    deadline,
+                });
+            }
+            jobs += grid.jobs();
+        }
+        Some(Wave { entries, jobs })
+    }
+
+    /// Reduces a finished wave's results (in feed order) into its
+    /// records, in entry order. A panicked grid re-runs alone on the
+    /// runner while its retry budget lasts.
+    fn finish_wave(
+        &self,
+        wave: Wave,
+        results: Vec<std::thread::Result<JobOutput>>,
+        jobs_run: &mut usize,
+    ) -> Vec<ScenarioRecord> {
+        let mut results = results.into_iter();
+        wave.entries
+            .into_iter()
+            .map(|(idx, compiled)| {
+                let scenario = &self.scenarios[idx];
+                let base = self.set.base_record(idx, scenario, &self.fingerprints[idx]);
+                let compiled = match compiled {
+                    Ok(compiled) => compiled,
+                    Err(panic) => {
+                        return ScenarioRecord {
+                            status: ScenarioStatus::Failed { panic },
+                            ..base
+                        }
+                    }
+                };
+                let grid = scenario.grid(&compiled.0, &compiled.1);
+                *jobs_run += grid.jobs();
+                let mut result = grid.reduce(results.by_ref());
+                let mut attempts = 1u32;
+                // Retry budget: only panicked attempts retry (timeouts
+                // would just burn another budget on the same runaway
+                // config).
+                while matches!(result, Err(GridFailure::Panicked(_)))
+                    && attempts <= self.config.retries
+                {
+                    attempts += 1;
+                    *jobs_run += grid.jobs();
+                    result = run_grid(self.runner, &grid, self.config.deadline());
+                }
+                match result {
+                    Ok((outcome, job_ms)) => ScenarioRecord {
+                        attempts,
+                        outcome: Some(outcome),
+                        job_ms,
+                        ..base
+                    },
+                    Err(GridFailure::Panicked(panic)) => ScenarioRecord {
+                        status: ScenarioStatus::Failed { panic },
+                        attempts,
+                        ..base
+                    },
+                    Err(GridFailure::TimedOut) => ScenarioRecord {
+                        status: ScenarioStatus::Timeout,
+                        attempts,
+                        ..base
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// The calling thread's half of a farm run: emits, journals and accounts
+/// finished waves, strictly in entry order.
+struct Emitter<'s> {
+    sink: &'s mut dyn ResultSink,
+    journal: Option<JournalWriter>,
+    metrics: Option<Box<dyn Write>>,
+    telem: bool,
+    strict: bool,
+    heartbeat: bool,
+    last_heartbeat: Instant,
+    t0: Instant,
+    skipped: usize,
+    total: usize,
+    events_at_start: u64,
+    records: Vec<ScenarioRecord>,
+    jobs: usize,
+    strict_aborted: bool,
+}
+
+impl Emitter<'_> {
+    /// Emits a finished wave's records in entry order — each record, then
+    /// its fsync'd journal line — and stops after the first non-`ok` one
+    /// under strict mode; otherwise writes the wave's metrics snapshot
+    /// and (rate-limited) heartbeat. `wait_ms` is the calling thread's
+    /// wait for the wave's last result.
+    fn wave(&mut self, wait_ms: f64, records: Vec<ScenarioRecord>) -> Result<(), BatchError> {
+        if self.telem {
+            crate::telemetry::note_wave(wait_ms);
+        }
+        for record in records {
+            let line = render_compact(&record.to_json());
+            self.sink.emit(&line).map_err(|e| BatchError::Sink {
+                error: e.to_string(),
+            })?;
+            if let Some(journal) = self.journal.as_mut() {
+                journal
+                    .append(&JournalRecord {
+                        scenario: record.name.clone(),
+                        fingerprint: record.fingerprint.clone(),
+                        status: record.status.as_str().to_string(),
+                        attempts: u64::from(record.attempts),
+                        elapsed_ms: record.job_ms,
+                    })
+                    .map_err(|error| BatchError::Journal { error })?;
+            }
+            if self.telem {
+                let outcome = match &record.status {
+                    ScenarioStatus::Ok => crate::telemetry::FarmOutcome::Ok,
+                    ScenarioStatus::Failed { .. } => crate::telemetry::FarmOutcome::Failed,
+                    ScenarioStatus::Timeout => crate::telemetry::FarmOutcome::Timeout,
+                };
+                crate::telemetry::note_farm_record(
+                    outcome,
+                    u64::from(record.attempts.saturating_sub(1)),
+                );
+            }
+            let ok = record.status.is_ok();
+            self.records.push(record);
+            if !ok && self.strict {
+                self.strict_aborted = true;
+                return Ok(());
+            }
+        }
+        if let Some(metrics) = self.metrics.as_mut() {
+            write_metrics_snapshot(metrics.as_mut(), false)?;
+        }
+        if self.heartbeat && self.last_heartbeat.elapsed() >= Duration::from_millis(500) {
+            self.emit_heartbeat();
+            self.last_heartbeat = Instant::now();
+        }
+        Ok(())
+    }
+
+    /// The single-line stderr progress report ([`RunConfig::heartbeat`]);
+    /// events/s counts engine events since the farm started, when
+    /// telemetry is on.
+    fn emit_heartbeat(&self) {
+        let ran = self.records.len();
+        let done = self.skipped + ran;
+        let failed = self.records.iter().filter(|r| !r.status.is_ok()).count();
+        let elapsed_s = self.t0.elapsed().as_secs_f64();
+        let eta = eta(ran, self.total.saturating_sub(done), elapsed_s);
+        let rate = if self.telem && elapsed_s > 0.0 {
+            let events = crate::telemetry::snapshot().engine.events - self.events_at_start;
+            format!("{:.0}", events as f64 / elapsed_s)
+        } else {
+            "-".to_string()
+        };
+        eprintln!(
+            "# heartbeat: {done}/{} done, {failed} failed, eta {eta}, {rate} events/s",
+            self.total
+        );
+    }
+}
+
+/// The heartbeat's ETA for `remaining` scenarios at this process's rate:
+/// `ran` scenarios run (not resume-skipped) in `elapsed_s` seconds. `?`
+/// before anything ran, `0.0s` when nothing remains.
+fn eta(ran: usize, remaining: usize, elapsed_s: f64) -> String {
+    if remaining == 0 {
+        "0.0s".to_string()
+    } else if ran == 0 {
+        "?".to_string()
+    } else {
+        format!("{:.1}s", elapsed_s / ran as f64 * remaining as f64)
+    }
+}
+
+/// Milliseconds since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 fn load_entry(path: PathBuf) -> Result<BatchEntry, BatchError> {
@@ -1042,25 +1247,6 @@ fn write_metrics_snapshot(out: &mut dyn Write, last: bool) -> Result<(), BatchEr
         .map_err(|e| BatchError::Sink {
             error: format!("metrics stream: {e}"),
         })
-}
-
-/// The single-line stderr progress report ([`RunConfig::heartbeat`]).
-/// `events` is the engine event count accumulated since the farm
-/// started, when telemetry is on.
-fn emit_heartbeat(done: usize, total: usize, failed: usize, elapsed_s: f64, events: Option<u64>) {
-    let remaining = total.saturating_sub(done);
-    let eta = if done > 0 && remaining > 0 {
-        format!("{:.1}s", elapsed_s / done as f64 * remaining as f64)
-    } else if remaining > 0 {
-        "?".to_string()
-    } else {
-        "0.0s".to_string()
-    };
-    let rate = match events {
-        Some(n) if elapsed_s > 0.0 => format!("{:.0}", n as f64 / elapsed_s),
-        _ => "-".to_string(),
-    };
-    eprintln!("# heartbeat: {done}/{total} done, {failed} failed, eta {eta}, {rate} events/s");
 }
 
 fn summary_json(s: &NetworkSummary) -> Node {
@@ -1419,6 +1605,146 @@ mod tests {
         let report = set.run_with(&Runner::serial(), &mut sink, &config).unwrap();
         assert_eq!(report.records.len(), 2);
         assert!(report.all_ok());
+    }
+
+    /// A scenario that passes `compile` but panics in every job on the
+    /// worker that runs it: the engine needs at least two superframes.
+    fn poisoned_job(name: &str) -> BatchEntry {
+        let mut e = entry(name, 4);
+        e.saved.scenario.superframes = 1;
+        e
+    }
+
+    /// Forty tiny entries (4 jobs each) — 40, 20 and 10 waves on 1, 2 and
+    /// 4 threads — with a policy entry mid-stream, a scenario that panics
+    /// in `compile` and one that panics in its jobs.
+    fn mixed_batch() -> BatchSet {
+        let entries = (0..40)
+            .map(|k| match k {
+                9 => poisoned(&format!("e{k:02}")),
+                17 => {
+                    let mut e = entry(&format!("e{k:02}"), 100 + k);
+                    e.saved.policy = Some(PolicyChoice::Static { rounds: 2 });
+                    e
+                }
+                26 => poisoned_job(&format!("e{k:02}")),
+                _ => entry(&format!("e{k:02}"), 100 + k),
+            })
+            .collect();
+        unvalidated(entries)
+    }
+
+    /// Runs `set` on `threads` workers with a fresh journal; returns the
+    /// report, the record lines (aggregate dropped, `job_ms` stripped) and
+    /// the journal lines (`elapsed_ms` stripped).
+    fn run_journaled(
+        set: &BatchSet,
+        threads: usize,
+        config: RunConfig,
+        tag: &str,
+    ) -> (BatchReport, Vec<String>, Vec<String>) {
+        let journal = std::env::temp_dir().join(format!(
+            "wsn_batch_order_{tag}_{threads}_{}.jsonl",
+            std::process::id()
+        ));
+        let config = RunConfig {
+            journal: Some(journal.clone()),
+            ..config
+        };
+        let mut sink = WriteSink::new(Vec::new());
+        let report = set
+            .run_with(&Runner::with_threads(threads), &mut sink, &config)
+            .unwrap();
+        let strip = |line: &str, key: &str, end: char| {
+            let start = line.find(key).expect("field present");
+            let stop = start + line[start..].find(end).expect("field terminated");
+            format!("{}{}", &line[..start], &line[stop..])
+        };
+        let records = String::from_utf8(sink.into_inner())
+            .unwrap()
+            .lines()
+            .filter(|l| !l.contains("\"aggregate\":true"))
+            .map(|l| strip(l, "\"job_ms\":", ','))
+            .collect();
+        let journaled = std::fs::read_to_string(&journal)
+            .unwrap()
+            .lines()
+            .map(|l| strip(l, "\"elapsed_ms\":", '}'))
+            .collect();
+        std::fs::remove_file(&journal).unwrap();
+        (report, records, journaled)
+    }
+
+    #[test]
+    fn records_and_journal_stream_in_entry_order_on_real_threads() {
+        let set = mixed_batch();
+        let (serial, records, journal) = run_journaled(&set, 1, RunConfig::default(), "mixed");
+        let names: Vec<&str> = set.entries().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(records.len(), names.len());
+        assert_eq!(journal.len(), names.len());
+        for ((record, line), name) in records.iter().zip(&journal).zip(&names) {
+            assert!(
+                record.starts_with(&format!("{{\"scenario\":\"{name}\"")),
+                "{record}"
+            );
+            assert!(line.contains(&format!("\"scenario\":\"{name}\"")), "{line}");
+        }
+        assert_eq!(serial.failed(), 2);
+        assert!(serial.records[17].policy.is_some());
+        for threads in [2, 4] {
+            let (report, parallel, parallel_journal) =
+                run_journaled(&set, threads, RunConfig::default(), "mixed");
+            assert_eq!(parallel, records, "records, threads={threads}");
+            assert_eq!(parallel_journal, journal, "journal, threads={threads}");
+            assert_eq!(report.jobs, serial.jobs, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn strict_mode_emits_nothing_after_the_first_failure_on_four_threads() {
+        let mut entries: Vec<BatchEntry> = (0..80)
+            .map(|k| entry(&format!("e{k:02}"), 200 + k))
+            .collect();
+        entries[21] = poisoned_job("e21");
+        let set = unvalidated(entries);
+        let strict = RunConfig {
+            strict: true,
+            ..RunConfig::default()
+        };
+        // On 4 threads a wave is 4 entries, so `e21` fails in the sixth
+        // wave while up to eight later waves are already simulating.
+        let (report, records, journal) = run_journaled(&set, 4, strict.clone(), "strict");
+        assert!(report.strict_aborted);
+        assert_eq!(report.records.len(), 22);
+        assert_eq!(records.len(), 22);
+        assert_eq!(journal.len(), 22);
+        assert!(
+            records[21].contains("\"status\":\"failed\""),
+            "{}",
+            records[21]
+        );
+        // `jobs` counts the waves the farm consumed — through the failing
+        // wave, `e20`..`e23` — never the work simulated ahead of the abort.
+        assert_eq!(report.jobs, 24 * 4);
+        // The serial reference runs nothing ahead and emits the same.
+        let (serial, serial_records, serial_journal) = run_journaled(&set, 1, strict, "strict");
+        assert_eq!(serial.jobs, 22 * 4);
+        assert_eq!(serial_records, records);
+        assert_eq!(serial_journal, journal);
+    }
+
+    #[test]
+    fn eta_extrapolates_from_scenarios_run_in_this_process() {
+        // Fresh run: 10 of 100 in 1 s leaves 90 at 10/s.
+        assert_eq!(eta(10, 90, 1.0), "9.0s");
+        // Resumed run: 1,000 skipped by the journal do not count as
+        // progress; 10 ran in 1 s and 990 remain.
+        assert_eq!(eta(10, 990, 1.0), "99.0s");
+        // Nothing run yet (even with skipped scenarios): no rate.
+        assert_eq!(eta(0, 5, 0.3), "?");
+        // Done.
+        assert_eq!(eta(10, 0, 1.0), "0.0s");
+        assert_eq!(eta(0, 0, 0.0), "0.0s");
     }
 
     #[test]

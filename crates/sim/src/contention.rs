@@ -542,11 +542,13 @@ thread_local! {
 /// Every thread owns exactly one. The serial path runs on the caller's
 /// thread, so its workspace persists across entire sweeps and policy
 /// loops; each of the [`Runner`](crate::runner::Runner)'s workers reuses
-/// its own across all jobs it steals within one `map` call — a channels ×
-/// replications grid allocates simulation scratch once per worker, not
-/// once per job. (Workers are scoped threads, so their workspaces live
-/// per `map` invocation: a multi-threaded policy loop pays one workspace
-/// per worker per round.)
+/// its own across all jobs it pulls within one streaming call — a
+/// channels × replications grid allocates simulation scratch once per
+/// worker, not once per job. (Workers are scoped threads, so their
+/// workspaces live per streaming call: one `map`, one scenario grid — a
+/// multi-threaded policy loop pays one workspace per worker per round —
+/// or one batch-farm stream, which spans every open-loop entry between
+/// two policy entries.)
 ///
 /// # Panics
 ///

@@ -40,7 +40,8 @@
 //! node array, corruption buffer — lives in a reusable per-thread
 //! [`SimWorkspace`] ([`with_workspace`]): serial runs reuse one workspace
 //! across entire sweeps and policy loops, and each parallel worker
-//! allocates its scratch once per grid rather than once per job.
+//! allocates its scratch once per streaming call (a grid, or a whole
+//! batch-farm stream) rather than once per job.
 //!
 //! ## The experiment pipeline: scenario → config → runner → accumulator
 //!
@@ -54,11 +55,11 @@
 //! 2. **config** — [`scenario::Scenario::compile`] lowers it into one
 //!    [`NetworkConfig`] per channel, with per-channel loads and
 //!    splitmix-derived seeds;
-//! 3. **runner** — one grid executor in [`scenario`] runs the channels ×
-//!    replications grid as flat jobs on the [`Runner`]'s scoped thread
-//!    pool, deriving each replication's seed from `(master, index)` only.
-//!    [`scenario::Scenario::run`], the policy loop and the batch farm all
-//!    run through it;
+//! 3. **runner** — the channels × replications grid runs as flat jobs on
+//!    one ordered [`Runner::stream`] of scoped worker threads, deriving
+//!    each replication's seed from `(master, index)` only.
+//!    [`scenario::Scenario::run`], the policy loop and the batch farm
+//!    share the grid's per-job body and per-grid reduction;
 //! 4. **accumulator** — every run streams into a mergeable
 //!    [`network::NetworkAccumulator`] (built on [`Accumulator`],
 //!    [`Counter`] and `EnergyLedger::merge`); shards merge in a fixed
@@ -75,8 +76,8 @@
 //! [`scenario::Scenario`] surface (plus an optional policy choice) as
 //! versioned, canonical JSON — the format-1 schema is documented key by
 //! key in the repository's `SCHEMA.md` — and [`batch`] runs a directory
-//! or manifest of saved scenarios as one deterministic job grid on a
-//! shared worker pool, streaming per-scenario JSON result records.
+//! or manifest of saved scenarios as one deterministic job stream on
+//! long-lived workers, streaming per-scenario JSON result records.
 //!
 //! The batch service is a **fault-tolerant farm**: [`journal`] keeps an
 //! fsync'd progress journal keyed by config fingerprint
@@ -85,8 +86,8 @@
 //! through a [`sink::ResultSink`] ([`sink::WriteSink`] over a file or
 //! stdout), and each scenario is isolated — a panicking config or a
 //! wall-clock overrun becomes a typed `"status":"failed"` / `"timeout"`
-//! record while the rest of the farm keeps running
-//! ([`runner::Runner::map_catching`]). The journal plus resume is the
+//! record while the rest of the farm keeps running (every runner job
+//! runs under panic isolation). The journal plus resume is the
 //! farm's delivery guarantee: a record is emitted before its journal entry
 //! is fsync'd, so a crash can duplicate one record but never lose one. The
 //! journal and record schemas — including the `status` field — are

@@ -42,7 +42,7 @@ use crate::network::{
     corruption_probability, NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary,
     TxPowerPolicy,
 };
-use crate::runner::{replication_seed, Runner};
+use crate::runner::{panic_message, replication_seed, Runner};
 
 /// Where the nodes are, physically — compiled into per-node path losses.
 #[derive(Debug, Clone, PartialEq)]
@@ -1226,10 +1226,7 @@ impl Scenario {
         configs: &[NetworkConfig],
         bers: &[B],
     ) -> ScenarioOutcome {
-        let result = run_grids(runner, &[self.grid(configs, bers)], None)
-            .pop()
-            .expect("one result per grid");
-        match result {
+        match run_grid(runner, &self.grid(configs, bers), None) {
             Ok((outcome, _)) => outcome,
             Err(GridFailure::Panicked(message)) => std::panic::panic_any(message),
             Err(GridFailure::TimedOut) => unreachable!("a grid without a deadline never times out"),
@@ -1237,7 +1234,7 @@ impl Scenario {
     }
 
     /// This scenario's replications and shards over `configs`, ready for
-    /// [`run_grids`].
+    /// [`run_grid`].
     ///
     /// # Panics
     ///
@@ -1262,7 +1259,7 @@ impl Scenario {
     }
 }
 
-/// One compiled scenario for [`run_grids`]: a config and a BER model per
+/// One compiled scenario for [`run_grid`]: a config and a BER model per
 /// channel, the replications per channel and the spatial shards per job.
 pub(crate) struct Grid<'a, B> {
     name: &'a str,
@@ -1272,10 +1269,89 @@ pub(crate) struct Grid<'a, B> {
     shards: usize,
 }
 
-impl<B> Grid<'_, B> {
-    /// Jobs the grid puts on the runner: channels × replications.
+/// One grid job's output: the unsealed accumulator and the job's wall
+/// clock in milliseconds, or `None` when the deadline passed before the
+/// job started.
+pub(crate) type JobOutput = Option<(NetworkAccumulator, f64)>;
+
+/// A reduced grid: its outcome and summed job wall clock in
+/// milliseconds, or why it has none.
+pub(crate) type GridResult = Result<(ScenarioOutcome, f64), GridFailure>;
+
+impl<B: BerModel> Grid<'_, B> {
+    /// Jobs the grid puts on the runner: channels × replications, fed
+    /// channel-major.
     pub(crate) fn jobs(&self) -> usize {
         self.configs.len() * self.replications as usize
+    }
+
+    /// The grid's jobs as `(channel, replication)`, in feed order: the
+    /// order [`reduce`](Self::reduce) consumes their results in.
+    pub(crate) fn job_keys(&self) -> impl Iterator<Item = (usize, u64)> {
+        let reps = u64::from(self.replications);
+        (0..self.configs.len()).flat_map(move |c| (0..reps).map(move |r| (c, r)))
+    }
+
+    /// The per-job body: replication `r` of channel `c`, skipped when it
+    /// would start after `deadline`.
+    pub(crate) fn run_job(&self, c: usize, r: u64, deadline: Option<Instant>) -> JobOutput {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        let t = Instant::now();
+        // O(1) view, not a deep copy: `path_losses` (and any `PerNode`
+        // level table) live behind `Arc`, so the only per-job state is
+        // the replication seed written below.
+        let mut cfg = self.configs[c].clone();
+        cfg.channel.seed = replication_seed(cfg.channel.seed, r);
+        let acc = NetworkSimulator::new(cfg).run_accumulate_sharded(&self.bers[c], self.shards);
+        Some((acc, t.elapsed().as_secs_f64() * 1e3))
+    }
+
+    /// The per-grid reduction over the grid's [`jobs`](Self::jobs)
+    /// results in feed order (it consumes exactly that many): a panic
+    /// wins over a timeout, and a complete grid reduces in fixed order
+    /// through [`ScenarioOutcome::reduce`].
+    pub(crate) fn reduce(
+        &self,
+        mut results: impl Iterator<Item = std::thread::Result<JobOutput>>,
+    ) -> GridResult {
+        let mut accs = Vec::with_capacity(self.configs.len());
+        let mut job_ms = 0.0;
+        let mut panic = None;
+        let mut timed_out = false;
+        for _ in self.configs {
+            let mut reps = Vec::with_capacity(self.replications as usize);
+            for _ in 0..self.replications {
+                match results.next().expect("one result per grid job") {
+                    Ok(Some((acc, ms))) => {
+                        reps.push(acc);
+                        job_ms += ms;
+                    }
+                    Ok(None) => timed_out = true,
+                    Err(payload) => {
+                        panic.get_or_insert_with(|| panic_message(payload));
+                    }
+                }
+            }
+            accs.push(reps);
+        }
+        if let Some(message) = panic {
+            return Err(GridFailure::Panicked(message));
+        }
+        if timed_out {
+            return Err(GridFailure::TimedOut);
+        }
+        let mut outcome = ScenarioOutcome::reduce(self.name, &accs);
+        // Compile-time CFP bookkeeping rides on the configs, not the
+        // accumulators: surface each channel's denied GTS requests as
+        // the typed overflow signal.
+        outcome.gts_denied = self
+            .configs
+            .iter()
+            .map(|c| c.channel.cfp.gts_denied)
+            .collect();
+        Ok((outcome, job_ms))
     }
 }
 
@@ -1287,87 +1363,27 @@ pub(crate) enum GridFailure {
     TimedOut,
 }
 
-/// The one grid executor behind [`Scenario::run`], the policy loop and the
-/// batch farm.
+/// The one grid executor behind [`Scenario::run`] and the policy loop;
+/// the batch farm feeds the same per-job body and per-grid reduction
+/// through its own long-lived stream.
 ///
-/// Every grid's (channel, replication) jobs go to the runner as one flat
-/// list, each under panic isolation. A job that starts after `deadline`
-/// is skipped. Each grid then reduces in fixed order through
-/// [`ScenarioOutcome::reduce`], so its outcome is bit-identical for every
-/// thread count and every set of grids it shares the runner with. A grid
-/// yields its outcome plus its summed job wall-clock in milliseconds, or
-/// its failure: a panic wins over a timeout.
-pub(crate) fn run_grids<B: BerModel + Sync>(
+/// The grid's (channel, replication) jobs go to one runner stream, each
+/// under panic isolation; a job that starts after `deadline` is skipped.
+/// The grid reduces in feed order, so its outcome is bit-identical for
+/// every thread count.
+pub(crate) fn run_grid<B: BerModel + Sync>(
     runner: &Runner,
-    grids: &[Grid<'_, B>],
+    grid: &Grid<'_, B>,
     deadline: Option<Instant>,
-) -> Vec<Result<(ScenarioOutcome, f64), GridFailure>> {
-    let jobs: Vec<(usize, usize, u64)> = grids
-        .iter()
-        .enumerate()
-        .flat_map(|(g, grid)| {
-            (0..grid.configs.len())
-                .flat_map(move |c| (0..u64::from(grid.replications)).map(move |r| (g, c, r)))
-        })
-        .collect();
-    let mut results = runner
-        .map_catching(&jobs, |_, &(g, c, r)| {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            let t = Instant::now();
-            let grid = &grids[g];
-            // O(1) view, not a deep copy: `path_losses` (and any `PerNode`
-            // level table) live behind `Arc`, so the only per-job state is
-            // the replication seed written below.
-            let mut cfg = grid.configs[c].clone();
-            cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-            let acc = NetworkSimulator::new(cfg).run_accumulate_sharded(&grid.bers[c], grid.shards);
-            Some((acc, t.elapsed().as_secs_f64() * 1e3))
-        })
-        .into_iter();
-
-    grids
-        .iter()
-        .map(|grid| {
-            let mut accs = Vec::with_capacity(grid.configs.len());
-            let mut job_ms = 0.0;
-            let mut panic = None;
-            let mut timed_out = false;
-            for _ in grid.configs {
-                let mut reps = Vec::with_capacity(grid.replications as usize);
-                for result in results.by_ref().take(grid.replications as usize) {
-                    match result {
-                        Ok(Some((acc, ms))) => {
-                            reps.push(acc);
-                            job_ms += ms;
-                        }
-                        Ok(None) => timed_out = true,
-                        Err(p) => {
-                            panic.get_or_insert(p.message);
-                        }
-                    }
-                }
-                accs.push(reps);
-            }
-            if let Some(message) = panic {
-                return Err(GridFailure::Panicked(message));
-            }
-            if timed_out {
-                return Err(GridFailure::TimedOut);
-            }
-            let mut outcome = ScenarioOutcome::reduce(grid.name, &accs);
-            // Compile-time CFP bookkeeping rides on the configs, not the
-            // accumulators: surface each channel's denied GTS requests as
-            // the typed overflow signal.
-            outcome.gts_denied = grid
-                .configs
-                .iter()
-                .map(|c| c.channel.cfp.gts_denied)
-                .collect();
-            Ok((outcome, job_ms))
-        })
-        .collect()
+) -> GridResult {
+    runner.stream(
+        grid.jobs(),
+        |(c, r): (usize, u64)| grid.run_job(c, r, deadline),
+        |s| {
+            grid.job_keys().for_each(|job| s.feed(job));
+            grid.reduce(std::iter::from_fn(|| s.recv()))
+        },
+    )
 }
 
 /// Results of a scenario run: one summary per channel plus the

@@ -25,11 +25,25 @@
 //!
 //! Shards: the engine accumulates into a private [`EngineMetrics`] per
 //! simulation run and folds it into the global registry once at the end
-//! (one mutex acquisition per run); runner workers accumulate per-job
-//! wall statistics locally and flush once per worker. Since the merges
-//! commute, the global deterministic totals do not depend on which
-//! worker ran which job.
+//! (one mutex acquisition per run). Inside a runner job the fold is held
+//! back with the job's wall clock and released when the caller receives
+//! the job's result, in feed order: `runner.jobs` counts received jobs,
+//! and work a farm simulated ahead and then discarded (a strict abort)
+//! never reaches the registry. Since the merges commute, the global
+//! deterministic totals do not depend on which worker ran which job, nor
+//! on how far ahead the workers ran.
+//!
+//! Runner spans (timing section): `map` is one runner streaming call,
+//! open to close — a `Runner::map`, a scenario grid, or one farm stream
+//! covering a run of open-loop entries — and `job` is every received
+//! job's wall on its worker, so `job.total_ms / (workers × map.total_ms)`
+//! is pool efficiency. `wave` is the farm's calling thread blocked on a
+//! wave: from the moment it asks for the wave's results until the last
+//! one arrives (a policy entry's wave is its whole run). Waves overlap
+//! in flight but the waits do not, so `batch − Σ wave` is the calling
+//! thread's own work: compile, reduce, emit and journal.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -307,12 +321,13 @@ impl Default for EngineMetrics {
 
 /// Runner-layer deterministic metrics. The total *job* count is a
 /// property of the work list, not of scheduling, so it stays in the
-/// deterministic section; the `map` call count is not (the farm sizes
-/// its waves from the worker count), so it lives in [`TimingSet`] along
-/// with pool occupancy.
+/// deterministic section; the `map` call count describes how the work
+/// was batched into streaming calls, not the work, so it lives in
+/// [`TimingSet`] along with pool occupancy.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunnerMetrics {
-    /// Jobs executed across all maps.
+    /// Jobs whose results a runner caller received (work simulated
+    /// ahead and discarded is not counted).
     pub jobs: u64,
 }
 
@@ -553,13 +568,14 @@ impl Default for TimingStat {
 /// A wall-clock span kind; see [`Span`] and [`record_phase_ms`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// One runner job.
+    /// One runner job, on its worker.
     Job,
-    /// One `Runner::map` call, queue-to-join.
+    /// One runner streaming call, open to close (`Runner::map`, a
+    /// scenario grid or a farm stream).
     Map,
     /// One policy round (its full scenario grid).
     PolicyRound,
-    /// One farm wave.
+    /// One farm wave: the calling thread's wait for its last result.
     Wave,
     /// One whole batch farm.
     Batch,
@@ -567,25 +583,27 @@ pub enum Phase {
 
 /// The nondeterministic section: wall-clock spans, pool occupancy, and
 /// the counters whose values depend on the execution environment rather
-/// than the job set — `Runner::map` calls and farm waves (both sized
-/// from the worker count).
+/// than the job set — runner streaming calls and farm waves (how the
+/// work was batched; waves are sized from the worker count).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingSet {
-    /// Per-job wall clock.
+    /// Per-job wall clock, on the worker, for every received job.
     pub job: TimingStat,
-    /// Per-map wall clock.
+    /// Per-streaming-call wall clock, open to close.
     pub map: TimingStat,
     /// Per-policy-round wall clock.
     pub policy_round: TimingStat,
-    /// Per-wave wall clock.
+    /// Per-wave wait of the farm's calling thread for the wave's last
+    /// result (a policy entry: its run).
     pub wave: TimingStat,
     /// Whole-batch wall clock.
     pub batch: TimingStat,
-    /// Largest worker count any map ran with (pool occupancy gauge —
-    /// thread-count dependent by definition, hence in this section).
+    /// Largest worker count any streaming call ran with (pool occupancy
+    /// gauge — thread-count dependent by definition, hence in this
+    /// section).
     pub peak_workers: u64,
-    /// `Runner::map`/`map_catching` invocations (the farm sizes waves —
-    /// and therefore map calls — from the worker count).
+    /// Runner streaming calls: `Runner::map`/`map_catching`, scenario
+    /// grids and farm streams.
     pub maps: u64,
     /// Farm waves dispatched.
     pub waves: u64,
@@ -729,21 +747,72 @@ pub fn snapshot_lines(last: bool) -> (String, String) {
 
 /// Folds an engine run shard into the registry (one lock per run).
 /// `window_growths` rides along into the timing section — ring growth
-/// follows workspace reuse, so it is scheduling-dependent.
+/// follows workspace reuse, so it is scheduling-dependent. Inside a
+/// runner job the fold is held with the job until its caller receives
+/// the result.
 pub fn merge_engine(shard: &EngineMetrics, window_growths: u64) {
-    let mut reg = registry();
-    reg.det.engine.merge(shard);
-    reg.timing.queue_window_growths += window_growths;
+    let held = HELD.with(|held| match held.borrow_mut().as_mut() {
+        Some(job) => {
+            job.engine.merge(shard);
+            job.window_growths += window_growths;
+            true
+        }
+        None => false,
+    });
+    if !held {
+        let mut reg = registry();
+        reg.det.engine.merge(shard);
+        reg.timing.queue_window_growths += window_growths;
+    }
 }
 
-/// Notes one `Runner::map`: the job count (deterministic) and the map
-/// call itself plus the worker count it ran with (timing-section pool
-/// gauges — wave splitting makes the call count scheduling-dependent).
-pub fn note_map(jobs: u64, workers: u64) {
+/// Notes one runner streaming call and the worker count it runs with
+/// (timing-section pool gauges: they describe how the work was batched
+/// and scheduled, not the work).
+pub fn note_map(workers: u64) {
     let mut reg = registry();
-    reg.det.runner.jobs += jobs;
     reg.timing.maps += 1;
     reg.timing.peak_workers = reg.timing.peak_workers.max(workers);
+}
+
+/// One runner job's telemetry, held on the thread that ran it until the
+/// caller receives the job's result.
+#[derive(Debug, Default)]
+pub(crate) struct JobShard {
+    engine: EngineMetrics,
+    window_growths: u64,
+    wall_ms: f64,
+}
+
+thread_local! {
+    /// The shard of the runner job running on this thread, if any.
+    static HELD: RefCell<Option<Box<JobShard>>> = const { RefCell::new(None) };
+}
+
+/// Runs one runner job with this thread's engine folds held in a fresh
+/// shard instead of the registry; returns the job's output and the
+/// shard, stamped with the job's wall clock. `job` must not unwind (the
+/// runner catches job panics inside it).
+pub(crate) fn hold<R>(job: impl FnOnce() -> R) -> (R, Box<JobShard>) {
+    let t = Instant::now();
+    let outer = HELD.with(|held| held.borrow_mut().replace(Box::default()));
+    let out = job();
+    let mut shard = HELD
+        .with(|held| std::mem::replace(&mut *held.borrow_mut(), outer))
+        .expect("the held shard belongs to this job");
+    shard.wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    (out, shard)
+}
+
+/// Releases a received job's shard into the registry under one lock:
+/// the job counts toward `runner.jobs`, its engine metrics merge and its
+/// wall joins the `job` span statistics.
+pub(crate) fn release(shard: &JobShard) {
+    let mut reg = registry();
+    reg.det.runner.jobs += 1;
+    reg.det.engine.merge(&shard.engine);
+    reg.timing.queue_window_growths += shard.window_growths;
+    reg.timing.job.record(shard.wall_ms);
 }
 
 /// Notes one policy round: moves made, the round-over-round worst-channel
@@ -790,8 +859,8 @@ pub fn note_farm_record(outcome: FarmOutcome, extra_attempts: u64) {
     reg.det.farm.retries += extra_attempts;
 }
 
-/// Notes one dispatched farm wave and its wall clock (timing section:
-/// wave count follows the worker pool).
+/// Notes one finished farm wave and the calling thread's wait for its
+/// last result (timing section: wave count follows the worker pool).
 pub fn note_wave(wall_ms: f64) {
     let mut reg = registry();
     reg.timing.waves += 1;
@@ -801,12 +870,6 @@ pub fn note_wave(wall_ms: f64) {
 /// Records one pre-measured wall-clock span.
 pub fn record_phase_ms(phase: Phase, ms: f64) {
     registry().timing.stat_mut(phase).record(ms);
-}
-
-/// Folds a worker-local per-job [`TimingStat`] shard into the registry
-/// (one lock per worker per map instead of one per job).
-pub fn merge_job_timing(stat: &TimingStat) {
-    registry().timing.job.merge(stat);
 }
 
 /// A span-style timing scope: measures from construction to drop and

@@ -217,3 +217,66 @@ fn enabled_registry_collects_and_disabled_registry_does_not() {
     set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
     assert_eq!(telemetry::snapshot(), wsn_sim::telemetry::MetricSet::NEW);
 }
+
+/// Only received jobs reach the registry: a stream that ends with work
+/// in flight (what a strict farm abort does) leaves the deterministic
+/// section exactly as if the discarded jobs never ran, on any thread
+/// count.
+#[test]
+fn discarded_stream_work_never_reaches_the_registry() {
+    let _guard = lock();
+    let configs: Vec<ChannelSimConfig> = (0..12)
+        .map(|k| {
+            let mut cfg = ChannelSimConfig::figure6(50, 0.4, 0x5EED + k);
+            cfg.superframes = 6;
+            cfg
+        })
+        .collect();
+    let first_three = |threads: usize| {
+        telemetry::reset();
+        telemetry::set_enabled(true);
+        let stats: Vec<ContentionStats> = Runner::with_threads(threads).stream(
+            usize::MAX,
+            |cfg: &ChannelSimConfig| simulate_contention(cfg),
+            |s| {
+                configs.iter().for_each(|cfg| s.feed(cfg));
+                (0..3).map(|_| s.recv().unwrap().unwrap()).collect()
+            },
+        );
+        telemetry::set_enabled(false);
+        (stats, telemetry::snapshot(), telemetry::timing_snapshot())
+    };
+    let (serial, det, timing) = first_three(1);
+    assert_eq!(det.runner.jobs, 3);
+    assert_eq!(det.engine.runs, 3);
+    assert_eq!((timing.job.count, timing.map.count), (3, 1));
+    for threads in [2, 4] {
+        let (stats, parallel, _) = first_three(threads);
+        assert_eq!(stats, serial, "threads={threads}");
+        assert_eq!(parallel, det, "threads={threads}");
+    }
+}
+
+/// The farm trace: one `map` span for the stream that runs every
+/// open-loop entry, a `job` wall per received job, and wave waits that
+/// fit inside the batch span (outside-wave time is the calling thread's
+/// own work, never negative).
+#[test]
+fn farm_trace_spans_one_stream_and_waits_within_the_batch() {
+    let _guard = lock();
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let mut sink = WriteSink::new(Vec::new());
+    tiny_batch()
+        .run_with(&Runner::with_threads(2), &mut sink, &RunConfig::default())
+        .unwrap();
+    telemetry::set_enabled(false);
+    let (det, timing) = (telemetry::snapshot(), telemetry::timing_snapshot());
+    assert_eq!(det.runner.jobs, 24, "six entries of 2 channels x 2 replications");
+    assert_eq!(timing.job.count, det.runner.jobs);
+    assert_eq!(timing.map.count, 1);
+    // Two 4-job entries fill a wave on 2 threads (4 jobs per worker).
+    assert_eq!(timing.waves, 3);
+    assert_eq!(timing.wave.count, 3);
+    assert!(timing.wave.total_ms <= timing.batch.total_ms);
+}
