@@ -479,15 +479,16 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 };
 
 /// Reusable per-thread scratch of the contention engine: the calendar
-/// queue, the struct-of-arrays node state, the arrival offsets and the
-/// network layer's corruption-probability buffer.
+/// queue, the struct-of-arrays node state, the arrival offsets with their
+/// slot order, and the network layer's corruption-probability buffer.
 ///
-/// Node state is deliberately struct-of-arrays — RNG streams, CSMA
-/// machines, hot scalars (`NodeHot`), the two pending-record slots and
-/// the cold fault group (`NodeFault`) live in parallel vectors — so the
-/// per-slot hot loop at 10⁵⁺ nodes loads only the arrays an event arm
-/// actually touches and stays L1/L2-resident instead of striding over a
-/// ~160-byte aggregate per node.
+/// Node state is struct-of-arrays — RNG streams, CSMA machines, hot
+/// scalars (`NodeHot`), the two pending-record slots and the cold fault
+/// group (`NodeFault`) live in parallel vectors — so an event loads only
+/// the arrays its arm touches rather than a ~160-byte aggregate per node.
+/// The engine is event-driven, though: one event reads one node's fields
+/// across several arrays, and at 10⁵ nodes the arrays are far larger than
+/// L2, so each array an event touches can cost a cache miss.
 ///
 /// A workspace is pure scratch — [`run_channel_sim_into_ws`] fully
 /// reinitializes every field from the configuration, so reusing one across
@@ -515,7 +516,11 @@ pub struct SimWorkspace {
     pending_dls: Vec<Option<(u64, u32)>>,
     /// Cold per-node fault state (alive/dormant/retry bookkeeping).
     fault: Vec<NodeFault>,
+    /// Per-node arrival offsets (slots after the beacon).
     offsets: Vec<u64>,
+    /// Node indices stably sorted by arrival offset: the order beacons
+    /// push arrivals in, so the pushes walk the ring forward.
+    arrival_order: Vec<u32>,
     /// Per-node downlink poll offsets (drawn only when the configuration
     /// polls at all).
     dl_offsets: Vec<u64>,
@@ -673,6 +678,10 @@ where
             beacon_slots + (offsets_rng.next_f64() * span as f64) as u64
         }
     }));
+    ws.arrival_order.clear();
+    ws.arrival_order.extend(0..config.nodes as u32);
+    let offsets = &ws.offsets;
+    ws.arrival_order.sort_by_key(|&i| offsets[i as usize]);
 
     // --- Contention-free period plan -----------------------------------
     // Every branch below is gated so an inert plan leaves the event
@@ -738,6 +747,7 @@ where
         pending_dls,
         fault,
         offsets,
+        arrival_order,
         dl_offsets,
         ..
     } = ws;
@@ -936,15 +946,28 @@ where
                 }
                 if !in_outage {
                     busy_until_us = busy_until_us.max(slot_us + beacon_us);
-                    // Lazy scheduling: this superframe's arrivals (in node
-                    // order, preserving the FIFO tie-break of the eager
-                    // pre-push) and the next beacon. GTS holders skip CSMA
-                    // entirely: their packet transmits in their dedicated
-                    // CFP slot instead. Under churn the holder set is the
-                    // live registry's (re-resolved each superframe); dead
-                    // and dormant nodes schedule nothing.
-                    for (i, &off) in offsets.iter().enumerate() {
-                        if faults_active && !fault[i].alive {
+                    // Lazy scheduling: this superframe's arrivals and the
+                    // next beacon. GTS holders skip CSMA entirely: their
+                    // packet transmits in their dedicated CFP slot instead.
+                    // Under churn the holder set is the live registry's
+                    // (re-resolved each superframe); dead and dormant nodes
+                    // schedule nothing.
+                    let gts_start = |i: usize| {
+                        if let Some(reg) = gts_registry.as_ref() {
+                            reg.allocations()
+                                .iter()
+                                .find(|d| d.short_address == i as u16)
+                                .map(|d| d.starting_slot)
+                        } else if (i as u32) < gts_nodes {
+                            Some(plan.gts_start_slot(i as u32))
+                        } else {
+                            None
+                        }
+                    };
+                    let down = |i: usize| faults_active && !fault[i].alive;
+                    // Dead-node records and GTS pushes keep node order.
+                    for i in 0..config.nodes {
+                        if down(i) {
                             // The application's per-superframe reading
                             // still exists; with the radio down the
                             // offered packet is lost. Recording it as an
@@ -960,24 +983,30 @@ where
                                     superframes_waited: 0,
                                 });
                             }
-                            continue;
-                        }
-                        let gts_slot = if let Some(reg) = gts_registry.as_ref() {
-                            reg.allocations()
-                                .iter()
-                                .find(|d| d.short_address == i as u16)
-                                .map(|d| d.starting_slot)
-                        } else if (i as u32) < gts_nodes {
-                            Some(plan.gts_start_slot(i as u32))
-                        } else {
-                            None
-                        };
-                        if let Some(start) = gts_slot {
+                        } else if let Some(start) = gts_start(i) {
                             let gts_off = start as u64 * timings.mac_slot_backoffs;
                             queue.push(slot + gts_off, PRIO_CFP, Ev::GtsTx { node: i as u32 });
-                        } else {
-                            queue.push(slot + off, PRIO_ARRIVAL, Ev::Arrival { node: i as u32 });
                         }
+                    }
+                    // Arrivals go in offset order, so at 10⁵ nodes each
+                    // push lands next to the last one instead of at a
+                    // random ring slot. Pop order is the node-order push's,
+                    // because:
+                    // * the pop key is (slot, class, insertion);
+                    // * only beacon-time pushes use PRIO_ARRIVAL;
+                    // * the stable sort keeps node order among equal
+                    //   offsets, so same-slot arrivals keep their order;
+                    // * downlink polls, which share the class, are still
+                    //   pushed after every arrival;
+                    // * offsets are below `sf_slots`, so every class-3
+                    //   event of the previous superframe lies before this
+                    //   beacon and none shares a slot with these arrivals.
+                    for &node in arrival_order.iter() {
+                        let i = node as usize;
+                        if down(i) || gts_start(i).is_some() {
+                            continue;
+                        }
+                        queue.push(slot + offsets[i], PRIO_ARRIVAL, Ev::Arrival { node });
                     }
                     if polling {
                         // One independent pending draw per node per
@@ -986,7 +1015,7 @@ where
                         // the stream shape is load-independent).
                         for (i, &off) in dl_offsets.iter().enumerate() {
                             let fire = dl_rng.bernoulli(plan.downlink_rate);
-                            if fire && !(faults_active && !fault[i].alive) {
+                            if fire && !down(i) {
                                 queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { node: i as u32 });
                             }
                         }
@@ -1728,6 +1757,97 @@ mod tests {
         assert_eq!(a.gts, b.gts);
         assert_eq!(a.downlinks, b.downlinks);
         assert_eq!(a.attempts, b.attempts);
+    }
+
+    // --- Engine goldens ---------------------------------------------------
+
+    /// FNV-1a over a value's `Debug` text, as perfbench's `probe::digest`
+    /// computes it: `Debug` prints every field and every record in engine
+    /// order, so two digests agree exactly when the traces do.
+    fn digest(value: &impl core::fmt::Debug) -> u64 {
+        struct Fnv(u64);
+        impl core::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> core::fmt::Result {
+                for b in s.bytes() {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+        core::fmt::write(&mut h, format_args!("{value:?}")).expect("hashing never fails");
+        h.0
+    }
+
+    /// The trace of `cfg` under a seeded corruption oracle. The oracle
+    /// draws once per consultation, in event order, so a change in the
+    /// order same-slot events pop moves the draws and the digest with it.
+    fn golden_trace(cfg: &ChannelSimConfig) -> SimTrace {
+        let mut oracle = Xoshiro256StarStar::seed_from_u64(cfg.seed ^ 0x6017_DE45);
+        run_channel_sim(cfg, |_| oracle.bernoulli(0.15))
+    }
+
+    /// Engine goldens over configurations built to create same-slot ties
+    /// between events of one priority class, the ties the
+    /// `(time, class, insertion)` pop order has to break:
+    ///
+    /// * staggered arrivals at 400 nodes, where several nodes share an
+    ///   arrival offset;
+    /// * `synchronized_arrivals`, which puts every arrival of a superframe
+    ///   in one slot;
+    /// * GTS holders plus a downlink poll per node per superframe, whose
+    ///   polls share the arrival class;
+    /// * churn and coordinator outages with GTS, which drive the live
+    ///   GTS registry and deaths deferred to a procedure's end.
+    ///
+    /// The digests were captured before the calendar queue moved to one
+    /// 4-byte cell per ring slot and before beacons pushed their arrivals
+    /// in slot order; both changes had to leave them as they were.
+    #[test]
+    fn engine_goldens_hold_under_same_slot_ties() {
+        let mut staggered = quick(50, 0.4, 0x901C);
+        staggered.nodes = 400;
+
+        let mut synced = quick(50, 0.4, 0x901D);
+        synced.synchronized_arrivals = true;
+
+        let mut polled = quick(50, 0.3, 0x901E);
+        polled.nodes = 120;
+        polled.cfp = plan_channel_cfp(120, 6, 1, 8, 1.0);
+
+        let mut churned = quick(50, 0.6, 0x901F);
+        churned.nodes = 60;
+        churned.superframes = 24;
+        churned.cfp = plan_channel_cfp(60, 5, 1, 8, 0.5);
+        churned.faults = FaultPlan::inert()
+            .with_churn(0.05, 1, 2)
+            .with_outages(0.08, 1);
+
+        let traces = [
+            golden_trace(&staggered),
+            golden_trace(&synced),
+            golden_trace(&polled),
+            golden_trace(&churned),
+        ];
+        // The workloads reach the paths they are meant to.
+        assert!(traces.iter().all(|t| !t.attempts.is_empty()));
+        assert!(!traces[2].gts.is_empty() && !traces[2].downlinks.is_empty());
+        assert!(!traces[3].gts.is_empty() && !traces[3].downlinks.is_empty());
+        assert!(traces[3].faults.iter().any(|f| f.kind == FaultKind::Death));
+        assert!(traces[3].overruns > 0, "no procedure outlived a beacon");
+
+        let digests = traces.each_ref().map(digest);
+        assert_eq!(
+            digests,
+            [
+                0xa8c8_af47_c1bd_fdf6,
+                0x0c65_b9a6_7a16_5ca0,
+                0xb549_81ab_16d4_1a49,
+                0x9d3b_7317_3e3b_f797,
+            ],
+            "engine output changed: staggered, synchronized, polled, churned"
+        );
     }
 
     #[test]

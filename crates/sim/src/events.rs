@@ -4,14 +4,21 @@
 //! transmission ending flows through one queue, so its constant factors
 //! dominate the Monte-Carlo throughput. The queue exploits what a slot-grid
 //! simulator guarantees — integer times on a bounded grid, a small fixed
-//! set of priority classes, and near-monotone scheduling — to make both
-//! `push` and `pop` O(1):
+//! set of priority classes, and near-monotone scheduling — to make `pop`
+//! O(1) and `push` O(1) in the common case:
 //!
-//! * **Bucket layout.** Time is hashed into a power-of-two ring of slots
-//!   (`time & mask`); each ring slot holds [`PRIORITY_CLASSES`]
-//!   singly-linked FIFO buckets (slot-major, so one pop scans adjacent
-//!   cells). Events live in a free-listed arena, so steady-state push/pop
-//!   churn allocates nothing.
+//! * **Slot layout.** Time is hashed into a power-of-two ring of slots
+//!   (`time & mask`). Each ring slot is one 4-byte cell holding the tail
+//!   of a circular singly-linked list of that slot's entries, kept in
+//!   `(priority class, insertion)` order; the tail's successor is the
+//!   head. Entries, which carry their class, live in a free-listed arena,
+//!   so steady-state push/pop churn allocates nothing. Memory is 4 B per
+//!   ring slot (plus one occupancy bit) and one arena entry per pending
+//!   event — 24 B for the contention engine's event type.
+//! * **Push appends, or walks its slot.** A push whose class is at least
+//!   the tail's appends in O(1). One that lands ahead of a higher class
+//!   walks from the head past the slot's entries of a lower or equal
+//!   class — the simulators' slots hold one to three entries.
 //! * **Window invariant.** All pending times span less than the ring size,
 //!   so a ring cell never holds two distinct times and the pop cursor can
 //!   assign the time from its own position. The ring grows (doubling,
@@ -20,22 +27,24 @@
 //! * **Pop is a bitmap hop.** A two-level occupancy bitmap shadows the
 //!   ring — one bit per slot, one summary bit per 64-slot word — so `pop`
 //!   jumps the cursor straight to the next occupied slot in O(1) word
-//!   probes instead of scanning empty cells. Sparse/low-load superframes
-//!   (the million-node regime, where most slots hold nothing) stop paying
-//!   per-slot scans; the cursor still never rewinds while events are
-//!   pending, and each event costs O(1) beyond the hop.
+//!   probes instead of scanning empty cells, then takes that slot's head.
+//!   Sparse/low-load superframes (the million-node regime, where most
+//!   slots hold nothing) stop paying per-slot scans; the cursor still
+//!   never rewinds while events are pending, and each event costs O(1)
+//!   beyond the hop.
 //!
 //! # Determinism contract
 //!
 //! Pop order is **part of the simulators' reproducibility guarantee**:
 //! events pop ordered by `(time, priority class, insertion order)`, exactly
 //! the order the previous binary-heap implementation produced with its
-//! explicit `(time, priority, sequence)` keys. FIFO-within-bucket realizes
-//! the insertion-order tiebreak *by construction* — appending to a bucket
-//! tail needs no sequence counter — and never depends on allocation
-//! addresses or hash order, so runs are bit-reproducible. The
-//! `calendar_queue_equiv` integration suite pins this queue against a
-//! reference binary heap over randomized interleaved workloads.
+//! explicit `(time, priority, sequence)` keys. A push never lands ahead of
+//! an entry of its own class, so each slot's list realizes the
+//! insertion-order tiebreak *by construction* — no sequence counter — and
+//! never depends on allocation addresses or hash order, so runs are
+//! bit-reproducible. The `calendar_queue_equiv` integration suite pins
+//! this queue against a reference binary heap over randomized interleaved
+//! workloads.
 //!
 //! # Contract narrowings vs. the old heap
 //!
@@ -45,7 +54,7 @@
 //!   (reached only by pushing two events ~2²⁸ slots apart — no slot-grid
 //!   simulation does; the heap accepted any spread).
 
-/// Sentinel "no entry" index for bucket heads/tails and the free list.
+/// Sentinel "no entry" index for ring cells, list links and the free list.
 const NIL: u32 = u32::MAX;
 
 /// Number of priority classes `push` accepts (`0..PRIORITY_CLASSES`;
@@ -109,30 +118,22 @@ pub struct QueueStats {
     pub pushes: u64,
     /// Events popped.
     pub pops: u64,
-    /// Ring window growths (reallocation + bucket relink).
+    /// Ring window growths (reallocation + slot relink).
     pub window_growths: u64,
     /// Cursor skip distances in ring slots: one sample per pop that found
     /// the cursor's slot empty and hopped via the occupancy bitmap.
     pub skip_slots: crate::telemetry::Hist,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY_BUCKET: Bucket = Bucket {
-    head: NIL,
-    tail: NIL,
-};
-
 #[derive(Debug, Clone)]
 struct Entry<E> {
     /// `Some` while queued; `None` on the free list.
     payload: Option<E>,
-    /// Next entry in the same bucket, or next free slot.
+    /// Next entry in the slot's circular list (the tail's `next` is the
+    /// head), or the next free entry.
     next: u32,
+    /// Priority class (meaningful only while queued).
+    class: u8,
 }
 
 /// Deterministic calendar queue over an arbitrary event payload `E`.
@@ -155,8 +156,9 @@ struct Entry<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// `ring_slots × PRIORITY_CLASSES` bucket cells, slot-major.
-    buckets: Vec<Bucket>,
+    /// One cell per ring slot: the tail of the slot's circular entry
+    /// list, or [`NIL`] when the slot is empty.
+    tails: Vec<u32>,
     /// Entry arena; vacated entries chain through `free` and are reused by
     /// the next push, so storage is bounded by the peak queue length.
     arena: Vec<Entry<E>>,
@@ -164,8 +166,8 @@ pub struct EventQueue<E> {
     free: u32,
     /// Pending event count.
     len: usize,
-    /// One bit per ring slot, set while any priority bucket at the slot
-    /// holds events — the lower bitmap level behind the cursor hop.
+    /// One bit per ring slot, set while the slot holds events — the lower
+    /// bitmap level behind the cursor hop.
     occupied: Vec<u64>,
     /// One bit per `occupied` word, set while that word is nonzero — the
     /// upper level, skipping 4096 empty slots per probe.
@@ -201,14 +203,13 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `window` exceeds [`MAX_WINDOW`].
     pub fn with_window(window: u64) -> Self {
+        if let Err(e) = WindowError::check(window) {
+            panic!("{e}");
+        }
         let ring = window.max(2).next_power_of_two();
-        assert!(
-            ring <= MAX_WINDOW,
-            "event window {window} slots exceeds the {MAX_WINDOW}-slot ceiling"
-        );
         let words = Self::bitmap_words(ring);
         EventQueue {
-            buckets: vec![EMPTY_BUCKET; ring as usize * PRIORITY_CLASSES],
+            tails: vec![NIL; ring as usize],
             arena: Vec::new(),
             free: NIL,
             len: 0,
@@ -268,11 +269,6 @@ impl<E> EventQueue<E> {
         self.mask + 1
     }
 
-    /// Bucket cell index of `(time, priority)`.
-    fn cell(&self, time: u64, priority: u8) -> usize {
-        (time & self.mask) as usize * PRIORITY_CLASSES + priority as usize
-    }
-
     /// Occupancy-bitmap words covering a `ring`-slot window.
     fn bitmap_words(ring: u64) -> usize {
         (ring as usize).div_ceil(64)
@@ -295,7 +291,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `true` while any priority bucket at ring slot `slot` holds events.
+    /// `true` while ring slot `slot` holds events.
     fn slot_occupied(&self, slot: usize) -> bool {
         self.occupied[slot >> 6] & (1u64 << (slot & 63)) != 0
     }
@@ -342,9 +338,9 @@ impl<E> EventQueue<E> {
         (w << 6) + self.occupied[w].trailing_zeros() as usize
     }
 
-    /// Grows the ring to cover at least `needed` slots, relinking pending
-    /// buckets (chains move wholesale, preserving FIFO order) and
-    /// rebuilding the occupancy bitmaps.
+    /// Grows the ring to cover at least `needed` slots, moving each
+    /// pending slot's list wholesale (its order is kept) and rebuilding the
+    /// occupancy bitmaps.
     fn ensure_window(&mut self, needed: u64) -> Result<(), WindowError> {
         if needed <= self.ring() {
             return Ok(());
@@ -356,7 +352,7 @@ impl<E> EventQueue<E> {
         let new_ring = needed.next_power_of_two();
         let new_mask = new_ring - 1;
         let words = Self::bitmap_words(new_ring);
-        let mut buckets = vec![EMPTY_BUCKET; new_ring as usize * PRIORITY_CLASSES];
+        let mut tails = vec![NIL; new_ring as usize];
         let mut occupied = vec![0u64; words];
         let mut summary = vec![0u64; words.div_ceil(64)];
         if self.len > 0 {
@@ -364,22 +360,18 @@ impl<E> EventQueue<E> {
             // cell hold exactly one time value, so scanning the pending
             // time range visits each occupied cell exactly once.
             for t in self.cursor..=self.max_pending {
-                if !self.slot_occupied((t & self.mask) as usize) {
+                let old = (t & self.mask) as usize;
+                if !self.slot_occupied(old) {
                     continue;
                 }
                 let slot = (t & new_mask) as usize;
-                for p in 0..PRIORITY_CLASSES {
-                    let old = self.buckets[(t & self.mask) as usize * PRIORITY_CLASSES + p];
-                    if old.head != NIL {
-                        buckets[slot * PRIORITY_CLASSES + p] = old;
-                    }
-                }
+                tails[slot] = self.tails[old];
                 let w = slot >> 6;
                 occupied[w] |= 1u64 << (slot & 63);
                 summary[w >> 6] |= 1u64 << (w & 63);
             }
         }
-        self.buckets = buckets;
+        self.tails = tails;
         self.occupied = occupied;
         self.summary = summary;
         self.mask = new_mask;
@@ -405,12 +397,14 @@ impl<E> EventQueue<E> {
             // Sliding the window down is legal as long as the widened span
             // still fits the ring (grow first: the rebuild scan needs the
             // old cursor/max_pending to still describe the pending set).
-            if let Err(e) = self.ensure_window(self.max_pending - time + 1) {
+            // The span saturates rather than wraps, so a span past
+            // `u64::MAX` still fails the ceiling check.
+            if let Err(e) = self.ensure_window((self.max_pending - time).saturating_add(1)) {
                 panic!("{e}");
             }
             self.cursor = time;
         } else if time > self.max_pending {
-            if let Err(e) = self.ensure_window(time - self.cursor + 1) {
+            if let Err(e) = self.ensure_window((time - self.cursor).saturating_add(1)) {
                 panic!("{e}");
             }
             self.max_pending = time;
@@ -421,7 +415,7 @@ impl<E> EventQueue<E> {
             let entry = &mut self.arena[idx as usize];
             self.free = entry.next;
             entry.payload = Some(event);
-            entry.next = NIL;
+            entry.class = priority;
             idx
         } else {
             assert!(
@@ -431,19 +425,40 @@ impl<E> EventQueue<E> {
             self.arena.push(Entry {
                 payload: Some(event),
                 next: NIL,
+                class: priority,
             });
             (self.arena.len() - 1) as u32
         };
 
-        let cell = self.cell(time, priority);
-        let bucket = &mut self.buckets[cell];
-        if bucket.tail == NIL {
-            bucket.head = idx;
+        let slot = (time & self.mask) as usize;
+        let tail = self.tails[slot];
+        if tail == NIL {
+            // A one-entry circle: the entry is its own head.
+            self.arena[idx as usize].next = idx;
+            self.tails[slot] = idx;
+            self.set_occupied(slot);
         } else {
-            self.arena[bucket.tail as usize].next = idx;
+            // Insert after the last entry whose class is ≤ `priority`:
+            // the tail itself in the common case, else found by walking
+            // from the head. The walk stops at the tail at the latest,
+            // whose class is then higher than `priority`.
+            let appends = self.arena[tail as usize].class <= priority;
+            let mut prev = tail;
+            if !appends {
+                loop {
+                    let next = self.arena[prev as usize].next;
+                    if self.arena[next as usize].class > priority {
+                        break;
+                    }
+                    prev = next;
+                }
+            }
+            self.arena[idx as usize].next = self.arena[prev as usize].next;
+            self.arena[prev as usize].next = idx;
+            if appends {
+                self.tails[slot] = idx;
+            }
         }
-        bucket.tail = idx;
-        self.set_occupied((time & self.mask) as usize);
         self.len += 1;
         if let Some(stats) = self.stats.as_deref_mut() {
             stats.pushes += 1;
@@ -473,37 +488,27 @@ impl<E> EventQueue<E> {
             self.cursor += dist;
             slot = next;
         }
-        let base = slot * PRIORITY_CLASSES;
-        for p in 0..PRIORITY_CLASSES {
-            let head = self.buckets[base + p].head;
-            if head == NIL {
-                continue;
-            }
-            let entry = &mut self.arena[head as usize];
-            let next = entry.next;
-            let event = entry
-                .payload
-                .take()
-                .expect("queued entry has a payload — queue invariant broken");
-            entry.next = self.free;
-            self.free = head;
-            self.buckets[base + p].head = next;
-            if next == NIL {
-                self.buckets[base + p].tail = NIL;
-                if self.buckets[base..base + PRIORITY_CLASSES]
-                    .iter()
-                    .all(|b| b.head == NIL)
-                {
-                    self.clear_occupied(slot);
-                }
-            }
-            self.len -= 1;
-            if let Some(stats) = self.stats.as_deref_mut() {
-                stats.pops += 1;
-            }
-            return Some((self.cursor, event));
+        let tail = self.tails[slot];
+        debug_assert!(tail != NIL, "occupied ring slot holds no events");
+        let head = self.arena[tail as usize].next;
+        let entry = &mut self.arena[head as usize];
+        let event = entry
+            .payload
+            .take()
+            .expect("queued entry has a payload — queue invariant broken");
+        let next = std::mem::replace(&mut entry.next, self.free);
+        self.free = head;
+        if head == tail {
+            self.tails[slot] = NIL;
+            self.clear_occupied(slot);
+        } else {
+            self.arena[tail as usize].next = next;
         }
-        unreachable!("occupied ring slot holds no events — bitmap invariant broken")
+        self.len -= 1;
+        if let Some(stats) = self.stats.as_deref_mut() {
+            stats.pops += 1;
+        }
+        Some((self.cursor, event))
     }
 
     /// Time of the earliest pending event, if any.
@@ -533,7 +538,7 @@ impl<E> EventQueue<E> {
     /// Drops all pending events, keeping the ring and arena capacity for
     /// reuse (the workspace path: one clear per simulation run).
     ///
-    /// O(pending span), not O(ring): `pop` already resets every bucket it
+    /// O(pending span), not O(ring): `pop` already resets every cell it
     /// drains, so only cells in `[cursor, max_pending]` can be occupied —
     /// a small run reusing a workspace whose ring was grown by a large
     /// one does not pay a full-ring memset.
@@ -541,8 +546,7 @@ impl<E> EventQueue<E> {
         if self.len > 0 {
             for t in self.cursor..=self.max_pending {
                 let slot = (t & self.mask) as usize;
-                let base = slot * PRIORITY_CLASSES;
-                self.buckets[base..base + PRIORITY_CLASSES].fill(EMPTY_BUCKET);
+                self.tails[slot] = NIL;
                 self.clear_occupied(slot);
             }
         }
@@ -760,5 +764,31 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(0, 0, ());
         q.push(MAX_WINDOW + 1, 0, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "ceiling")]
+    fn span_past_u64_max_rejected_not_wrapped() {
+        // A span of 2⁶⁴ slots does not fit a u64: it must fail the
+        // ceiling check, not wrap to 0 and mis-time the far event.
+        let mut q = EventQueue::new();
+        q.push(0, 0, 'a');
+        q.push(u64::MAX, 0, 'b');
+    }
+
+    #[test]
+    #[should_panic(expected = "ceiling")]
+    fn span_below_cursor_past_u64_max_rejected() {
+        let mut q = EventQueue::new();
+        q.push(u64::MAX, 0, 'a');
+        q.push(0, 0, 'b');
+    }
+
+    #[test]
+    #[should_panic(expected = "ceiling")]
+    fn window_past_the_largest_power_of_two_rejected() {
+        // Rounding 2⁶³ + 1 up to a power of two overflows; the ceiling
+        // check must come first.
+        let _ = EventQueue::<()>::with_window((1 << 63) + 1);
     }
 }

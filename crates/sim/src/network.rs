@@ -577,9 +577,9 @@ impl NetworkSimulator {
     }
 
     /// [`run_accumulate`](Self::run_accumulate) also returning the number
-    /// of engine events processed — the scale benchmark's throughput
-    /// denominator, counted in the same pass so throughput and energy come
-    /// from one run.
+    /// of engine events processed — the work counter that normalises a
+    /// run's wall clock to time per event, counted in the same pass so
+    /// throughput and energy come from one run.
     pub fn run_accumulate_counted<B: BerModel>(&self, ber: &B) -> (NetworkAccumulator, u64) {
         let levels = self.config.tx_policy.resolve(&self.config.path_losses);
         let mut accountant = EnergyAccountant::new(&self.config, &levels);
@@ -616,9 +616,11 @@ impl NetworkSimulator {
     /// runner.
     ///
     /// `shards` is clamped to `[1, nodes]`; `shards <= 1` falls back to
-    /// the serial path. At 10⁵⁺ nodes the accounting (≈60 % of the wall
-    /// clock on dense channels) scales with the worker count while the
-    /// engine stays hot on one core.
+    /// the serial path. The accounting scales with the worker count while
+    /// the engine stays on one core. How much of a dense run that can
+    /// save is bounded by the share spent off the engine, which the
+    /// benchmark's traced `network.non_engine_share` reports; it also
+    /// counts the BER precompute and the final fold.
     pub fn run_accumulate_sharded<B: BerModel>(
         &self,
         ber: &B,

@@ -9,37 +9,82 @@
 //! pushes and window growth. Every pop must agree on `(time, payload)`,
 //! which pins FIFO order within equal `(slot, priority)` because payloads
 //! are unique push indices.
+//!
+//! Every calendar counts its operations (`QueueStats`), and the model
+//! tracks the calendar's cursor rule, so each workload also pins the
+//! `pushes`, `pops` and `skip_slots` counters the benchmark's traced gate
+//! compares across commits.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use wsn_phy::noise::UniformSource;
 use wsn_sim::events::{EventQueue, PRIORITY_CLASSES};
+use wsn_sim::telemetry::Hist;
 use wsn_sim::Xoshiro256StarStar;
 
 /// The old implementation's ordering semantics: a binary heap over
-/// explicit `(time, priority, insertion-sequence)` keys.
+/// explicit `(time, priority, insertion-sequence)` keys, plus the
+/// calendar's cursor rule for the operation counters:
+///
+/// * a push into an empty queue sets the cursor;
+/// * a push below the cursor moves the cursor down;
+/// * a pop at `t ≠ cursor` records the skip `t − cursor`, and every pop
+///   leaves the cursor at `t`;
+/// * `clear` resets the cursor to 0.
 #[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Reverse<(u64, u8, u64, u64)>>,
     seq: u64,
+    cursor: u64,
+    pushes: u64,
+    pops: u64,
+    skip_slots: Hist,
 }
 
 impl HeapQueue {
     fn push(&mut self, time: u64, priority: u8, payload: u64) {
+        if self.heap.is_empty() || time < self.cursor {
+            self.cursor = time;
+        }
         self.heap.push(Reverse((time, priority, self.seq, payload)));
         self.seq += 1;
+        self.pushes += 1;
     }
 
     fn pop(&mut self) -> Option<(u64, u64)> {
-        self.heap
-            .pop()
-            .map(|Reverse((time, _, _, payload))| (time, payload))
+        let Reverse((time, _, _, payload)) = self.heap.pop()?;
+        if time != self.cursor {
+            self.skip_slots.record(time - self.cursor);
+        }
+        self.cursor = time;
+        self.pops += 1;
+        Some((time, payload))
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.cursor = 0;
     }
 
     fn len(&self) -> usize {
         self.heap.len()
     }
+}
+
+/// A calendar queue with its operation counters on.
+fn counted_queue() -> EventQueue<u64> {
+    let mut q = EventQueue::new();
+    q.set_stats_enabled(true);
+    q
+}
+
+/// Asserts the calendar's push/pop/skip counters equal the model's.
+fn assert_stats_match(calendar: &EventQueue<u64>, model: &HeapQueue, context: &str) {
+    let stats = calendar.stats().expect("counting is on");
+    assert_eq!(stats.pushes, model.pushes, "{context}: pushes");
+    assert_eq!(stats.pops, model.pops, "{context}: pops");
+    assert_eq!(stats.skip_slots, model.skip_slots, "{context}: skip_slots");
 }
 
 /// Drives both queues through an identical randomized workload and
@@ -50,7 +95,7 @@ impl HeapQueue {
 /// the ring).
 fn drive_equivalence(seed: u64, ops: usize, window: u64, pop_bias: f64, backdate_bias: f64) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    let mut calendar: EventQueue<u64> = EventQueue::new();
+    let mut calendar = counted_queue();
     let mut reference = HeapQueue::default();
     let mut payload = 0u64;
     // The simulators never schedule before the current time; mirror that
@@ -100,6 +145,7 @@ fn drive_equivalence(seed: u64, ops: usize, window: u64, pop_bias: f64, backdate
             break;
         }
     }
+    assert_stats_match(&calendar, &reference, &format!("seed={seed}"));
 }
 
 #[test]
@@ -158,7 +204,7 @@ fn pop_order_matches_heap_with_below_cursor_pushes() {
 fn pop_order_matches_heap_for_cfp_class_storms() {
     for seed in 0..8u64 {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xCF9_0000 + seed);
-        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut calendar = counted_queue();
         let mut reference = HeapQueue::default();
         let mut payload = 0u64;
         let mut now = 0u64;
@@ -192,6 +238,7 @@ fn pop_order_matches_heap_for_cfp_class_storms() {
                 break;
             }
         }
+        assert_stats_match(&calendar, &reference, &format!("seed={seed}"));
     }
 }
 
@@ -206,7 +253,7 @@ fn pop_order_matches_heap_for_cfp_class_storms() {
 fn pop_order_matches_heap_across_repeated_ring_growth() {
     for seed in 0..8u64 {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0x9085_0000 + seed);
-        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut calendar = counted_queue();
         let mut reference = HeapQueue::default();
         let mut payload = 0u64;
         let mut push = |cal: &mut EventQueue<u64>, rf: &mut HeapQueue, t: u64, p: u8| {
@@ -251,6 +298,7 @@ fn pop_order_matches_heap_across_repeated_ring_growth() {
                 break;
             }
         }
+        assert_stats_match(&calendar, &reference, &format!("seed={seed}"));
     }
 }
 
@@ -260,7 +308,7 @@ fn pop_order_matches_heap_for_all_pushes_then_all_pops() {
     // earlier times while the queue is non-empty — then drained.
     for seed in 0..8u64 {
         let mut rng = Xoshiro256StarStar::seed_from_u64(0xA11_0000 + seed);
-        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut calendar = counted_queue();
         let mut reference = HeapQueue::default();
         for payload in 0..1_500u64 {
             let time = rng.next_u64() % 10_000;
@@ -276,5 +324,51 @@ fn pop_order_matches_heap_for_all_pushes_then_all_pops() {
                 break;
             }
         }
+        assert_stats_match(&calendar, &reference, &format!("seed={seed}"));
+    }
+}
+
+/// `clear` on a populated queue — mid-workload, with events spread over
+/// many slots and classes — leaves a queue that behaves as a fresh one:
+/// pop order and counters keep matching the model across the clears.
+#[test]
+fn pop_order_and_counters_match_heap_across_clears() {
+    for seed in 0..8u64 {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xC1EA_0000 + seed);
+        let mut calendar = counted_queue();
+        let mut reference = HeapQueue::default();
+        let mut payload = 0u64;
+        let mut now = 0u64;
+        for op in 0..4_000 {
+            let roll = rng.next_f64();
+            if roll < 0.01 {
+                calendar.clear();
+                reference.clear();
+                now = rng.next_u64() % 1_000;
+            } else if reference.len() > 0 && roll < 0.45 {
+                let a = calendar.pop();
+                let b = reference.pop();
+                assert_eq!(a, b, "seed={seed} op={op}");
+                if let Some((t, _)) = a {
+                    now = t;
+                }
+            } else {
+                let time = now + rng.next_u64() % 600;
+                let priority = (rng.next_u64() % PRIORITY_CLASSES as u64) as u8;
+                calendar.push(time, priority, payload);
+                reference.push(time, priority, payload);
+                payload += 1;
+            }
+            assert_eq!(calendar.len(), reference.len(), "seed={seed} op={op}");
+        }
+        loop {
+            let a = calendar.pop();
+            let b = reference.pop();
+            assert_eq!(a, b, "seed={seed}: drain");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_stats_match(&calendar, &reference, &format!("seed={seed}"));
     }
 }
