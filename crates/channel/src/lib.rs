@@ -6,7 +6,7 @@
 //! * a **static path loss** per node (slow fading: the channel is coherent
 //!   over a packet, so the link is AWGN at a fixed received power);
 //! * received power `P_Rx = P_Tx − A` (paper eq. 2), captured by
-//!   [`link::received_power`] and the [`link::Link`] convenience wrapper;
+//!   [`link::received_power`];
 //! * for the §5 case study, path losses **uniformly distributed between 55
 //!   and 95 dB** across the node population
 //!   ([`pathloss::UniformPathLossPopulation`]);
@@ -24,6 +24,6 @@ pub mod pathloss;
 pub mod shadowing;
 
 pub use deployment::{assignment_partition, Deployment, Position};
-pub use link::{received_power, ChannelAssumptions, Link};
+pub use link::received_power;
 pub use pathloss::{FixedPathLoss, LogDistance, PathLossModel, UniformPathLossPopulation};
 pub use shadowing::{shadowed_population, LogNormalShadowing};

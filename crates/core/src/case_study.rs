@@ -15,7 +15,6 @@ use wsn_phy::ber::BerModel;
 use wsn_phy::frame::PacketLayout;
 use wsn_radio::{PhaseTag, StateKind, TxPowerLevel};
 use wsn_sim::network::TxPowerPolicy;
-use wsn_sim::policy::{AllocationPolicy, PolicyEngine, PolicyTrace};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, ScenarioOutcome, TrafficSpec};
 use wsn_sim::Runner;
 use wsn_units::{Db, Power, Probability, Seconds};
@@ -189,28 +188,6 @@ impl CaseStudy {
             cfg.tx_policy = TxPowerPolicy::PerNode(levels);
         }
         (scenario, configs)
-    }
-
-    /// Runs the case study through the closed-loop [`PolicyEngine`]: the
-    /// §5 scenario (16 channels, channel-inversion transmit power) is
-    /// re-assigned between rounds by `policy` from observed per-channel
-    /// failure rates. The returned [`PolicyTrace`] carries the
-    /// convergence trajectory; bit-identical for every thread count.
-    pub fn simulate_adaptive<P: AllocationPolicy + ?Sized>(
-        &self,
-        runner: &Runner,
-        policy: &mut P,
-        rounds: usize,
-        superframes: u32,
-        replications: u32,
-    ) -> PolicyTrace {
-        let scenario = self
-            .scenario()
-            .with_superframes(superframes)
-            .with_replications(replications);
-        PolicyEngine::new(scenario)
-            .with_rounds(rounds)
-            .run(runner, policy)
     }
 
     /// Runs the study.
@@ -454,28 +431,6 @@ mod tests {
         );
         // 16 channels × 100 nodes × 2 replications pooled.
         assert_eq!(serial.overall.node_powers.len(), 3200);
-    }
-
-    #[test]
-    fn simulate_adaptive_traces_the_policy_loop() {
-        use wsn_sim::policy::GreedyRebalance;
-
-        let study = CaseStudy::paper(ActivationModel::paper_defaults(RadioModel::cc2420()));
-        let runner = Runner::from_env();
-        let trace = study.simulate_adaptive(&runner, &mut GreedyRebalance::new(8), 2, 4, 1);
-        assert_eq!(trace.policy, "greedy-rebalance");
-        assert!(!trace.rounds.is_empty() && trace.rounds.len() <= 2);
-        for round in &trace.rounds {
-            assert_eq!(round.assignment.len(), 1600);
-            assert_eq!(round.outcome.per_channel.len(), 16);
-        }
-        // The loop is deterministic across invocations.
-        let again = study.simulate_adaptive(&runner, &mut GreedyRebalance::new(8), 2, 4, 1);
-        assert_eq!(trace.converged_at, again.converged_at);
-        assert_eq!(
-            trace.worst_failure_trajectory(),
-            again.worst_failure_trajectory()
-        );
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //!
 //! * [`MonteCarloContention`] — runs `wsn-sim`'s contention simulator on
 //!   demand and caches the result per `(λ, payload)`;
-//! * [`TableContention`] — a pre-computed grid with bilinear interpolation,
-//!   for fast parameter sweeps (build one from the Monte-Carlo source with
-//!   [`TableContention::tabulate`]);
 //! * [`AnalyticContention`] — a closed-form fixed-point approximation
 //!   (extension beyond the paper: no simulation required, useful for
 //!   design-space exploration; cruder on collision clustering);
@@ -235,142 +232,6 @@ impl ContentionModel for MonteCarloContention {
     }
 }
 
-/// A rectangular `(load, payload)` grid of pre-computed statistics with
-/// bilinear interpolation between grid points.
-#[derive(Debug, Clone)]
-pub struct TableContention {
-    loads: Vec<f64>,
-    payloads: Vec<usize>,
-    /// Row-major: `grid[load_idx * payloads.len() + payload_idx]`.
-    grid: Vec<ContentionStats>,
-}
-
-impl TableContention {
-    /// Builds a table by evaluating `source` on the cartesian grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty or not strictly increasing.
-    pub fn tabulate<M: ContentionModel>(source: &M, loads: &[f64], payloads: &[usize]) -> Self {
-        assert!(!loads.is_empty() && !payloads.is_empty(), "empty grid");
-        assert!(
-            loads.windows(2).all(|w| w[0] < w[1]),
-            "loads must be strictly increasing"
-        );
-        assert!(
-            payloads.windows(2).all(|w| w[0] < w[1]),
-            "payloads must be strictly increasing"
-        );
-        let mut grid = Vec::with_capacity(loads.len() * payloads.len());
-        for &load in loads {
-            for &payload in payloads {
-                let packet =
-                    PacketLayout::with_payload(payload).expect("tabulated payload within range");
-                grid.push(source.stats(load, packet));
-            }
-        }
-        TableContention {
-            loads: loads.to_vec(),
-            payloads: payloads.to_vec(),
-            grid,
-        }
-    }
-
-    /// Builds the same table with the grid evaluated on the parallel
-    /// [`Runner`] — each `(load, payload)` cell is an independent job, so
-    /// a design-space table fills in parallel instead of serially. The
-    /// result is identical to [`tabulate`](Self::tabulate) for any
-    /// deterministic source, for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty or not strictly increasing.
-    pub fn tabulate_parallel<M: ContentionModel + Sync>(
-        runner: &Runner,
-        source: &M,
-        loads: &[f64],
-        payloads: &[usize],
-    ) -> Self {
-        assert!(!loads.is_empty() && !payloads.is_empty(), "empty grid");
-        assert!(
-            loads.windows(2).all(|w| w[0] < w[1]),
-            "loads must be strictly increasing"
-        );
-        assert!(
-            payloads.windows(2).all(|w| w[0] < w[1]),
-            "payloads must be strictly increasing"
-        );
-        let cells: Vec<(f64, usize)> = loads
-            .iter()
-            .flat_map(|&load| payloads.iter().map(move |&payload| (load, payload)))
-            .collect();
-        let grid = runner.map(&cells, |_, &(load, payload)| {
-            let packet =
-                PacketLayout::with_payload(payload).expect("tabulated payload within range");
-            source.stats(load, packet)
-        });
-        TableContention {
-            loads: loads.to_vec(),
-            payloads: payloads.to_vec(),
-            grid,
-        }
-    }
-
-    fn at(&self, li: usize, pi: usize) -> &ContentionStats {
-        &self.grid[li * self.payloads.len() + pi]
-    }
-
-    /// Locates the bracketing indices and interpolation weight for `x` on
-    /// `axis` (clamping outside the grid).
-    fn locate(axis: &[f64], x: f64) -> (usize, usize, f64) {
-        if x <= axis[0] {
-            return (0, 0, 0.0);
-        }
-        if x >= *axis.last().expect("non-empty axis") {
-            let last = axis.len() - 1;
-            return (last, last, 0.0);
-        }
-        let hi = axis.partition_point(|&v| v < x).max(1);
-        let lo = hi - 1;
-        let w = (x - axis[lo]) / (axis[hi] - axis[lo]);
-        (lo, hi, w)
-    }
-}
-
-fn lerp(a: f64, b: f64, w: f64) -> f64 {
-    a + (b - a) * w
-}
-
-fn blend(a: &ContentionStats, b: &ContentionStats, w: f64) -> ContentionStats {
-    ContentionStats {
-        mean_contention: Seconds::from_secs(lerp(
-            a.mean_contention.secs(),
-            b.mean_contention.secs(),
-            w,
-        )),
-        mean_ccas: lerp(a.mean_ccas, b.mean_ccas, w),
-        pr_collision: Probability::clamped(lerp(a.pr_collision.value(), b.pr_collision.value(), w)),
-        pr_access_failure: Probability::clamped(lerp(
-            a.pr_access_failure.value(),
-            b.pr_access_failure.value(),
-            w,
-        )),
-        procedures: a.procedures.min(b.procedures),
-        transmissions: a.transmissions.min(b.transmissions),
-    }
-}
-
-impl ContentionModel for TableContention {
-    fn stats(&self, load: f64, packet: PacketLayout) -> ContentionStats {
-        let (l0, l1, wl) = Self::locate(&self.loads, load);
-        let paxis: Vec<f64> = self.payloads.iter().map(|&p| p as f64).collect();
-        let (p0, p1, wp) = Self::locate(&paxis, packet.payload_bytes() as f64);
-        let low = blend(self.at(l0, p0), self.at(l0, p1), wp);
-        let high = blend(self.at(l1, p0), self.at(l1, p1), wp);
-        blend(&low, &high, wl)
-    }
-}
-
 /// A closed-form approximation of the slotted CSMA/CA statistics —
 /// an *extension* beyond the paper, for instant design-space exploration.
 ///
@@ -571,84 +432,6 @@ mod tests {
         let one = single.stats(0.3, p);
         let three = cold.stats(0.3, p);
         assert!(three.procedures > one.procedures);
-    }
-
-    #[test]
-    fn tabulate_parallel_matches_serial_tabulate() {
-        let loads = [0.2, 0.4, 0.6];
-        let payloads = [20usize, 60, 100];
-        let serial = TableContention::tabulate(&LinearSource, &loads, &payloads);
-        for threads in [1, 4] {
-            let parallel = TableContention::tabulate_parallel(
-                &Runner::with_threads(threads),
-                &LinearSource,
-                &loads,
-                &payloads,
-            );
-            for &load in &loads {
-                for &p in &payloads {
-                    assert_eq!(
-                        serial.stats(load, packet(p)),
-                        parallel.stats(load, packet(p)),
-                        "threads={threads} cell ({load},{p})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A fake analytic source for interpolation tests: every statistic is a
-    /// simple linear function of (load, payload).
-    struct LinearSource;
-
-    impl ContentionModel for LinearSource {
-        fn stats(&self, load: f64, packet: PacketLayout) -> ContentionStats {
-            ContentionStats {
-                mean_contention: Seconds::from_millis(load * 10.0),
-                mean_ccas: 2.0 + load + packet.payload_bytes() as f64 / 100.0,
-                pr_collision: Probability::clamped(load / 2.0),
-                pr_access_failure: Probability::clamped(load / 4.0),
-                procedures: 1000,
-                transmissions: 900,
-            }
-        }
-    }
-
-    #[test]
-    fn table_reproduces_grid_points_exactly() {
-        let table = TableContention::tabulate(&LinearSource, &[0.2, 0.4, 0.8], &[10, 50, 100]);
-        let direct = LinearSource.stats(0.4, packet(50));
-        let via_table = table.stats(0.4, packet(50));
-        assert_eq!(via_table.mean_ccas, direct.mean_ccas);
-        assert_eq!(via_table.pr_collision, direct.pr_collision);
-    }
-
-    #[test]
-    fn table_interpolates_linearly_between_points() {
-        let table = TableContention::tabulate(&LinearSource, &[0.2, 0.4], &[10, 100]);
-        // Midpoint in both axes: a linear function is recovered exactly.
-        let got = table.stats(0.3, packet(55));
-        let want = LinearSource.stats(0.3, packet(55));
-        assert!((got.mean_ccas - want.mean_ccas).abs() < 1e-12);
-        assert!((got.mean_contention.secs() - want.mean_contention.secs()).abs() < 1e-12);
-        assert!((got.pr_access_failure.value() - want.pr_access_failure.value()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_clamps_outside_grid() {
-        let table = TableContention::tabulate(&LinearSource, &[0.2, 0.4], &[10, 100]);
-        let below = table.stats(0.05, packet(10));
-        let at_edge = table.stats(0.2, packet(10));
-        assert_eq!(below.mean_ccas, at_edge.mean_ccas);
-        let above = table.stats(0.99, packet(120));
-        let hi_edge = table.stats(0.4, packet(100));
-        assert_eq!(above.mean_ccas, hi_edge.mean_ccas);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_axis_rejected() {
-        let _ = TableContention::tabulate(&LinearSource, &[0.4, 0.2], &[10]);
     }
 
     #[test]

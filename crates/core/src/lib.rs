@@ -4,7 +4,7 @@
 //!
 //! * [`contention`] — the [`ContentionModel`]
 //!   abstraction feeding `T̄_cont`, `N̄_CCA`, `Pr_col`, `Pr_cf` into the
-//!   equations: Monte-Carlo backed, pre-tabulated (interpolating), or ideal;
+//!   equations: Monte-Carlo backed, closed-form analytic, or ideal;
 //! * [`activation`] — the radio activation policy model, equations (3)–(14)
 //!   of the paper: expected idle/TX/RX residencies, average power,
 //!   transmission failure probability, delay and energy per bit, plus the
@@ -57,7 +57,5 @@ pub mod packet_sizing;
 
 pub use activation::{ActivationModel, ModelInputs, ModelOutput, ModelRefinements};
 pub use case_study::{CaseStudy, CaseStudyReport};
-pub use contention::{
-    AnalyticContention, ContentionModel, IdealContention, MonteCarloContention, TableContention,
-};
+pub use contention::{AnalyticContention, ContentionModel, IdealContention, MonteCarloContention};
 pub use link_adaptation::{LinkAdaptation, LinkAdaptationPolicy};

@@ -276,102 +276,6 @@ impl SlottedCsmaCa {
     }
 }
 
-/// The *unslotted* CSMA/CA variant used in non-beacon networks — an
-/// extension beyond the paper's beacon-mode study, provided as a baseline.
-///
-/// Differences from the slotted algorithm: no backoff-grid alignment, no
-/// contention window (a single clear CCA suffices), transmission starts
-/// immediately after the CCA.
-///
-/// # Examples
-///
-/// ```
-/// use wsn_mac::csma::{CsmaAction, CsmaParams, UnslottedCsmaCa};
-/// use wsn_phy::noise::SplitMix64;
-///
-/// let mut rng = SplitMix64::new(3);
-/// let mut csma = UnslottedCsmaCa::start(CsmaParams::standard_2003(), &mut rng);
-/// assert!(matches!(csma.current_action(), CsmaAction::BackoffThenCca { .. }));
-/// // One clear CCA is enough in unslotted mode.
-/// assert_eq!(csma.on_cca(false, &mut rng), CsmaAction::Transmit);
-/// ```
-#[derive(Debug, Clone)]
-pub struct UnslottedCsmaCa {
-    params: CsmaParams,
-    nb: u8,
-    be: u8,
-    ccas: u32,
-    action: CsmaAction,
-}
-
-impl UnslottedCsmaCa {
-    /// Begins a procedure: draws the initial random backoff.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` fail validation.
-    pub fn start<U: UniformSource>(params: CsmaParams, rng: &mut U) -> Self {
-        params.validate().expect("invalid CSMA parameters");
-        let mut machine = UnslottedCsmaCa {
-            params,
-            nb: 0,
-            be: params.min_be,
-            ccas: 0,
-            action: CsmaAction::Failure,
-        };
-        let periods = machine.draw_backoff(rng);
-        machine.action = CsmaAction::BackoffThenCca { periods };
-        machine
-    }
-
-    /// The action the scheduler should currently execute.
-    pub fn current_action(&self) -> CsmaAction {
-        self.action
-    }
-
-    /// Reports a CCA result and returns the next action.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the procedure already finished.
-    pub fn on_cca<U: UniformSource>(&mut self, busy: bool, rng: &mut U) -> CsmaAction {
-        assert!(
-            !matches!(self.action, CsmaAction::Transmit | CsmaAction::Failure),
-            "CSMA procedure already finished"
-        );
-        self.ccas += 1;
-        self.action = if busy {
-            self.nb += 1;
-            self.be = (self.be + 1).min(self.params.max_be);
-            if self.nb > self.params.max_backoffs {
-                CsmaAction::Failure
-            } else {
-                let periods = self.draw_backoff(rng);
-                CsmaAction::BackoffThenCca { periods }
-            }
-        } else {
-            CsmaAction::Transmit
-        };
-        self.action
-    }
-
-    /// Number of CCAs performed so far.
-    pub fn ccas_performed(&self) -> u32 {
-        self.ccas
-    }
-
-    /// Current backoff exponent.
-    pub fn backoff_exponent(&self) -> u8 {
-        self.be
-    }
-
-    fn draw_backoff<U: UniformSource>(&mut self, rng: &mut U) -> u32 {
-        let window = 1u32 << self.be;
-        let draw = (rng.next_f64() * window as f64) as u32;
-        draw.min(window - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,44 +426,6 @@ mod tests {
             cw: 0,
         };
         assert_eq!(bad.validate(), Err(InvalidCsmaParams::ZeroContentionWindow));
-    }
-
-    #[test]
-    fn unslotted_needs_one_clear_cca() {
-        let mut rng = SplitMix64::new(8);
-        let mut m = UnslottedCsmaCa::start(CsmaParams::standard_2003(), &mut rng);
-        assert_eq!(m.on_cca(false, &mut rng), CsmaAction::Transmit);
-        assert_eq!(m.ccas_performed(), 1);
-    }
-
-    #[test]
-    fn unslotted_escalates_and_fails_like_slotted() {
-        let mut rng = SplitMix64::new(9);
-        let mut m = UnslottedCsmaCa::start(CsmaParams::standard_2003(), &mut rng);
-        assert_eq!(m.backoff_exponent(), 3);
-        let mut rounds = 0;
-        loop {
-            match m.on_cca(true, &mut rng) {
-                CsmaAction::Failure => break,
-                CsmaAction::BackoffThenCca { periods } => {
-                    rounds += 1;
-                    assert!(periods < 1 << m.backoff_exponent());
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(rounds, 4, "macMaxCSMABackoffs extra rounds");
-        assert_eq!(m.ccas_performed(), 5);
-        assert_eq!(m.backoff_exponent(), 5, "BE saturates");
-    }
-
-    #[test]
-    #[should_panic(expected = "already finished")]
-    fn unslotted_cca_after_transmit_panics() {
-        let mut rng = SplitMix64::new(10);
-        let mut m = UnslottedCsmaCa::start(CsmaParams::standard_2003(), &mut rng);
-        m.on_cca(false, &mut rng);
-        m.on_cca(false, &mut rng);
     }
 
     #[test]

@@ -15,22 +15,18 @@
 //!   GTS and pending-address fields);
 //! * [`ack`] — acknowledgement timing and the `N_max = 5` retry policy;
 //! * [`gts`] — guaranteed time slot bookkeeping (and why it cannot serve
-//!   hundreds of nodes);
-//! * [`indirect`] — the coordinator's indirect-transmission queue used for
-//!   downlink traffic.
+//!   hundreds of nodes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ack;
-pub mod association;
 pub mod beacon;
 pub mod csma;
 pub mod gts;
-pub mod indirect;
 pub mod superframe;
 pub mod timing;
 
-pub use ack::{AckTiming, RetryPolicy, RetryState, TransactionOutcome};
+pub use ack::{AckTiming, RetryPolicy};
 pub use csma::{CsmaAction, CsmaParams, SlottedCsmaCa};
 pub use superframe::{BeaconOrder, SuperframeConfig, SuperframeOrder};

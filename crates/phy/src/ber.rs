@@ -351,6 +351,10 @@ mod tests {
         // And at -90 dBm it is substantial: 1 − (1−1.34e−4)^1032 ≈ 0.13.
         let pe_90 = m.packet_error_probability(DBm::new(-90.0), layout).value();
         assert!(pe_90 > 0.10 && pe_90 < 0.16, "Pr_e(-90) = {pe_90}");
+        // At fixed power a shorter packet exposes fewer bits (eq. 10).
+        let small = PacketLayout::with_payload(10).unwrap();
+        let pe_small = m.packet_error_probability(DBm::new(-90.0), small).value();
+        assert!(pe_small < pe_90, "Pr_e(10 B) = {pe_small}");
     }
 
     #[test]

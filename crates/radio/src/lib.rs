@@ -4,8 +4,7 @@
 //! radio (its Figure 3): four steady states, eight transmit power steps, and
 //! the time/energy cost of switching between states. This crate captures
 //! that characterization as data ([`RadioModel`], with the published
-//! measurements as the [`RadioModel::cc2420`] preset), wraps it in a legal
-//! state machine ([`machine::RadioStateMachine`]), and accounts every
+//! measurements as the [`RadioModel::cc2420`] preset), and accounts every
 //! microjoule in an [`ledger::EnergyLedger`] tagged by radio state and by
 //! protocol phase — the raw material of the paper's Figure 9 breakdowns.
 //!
@@ -31,11 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod ledger;
-pub mod machine;
 mod model;
 pub mod state;
 
 pub use ledger::{EnergyLedger, PhaseTag};
-pub use machine::{RadioStateMachine, TransitionError};
 pub use model::{RadioModel, RadioModelBuilder, Transition};
 pub use state::{RadioState, StateKind, TxPowerLevel};

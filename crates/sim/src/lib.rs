@@ -25,7 +25,7 @@
 //!
 //! Robustness experiments ride on [`faults`]: a seed-deterministic
 //! [`FaultPlan`] injects node churn (deaths, orphaning, bounded-retry
-//! re-association through the `wsn_mac` association machinery),
+//! re-association in the contention engine's beacon handling),
 //! coordinator outage windows, and per-round load/quality dynamics for
 //! the policy loop. Like the CFP, an inert plan is provably invisible,
 //! and fault event ordering is part of the determinism contract.
@@ -164,14 +164,14 @@ pub use network::{
     TxPowerPolicy,
 };
 pub use policy::{
-    AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, PolicyTraceAccumulator,
-    ProportionalFair, RoundObservation, StaticAllocation,
+    AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, ProportionalFair,
+    RoundObservation, StaticAllocation,
 };
 pub use rng::Xoshiro256StarStar;
-pub use runner::{replication_seed, JobPanic, Runner, THREADS_ENV};
+pub use runner::{replication_seed, Runner, THREADS_ENV};
 pub use scenario::{
     BerChoice, ChannelAllocation, DeploymentSpec, ResolvedBer, Scenario, ScenarioOutcome,
     TrafficSpec,
 };
 pub use sink::{ResultSink, SinkCounters, StatsSink, TraceCollector, TraceSink, WriteSink};
-pub use stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter, Extrema};
+pub use stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter};

@@ -49,6 +49,8 @@ use crate::policy::{AllocationPolicy, GreedyRebalance, ProportionalFair, StaticA
 use crate::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, PayloadSpec, Scenario};
 use crate::scenario::TrafficSpec;
 
+use json::{arr, boolean, node, null, obj, string, uint};
+
 /// The saved-scenario format revision this build writes and accepts.
 pub const FORMAT_VERSION: u64 = 1;
 
@@ -167,14 +169,6 @@ pub struct Node {
 }
 
 impl Node {
-    fn synth(value: Value) -> Node {
-        Node {
-            line: 0,
-            col: 0,
-            value,
-        }
-    }
-
     fn type_name(&self) -> &'static str {
         match self.value {
             Value::Null => "null",
@@ -887,37 +881,11 @@ impl SavedScenario {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn key(name: &str) -> Key {
-    Key {
-        name: name.to_string(),
-        line: 0,
-        col: 0,
-    }
-}
-
-fn obj(pairs: Vec<(&str, Node)>) -> Node {
-    Node::synth(Value::Obj(
-        pairs.into_iter().map(|(k, v)| (key(k), v)).collect(),
-    ))
-}
-
-fn uint(u: u64) -> Node {
-    Node::synth(Value::UInt(u))
-}
-
 fn num(field: &'static str, x: f64) -> Result<Node, SaveError> {
     if !x.is_finite() {
         return Err(SaveError::NonFinite(field));
     }
-    Ok(Node::synth(Value::Float(x)))
-}
-
-fn string(s: &str) -> Node {
-    Node::synth(Value::Str(s.to_string()))
-}
-
-fn null() -> Node {
-    Node::synth(Value::Null)
+    Ok(node(Value::Float(x)))
 }
 
 fn level_dbm(level: TxPowerLevel) -> i64 {
@@ -935,15 +903,6 @@ fn level_from_dbm(node: &Node) -> Result<TxPowerLevel, ParseError> {
                 "a CC2420 output level (-25, -15, -10, -7, -5, -3, -1 or 0 dBm)",
             )
         })
-}
-
-fn dbm_node(field: &'static str, x: f64) -> Result<Node, SaveError> {
-    if !x.is_finite() {
-        return Err(SaveError::NonFinite(field));
-    }
-    // Integral dBm values render without a fraction either way; route
-    // through Float so -25 and -25.5 share one code path.
-    Ok(Node::synth(Value::Float(x)))
 }
 
 fn encode_deployment(d: &DeploymentSpec) -> Result<Node, SaveError> {
@@ -974,7 +933,7 @@ fn encode_deployment(d: &DeploymentSpec) -> Result<Node, SaveError> {
                 .collect::<Result<Vec<_>, _>>()?;
             obj(vec![
                 ("kind", string("rings")),
-                ("radii_m", Node::synth(Value::Arr(radii))),
+                ("radii_m", arr(radii)),
                 ("exponent", num("deployment.exponent", *exponent)?),
                 ("shadowing_db", num("deployment.shadowing_db", *shadowing_db)?),
             ])
@@ -1024,20 +983,23 @@ fn encode_tx_policy(p: &TxPowerPolicy) -> Result<Node, SaveError> {
     Ok(match p {
         TxPowerPolicy::Fixed(level) => obj(vec![
             ("kind", string("fixed")),
-            ("level_dbm", Node::synth(Value::Float(level_dbm(*level) as f64))),
+            ("level_dbm", node(Value::Float(level_dbm(*level) as f64))),
         ]),
         TxPowerPolicy::ChannelInversion { target_rx } => obj(vec![
             ("kind", string("channel_inversion")),
-            ("target_rx_dbm", dbm_node("tx_policy.target_rx_dbm", target_rx.dbm())?),
+            (
+                "target_rx_dbm",
+                num("tx_policy.target_rx_dbm", target_rx.dbm())?,
+            ),
         ]),
         TxPowerPolicy::PerNode(levels) => {
             let items = levels
                 .iter()
-                .map(|&l| Node::synth(Value::Float(level_dbm(l) as f64)))
+                .map(|&l| node(Value::Float(level_dbm(l) as f64)))
                 .collect();
             obj(vec![
                 ("kind", string("per_node")),
-                ("levels_dbm", Node::synth(Value::Arr(items))),
+                ("levels_dbm", arr(items)),
             ])
         }
     })
@@ -1082,9 +1044,9 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
     }
     let payloads = match &s.traffic.payloads {
         PayloadSpec::Uniform { payload_bytes } => uint(*payload_bytes as u64),
-        PayloadSpec::PerChannel { payload_bytes } => Node::synth(Value::Arr(
-            payload_bytes.iter().map(|&b| uint(b as u64)).collect(),
-        )),
+        PayloadSpec::PerChannel { payload_bytes } => {
+            arr(payload_bytes.iter().map(|&b| uint(b as u64)).collect())
+        }
     };
     let traffic = obj(vec![
         ("payload_bytes", payloads),
@@ -1127,18 +1089,14 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
     ]);
     let channel_ber = match &s.channel_ber {
         None => null(),
-        Some(bers) => Node::synth(Value::Arr(
-            bers.iter().map(encode_ber).collect::<Result<_, _>>()?,
-        )),
+        Some(bers) => arr(bers.iter().map(encode_ber).collect::<Result<_, _>>()?),
     };
     let channel_loss_offsets = match &s.channel_loss_offsets_db {
         None => null(),
-        Some(offsets) => Node::synth(Value::Arr(
-            offsets
-                .iter()
-                .map(|&o| num("channel_loss_offsets_db", o))
-                .collect::<Result<_, _>>()?,
-        )),
+        Some(offsets) => arr(offsets
+            .iter()
+            .map(|&o| num("channel_loss_offsets_db", o))
+            .collect::<Result<_, _>>()?),
     };
     let allocation = match s.allocation {
         ChannelAllocation::RoundRobin => "round_robin",
@@ -1163,7 +1121,7 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
         ("tx_policy", encode_tx_policy(&s.tx_policy)?),
         (
             "coordinator_tx_dbm",
-            dbm_node("coordinator_tx_dbm", s.coordinator_tx.dbm())?,
+            num("coordinator_tx_dbm", s.coordinator_tx.dbm())?,
         ),
         (
             "wakeup_margin_s",
@@ -1173,10 +1131,7 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
         ("channel_ber", channel_ber),
         ("channel_loss_offsets_db", channel_loss_offsets),
         ("min_cap_slots", uint(s.min_cap_slots as u64)),
-        (
-            "synchronized_arrivals",
-            Node::synth(Value::Bool(s.synchronized_arrivals)),
-        ),
+        ("synchronized_arrivals", boolean(s.synchronized_arrivals)),
         ("faults", faults),
         ("shards", uint(s.shards as u64)),
         (

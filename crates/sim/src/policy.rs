@@ -17,10 +17,7 @@
 //! The loop records every round in a [`PolicyTrace`] — assignment, moved
 //! nodes, the full outcome, wall-clock — so convergence (rounds to
 //! stabilize, per-round worst-channel failure, the total-energy
-//! trajectory) is a first-class result. Traces from independent engine
-//! runs (different master seeds) reduce exactly through
-//! [`PolicyTraceAccumulator`], the same merge algebra as every other
-//! accumulator in this crate.
+//! trajectory) is a first-class result.
 //!
 //! ## Determinism
 //!
@@ -52,7 +49,6 @@ use std::time::Instant;
 use crate::network::NetworkSummary;
 use crate::runner::Runner;
 use crate::scenario::{AssignmentCache, Scenario, ScenarioOutcome};
-use crate::stats::{Accumulator, Counter, Extrema};
 
 /// What a policy sees at the end of a round.
 #[derive(Debug)]
@@ -467,112 +463,11 @@ impl PolicyTrace {
             .map(|r| r.outcome.overall.ledger.total_energy().joules())
             .collect()
     }
-
-    /// Folds this trace into a mergeable accumulator.
-    pub fn accumulate_into(&self, acc: &mut PolicyTraceAccumulator) {
-        acc.record(self);
-    }
 }
 
-/// Mergeable sufficient statistics of one round position, across traces.
-#[derive(Debug, Clone, Default)]
-pub struct RoundAccumulator {
-    /// Worst-channel failure ratios observed at this round index.
-    pub worst_failure: Accumulator,
-    /// Exact min/max of those worst-channel failures.
-    pub worst_failure_extrema: Extrema,
-    /// Network-wide mean node power (µW) at this round index.
-    pub power_uw: Accumulator,
-    /// Network-wide total energy (J) at this round index.
-    pub energy_j: Accumulator,
-    /// Total nodes moved out of this round, summed over traces.
-    pub moved: u64,
-}
-
-impl RoundAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RoundAccumulator::default()
-    }
-
-    /// Folds one trace's round into the statistics.
-    pub fn record(&mut self, round: &PolicyRound) {
-        let worst = round.worst_failure();
-        self.worst_failure.push(worst);
-        self.worst_failure_extrema.push(worst);
-        self.power_uw
-            .push(round.outcome.overall.mean_node_power.microwatts());
-        self.energy_j
-            .push(round.outcome.overall.ledger.total_energy().joules());
-        self.moved += round.moved as u64;
-    }
-
-    /// Merges another accumulator into this one. Exact, and
-    /// bit-deterministic when performed in a fixed order.
-    pub fn merge(&mut self, other: &RoundAccumulator) {
-        self.worst_failure.merge(&other.worst_failure);
-        self.worst_failure_extrema
-            .merge(&other.worst_failure_extrema);
-        self.power_uw.merge(&other.power_uw);
-        self.energy_j.merge(&other.energy_j);
-        self.moved += other.moved;
-    }
-}
-
-/// Mergeable reduction of [`PolicyTrace`]s from independent engine runs
-/// (e.g. different scenario master seeds, or shards of a larger study):
-/// per-round-position statistics plus convergence counters. Traces of
-/// different lengths align by round index.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyTraceAccumulator {
-    /// Per-round-position statistics, indexed by round.
-    pub rounds: Vec<RoundAccumulator>,
-    /// Traces folded in.
-    pub traces: u64,
-    /// How many traces converged (assignment stabilized).
-    pub converged: Counter,
-    /// Convergence round of the traces that converged.
-    pub rounds_to_stabilize: Accumulator,
-}
-
-impl PolicyTraceAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        PolicyTraceAccumulator::default()
-    }
-
-    /// Folds one trace in.
-    pub fn record(&mut self, trace: &PolicyTrace) {
-        if self.rounds.len() < trace.rounds.len() {
-            self.rounds
-                .resize_with(trace.rounds.len(), RoundAccumulator::new);
-        }
-        for (acc, round) in self.rounds.iter_mut().zip(&trace.rounds) {
-            acc.record(round);
-        }
-        self.traces += 1;
-        self.converged.observe(trace.converged_at.is_some());
-        if let Some(round) = trace.converged_at {
-            self.rounds_to_stabilize.push(round as f64);
-        }
-    }
-
-    /// Merges another accumulator into this one. Exact for the counters
-    /// and extrema, Chan-et-al exact for the means; bit-deterministic when
-    /// performed in a fixed order.
-    pub fn merge(&mut self, other: &PolicyTraceAccumulator) {
-        if self.rounds.len() < other.rounds.len() {
-            self.rounds
-                .resize_with(other.rounds.len(), RoundAccumulator::new);
-        }
-        for (acc, shard) in self.rounds.iter_mut().zip(&other.rounds) {
-            acc.merge(shard);
-        }
-        self.traces += other.traces;
-        self.converged.merge(&other.converged);
-        self.rounds_to_stabilize.merge(&other.rounds_to_stabilize);
-    }
-}
+/// Load cap per channel: policies may not push any channel's load beyond
+/// this (capacity = the node count reaching it).
+const MAX_LOAD: f64 = 0.95;
 
 /// The closed-loop driver: runs a scenario in rounds, feeding each round's
 /// per-channel summaries to an [`AllocationPolicy`].
@@ -586,9 +481,6 @@ pub struct PolicyEngine {
     pub scenario: Scenario,
     /// Maximum rounds to execute.
     pub rounds: usize,
-    /// Load cap per channel: policies may not push any channel's load
-    /// beyond this (capacity = the node count reaching it).
-    pub max_load: f64,
     /// Stop as soon as the policy emits an unchanged assignment.
     pub stop_when_stable: bool,
 }
@@ -600,7 +492,6 @@ impl PolicyEngine {
         PolicyEngine {
             scenario,
             rounds: 8,
-            max_load: 0.95,
             stop_when_stable: true,
         }
     }
@@ -608,12 +499,6 @@ impl PolicyEngine {
     /// Overrides the round budget.
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Overrides the per-channel load cap.
-    pub fn with_max_load(mut self, max_load: f64) -> Self {
-        self.max_load = max_load;
         self
     }
 
@@ -627,7 +512,7 @@ impl PolicyEngine {
     /// Per-channel node capacities under the engine's load cap.
     pub fn capacities(&self) -> Vec<usize> {
         (0..self.scenario.channels)
-            .map(|c| self.scenario.channel_capacity(c, self.max_load))
+            .map(|c| self.scenario.channel_capacity(c, MAX_LOAD))
             .collect()
     }
 
@@ -1075,23 +960,5 @@ mod tests {
         let trace = engine.run(&Runner::serial(), &mut GreedyRebalance::new(8));
         assert_eq!(trace.rounds.len(), 2);
         assert_eq!(trace.final_round().moved, 0);
-    }
-
-    #[test]
-    fn trace_accumulator_counts_convergence() {
-        let engine = PolicyEngine::new(tiny_scenario()).with_rounds(3);
-        let mut acc = PolicyTraceAccumulator::new();
-        for seed in [1u64, 2, 3] {
-            let mut engine = engine.clone();
-            engine.scenario = engine.scenario.with_seed(seed);
-            engine
-                .run(&Runner::serial(), &mut StaticAllocation)
-                .accumulate_into(&mut acc);
-        }
-        assert_eq!(acc.traces, 3);
-        assert_eq!(acc.converged.hits(), 3);
-        assert_eq!(acc.rounds_to_stabilize.mean(), 0.0);
-        assert_eq!(acc.rounds[0].worst_failure.count(), 3);
-        assert!(acc.rounds[0].worst_failure_extrema.max() <= 1.0);
     }
 }

@@ -55,7 +55,6 @@
 //! `workspace_reuse` suite pins that.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -75,7 +74,7 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 }
 
 /// The `index`-th output of the SplitMix64 stream seeded with `master`:
-/// the per-replication seed used by [`Runner::replicate_contention`].
+/// the seed of replication `index` (see the seed-derivation scheme above).
 ///
 /// # Examples
 ///
@@ -90,28 +89,6 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 pub fn replication_seed(master: u64, index: u64) -> u64 {
     splitmix64_mix(master.wrapping_add((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
-
-/// A job that panicked under [`Runner::map_catching`], reduced to its
-/// panic message.
-///
-/// The runner's plain [`Runner::map`] propagates job panics to the caller
-/// — correct for in-code experiments, fatal for a batch farm where one
-/// poisoned saved scenario must not take down 10 000 healthy ones.
-/// [`Runner::map_catching`] confines each panic to its own job slot and
-/// hands the caller this typed residue instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// The panic payload, downcast to text where possible.
-    pub message: String,
-}
-
-impl fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
 
 /// Extracts a human-readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -375,57 +352,21 @@ impl Runner {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.collect(jobs, f)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
-    }
-
-    /// Like [`map`](Self::map), but a panicking job yields
-    /// `Err(`[`JobPanic`]`)` in its slot instead of taking down the whole
-    /// map call (and, under parallelism, the sibling workers' results).
-    ///
-    /// Every job runs under `catch_unwind` (see [`stream`](Self::stream));
-    /// results keep the deterministic job-index order, and which jobs
-    /// panic is as reproducible as any other job output.
-    ///
-    /// The caught panic still flows through the global panic hook first
-    /// (so the default "thread panicked" line appears on stderr once per
-    /// poisoned job); the process, and every other job, keeps running.
-    pub fn map_catching<T, R, F>(&self, jobs: &[T], f: F) -> Vec<Result<R, JobPanic>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.collect(jobs, f)
-            .into_iter()
-            .map(|r| {
-                r.map_err(|payload| JobPanic {
-                    message: panic_message(payload),
-                })
-            })
-            .collect()
-    }
-
-    /// Feeds every job, then receives every result.
-    fn collect<T, R, F>(&self, jobs: &[T], f: F) -> Vec<thread::Result<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
         if jobs.is_empty() {
             return Vec::new();
         }
-        self.stream(
+        let results: Vec<thread::Result<R>> = self.stream(
             jobs.len(),
             |(i, job): (usize, &T)| f(i, job),
             |s| {
                 jobs.iter().enumerate().for_each(|job| s.feed(job));
                 std::iter::from_fn(|| s.recv()).collect()
             },
-        )
+        );
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     }
 
     /// Runs `body` with an ordered job stream on this runner's workers:
@@ -546,61 +487,6 @@ impl Runner {
         (0..items.len())
             .map(|_| flat.by_ref().take(reps).collect())
             .collect()
-    }
-
-    /// Runs `replications` independent copies of `base` (seeds derived via
-    /// [`replication_seed`]) and merges their full statistics sinks in
-    /// replication order.
-    ///
-    /// The merged [`StatsSink`] exposes the sufficient statistics behind
-    /// [`ContentionStats`] — in particular the
-    /// [`Accumulator::standard_error`](crate::stats::Accumulator::standard_error)
-    /// of the mean contention duration and CCA count, and the binomial
-    /// errors of the probability counters — which the figure binaries
-    /// print as `value ± stderr` columns.
-    ///
-    /// The per-configuration [`crate::contention::SlotTimings`] are
-    /// computed once and shared by every replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replications` is zero.
-    pub fn replicate_contention_sink(
-        &self,
-        base: &ChannelSimConfig,
-        replications: u32,
-    ) -> StatsSink {
-        assert!(replications > 0, "at least one replication required");
-        let timings = base.timings();
-        let indices: Vec<u64> = (0..replications as u64).collect();
-        let shards = self.map(&indices, |_, &i| {
-            let mut cfg = base.clone();
-            cfg.seed = replication_seed(base.seed, i);
-            let mut sink = StatsSink::new();
-            run_channel_sim_into(&cfg, &timings, |_| false, &mut sink);
-            sink
-        });
-        let mut merged = StatsSink::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        merged
-    }
-
-    /// Runs `replications` independent copies of `base` and merges their
-    /// statistics in replication order; the finalized form of
-    /// [`replicate_contention_sink`](Self::replicate_contention_sink).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replications` is zero.
-    pub fn replicate_contention(
-        &self,
-        base: &ChannelSimConfig,
-        replications: u32,
-    ) -> ContentionStats {
-        self.replicate_contention_sink(base, replications)
-            .contention_stats()
     }
 }
 
@@ -765,73 +651,5 @@ mod tests {
         let serial = Runner::serial().sweep_contention(&configs);
         let parallel = Runner::with_threads(3).sweep_contention(&configs);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn replicate_contention_sink_matches_stats() {
-        let mut base = ChannelSimConfig::figure6(50, 0.4, 0xC0DE);
-        base.superframes = 5;
-        base.nodes = 30;
-        let runner = Runner::with_threads(2);
-        let sink = runner.replicate_contention_sink(&base, 4);
-        assert_eq!(
-            sink.contention_stats(),
-            runner.replicate_contention(&base, 4)
-        );
-        // Four replications of samples → meaningful standard errors.
-        assert!(sink.contention.contention_us.standard_error() > 0.0);
-        assert!(sink.contention.ccas.standard_error() > 0.0);
-    }
-
-    #[test]
-    fn map_catching_confines_panics_to_their_job_slot() {
-        let jobs: Vec<u64> = (0..23).collect();
-        for threads in [1, 4] {
-            let runner = Runner::with_threads(threads);
-            let out = runner.map_catching(&jobs, |_, &x| {
-                if x % 7 == 3 {
-                    panic!("poisoned job {x}");
-                }
-                x * 2
-            });
-            assert_eq!(out.len(), jobs.len(), "threads={threads}");
-            for (i, result) in out.iter().enumerate() {
-                if i % 7 == 3 {
-                    let err = result.as_ref().unwrap_err();
-                    assert_eq!(err.message, format!("poisoned job {i}"));
-                } else {
-                    assert_eq!(*result.as_ref().unwrap(), i as u64 * 2);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn map_catching_is_deterministic_across_thread_counts() {
-        let jobs: Vec<u64> = (0..31).collect();
-        let run = |threads| {
-            Runner::with_threads(threads).map_catching(&jobs, |_, &x| {
-                if x == 11 {
-                    panic!("always fails");
-                }
-                x
-            })
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn parallel_replications_are_bit_identical_to_serial() {
-        let mut base = ChannelSimConfig::figure6(50, 0.4, 0xFEED);
-        base.superframes = 5;
-        base.nodes = 30;
-        let serial = Runner::serial().replicate_contention(&base, 8);
-        for threads in [2, 3, 8] {
-            let parallel = Runner::with_threads(threads).replicate_contention(&base, 8);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-        // More replications accumulate more procedures.
-        let fewer = Runner::serial().replicate_contention(&base, 2);
-        assert!(serial.procedures > fewer.procedures);
     }
 }

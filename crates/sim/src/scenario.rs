@@ -935,7 +935,14 @@ impl Scenario {
         }
         let positive = |x: f64| x.is_finite() && x > 0.0;
         let exponent = match &self.deployment {
-            DeploymentSpec::UniformLossGrid { .. } => None,
+            DeploymentSpec::UniformLossGrid { min_db, max_db } => {
+                if !(min_db.is_finite() && max_db.is_finite() && min_db <= max_db) {
+                    return Err(format!(
+                        "loss grid bounds must be finite with min <= max, got {min_db}..{max_db} dB"
+                    ));
+                }
+                None
+            }
             DeploymentSpec::Disc {
                 radius_m, exponent, ..
             } => {
@@ -1758,6 +1765,7 @@ mod tests {
             exponent: 3.0,
             shadowing_db: 0.0,
         };
+        let grid = |min_db, max_db| DeploymentSpec::UniformLossGrid { min_db, max_db };
         for (spec, message) in [
             (disc(-1.0, 3.0), "disc radius"),
             (disc(0.0, 3.0), "disc radius"),
@@ -1771,6 +1779,8 @@ mod tests {
             (clustered(40.0, f64::NAN), "cluster radius"),
             (clustered(f64::INFINITY, 4.0), "cluster radius"),
             (disc(30.0, 0.0), "path-loss exponent"),
+            (grid(95.0, 55.0), "loss grid bounds"),
+            (grid(f64::NAN, 85.0), "loss grid bounds"),
         ] {
             let err = tiny(spec.clone()).validate().unwrap_err();
             assert!(err.contains(message), "{spec:?}: {err}");

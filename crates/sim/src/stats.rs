@@ -124,82 +124,6 @@ impl Accumulator {
     }
 }
 
-/// Exact running extrema (min/max) of a sample stream.
-///
-/// Like [`Accumulator`], shards reduced independently and merged in any
-/// split are **exactly** equal to a single-pass reduction — min and max are
-/// associative and commutative — which makes extrema safe to carry through
-/// the runner's sharded reductions (e.g. the worst per-round channel
-/// failure across merged policy traces).
-///
-/// # Examples
-///
-/// ```
-/// use wsn_sim::stats::Extrema;
-///
-/// let mut a = Extrema::new();
-/// let mut b = Extrema::new();
-/// a.push(3.0);
-/// b.push(-1.0);
-/// b.push(7.0);
-/// a.merge(&b);
-/// assert_eq!(a.min(), -1.0);
-/// assert_eq!(a.max(), 7.0);
-/// assert_eq!(a.count(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Extrema {
-    n: u64,
-    min: f64,
-    max: f64,
-}
-
-impl Extrema {
-    /// Creates an empty extrema tracker.
-    pub fn new() -> Self {
-        Extrema {
-            n: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another tracker into this one. Exact for any split.
-    pub fn merge(&mut self, other: &Extrema) {
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Smallest sample (+∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl Default for Extrema {
-    fn default() -> Self {
-        Extrema::new()
-    }
-}
-
 /// Ratio counter for event probabilities.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {

@@ -602,8 +602,8 @@ pub struct TimingSet {
     /// gauge — thread-count dependent by definition, hence in this
     /// section).
     pub peak_workers: u64,
-    /// Runner streaming calls: `Runner::map`/`map_catching`, scenario
-    /// grids and farm streams.
+    /// Runner streaming calls: `Runner::map`, scenario grids and farm
+    /// streams.
     pub maps: u64,
     /// Farm waves dispatched.
     pub waves: u64,

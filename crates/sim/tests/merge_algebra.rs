@@ -8,12 +8,10 @@ use wsn_phy::noise::UniformSource;
 use wsn_radio::ledger::{EnergyLedger, PhaseTag};
 use wsn_radio::{RadioModel, RadioState};
 use wsn_sim::network::{NetworkConfig, TxPowerPolicy};
-use wsn_sim::policy::{PolicyEngine, PolicyTrace, PolicyTraceAccumulator, StaticAllocation};
 use wsn_sim::telemetry::{Hist, MetricSet};
-use wsn_sim::scenario::{DeploymentSpec, Scenario};
 use wsn_sim::{
-    Accumulator, ChannelSimConfig, ContentionAccumulator, Counter, Extrema, NetworkAccumulator,
-    NetworkSimulator, Runner, Xoshiro256StarStar,
+    Accumulator, ChannelSimConfig, ContentionAccumulator, Counter, NetworkAccumulator,
+    NetworkSimulator, Xoshiro256StarStar,
 };
 use wsn_units::{DBm, Db, Seconds};
 
@@ -480,149 +478,6 @@ fn sealed_replications_drive_the_standard_errors() {
     // The replication-level mean of means equals the pooled mean (equal
     // shard sizes).
     assert!((total.rep_power_uw.mean() - total.node_power_uw.mean()).abs() < 1e-9);
-}
-
-#[test]
-fn extrema_merge_of_random_splits_is_exact() {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(0xE87);
-    for case in 0..200 {
-        let n = 1 + rng.index(300);
-        let xs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 2e3 - 1e3).collect();
-
-        let mut whole = Extrema::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-
-        let cut = rng.index(n + 1);
-        let (mut a, mut b) = (Extrema::new(), Extrema::new());
-        for &x in &xs[..cut] {
-            a.push(x);
-        }
-        for &x in &xs[cut..] {
-            b.push(x);
-        }
-        a.merge(&b);
-
-        // Min/max are associative: the merge is exact, not approximate.
-        assert_eq!(a.count(), whole.count(), "case {case}");
-        assert_eq!(a.min(), whole.min(), "case {case}");
-        assert_eq!(a.max(), whole.max(), "case {case}");
-    }
-}
-
-#[test]
-fn empty_extrema_merge_is_identity() {
-    let mut acc = Extrema::new();
-    acc.push(4.0);
-    let before = acc;
-    acc.merge(&Extrema::new());
-    assert_eq!(acc, before);
-    let mut empty = Extrema::new();
-    empty.merge(&before);
-    assert_eq!(empty, before);
-}
-
-fn policy_traces() -> Vec<PolicyTrace> {
-    let base = Scenario::new(
-        "merge probe",
-        3,
-        8,
-        DeploymentSpec::UniformLossGrid {
-            min_db: 60.0,
-            max_db: 88.0,
-        },
-    )
-    .with_superframes(4);
-    (0..4u64)
-        .map(|seed| {
-            let engine = PolicyEngine::new(base.clone().with_seed(0x7A11 + seed))
-                .with_rounds(3)
-                .run_all_rounds();
-            engine.run(&Runner::serial(), &mut StaticAllocation)
-        })
-        .collect()
-}
-
-#[test]
-fn policy_trace_accumulator_split_merge_matches_reduce() {
-    let traces = policy_traces();
-
-    let mut whole = PolicyTraceAccumulator::new();
-    for trace in &traces {
-        whole.record(trace);
-    }
-
-    for cut in 0..=traces.len() {
-        let (mut a, mut b) = (PolicyTraceAccumulator::new(), PolicyTraceAccumulator::new());
-        for trace in &traces[..cut] {
-            a.record(trace);
-        }
-        for trace in &traces[cut..] {
-            b.record(trace);
-        }
-        a.merge(&b);
-
-        assert_eq!(a.traces, whole.traces, "cut {cut}");
-        assert_eq!(a.converged, whole.converged, "cut {cut}");
-        assert_eq!(a.rounds.len(), whole.rounds.len(), "cut {cut}");
-        assert_eq!(
-            a.rounds_to_stabilize.count(),
-            whole.rounds_to_stabilize.count(),
-            "cut {cut}"
-        );
-        for (r, (ma, mw)) in a.rounds.iter().zip(&whole.rounds).enumerate() {
-            assert_eq!(ma.moved, mw.moved, "cut {cut} round {r}");
-            assert_eq!(
-                ma.worst_failure.count(),
-                mw.worst_failure.count(),
-                "cut {cut} round {r}"
-            );
-            // Extrema are exact under any split.
-            assert_eq!(
-                ma.worst_failure_extrema, mw.worst_failure_extrema,
-                "cut {cut} round {r}"
-            );
-            assert!(
-                (ma.worst_failure.mean() - mw.worst_failure.mean()).abs() < 1e-12,
-                "cut {cut} round {r}: worst-failure mean"
-            );
-            assert!(
-                (ma.power_uw.mean() - mw.power_uw.mean()).abs() < 1e-9,
-                "cut {cut} round {r}: power mean"
-            );
-            assert!(
-                (ma.energy_j.mean() - mw.energy_j.mean()).abs() < 1e-12,
-                "cut {cut} round {r}: energy mean"
-            );
-        }
-    }
-}
-
-#[test]
-fn policy_trace_accumulator_aligns_unequal_trace_lengths() {
-    let traces = policy_traces();
-    // Truncate one trace to exercise the round-index alignment.
-    let mut short = traces[0].clone();
-    short.rounds.truncate(1);
-
-    let mut acc = PolicyTraceAccumulator::new();
-    acc.record(&short);
-    acc.record(&traces[1]);
-    assert_eq!(acc.rounds.len(), traces[1].rounds.len());
-    assert_eq!(acc.rounds[0].worst_failure.count(), 2);
-    assert_eq!(acc.rounds[1].worst_failure.count(), 1);
-
-    // Merging in the other order gives the same shape.
-    let (mut x, mut y) = (PolicyTraceAccumulator::new(), PolicyTraceAccumulator::new());
-    x.record(&traces[1]);
-    y.record(&short);
-    x.merge(&y);
-    assert_eq!(x.rounds.len(), acc.rounds.len());
-    assert_eq!(
-        x.rounds[0].worst_failure_extrema,
-        acc.rounds[0].worst_failure_extrema
-    );
 }
 
 #[test]

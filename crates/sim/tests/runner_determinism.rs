@@ -132,10 +132,17 @@ fn parallel_sweep_is_bit_identical_to_serial_engine() {
 
 #[test]
 fn parallel_replications_are_bit_identical_to_serial() {
-    let base = point(50, 0.42, 0xB0B);
-    let serial = Runner::serial().replicate_contention(&base, 6);
+    let base = [point(50, 0.42, 0xB0B)];
+    let replicate = |runner: Runner| {
+        runner.map_replicated(&base, 6, |_, cfg, r| {
+            let mut cfg = cfg.clone();
+            cfg.seed = replication_seed(cfg.seed, r);
+            simulate_contention(&cfg)
+        })
+    };
+    let serial = replicate(Runner::serial());
     for threads in [2, 3, 6, 12] {
-        let parallel = Runner::with_threads(threads).replicate_contention(&base, 6);
+        let parallel = replicate(Runner::with_threads(threads));
         assert_eq!(serial, parallel, "threads={threads}");
     }
 }
@@ -152,9 +159,9 @@ fn streaming_reduction_equals_trace_reduction() {
 
 #[test]
 fn runner_output_is_reproducible_across_invocations() {
-    let base = point(50, 0.42, 42);
-    let a = Runner::from_env().replicate_contention(&base, 4);
-    let b = Runner::from_env().replicate_contention(&base, 4);
+    let configs = [point(50, 0.42, 42), point(100, 0.6, 43)];
+    let a = Runner::from_env().sweep_contention(&configs);
+    let b = Runner::from_env().sweep_contention(&configs);
     assert_eq!(a, b);
 }
 
