@@ -386,6 +386,8 @@ pub fn attempt_distribution(pr_tf: Probability, n_max: u32) -> (f64, f64, Probab
 mod tests {
     use super::*;
     use wsn_phy::ber::EmpiricalCc2420Ber;
+    use wsn_phy::noise::UniformSource;
+    use wsn_sim::Xoshiro256StarStar;
 
     fn inputs(level: TxPowerLevel, loss: f64, stats: ContentionStats) -> ModelInputs {
         ModelInputs {
@@ -414,6 +416,18 @@ mod tests {
         assert!((e - 5.0).abs() < 1e-12);
         assert!((ef - 5.0).abs() < 1e-12);
         assert_eq!(pex.value(), 1.0);
+
+        // In between: 1 ≤ E ≤ N_max and 0 ≤ E_f ≤ E, monotone in p.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0xE078);
+        for case in 0..500 {
+            let (p, n) = (0.99 * rng.next_f64(), 1 + rng.range_u32(7));
+            let (e, ef, pex) = attempt_distribution(Probability::new(p).unwrap(), n);
+            let (e2, _, pex2) = attempt_distribution(Probability::new(p + 0.01).unwrap(), n);
+            assert!(e >= 1.0 - 1e-12 && e <= n as f64 + 1e-12, "case {case}");
+            assert!(ef >= -1e-12 && ef <= e + 1e-12, "case {case}");
+            let monotone = e2 >= e - 1e-12 && pex2.value() >= pex.value() - 1e-15;
+            assert!(monotone, "case {case}");
+        }
     }
 
     #[test]
@@ -467,6 +481,20 @@ mod tests {
         assert!(retried.t_rx > clean.t_rx);
         assert!(retried.average_power > clean.average_power);
         assert!(retried.expected_attempts > 1.5);
+        // More collisions never cost less power or fail less often.
+        let mut last = clean;
+        for i in 1..=18 {
+            let mut stats = ContentionStats::ideal();
+            stats.pr_collision = Probability::new(0.05 * f64::from(i)).unwrap();
+            let out = model().evaluate(
+                &inputs(TxPowerLevel::Zero, 60.0, stats),
+                &EmpiricalCc2420Ber::paper(),
+            );
+            let (p, p_last) = (out.average_power.watts(), last.average_power.watts());
+            assert!(p >= p_last - 1e-15, "{i}");
+            assert!(out.pr_fail.value() >= last.pr_fail.value() - 1e-12, "{i}");
+            last = out;
+        }
     }
 
     #[test]
@@ -520,6 +548,32 @@ mod tests {
         // Transmission dominates but stays below ~70 % on a good link.
         let tx_frac = out.phase_fraction(PhaseTag::Transmit);
         assert!((0.2..0.8).contains(&tx_frac), "tx fraction {tx_frac}");
+
+        // Physical outputs for random admissible inputs.
+        let radio = RadioModel::cc2420();
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x9A5E);
+        for case in 0..300 {
+            let mut stats = ContentionStats::ideal();
+            stats.mean_contention = Seconds::from_millis(20.0 * rng.next_f64());
+            stats.mean_ccas = 2.0 + 6.0 * rng.next_f64();
+            stats.pr_collision = Probability::new(0.6 * rng.next_f64()).unwrap();
+            stats.pr_access_failure = Probability::new(0.4 * rng.next_f64()).unwrap();
+            let level = TxPowerLevel::ALL[rng.index(8)];
+            let mut input = inputs(level, 40.0 + 70.0 * rng.next_f64(), stats);
+            input.beacon_order = BeaconOrder::new(4 + rng.index(6) as u8).unwrap();
+            input.packet = PacketLayout::with_payload(5 + rng.index(119)).unwrap();
+            let out = model().evaluate(&input, &EmpiricalCc2420Ber::paper());
+            let total: f64 = PhaseTag::ALL.iter().map(|&p| out.phase_fraction(p)).sum();
+            assert!((total - 1.0).abs() < 1e-6, "case {case}");
+            let times = [out.t_idle, out.t_tx, out.t_rx];
+            assert!(times.iter().all(|t| t.secs() >= 0.0), "case {case}");
+            let attempts = out.expected_attempts;
+            assert!((0.0..=5.0 + 1e-9).contains(&attempts), "case {case}");
+            let tx = radio.state_power(RadioState::Tx(level));
+            let peak = radio.state_power(RadioState::Rx).max(tx);
+            assert!(out.average_power <= peak, "case {case}");
+            assert!(out.delay.secs() >= out.t_ib.secs() * 0.999, "case {case}");
+        }
     }
 
     #[test]
@@ -584,5 +638,22 @@ mod tests {
             &EmpiricalCc2420Ber::paper(),
         );
         assert!(strong.pr_fail.value() <= weak.pr_fail.value());
+        // At any level, more path loss never improves reliability or
+        // energy per bit.
+        for level in TxPowerLevel::ALL {
+            let eval = |loss| {
+                let input = inputs(level, loss, ContentionStats::ideal());
+                model().evaluate(&input, &EmpiricalCc2420Ber::paper())
+            };
+            let mut last = eval(50.0);
+            for loss in (51..=105).map(f64::from) {
+                let out = eval(loss);
+                let (pf, pf_last) = (out.pr_fail.value(), last.pr_fail.value());
+                assert!(pf >= pf_last - 1e-12, "{level} {loss}");
+                let (e, e_last) = (out.energy_per_data_bit, last.energy_per_data_bit);
+                assert!(e >= e_last * (1.0 - 1e-9), "{level} {loss}");
+                last = out;
+            }
+        }
     }
 }

@@ -289,6 +289,23 @@ mod tests {
         assert_eq!(back, p);
         assert!(back.has_pending(0x0020));
         assert!(!back.has_pending(0x0099));
+        // Every beacon order, with 0–7 GTS descriptors and pending entries.
+        for bo in 0..=14u8 {
+            for n in 0..=7u8 {
+                let config = SuperframeConfig::new(bo, bo.saturating_sub(n), 0).unwrap();
+                let mut p = BeaconPayload::for_config(config);
+                p.gts = (0..n)
+                    .map(|i| GtsDescriptor {
+                        short_address: u16::from(i) + 1,
+                        starting_slot: 15 - i,
+                        length: 1,
+                    })
+                    .collect();
+                p.pending_short = (0..u16::from(n)).map(|a| a * 0x1111).collect();
+                let back = BeaconPayload::parse(&p.serialize()).unwrap();
+                assert_eq!(back, p, "BO {bo}, {n} entries");
+            }
+        }
     }
 
     #[test]

@@ -369,6 +369,30 @@ mod tests {
             seen[periods as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "not all delays drawn: {seen:?}");
+        // Under random CCA outcomes every preset's later draws respect the
+        // current exponent, and the machine ends within its bounds.
+        let mut rng = SplitMix64::new(0xC5A);
+        for case in 0..300 {
+            let params = [
+                CsmaParams::standard_2003(),
+                CsmaParams::paper(),
+                CsmaParams::battery_life_extension(),
+            ][case % 3];
+            let rounds = u32::from(params.max_backoffs) + 1;
+            let max_ccas = rounds * u32::from(params.cw);
+            let mut m = SlottedCsmaCa::start(params, &mut rng);
+            let mut action = m.current_action();
+            while !matches!(action, CsmaAction::Transmit | CsmaAction::Failure) {
+                if let CsmaAction::BackoffThenCca { periods } = action {
+                    assert!(periods < 1 << m.backoff_exponent(), "case {case}");
+                }
+                action = m.on_cca(rng.next_f64() < 0.5, &mut rng);
+                let be = m.backoff_exponent();
+                assert!((params.min_be..=params.max_be).contains(&be), "case {case}");
+                assert!(u32::from(m.busy_rounds()) <= rounds, "case {case}");
+                assert!(m.ccas_performed() <= max_ccas, "case {case}");
+            }
+        }
     }
 
     #[test]

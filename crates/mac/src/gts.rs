@@ -268,6 +268,29 @@ mod tests {
         assert!(r.deallocate(2));
         let back = r.allocate(2, 2).unwrap();
         assert_eq!(back.starting_slot, 12);
+        // Random interleavings never double-book a slot, exceed seven
+        // descriptors or cut into the minimum CAP.
+        let mut rng = wsn_phy::noise::SplitMix64::new(0x6752);
+        for case in 0..200 {
+            let mut r = GtsRegistry::new(8);
+            for _ in 0..40 {
+                let x = rng.next_u64();
+                if x >> 63 == 1 {
+                    r.deallocate((x % 12) as u16);
+                } else {
+                    let _ = r.allocate((x % 12) as u16, 1 + (x >> 8) as u8 % 3);
+                }
+                let mut used = 0u32;
+                for a in r.allocations() {
+                    let mask = ((1u32 << a.length) - 1) << a.starting_slot;
+                    let in_cfp = a.starting_slot >= 8 && mask >> 16 == 0;
+                    assert!(in_cfp, "case {case}: {a:?}");
+                    assert_eq!(used & mask, 0, "case {case}: {:?}", r.allocations());
+                    used |= mask;
+                }
+                assert!(r.allocations().len() <= 7, "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -306,6 +306,16 @@ mod tests {
         assert!(with_gts.cap_duration() < no_gts.cap_duration());
         let expected = no_gts.superframe_duration() * (12.0 / 16.0);
         assert!((with_gts.cap_duration().secs() - expected.secs()).abs() < 1e-12);
+        // CAP plus GTS slots rebuild the superframe at every order.
+        for bo in 0..=14 {
+            for gts in 0..=7 {
+                let c = SuperframeConfig::new(bo, bo, gts).unwrap();
+                let cap = c.cap_duration().secs();
+                let cfp = c.slot_duration().secs() * f64::from(gts);
+                let sd = c.superframe_duration().secs();
+                assert!((cap + cfp - sd).abs() < 1e-12, "BO {bo}, {gts} slots");
+            }
+        }
     }
 
     #[test]

@@ -355,6 +355,17 @@ mod tests {
         let small = PacketLayout::with_payload(10).unwrap();
         let pe_small = m.packet_error_probability(DBm::new(-90.0), small).value();
         assert!(pe_small < pe_90, "Pr_e(10 B) = {pe_small}");
+        // Pr_e ≥ BER, growing with the payload, across the steep region.
+        for dbm in -95..=-80 {
+            let power = DBm::new(dbm as f64);
+            let mut last = m.bit_error_probability(power).value() - 1e-15;
+            for payload in [1, 30, 60, 119] {
+                let layout = PacketLayout::with_payload(payload).unwrap();
+                let pe = m.packet_error_probability(power, layout).value();
+                assert!(pe >= last, "{dbm} dBm, {payload} B");
+                last = pe;
+            }
+        }
     }
 
     #[test]
@@ -417,6 +428,20 @@ mod tests {
         let better = m.bit_error_probability(DBm::new(-80.0)).value();
         assert!(worse > better);
         assert!(better < 1e-6);
+        // Every model is non-increasing in received power within [0, 1/2].
+        let models: [&dyn BerModel; 3] = [
+            &EmpiricalCc2420Ber::paper(),
+            &HardDecisionDsssBer::new(Db::new(21.0)),
+            &StandardOqpskBer::new(Db::new(21.0)),
+        ];
+        for (i, m) in models.into_iter().enumerate() {
+            let mut last = 0.5;
+            for dbm in -110..=-60 {
+                let b = m.bit_error_probability(DBm::new(dbm as f64)).value();
+                assert!((0.0..=last + 1e-12).contains(&b), "model {i} at {dbm} dBm");
+                last = b;
+            }
+        }
     }
 
     #[test]

@@ -631,15 +631,16 @@ mod tests {
     fn crc_detects_single_bit_flips() {
         let data = b"the quick brown fox".to_vec();
         let base = crc16_itu_t(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
+        // Every single flip (a == b) and every double flip.
+        let bits = data.len() * 8;
+        for a in 0..bits {
+            for b in a..bits {
                 let mut corrupted = data.clone();
-                corrupted[byte] ^= 1 << bit;
-                assert_ne!(
-                    crc16_itu_t(&corrupted),
-                    base,
-                    "flip {byte}:{bit} undetected"
-                );
+                corrupted[a / 8] ^= 1 << (a % 8);
+                if b != a {
+                    corrupted[b / 8] ^= 1 << (b % 8);
+                }
+                assert_ne!(crc16_itu_t(&corrupted), base, "flips {a}, {b} undetected");
             }
         }
     }
@@ -753,6 +754,13 @@ mod tests {
         let max = PacketLayout::with_payload(123).unwrap();
         assert_eq!(max.total_bytes(), 136);
         assert!(PacketLayout::with_payload(124).is_err());
+        for payload in 0..=123 {
+            let p = PacketLayout::with_payload(payload).unwrap();
+            assert_eq!(p.total_bytes(), payload + 13);
+            assert_eq!(p.payload_bits(), payload * 8);
+            assert_eq!(p.error_exposed_bits() as usize, (payload + 9) * 8);
+            assert!((p.duration().micros() - (payload as f64 + 13.0) * 32.0).abs() < 1e-9);
+        }
     }
 
     #[test]

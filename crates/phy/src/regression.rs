@@ -153,6 +153,17 @@ mod tests {
             fit.coefficient()
         );
         assert!(fit.r_squared() > 0.999_999);
+        for (log_c, slope) in [(-40.0, 2.0), (-20.0, 0.3), (-5.0, 0.05)] {
+            let c = 10f64.powf(log_c);
+            let points: Vec<(f64, f64)> = (-94..=-85)
+                .map(|x| (x as f64, c * (-slope * x as f64).exp()))
+                .collect();
+            let fit = ExponentialFit::fit(&points).unwrap();
+            let log_fit = fit.coefficient().log10();
+            assert!((fit.slope() + slope).abs() < 1e-6, "slope {slope}");
+            assert!((log_fit - log_c).abs() < 1e-6, "10^{log_c}");
+            assert!(fit.r_squared() > 0.999_99);
+        }
     }
 
     #[test]

@@ -353,6 +353,16 @@ mod tests {
             let rx = ChipSequence::from_raw(ChipSequence::for_symbol(s).raw() ^ corruption);
             assert_eq!(despread(rx), s, "symbol {s} not corrected");
         }
+        // And every random pattern of at most five chip errors.
+        let mut rng = crate::noise::SplitMix64::new(0xC41F);
+        for case in 0..2000 {
+            let s = Symbol::new((rng.next_u64() % 16) as u8).unwrap();
+            let mut raw = ChipSequence::for_symbol(s).raw();
+            for _ in 0..rng.next_u64() % 6 {
+                raw ^= 1 << (rng.next_u64() % 32);
+            }
+            assert_eq!(despread(ChipSequence::from_raw(raw)), s, "case {case}");
+        }
     }
 
     #[test]
@@ -366,7 +376,7 @@ mod tests {
 
     #[test]
     fn bytes_to_symbols_roundtrip() {
-        let bytes = [0xDE, 0xAD, 0xBE, 0xEF];
+        let bytes: Vec<u8> = (0..=255).collect();
         assert_eq!(symbols_to_bytes(&bytes_to_symbols(&bytes)), bytes);
     }
 

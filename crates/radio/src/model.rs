@@ -417,6 +417,25 @@ mod tests {
         let ia = fast.transition(RadioState::Idle, RadioState::Rx).unwrap();
         assert!((ia.energy.microjoules() - 3.315).abs() < 1e-9);
         assert!((fast.turnaround_time().micros() - 96.0).abs() < 1e-9);
+        // Any scale keeps legality and scales every cost linearly.
+        let base = RadioModel::cc2420();
+        let states = [
+            RadioState::Shutdown,
+            RadioState::Idle,
+            RadioState::Rx,
+            RadioState::Tx(TxPowerLevel::Neg7),
+        ];
+        for factor in [0.05, 0.5, 1.0, 4.0] {
+            let scaled = RadioModel::builder().transition_scale(factor).build();
+            for (from, to) in states.into_iter().flat_map(|f| states.map(|t| (f, t))) {
+                let (b, s) = (base.transition(from, to), scaled.transition(from, to));
+                assert_eq!(b.is_some(), s.is_some(), "{from:?} → {to:?}");
+                if let (Some(b), Some(s)) = (b, s) {
+                    assert!((s.time.secs() - b.time.secs() * factor).abs() < 1e-15);
+                    assert!((s.energy.joules() - b.energy.joules() * factor).abs() < 1e-15);
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
-use crate::network::{NetworkConfig, NetworkSummary};
+use crate::network::{NetworkConfig, NetworkSummary, TxPowerPolicy};
 use crate::persist::{
     self, fingerprint_scenario, load_scenario, render_compact, Node, ParseError, PolicyChoice,
     SavedScenario, Value,
@@ -113,7 +113,8 @@ pub enum BatchError {
         error: ParseError,
     },
     /// A scenario parsed but is structurally inconsistent
-    /// ([`Scenario::validate`]).
+    /// ([`Scenario::validate`]), or pairs a per-node power table with a
+    /// policy that moves nodes.
     Invalid {
         /// The offending file.
         path: PathBuf,
@@ -371,10 +372,22 @@ impl BatchSet {
             return Err(BatchError::Empty);
         }
         for (i, entry) in entries.iter().enumerate() {
-            entry
-                .saved
+            let saved = &entry.saved;
+            saved
                 .scenario
                 .validate()
+                .and_then(|()| match saved.policy {
+                    // A positional table cannot follow nodes a policy moves.
+                    Some(
+                        p @ (PolicyChoice::Greedy { .. } | PolicyChoice::ProportionalFair { .. }),
+                    ) if matches!(saved.scenario.tx_policy, TxPowerPolicy::PerNode(_)) => {
+                        Err(format!(
+                            "a per-node tx power table cannot follow the nodes `{}` moves",
+                            p.name()
+                        ))
+                    }
+                    _ => Ok(()),
+                })
                 .map_err(|error| BatchError::Invalid {
                     path: entry.path.clone(),
                     error,
@@ -1464,6 +1477,28 @@ mod tests {
         bad.saved.scenario.channels = 0;
         let err = BatchSet::from_entries(vec![entry("ok", 2), bad], None).unwrap_err();
         assert!(matches!(err, BatchError::Invalid { .. }), "{err}");
+        // A per-node table under a policy that moves nodes; static keeps it.
+        let mut moved = entry("moved", 1);
+        let levels = vec![wsn_radio::TxPowerLevel::Zero; 8];
+        moved.saved.scenario.tx_policy = TxPowerPolicy::PerNode(levels.into());
+        for policy in [
+            PolicyChoice::Greedy {
+                rounds: 3,
+                max_moves: 2,
+                tolerance: 0.0,
+                move_cost: 0.0,
+            },
+            PolicyChoice::ProportionalFair {
+                rounds: 3,
+                epsilon: 0.1,
+            },
+        ] {
+            moved.saved.policy = Some(policy);
+            let err = BatchSet::from_entries(vec![moved.clone()], None).unwrap_err();
+            assert!(err.to_string().contains("per-node"), "{err}");
+        }
+        moved.saved.policy = Some(PolicyChoice::Static { rounds: 3 });
+        assert!(BatchSet::from_entries(vec![moved], None).is_ok());
     }
 
     #[test]
@@ -1817,5 +1852,177 @@ mod tests {
         assert_eq!(second.records.len(), 1);
         assert_eq!(second.failed(), 1);
         std::fs::remove_file(&journal).unwrap();
+    }
+
+    /// Every scenario the farm accepts runs to an `ok` record. The draws
+    /// cover every saved field; a field with an out-of-range value takes
+    /// it one draw in 64 (`wild`), and `from_entries` must refuse those
+    /// entries at load rather than let a job panic.
+    #[test]
+    fn every_accepted_scenario_runs_ok() {
+        use crate::faults::FaultPlan;
+        use crate::persist::save_scenario;
+        use crate::rng::Xoshiro256StarStar as Rng;
+        use crate::scenario::{BerChoice, ChannelAllocation, PayloadSpec, TrafficSpec};
+        use wsn_mac::{BeaconOrder, CsmaParams, RetryPolicy};
+        use wsn_phy::noise::UniformSource;
+        use wsn_radio::TxPowerLevel;
+        use wsn_units::{DBm, Seconds};
+
+        fn wild<T>(good: T, bad: T, rng: &mut Rng) -> T {
+            if rng.index(64) == 0 {
+                bad
+            } else {
+                good
+            }
+        }
+        let payload = |rng: &mut Rng| wild(rng.index(124), 124 + rng.index(64), rng);
+        let rate = |rng: &mut Rng| {
+            // Zero half the time, else up to 0.3.
+            let rate = 0.3 * rng.next_f64() * f64::from(u8::from(rng.bernoulli(0.5)));
+            wild(rate, 1.0 + rng.next_f64(), rng)
+        };
+        let ber = |rng: &mut Rng| {
+            let noise_figure_db = 5.0 + 25.0 * rng.next_f64();
+            match rng.index(3) {
+                0 => BerChoice::EmpiricalCc2420,
+                1 => BerChoice::HardDecisionDsss { noise_figure_db },
+                _ => BerChoice::StandardOqpsk { noise_figure_db },
+            }
+        };
+        let mut rng = Rng::seed_from_u64(0xACCE_97ED);
+        let mut ran = 0;
+        for case in 0..400 {
+            let mut e = entry("drawn", 0);
+            let s = &mut e.saved.scenario;
+            let (channels, nodes) = (1 + rng.index(3), 1 + rng.index(10));
+            (s.channels, s.nodes_per_channel) = (channels, nodes);
+            let exponent = wild(2.0 + 2.0 * rng.next_f64(), 0.0, &mut rng);
+            let shadowing_db = 6.0 * rng.next_f64();
+            // One size serves as loss floor (dB) or radius (m).
+            let size = 1.0 + 80.0 * rng.next_f64();
+            let rings = wild([1, channels][rng.index(2)], channels * nodes + 1, &mut rng);
+            s.deployment = match rng.index(4) {
+                0 => DeploymentSpec::UniformLossGrid {
+                    min_db: size,
+                    max_db: size + wild(30.0 * rng.next_f64(), -5.0, &mut rng),
+                },
+                1 => DeploymentSpec::Disc {
+                    radius_m: wild(size, -size, &mut rng),
+                    exponent,
+                    shadowing_db,
+                },
+                2 => DeploymentSpec::Rings {
+                    radii_m: vec![size; rings],
+                    exponent,
+                    shadowing_db,
+                },
+                _ => DeploymentSpec::Clustered {
+                    field_radius_m: size,
+                    cluster_radius_m: size * wild(rng.next_f64(), 1.5, &mut rng),
+                    exponent,
+                    shadowing_db,
+                },
+            };
+            s.allocation = [
+                ChannelAllocation::RoundRobin,
+                ChannelAllocation::Contiguous,
+                ChannelAllocation::RingStratified,
+            ][rng.index(3)];
+            let payloads = if rng.bernoulli(0.5) {
+                PayloadSpec::Uniform {
+                    payload_bytes: payload(&mut rng),
+                }
+            } else {
+                let n = wild(channels, channels - 1, &mut rng);
+                let payload_bytes = (0..n).map(|_| payload(&mut rng)).collect();
+                PayloadSpec::PerChannel { payload_bytes }
+            };
+            s.traffic = TrafficSpec {
+                payloads,
+                gts_slots_per_node: wild(rng.index(4) as u8, 16, &mut rng),
+                gts_demand: rng.bernoulli(0.5).then(|| rng.index(9) as u32),
+                downlink_rate: rate(&mut rng),
+            };
+            let bo = wild(rng.index(9), 9 + rng.index(6), &mut rng);
+            s.beacon_order = BeaconOrder::new(bo as u8).unwrap();
+            let max_be = rng.index(9) as u8;
+            s.csma = CsmaParams {
+                min_be: rng.index(usize::from(max_be) + 1) as u8,
+                max_be,
+                max_backoffs: rng.index(6) as u8,
+                cw: 1 + rng.index(3) as u8,
+            };
+            let c = &mut s.csma;
+            for field in [&mut c.min_be, &mut c.max_be, &mut c.max_backoffs, &mut c.cw] {
+                *field = wild(*field, rng.next_u64() as u8, &mut rng);
+            }
+            s.retries = RetryPolicy::new(1 + rng.index(7) as u32);
+            s.superframes = wild(2 + rng.index(2), rng.index(2), &mut rng) as u32;
+            s.replications = 1 + rng.index(2) as u32;
+            s.seed = rng.next_u64();
+            s.tx_policy = match rng.index(3) {
+                0 => TxPowerPolicy::Fixed(TxPowerLevel::ALL[rng.index(8)]),
+                1 => TxPowerPolicy::ChannelInversion {
+                    target_rx: DBm::new(-95.0 + 15.0 * rng.next_f64()),
+                },
+                _ => {
+                    let n = wild(nodes, nodes + 1, &mut rng);
+                    let levels = (0..n).map(|_| TxPowerLevel::ALL[rng.index(8)]).collect();
+                    TxPowerPolicy::PerNode(levels)
+                }
+            };
+            s.coordinator_tx = DBm::new(-25.0 * rng.next_f64());
+            s.wakeup_margin = Seconds::from_millis(2.0 * rng.next_f64());
+            s.ber = ber(&mut rng);
+            if rng.bernoulli(0.5) {
+                let n = wild(channels, channels - 1, &mut rng);
+                s.channel_ber = Some((0..n).map(|_| ber(&mut rng)).collect());
+            }
+            if rng.bernoulli(0.5) {
+                let n = wild(channels, channels - 1, &mut rng);
+                s.channel_loss_offsets_db = Some((0..n).map(|_| 30.0 * rng.next_f64()).collect());
+            }
+            s.min_cap_slots = wild(rng.index(16) as u8, 16, &mut rng);
+            s.synchronized_arrivals = rng.bernoulli(0.25);
+            s.faults = FaultPlan {
+                death_rate: rate(&mut rng),
+                rejoin_delay: rng.index(3) as u32,
+                max_join_retries: rng.index(3) as u32,
+                outage_rate: rate(&mut rng),
+                outage_superframes: wild(1 + rng.index(2) as u32, 0, &mut rng),
+                drift_amplitude_db: wild(5.0 * rng.next_f64(), -1.0, &mut rng),
+                drift_period_rounds: rng.index(3) as u32,
+                burst_every_rounds: rng.index(3) as u32,
+                burst_downlink_rate: rate(&mut rng),
+            };
+            s.shards = 1 + rng.index(3);
+            let rounds = 1 + rng.index(3) as u32;
+            e.saved.policy = match rng.index(4) {
+                0 => None,
+                1 => Some(PolicyChoice::Static { rounds }),
+                2 => Some(PolicyChoice::Greedy {
+                    rounds,
+                    max_moves: rng.index(4) as u32,
+                    tolerance: 0.1 * rng.next_f64(),
+                    move_cost: 0.1 * rng.next_f64(),
+                }),
+                _ => Some(PolicyChoice::ProportionalFair {
+                    rounds,
+                    epsilon: 0.5 * rng.next_f64(),
+                }),
+            };
+            let Ok(set) = BatchSet::from_entries(vec![e.clone()], None) else {
+                continue;
+            };
+            ran += 1;
+            let mut sink = WriteSink::new(Vec::new());
+            let config = RunConfig::default();
+            let report = set.run_with(&Runner::serial(), &mut sink, &config).unwrap();
+            let got = &report.records[0].status;
+            let text = save_scenario(&e.saved).unwrap();
+            assert!(got.is_ok(), "case {case}: {got:?}\n{text}");
+        }
+        assert!(ran > 200, "only {ran} of 400 draws validated");
     }
 }

@@ -26,7 +26,7 @@
 //! * **Quantization.** Decisions live on the 320 µs grid; the channel-busy
 //!   horizon is tracked in microseconds so packet airtimes stay exact.
 
-use wsn_mac::csma::{CsmaAction, CsmaParams, SlottedCsmaCa};
+use wsn_mac::csma::{CsmaAction, CsmaParams, InvalidCsmaParams, SlottedCsmaCa};
 use wsn_mac::gts::GtsRegistry;
 use wsn_mac::RetryPolicy;
 use wsn_phy::frame::{ack_duration, beacon_duration, PacketLayout};
@@ -76,6 +76,21 @@ pub enum ConfigError {
         /// The typed window overflow from the event queue.
         WindowError,
     ),
+    /// CSMA/CA parameters [`SlottedCsmaCa::start`] rejects.
+    Csma(
+        /// The violated parameter rule.
+        InvalidCsmaParams,
+    ),
+    /// A contention-free period on a superframe shorter than its 16 MAC
+    /// slots.
+    CfpSpan,
+    /// A GTS holder's packet outlasts its allocation.
+    GtsFit {
+        /// Packet airtime in microseconds.
+        packet_us: u64,
+        /// MAC slots per allocation.
+        slots: u8,
+    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -87,6 +102,13 @@ impl core::fmt::Display for ConfigError {
                 write!(f, "need at least two superframes, got {n}")
             }
             ConfigError::Window(err) => write!(f, "{err}"),
+            ConfigError::Csma(err) => write!(f, "invalid CSMA parameters: {err}"),
+            ConfigError::CfpSpan => {
+                write!(f, "a superframe must span its 16 MAC slots to carry a CFP")
+            }
+            ConfigError::GtsFit { packet_us, slots } => {
+                write!(f, "a {packet_us} µs packet does not fit a {slots}-slot GTS")
+            }
         }
     }
 }
@@ -194,8 +216,9 @@ impl ChannelSimConfig {
     }
 
     /// Checks every precondition the engine asserts on entry — node count,
-    /// load interval, superframe count, and the calendar-queue window
-    /// ceiling the implied superframe length must fit under — as a
+    /// load interval, superframe count, the calendar-queue window ceiling
+    /// the implied superframe length must fit under, the CSMA/CA
+    /// parameters, and a non-inert CFP's 16-slot span and GTS fit — as a
     /// `Result` instead of a panic.
     ///
     /// `validate().is_ok()` guarantees [`run_channel_sim_into`] will not
@@ -215,6 +238,21 @@ impl ChannelSimConfig {
         // superframe long enough to overflow MAX_WINDOW would panic inside
         // `reserve_window`.
         WindowError::check(self.superframe_slots() + WINDOW_SLACK)?;
+        self.csma.validate().map_err(ConfigError::Csma)?;
+        if !self.cfp.is_inert() {
+            let t = self.timings();
+            if t.superframe_slots < 16 {
+                return Err(ConfigError::CfpSpan);
+            }
+            let slots = self.cfp.slots_per_gts;
+            let gts_us = slots as u64 * t.mac_slot_backoffs * SLOT_US;
+            if self.cfp.gts_nodes.min(self.nodes as u32) > 0 && t.packet_us > gts_us {
+                return Err(ConfigError::GtsFit {
+                    packet_us: t.packet_us,
+                    slots,
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -605,8 +643,7 @@ fn resolve_pending_death<S: TraceSink>(
 ///
 /// # Panics
 ///
-/// Panics if the configuration is structurally invalid (no nodes, load
-/// outside `(0,1)`, fewer than two superframes).
+/// Panics if [`ChannelSimConfig::validate`] rejects the configuration.
 pub fn run_channel_sim_into<F, S>(
     config: &ChannelSimConfig,
     timings: &SlotTimings,
@@ -690,19 +727,6 @@ where
     let plan = config.cfp;
     let gts_nodes = plan.gts_nodes.min(config.nodes as u32);
     let polling = plan.downlink_rate > 0.0;
-    if !plan.is_inert() {
-        assert!(
-            timings.superframe_slots >= 16,
-            "a superframe must span its 16 MAC slots to carry a CFP"
-        );
-        if gts_nodes > 0 {
-            assert!(
-                packet_us <= plan.slots_per_gts as u64 * timings.mac_slot_backoffs * SLOT_US,
-                "a {packet_us} µs packet does not fit a {}-slot GTS",
-                plan.slots_per_gts
-            );
-        }
-    }
     // Downlink polls use their own offsets and pending-draw stream so the
     // CAP arrival pattern is untouched by polling.
     let mut dl_rng = root.split(u64::MAX - 1);
@@ -1539,6 +1563,34 @@ mod tests {
             trace.transactions.len(),
             nominal
         );
+        // Per-record bounds over random payloads, loads and seeds, and
+        // without a corruption oracle one delivered attempt per delivered
+        // transaction.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x7ACE);
+        for case in 0..40 {
+            let load = 0.05 + 0.85 * rng.next_f64();
+            let mut cfg = quick(5 + rng.index(119), load, rng.next_u64());
+            (cfg.nodes, cfg.superframes) = (20, 4);
+            let trace = run_channel_sim(&cfg, |_| false);
+            let rounds = u32::from(cfg.csma.max_backoffs) + 1;
+            let max_ccas = rounds * u32::from(cfg.csma.cw);
+            for a in &trace.attempts {
+                assert!((1..=max_ccas).contains(&a.ccas), "case {case}");
+                let failed = a.outcome == AttemptOutcome::AccessFailure;
+                assert!(!failed || a.ccas >= rounds, "case {case}");
+                assert_ne!(a.outcome, AttemptOutcome::Corrupted, "case {case}");
+            }
+            for t in &trace.transactions {
+                assert!(t.attempts <= cfg.retries.n_max(), "case {case}");
+                let ok = t.attempts >= 1 && !t.access_failure;
+                assert!(!t.delivered || ok, "case {case}");
+            }
+            let delivered = |o| trace.attempts.iter().filter(|a| a.outcome == o).count();
+            let done = trace.transactions.iter().filter(|t| t.delivered).count();
+            assert_eq!(delivered(AttemptOutcome::Delivered), done, "case {case}");
+            let st = trace.contention_stats();
+            assert!(st.procedures == 0 || st.mean_ccas >= 1.0, "case {case}");
+        }
     }
 
     #[test]
@@ -1602,6 +1654,25 @@ mod tests {
             }
             other => panic!("expected window overflow, got {other:?}"),
         }
+        // CSMA/CA parameters `SlottedCsmaCa::start` would panic on, a CFP
+        // on an 8-slot superframe, and a packet longer than its GTS.
+        let mut cfg = quick(20, 0.3, 1);
+        cfg.csma.cw = 0;
+        let csma = ConfigError::Csma(InvalidCsmaParams::ZeroContentionWindow);
+        assert_eq!(cfg.validate(), Err(csma));
+        let mut cfg = quick(5, 0.9, 1);
+        cfg.nodes = 1;
+        cfg.cfp = plan_channel_cfp(1, 0, 1, 8, 0.5);
+        assert_eq!(cfg.validate(), Err(ConfigError::CfpSpan));
+        let mut cfg = quick(123, 0.9, 1);
+        cfg.nodes = 4;
+        cfg.cfp = plan_channel_cfp(4, 4, 1, 8, 0.0);
+        let fit = ConfigError::GtsFit {
+            packet_us: 4352,
+            slots: 1,
+        };
+        assert_eq!(cfg.validate(), Err(fit));
+        assert!(fit.to_string().contains("does not fit"));
         // Error text matches the engine's panic messages (pinned by the
         // `should_panic(expected = ...)` substring tests).
         assert_eq!(

@@ -158,6 +158,10 @@ mod tests {
                 "bucket {i} count {c} far from uniform"
             );
         }
+        for _ in 0..1000 {
+            let n = 1 + rng.range_u32(9_999);
+            assert!(rng.range_u32(n) < n, "bound {n}");
+        }
     }
 
     #[test]

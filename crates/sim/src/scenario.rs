@@ -629,6 +629,24 @@ impl Scenario {
             / self.beacon_order.beacon_interval().secs()
     }
 
+    /// Channel `c`'s contention configuration with `nodes` nodes and
+    /// contention seed `seed` — the one place [`compile`](Self::compile),
+    /// the assignment compiles and [`validate`](Self::validate) build it.
+    fn channel_sim_config(&self, c: usize, nodes: usize, seed: u64) -> ChannelSimConfig {
+        ChannelSimConfig {
+            nodes,
+            packet: self.channel_packet(c),
+            load: self.load_for(c, nodes),
+            csma: self.csma,
+            retries: self.retries,
+            superframes: self.superframes,
+            seed,
+            synchronized_arrivals: self.synchronized_arrivals,
+            cfp: self.channel_cfp(nodes),
+            faults: self.faults,
+        }
+    }
+
     /// The most nodes channel `c` can hold while keeping its load below
     /// `max_load` — the capacity bound allocation policies must respect.
     pub fn channel_capacity(&self, c: usize, max_load: f64) -> usize {
@@ -1002,6 +1020,11 @@ impl Scenario {
                 ));
             }
         }
+        for c in 0..self.channels {
+            self.channel_sim_config(c, self.nodes_per_channel, self.seed)
+                .validate()
+                .map_err(|e| format!("channel {c}: {e}"))?;
+        }
         Ok(())
     }
 
@@ -1022,25 +1045,17 @@ impl Scenario {
         let losses: Vec<Arc<[Db]>> = self.channel_losses().into_iter().map(Arc::from).collect();
         (0..self.channels)
             .map(|c| {
-                let packet = self.channel_packet(c);
                 let load = self.channel_load(c);
                 assert!(
                     load > 0.0 && load < 1.0,
                     "channel {c} load {load:.3} outside (0,1) — lower the traffic or raise BO"
                 );
                 NetworkConfig {
-                    channel: ChannelSimConfig {
-                        nodes: self.nodes_per_channel,
-                        packet,
-                        load,
-                        csma: self.csma,
-                        retries: self.retries,
-                        superframes: self.superframes,
-                        seed: replication_seed(self.seed, c as u64),
-                        synchronized_arrivals: self.synchronized_arrivals,
-                        cfp: self.channel_cfp(self.nodes_per_channel),
-                        faults: self.faults,
-                    },
+                    channel: self.channel_sim_config(
+                        c,
+                        self.nodes_per_channel,
+                        replication_seed(self.seed, c as u64),
+                    ),
                     radio: self.radio.clone(),
                     path_losses: losses[c].clone(),
                     tx_policy: self.tx_policy.clone(),
@@ -1158,25 +1173,17 @@ impl Scenario {
                     "channel {c} has no nodes — policies must keep every channel populated"
                 );
                 let offset = self.channel_loss_offset(c);
-                let packet = self.channel_packet(c);
                 let load = self.load_for(c, part.len());
                 assert!(
                     load > 0.0 && load < 1.0,
                     "channel {c} load {load:.3} outside (0,1) — the assignment overloads it"
                 );
                 NetworkConfig {
-                    channel: ChannelSimConfig {
-                        nodes: part.len(),
-                        packet,
-                        load,
-                        csma: self.csma,
-                        retries: self.retries,
-                        superframes: self.superframes,
-                        seed: replication_seed(salted, c as u64),
-                        synchronized_arrivals: self.synchronized_arrivals,
-                        cfp: self.channel_cfp(part.len()),
-                        faults: self.faults,
-                    },
+                    channel: self.channel_sim_config(
+                        c,
+                        part.len(),
+                        replication_seed(salted, c as u64),
+                    ),
                     radio: self.radio.clone(),
                     path_losses: part.iter().map(|&i| losses[i] + offset).collect(),
                     tx_policy: self.tx_policy.clone(),
@@ -1785,6 +1792,20 @@ mod tests {
             let err = tiny(spec.clone()).validate().unwrap_err();
             assert!(err.contains(message), "{spec:?}: {err}");
         }
+        // CSMA parameters `SlottedCsmaCa::start` panics on, and a GTS too
+        // short for its frame: 133 bytes last 4256 µs, a BO 0 slot 960 µs.
+        for (min_be, max_be, cw) in [(3, 5, 0), (6, 5, 2), (3, 9, 2)] {
+            let mut s = tiny(grid(55.0, 95.0));
+            (s.csma.min_be, s.csma.max_be, s.csma.cw) = (min_be, max_be, cw);
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("invalid CSMA parameters"), "{err}");
+        }
+        let mut s = tiny(grid(55.0, 95.0))
+            .with_beacon_order(BeaconOrder::new(0).unwrap())
+            .with_traffic(TrafficSpec::uniform(120).with_gts(1));
+        (s.channels, s.nodes_per_channel) = (1, 3);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("does not fit a 1-slot GTS"), "{err}");
     }
 
     #[test]

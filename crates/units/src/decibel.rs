@@ -229,11 +229,18 @@ mod tests {
         assert_eq!(rx.dbm(), -88.0);
         assert_eq!((rx + Db::new(3.0)).dbm(), -85.0);
         assert_eq!((DBm::new(-85.0) - DBm::new(-88.0)).db(), 3.0);
+        // A gain applied then removed, and a level difference re-applied,
+        // are identities across the radio range.
+        for (a, b) in [(-120.0, 20.0), (-88.0, -25.0), (0.0, -60.0), (15.0, 60.0)] {
+            let (level, gain) = (DBm::new(a), Db::new(b));
+            assert!((((level + gain) - gain).dbm() - a).abs() < 1e-12);
+            assert!(((DBm::new(b) + (level - DBm::new(b))).dbm() - a).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn dbm_power_roundtrip() {
-        for dbm in [-94.0, -25.0, -3.0, 0.0, 15.0] {
+        for dbm in [-120.0, -94.0, -25.0, -3.0, 0.0, 15.0, 30.0] {
             let back = DBm::new(dbm).to_power().to_dbm();
             assert!((back.dbm() - dbm).abs() < 1e-9, "roundtrip at {dbm} dBm");
         }
@@ -241,7 +248,7 @@ mod tests {
 
     #[test]
     fn db_linear_roundtrip() {
-        for db in [-20.0, -3.0, 0.0, 10.0, 30.0] {
+        for db in [-80.0, -20.0, -3.0, 0.0, 10.0, 30.0, 80.0] {
             let back = Db::from_linear(Db::new(db).to_linear());
             assert!((back.db() - db).abs() < 1e-9);
         }

@@ -203,6 +203,12 @@ mod tests {
         let a = Current::from_milliamps(10.0) * Voltage::from_volts(1.8);
         let b = Voltage::from_volts(1.8) * Current::from_milliamps(10.0);
         assert_eq!(a, b);
+        // And bilinear: scaling the current scales the power.
+        for (ma, v, k) in [(0.0, 1.8, 3.0), (19.6, 0.1, 0.1), (100.0, 5.0, 10.0)] {
+            let base = Current::from_milliamps(ma) * Voltage::from_volts(v);
+            let scaled = Current::from_milliamps(ma * k) * Voltage::from_volts(v);
+            assert!((scaled.watts() - base.watts() * k).abs() < 1e-12 * (1.0 + base.watts() * k));
+        }
     }
 
     #[test]

@@ -218,6 +218,12 @@ mod tests {
     fn energy_over_power_is_time() {
         let t = Energy::from_joules(1.0) / Power::from_watts(4.0);
         assert!((t.secs() - 0.25).abs() < 1e-15);
+        // (P × t) / t recovers P and (P × t) / P recovers t.
+        for (mw, ms) in [(1e-3, 1e4), (0.712, 970.0), (35.28, 4.256), (1e3, 1e-3)] {
+            let (p, t) = (Power::from_milliwatts(mw), Seconds::from_millis(ms));
+            assert!((((p * t) / t).milliwatts() - mw).abs() < mw * 1e-12);
+            assert!((((p * t) / p).millis() - ms).abs() < ms * 1e-12);
+        }
     }
 
     #[test]
@@ -242,6 +248,11 @@ mod tests {
         .into_iter()
         .sum();
         assert_eq!(total.joules(), 4.0);
+        // Summation order does not matter at ledger precision.
+        let parts = [0.0, 1e3, 3.3, 0.07, 999.9, 42.0].map(Energy::from_microjoules);
+        let forward: Energy = parts.iter().copied().sum();
+        let backward: Energy = parts.iter().rev().copied().sum();
+        assert!((forward.joules() - backward.joules()).abs() < 1e-9 * (1.0 + forward.joules()));
     }
 
     #[test]

@@ -229,6 +229,10 @@ mod tests {
         // 35.28 mW (CC2420 RX) is about +15.47 dBm.
         let rx = Power::from_milliwatts(35.28);
         assert!((rx.to_dbm().dbm() - 15.475).abs() < 1e-2);
+        for uw in [1e-6, 3.7e-2, 1.0, 712.0, 35_280.0, 1e9] {
+            let back = Power::from_microwatts(uw).to_dbm().to_power();
+            assert!((back.microwatts() - uw).abs() < uw * 1e-9, "{uw} µW");
+        }
     }
 
     #[test]
