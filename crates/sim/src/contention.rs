@@ -415,21 +415,23 @@ impl SimTrace {
 // Engine
 // ---------------------------------------------------------------------------
 
+/// Engine events. A node event names the node by `rec`, the index of its
+/// `Node` record in the arrival-ordered node array, not by node id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Beacon transmission starts (occupies the channel).
     Beacon,
     /// A node's packet becomes ready.
-    Arrival { node: u32 },
+    Arrival { rec: u32 },
     /// A node performs a CCA.
-    Cca { node: u32 },
+    Cca { rec: u32 },
     /// A node's transmission ends (`end_us` is the exact airtime end).
-    TxEnd { node: u32, end_us: u64 },
+    TxEnd { rec: u32, end_us: u64 },
     /// A GTS holder transmits in its dedicated CFP slot (bypasses CSMA
     /// and the collision-cohort accounting entirely).
-    GtsTx { node: u32 },
+    GtsTx { rec: u32 },
     /// A pending downlink frame's data-request poll becomes due.
-    DlPoll { node: u32 },
+    DlPoll { rec: u32 },
 }
 
 // Priority classes resolve same-slot ties; the order reproduces the
@@ -457,12 +459,17 @@ enum CsmaKind {
     DataRequest,
 }
 
-/// Hot per-node scalars of the contention engine — the fields nearly
-/// every event arm reads and writes, packed into one small struct so one
-/// event's bookkeeping touches one cache line of the node array instead
-/// of a whole aggregate `NodeState`.
-#[derive(Debug, Clone, Copy)]
-struct NodeHot {
+/// One node's contention state: every field a node event reads or
+/// writes, in one record, so an event touches one record of one array.
+#[derive(Debug)]
+struct Node {
+    /// Node index: what records carry and what the oracle is asked about.
+    id: u32,
+    /// The node's RNG stream (`root.split(id)`).
+    rng: Xoshiro256StarStar,
+    /// In-flight CSMA machine, from procedure start to its Transmit or
+    /// Failure decision.
+    csma: Option<SlottedCsmaCa>,
     attempt: u32,
     superframes_waited: u32,
     cont_start_slot: u64,
@@ -470,6 +477,12 @@ struct NodeHot {
     /// its Transmit decision and its TxEnd) — the per-node half of the
     /// collision-cohort bookkeeping.
     tx_start_slot: u64,
+    /// CCAs of the in-flight transmission's procedure, saved at Transmit.
+    /// Between Transmit and TxEnd the node starts no procedure (an arrival
+    /// is an overrun, a poll is deferred), so TxEnd rebuilds the pending
+    /// record from this and `tx_start_slot - cont_start_slot`; attempts
+    /// cut off by the horizon are never recorded.
+    ccas: u32,
     carry_packet: bool,
     active: bool,
     recording: bool,
@@ -478,20 +491,21 @@ struct NodeHot {
     kind: CsmaKind,
 }
 
-const NODE_HOT_INIT: NodeHot = NodeHot {
-    attempt: 0,
-    superframes_waited: 0,
-    cont_start_slot: 0,
-    tx_start_slot: 0,
-    carry_packet: false,
-    active: false,
-    recording: false,
-    kind: CsmaKind::Uplink,
-};
+impl Node {
+    /// Starts a CSMA/CA procedure; returns its initial backoff in slots.
+    fn start_csma(&mut self, params: CsmaParams) -> u64 {
+        let machine = SlottedCsmaCa::start(params, &mut self.rng);
+        let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
+            unreachable!("CSMA always begins with a backoff");
+        };
+        self.csma = Some(machine);
+        u64::from(periods)
+    }
+}
 
-/// Cold fault-plan per-node state, touched only at superframe boundaries
-/// (and only under an active fault plan) — segregated so fault-free runs
-/// never pull it into cache on the per-event path.
+/// Cold fault-plan per-node state, indexed by node id and touched only
+/// under an active fault plan — segregated so fault-free runs never pull
+/// it into cache.
 #[derive(Debug, Clone, Copy)]
 struct NodeFault {
     /// `false` while the node's radio is off (dead or dormant). Always
@@ -517,16 +531,20 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 };
 
 /// Reusable per-thread scratch of the contention engine: the calendar
-/// queue, the struct-of-arrays node state, the arrival offsets with their
-/// slot order, and the network layer's corruption-probability buffer.
+/// queue, one record per node, the arrival order, the cold fault state
+/// and the network layer's corruption-probability buffer.
 ///
-/// Node state is struct-of-arrays — RNG streams, CSMA machines, hot
-/// scalars (`NodeHot`), the two pending-record slots and the cold fault
-/// group (`NodeFault`) live in parallel vectors — so an event loads only
-/// the arrays its arm touches rather than a ~160-byte aggregate per node.
-/// The engine is event-driven, though: one event reads one node's fields
-/// across several arrays, and at 10⁵ nodes the arrays are far larger than
-/// L2, so each array an event touches can cost a cache miss.
+/// Each node's contention state is one record (`Node`), and the records
+/// are stored in arrival order: record `k` belongs to the `k`-th node when
+/// nodes are sorted by (arrival offset, node index). Events name records
+/// by that index, so an event touches one record of one array. A node's
+/// events cluster around its arrival offset, so nodes active at the same
+/// time sit next to each other, and at 10⁵ nodes the engine walks a
+/// sliding window of the array instead of touching it at random. Loops
+/// that must run in node order (fault draws, dead-node and outage
+/// records, GTS and poll pushes) map a node to its record through a
+/// node-indexed position table. Records and oracle queries carry the
+/// node's id, so nothing outside the engine sees the order.
 ///
 /// A workspace is pure scratch — [`run_channel_sim_into_ws`] fully
 /// reinitializes every field from the configuration, so reusing one across
@@ -539,26 +557,16 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     queue: EventQueue<Ev>,
-    /// Per-node RNG streams (`root.split(i)`).
-    rngs: Vec<Xoshiro256StarStar>,
-    /// Per-node in-flight CSMA machine, if any.
-    csma: Vec<Option<SlottedCsmaCa>>,
-    /// Per-node hot scalars (attempt counters, flags, slot marks).
-    hot: Vec<NodeHot>,
-    /// Attempt measured at transmission start, committed to the trace when
-    /// its outcome is known at TxEnd (so attempts cut off by the horizon
-    /// are never recorded with a fabricated outcome).
-    pending_attempts: Vec<Option<AttemptRecord>>,
-    /// Data-request contention measurements captured at transmission
-    /// start, finalized into a [`DownlinkRecord`] at TxEnd.
-    pending_dls: Vec<Option<(u64, u32)>>,
-    /// Cold per-node fault state (alive/dormant/retry bookkeeping).
+    /// One record per node, in arrival order.
+    nodes: Vec<Node>,
+    /// `(arrival offset, node)` sorted ascending: entry `k` is record
+    /// `k`'s arrival, so beacons push arrivals in slot order.
+    arrivals: Vec<(u64, u32)>,
+    /// Node id → record index.
+    pos: Vec<u32>,
+    /// Cold per-node fault state (alive/dormant/retry bookkeeping),
+    /// indexed by node id.
     fault: Vec<NodeFault>,
-    /// Per-node arrival offsets (slots after the beacon).
-    offsets: Vec<u64>,
-    /// Node indices stably sorted by arrival offset: the order beacons
-    /// push arrivals in, so the pushes walk the ring forward.
-    arrival_order: Vec<u32>,
     /// Per-node downlink poll offsets (drawn only when the configuration
     /// polls at all).
     dl_offsets: Vec<u64>,
@@ -603,7 +611,8 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut SimWorkspace) -> R) -> R {
 
 /// Applies a deferred death at the end of the procedure that was in
 /// flight when the node drew it. `death_pending` is only ever set when a
-/// fault plan is active, so this is a no-op branch on the inert path.
+/// fault plan is active, so the engine calls this only then: fault-free
+/// runs never load the fault array.
 fn resolve_pending_death<S: TraceSink>(
     f: &mut NodeFault,
     node: u32,
@@ -689,36 +698,44 @@ where
     let ack_timeout_us = timings.ack_timeout_us;
 
     let root = Xoshiro256StarStar::seed_from_u64(config.seed);
-    ws.rngs.clear();
-    ws.rngs
-        .extend((0..config.nodes).map(|i| root.split(i as u64)));
-    ws.csma.clear();
-    ws.csma.resize_with(config.nodes, || None);
-    ws.hot.clear();
-    ws.hot.resize(config.nodes, NODE_HOT_INIT);
-    ws.pending_attempts.clear();
-    ws.pending_attempts.resize(config.nodes, None);
-    ws.pending_dls.clear();
-    ws.pending_dls.resize(config.nodes, None);
-    ws.fault.clear();
-    ws.fault.resize(config.nodes, NODE_FAULT_INIT);
     let mut offsets_rng = root.split(u64::MAX);
 
-    // Fixed per-node arrival offsets (slots after the beacon).
+    // Fixed per-node arrival offsets (slots after the beacon), drawn in
+    // node order; the node records follow them in (offset, node) order.
     let beacon_slots = timings.beacon_slots;
-    ws.offsets.clear();
-    ws.offsets.extend((0..config.nodes).map(|_| {
-        if config.synchronized_arrivals {
+    ws.arrivals.clear();
+    ws.arrivals.extend((0..config.nodes as u32).map(|i| {
+        let offset = if config.synchronized_arrivals {
             beacon_slots
         } else {
             let span = sf_slots.saturating_sub(beacon_slots).max(1);
             beacon_slots + (offsets_rng.next_f64() * span as f64) as u64
-        }
+        };
+        (offset, i)
     }));
-    ws.arrival_order.clear();
-    ws.arrival_order.extend(0..config.nodes as u32);
-    let offsets = &ws.offsets;
-    ws.arrival_order.sort_by_key(|&i| offsets[i as usize]);
+    ws.arrivals.sort_unstable();
+    ws.nodes.clear();
+    ws.nodes.extend(ws.arrivals.iter().map(|&(_, id)| Node {
+        id,
+        rng: root.split(u64::from(id)),
+        csma: None,
+        attempt: 0,
+        superframes_waited: 0,
+        cont_start_slot: 0,
+        tx_start_slot: 0,
+        ccas: 0,
+        carry_packet: false,
+        active: false,
+        recording: false,
+        kind: CsmaKind::Uplink,
+    }));
+    ws.pos.clear();
+    ws.pos.resize(config.nodes, 0);
+    for (k, &(_, id)) in ws.arrivals.iter().enumerate() {
+        ws.pos[id as usize] = k as u32;
+    }
+    ws.fault.clear();
+    ws.fault.resize(config.nodes, NODE_FAULT_INIT);
 
     // --- Contention-free period plan -----------------------------------
     // Every branch below is gated so an inert plan leaves the event
@@ -764,14 +781,10 @@ where
 
     let SimWorkspace {
         queue,
-        rngs,
-        csma,
-        hot,
-        pending_attempts,
-        pending_dls,
+        nodes,
+        arrivals,
+        pos,
         fault,
-        offsets,
-        arrival_order,
         dl_offsets,
         ..
     } = ws;
@@ -863,7 +876,7 @@ where
                             if !dies || !f.alive {
                                 continue;
                             }
-                            if hot[i].active {
+                            if nodes[pos[i] as usize].active {
                                 // Mid-procedure: the death defers to the
                                 // procedure's natural end so no queued
                                 // event is ever cancelled.
@@ -896,7 +909,7 @@ where
                                 sink.on_fault(&FaultRecord {
                                     node: i as u32,
                                     kind: FaultKind::MissedBeacon {
-                                        listened: !hot[i].active,
+                                        listened: !nodes[pos[i] as usize].active,
                                     },
                                 });
                             }
@@ -935,8 +948,9 @@ where
                             f.alive = true;
                             let latency_superframes = f.down_superframes;
                             f.join_retries = 0;
-                            hot[i].carry_packet = false;
-                            hot[i].superframes_waited = 0;
+                            let n = &mut nodes[pos[i] as usize];
+                            n.carry_packet = false;
+                            n.superframes_waited = 0;
                             if !in_warmup {
                                 sink.on_fault(&FaultRecord {
                                     node: i as u32,
@@ -990,7 +1004,7 @@ where
                     };
                     let down = |i: usize| faults_active && !fault[i].alive;
                     // Dead-node records and GTS pushes keep node order.
-                    for i in 0..config.nodes {
+                    for (i, &rec) in pos.iter().enumerate() {
                         if down(i) {
                             // The application's per-superframe reading
                             // still exists; with the radio down the
@@ -1009,28 +1023,30 @@ where
                             }
                         } else if let Some(start) = gts_start(i) {
                             let gts_off = start as u64 * timings.mac_slot_backoffs;
-                            queue.push(slot + gts_off, PRIO_CFP, Ev::GtsTx { node: i as u32 });
+                            queue.push(slot + gts_off, PRIO_CFP, Ev::GtsTx { rec });
                         }
                     }
-                    // Arrivals go in offset order, so at 10⁵ nodes each
-                    // push lands next to the last one instead of at a
-                    // random ring slot. Pop order is the node-order push's,
-                    // because:
+                    // Arrivals go in record order, which is offset order,
+                    // so at 10⁵ nodes each push lands next to the last one
+                    // instead of at a random ring slot. They pop in the
+                    // order a node-order push would give, naming the same
+                    // nodes, because:
                     // * the pop key is (slot, class, insertion);
                     // * only beacon-time pushes use PRIO_ARRIVAL;
-                    // * the stable sort keeps node order among equal
-                    //   offsets, so same-slot arrivals keep their order;
+                    // * records sort by (offset, node), so same-slot
+                    //   arrivals are pushed in node order;
                     // * downlink polls, which share the class, are still
                     //   pushed after every arrival;
                     // * offsets are below `sf_slots`, so every class-3
                     //   event of the previous superframe lies before this
-                    //   beacon and none shares a slot with these arrivals.
-                    for &node in arrival_order.iter() {
+                    //   beacon and none shares a slot with these arrivals;
+                    // * record `k` is node `arrivals[k].1`.
+                    for (k, &(off, node)) in arrivals.iter().enumerate() {
                         let i = node as usize;
                         if down(i) || gts_start(i).is_some() {
                             continue;
                         }
-                        queue.push(slot + offsets[i], PRIO_ARRIVAL, Ev::Arrival { node });
+                        queue.push(slot + off, PRIO_ARRIVAL, Ev::Arrival { rec: k as u32 });
                     }
                     if polling {
                         // One independent pending draw per node per
@@ -1040,7 +1056,7 @@ where
                         for (i, &off) in dl_offsets.iter().enumerate() {
                             let fire = dl_rng.bernoulli(plan.downlink_rate);
                             if fire && !down(i) {
-                                queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { node: i as u32 });
+                                queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { rec: pos[i] });
                             }
                         }
                     }
@@ -1050,8 +1066,8 @@ where
                     // still mid-procedure carry theirs across the outage
                     // (the skipped arrival counts as an overrun, exactly
                     // as a busy node's arrival would).
-                    for (i, h) in hot.iter().enumerate() {
-                        if h.active {
+                    for (i, &k) in pos.iter().enumerate() {
+                        if nodes[k as usize].active {
                             sink.on_overrun();
                         } else {
                             sink.on_transaction(&TransactionRecord {
@@ -1069,75 +1085,53 @@ where
                     queue.push(slot + sf_slots, PRIO_BEACON, Ev::Beacon);
                 }
             }
-            Ev::Arrival { node } => {
+            Ev::Arrival { rec } => {
                 let in_warmup = slot < sf_slots;
-                if faults_active && !fault[node as usize].alive {
+                let n = &mut nodes[rec as usize];
+                if faults_active && !fault[n.id as usize].alive {
                     // Scheduled at the beacon, but a deferred death
                     // resolved since: the node is gone.
                     continue;
                 }
-                let h = &mut hot[node as usize];
-                if h.active {
+                if n.active {
                     if !in_warmup {
                         sink.on_overrun();
                     }
                     continue;
                 }
-                if h.carry_packet {
-                    h.superframes_waited += 1;
+                if n.carry_packet {
+                    n.superframes_waited += 1;
                 } else {
-                    h.superframes_waited = 0;
+                    n.superframes_waited = 0;
                 }
-                h.active = true;
-                h.kind = CsmaKind::Uplink;
-                h.recording = !in_warmup;
-                h.attempt = 1;
-                h.cont_start_slot = slot;
-                let machine = SlottedCsmaCa::start(config.csma, &mut rngs[node as usize]);
-                let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
-                    unreachable!("CSMA always begins with a backoff");
-                };
-                csma[node as usize] = Some(machine);
-                queue.push(slot + periods as u64, PRIO_CCA, Ev::Cca { node });
+                n.active = true;
+                n.kind = CsmaKind::Uplink;
+                n.recording = !in_warmup;
+                n.attempt = 1;
+                n.cont_start_slot = slot;
+                let periods = n.start_csma(config.csma);
+                queue.push(slot + periods, PRIO_CCA, Ev::Cca { rec });
             }
-            Ev::Cca { node } => {
-                let i = node as usize;
+            Ev::Cca { rec } => {
                 let busy = slot_us < busy_until_us;
-                let machine = csma[i].as_mut().expect("CCA without active CSMA");
-                match machine.on_cca(busy, &mut rngs[i]) {
+                let n = &mut nodes[rec as usize];
+                let machine = n.csma.as_mut().expect("CCA without active CSMA");
+                match machine.on_cca(busy, &mut n.rng) {
                     CsmaAction::CcaAgain => {
-                        queue.push(slot + 1, PRIO_CCA, Ev::Cca { node });
+                        queue.push(slot + 1, PRIO_CCA, Ev::Cca { rec });
                     }
                     CsmaAction::BackoffThenCca { periods } => {
-                        queue.push(slot + 1 + periods as u64, PRIO_CCA, Ev::Cca { node });
+                        queue.push(slot + 1 + periods as u64, PRIO_CCA, Ev::Cca { rec });
                     }
                     CsmaAction::Transmit => {
-                        let machine = csma[i].take().expect("machine present");
-                        let h = &mut hot[i];
+                        let machine = n.csma.take().expect("machine present");
                         let start_slot = slot + 1;
-                        let airtime_us = match h.kind {
+                        let airtime_us = match n.kind {
                             CsmaKind::Uplink => packet_us,
                             CsmaKind::DataRequest => timings.data_request_us,
                         };
                         let end_us = start_slot * SLOT_US + airtime_us;
-                        match h.kind {
-                            CsmaKind::Uplink => {
-                                if h.recording {
-                                    pending_attempts[i] = Some(AttemptRecord {
-                                        node,
-                                        contention_slots: start_slot - h.cont_start_slot,
-                                        ccas: machine.ccas_performed(),
-                                        outcome: AttemptOutcome::Delivered, // finalized at TxEnd
-                                    });
-                                }
-                            }
-                            CsmaKind::DataRequest => {
-                                pending_dls[i] = Some((
-                                    start_slot - h.cont_start_slot,
-                                    machine.ccas_performed(),
-                                ));
-                            }
-                        }
+                        n.ccas = machine.ccas_performed();
                         // Same-slot starters collide with each other:
                         // joining the current cohort (or opening a new
                         // one) is the whole collision bookkeeping.
@@ -1152,7 +1146,7 @@ where
                             cohort_slot = start_slot;
                             cohort_size = 1;
                         }
-                        h.tx_start_slot = start_slot;
+                        n.tx_start_slot = start_slot;
                         debug_assert!(
                             pending_air.map_or(true, |(s, _)| s == start_slot),
                             "at most one undecided cohort can be pending"
@@ -1170,71 +1164,74 @@ where
                         queue.push(
                             end_us.div_ceil(SLOT_US),
                             PRIO_TXEND,
-                            Ev::TxEnd { node, end_us },
+                            Ev::TxEnd { rec, end_us },
                         );
                     }
                     CsmaAction::Failure => {
-                        let machine = csma[i].take().expect("machine present");
-                        let h = &mut hot[i];
-                        match h.kind {
+                        let machine = n.csma.take().expect("machine present");
+                        match n.kind {
                             CsmaKind::Uplink => {
-                                if h.recording {
+                                if n.recording {
                                     sink.on_attempt(&AttemptRecord {
-                                        node,
-                                        contention_slots: slot - h.cont_start_slot,
+                                        node: n.id,
+                                        contention_slots: slot - n.cont_start_slot,
                                         ccas: machine.ccas_performed(),
                                         outcome: AttemptOutcome::AccessFailure,
                                     });
                                     sink.on_transaction(&TransactionRecord {
-                                        node,
-                                        attempts: h.attempt - 1,
+                                        node: n.id,
+                                        attempts: n.attempt - 1,
                                         delivered: false,
                                         access_failure: true,
-                                        superframes_waited: h.superframes_waited,
+                                        superframes_waited: n.superframes_waited,
                                     });
                                     if let Some(t) = telem.as_deref_mut() {
                                         t.attempts_access_failure += 1;
                                         t.ccas_per_attempt.record(machine.ccas_performed() as u64);
-                                        t.contention_slots.record(slot - h.cont_start_slot);
+                                        t.contention_slots.record(slot - n.cont_start_slot);
                                         t.transactions += 1;
-                                        t.attempts_per_transaction.record((h.attempt - 1) as u64);
+                                        t.attempts_per_transaction.record((n.attempt - 1) as u64);
                                     }
                                 }
-                                h.active = false;
-                                h.carry_packet = true;
+                                n.active = false;
+                                n.carry_packet = true;
                             }
                             CsmaKind::DataRequest => {
-                                if h.recording {
+                                if n.recording {
                                     sink.on_downlink(&DownlinkRecord {
-                                        node,
-                                        contention_slots: slot - h.cont_start_slot,
+                                        node: n.id,
+                                        contention_slots: slot - n.cont_start_slot,
                                         ccas: machine.ccas_performed(),
                                         outcome: DownlinkOutcome::AccessFailure,
                                     });
                                 }
-                                h.active = false;
-                                h.kind = CsmaKind::Uplink;
+                                n.active = false;
+                                n.kind = CsmaKind::Uplink;
                             }
                         }
-                        resolve_pending_death(
-                            &mut fault[i],
-                            node,
-                            slot < sf_slots,
-                            &mut gts_registry,
-                            sink,
-                        );
+                        if faults_active {
+                            let f = &mut fault[n.id as usize];
+                            resolve_pending_death(
+                                f,
+                                n.id,
+                                slot < sf_slots,
+                                &mut gts_registry,
+                                sink,
+                            );
+                        }
                     }
                 }
             }
-            Ev::TxEnd { node, end_us } => {
+            Ev::TxEnd { rec, end_us } => {
                 // The transmission itself kept the channel busy.
                 busy_until_us = busy_until_us.max(end_us);
-                let i = node as usize;
+                let n = &mut nodes[rec as usize];
                 debug_assert_eq!(
-                    hot[i].tx_start_slot, cohort_slot,
+                    n.tx_start_slot, cohort_slot,
                     "TxEnd must belong to the current cohort"
                 );
-                if hot[i].kind == CsmaKind::DataRequest {
+                let contention_slots = n.tx_start_slot - n.cont_start_slot;
+                if n.kind == CsmaKind::DataRequest {
                     // A data request's ending: the coordinator answers a
                     // clean request with an acknowledgement and (promptly)
                     // the downlink frame, both of which occupy the CAP
@@ -1243,7 +1240,7 @@ where
                     // frame stays pending at the coordinator.
                     let outcome = if cohort_size >= 2 {
                         DownlinkOutcome::Collided
-                    } else if corrupt(node) {
+                    } else if corrupt(n.id) {
                         DownlinkOutcome::Corrupted
                     } else {
                         DownlinkOutcome::Delivered
@@ -1258,114 +1255,93 @@ where
                         }
                     }
                     busy_until_us = busy_until_us.max(end_us + hold_us);
-                    if let Some((contention_slots, ccas)) = pending_dls[i].take() {
-                        if hot[i].recording {
-                            sink.on_downlink(&DownlinkRecord {
-                                node,
-                                contention_slots,
-                                ccas,
-                                outcome,
-                            });
-                        }
-                    }
-                    hot[i].active = false;
-                    hot[i].kind = CsmaKind::Uplink;
-                    resolve_pending_death(
-                        &mut fault[i],
-                        node,
-                        slot < sf_slots,
-                        &mut gts_registry,
-                        sink,
-                    );
-                    continue;
-                }
-                let outcome = if cohort_size >= 2 {
-                    AttemptOutcome::Collided
-                } else if corrupt(node) {
-                    AttemptOutcome::Corrupted
-                } else {
-                    AttemptOutcome::Delivered
-                };
-
-                if let Some(mut pending) = pending_attempts[i].take() {
-                    pending.outcome = outcome;
-                    if let Some(t) = telem.as_deref_mut() {
-                        match outcome {
-                            AttemptOutcome::Delivered => t.attempts_delivered += 1,
-                            AttemptOutcome::Collided => t.attempts_collided += 1,
-                            AttemptOutcome::Corrupted => t.attempts_corrupted += 1,
-                            AttemptOutcome::AccessFailure => t.attempts_access_failure += 1,
-                        }
-                        t.ccas_per_attempt.record(pending.ccas as u64);
-                        t.contention_slots.record(pending.contention_slots as u64);
-                    }
-                    sink.on_attempt(&pending);
-                }
-
-                let h = &mut hot[i];
-                if outcome == AttemptOutcome::Delivered {
-                    // The acknowledgement occupies the channel too.
-                    busy_until_us = busy_until_us.max(end_us + ack_hold_us);
-                    if h.recording {
-                        sink.on_transaction(&TransactionRecord {
-                            node,
-                            attempts: h.attempt,
-                            delivered: true,
-                            access_failure: false,
-                            superframes_waited: h.superframes_waited,
+                    if n.recording {
+                        sink.on_downlink(&DownlinkRecord {
+                            node: n.id,
+                            contention_slots,
+                            ccas: n.ccas,
+                            outcome,
                         });
-                        if let Some(t) = telem.as_deref_mut() {
-                            t.transactions += 1;
-                            t.transactions_delivered += 1;
-                            t.attempts_per_transaction.record(h.attempt as u64);
-                        }
                     }
-                    h.active = false;
-                    h.carry_packet = false;
-                    resolve_pending_death(
-                        &mut fault[i],
-                        node,
-                        slot < sf_slots,
-                        &mut gts_registry,
-                        sink,
-                    );
-                } else if h.attempt < config.retries.n_max() {
-                    // Wait out t_ack⁺, then contend again.
-                    h.attempt += 1;
-                    let retry_slot = (end_us + ack_timeout_us).div_ceil(SLOT_US);
-                    h.cont_start_slot = retry_slot;
-                    let machine = SlottedCsmaCa::start(config.csma, &mut rngs[i]);
-                    let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
-                        unreachable!("CSMA always begins with a backoff");
+                    n.active = false;
+                    n.kind = CsmaKind::Uplink;
+                } else {
+                    let outcome = if cohort_size >= 2 {
+                        AttemptOutcome::Collided
+                    } else if corrupt(n.id) {
+                        AttemptOutcome::Corrupted
+                    } else {
+                        AttemptOutcome::Delivered
                     };
-                    csma[i] = Some(machine);
-                    queue.push(retry_slot + periods as u64, PRIO_CCA, Ev::Cca { node });
-                } else {
-                    if h.recording {
-                        sink.on_transaction(&TransactionRecord {
-                            node,
-                            attempts: h.attempt,
-                            delivered: false,
-                            access_failure: false,
-                            superframes_waited: h.superframes_waited,
-                        });
+                    if n.recording {
                         if let Some(t) = telem.as_deref_mut() {
-                            t.transactions += 1;
-                            t.attempts_per_transaction.record(h.attempt as u64);
+                            match outcome {
+                                AttemptOutcome::Delivered => t.attempts_delivered += 1,
+                                AttemptOutcome::Collided => t.attempts_collided += 1,
+                                AttemptOutcome::Corrupted => t.attempts_corrupted += 1,
+                                AttemptOutcome::AccessFailure => t.attempts_access_failure += 1,
+                            }
+                            t.ccas_per_attempt.record(n.ccas as u64);
+                            t.contention_slots.record(contention_slots);
                         }
+                        sink.on_attempt(&AttemptRecord {
+                            node: n.id,
+                            contention_slots,
+                            ccas: n.ccas,
+                            outcome,
+                        });
                     }
-                    h.active = false;
-                    h.carry_packet = true;
-                    resolve_pending_death(
-                        &mut fault[i],
-                        node,
-                        slot < sf_slots,
-                        &mut gts_registry,
-                        sink,
-                    );
+                    if outcome == AttemptOutcome::Delivered {
+                        // The acknowledgement occupies the channel too.
+                        busy_until_us = busy_until_us.max(end_us + ack_hold_us);
+                        if n.recording {
+                            sink.on_transaction(&TransactionRecord {
+                                node: n.id,
+                                attempts: n.attempt,
+                                delivered: true,
+                                access_failure: false,
+                                superframes_waited: n.superframes_waited,
+                            });
+                            if let Some(t) = telem.as_deref_mut() {
+                                t.transactions += 1;
+                                t.transactions_delivered += 1;
+                                t.attempts_per_transaction.record(n.attempt as u64);
+                            }
+                        }
+                        n.active = false;
+                        n.carry_packet = false;
+                    } else if n.attempt < config.retries.n_max() {
+                        // Wait out t_ack⁺, then contend again.
+                        n.attempt += 1;
+                        let retry_slot = (end_us + ack_timeout_us).div_ceil(SLOT_US);
+                        n.cont_start_slot = retry_slot;
+                        let periods = n.start_csma(config.csma);
+                        queue.push(retry_slot + periods, PRIO_CCA, Ev::Cca { rec });
+                        continue;
+                    } else {
+                        if n.recording {
+                            sink.on_transaction(&TransactionRecord {
+                                node: n.id,
+                                attempts: n.attempt,
+                                delivered: false,
+                                access_failure: false,
+                                superframes_waited: n.superframes_waited,
+                            });
+                            if let Some(t) = telem.as_deref_mut() {
+                                t.transactions += 1;
+                                t.attempts_per_transaction.record(n.attempt as u64);
+                            }
+                        }
+                        n.active = false;
+                        n.carry_packet = true;
+                    }
+                }
+                if faults_active {
+                    let f = &mut fault[n.id as usize];
+                    resolve_pending_death(f, n.id, slot < sf_slots, &mut gts_registry, sink);
                 }
             }
-            Ev::GtsTx { node } => {
+            Ev::GtsTx { rec } => {
                 // Contention-free uplink: no CSMA, no cohort, no CAP
                 // channel interaction — the dedicated slot carries exactly
                 // this node. Channel noise still applies; a corrupted
@@ -1373,44 +1349,42 @@ where
                 // superframe (persistence costs no contention, so N_max
                 // does not apply).
                 let in_warmup = slot < sf_slots;
-                let i = node as usize;
-                if faults_active && !fault[i].alive {
+                let n = &mut nodes[rec as usize];
+                if faults_active && !fault[n.id as usize].alive {
                     // The holder died mid-superframe (deferred death)
                     // after this slot was scheduled.
                     continue;
                 }
-                let h = &mut hot[i];
-                if h.carry_packet {
-                    h.superframes_waited += 1;
+                if n.carry_packet {
+                    n.superframes_waited += 1;
                 } else {
-                    h.superframes_waited = 0;
+                    n.superframes_waited = 0;
                 }
-                let delivered = !corrupt(node);
+                let delivered = !corrupt(n.id);
                 if !in_warmup {
                     sink.on_gts(&GtsRecord {
-                        node,
+                        node: n.id,
                         delivered,
-                        superframes_waited: h.superframes_waited,
+                        superframes_waited: n.superframes_waited,
                     });
                 }
-                h.carry_packet = !delivered;
+                n.carry_packet = !delivered;
             }
-            Ev::DlPoll { node } => {
+            Ev::DlPoll { rec } => {
                 // The beacon listed this node's address: contend in the
                 // CAP with a data request, unless the node is mid-uplink
                 // (the frame then stays pending — a deferral).
                 let in_warmup = slot < sf_slots;
-                let i = node as usize;
-                if faults_active && !fault[i].alive {
+                let n = &mut nodes[rec as usize];
+                if faults_active && !fault[n.id as usize].alive {
                     // The node died mid-superframe after the poll was
                     // scheduled; the frame stays pending upstream.
                     continue;
                 }
-                let h = &mut hot[i];
-                if h.active {
+                if n.active {
                     if !in_warmup {
                         sink.on_downlink(&DownlinkRecord {
-                            node,
+                            node: n.id,
                             contention_slots: 0,
                             ccas: 0,
                             outcome: DownlinkOutcome::Deferred,
@@ -1418,16 +1392,12 @@ where
                     }
                     continue;
                 }
-                h.active = true;
-                h.kind = CsmaKind::DataRequest;
-                h.recording = !in_warmup;
-                h.cont_start_slot = slot;
-                let machine = SlottedCsmaCa::start(config.csma, &mut rngs[i]);
-                let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
-                    unreachable!("CSMA always begins with a backoff");
-                };
-                csma[i] = Some(machine);
-                queue.push(slot + periods as u64, PRIO_CCA, Ev::Cca { node });
+                n.active = true;
+                n.kind = CsmaKind::DataRequest;
+                n.recording = !in_warmup;
+                n.cont_start_slot = slot;
+                let periods = n.start_csma(config.csma);
+                queue.push(slot + periods, PRIO_CCA, Ev::Cca { rec });
             }
         }
     }
@@ -1859,6 +1829,29 @@ mod tests {
         run_channel_sim(cfg, |_| oracle.bernoulli(0.15))
     }
 
+    /// The golden configurations: staggered, synchronized, polled and
+    /// churned (see `engine_goldens_hold_under_same_slot_ties`).
+    fn golden_configs() -> [ChannelSimConfig; 4] {
+        let mut staggered = quick(50, 0.4, 0x901C);
+        staggered.nodes = 400;
+
+        let mut synced = quick(50, 0.4, 0x901D);
+        synced.synchronized_arrivals = true;
+
+        let mut polled = quick(50, 0.3, 0x901E);
+        polled.nodes = 120;
+        polled.cfp = plan_channel_cfp(120, 6, 1, 8, 1.0);
+
+        let mut churned = quick(50, 0.6, 0x901F);
+        churned.nodes = 60;
+        churned.superframes = 24;
+        churned.cfp = plan_channel_cfp(60, 5, 1, 8, 0.5);
+        churned.faults = FaultPlan::inert()
+            .with_churn(0.05, 1, 2)
+            .with_outages(0.08, 1);
+        [staggered, synced, polled, churned]
+    }
+
     /// Engine goldens over configurations built to create same-slot ties
     /// between events of one priority class, the ties the
     /// `(time, class, insertion)` pop order has to break:
@@ -1877,30 +1870,7 @@ mod tests {
     /// in slot order; both changes had to leave them as they were.
     #[test]
     fn engine_goldens_hold_under_same_slot_ties() {
-        let mut staggered = quick(50, 0.4, 0x901C);
-        staggered.nodes = 400;
-
-        let mut synced = quick(50, 0.4, 0x901D);
-        synced.synchronized_arrivals = true;
-
-        let mut polled = quick(50, 0.3, 0x901E);
-        polled.nodes = 120;
-        polled.cfp = plan_channel_cfp(120, 6, 1, 8, 1.0);
-
-        let mut churned = quick(50, 0.6, 0x901F);
-        churned.nodes = 60;
-        churned.superframes = 24;
-        churned.cfp = plan_channel_cfp(60, 5, 1, 8, 0.5);
-        churned.faults = FaultPlan::inert()
-            .with_churn(0.05, 1, 2)
-            .with_outages(0.08, 1);
-
-        let traces = [
-            golden_trace(&staggered),
-            golden_trace(&synced),
-            golden_trace(&polled),
-            golden_trace(&churned),
-        ];
+        let traces = golden_configs().each_ref().map(golden_trace);
         // The workloads reach the paths they are meant to.
         assert!(traces.iter().all(|t| !t.attempts.is_empty()));
         assert!(!traces[2].gts.is_empty() && !traces[2].downlinks.is_empty());
@@ -1918,6 +1888,52 @@ mod tests {
                 0x9d3b_7317_3e3b_f797,
             ],
             "engine output changed: staggered, synchronized, polled, churned"
+        );
+    }
+
+    /// Engine goldens under an oracle whose answer depends on the node it
+    /// is asked about: never corrupt for even nodes, even odds for odd
+    /// ones. The oracle still draws once per consultation, so a `corrupt`
+    /// call that names the wrong node moves the digest. The staggered
+    /// configuration reaches the uplink call; the churned one reaches the
+    /// data-request, GTS and re-association calls too.
+    ///
+    /// The digests were captured before node state moved into one record
+    /// per node stored in arrival order, which had to leave them as they
+    /// were.
+    #[test]
+    fn engine_goldens_hold_under_a_node_dependent_oracle() {
+        let [staggered, _, _, churned] = golden_configs();
+        let traces = [&staggered, &churned].map(|cfg| {
+            let p: Vec<f64> = (0..cfg.nodes).map(|i| 0.5 * (i % 2) as f64).collect();
+            let mut oracle = Xoshiro256StarStar::seed_from_u64(cfg.seed ^ 0x0DD_0DD5);
+            run_channel_sim(cfg, |node| oracle.bernoulli(p[node as usize]))
+        });
+        // Only odd nodes are ever corrupted, and every call site is hit.
+        for t in &traces {
+            let mut corrupted = t
+                .attempts
+                .iter()
+                .filter(|a| a.outcome == AttemptOutcome::Corrupted)
+                .peekable();
+            assert!(corrupted.peek().is_some());
+            assert!(corrupted.all(|a| a.node % 2 == 1));
+        }
+        let churned = &traces[1];
+        assert!(churned.gts.iter().any(|g| !g.delivered));
+        assert!(churned
+            .downlinks
+            .iter()
+            .any(|d| d.outcome == DownlinkOutcome::Corrupted));
+        let join = |ok| FaultKind::JoinAttempt { success: ok };
+        assert!(churned.faults.iter().any(|f| f.kind == join(true)));
+        assert!(churned.faults.iter().any(|f| f.kind == join(false)));
+
+        let digests = traces.each_ref().map(digest);
+        assert_eq!(
+            digests,
+            [0x36f7_049c_621b_f062, 0x4019_5b05_49ed_7422],
+            "engine output changed: staggered, churned"
         );
     }
 

@@ -41,12 +41,12 @@
 //! ## Per-worker simulation workspaces
 //!
 //! The contention engine draws its scratch (calendar-queue ring, node
-//! array, offsets, corruption buffer) from a thread-local
-//! [`SimWorkspace`](crate::contention::SimWorkspace). Each worker of a
-//! streaming call therefore allocates that scratch once — on the first
-//! job it pulls — and reuses it for every further job, so a channels ×
-//! replications grid pays O(workers) allocations instead of O(jobs).
-//! Workers are scoped threads that live for one streaming call: one
+//! records in arrival order, fault state, corruption buffer) from a
+//! thread-local [`SimWorkspace`](crate::contention::SimWorkspace). Each
+//! worker of a streaming call therefore allocates that scratch once — on
+//! the first job it pulls — and reuses it for every further job, so a
+//! channels × replications grid pays O(workers) allocations instead of
+//! O(jobs). Workers are scoped threads that live for one streaming call: one
 //! `map`, one scenario grid, or one farm stream (every open-loop entry
 //! between two policy entries). A single-threaded runner runs jobs
 //! inline on the caller, so that path carries its workspace across

@@ -11,7 +11,7 @@ use wsn_sim::network::{NetworkConfig, TxPowerPolicy};
 use wsn_sim::policy::{GreedyRebalance, PolicyEngine};
 use wsn_sim::scenario::{DeploymentSpec, Scenario};
 use wsn_sim::sink::TraceCollector;
-use wsn_sim::{ChannelSimConfig, NetworkSimulator, Runner, SimWorkspace};
+use wsn_sim::{ChannelSimConfig, FaultKind, FaultPlan, NetworkSimulator, Runner, SimWorkspace};
 use wsn_units::{DBm, Db, Seconds};
 
 fn cfg(payload: usize, nodes: usize, load: f64, seed: u64) -> ChannelSimConfig {
@@ -33,6 +33,7 @@ fn assert_traces_identical(a: &SimTrace, b: &SimTrace, context: &str) {
     assert_eq!(a.transactions, b.transactions, "{context}: transactions");
     assert_eq!(a.gts, b.gts, "{context}: gts");
     assert_eq!(a.downlinks, b.downlinks, "{context}: downlinks");
+    assert_eq!(a.faults, b.faults, "{context}: faults");
     assert_eq!(a.overruns, b.overruns, "{context}: overruns");
     assert_eq!(a.superframe_slots, b.superframe_slots, "{context}: slots");
 }
@@ -43,9 +44,19 @@ fn reused_workspace_matches_fresh_allocation_across_mixed_configs() {
     // stale nodes, offsets or queue entries into later runs.
     let mut cfp = cfg(80, 20, 0.4, 0xDDD);
     cfp.cfp = wsn_sim::plan_channel_cfp(20, 7, 1, 8, 0.5);
+    let mut churned = cfg(50, 200, 0.6, 0xEEE);
+    churned.cfp = wsn_sim::plan_channel_cfp(200, 9, 1, 8, 0.5);
+    churned.faults = FaultPlan::inert()
+        .with_churn(0.05, 1, 2)
+        .with_outages(0.5, 1);
     let configs = [
         cfg(100, 60, 0.7, 0xAAA),
         cfg(20, 5, 0.1, 0xBBB),
+        // Churn, outages, GTS holders and polling: the node-order loops
+        // (deaths, beacon bookkeeping, dead-node records, GTS and poll
+        // pushes, outage records) run over a larger node set than the
+        // runs before and after it.
+        churned,
         // A CFP run in the middle: its downlink-offset buffer must not
         // leak into the CAP-only runs around it (and vice versa).
         cfp,
@@ -58,6 +69,15 @@ fn reused_workspace_matches_fresh_allocation_across_mixed_configs() {
         let (fresh, fresh_events) = collect(config, &mut SimWorkspace::new());
         assert_traces_identical(&reused, &fresh, &format!("config {i}"));
         assert_eq!(reused_events, fresh_events, "config {i}: event count");
+        if config.faults.is_engine_inert() {
+            continue;
+        }
+        // The churned run reaches the paths it is meant to.
+        let kinds = |k: fn(&FaultKind) -> bool| reused.faults.iter().any(|f| k(&f.kind));
+        assert!(kinds(|k| *k == FaultKind::Death), "config {i}: no death");
+        assert!(kinds(|k| matches!(k, FaultKind::Reassociated { .. })));
+        assert!(kinds(|k| *k == FaultKind::MissedBeacon { listened: true }));
+        assert!(!reused.gts.is_empty() && !reused.downlinks.is_empty());
     }
 }
 
