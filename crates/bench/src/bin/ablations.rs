@@ -1,4 +1,4 @@
-//! Experiment ABLA — ablations of the design choices DESIGN.md calls out:
+//! Experiment ABLA — ablations of the reproduction's design choices:
 //!
 //! 1. **CSMA parameter presets**: the standard's macMaxCSMABackoffs = 4
 //!    versus the paper's literal "abort after two BE increments" reading,

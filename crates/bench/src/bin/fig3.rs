@@ -78,7 +78,7 @@ fn main() {
         .expect("legal");
     println!(
         "shutdown→idle energy (paper text prints '691 pJ'; the paper's own \
-         worst-case rule gives {:.0} nJ — see DESIGN.md §5)",
+         worst-case rule gives {:.0} nJ)",
         si.energy.nanojoules()
     );
 }

@@ -21,10 +21,9 @@
 //! | (13) `Pr_fail`, delay | [`ModelOutput::pr_fail`], [`ModelOutput::delay`] |
 //! | (14) energy per bit | [`ModelOutput::energy_per_data_bit`] |
 //!
-//! Ambiguities in the scanned equations are resolved as documented in
-//! DESIGN.md §5: the ACK listen window of an unacknowledged attempt is
-//! `t_ack⁺ − t_ack⁻` and transition settle times are billed to the arrival
-//! state.
+//! Ambiguities in the scanned equations are resolved as follows: the ACK
+//! listen window of an unacknowledged attempt is `t_ack⁺ − t_ack⁻` and
+//! transition settle times are billed to the arrival state.
 //!
 //! [`PacketLayout::duration`]: wsn_phy::frame::PacketLayout::duration
 //! [`BerModel::packet_error_probability`]: wsn_phy::ber::BerModel::packet_error_probability

@@ -10,8 +10,6 @@
 
 use core::fmt;
 
-use crate::beacon::GtsDescriptor;
-
 /// Hard limit on simultaneously allocated GTS descriptors.
 pub const MAX_GTS_DESCRIPTORS: usize = 7;
 
@@ -19,6 +17,17 @@ pub const MAX_GTS_DESCRIPTORS: usize = 7;
 /// the quantity the paper contrasts with "several hundred" nodes.
 pub const fn max_gts_devices() -> usize {
     MAX_GTS_DESCRIPTORS
+}
+
+/// A GTS descriptor: a device's reserved slot range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GtsDescriptor {
+    /// Short address of the device owning the slots.
+    pub short_address: u16,
+    /// First superframe slot of the allocation (0–15).
+    pub starting_slot: u8,
+    /// Number of contiguous slots (1–15).
+    pub length: u8,
 }
 
 /// Errors from GTS allocation.

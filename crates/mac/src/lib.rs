@@ -5,14 +5,12 @@
 //! * [`timing`] — symbol-denominated MAC constants (unit backoff period,
 //!   acknowledgement windows `t_ack⁻ = 192 µs` / `t_ack⁺ = 864 µs`, CCA
 //!   detection time, interframe spacings);
-//! * [`superframe`] — beacon order / superframe order arithmetic
-//!   (`T_ib = 15.36 ms × 2^BO`, paper eq. 12), CAP/CFP split, slot grid;
+//! * [`superframe`] — beacon order arithmetic (`T_ib = 15.36 ms × 2^BO`,
+//!   paper eq. 12);
 //! * [`csma`] — the slotted CSMA/CA algorithm as a pure, step-driven state
 //!   machine with the standard's parameters, the paper's stricter
 //!   abort-after-two-BE-increments variant, and the battery-life-extension
 //!   mode the paper declines to use;
-//! * [`beacon`] — beacon payload wire format (superframe specification,
-//!   GTS and pending-address fields);
 //! * [`ack`] — acknowledgement timing and the `N_max = 5` retry policy;
 //! * [`gts`] — guaranteed time slot bookkeeping (and why it cannot serve
 //!   hundreds of nodes).
@@ -21,7 +19,6 @@
 #![warn(missing_docs)]
 
 pub mod ack;
-pub mod beacon;
 pub mod csma;
 pub mod gts;
 pub mod superframe;
@@ -29,4 +26,4 @@ pub mod timing;
 
 pub use ack::{AckTiming, RetryPolicy};
 pub use csma::{CsmaAction, CsmaParams, SlottedCsmaCa};
-pub use superframe::{BeaconOrder, SuperframeConfig, SuperframeOrder};
+pub use superframe::BeaconOrder;

@@ -1,33 +1,21 @@
-//! Superframe structure of the beacon-enabled mode.
+//! Beacon order of the beacon-enabled mode.
 //!
 //! The inter-beacon period is `T_ib = aBaseSuperframeDuration × 2^BO` (the
-//! paper's eq. 12) and the active superframe spans
-//! `SD = aBaseSuperframeDuration × 2^SO ≤ T_ib`, divided into 16 slots. The
-//! head of the active period is the contention access period (CAP); up to
-//! seven tail slots may be reserved as guaranteed time slots (the CFP).
+//! paper's eq. 12). The paper keeps the whole superframe active
+//! (`SO = BO`), so the superframe order is not modelled; the guaranteed time
+//! slots at the superframe tail are [`crate::gts`]'s.
 
 use core::fmt;
 
 use wsn_units::Seconds;
 
-use crate::timing::{base_superframe_duration, NUM_SUPERFRAME_SLOTS};
+use crate::timing::base_superframe_duration;
 
-/// Error for out-of-range superframe parameters.
+/// Error for an out-of-range beacon order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuperframeError {
     /// Beacon order outside `0..=14`.
     BeaconOrderRange(u8),
-    /// Superframe order outside `0..=14`.
-    SuperframeOrderRange(u8),
-    /// `SO > BO` is not allowed by the standard.
-    OrderMismatch {
-        /// Offending superframe order.
-        so: u8,
-        /// Beacon order it exceeds.
-        bo: u8,
-    },
-    /// More than 7 GTS slots, or GTS exceeding the active period.
-    GtsOverflow(u8),
 }
 
 impl fmt::Display for SuperframeError {
@@ -35,15 +23,6 @@ impl fmt::Display for SuperframeError {
         match self {
             SuperframeError::BeaconOrderRange(v) => {
                 write!(f, "beacon order {v} outside 0..=14")
-            }
-            SuperframeError::SuperframeOrderRange(v) => {
-                write!(f, "superframe order {v} outside 0..=14")
-            }
-            SuperframeError::OrderMismatch { so, bo } => {
-                write!(f, "superframe order {so} exceeds beacon order {bo}")
-            }
-            SuperframeError::GtsOverflow(n) => {
-                write!(f, "{n} GTS slots exceed the 7-slot CFP limit")
             }
         }
     }
@@ -107,142 +86,6 @@ impl fmt::Display for BeaconOrder {
     }
 }
 
-/// Superframe order `SO ∈ 0..=14`: the active portion spans
-/// `15.36 ms × 2^SO`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SuperframeOrder(u8);
-
-impl SuperframeOrder {
-    /// Creates a superframe order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SuperframeError::SuperframeOrderRange`] for values above
-    /// 14.
-    pub fn new(so: u8) -> Result<Self, SuperframeError> {
-        if so <= 14 {
-            Ok(SuperframeOrder(so))
-        } else {
-            Err(SuperframeError::SuperframeOrderRange(so))
-        }
-    }
-
-    /// The raw order.
-    pub fn value(self) -> u8 {
-        self.0
-    }
-
-    /// Active superframe duration `SD = 15.36 ms × 2^SO`.
-    pub fn superframe_duration(self) -> Seconds {
-        base_superframe_duration() * (1u64 << self.0) as f64
-    }
-}
-
-impl fmt::Display for SuperframeOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SO{}", self.0)
-    }
-}
-
-/// A validated beacon-mode superframe configuration.
-///
-/// # Examples
-///
-/// ```
-/// use wsn_mac::SuperframeConfig;
-///
-/// // Fully active superframe at the paper's BO = 6.
-/// let sf = SuperframeConfig::fully_active(6)?;
-/// assert!((sf.slot_duration().millis() - 61.44).abs() < 1e-9);
-/// assert_eq!(sf.duty_cycle(), 1.0);
-///
-/// // BO 6 / SO 2: radio may sleep 15/16 of the time.
-/// let sparse = SuperframeConfig::new(6, 2, 0)?;
-/// assert!((sparse.duty_cycle() - 1.0 / 16.0).abs() < 1e-12);
-/// # Ok::<(), wsn_mac::superframe::SuperframeError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperframeConfig {
-    bo: BeaconOrder,
-    so: SuperframeOrder,
-    gts_slots: u8,
-}
-
-impl SuperframeConfig {
-    /// Creates a configuration with `gts_slots` tail slots reserved for the
-    /// contention-free period.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-range orders, `SO > BO`, and more than 7 GTS slots.
-    pub fn new(bo: u8, so: u8, gts_slots: u8) -> Result<Self, SuperframeError> {
-        let bo = BeaconOrder::new(bo)?;
-        let so = SuperframeOrder::new(so)?;
-        if so.value() > bo.value() {
-            return Err(SuperframeError::OrderMismatch {
-                so: so.value(),
-                bo: bo.value(),
-            });
-        }
-        if gts_slots > 7 {
-            return Err(SuperframeError::GtsOverflow(gts_slots));
-        }
-        Ok(SuperframeConfig { bo, so, gts_slots })
-    }
-
-    /// An always-active configuration (`SO = BO`) with no GTS — the paper's
-    /// contention-only setup.
-    pub fn fully_active(bo: u8) -> Result<Self, SuperframeError> {
-        SuperframeConfig::new(bo, bo, 0)
-    }
-
-    /// Beacon order.
-    pub fn beacon_order(self) -> BeaconOrder {
-        self.bo
-    }
-
-    /// Superframe order.
-    pub fn superframe_order(self) -> SuperframeOrder {
-        self.so
-    }
-
-    /// Number of GTS (contention-free) slots at the superframe tail.
-    pub fn gts_slots(self) -> u8 {
-        self.gts_slots
-    }
-
-    /// Inter-beacon period `T_ib`.
-    pub fn beacon_interval(self) -> Seconds {
-        self.bo.beacon_interval()
-    }
-
-    /// Active superframe duration `SD`.
-    pub fn superframe_duration(self) -> Seconds {
-        self.so.superframe_duration()
-    }
-
-    /// Duration of one of the 16 superframe slots.
-    pub fn slot_duration(self) -> Seconds {
-        self.superframe_duration() / NUM_SUPERFRAME_SLOTS as f64
-    }
-
-    /// Duration of the contention access period (active period minus GTS).
-    pub fn cap_duration(self) -> Seconds {
-        self.superframe_duration() - self.slot_duration() * self.gts_slots as f64
-    }
-
-    /// Fraction of the beacon interval that is active.
-    pub fn duty_cycle(self) -> f64 {
-        self.superframe_duration() / self.beacon_interval()
-    }
-}
-
-impl fmt::Display for SuperframeConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} gts={}", self.bo, self.so, self.gts_slots)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +110,6 @@ mod tests {
     #[test]
     fn orders_out_of_range_rejected() {
         assert!(BeaconOrder::new(15).is_err());
-        assert!(SuperframeOrder::new(15).is_err());
         assert!(BeaconOrder::new(14).is_ok());
     }
 
@@ -281,56 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn so_cannot_exceed_bo() {
-        assert_eq!(
-            SuperframeConfig::new(3, 5, 0),
-            Err(SuperframeError::OrderMismatch { so: 5, bo: 3 })
-        );
-        assert!(SuperframeConfig::new(5, 5, 0).is_ok());
-        assert!(SuperframeConfig::new(5, 3, 0).is_ok());
-    }
-
-    #[test]
-    fn gts_limit_enforced() {
-        assert!(SuperframeConfig::new(6, 6, 7).is_ok());
-        assert_eq!(
-            SuperframeConfig::new(6, 6, 8),
-            Err(SuperframeError::GtsOverflow(8))
-        );
-    }
-
-    #[test]
-    fn cap_shrinks_with_gts() {
-        let no_gts = SuperframeConfig::fully_active(6).unwrap();
-        let with_gts = SuperframeConfig::new(6, 6, 4).unwrap();
-        assert!(with_gts.cap_duration() < no_gts.cap_duration());
-        let expected = no_gts.superframe_duration() * (12.0 / 16.0);
-        assert!((with_gts.cap_duration().secs() - expected.secs()).abs() < 1e-12);
-        // CAP plus GTS slots rebuild the superframe at every order.
-        for bo in 0..=14 {
-            for gts in 0..=7 {
-                let c = SuperframeConfig::new(bo, bo, gts).unwrap();
-                let cap = c.cap_duration().secs();
-                let cfp = c.slot_duration().secs() * f64::from(gts);
-                let sd = c.superframe_duration().secs();
-                assert!((cap + cfp - sd).abs() < 1e-12, "BO {bo}, {gts} slots");
-            }
-        }
-    }
-
-    #[test]
-    fn duty_cycle_sixteenth() {
-        // The paper: beacon mode lets the transceiver sleep 15/16 of the
-        // time while staying associated (BO − SO = 4 ⇒ 1/16 duty).
-        let sf = SuperframeConfig::new(6, 2, 0).unwrap();
-        assert!((sf.duty_cycle() - 0.0625).abs() < 1e-12);
-    }
-
-    #[test]
     fn error_display() {
         assert_eq!(
-            SuperframeError::OrderMismatch { so: 5, bo: 3 }.to_string(),
-            "superframe order 5 exceeds beacon order 3"
+            SuperframeError::BeaconOrderRange(15).to_string(),
+            "beacon order 15 outside 0..=14"
         );
     }
 }

@@ -6,9 +6,9 @@
 //!   (2 Mchip/s, 16 µs symbol, 32 µs byte, 250 kb/s, 16 channels);
 //! * [`spreading`] — the 16 standard 32-chip pseudo-noise sequences, the
 //!   4-bit-symbol↔chip mapping, and a hard-decision correlation receiver;
-//! * [`frame`] — PPDU and MPDU byte layouts, the ITU-T CRC-16 frame check
-//!   sequence, and the paper's [`frame::PacketLayout`] overhead arithmetic
-//!   (`L_o = 13`, `T_packet = (L_o + L)·T_B`);
+//! * [`frame`] — the paper's [`frame::PacketLayout`] overhead arithmetic
+//!   (`L_o = 13`, `T_packet = (L_o + L)·T_B`) and the ACK and beacon
+//!   airtimes;
 //! * [`ber`] — bit-error-rate models: the paper's empirical CC2420
 //!   regression (eq. 1), an analytic hard-decision despreading model, and
 //!   the O-QPSK DSSS formula from the 802.15.4 standard;

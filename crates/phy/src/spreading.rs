@@ -151,30 +151,6 @@ impl fmt::Display for ChipSequence {
     }
 }
 
-/// Spreads a byte into its two chip sequences, low nibble first (the
-/// transmission order mandated by the standard).
-///
-/// # Examples
-///
-/// ```
-/// use wsn_phy::spreading::{spread_byte, ChipSequence, Symbol};
-///
-/// let [lo, hi] = spread_byte(0x3A);
-/// assert_eq!(lo, ChipSequence::for_symbol(Symbol::new(0xA).unwrap()));
-/// assert_eq!(hi, ChipSequence::for_symbol(Symbol::new(0x3).unwrap()));
-/// ```
-#[inline]
-pub fn spread_byte(byte: u8) -> [ChipSequence; 2] {
-    let lo = Symbol::new(byte & 0x0F).expect("nibble is < 16");
-    let hi = Symbol::new(byte >> 4).expect("nibble is < 16");
-    [ChipSequence::for_symbol(lo), ChipSequence::for_symbol(hi)]
-}
-
-/// Spreads a full PSDU into chip sequences (two per byte, low nibble first).
-pub fn spread_bytes(bytes: &[u8]) -> Vec<ChipSequence> {
-    bytes.iter().flat_map(|&b| spread_byte(b)).collect()
-}
-
 /// Hard-decision despreader: returns the symbol whose sequence has maximum
 /// correlation with the received chips.
 ///
@@ -202,32 +178,6 @@ pub fn despread(received: ChipSequence) -> Symbol {
         }
     }
     best
-}
-
-/// Reassembles bytes from a despread symbol stream (low nibble first).
-///
-/// # Panics
-///
-/// Panics if `symbols` has odd length (half a byte cannot be returned).
-pub fn symbols_to_bytes(symbols: &[Symbol]) -> Vec<u8> {
-    assert!(
-        symbols.len().is_multiple_of(2),
-        "symbol stream must contain an even number of symbols, got {}",
-        symbols.len()
-    );
-    symbols
-        .chunks_exact(2)
-        .map(|pair| pair[0].value() | (pair[1].value() << 4))
-        .collect()
-}
-
-/// Splits bytes into symbols (low nibble first) — inverse of
-/// [`symbols_to_bytes`].
-pub fn bytes_to_symbols(bytes: &[u8]) -> Vec<Symbol> {
-    bytes
-        .iter()
-        .flat_map(|&b| [Symbol(b & 0x0F), Symbol(b >> 4)])
-        .collect()
 }
 
 /// Returns the minimum pairwise Hamming distance over all 16 sequences.
@@ -363,27 +313,6 @@ mod tests {
             }
             assert_eq!(despread(ChipSequence::from_raw(raw)), s, "case {case}");
         }
-    }
-
-    #[test]
-    fn byte_roundtrip_through_chips() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let chips = spread_bytes(&bytes);
-        assert_eq!(chips.len(), 512);
-        let symbols: Vec<Symbol> = chips.into_iter().map(despread).collect();
-        assert_eq!(symbols_to_bytes(&symbols), bytes);
-    }
-
-    #[test]
-    fn bytes_to_symbols_roundtrip() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(symbols_to_bytes(&bytes_to_symbols(&bytes)), bytes);
-    }
-
-    #[test]
-    #[should_panic(expected = "even number of symbols")]
-    fn odd_symbol_stream_panics() {
-        let _ = symbols_to_bytes(&[Symbol::new(1).unwrap()]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl RadioModel {
     /// Transitions: shutdown→idle 970 µs / 691 nJ; idle→RX and idle→TX
     /// 194 µs / 6.63 µJ. (The paper's running text prints "691 pJ", but its
     /// own worst-case rule `T × I(idle) × VDD` gives 691 **nJ**; we keep the
-    /// self-consistent value — see DESIGN.md §5.)
+    /// self-consistent value.)
     pub fn cc2420() -> Self {
         RadioModel::builder().build()
     }

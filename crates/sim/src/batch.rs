@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 use crate::journal::{load_journal, JournalError, JournalRecord, JournalWriter};
 use crate::network::{NetworkConfig, NetworkSummary, TxPowerPolicy};
 use crate::persist::{
-    self, fingerprint_scenario, load_scenario, render_compact, Node, ParseError, PolicyChoice,
-    SavedScenario, Value,
+    self, fingerprint_scenario, load_scenario, render_compact, Node, ObjReader, ParseError,
+    PolicyChoice, SavedScenario,
 };
 use crate::policy::PolicyEngine;
 use crate::runner::{panic_message, replication_seed, Runner, Stream};
@@ -1155,92 +1155,17 @@ fn load_entry(path: PathBuf) -> Result<BatchEntry, BatchError> {
 }
 
 fn decode_manifest(root: &Node) -> Result<(Option<u64>, Vec<String>), ParseError> {
-    let pairs = match &root.value {
-        Value::Obj(pairs) => pairs,
-        _ => {
-            return Err(ParseError {
-                line: root.line,
-                col: root.col,
-                expected: "a manifest object".into(),
-            })
-        }
+    let mut o = ObjReader::new(root, "the manifest")?;
+    persist::check_format(o.get("format")?)?;
+    let seed = match o.opt("seed") {
+        Some(node) if !persist::is_null(node) => Some(persist::as_u64(node)?),
+        _ => None,
     };
-    let mut seed: Option<u64> = None;
-    let mut files: Option<Vec<String>> = None;
-    let mut format_seen = false;
-    for (key, node) in pairs {
-        match key.name.as_str() {
-            "format" => {
-                format_seen = true;
-                match node.value {
-                    Value::UInt(v) if v == persist::FORMAT_VERSION => {}
-                    _ => {
-                        return Err(ParseError {
-                            line: node.line,
-                            col: node.col,
-                            expected: format!("format {}", persist::FORMAT_VERSION),
-                        })
-                    }
-                }
-            }
-            "seed" => match node.value {
-                Value::Null => {}
-                Value::UInt(v) => seed = Some(v),
-                _ => {
-                    return Err(ParseError {
-                        line: node.line,
-                        col: node.col,
-                        expected: "a seed (unsigned integer) or null".into(),
-                    })
-                }
-            },
-            "scenarios" => {
-                let items = match &node.value {
-                    Value::Arr(items) => items,
-                    _ => {
-                        return Err(ParseError {
-                            line: node.line,
-                            col: node.col,
-                            expected: "an array of scenario file paths".into(),
-                        })
-                    }
-                };
-                let mut list = Vec::with_capacity(items.len());
-                for item in items {
-                    match &item.value {
-                        Value::Str(s) => list.push(s.clone()),
-                        _ => {
-                            return Err(ParseError {
-                                line: item.line,
-                                col: item.col,
-                                expected: "a scenario file path string".into(),
-                            })
-                        }
-                    }
-                }
-                files = Some(list);
-            }
-            other => {
-                return Err(ParseError {
-                    line: key.line,
-                    col: key.col,
-                    expected: format!("no field `{other}` in the manifest"),
-                })
-            }
-        }
-    }
-    if !format_seen {
-        return Err(ParseError {
-            line: root.line,
-            col: root.col,
-            expected: "field `format` in the manifest".into(),
-        });
-    }
-    let files = files.ok_or_else(|| ParseError {
-        line: root.line,
-        col: root.col,
-        expected: "field `scenarios` in the manifest".into(),
-    })?;
+    let files = persist::as_arr(o.get("scenarios")?)?
+        .iter()
+        .map(|item| persist::as_str(item).map(str::to_string))
+        .collect::<Result<_, _>>()?;
+    o.finish()?;
     Ok((seed, files))
 }
 

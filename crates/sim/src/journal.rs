@@ -27,7 +27,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::persist::{self, Node, ParseError, Value};
+use crate::persist::{self, Node, ObjReader, ParseError};
 
 /// The journal line format version.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -68,59 +68,31 @@ impl JournalRecord {
     }
 
     fn from_json(root: &Node) -> Result<Self, ParseError> {
-        let err = |node: &Node, expected: &str| ParseError {
-            line: node.line,
-            col: node.col,
-            expected: expected.to_string(),
-        };
-        let pairs = match &root.value {
-            Value::Obj(pairs) => pairs,
-            _ => return Err(err(root, "a journal record object")),
-        };
-        let mut scenario = None;
-        let mut fingerprint = None;
-        let mut status = None;
-        let mut attempts = None;
-        let mut elapsed_ms = None;
-        for (k, node) in pairs {
-            match k.name.as_str() {
-                "journal" => match node.value {
-                    Value::UInt(v) if v == JOURNAL_VERSION => {}
-                    _ => return Err(err(node, &format!("journal version {JOURNAL_VERSION}"))),
-                },
-                "scenario" => match &node.value {
-                    Value::Str(s) => scenario = Some(s.clone()),
-                    _ => return Err(err(node, "a scenario name string")),
-                },
-                "fingerprint" => match &node.value {
-                    Value::Str(s) => fingerprint = Some(s.clone()),
-                    _ => return Err(err(node, "a fingerprint string")),
-                },
-                "status" => match &node.value {
-                    Value::Str(s) if s == "ok" || s == "failed" || s == "timeout" => {
-                        status = Some(s.clone())
-                    }
-                    _ => return Err(err(node, "status `ok`, `failed` or `timeout`")),
-                },
-                "attempts" => match node.value {
-                    Value::UInt(v) => attempts = Some(v),
-                    _ => return Err(err(node, "an attempt count")),
-                },
-                "elapsed_ms" => match node.value {
-                    Value::Float(x) => elapsed_ms = Some(x),
-                    Value::UInt(u) => elapsed_ms = Some(u as f64),
-                    _ => return Err(err(node, "elapsed milliseconds")),
-                },
-                other => return Err(err(root, &format!("no field `{other}` in a journal record"))),
-            }
+        let mut o = ObjReader::new(root, "a journal record")?;
+        let version = o.get("journal")?;
+        if persist::as_u64(version)? != JOURNAL_VERSION {
+            return Err(ParseError::node(
+                version,
+                format!("journal version {JOURNAL_VERSION}"),
+            ));
         }
-        Ok(JournalRecord {
-            scenario: scenario.ok_or_else(|| err(root, "field `scenario`"))?,
-            fingerprint: fingerprint.ok_or_else(|| err(root, "field `fingerprint`"))?,
-            status: status.ok_or_else(|| err(root, "field `status`"))?,
-            attempts: attempts.ok_or_else(|| err(root, "field `attempts`"))?,
-            elapsed_ms: elapsed_ms.ok_or_else(|| err(root, "field `elapsed_ms`"))?,
-        })
+        let status_node = o.get("status")?;
+        let status = persist::as_str(status_node)?;
+        if !matches!(status, "ok" | "failed" | "timeout") {
+            return Err(ParseError::node(
+                status_node,
+                "status `ok`, `failed` or `timeout`",
+            ));
+        }
+        let record = JournalRecord {
+            scenario: persist::as_str(o.get("scenario")?)?.to_string(),
+            fingerprint: persist::as_str(o.get("fingerprint")?)?.to_string(),
+            status: status.to_string(),
+            attempts: persist::as_u64(o.get("attempts")?)?,
+            elapsed_ms: persist::as_f64(o.get("elapsed_ms")?)?,
+        };
+        o.finish()?;
+        Ok(record)
     }
 }
 

@@ -30,6 +30,7 @@ use wsn_channel::{
 use wsn_mac::csma::CsmaParams;
 use wsn_mac::{BeaconOrder, RetryPolicy};
 use wsn_phy::ber::{BerModel, EmpiricalCc2420Ber, HardDecisionDsssBer, StandardOqpskBer};
+use wsn_phy::consts::NUM_CHANNELS_2450;
 use wsn_phy::frame::PacketLayout;
 use wsn_phy::noise::SplitMix64;
 use wsn_radio::RadioModel;
@@ -855,6 +856,14 @@ impl Scenario {
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 {
             return Err("at least one channel required".into());
+        }
+        // The checks below loop over channels, so a count read from a file
+        // is bounded first.
+        if self.channels > usize::from(NUM_CHANNELS_2450) {
+            return Err(format!(
+                "at most {NUM_CHANNELS_2450} channels (the 2450 MHz band's), got {}",
+                self.channels
+            ));
         }
         if self.nodes_per_channel == 0 {
             return Err("at least one node per channel required".into());
@@ -1806,6 +1815,12 @@ mod tests {
         (s.channels, s.nodes_per_channel) = (1, 3);
         let err = s.validate().unwrap_err();
         assert!(err.contains("does not fit a 1-slot GTS"), "{err}");
+        // A count a file can carry: the per-channel checks must not loop
+        // over `usize::MAX` channels.
+        let mut s = tiny(grid(55.0, 95.0));
+        s.channels = usize::MAX;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at most 16 channels"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests asserting the qualitative *shapes* of every figure in
-//! the paper's evaluation — the reproduction criteria of DESIGN.md §4.
+//! the paper's evaluation — the reproduction's acceptance criteria.
 
 use ieee802154_energy::mac::BeaconOrder;
 use ieee802154_energy::model::activation::ActivationModel;
