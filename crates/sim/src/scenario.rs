@@ -45,6 +45,16 @@ use crate::network::{
 };
 use crate::runner::{panic_message, replication_seed, Runner};
 
+/// The most superframes per replication [`Scenario::validate`] accepts;
+/// the studies default to tens.
+const MAX_SUPERFRAMES: u32 = 1_000_000;
+/// The most replications per channel [`Scenario::validate`] accepts; the
+/// studies default to at most 4.
+const MAX_REPLICATIONS: u32 = 1_000;
+/// The most accounting shards per channel job [`Scenario::validate`]
+/// accepts; the benchmark runs 2.
+const MAX_SHARDS: usize = 16;
+
 /// Where the nodes are, physically — compiled into per-node path losses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeploymentSpec {
@@ -873,6 +883,23 @@ impl Scenario {
                 "at least 2 superframes required (first is warm-up), got {}",
                 self.superframes
             ));
+        }
+        // Sizes read from a file: every job's result is held until its
+        // grid reduces, and each shard of a job is a thread.
+        if self.superframes > MAX_SUPERFRAMES {
+            return Err(format!(
+                "at most {MAX_SUPERFRAMES} superframes, got {}",
+                self.superframes
+            ));
+        }
+        if self.replications > MAX_REPLICATIONS {
+            return Err(format!(
+                "at most {MAX_REPLICATIONS} replications, got {}",
+                self.replications
+            ));
+        }
+        if self.shards > MAX_SHARDS {
+            return Err(format!("at most {MAX_SHARDS} shards, got {}", self.shards));
         }
         if let PayloadSpec::PerChannel { payload_bytes } = &self.traffic.payloads {
             if payload_bytes.len() < self.channels {
@@ -1821,6 +1848,25 @@ mod tests {
         s.channels = usize::MAX;
         let err = s.validate().unwrap_err();
         assert!(err.contains("at most 16 channels"), "{err}");
+        // The other sizes a file carries: 4e9 replications validated and
+        // then aborted the process on a failed job-list allocation.
+        let mut s = tiny(grid(55.0, 95.0));
+        s.replications = 4_000_000_000;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at most 1000 replications"), "{err}");
+        let mut s = tiny(grid(55.0, 95.0));
+        s.superframes = u32::MAX;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at most 1000000 superframes"), "{err}");
+        let mut s = tiny(grid(55.0, 95.0));
+        s.shards = usize::MAX;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at most 16 shards"), "{err}");
+        // The caps themselves still validate.
+        let mut s = tiny(grid(55.0, 95.0));
+        (s.superframes, s.replications, s.shards) =
+            (MAX_SUPERFRAMES, MAX_REPLICATIONS, MAX_SHARDS);
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]
