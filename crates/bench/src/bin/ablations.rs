@@ -101,10 +101,9 @@ fn main() {
     println!("source,power_uW,fail_pct,delay_s");
     let mc = MonteCarloContention::figure6().with_superframes(superframes);
     mc.prewarm(&runner, &[(study.load(), study.packet())]);
-    let analytic = AnalyticContention::new();
     let sources: [(&str, &dyn ContentionModel); 3] = [
         ("monte-carlo", &mc),
-        ("analytic fixed-point", &analytic),
+        ("analytic fixed-point", &AnalyticContention),
         ("ideal channel", &IdealContention),
     ];
     for (name, source) in sources {

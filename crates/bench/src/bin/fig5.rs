@@ -10,6 +10,8 @@
 
 use wsn_bench::RunArgs;
 use wsn_core::contention::{ContentionModel, MonteCarloContention};
+use wsn_mac::timing::{ack_wait_min, LIFS_SYMBOLS};
+use wsn_phy::consts::symbols;
 use wsn_phy::frame::{ack_duration, beacon_duration, PacketLayout};
 use wsn_radio::{RadioModel, RadioState, TxPowerLevel};
 use wsn_units::Seconds;
@@ -43,11 +45,11 @@ fn main() {
             packet.duration(),
             RadioState::Tx(level),
         ),
-        ("t_ack⁻ gap", Seconds::from_micros(192.0), RadioState::Idle),
+        ("t_ack⁻ gap", ack_wait_min(), RadioState::Idle),
         ("acknowledgement", ack_duration(), RadioState::Rx),
         (
             "interframe spacing",
-            Seconds::from_micros(640.0),
+            symbols(LIFS_SYMBOLS),
             RadioState::Idle,
         ),
     ];

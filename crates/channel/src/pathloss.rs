@@ -104,12 +104,6 @@ impl LogDistance {
     pub fn with_exponent(self, exponent: f64) -> Self {
         LogDistance::new(self.reference_loss, self.reference_distance, exponent)
     }
-
-    /// Inverts the model: distance at which `loss` is reached.
-    pub fn distance_for_loss(&self, loss: Db) -> Meters {
-        let exp = (loss.db() - self.reference_loss.db()) / (10.0 * self.exponent);
-        self.reference_distance * 10f64.powf(exp)
-    }
 }
 
 impl PathLossModel for LogDistance {
@@ -227,16 +221,6 @@ mod tests {
         let at_ref = m.path_loss(Meters::new(1.0));
         let closer = m.path_loss(Meters::new(0.1));
         assert_eq!(at_ref, closer, "losses below reference distance clamp");
-    }
-
-    #[test]
-    fn distance_for_loss_inverts() {
-        let m = LogDistance::indoor_2450();
-        for loss in [55.0, 70.0, 88.0, 95.0] {
-            let d = m.distance_for_loss(Db::new(loss));
-            let back = m.path_loss(d).db();
-            assert!((back - loss).abs() < 1e-9, "roundtrip at {loss} dB");
-        }
     }
 
     #[test]

@@ -29,51 +29,14 @@
 //! [`BerModel::packet_error_probability`]: wsn_phy::ber::BerModel::packet_error_probability
 
 use wsn_channel::received_power;
+use wsn_mac::timing::{cca_detection_time, LIFS_SYMBOLS};
 use wsn_mac::{AckTiming, BeaconOrder, RetryPolicy};
 use wsn_phy::ber::BerModel;
+use wsn_phy::consts::symbols;
 use wsn_phy::frame::{beacon_duration, PacketLayout};
 use wsn_radio::{PhaseTag, RadioModel, RadioState, StateKind, TxPowerLevel};
 use wsn_sim::ContentionStats;
 use wsn_units::{Db, Energy, Power, Probability, Seconds};
-
-/// Optional refinements beyond the paper's equations.
-///
-/// All default to `false`, which reproduces the published model exactly.
-/// The discrete-event simulator bills all of these physically, so enable
-/// them when cross-validating model against simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModelRefinements {
-    /// Bill the idle→TX turn-on (`T_ia`) before every transmission (the
-    /// paper's eq. (5) counts only the packet airtime).
-    pub bill_tx_turn_on: bool,
-    /// Bill the 8-symbol CCA detection window at receive power on top of
-    /// the per-CCA `T_ia` (the paper folds sensing into `T_ia`).
-    pub bill_cca_sense: bool,
-    /// Bill shutdown leakage over the sleep remainder (the paper neglects
-    /// it).
-    pub bill_shutdown_leakage: bool,
-    /// Bill a long interframe spacing in idle after each attempt.
-    pub bill_ifs: bool,
-    /// Apply the channel-access-failure probability to *every* retry's
-    /// contention procedure, not once per transaction. The paper's eq. (4)
-    /// charges `Pr_cf` a single time; in the real protocol a retransmission
-    /// whose CSMA procedure fails aborts the remaining retries, which
-    /// shortens transactions on bad links.
-    pub per_attempt_channel_access: bool,
-}
-
-impl ModelRefinements {
-    /// Everything the simulator accounts for.
-    pub fn physical() -> Self {
-        ModelRefinements {
-            bill_tx_turn_on: true,
-            bill_cca_sense: true,
-            bill_shutdown_leakage: true,
-            bill_ifs: true,
-            per_attempt_channel_access: true,
-        }
-    }
-}
 
 /// The activation-policy model: radio characterization plus the fixed
 /// protocol timing constants.
@@ -88,7 +51,9 @@ pub struct ActivationModel {
     ack: AckTiming,
     /// Retry budget `N_max`.
     retries: RetryPolicy,
-    refinements: ModelRefinements,
+    /// Whether [`with_physical_refinements`](Self::with_physical_refinements)
+    /// is on.
+    physical: bool,
 }
 
 impl ActivationModel {
@@ -101,7 +66,7 @@ impl ActivationModel {
             beacon: beacon_duration(),
             ack: AckTiming::standard(),
             retries: RetryPolicy::paper(),
-            refinements: ModelRefinements::default(),
+            physical: false,
         }
     }
 
@@ -111,9 +76,24 @@ impl ActivationModel {
         self
     }
 
-    /// Sets refinement flags.
-    pub fn with_refinements(mut self, refinements: ModelRefinements) -> Self {
-        self.refinements = refinements;
+    /// Bills everything the discrete-event simulator accounts for and the
+    /// paper's equations leave out; turn it on when cross-validating model
+    /// against simulation. Off by default, which reproduces the published
+    /// model exactly. It adds five refinements:
+    ///
+    /// * the idle→TX turn-on (`T_ia`) before every transmission (the
+    ///   paper's eq. (5) counts only the packet airtime);
+    /// * the 8-symbol CCA detection window at receive power on top of the
+    ///   per-CCA `T_ia` (the paper folds sensing into `T_ia`);
+    /// * shutdown leakage over the sleep remainder (the paper neglects it);
+    /// * a long interframe spacing in idle after each attempt;
+    /// * the channel-access-failure probability on *every* retry's
+    ///   contention procedure, not once per transaction. The paper's eq. (4)
+    ///   charges `Pr_cf` a single time; in the real protocol a
+    ///   retransmission whose CSMA procedure fails aborts the remaining
+    ///   retries, which shortens transactions on bad links.
+    pub fn with_physical_refinements(mut self) -> Self {
+        self.physical = true;
         self
     }
 
@@ -141,6 +121,8 @@ impl ActivationModel {
         let t_ib = inputs.beacon_order.beacon_interval();
         let t_packet = packet.duration();
         let t_ia = radio.turn_on_time();
+        let cca_sense = cca_detection_time();
+        let lifs = symbols(LIFS_SYMBOLS);
         let cont = &inputs.contention;
 
         // --- reliability chain: eqs (10), (9), (7), (8) ---
@@ -156,7 +138,7 @@ impl ActivationModel {
         // Expected counts per transaction: contention procedures started,
         // packets transmitted, attempts acknowledged/unacknowledged.
         let (e_procedures, e_tx, e_acked, e_failed, pr_fail);
-        if self.refinements.per_attempt_channel_access {
+        if self.physical {
             // Every retry's CSMA procedure can itself fail: the chain
             // continues with probability q = Pr_tf·(1−Pr_cf) per round.
             let q = pr_tf.value() * p_ok;
@@ -186,21 +168,21 @@ impl ActivationModel {
 
         // Eq. (4): wake-up, contention wall-time and the pre-ACK idle gap.
         let mut t_idle = self.wakeup + t_cont * e_procedures + self.ack.wait_min * e_tx;
-        if self.refinements.bill_ifs {
-            t_idle += Seconds::from_micros(640.0) * e_tx;
+        if self.physical {
+            t_idle += lifs * e_tx;
         }
 
         // Eq. (5): transmissions.
         let mut t_tx = t_packet * e_tx;
-        if self.refinements.bill_tx_turn_on {
+        if self.physical {
             t_tx += t_ia * e_tx;
         }
 
         // Eq. (6): beacon reception, CCA turn-ons, ACK listening.
         let cca_turnons = cont.mean_ccas * e_procedures;
         let mut t_rx_cca = t_ia * cca_turnons;
-        if self.refinements.bill_cca_sense {
-            t_rx_cca += Seconds::from_micros(128.0) * cca_turnons;
+        if self.physical {
+            t_rx_cca += cca_sense * cca_turnons;
         }
         let t_rx_beacon = t_ia + self.beacon;
         let t_rx_ack =
@@ -222,21 +204,21 @@ impl ActivationModel {
         let e_beacon = p_idle * self.wakeup + p_rx_full * t_rx_beacon;
         let e_cont_idle = p_idle * (t_cont * e_procedures);
         let e_cont_rx = p_listen * (t_ia * cca_turnons)
-            + if self.refinements.bill_cca_sense {
-                p_listen * (Seconds::from_micros(128.0) * cca_turnons)
+            + if self.physical {
+                p_listen * (cca_sense * cca_turnons)
             } else {
                 Energy::ZERO
             };
         let e_cont = e_cont_idle + e_cont_rx;
         let e_tx_energy = p_tx * t_tx;
         let e_ack = p_idle * (self.ack.wait_min * e_tx) + p_listen * t_rx_ack;
-        let e_ifs = if self.refinements.bill_ifs {
-            p_idle * (Seconds::from_micros(640.0) * e_tx)
+        let e_ifs = if self.physical {
+            p_idle * (lifs * e_tx)
         } else {
             Energy::ZERO
         };
         let active_time = t_idle + t_tx + t_rx;
-        let e_sleep = if self.refinements.bill_shutdown_leakage {
+        let e_sleep = if self.physical {
             radio.state_power(RadioState::Shutdown) * (t_ib - active_time).max(Seconds::ZERO)
         } else {
             Energy::ZERO
@@ -598,12 +580,10 @@ mod tests {
             &inputs(TxPowerLevel::Neg5, 75.0, ContentionStats::ideal()),
             &EmpiricalCc2420Ber::paper(),
         );
-        let refined = model()
-            .with_refinements(ModelRefinements::physical())
-            .evaluate(
-                &inputs(TxPowerLevel::Neg5, 75.0, ContentionStats::ideal()),
-                &EmpiricalCc2420Ber::paper(),
-            );
+        let refined = model().with_physical_refinements().evaluate(
+            &inputs(TxPowerLevel::Neg5, 75.0, ContentionStats::ideal()),
+            &EmpiricalCc2420Ber::paper(),
+        );
         assert!(refined.average_power > stock.average_power);
         // Refinements add single-digit percents, not multiples.
         assert!(refined.average_power.watts() < stock.average_power.watts() * 1.4);

@@ -16,8 +16,9 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use wsn_mac::csma::CsmaParams;
+use wsn_mac::timing::{ack_wait_min, unit_backoff_period};
 use wsn_mac::RetryPolicy;
-use wsn_phy::frame::PacketLayout;
+use wsn_phy::frame::{ack_duration, PacketLayout};
 use wsn_sim::contention::run_channel_sim_into;
 use wsn_sim::{
     replication_seed, simulate_contention, ChannelSimConfig, ContentionStats, Runner, StatsSink,
@@ -63,40 +64,27 @@ impl ContentionModel for IdealContention {
 /// ```
 #[derive(Debug)]
 pub struct MonteCarloContention {
-    nodes: usize,
-    csma: CsmaParams,
-    retries: RetryPolicy,
     superframes: u32,
     replications: u32,
-    seed: u64,
     cache: Mutex<HashMap<(u64, usize), ContentionStats>>,
 }
+
+/// Nodes sharing the channel in the paper's Figure 6 setting.
+const FIGURE6_NODES: usize = 100;
+
+/// Base seed of every Monte-Carlo point; each point mixes in its load and
+/// payload.
+const FIGURE6_SEED: u64 = 0x0F16_6AA0;
 
 impl MonteCarloContention {
     /// The paper's Figure 6 setting: 100 nodes, standard CSMA parameters,
     /// `N_max = 5`, one replication per point.
     pub fn figure6() -> Self {
         MonteCarloContention {
-            nodes: 100,
-            csma: CsmaParams::standard_2003(),
-            retries: RetryPolicy::paper(),
             superframes: 40,
             replications: 1,
-            seed: 0x0F16_6AA0,
             cache: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Overrides the number of nodes sharing the channel.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
-    /// Overrides the CSMA/CA parameters.
-    pub fn with_csma(mut self, csma: CsmaParams) -> Self {
-        self.csma = csma;
-        self
     }
 
     /// Overrides the number of simulated superframes per point.
@@ -116,12 +104,6 @@ impl MonteCarloContention {
         self
     }
 
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     fn key(load: f64, packet: PacketLayout) -> (u64, usize) {
         ((load * 1e9).round() as u64, packet.payload_bytes())
     }
@@ -134,13 +116,13 @@ impl MonteCarloContention {
         );
         let key = Self::key(load, packet);
         ChannelSimConfig {
-            nodes: self.nodes,
+            nodes: FIGURE6_NODES,
             packet,
             load,
-            csma: self.csma,
-            retries: self.retries,
+            csma: CsmaParams::standard_2003(),
+            retries: RetryPolicy::paper(),
             superframes: self.superframes,
-            seed: self.seed ^ key.0 ^ (key.1 as u64) << 40,
+            seed: FIGURE6_SEED ^ key.0 ^ (key.1 as u64) << 40,
             synchronized_arrivals: false,
             cfp: wsn_sim::CfpPlan::inert(),
             faults: wsn_sim::FaultPlan::inert(),
@@ -253,48 +235,13 @@ impl ContentionModel for MonteCarloContention {
 /// Accuracy: within tens of percent of the Monte-Carlo for `Pr_cf`,
 /// `N̄_CCA` and `T̄_cont` at moderate loads; collision probability is the
 /// crudest output. Prefer [`MonteCarloContention`] for reproduction runs.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyticContention {
-    csma: CsmaParams,
-    retries: RetryPolicy,
-    /// Collision clustering factor κ.
-    clustering: f64,
-}
+///
+/// The approximation uses the standard CSMA parameters and `N_max = 5`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnalyticContention;
 
-impl AnalyticContention {
-    /// Creates the approximation with the standard CSMA parameters and
-    /// κ = 3.
-    pub fn new() -> Self {
-        AnalyticContention {
-            csma: CsmaParams::standard_2003(),
-            retries: RetryPolicy::paper(),
-            clustering: 3.0,
-        }
-    }
-
-    /// Overrides the CSMA parameters.
-    pub fn with_csma(mut self, csma: CsmaParams) -> Self {
-        self.csma = csma;
-        self
-    }
-
-    /// Overrides the clustering factor κ.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `kappa` is positive and finite.
-    pub fn with_clustering(mut self, kappa: f64) -> Self {
-        assert!(kappa.is_finite() && kappa > 0.0, "κ must be positive");
-        self.clustering = kappa;
-        self
-    }
-}
-
-impl Default for AnalyticContention {
-    fn default() -> Self {
-        AnalyticContention::new()
-    }
-}
+/// Collision clustering factor κ of [`AnalyticContention`].
+const CLUSTERING: f64 = 3.0;
 
 impl ContentionModel for AnalyticContention {
     fn stats(&self, load: f64, packet: PacketLayout) -> ContentionStats {
@@ -302,10 +249,13 @@ impl ContentionModel for AnalyticContention {
             load > 0.0 && load < 1.0,
             "load must be in (0,1), got {load}"
         );
-        let slot_us = 320.0;
-        // Packet + ACK hold, in backoff slots.
-        let d = (packet.duration().micros() + 544.0) / slot_us;
-        let rounds = self.csma.max_backoffs as f64 + 1.0;
+        let csma = CsmaParams::standard_2003();
+        let slot_us = unit_backoff_period().micros();
+        // Packet + ACK hold (t_ack⁻ + ACK airtime, 544 µs), in backoff slots.
+        let ack_hold_us = ack_wait_min().micros() + ack_duration().micros();
+        let d = (packet.duration().micros() + ack_hold_us) / slot_us;
+        let rounds = csma.max_backoffs as f64 + 1.0;
+        let n_max = RetryPolicy::paper().n_max() as f64;
 
         // Fixed point on utilization: retransmissions inflate the offered
         // airtime beyond λ.
@@ -317,12 +267,11 @@ impl ContentionModel for AnalyticContention {
             let c = (u / d).min(0.999);
             f = b + (1.0 - b) * c;
             let g = u / d;
-            pr_col = 1.0 - (-self.clustering * g).exp();
+            pr_col = 1.0 - (-CLUSTERING * g).exp();
             // Expected transmissions per transaction (collision-driven
             // retries, truncated at N_max).
             let q = pr_col.min(0.999);
-            let n = self.retries.n_max() as f64;
-            let e_tx = (1.0 - q.powf(n)) / (1.0 - q);
+            let e_tx = (1.0 - q.powf(n_max)) / (1.0 - q);
             let next = (load * e_tx).min(0.98);
             if (next - u).abs() < 1e-12 {
                 u = next;
@@ -341,8 +290,8 @@ impl ContentionModel for AnalyticContention {
         // CCA slots of each round reached.
         let mut t_slots = 0.0;
         let mut p_reach = 1.0;
-        for k in 0..self.csma.max_backoffs as u32 + 1 {
-            let be = (self.csma.min_be as u32 + k).min(self.csma.max_be as u32);
+        for k in 0..csma.max_backoffs as u32 + 1 {
+            let be = (csma.min_be as u32 + k).min(csma.max_be as u32);
             let window = ((1u64 << be) - 1) as f64 / 2.0;
             t_slots += p_reach * (window + 2.0 - b);
             p_reach *= f;
@@ -436,7 +385,7 @@ mod tests {
 
     #[test]
     fn analytic_stats_degrade_with_load() {
-        let a = AnalyticContention::new();
+        let a = AnalyticContention;
         let p = packet(100);
         let lo = a.stats(0.1, p);
         let hi = a.stats(0.7, p);
@@ -448,7 +397,7 @@ mod tests {
 
     #[test]
     fn analytic_tracks_monte_carlo_order_of_magnitude() {
-        let analytic = AnalyticContention::new();
+        let analytic = AnalyticContention;
         let mc = MonteCarloContention::figure6().with_superframes(20);
         let p = packet(100);
         for load in [0.2, 0.42, 0.6] {
@@ -486,17 +435,11 @@ mod tests {
     #[test]
     fn analytic_ideal_limit() {
         // Vanishing load approaches the ideal contention cost.
-        let a = AnalyticContention::new().stats(0.001, packet(100));
+        let a = AnalyticContention.stats(0.001, packet(100));
         let ideal = ContentionStats::ideal();
         assert!((a.mean_ccas - 2.0).abs() < 0.05, "N_CCA {}", a.mean_ccas);
         assert!(a.pr_access_failure.value() < 1e-4);
         let ratio = a.mean_contention.secs() / ideal.mean_contention.secs();
         assert!((0.9..1.1).contains(&ratio), "T_cont ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "κ must be positive")]
-    fn analytic_rejects_bad_kappa() {
-        let _ = AnalyticContention::new().with_clustering(0.0);
     }
 }

@@ -49,13 +49,11 @@
 pub mod activation;
 pub mod case_study;
 pub mod contention;
-pub mod coordinator;
-pub mod downlink;
 pub mod improvements;
 pub mod link_adaptation;
 pub mod packet_sizing;
 
-pub use activation::{ActivationModel, ModelInputs, ModelOutput, ModelRefinements};
+pub use activation::{ActivationModel, ModelInputs, ModelOutput};
 pub use case_study::{CaseStudy, CaseStudyReport};
 pub use contention::{AnalyticContention, ContentionModel, IdealContention, MonteCarloContention};
 pub use link_adaptation::{LinkAdaptation, LinkAdaptationPolicy};

@@ -132,20 +132,6 @@ pub struct LinkAdaptationPolicy {
 }
 
 impl LinkAdaptationPolicy {
-    /// Creates a policy from explicit thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thresholds` is empty or path losses are not increasing.
-    pub fn from_thresholds(thresholds: Vec<(Db, TxPowerLevel)>) -> Self {
-        assert!(!thresholds.is_empty(), "policy needs at least one level");
-        assert!(
-            thresholds.windows(2).all(|w| w[0].0 <= w[1].0),
-            "thresholds must be ordered by path loss"
-        );
-        LinkAdaptationPolicy { thresholds }
-    }
-
     /// The level to use at a given path loss: the entry with the largest
     /// threshold not exceeding `path_loss` (the first entry below all
     /// thresholds).
@@ -286,23 +272,16 @@ mod tests {
 
     #[test]
     fn policy_lookup() {
-        let policy = LinkAdaptationPolicy::from_thresholds(vec![
-            (Db::new(50.0), TxPowerLevel::Neg25),
-            (Db::new(63.0), TxPowerLevel::Neg15),
-            (Db::new(80.0), TxPowerLevel::Zero),
-        ]);
+        let policy = LinkAdaptationPolicy {
+            thresholds: vec![
+                (Db::new(50.0), TxPowerLevel::Neg25),
+                (Db::new(63.0), TxPowerLevel::Neg15),
+                (Db::new(80.0), TxPowerLevel::Zero),
+            ],
+        };
         assert_eq!(policy.level_for(Db::new(40.0)), TxPowerLevel::Neg25);
         assert_eq!(policy.level_for(Db::new(62.9)), TxPowerLevel::Neg25);
         assert_eq!(policy.level_for(Db::new(63.0)), TxPowerLevel::Neg15);
         assert_eq!(policy.level_for(Db::new(95.0)), TxPowerLevel::Zero);
-    }
-
-    #[test]
-    #[should_panic(expected = "ordered by path loss")]
-    fn unsorted_policy_rejected() {
-        let _ = LinkAdaptationPolicy::from_thresholds(vec![
-            (Db::new(80.0), TxPowerLevel::Zero),
-            (Db::new(50.0), TxPowerLevel::Neg25),
-        ]);
     }
 }

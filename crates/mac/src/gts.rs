@@ -123,11 +123,6 @@ impl GtsRegistry {
             .unwrap_or(16)
     }
 
-    /// Number of devices that can still obtain a GTS.
-    pub fn remaining_descriptors(&self) -> usize {
-        MAX_GTS_DESCRIPTORS - self.allocations.len()
-    }
-
     /// Allocates `length` slots to `device`, growing the CFP downward.
     ///
     /// # Errors
@@ -203,7 +198,6 @@ mod tests {
         for dev in 0..7u16 {
             r.allocate(dev, 1).unwrap();
         }
-        assert_eq!(r.remaining_descriptors(), 0);
         assert_eq!(r.allocate(7, 1), Err(GtsError::Exhausted));
         // The paper's point: 7 « several hundred nodes.
         assert!(max_gts_devices() < 100);

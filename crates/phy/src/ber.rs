@@ -82,26 +82,6 @@ impl EmpiricalCc2420Ber {
         }
     }
 
-    /// Builds a model from regression constants.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `coefficient > 0` and `slope_per_dbm > 0` (the BER must
-    /// decay with increasing received power).
-    pub fn from_constants(coefficient: f64, slope_per_dbm: f64) -> Self {
-        assert!(coefficient > 0.0, "coefficient must be positive");
-        assert!(slope_per_dbm > 0.0, "slope must be positive");
-        EmpiricalCc2420Ber {
-            coefficient,
-            slope_per_dbm,
-        }
-    }
-
-    /// Returns the multiplicative constant `c`.
-    pub fn coefficient(&self) -> f64 {
-        self.coefficient
-    }
-
     /// Returns the decay slope `s` per dBm.
     pub fn slope_per_dbm(&self) -> f64 {
         self.slope_per_dbm
@@ -253,32 +233,18 @@ pub fn calibrate_noise_figure(anchor_p_rx: DBm, target_ber: f64) -> Db {
 /// `BER = (8/15)·(1/16)·Σ_{k=2}^{16} (−1)^k·C(16,k)·exp(20·SINR·(1/k − 1))`
 ///
 /// with `SINR` the signal-to-noise ratio in the 2 MHz channel
-/// (`P_Rx / (N₀·B)`, linear).
+/// (`P_Rx / (N₀·B)`, linear), the noise bandwidth `B` being the chip rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StandardOqpskBer {
     noise_figure_db: f64,
-    bandwidth_hz: f64,
 }
 
 impl StandardOqpskBer {
-    /// Creates the model; the conventional noise bandwidth is the 2 MHz
-    /// chip-rate bandwidth.
+    /// Creates the model with the given effective noise figure.
     pub fn new(noise_figure: Db) -> Self {
         StandardOqpskBer {
             noise_figure_db: noise_figure.db(),
-            bandwidth_hz: CHIP_RATE_CHIPS_PER_SEC,
         }
-    }
-
-    /// Overrides the noise bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is not strictly positive.
-    pub fn with_bandwidth_hz(mut self, hz: f64) -> Self {
-        assert!(hz > 0.0, "bandwidth must be positive");
-        self.bandwidth_hz = hz;
-        self
     }
 
     /// Evaluates the standard's formula at a given linear SINR.
@@ -298,9 +264,7 @@ impl StandardOqpskBer {
 
 impl BerModel for StandardOqpskBer {
     fn bit_error_probability(&self, p_rx: DBm) -> Probability {
-        let n0_dbm_per_hz = THERMAL_NOISE_DBM_PER_HZ + self.noise_figure_db;
-        let noise_dbm = n0_dbm_per_hz + 10.0 * self.bandwidth_hz.log10();
-        let sinr = Db::new(p_rx.dbm() - noise_dbm).to_linear();
+        let sinr = chip_snr_linear(p_rx, Db::new(self.noise_figure_db));
         Probability::clamped(Self::ber_at_sinr(sinr))
     }
 }
@@ -334,12 +298,6 @@ mod tests {
     fn empirical_caps_at_half() {
         let m = EmpiricalCc2420Ber::paper();
         assert_eq!(m.bit_error_probability(DBm::new(-200.0)).value(), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "slope must be positive")]
-    fn negative_slope_rejected() {
-        let _ = EmpiricalCc2420Ber::from_constants(1e-30, -0.5);
     }
 
     #[test]

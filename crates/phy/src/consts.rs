@@ -3,7 +3,7 @@
 //! All durations are also provided as [`Seconds`] helpers so the rest of the
 //! workspace never hand-computes microsecond values.
 
-use wsn_units::{DataRate, Frequency, Seconds};
+use wsn_units::Seconds;
 
 /// Chip rate of the 2 450 MHz DSSS PHY: 2 Mchip/s.
 pub const CHIP_RATE_CHIPS_PER_SEC: f64 = 2_000_000.0;
@@ -28,9 +28,6 @@ pub const BYTE_PERIOD_US: f64 = 32.0;
 
 /// Number of channels in the 2 450 MHz band.
 pub const NUM_CHANNELS_2450: u8 = 16;
-
-/// First channel number of the 2 450 MHz band (channels 11–26).
-pub const FIRST_CHANNEL_2450: u8 = 11;
 
 /// Maximum PHY service data unit (MPDU) size in bytes (`aMaxPHYPacketSize`).
 pub const MAX_PHY_PACKET_SIZE: usize = 127;
@@ -64,12 +61,6 @@ pub fn byte_period() -> Seconds {
     Seconds::from_micros(BYTE_PERIOD_US)
 }
 
-/// Returns the gross data rate of the 2 450 MHz PHY.
-#[inline]
-pub fn bit_rate() -> DataRate {
-    DataRate::from_bps(BIT_RATE_BPS)
-}
-
 /// Returns the duration of a transmission of `n` symbols.
 #[inline]
 pub fn symbols(n: u32) -> Seconds {
@@ -80,23 +71,6 @@ pub fn symbols(n: u32) -> Seconds {
 #[inline]
 pub fn bytes(n: usize) -> Seconds {
     Seconds::from_micros(BYTE_PERIOD_US * n as f64)
-}
-
-/// Returns the center frequency of a 2 450 MHz-band channel.
-///
-/// Channels are numbered 11–26 as in the standard:
-/// `F_c = 2405 + 5 (k − 11) MHz`.
-///
-/// # Panics
-///
-/// Panics if `channel` is outside `11..=26`.
-#[inline]
-pub fn channel_center_frequency(channel: u8) -> Frequency {
-    assert!(
-        (FIRST_CHANNEL_2450..FIRST_CHANNEL_2450 + NUM_CHANNELS_2450).contains(&channel),
-        "2450 MHz band channels are 11..=26, got {channel}"
-    );
-    Frequency::from_mhz(2405.0 + 5.0 * (channel - FIRST_CHANNEL_2450) as f64)
 }
 
 #[cfg(test)]
@@ -124,18 +98,6 @@ mod tests {
         // takes 4.256 ms; a byte takes 32 µs.
         assert!((bytes(133).millis() - 4.256).abs() < 1e-9);
         assert!((symbols(20).micros() - 320.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn channel_frequencies() {
-        assert!((channel_center_frequency(11).mhz() - 2405.0).abs() < 1e-9);
-        assert!((channel_center_frequency(26).mhz() - 2480.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "channels are 11..=26")]
-    fn channel_out_of_band_panics() {
-        let _ = channel_center_frequency(10);
     }
 
     #[test]

@@ -3,13 +3,9 @@
 //! The paper fits `Pr_bit = c · exp(−s · P_Rx)` to the testbench points of
 //! Figure 4 by linear least squares on `ln(Pr_bit)`. [`ExponentialFit`]
 //! reproduces exactly that procedure so the chip-level simulator's output
-//! can be reduced to an [`EmpiricalCc2420Ber`]-shaped model.
-//!
-//! [`EmpiricalCc2420Ber`]: crate::ber::EmpiricalCc2420Ber
+//! can be compared with the paper's eq. (1) constants.
 
 use core::fmt;
-
-use crate::ber::EmpiricalCc2420Ber;
 
 /// Errors raised by the regression routines.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,22 +102,6 @@ impl ExponentialFit {
     pub fn eval(&self, x: f64) -> f64 {
         (self.ln_c + self.b * x).exp()
     }
-
-    /// Converts to the paper's BER-model form `c · exp(−s·P_Rx)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegressionError::Degenerate`] if the fitted slope is
-    /// non-negative — a BER curve must decay with received power.
-    pub fn to_ber_model(&self) -> Result<EmpiricalCc2420Ber, RegressionError> {
-        if self.b >= 0.0 {
-            return Err(RegressionError::Degenerate);
-        }
-        Ok(EmpiricalCc2420Ber::from_constants(
-            self.coefficient(),
-            -self.b,
-        ))
-    }
 }
 
 impl fmt::Display for ExponentialFit {
@@ -171,25 +151,6 @@ mod tests {
         let points = vec![(0.0, 1.0), (1.0, core::f64::consts::E)];
         let fit = ExponentialFit::fit(&points).unwrap();
         assert!((fit.eval(0.5) - (0.5f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn to_ber_model_roundtrip() {
-        let points: Vec<(f64, f64)> = (-94..=-85)
-            .map(|x| (x as f64, 1e-29 * (-0.70 * x as f64).exp()))
-            .collect();
-        let model = ExponentialFit::fit(&points)
-            .unwrap()
-            .to_ber_model()
-            .unwrap();
-        assert!((model.slope_per_dbm() - 0.70).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rising_fit_cannot_be_ber_model() {
-        let points = vec![(0.0, 1e-6), (1.0, 1e-5), (2.0, 1e-4)];
-        let fit = ExponentialFit::fit(&points).unwrap();
-        assert!(fit.to_ber_model().is_err());
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl RadioModel {
         self.rx_listen_power
     }
 
-    /// Transmit power consumption at a given output level.
-    pub fn tx_power(&self, level: TxPowerLevel) -> Power {
-        self.tx_power[level as usize]
-    }
-
     /// The cost of switching `from → to`, or `None` if the transition is
     /// not legal on this hardware (shutdown cannot reach RX/TX directly —
     /// the crystal must start in idle first).
@@ -175,64 +170,20 @@ impl RadioModel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RadioModelBuilder {
-    vdd: Voltage,
-    shutdown_current: Current,
-    idle_current: Current,
-    rx_current: Current,
     rx_listen_power: Option<Power>,
-    shutdown_to_idle_time: Seconds,
-    shutdown_to_idle_energy: Option<Energy>,
-    idle_to_active_time: Seconds,
-    idle_to_active_energy: Option<Energy>,
-    turnaround_time: Seconds,
     transition_scale: f64,
 }
 
 impl Default for RadioModelBuilder {
     fn default() -> Self {
         RadioModelBuilder {
-            vdd: Voltage::from_volts(1.8),
-            shutdown_current: Current::from_nanoamps(80.0),
-            idle_current: Current::from_microamps(396.0),
-            rx_current: Current::from_milliamps(19.6),
             rx_listen_power: None,
-            shutdown_to_idle_time: Seconds::from_micros(970.0),
-            shutdown_to_idle_energy: None,
-            idle_to_active_time: Seconds::from_micros(194.0),
-            // The paper's measured value; the worst-case rule would give
-            // 6.84 µJ (194 µs × 35.28 mW).
-            idle_to_active_energy: Some(Energy::from_microjoules(6.63)),
-            turnaround_time: Seconds::from_micros(192.0),
             transition_scale: 1.0,
         }
     }
 }
 
 impl RadioModelBuilder {
-    /// Sets the supply voltage.
-    pub fn vdd(mut self, vdd: Voltage) -> Self {
-        self.vdd = vdd;
-        self
-    }
-
-    /// Sets the shutdown-state supply current.
-    pub fn shutdown_current(mut self, i: Current) -> Self {
-        self.shutdown_current = i;
-        self
-    }
-
-    /// Sets the idle-state supply current.
-    pub fn idle_current(mut self, i: Current) -> Self {
-        self.idle_current = i;
-        self
-    }
-
-    /// Sets the receive-state supply current.
-    pub fn rx_current(mut self, i: Current) -> Self {
-        self.rx_current = i;
-        self
-    }
-
     /// Sets a reduced receiver power for listen-only operation (clear
     /// channel assessment and acknowledgement wait) — the paper's scalable
     /// receiver improvement.
@@ -256,59 +207,37 @@ impl RadioModelBuilder {
         self
     }
 
-    /// Overrides the shutdown→idle transition time.
-    pub fn wakeup_time(mut self, t: Seconds) -> Self {
-        self.shutdown_to_idle_time = t;
-        self
-    }
-
-    /// Overrides the idle→active transition time.
-    pub fn turn_on_time(mut self, t: Seconds) -> Self {
-        self.idle_to_active_time = t;
-        self
-    }
-
-    /// Overrides the idle→active transition energy (otherwise the
-    /// worst-case rule `T × P(target)` applies).
-    pub fn turn_on_energy(mut self, e: Energy) -> Self {
-        self.idle_to_active_energy = Some(e);
-        self
-    }
-
-    /// Finalizes the model.
+    /// Finalizes the model: the CC2420 at 1.8 V with the two
+    /// improvement knobs applied.
     pub fn build(self) -> RadioModel {
-        let idle_power = self.idle_current * self.vdd;
-        let rx_power = self.rx_current * self.vdd;
+        let vdd = Voltage::from_volts(1.8);
+        let idle_power = Current::from_microamps(396.0) * vdd;
+        let rx_power = Current::from_milliamps(19.6) * vdd;
         let tx_power = core::array::from_fn(|i| {
             let lvl = TxPowerLevel::ALL[i];
-            lvl.supply_current() * self.vdd
+            lvl.supply_current() * vdd
         });
 
-        let shutdown_to_idle = Transition {
-            time: self.shutdown_to_idle_time,
-            energy: self
-                .shutdown_to_idle_energy
-                .unwrap_or(idle_power * self.shutdown_to_idle_time),
-        }
-        .scaled(self.transition_scale);
+        let shutdown_to_idle = Transition::worst_case(Seconds::from_micros(970.0), idle_power)
+            .scaled(self.transition_scale);
         let idle_to_active = Transition {
-            time: self.idle_to_active_time,
-            energy: self
-                .idle_to_active_energy
-                .unwrap_or(rx_power * self.idle_to_active_time),
+            time: Seconds::from_micros(194.0),
+            // The paper's measured value; the worst-case rule would give
+            // 6.84 µJ (194 µs × 35.28 mW).
+            energy: Energy::from_microjoules(6.63),
         }
         .scaled(self.transition_scale);
 
         RadioModel {
-            vdd: self.vdd,
-            shutdown_power: self.shutdown_current * self.vdd,
+            vdd,
+            shutdown_power: Current::from_nanoamps(80.0) * vdd,
             idle_power,
             rx_power,
             rx_listen_power: self.rx_listen_power.unwrap_or(rx_power),
             tx_power,
             shutdown_to_idle,
             idle_to_active,
-            turnaround_time: self.turnaround_time * self.transition_scale,
+            turnaround_time: Seconds::from_micros(192.0) * self.transition_scale,
         }
     }
 }
@@ -452,11 +381,5 @@ mod tests {
     #[should_panic(expected = "transition scale must be positive")]
     fn zero_scale_rejected() {
         let _ = RadioModel::builder().transition_scale(0.0);
-    }
-
-    #[test]
-    fn custom_voltage_scales_powers() {
-        let r = RadioModel::builder().vdd(Voltage::from_volts(3.0)).build();
-        assert!((r.state_power(RadioState::Rx).milliwatts() - 58.8).abs() < 1e-9);
     }
 }

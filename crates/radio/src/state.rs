@@ -124,11 +124,6 @@ pub enum RadioState {
 }
 
 impl RadioState {
-    /// `true` if this is any transmit state.
-    pub fn is_tx(self) -> bool {
-        matches!(self, RadioState::Tx(_))
-    }
-
     /// A coarse state kind that ignores the TX power level, used as a
     /// breakdown key (Figure 9b groups all TX levels together).
     pub fn kind(self) -> StateKind {
@@ -236,8 +231,6 @@ mod tests {
         assert_eq!(RadioState::Tx(TxPowerLevel::Neg25).kind(), StateKind::Tx);
         assert_eq!(RadioState::Tx(TxPowerLevel::Zero).kind(), StateKind::Tx);
         assert_eq!(RadioState::Rx.kind(), StateKind::Rx);
-        assert!(RadioState::Tx(TxPowerLevel::Zero).is_tx());
-        assert!(!RadioState::Idle.is_tx());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   nodes; a node that finds its address pending contends in the CAP
 //!   with a **data request** MAC command, then keeps its receiver on for
 //!   the downlink frame and acknowledges it (the indirect transmission of
-//!   the standard's Figure 1b, modeled analytically by
-//!   `wsn_core::downlink`). The data request contends like any uplink
+//!   the standard's Figure 1b). The data request contends like any uplink
 //!   packet, so downlink traffic *shifts the CAP contention* the
 //!   analytical model predicts — exactly the joint PHY/MAC coupling the
 //!   related work motivates.
@@ -59,9 +58,7 @@
 use wsn_mac::gts::GtsRegistry;
 
 /// MPDU + SHR/PHR bytes of the data-request MAC command with short
-/// addressing (mirrors `wsn_core::downlink::DATA_REQUEST_AIR_BYTES`; the
-/// dependency points the other way, so the constant lives in both crates
-/// and a `wsn-core` test pins them equal).
+/// addressing: a 10-byte MPDU after the 6-byte SHR/PHR.
 pub const DATA_REQUEST_AIR_BYTES: usize = 6 + 10;
 
 /// Engine-facing contention-free configuration of one channel: which

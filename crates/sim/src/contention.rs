@@ -28,7 +28,11 @@
 
 use wsn_mac::csma::{CsmaAction, CsmaParams, InvalidCsmaParams, SlottedCsmaCa};
 use wsn_mac::gts::GtsRegistry;
+use wsn_mac::timing::{
+    ack_wait_max, ack_wait_min, TURNAROUND_SYMBOLS, UNIT_BACKOFF_PERIOD_SYMBOLS,
+};
 use wsn_mac::RetryPolicy;
+use wsn_phy::consts::SYMBOL_PERIOD_US;
 use wsn_phy::frame::{ack_duration, beacon_duration, PacketLayout};
 use wsn_phy::noise::UniformSource;
 use wsn_units::{Probability, Seconds};
@@ -40,8 +44,11 @@ use crate::rng::Xoshiro256StarStar;
 use crate::sink::{StatsSink, TraceCollector, TraceSink};
 use crate::stats::ContentionStats;
 
-/// Microseconds per unit backoff period.
-pub(crate) const SLOT_US: u64 = 320;
+/// Microseconds per unit backoff period (320).
+pub(crate) const SLOT_US: u64 = UNIT_BACKOFF_PERIOD_SYMBOLS as u64 * SYMBOL_PERIOD_US as u64;
+
+/// Microseconds of the RX↔TX turnaround (192).
+const TURNAROUND_US: u64 = TURNAROUND_SYMBOLS as u64 * SYMBOL_PERIOD_US as u64;
 
 /// Extra slots reserved past one superframe: the worst CSMA backoff /
 /// airtime / ACK tail an event can be scheduled into. Shared between the
@@ -205,9 +212,10 @@ impl ChannelSimConfig {
             beacon_us,
             beacon_slots: beacon_us.div_ceil(SLOT_US),
             // Acknowledged transmissions hold the channel for t_ack⁻ + T_ack.
-            ack_hold_us: 192 + ack_duration().micros().round() as u64,
+            ack_hold_us: ack_wait_min().micros().round() as u64
+                + ack_duration().micros().round() as u64,
             // A transmitter concludes "no acknowledgement" after t_ack⁺.
-            ack_timeout_us: 864,
+            ack_timeout_us: ack_wait_max().micros().round() as u64,
             mac_slot_backoffs: (self.superframe_slots() / 16).max(1),
             data_request_us: wsn_phy::consts::bytes(DATA_REQUEST_AIR_BYTES)
                 .micros()
@@ -1248,7 +1256,7 @@ where
                     let mut hold_us = 0;
                     if outcome != DownlinkOutcome::Collided {
                         // Request ACK, turnaround, downlink frame …
-                        hold_us = ack_hold_us + 192 + packet_us;
+                        hold_us = ack_hold_us + TURNAROUND_US + packet_us;
                         if outcome == DownlinkOutcome::Delivered {
                             // … and the node's frame acknowledgement.
                             hold_us += ack_hold_us;

@@ -19,7 +19,12 @@
 //! the ledger is bit-deterministic given the seed.
 
 use wsn_channel::received_power;
+use wsn_mac::timing::{
+    cca_detection_time, turnaround_time, unit_backoff_period, ACK_WAIT_MAX_SYMBOLS, LIFS_SYMBOLS,
+    TURNAROUND_SYMBOLS,
+};
 use wsn_phy::ber::BerModel;
+use wsn_phy::consts::symbols;
 use wsn_phy::frame::{ack_duration, beacon_duration, PacketLayout};
 use wsn_radio::ledger::{EnergyLedger, PhaseTag};
 use wsn_radio::{RadioModel, RadioState, TxPowerLevel};
@@ -870,13 +875,13 @@ impl AccountingConsts {
     fn new(cfg: &NetworkConfig) -> Self {
         AccountingConsts {
             packet_airtime: cfg.channel.packet.duration(),
-            slot: Seconds::from_micros(320.0),
+            slot: unit_backoff_period(),
             t_ack: ack_duration(),
-            cca_sense: Seconds::from_micros(128.0),
-            noack_listen: Seconds::from_micros(864.0 - 192.0),
-            ifs: Seconds::from_micros(640.0),
+            cca_sense: cca_detection_time(),
+            noack_listen: symbols(ACK_WAIT_MAX_SYMBOLS - TURNAROUND_SYMBOLS),
+            ifs: symbols(LIFS_SYMBOLS),
             turn_on: cfg.radio.turn_on_time(),
-            turnaround: Seconds::from_micros(192.0),
+            turnaround: turnaround_time(),
             dl_request_air: wsn_phy::consts::bytes(DATA_REQUEST_AIR_BYTES),
             t_beacon: beacon_duration(),
             margin: (cfg.wakeup_margin - cfg.radio.wakeup_time()).max(Seconds::ZERO),
@@ -1052,8 +1057,7 @@ fn ledger_on_downlink(
         return;
     }
     // Request acknowledgement, then the (promptly answered) downlink
-    // frame — the receiver stays on throughout, as in the analytical
-    // `downlink_cost` with a prompt coordinator.
+    // frame — the receiver stays on throughout.
     ledger.accrue(
         radio,
         RadioState::Rx,
@@ -1068,7 +1072,7 @@ fn ledger_on_downlink(
     );
     if r.outcome == DownlinkOutcome::Delivered {
         // Acknowledge the frame (turnaround + ACK airtime at TX
-        // power, the analytical model's `acknowledge` term).
+        // power).
         ledger.accrue(
             radio,
             RadioState::Tx(level),

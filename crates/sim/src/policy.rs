@@ -84,66 +84,6 @@ impl RoundObservation<'_> {
         self.per_channel[c].failure_ratio.value()
     }
 
-    /// Mean per-node power channel `c` spent on contention-free traffic
-    /// (GTS + downlink), in µW — the CFP load signal energy-aware
-    /// policies can react to.
-    pub fn cfp_power_uw(&self, c: usize) -> f64 {
-        self.per_channel[c].cfp_power.microwatts()
-    }
-
-    /// Mean per-node power channel `c` spent on CAP traffic, in µW.
-    pub fn cap_power_uw(&self, c: usize) -> f64 {
-        self.per_channel[c].cap_power.microwatts()
-    }
-
-    /// Fraction of channel `c`'s traffic power that is contention-free —
-    /// 0 for CAP-only channels, approaching 1 when GTS and downlink
-    /// dominate.
-    pub fn cfp_share(&self, c: usize) -> f64 {
-        let cap = self.cap_power_uw(c);
-        let cfp = self.cfp_power_uw(c);
-        if cap + cfp > 0.0 {
-            cfp / (cap + cfp)
-        } else {
-            0.0
-        }
-    }
-
-    /// GTS requests channel `c` denied at compile time (nodes that fell
-    /// back to CAP), summed over the round's merged runs.
-    pub fn gts_denied(&self, c: usize) -> u64 {
-        self.per_channel[c].gts_denied
-    }
-
-    /// Node deaths channel `c` suffered this round (fault churn) — the
-    /// churn signal: a channel bleeding nodes delivers fewer packets at
-    /// the same compiled load.
-    pub fn deaths(&self, c: usize) -> u64 {
-        self.per_channel[c].deaths
-    }
-
-    /// Orphan-scan windows channel `c` logged this round — the outage
-    /// signal: alive nodes waking into missing beacons.
-    pub fn orphan_scans(&self, c: usize) -> u64 {
-        self.per_channel[c].orphan_scans
-    }
-
-    /// Fraction of channel `c`'s re-association exchanges that failed.
-    pub fn join_failure(&self, c: usize) -> f64 {
-        self.per_channel[c].join_failure_ratio.value()
-    }
-
-    /// Nodes of channel `c` that exhausted their join-retry budget and
-    /// stayed dormant.
-    pub fn dormant_nodes(&self, c: usize) -> u64 {
-        self.per_channel[c].dormant_nodes
-    }
-
-    /// Deaths summed over all channels this round.
-    pub fn total_deaths(&self) -> u64 {
-        self.per_channel.iter().map(|s| s.deaths).sum()
-    }
-
     /// Channel with the highest failure ratio (lowest index on ties).
     pub fn worst_channel(&self) -> usize {
         (0..self.channels)
@@ -446,14 +386,6 @@ impl PolicyTrace {
     /// Worst-channel failure ratio per round.
     pub fn worst_failure_trajectory(&self) -> Vec<f64> {
         self.rounds.iter().map(PolicyRound::worst_failure).collect()
-    }
-
-    /// Network-wide mean node power per round, in µW.
-    pub fn power_trajectory_uw(&self) -> Vec<f64> {
-        self.rounds
-            .iter()
-            .map(|r| r.outcome.overall.mean_node_power.microwatts())
-            .collect()
     }
 
     /// Network-wide total energy per round, in joules.

@@ -6,7 +6,7 @@
 //! it also implements [`wsn_phy::noise::UniformSource`] so the same stream
 //! can drive CSMA backoffs, arrival offsets and chip-level noise.
 
-use wsn_phy::noise::UniformSource;
+use wsn_phy::noise::{SplitMix64, UniformSource};
 
 /// The xoshiro256★★ generator.
 ///
@@ -33,15 +33,8 @@ impl Xoshiro256StarStar {
     /// Seeds the generator from a single word via SplitMix64 (as the
     /// authors of xoshiro recommend).
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut s = [next(), next(), next(), next()];
+        let mut sm = SplitMix64::new(seed);
+        let mut s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         // All-zero state is invalid; SplitMix64 cannot produce it from any
         // seed, but keep the guard for defense in depth.
         if s == [0, 0, 0, 0] {

@@ -12,9 +12,9 @@
 //! Replication `i` of a configuration with master seed `m` runs with seed
 //! [`replication_seed`]`(m, i)` — the `i`-th output of the SplitMix64
 //! stream seeded with `m` (computed in O(1) because SplitMix64's state
-//! advances by a fixed constant, so the `i`-th state is
-//! `m + (i+1)·0x9E37_79B9_7F4A_7C15` and one finalizer application yields
-//! the output). Each replication's seed therefore depends only on
+//! advances by a fixed constant: a [`SplitMix64`] started at
+//! `m + i·0x9E37_79B9_7F4A_7C15` yields it as its first output). Each
+//! replication's seed therefore depends only on
 //! `(master, i)`, never on which thread ran it or in what order.
 //!
 //! ## Determinism guarantee
@@ -59,19 +59,14 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::thread;
 
+use wsn_phy::noise::SplitMix64;
+
 use crate::contention::{run_channel_sim_into, ChannelSimConfig};
 use crate::sink::StatsSink;
 use crate::stats::ContentionStats;
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "WSN_SIM_THREADS";
-
-/// SplitMix64 finalizer (Steele, Lea & Flood's `mix64` variant 13).
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The `index`-th output of the SplitMix64 stream seeded with `master`:
 /// the seed of replication `index` (see the seed-derivation scheme above).
@@ -87,7 +82,7 @@ fn splitmix64_mix(mut z: u64) -> u64 {
 /// assert_ne!(replication_seed(42, 3), replication_seed(43, 3));
 /// ```
 pub fn replication_seed(master: u64, index: u64) -> u64 {
-    splitmix64_mix(master.wrapping_add((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    SplitMix64::new(master.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next_u64()
 }
 
 /// Extracts a human-readable message from a caught panic payload.

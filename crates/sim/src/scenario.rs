@@ -54,6 +54,14 @@ const MAX_REPLICATIONS: u32 = 1_000;
 /// The most accounting shards per channel job [`Scenario::validate`]
 /// accepts; the benchmark runs 2.
 const MAX_SHARDS: usize = 16;
+/// The most per-node power samples, channels × nodes per channel ×
+/// replications, [`Scenario::validate`] accepts. Every job holds its
+/// nodes' powers until the grid reduces, and the reduction copies them
+/// into the per-channel and overall summaries: at 8 bytes a sample, one
+/// copy takes at most 128 MiB. The caps on each factor alone let 16
+/// channels × 1,000 replications × a few hundred thousand nodes through,
+/// tens of GB. The studies at their defaults hold at most 6,400.
+const MAX_NODE_SAMPLES: u64 = 1 << 24;
 
 /// Where the nodes are, physically — compiled into per-node path losses.
 #[derive(Debug, Clone, PartialEq)]
@@ -476,14 +484,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the spatial-shard count for per-channel energy
-    /// accounting — bit-identical to the serial path for every value
-    /// (see [`NetworkSimulator::run_accumulate_sharded`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Overrides the replication count (clamped to at least 1 at run
     /// time).
     pub fn with_replications(mut self, replications: u32) -> Self {
@@ -494,12 +494,6 @@ impl Scenario {
     /// Overrides the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the transmit-power policy.
-    pub fn with_tx_policy(mut self, tx_policy: TxPowerPolicy) -> Self {
-        self.tx_policy = tx_policy;
         self
     }
 
@@ -518,15 +512,9 @@ impl Scenario {
         self
     }
 
-    /// Overrides the BER model choice.
-    pub fn with_ber(mut self, ber: BerChoice) -> Self {
-        self.ber = ber;
-        self
-    }
-
     /// Gives every channel its own BER model — the channel-quality
     /// asymmetry seam promoted from the scenario-wide
-    /// [`with_ber`](Self::with_ber). One entry per channel.
+    /// [`ber`](Self::ber). One entry per channel.
     pub fn with_channel_ber(mut self, channel_ber: Vec<BerChoice>) -> Self {
         self.channel_ber = Some(channel_ber);
         self
@@ -900,6 +888,17 @@ impl Scenario {
         }
         if self.shards > MAX_SHARDS {
             return Err(format!("at most {MAX_SHARDS} shards, got {}", self.shards));
+        }
+        // Channels and replications are bounded above, so the product
+        // fits a u128.
+        let samples = self.channels as u128
+            * self.nodes_per_channel as u128
+            * u128::from(self.replications.max(1));
+        if samples > u128::from(MAX_NODE_SAMPLES) {
+            return Err(format!(
+                "at most {MAX_NODE_SAMPLES} per-node samples \
+                 (channels × nodes per channel × replications), got {samples}"
+            ));
         }
         if let PayloadSpec::PerChannel { payload_bytes } = &self.traffic.payloads {
             if payload_bytes.len() < self.channels {
@@ -1862,7 +1861,16 @@ mod tests {
         s.shards = usize::MAX;
         let err = s.validate().unwrap_err();
         assert!(err.contains("at most 16 shards"), "{err}");
+        // Each size under its own cap, but their product over the total:
+        // 16 × 2049 × 512 per-node powers. At BO 10 the load stays below 1.
+        let mut s = tiny(grid(55.0, 95.0)).with_beacon_order(BeaconOrder::new(10).unwrap());
+        (s.channels, s.nodes_per_channel, s.replications) = (16, 2049, 512);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at most 16777216 per-node samples"), "{err}");
         // The caps themselves still validate.
+        s.nodes_per_channel = 2048;
+        assert_eq!(16 * 2048 * 512, MAX_NODE_SAMPLES);
+        assert_eq!(s.validate(), Ok(()));
         let mut s = tiny(grid(55.0, 95.0));
         (s.superframes, s.replications, s.shards) =
             (MAX_SUPERFRAMES, MAX_REPLICATIONS, MAX_SHARDS);

@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use wsn_mac::timing::unit_backoff_period;
 use wsn_units::{Probability, Seconds};
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
@@ -254,9 +255,10 @@ impl ContentionStats {
     /// can cost (mean initial backoff of 3.5 slots for BE = 3, two CCAs,
     /// nothing ever busy). Useful as an ablation baseline.
     pub fn ideal() -> Self {
+        let slot_us = unit_backoff_period().micros();
         ContentionStats {
             // Mean backoff (2^3−1)/2 = 3.5 periods + 2 CCA slots.
-            mean_contention: Seconds::from_micros(3.5 * 320.0 + 2.0 * 320.0),
+            mean_contention: Seconds::from_micros(3.5 * slot_us + 2.0 * slot_us),
             mean_ccas: 2.0,
             pr_collision: Probability::ZERO,
             pr_access_failure: Probability::ZERO,

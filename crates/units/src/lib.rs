@@ -3,8 +3,7 @@
 //! This crate provides the small set of scalar quantities that the rest of
 //! the workspace is built on: [`Power`], [`Energy`], [`Seconds`], the
 //! logarithmic pair [`DBm`]/[`Db`], electrical quantities [`Current`] and
-//! [`Voltage`], and auxiliary types such as [`Probability`], [`DataRate`],
-//! [`Frequency`] and [`Meters`].
+//! [`Voltage`], and the auxiliary [`Probability`] and [`Meters`].
 //!
 //! Every type is a thin `f64` newtype ([C-NEWTYPE]) with the SI base unit as
 //! the internal representation, explicit named constructors and accessors for
@@ -49,7 +48,6 @@ mod electrical;
 mod energy;
 mod power;
 mod probability;
-mod rate;
 mod spatial;
 mod time;
 
@@ -58,6 +56,5 @@ pub use electrical::{Current, Voltage};
 pub use energy::Energy;
 pub use power::Power;
 pub use probability::{Probability, ProbabilityError};
-pub use rate::{DataRate, Frequency};
 pub use spatial::Meters;
 pub use time::Seconds;

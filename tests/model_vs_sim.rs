@@ -8,7 +8,7 @@
 //! from the event trace — so agreement here validates both.
 
 use ieee802154_energy::mac::BeaconOrder;
-use ieee802154_energy::model::activation::{ActivationModel, ModelInputs, ModelRefinements};
+use ieee802154_energy::model::activation::{ActivationModel, ModelInputs};
 use ieee802154_energy::phy::ber::EmpiricalCc2420Ber;
 use ieee802154_energy::radio::RadioModel;
 use ieee802154_energy::radio::TxPowerLevel;
@@ -48,8 +48,7 @@ fn compare(loss_db: f64, level: TxPowerLevel, load: f64, seed: u64) -> Compariso
     let bo = BeaconOrder::smallest_covering(channel.beacon_interval()).expect("coverable interval");
     // Scale: the sim's T_ib is not exactly a power of two; evaluate the
     // model at the sim's interval by scaling the BO-based output.
-    let model = ActivationModel::paper_defaults(RadioModel::cc2420())
-        .with_refinements(ModelRefinements::physical());
+    let model = ActivationModel::paper_defaults(RadioModel::cc2420()).with_physical_refinements();
     let out = model.evaluate(
         &ModelInputs {
             packet: channel.packet,
