@@ -237,6 +237,10 @@ impl RadioModelBuilder {
             tx_power,
             shutdown_to_idle,
             idle_to_active,
+            // 12 symbols, stated here because this crate depends only on
+            // `wsn-units`; `wsn-sim`'s
+            // `network::tests::radio_turnaround_matches_mac_timing` pins it
+            // to `wsn_mac::timing::turnaround_time`.
             turnaround_time: Seconds::from_micros(192.0) * self.transition_scale,
         }
     }

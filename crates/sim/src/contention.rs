@@ -1465,7 +1465,7 @@ pub fn simulate_contention(config: &ChannelSimConfig) -> ContentionStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn quick(payload: usize, load: f64, seed: u64) -> ChannelSimConfig {
@@ -1813,7 +1813,7 @@ mod tests {
     /// FNV-1a over a value's `Debug` text, as perfbench's `probe::digest`
     /// computes it: `Debug` prints every field and every record in engine
     /// order, so two digests agree exactly when the traces do.
-    fn digest(value: &impl core::fmt::Debug) -> u64 {
+    pub(crate) fn digest(value: &impl core::fmt::Debug) -> u64 {
         struct Fnv(u64);
         impl core::fmt::Write for Fnv {
             fn write_str(&mut self, s: &str) -> core::fmt::Result {

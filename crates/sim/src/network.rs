@@ -1598,4 +1598,79 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.summary().gts_denied, 26, "13 denied per merged run");
     }
+
+    // --- Network goldens ---------------------------------------------------
+
+    /// `small_config` with `nodes` nodes whose path losses differ by node
+    /// id: a 55–95 dB ramp, strided so loss does not follow the index.
+    /// Under channel inversion the levels and the corruption
+    /// probabilities differ by node too.
+    fn ramped_config(nodes: usize, load: f64, seed: u64) -> NetworkConfig {
+        let mut cfg = small_config(load, 0.0, seed);
+        cfg.channel.nodes = nodes;
+        cfg.path_losses = (0..nodes)
+            .map(|i| Db::new(55.0 + 40.0 * ((i * 37) % nodes) as f64 / nodes as f64))
+            .collect();
+        cfg
+    }
+
+    /// Network goldens: digests of the sealed `run_accumulate` summaries,
+    /// hashed like the engine goldens. `Debug` prints `node_powers` in
+    /// node order and the merged ledger to the last bit, so a ledger
+    /// billed at another node's level, or an oracle asked with another
+    /// node's probability, moves the digest. The configurations:
+    ///
+    /// * CAP-only, with per-node path losses;
+    /// * GTS holders plus downlink polling;
+    /// * churn and coordinator outages with GTS, which reach the
+    ///   re-association, orphan-scan and missed-beacon accounting.
+    ///
+    /// The digests were captured before the accountant stored its
+    /// per-node state in arrival order, which had to leave them as they
+    /// were.
+    #[test]
+    fn network_goldens_hold() {
+        let cap = ramped_config(60, 0.4, 0xA11);
+        let mut polled = ramped_config(40, 0.3, 0xA12);
+        polled.channel.cfp = plan_channel_cfp(40, 5, 1, 8, 0.6);
+        let mut churned = ramped_config(40, 0.5, 0xA13);
+        churned.channel.superframes = 16;
+        churned.channel.cfp = plan_channel_cfp(40, 4, 1, 8, 0.3);
+        churned.channel.faults = crate::faults::FaultPlan::inert()
+            .with_churn(0.05, 1, 2)
+            .with_outages(0.1, 1);
+
+        let ber = EmpiricalCc2420Ber::paper();
+        let summaries = [cap, polled, churned].map(|cfg| {
+            let mut acc = NetworkSimulator::new(cfg).run_accumulate(&ber);
+            acc.seal_replication();
+            acc.summary()
+        });
+        // The workloads reach the paths they are meant to.
+        assert!(summaries.iter().all(|s| s.failure_ratio.value() > 0.0));
+        assert!(summaries[1].gts_transactions > 0 && summaries[1].downlink_polls > 0);
+        let churned = &summaries[2];
+        assert!(churned.gts_transactions > 0 && churned.deaths > 0);
+        assert!(churned.orphan_scans > 0 && churned.join_attempts > 0);
+
+        let digests = summaries.each_ref().map(crate::contention::tests::digest);
+        assert_eq!(
+            digests,
+            [
+                0xed46_fcc4_8873_bf69,
+                0x4c22_466d_91d1_eb0e,
+                0xa861_13fc_b401_7527,
+            ],
+            "network output changed: CAP-only, GTS and polling, churned"
+        );
+    }
+
+    /// `wsn-radio` depends only on `wsn-units`, so `RadioModelBuilder`
+    /// states the RX↔TX turnaround as a literal; this pins it to the
+    /// 802.15.4 timing that every other constant comes from.
+    #[test]
+    fn radio_turnaround_matches_mac_timing() {
+        let radio = RadioModel::cc2420().turnaround_time().secs();
+        assert_eq!(radio.to_bits(), turnaround_time().secs().to_bits());
+    }
 }
