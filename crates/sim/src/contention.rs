@@ -551,8 +551,10 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// sliding window of the array instead of touching it at random. Loops
 /// that must run in node order (fault draws, dead-node and outage
 /// records, GTS and poll pushes) map a node to its record through a
-/// node-indexed position table. Records and oracle queries carry the
-/// node's id, so nothing outside the engine sees the order.
+/// node-indexed rank table. Records and oracle queries carry the node's
+/// id. The network layer draws the same order once per run and stores
+/// its own per-node arrays in it too: the energy ledgers, the resolved
+/// transmit levels and the oracle's corruption probabilities.
 ///
 /// A workspace is pure scratch — [`run_channel_sim_into_ws`] fully
 /// reinitializes every field from the configuration, so reusing one across
@@ -567,20 +569,70 @@ pub struct SimWorkspace {
     queue: EventQueue<Ev>,
     /// One record per node, in arrival order.
     nodes: Vec<Node>,
-    /// `(arrival offset, node)` sorted ascending: entry `k` is record
-    /// `k`'s arrival, so beacons push arrivals in slot order.
-    arrivals: Vec<(u64, u32)>,
-    /// Node id → record index.
-    pos: Vec<u32>,
+    /// The arrival order of the last run.
+    pub(crate) arrivals: Arrivals,
     /// Cold per-node fault state (alive/dormant/retry bookkeeping),
     /// indexed by node id.
     fault: Vec<NodeFault>,
     /// Per-node downlink poll offsets (drawn only when the configuration
     /// polls at all).
     dl_offsets: Vec<u64>,
-    /// Per-node packet/ACK corruption probabilities — the network
-    /// simulator's oracle scratch (see `NetworkSimulator::drive`).
+    /// Per-node packet/ACK corruption probabilities in arrival order —
+    /// the network simulator's oracle scratch (see
+    /// `NetworkSimulator::drive`).
     pub(crate) corrupt_probs: Vec<f64>,
+}
+
+/// A run's arrival order: each node's fixed arrival offset and its rank
+/// when nodes are sorted by (offset, node index). It depends only on the
+/// seed, the node count and the timings, so the engine and the network
+/// layer share one draw per run.
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals {
+    /// `(arrival offset, node)` sorted ascending: entry `k` is the arrival
+    /// of the node with rank `k`, so beacons push arrivals in slot order.
+    pub(crate) order: Vec<(u64, u32)>,
+    /// Node id → arrival rank: the index of the node's engine record and
+    /// of its entries in the network layer's per-node arrays.
+    pub(crate) rank: Vec<u32>,
+}
+
+impl Arrivals {
+    /// Draws `config`'s per-node arrival offsets (slots after the beacon)
+    /// in node order from the seed's offset stream and sorts the nodes by
+    /// (offset, node). `timings` must come from
+    /// [`ChannelSimConfig::timings`] for the same configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ChannelSimConfig::validate`] rejects the configuration,
+    /// with the engine's message.
+    pub(crate) fn draw(&mut self, config: &ChannelSimConfig, timings: &SlotTimings) {
+        // Same checks (and messages) as `ChannelSimConfig::validate` —
+        // callers that want a `Result` instead of a panic validate up
+        // front.
+        if let Err(err) = config.validate() {
+            panic!("{err}");
+        }
+        let mut offsets_rng = Xoshiro256StarStar::seed_from_u64(config.seed).split(u64::MAX);
+        let beacon_slots = timings.beacon_slots;
+        self.order.clear();
+        self.order.extend((0..config.nodes as u32).map(|i| {
+            let offset = if config.synchronized_arrivals {
+                beacon_slots
+            } else {
+                let span = timings.superframe_slots.saturating_sub(beacon_slots).max(1);
+                beacon_slots + (offsets_rng.next_f64() * span as f64) as u64
+            };
+            (offset, i)
+        }));
+        self.order.sort_unstable();
+        self.rank.clear();
+        self.rank.resize(config.nodes, 0);
+        for (k, &(_, id)) in self.order.iter().enumerate() {
+            self.rank[id as usize] = k as u32;
+        }
+    }
 }
 
 impl SimWorkspace {
@@ -625,6 +677,7 @@ fn resolve_pending_death<S: TraceSink>(
     f: &mut NodeFault,
     node: u32,
     in_warmup: bool,
+    gts_nodes: u32,
     gts_registry: &mut Option<GtsRegistry>,
     sink: &mut S,
 ) {
@@ -635,8 +688,10 @@ fn resolve_pending_death<S: TraceSink>(
     f.alive = false;
     f.down_superframes = 0;
     f.join_retries = 0;
-    if let Some(reg) = gts_registry.as_mut() {
-        reg.deallocate(node as u16);
+    if node < gts_nodes {
+        if let Some(reg) = gts_registry.as_mut() {
+            reg.deallocate(node as u16);
+        }
     }
     if !in_warmup {
         sink.on_fault(&FaultRecord {
@@ -685,6 +740,27 @@ where
 pub fn run_channel_sim_into_ws<F, S>(
     config: &ChannelSimConfig,
     timings: &SlotTimings,
+    corrupt: F,
+    sink: &mut S,
+    ws: &mut SimWorkspace,
+) -> u64
+where
+    F: FnMut(u32) -> bool,
+    S: TraceSink,
+{
+    let mut arrivals = std::mem::take(&mut ws.arrivals);
+    arrivals.draw(config, timings);
+    let events = run_drawn(config, timings, &arrivals, corrupt, sink, ws);
+    ws.arrivals = arrivals;
+    events
+}
+
+/// The engine proper: runs `config` on the arrival order drawn for it by
+/// [`Arrivals::draw`], which also validated the configuration.
+pub(crate) fn run_drawn<F, S>(
+    config: &ChannelSimConfig,
+    timings: &SlotTimings,
+    arrivals: &Arrivals,
     mut corrupt: F,
     sink: &mut S,
     ws: &mut SimWorkspace,
@@ -693,12 +769,11 @@ where
     F: FnMut(u32) -> bool,
     S: TraceSink,
 {
-    // Same checks (and messages) as `ChannelSimConfig::validate` — callers
-    // that want a `Result` instead of a panic validate up front.
-    if let Err(err) = config.validate() {
-        panic!("{err}");
-    }
-
+    debug_assert_eq!(
+        arrivals.order.len(),
+        config.nodes,
+        "arrivals of another configuration"
+    );
     let sf_slots = timings.superframe_slots;
     let packet_us = timings.packet_us;
     let beacon_us = timings.beacon_us;
@@ -706,24 +781,9 @@ where
     let ack_timeout_us = timings.ack_timeout_us;
 
     let root = Xoshiro256StarStar::seed_from_u64(config.seed);
-    let mut offsets_rng = root.split(u64::MAX);
-
-    // Fixed per-node arrival offsets (slots after the beacon), drawn in
-    // node order; the node records follow them in (offset, node) order.
-    let beacon_slots = timings.beacon_slots;
-    ws.arrivals.clear();
-    ws.arrivals.extend((0..config.nodes as u32).map(|i| {
-        let offset = if config.synchronized_arrivals {
-            beacon_slots
-        } else {
-            let span = sf_slots.saturating_sub(beacon_slots).max(1);
-            beacon_slots + (offsets_rng.next_f64() * span as f64) as u64
-        };
-        (offset, i)
-    }));
-    ws.arrivals.sort_unstable();
+    // The node records follow the arrival order.
     ws.nodes.clear();
-    ws.nodes.extend(ws.arrivals.iter().map(|&(_, id)| Node {
+    ws.nodes.extend(arrivals.order.iter().map(|&(_, id)| Node {
         id,
         rng: root.split(u64::from(id)),
         csma: None,
@@ -737,11 +797,6 @@ where
         recording: false,
         kind: CsmaKind::Uplink,
     }));
-    ws.pos.clear();
-    ws.pos.resize(config.nodes, 0);
-    for (k, &(_, id)) in ws.arrivals.iter().enumerate() {
-        ws.pos[id as usize] = k as u32;
-    }
     ws.fault.clear();
     ws.fault.resize(config.nodes, NODE_FAULT_INIT);
 
@@ -790,12 +845,11 @@ where
     let SimWorkspace {
         queue,
         nodes,
-        arrivals,
-        pos,
         fault,
         dl_offsets,
         ..
     } = ws;
+    let pos = &arrivals.rank;
     // Telemetry shard: one local accumulator per run, folded into the
     // global registry once at the end. Telemetry reads values the engine
     // already computed and draws from no RNG stream, so it cannot perturb
@@ -894,8 +948,10 @@ where
                             f.alive = false;
                             f.down_superframes = 0;
                             f.join_retries = 0;
-                            if let Some(reg) = gts_registry.as_mut() {
-                                reg.deallocate(i as u16);
+                            if (i as u32) < gts_nodes {
+                                if let Some(reg) = gts_registry.as_mut() {
+                                    reg.deallocate(i as u16);
+                                }
                             }
                             if !in_warmup {
                                 sink.on_fault(&FaultRecord {
@@ -998,16 +1054,19 @@ where
                     // Under churn the holder set is the live registry's
                     // (re-resolved each superframe); dead and dormant nodes
                     // schedule nothing.
+                    // Only the plan's holders ever hold a descriptor, so
+                    // the `< gts_nodes` guard keeps a node id past the
+                    // registry's 16-bit addresses from aliasing one.
                     let gts_start = |i: usize| {
-                        if let Some(reg) = gts_registry.as_ref() {
+                        if i as u32 >= gts_nodes {
+                            None
+                        } else if let Some(reg) = gts_registry.as_ref() {
                             reg.allocations()
                                 .iter()
                                 .find(|d| d.short_address == i as u16)
                                 .map(|d| d.starting_slot)
-                        } else if (i as u32) < gts_nodes {
-                            Some(plan.gts_start_slot(i as u32))
                         } else {
-                            None
+                            Some(plan.gts_start_slot(i as u32))
                         }
                     };
                     let down = |i: usize| faults_active && !fault[i].alive;
@@ -1049,7 +1108,7 @@ where
                     //   event of the previous superframe lies before this
                     //   beacon and none shares a slot with these arrivals;
                     // * record `k` is node `arrivals[k].1`.
-                    for (k, &(off, node)) in arrivals.iter().enumerate() {
+                    for (k, &(off, node)) in arrivals.order.iter().enumerate() {
                         let i = node as usize;
                         if down(i) || gts_start(i).is_some() {
                             continue;
@@ -1223,6 +1282,7 @@ where
                                 f,
                                 n.id,
                                 slot < sf_slots,
+                                gts_nodes,
                                 &mut gts_registry,
                                 sink,
                             );
@@ -1346,7 +1406,14 @@ where
                 }
                 if faults_active {
                     let f = &mut fault[n.id as usize];
-                    resolve_pending_death(f, n.id, slot < sf_slots, &mut gts_registry, sink);
+                    resolve_pending_death(
+                        f,
+                        n.id,
+                        slot < sf_slots,
+                        gts_nodes,
+                        &mut gts_registry,
+                        sink,
+                    );
                 }
             }
             Ev::GtsTx { rec } => {
@@ -1806,6 +1873,28 @@ pub(crate) mod tests {
         assert_eq!(a.gts, b.gts);
         assert_eq!(a.downlinks, b.downlinks);
         assert_eq!(a.attempts, b.attempts);
+    }
+
+    /// The GTS registry addresses devices by 16-bit short address. Node
+    /// 65536 + k must not stand in for holder k under churn: its death
+    /// must not free holder k's descriptor, and it must not transmit in
+    /// holder k's slot.
+    #[test]
+    fn node_ids_past_65535_do_not_alias_gts_holders() {
+        let mut cfg = ChannelSimConfig::figure6(50, 0.4, 7);
+        cfg.nodes = 65_540;
+        cfg.superframes = 3;
+        cfg.cfp = plan_channel_cfp(65_540, 3, 1, 8, 0.0);
+        cfg.faults = FaultPlan::inert().with_churn(0.3, 1, 0);
+        let trace = run_channel_sim(&cfg, |_| false);
+        assert!(!trace.gts.is_empty() && !trace.attempts.is_empty());
+        let strays: Vec<_> = trace.gts.iter().filter(|g| g.node >= 3).collect();
+        assert!(strays.is_empty(), "GTS records of non-holders {strays:?}");
+        let holders: Vec<_> = trace.attempts.iter().filter(|a| a.node < 3).collect();
+        assert!(
+            holders.is_empty(),
+            "CAP attempts of GTS holders {holders:?}"
+        );
     }
 
     // --- Engine goldens ---------------------------------------------------

@@ -35,8 +35,8 @@ use std::sync::Arc;
 
 use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord, DATA_REQUEST_AIR_BYTES};
 use crate::contention::{
-    run_channel_sim_into_ws, with_workspace, AttemptOutcome, AttemptRecord, ChannelSimConfig,
-    SimTrace, TransactionRecord,
+    run_drawn, with_workspace, Arrivals, AttemptOutcome, AttemptRecord, ChannelSimConfig, SimTrace,
+    SimWorkspace, TransactionRecord,
 };
 use crate::faults::{FaultKind, FaultRecord};
 use crate::rng::Xoshiro256StarStar;
@@ -483,77 +483,95 @@ impl NetworkSimulator {
         NetworkSimulator { config }
     }
 
-    /// Pre-computes per-node packet-or-ACK corruption probabilities into a
-    /// reusable buffer (the workspace's scratch on the hot path).
-    fn corruption_probabilities_into<B: BerModel>(
+    /// Runs `f` on the calling thread's reusable [`SimWorkspace`] with
+    /// this configuration's arrival order drawn into it, and with the
+    /// resolved transmit levels laid out in that order. The engine runs
+    /// on the same draw ([`drive`](Self::drive)), so it happens once per
+    /// run.
+    fn in_arrival_order<R>(
         &self,
-        ber: &B,
-        levels: &[TxPowerLevel],
-        out: &mut Vec<f64>,
-    ) {
+        f: impl FnOnce(&Arrivals, &[TxPowerLevel], &mut SimWorkspace) -> R,
+    ) -> R {
         let cfg = &self.config;
-        let packet = cfg.channel.packet;
-        out.clear();
-        out.extend(
-            cfg.path_losses
+        let by_node = cfg.tx_policy.resolve(&cfg.path_losses);
+        with_workspace(|ws| {
+            // The engine borrows the rest of the workspace while the
+            // caller's sink and the oracle read the order: take it out for
+            // the run, hand it back after.
+            let mut arrivals = std::mem::take(&mut ws.arrivals);
+            arrivals.draw(&cfg.channel, &cfg.channel.timings());
+            let levels: Vec<TxPowerLevel> = arrivals
+                .order
                 .iter()
-                .zip(levels)
-                .map(|(a, lvl)| corruption_probability(ber, packet, cfg.coordinator_tx, *a, *lvl)),
-        );
+                .map(|&(_, node)| by_node[node as usize])
+                .collect();
+            let result = f(&arrivals, &levels, ws);
+            ws.arrivals = arrivals;
+            result
+        })
     }
 
-    /// Drives the contention engine into `sink` with the BER-driven
-    /// corruption oracle attached, on the calling thread's reusable
-    /// [`SimWorkspace`] — queue, node array and corruption buffer all come
-    /// from (and return to) the workspace, so repeated drives allocate
-    /// nothing.
+    /// Drives the contention engine on `arrivals` into `sink` with the
+    /// BER-driven corruption oracle attached. `levels` are in arrival
+    /// order, and so are the oracle's probabilities: the oracle maps each
+    /// node id it is asked about to its rank. The probability buffer is
+    /// the workspace's, so repeated drives allocate nothing.
     fn drive<B: BerModel, S: TraceSink>(
         &self,
         ber: &B,
+        arrivals: &Arrivals,
         levels: &[TxPowerLevel],
         sink: &mut S,
+        ws: &mut SimWorkspace,
     ) -> u64 {
         let cfg = &self.config;
         let timings = cfg.channel.timings();
         let mut noise_rng =
             Xoshiro256StarStar::seed_from_u64(cfg.channel.seed ^ 0x5EED_CAFE_F00D_u64);
-        with_workspace(|ws| {
-            // The oracle closure borrows the probability buffer while the
-            // engine borrows the rest of the workspace: take it out for
-            // the run, hand it back after.
-            let mut probs = std::mem::take(&mut ws.corrupt_probs);
-            match &cfg.corrupt_probs {
-                // Precomputed (the policy loop's per-drift cache): skip the
-                // per-node BER math entirely.
-                Some(cached) => {
-                    probs.clear();
-                    probs.extend_from_slice(cached);
-                }
-                None => self.corruption_probabilities_into(ber, levels, &mut probs),
+        // The oracle closure borrows the probability buffer while the
+        // engine borrows the rest of the workspace: take it out for the
+        // run, hand it back after.
+        let mut probs = std::mem::take(&mut ws.corrupt_probs);
+        probs.clear();
+        let nodes = arrivals.order.iter().map(|&(_, node)| node as usize);
+        match &cfg.corrupt_probs {
+            // Precomputed (the policy loop's per-drift cache, in node
+            // order): copy it into arrival order and skip the per-node BER
+            // math entirely.
+            Some(cached) => probs.extend(nodes.map(|node| cached[node])),
+            None => {
+                let packet = cfg.channel.packet;
+                probs.extend(nodes.zip(levels).map(|(node, &level)| {
+                    let loss = cfg.path_losses[node];
+                    corruption_probability(ber, packet, cfg.coordinator_tx, loss, level)
+                }));
             }
-            let events = run_channel_sim_into_ws(
-                &cfg.channel,
-                &timings,
-                |node| noise_rng.bernoulli(probs[node as usize]),
-                sink,
-                ws,
-            );
-            ws.corrupt_probs = probs;
-            events
-        })
+        }
+        let rank = &arrivals.rank;
+        let events = run_drawn(
+            &cfg.channel,
+            &timings,
+            arrivals,
+            |node| noise_rng.bernoulli(probs[rank[node as usize] as usize]),
+            sink,
+            ws,
+        );
+        ws.corrupt_probs = probs;
+        events
     }
 
     /// Runs the simulation against a BER model, keeping the raw trace.
     pub fn run<B: BerModel>(&self, ber: &B) -> NetworkReport {
-        let levels = self.config.tx_policy.resolve(&self.config.path_losses);
         let timings = self.config.channel.timings();
-        let mut tee = TeeSink(
-            EnergyAccountant::new(&self.config, &levels),
-            TraceCollector::new(timings.superframe_slots),
-        );
-        self.drive(ber, &levels, &mut tee);
-        let TeeSink(accountant, collector) = tee;
-        let mut acc = accountant.finish();
+        let (mut acc, collector) = self.in_arrival_order(|arrivals, levels, ws| {
+            let mut tee = TeeSink(
+                EnergyAccountant::new(&self.config, arrivals, levels),
+                TraceCollector::new(timings.superframe_slots),
+            );
+            self.drive(ber, arrivals, levels, &mut tee, ws);
+            let TeeSink(accountant, collector) = tee;
+            (accountant.finish(), collector)
+        });
         acc.seal_replication();
         let summary = acc.summary();
         NetworkReport {
@@ -586,10 +604,11 @@ impl NetworkSimulator {
     /// run's wall clock to time per event, counted in the same pass so
     /// throughput and energy come from one run.
     pub fn run_accumulate_counted<B: BerModel>(&self, ber: &B) -> (NetworkAccumulator, u64) {
-        let levels = self.config.tx_policy.resolve(&self.config.path_losses);
-        let mut accountant = EnergyAccountant::new(&self.config, &levels);
-        let events = self.drive(ber, &levels, &mut accountant);
-        (accountant.finish(), events)
+        self.in_arrival_order(|arrivals, levels, ws| {
+            let mut accountant = EnergyAccountant::new(&self.config, arrivals, levels);
+            let events = self.drive(ber, arrivals, levels, &mut accountant, ws);
+            (accountant.finish(), events)
+        })
     }
 
     /// Runs one streaming replication and finalizes it. Preferred for
@@ -610,15 +629,15 @@ impl NetworkSimulator {
     /// every other node's transmission), so the event engine runs
     /// unchanged on the calling thread. What *is* exactly partitionable
     /// is the per-node energy accounting: each worker owns one contiguous
-    /// node-index range — a spatial cell, since deployments lay node
-    /// indices out by geometry (rings, disc radius, clusters) — and
-    /// accrues that range's [`EnergyLedger`]s from the record stream the
-    /// engine relays in order. Per-node accrual is a fixed f64 sequence
-    /// per node regardless of which thread runs it, and the final fold
-    /// (`finish_ledgers`) walks the concatenated ledgers in node order
-    /// on one thread, so the result is bit-identical by construction —
-    /// the same contract the thread-count determinism suite pins for the
-    /// runner.
+    /// range of arrival ranks, the order the serial accountant stores its
+    /// ledgers in, and accrues that range's [`EnergyLedger`]s from the
+    /// record stream the engine relays in order. Per-node accrual is a
+    /// fixed f64 sequence per node regardless of which thread runs it,
+    /// and the concatenated ranges are the serial run's arrival-ordered
+    /// ledger array, which the one final fold (`finish_ledgers`) walks in
+    /// node order on one thread, so the result is bit-identical by
+    /// construction — the same contract the thread-count determinism
+    /// suite pins for the runner.
     ///
     /// `shards` is clamped to `[1, nodes]`; `shards <= 1` falls back to
     /// the serial path. The accounting scales with the worker count while
@@ -636,73 +655,84 @@ impl NetworkSimulator {
         if shards <= 1 {
             return self.run_accumulate(ber);
         }
-        let levels = self.config.tx_policy.resolve(&self.config.path_losses);
         let consts = AccountingConsts::new(&self.config);
         let radio = &self.config.radio;
-        // Balanced contiguous ranges: shard `s` owns `bounds[s]..bounds[s+1]`.
+        // Balanced contiguous rank ranges: shard `s` owns
+        // `bounds[s]..bounds[s+1]`.
         let bounds: Vec<usize> = (0..=shards).map(|s| s * nodes / shards).collect();
 
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ShardMsg>>(4);
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        self.in_arrival_order(|arrivals, levels, ws| {
+            let mut senders = Vec::with_capacity(shards);
+            let mut receivers = Vec::with_capacity(shards);
+            for _ in 0..shards {
+                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ShardMsg>>(4);
+                senders.push(tx);
+                receivers.push(rx);
+            }
+            let rank = &arrivals.rank;
 
-        let (ledgers, stats, missed_beacons, join_failures) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            for (s, rx) in receivers.into_iter().enumerate() {
-                let lo = bounds[s];
-                let hi = bounds[s + 1];
-                let levels = &levels[lo..hi];
-                let consts = &consts;
-                handles.push(scope.spawn(move || {
-                    let mut ledgers = vec![EnergyLedger::new(); hi - lo];
-                    while let Ok(batch) = rx.recv() {
-                        for msg in &batch {
-                            let i = msg.node() as usize - lo;
-                            let ledger = &mut ledgers[i];
-                            match msg {
-                                ShardMsg::Attempt(a) => {
-                                    ledger_on_attempt(ledger, radio, levels[i], consts, a);
-                                }
-                                ShardMsg::Transaction(_) => {
-                                    ledger_on_transaction(ledger, radio);
-                                }
-                                ShardMsg::Gts(r) => {
-                                    ledger_on_gts(ledger, radio, levels[i], consts, r);
-                                }
-                                ShardMsg::Downlink(r) => {
-                                    ledger_on_downlink(ledger, radio, levels[i], consts, r);
-                                }
-                                ShardMsg::Fault(r) => {
-                                    ledger_on_fault(ledger, radio, levels[i], consts, r);
+            let (ledgers, stats, missed_beacons, join_failures) = std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(shards);
+                for (s, rx) in receivers.into_iter().enumerate() {
+                    let lo = bounds[s];
+                    let hi = bounds[s + 1];
+                    let levels = &levels[lo..hi];
+                    let consts = &consts;
+                    handles.push(scope.spawn(move || {
+                        let mut ledgers = vec![EnergyLedger::new(); hi - lo];
+                        while let Ok(batch) = rx.recv() {
+                            for msg in &batch {
+                                let i = rank[msg.node() as usize] as usize - lo;
+                                let ledger = &mut ledgers[i];
+                                match msg {
+                                    ShardMsg::Attempt(a) => {
+                                        ledger_on_attempt(ledger, radio, levels[i], consts, a);
+                                    }
+                                    ShardMsg::Transaction(_) => {
+                                        ledger_on_transaction(ledger, radio);
+                                    }
+                                    ShardMsg::Gts(r) => {
+                                        ledger_on_gts(ledger, radio, levels[i], consts, r);
+                                    }
+                                    ShardMsg::Downlink(r) => {
+                                        ledger_on_downlink(ledger, radio, levels[i], consts, r);
+                                    }
+                                    ShardMsg::Fault(r) => {
+                                        ledger_on_fault(ledger, radio, levels[i], consts, r);
+                                    }
                                 }
                             }
                         }
-                    }
-                    ledgers
-                }));
-            }
+                        ledgers
+                    }));
+                }
 
-            // The engine runs unchanged on the calling thread; the sink
-            // keeps the cross-node statistics here and relays the
-            // ledger-relevant records to their owning shards in batches.
-            let mut sink = ShardingSink::new(nodes, &bounds, senders);
-            self.drive(ber, &levels, &mut sink);
-            let (stats, missed_beacons, join_failures) = sink.finish();
+                // The engine runs unchanged on the calling thread; the sink
+                // keeps the cross-node statistics here and relays the
+                // ledger-relevant records to their owning shards in batches.
+                let mut sink = ShardingSink::new(arrivals, &bounds, senders);
+                self.drive(ber, arrivals, levels, &mut sink, ws);
+                let (stats, missed_beacons, join_failures) = sink.finish();
 
-            // Fixed shard order: concatenating the joined ranges rebuilds
-            // the node-ordered ledger list the serial path produces.
-            let mut ledgers = Vec::with_capacity(nodes);
-            for handle in handles {
-                ledgers.extend(handle.join().expect("shard worker panicked"));
-            }
-            (ledgers, stats, missed_beacons, join_failures)
-        });
+                // Fixed shard order: concatenating the joined ranges
+                // rebuilds the arrival-ordered ledger array the serial path
+                // produces.
+                let mut ledgers = Vec::with_capacity(nodes);
+                for handle in handles {
+                    ledgers.extend(handle.join().expect("shard worker panicked"));
+                }
+                (ledgers, stats, missed_beacons, join_failures)
+            });
 
-        finish_ledgers(&self.config, ledgers, &missed_beacons, stats, join_failures)
+            finish_ledgers(
+                &self.config,
+                &ledgers,
+                rank,
+                &missed_beacons,
+                stats,
+                join_failures,
+            )
+        })
     }
 }
 
@@ -743,7 +773,8 @@ struct ShardingSink {
     stats: StatsSink,
     missed_beacons: Vec<u32>,
     join_failures: Counter,
-    /// node index → owning shard, precomputed from the range bounds.
+    /// node index → the shard owning its arrival rank, precomputed from
+    /// the range bounds.
     shard_of: Vec<u32>,
     senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
     batches: Vec<Vec<ShardMsg>>,
@@ -751,15 +782,16 @@ struct ShardingSink {
 
 impl ShardingSink {
     fn new(
-        nodes: usize,
+        arrivals: &Arrivals,
         bounds: &[usize],
         senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
     ) -> Self {
         let shards = senders.len();
+        let nodes = arrivals.order.len();
         let mut shard_of = vec![0u32; nodes];
         for s in 0..shards {
-            for owner in shard_of.iter_mut().take(bounds[s + 1]).skip(bounds[s]) {
-                *owner = s as u32;
+            for &(_, node) in &arrivals.order[bounds[s]..bounds[s + 1]] {
+                shard_of[node as usize] = s as u32;
             }
         }
         ShardingSink {
@@ -1174,15 +1206,25 @@ fn ledger_on_fault(
 /// Online energy reducer: a [`TraceSink`] that accrues each record into
 /// the per-node ledgers the moment its outcome is final, alongside the
 /// transaction statistics ([`StatsSink`]).
+///
+/// The ledgers and levels are stored in the run's arrival order, the
+/// order of the engine's node records. Nodes active at the same time sit
+/// next to each other, so at 10⁵ nodes a record updates a ledger near the
+/// last one instead of a random slot of a 22 MB array. Records carry node
+/// ids, which the rank table maps to that order.
 #[derive(Debug)]
 struct EnergyAccountant<'a> {
     cfg: &'a NetworkConfig,
+    /// Node id → arrival rank, the index into `levels` and `ledgers`.
+    rank: &'a [u32],
+    /// Resolved transmit levels, in arrival order.
     levels: &'a [TxPowerLevel],
+    /// One ledger per node, in arrival order.
     ledgers: Vec<EnergyLedger>,
     stats: StatsSink,
-    /// Beacons each node woke for (or slept through) but did not receive
-    /// — these superframes are excluded from the node's fixed beacon
-    /// overhead in [`finish`](Self::finish).
+    /// Beacons each node woke for (or slept through) but did not receive,
+    /// by node id — these superframes are excluded from the node's fixed
+    /// beacon overhead in [`finish`](Self::finish).
     missed_beacons: Vec<u32>,
     /// Re-association exchanges whose response was lost (hit = failure).
     join_failures: Counter,
@@ -1191,9 +1233,10 @@ struct EnergyAccountant<'a> {
 }
 
 impl<'a> EnergyAccountant<'a> {
-    fn new(cfg: &'a NetworkConfig, levels: &'a [TxPowerLevel]) -> Self {
+    fn new(cfg: &'a NetworkConfig, arrivals: &'a Arrivals, levels: &'a [TxPowerLevel]) -> Self {
         EnergyAccountant {
             cfg,
+            rank: &arrivals.rank,
             levels,
             ledgers: vec![EnergyLedger::new(); cfg.channel.nodes],
             stats: StatsSink::new(),
@@ -1208,7 +1251,8 @@ impl<'a> EnergyAccountant<'a> {
     fn finish(self) -> NetworkAccumulator {
         finish_ledgers(
             self.cfg,
-            self.ledgers,
+            &self.ledgers,
+            self.rank,
             &self.missed_beacons,
             self.stats,
             self.join_failures,
@@ -1216,14 +1260,22 @@ impl<'a> EnergyAccountant<'a> {
     }
 }
 
+/// Ledgers `finish_ledgers` copies out of arrival order per batch: enough
+/// independent loads to overlap their cache misses, few enough (14 KiB)
+/// to stay in L1.
+const FINISH_BATCH: usize = 64;
+
 /// The shared tail of every accounting run — serial or sharded: adds the
 /// fixed beacon overhead and the sleep remainder to each node's ledger,
 /// then folds everything into an (unsealed) mergeable accumulator. Runs
-/// on one thread over the full (concatenated, node-ordered) ledger list,
-/// so its fold order never depends on the shard count.
+/// on one thread over the full arrival-ordered ledger array (`rank` maps
+/// a node id to its ledger) and folds in node order, so its f64
+/// operations and their order never depend on the arrival order or the
+/// shard count.
 fn finish_ledgers(
     cfg: &NetworkConfig,
-    mut ledgers: Vec<EnergyLedger>,
+    ledgers: &[EnergyLedger],
+    rank: &[u32],
     missed_beacons: &[u32],
     stats: StatsSink,
     join_failures: Counter,
@@ -1270,35 +1322,44 @@ fn finish_ledgers(
     let recorded = cfg.channel.superframes.saturating_sub(1);
     let beacon_ledger = beacon_cycles(recorded as usize);
     let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
-    for (i, ledger) in ledgers.iter_mut().enumerate() {
-        let missed = missed_beacons[i];
-        if missed == 0 {
-            ledger.merge(&beacon_ledger);
-        } else {
-            let received = recorded.saturating_sub(missed);
-            let l = partial
-                .entry(received)
-                .or_insert_with(|| beacon_cycles(received as usize));
-            ledger.merge(l);
+    // The fold runs in node order over arrival-ordered ledgers. Reading
+    // them one at a time would wait out each ledger's cache misses in
+    // turn, so each batch of nodes is first copied out, which overlaps the
+    // loads, and then folded from the copy.
+    let mut batch: Vec<EnergyLedger> = Vec::with_capacity(FINISH_BATCH);
+    for (b, ranks) in rank.chunks(FINISH_BATCH).enumerate() {
+        batch.clear();
+        batch.extend(ranks.iter().map(|&r| ledgers[r as usize].clone()));
+        for (j, ledger) in batch.iter_mut().enumerate() {
+            let missed = missed_beacons[b * FINISH_BATCH + j];
+            if missed == 0 {
+                ledger.merge(&beacon_ledger);
+            } else {
+                let received = recorded.saturating_sub(missed);
+                let l = partial
+                    .entry(received)
+                    .or_insert_with(|| beacon_cycles(received as usize));
+                ledger.merge(l);
+            }
+            // Sleep is the remainder of the window.
+            let active = ledger.total_time();
+            let sleep = (window - active).max(Seconds::ZERO);
+            ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
+            let power = ledger.average_power(window);
+            acc.node_power_uw.push(power.microwatts());
+            acc.node_powers.push(power);
+            // CAP vs CFP split: what this node spent contending and
+            // uplinking in the CAP versus its contention-free traffic.
+            let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
+                + ledger.energy_in_phase(PhaseTag::Transmit)
+                + ledger.energy_in_phase(PhaseTag::AckWait)
+                + ledger.energy_in_phase(PhaseTag::Ifs);
+            let cfp_energy =
+                ledger.energy_in_phase(PhaseTag::Gts) + ledger.energy_in_phase(PhaseTag::Downlink);
+            acc.cap_uw.push((cap_energy / window).microwatts());
+            acc.cfp_uw.push((cfp_energy / window).microwatts());
+            acc.ledger.merge(ledger);
         }
-        // Sleep is the remainder of the window.
-        let active = ledger.total_time();
-        let sleep = (window - active).max(Seconds::ZERO);
-        ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
-        let power = ledger.average_power(window);
-        acc.node_power_uw.push(power.microwatts());
-        acc.node_powers.push(power);
-        // CAP vs CFP split: what this node spent contending and
-        // uplinking in the CAP versus its contention-free traffic.
-        let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
-            + ledger.energy_in_phase(PhaseTag::Transmit)
-            + ledger.energy_in_phase(PhaseTag::AckWait)
-            + ledger.energy_in_phase(PhaseTag::Ifs);
-        let cfp_energy =
-            ledger.energy_in_phase(PhaseTag::Gts) + ledger.energy_in_phase(PhaseTag::Downlink);
-        acc.cap_uw.push((cap_energy / window).microwatts());
-        acc.cfp_uw.push((cfp_energy / window).microwatts());
-        acc.ledger.merge(ledger);
     }
 
     let delivered = stats.failures.trials() - stats.failures.hits();
@@ -1324,14 +1385,21 @@ fn finish_ledgers(
     acc
 }
 
+impl EnergyAccountant<'_> {
+    /// The arrival rank of `node`: the index of its ledger and level.
+    fn rank(&self, node: u32) -> usize {
+        self.rank[node as usize] as usize
+    }
+}
+
 impl TraceSink for EnergyAccountant<'_> {
     fn on_attempt(&mut self, a: &AttemptRecord) {
         self.stats.on_attempt(a);
-        let node = a.node as usize;
+        let r = self.rank(a.node);
         ledger_on_attempt(
-            &mut self.ledgers[node],
+            &mut self.ledgers[r],
             &self.cfg.radio,
-            self.levels[node],
+            self.levels[r],
             &self.consts,
             a,
         );
@@ -1339,57 +1407,58 @@ impl TraceSink for EnergyAccountant<'_> {
 
     fn on_transaction(&mut self, t: &TransactionRecord) {
         self.stats.on_transaction(t);
-        ledger_on_transaction(&mut self.ledgers[t.node as usize], &self.cfg.radio);
+        let r = self.rank(t.node);
+        ledger_on_transaction(&mut self.ledgers[r], &self.cfg.radio);
     }
 
     fn on_overrun(&mut self) {
         self.stats.on_overrun();
     }
 
-    fn on_gts(&mut self, r: &GtsRecord) {
-        self.stats.on_gts(r);
-        let node = r.node as usize;
+    fn on_gts(&mut self, g: &GtsRecord) {
+        self.stats.on_gts(g);
+        let r = self.rank(g.node);
         ledger_on_gts(
-            &mut self.ledgers[node],
+            &mut self.ledgers[r],
             &self.cfg.radio,
-            self.levels[node],
+            self.levels[r],
             &self.consts,
-            r,
+            g,
         );
     }
 
-    fn on_downlink(&mut self, r: &DownlinkRecord) {
-        self.stats.on_downlink(r);
-        let node = r.node as usize;
+    fn on_downlink(&mut self, d: &DownlinkRecord) {
+        self.stats.on_downlink(d);
+        let r = self.rank(d.node);
         ledger_on_downlink(
-            &mut self.ledgers[node],
+            &mut self.ledgers[r],
             &self.cfg.radio,
-            self.levels[node],
+            self.levels[r],
             &self.consts,
-            r,
+            d,
         );
     }
 
-    fn on_fault(&mut self, r: &FaultRecord) {
-        self.stats.on_fault(r);
-        let node = r.node as usize;
-        match r.kind {
+    fn on_fault(&mut self, f: &FaultRecord) {
+        self.stats.on_fault(f);
+        match f.kind {
             FaultKind::MissedBeacon { .. } => {
                 // This superframe's fixed beacon cycle must not be billed
                 // in `finish` — the beacon never arrived.
-                self.missed_beacons[node] += 1;
+                self.missed_beacons[f.node as usize] += 1;
             }
             FaultKind::JoinAttempt { success } => {
                 self.join_failures.observe(!success);
             }
             FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
         }
+        let r = self.rank(f.node);
         ledger_on_fault(
-            &mut self.ledgers[node],
+            &mut self.ledgers[r],
             &self.cfg.radio,
-            self.levels[node],
+            self.levels[r],
             &self.consts,
-            r,
+            f,
         );
     }
 }
