@@ -849,7 +849,7 @@ where
         dl_offsets,
         ..
     } = ws;
-    let pos = &arrivals.rank;
+    let rank = &arrivals.rank;
     // Telemetry shard: one local accumulator per run, folded into the
     // global registry once at the end. Telemetry reads values the engine
     // already computed and draws from no RNG stream, so it cannot perturb
@@ -938,7 +938,7 @@ where
                             if !dies || !f.alive {
                                 continue;
                             }
-                            if nodes[pos[i] as usize].active {
+                            if nodes[rank[i] as usize].active {
                                 // Mid-procedure: the death defers to the
                                 // procedure's natural end so no queued
                                 // event is ever cancelled.
@@ -973,7 +973,7 @@ where
                                 sink.on_fault(&FaultRecord {
                                     node: i as u32,
                                     kind: FaultKind::MissedBeacon {
-                                        listened: !nodes[pos[i] as usize].active,
+                                        listened: !nodes[rank[i] as usize].active,
                                     },
                                 });
                             }
@@ -1012,7 +1012,7 @@ where
                             f.alive = true;
                             let latency_superframes = f.down_superframes;
                             f.join_retries = 0;
-                            let n = &mut nodes[pos[i] as usize];
+                            let n = &mut nodes[rank[i] as usize];
                             n.carry_packet = false;
                             n.superframes_waited = 0;
                             if !in_warmup {
@@ -1053,10 +1053,10 @@ where
                     // packet transmits in their dedicated CFP slot instead.
                     // Under churn the holder set is the live registry's
                     // (re-resolved each superframe); dead and dormant nodes
-                    // schedule nothing.
-                    // Only the plan's holders ever hold a descriptor, so
-                    // the `< gts_nodes` guard keeps a node id past the
-                    // registry's 16-bit addresses from aliasing one.
+                    // schedule nothing. Only the plan's holders ever hold
+                    // a descriptor, and the `< gts_nodes` guard keeps a
+                    // node id past the registry's 16-bit short addresses
+                    // from aliasing one.
                     let gts_start = |i: usize| {
                         if i as u32 >= gts_nodes {
                             None
@@ -1071,7 +1071,7 @@ where
                     };
                     let down = |i: usize| faults_active && !fault[i].alive;
                     // Dead-node records and GTS pushes keep node order.
-                    for (i, &rec) in pos.iter().enumerate() {
+                    for (i, &rec) in rank.iter().enumerate() {
                         if down(i) {
                             // The application's per-superframe reading
                             // still exists; with the radio down the
@@ -1107,7 +1107,7 @@ where
                     // * offsets are below `sf_slots`, so every class-3
                     //   event of the previous superframe lies before this
                     //   beacon and none shares a slot with these arrivals;
-                    // * record `k` is node `arrivals[k].1`.
+                    // * record `k` is node `arrivals.order[k].1`.
                     for (k, &(off, node)) in arrivals.order.iter().enumerate() {
                         let i = node as usize;
                         if down(i) || gts_start(i).is_some() {
@@ -1123,7 +1123,7 @@ where
                         for (i, &off) in dl_offsets.iter().enumerate() {
                             let fire = dl_rng.bernoulli(plan.downlink_rate);
                             if fire && !down(i) {
-                                queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { rec: pos[i] });
+                                queue.push(slot + off, PRIO_ARRIVAL, Ev::DlPoll { rec: rank[i] });
                             }
                         }
                     }
@@ -1133,7 +1133,7 @@ where
                     // still mid-procedure carry theirs across the outage
                     // (the skipped arrival counts as an overrun, exactly
                     // as a busy node's arrival would).
-                    for (i, &k) in pos.iter().enumerate() {
+                    for (i, &k) in rank.iter().enumerate() {
                         if nodes[k as usize].active {
                             sink.on_overrun();
                         } else {

@@ -111,15 +111,16 @@
 //!
 //! The same contract extends **within** a single huge channel:
 //! [`NetworkSimulator::run_accumulate_sharded`] splits the per-node
-//! energy accounting of one channel across spatial shards (contiguous
-//! node-index ranges — spatial cells, since deployments lay indices out
-//! by geometry). The contention physics stays on one thread (CCA couples
+//! energy accounting of one channel across shards (contiguous ranges of
+//! arrival rank, the order the engine and the accountant store per-node
+//! state in). The contention physics stays on one thread (CCA couples
 //! every node), each shard accrues only its own nodes' ledgers — a
 //! per-node f64 sequence that is identical on any thread — and the shard
 //! results are concatenated in **fixed shard order** before the single
 //! serial finishing fold. Fixed shard order ⇒ the fold consumes the
-//! node-ordered ledger list the serial path produces ⇒ bit-identity for
-//! every shard count, exactly like the runner's thread-count contract.
+//! arrival-ordered ledger array the serial path produces ⇒ bit-identity
+//! for every shard count, exactly like the runner's thread-count
+//! contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -923,8 +923,8 @@ impl AccountingConsts {
 
 // Ledger-side accrual, one free function per record kind. These are the
 // single source of truth for how a record becomes joules: the serial
-// `EnergyAccountant` calls them inline and the spatial-shard workers call
-// them on their node ranges, so a sharded run accrues the exact same f64
+// `EnergyAccountant` calls them inline and the shard workers call them on
+// their arrival-rank ranges, so a sharded run accrues the exact same f64
 // sequence per node as the unsharded one (bit-identity by construction).
 
 fn ledger_on_attempt(
@@ -1395,11 +1395,11 @@ impl EnergyAccountant<'_> {
 impl TraceSink for EnergyAccountant<'_> {
     fn on_attempt(&mut self, a: &AttemptRecord) {
         self.stats.on_attempt(a);
-        let r = self.rank(a.node);
+        let k = self.rank(a.node);
         ledger_on_attempt(
-            &mut self.ledgers[r],
+            &mut self.ledgers[k],
             &self.cfg.radio,
-            self.levels[r],
+            self.levels[k],
             &self.consts,
             a,
         );
@@ -1407,58 +1407,58 @@ impl TraceSink for EnergyAccountant<'_> {
 
     fn on_transaction(&mut self, t: &TransactionRecord) {
         self.stats.on_transaction(t);
-        let r = self.rank(t.node);
-        ledger_on_transaction(&mut self.ledgers[r], &self.cfg.radio);
+        let k = self.rank(t.node);
+        ledger_on_transaction(&mut self.ledgers[k], &self.cfg.radio);
     }
 
     fn on_overrun(&mut self) {
         self.stats.on_overrun();
     }
 
-    fn on_gts(&mut self, g: &GtsRecord) {
-        self.stats.on_gts(g);
-        let r = self.rank(g.node);
+    fn on_gts(&mut self, r: &GtsRecord) {
+        self.stats.on_gts(r);
+        let k = self.rank(r.node);
         ledger_on_gts(
-            &mut self.ledgers[r],
+            &mut self.ledgers[k],
             &self.cfg.radio,
-            self.levels[r],
+            self.levels[k],
             &self.consts,
-            g,
+            r,
         );
     }
 
-    fn on_downlink(&mut self, d: &DownlinkRecord) {
-        self.stats.on_downlink(d);
-        let r = self.rank(d.node);
+    fn on_downlink(&mut self, r: &DownlinkRecord) {
+        self.stats.on_downlink(r);
+        let k = self.rank(r.node);
         ledger_on_downlink(
-            &mut self.ledgers[r],
+            &mut self.ledgers[k],
             &self.cfg.radio,
-            self.levels[r],
+            self.levels[k],
             &self.consts,
-            d,
+            r,
         );
     }
 
-    fn on_fault(&mut self, f: &FaultRecord) {
-        self.stats.on_fault(f);
-        match f.kind {
+    fn on_fault(&mut self, r: &FaultRecord) {
+        self.stats.on_fault(r);
+        match r.kind {
             FaultKind::MissedBeacon { .. } => {
                 // This superframe's fixed beacon cycle must not be billed
                 // in `finish` — the beacon never arrived.
-                self.missed_beacons[f.node as usize] += 1;
+                self.missed_beacons[r.node as usize] += 1;
             }
             FaultKind::JoinAttempt { success } => {
                 self.join_failures.observe(!success);
             }
             FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
         }
-        let r = self.rank(f.node);
+        let k = self.rank(r.node);
         ledger_on_fault(
-            &mut self.ledgers[r],
+            &mut self.ledgers[k],
             &self.cfg.radio,
-            self.levels[r],
+            self.levels[k],
             &self.consts,
-            f,
+            r,
         );
     }
 }

@@ -389,7 +389,7 @@ pub struct Scenario {
     /// ([`FaultPlan::inert`] by default — provably invisible; see
     /// [`crate::faults`]).
     pub faults: FaultPlan,
-    /// Spatial shards for the per-node energy accounting of each channel
+    /// Shards for the per-node energy accounting of each channel
     /// job ([`NetworkSimulator::run_accumulate_sharded`]). `1` (the
     /// default) keeps the serial per-job path; any value is bit-identical
     /// to it. Raise for single huge channels, where the runner's
@@ -1309,7 +1309,7 @@ impl Scenario {
 }
 
 /// One compiled scenario for [`run_grid`]: a config and a BER model per
-/// channel, the replications per channel and the spatial shards per job.
+/// channel, the replications per channel and the accounting shards per job.
 pub(crate) struct Grid<'a, B> {
     name: &'a str,
     configs: &'a [NetworkConfig],

@@ -381,7 +381,7 @@ fn fault_counters_merge_exactly() {
 
 #[test]
 fn sharded_energy_accounting_is_bit_identical_at_1_3_7_shards() {
-    // The spatial-shard path must reproduce the serial accounting bit for
+    // The sharded path must reproduce the serial accounting bit for
     // bit at every shard count — the single-channel analogue of the
     // runner's thread-count contract. The probe carries CAP, CFP (GTS +
     // downlink) and fault traffic so every record kind crosses the
