@@ -108,13 +108,15 @@ pub struct NetworkConfig {
     /// How early the chip wakes before the beacon (the paper uses 1 ms to
     /// cover the ~970 µs shutdown→idle transition).
     pub wakeup_margin: Seconds,
-    /// Optional precomputed per-node corruption probabilities (length =
-    /// node count). `None` (the default everywhere) makes the simulator
-    /// derive them from the BER model on entry; `Some` skips that
-    /// derivation — the policy loop caches the full-population BER math
-    /// once per drift value and remaps it per round. Values must equal
-    /// what `corruption_probability` computes bit-for-bit, or traces
-    /// diverge from the uncached path.
+    /// Optional precomputed per-node corruption probabilities, in node
+    /// order (length = node count). `None` makes the simulator derive them
+    /// from the BER model on entry; `Some` skips that derivation.
+    ///
+    /// No caller in this workspace sets it. It is kept because
+    /// `perfbench` builds `NetworkConfig` literals and its engine probe
+    /// reads it. Values must equal what the simulator's own
+    /// packet-or-ACK corruption math computes bit for bit, or traces
+    /// diverge from the `None` path.
     pub corrupt_probs: Option<Arc<[f64]>>,
 }
 
@@ -144,13 +146,9 @@ impl NetworkConfig {
 /// Packet-or-ACK corruption probability of one uplink transaction: the
 /// packet at the node's `level` over `loss`, the acknowledgement back at
 /// `coordinator_tx` over the same loss, either direction failing costing
-/// the acknowledgement.
-///
-/// The single source of truth for this math: the simulator's per-run
-/// derivation and the policy loop's cached full-population table both call
-/// it, which is what makes the cached path bit-identical to the uncached
-/// one.
-pub(crate) fn corruption_probability<B: BerModel>(
+/// the acknowledgement. `NetworkSimulator::drive` derives each run's
+/// probabilities through it.
+fn corruption_probability<B: BerModel>(
     ber: &B,
     packet: PacketLayout,
     coordinator_tx: DBm,
@@ -169,8 +167,8 @@ pub(crate) fn corruption_probability<B: BerModel>(
 }
 
 /// Aggregated results of a network simulation, computed online — the
-/// trace-free output of [`NetworkSimulator::run_streaming`] and the
-/// finalized form of a [`NetworkAccumulator`].
+/// finalized form of a [`NetworkAccumulator`] such as
+/// [`NetworkSimulator::run_accumulate_counted`] returns.
 #[derive(Debug, Clone)]
 pub struct NetworkSummary {
     /// Mean average power per node over the recorded window.
@@ -257,9 +255,9 @@ pub struct NetworkSummary {
 /// field merges exactly ([`Accumulator::merge`] / [`Counter::merge`] /
 /// [`EnergyLedger::merge`]), so per-channel and per-replication shards
 /// reduced on worker threads and combined in a fixed order are
-/// bit-identical to a serial fold. [`NetworkSimulator::run_accumulate`]
-/// produces one per run; the parallel runner and the scenario layer merge
-/// them.
+/// bit-identical to a serial fold.
+/// [`NetworkSimulator::run_accumulate_counted`] produces one per run; the
+/// parallel runner and the scenario layer merge them.
 ///
 /// Replication-level confidence intervals come from the `rep_*`
 /// accumulators, which receive **one sample per sealed replication**
@@ -448,20 +446,8 @@ impl NetworkAccumulator {
 /// Aggregated results of a network simulation plus the raw trace.
 #[derive(Debug, Clone)]
 pub struct NetworkReport {
-    /// Mean average power per node over the recorded window.
-    pub mean_node_power: Power,
-    /// Per-node average powers.
-    pub node_powers: Vec<Power>,
-    /// Population energy ledger (all nodes merged) — Figure 9 material.
-    pub ledger: EnergyLedger,
-    /// Fraction of transactions that failed (`Pr_fail`).
-    pub failure_ratio: Probability,
-    /// Mean delivery delay.
-    pub mean_delay: Seconds,
-    /// Mean transmission attempts per transaction.
-    pub mean_attempts: f64,
-    /// Energy per delivered payload bit.
-    pub energy_per_bit_nj: f64,
+    /// The run's sealed summary (one replication).
+    pub summary: NetworkSummary,
     /// The raw contention trace (for further analysis).
     pub trace: SimTrace,
 }
@@ -535,10 +521,9 @@ impl NetworkSimulator {
         probs.clear();
         let nodes = arrivals.order.iter().map(|&(_, node)| node as usize);
         match &cfg.corrupt_probs {
-            // Precomputed (the policy loop's per-drift cache, in node
-            // order): copy it into arrival order and skip the per-node BER
-            // math entirely.
-            Some(cached) => probs.extend(nodes.map(|node| cached[node])),
+            // Precomputed in node order: copy it into arrival order and
+            // skip the per-node BER math.
+            Some(given) => probs.extend(nodes.map(|node| given[node])),
             None => {
                 let packet = cfg.channel.packet;
                 probs.extend(nodes.zip(levels).map(|(node, &level)| {
@@ -573,15 +558,8 @@ impl NetworkSimulator {
             (accountant.finish(), collector)
         });
         acc.seal_replication();
-        let summary = acc.summary();
         NetworkReport {
-            mean_node_power: summary.mean_node_power,
-            node_powers: summary.node_powers,
-            ledger: summary.ledger,
-            failure_ratio: summary.failure_ratio,
-            mean_delay: summary.mean_delay,
-            mean_attempts: summary.mean_attempts,
-            energy_per_bit_nj: summary.energy_per_bit_nj,
+            summary: acc.summary(),
             trace: collector.into_trace(),
         }
     }
@@ -589,20 +567,17 @@ impl NetworkSimulator {
     /// Runs the simulation fully streaming into a mergeable
     /// [`NetworkAccumulator`]: every attempt/transaction is folded into
     /// the energy ledgers and statistics as it happens, and no trace `Vec`
-    /// is ever allocated.
+    /// is ever allocated. Also returns the number of engine events
+    /// processed — the work counter that normalises a run's wall clock to
+    /// time per event, counted in the same pass so throughput and energy
+    /// come from one run.
     ///
     /// The returned accumulator is **unsealed** — no replication sample
-    /// has been recorded — so callers aggregating shards (channels of one
-    /// replication) can merge first and
+    /// has been recorded — so callers aggregating the channels of one
+    /// replication can merge first and
     /// [`seal_replication`](NetworkAccumulator::seal_replication) once.
-    pub fn run_accumulate<B: BerModel>(&self, ber: &B) -> NetworkAccumulator {
-        self.run_accumulate_counted(ber).0
-    }
-
-    /// [`run_accumulate`](Self::run_accumulate) also returning the number
-    /// of engine events processed — the work counter that normalises a
-    /// run's wall clock to time per event, counted in the same pass so
-    /// throughput and energy come from one run.
+    /// A single run seals it and finalizes with
+    /// [`summary`](NetworkAccumulator::summary).
     pub fn run_accumulate_counted<B: BerModel>(&self, ber: &B) -> (NetworkAccumulator, u64) {
         self.in_arrival_order(|arrivals, levels, ws| {
             let mut accountant = EnergyAccountant::new(&self.config, arrivals, levels);
@@ -611,281 +586,21 @@ impl NetworkSimulator {
         })
     }
 
-    /// Runs one streaming replication and finalizes it. Preferred for
-    /// sweeps that only need the aggregates of a single run; use
-    /// [`run_accumulate`](Self::run_accumulate) plus
-    /// [`NetworkAccumulator::merge`] for multi-run reductions.
-    pub fn run_streaming<B: BerModel>(&self, ber: &B) -> NetworkSummary {
-        let mut acc = self.run_accumulate(ber);
-        acc.seal_replication();
-        acc.summary()
-    }
-
-    /// [`run_accumulate`](Self::run_accumulate) with the per-node energy
-    /// accounting sharded across `shards` worker threads —
-    /// **bit-identical to the unsharded run for every shard count**.
-    ///
-    /// The contention physics cannot be partitioned (every CCA senses
-    /// every other node's transmission), so the event engine runs
-    /// unchanged on the calling thread. What *is* exactly partitionable
-    /// is the per-node energy accounting: each worker owns one contiguous
-    /// range of arrival ranks, the order the serial accountant stores its
-    /// ledgers in, and accrues that range's [`EnergyLedger`]s from the
-    /// record stream the engine relays in order. Per-node accrual is a
-    /// fixed f64 sequence per node regardless of which thread runs it,
-    /// and the concatenated ranges are the serial run's arrival-ordered
-    /// ledger array, which the one final fold (`finish_ledgers`) walks in
-    /// node order on one thread, so the result is bit-identical by
-    /// construction — the same contract the thread-count determinism
-    /// suite pins for the runner.
-    ///
-    /// `shards` is clamped to `[1, nodes]`; `shards <= 1` falls back to
-    /// the serial path. The accounting scales with the worker count while
-    /// the engine stays on one core. How much of a dense run that can
-    /// save is bounded by the share spent off the engine, which the
-    /// benchmark's traced `network.non_engine_share` reports; it also
-    /// counts the BER precompute and the final fold.
+    /// The accumulator of
+    /// [`run_accumulate_counted`](Self::run_accumulate_counted), whatever
+    /// the shard count: a channel's accounting runs on the calling thread.
+    /// Kept with this signature because `perfbench` calls it.
     pub fn run_accumulate_sharded<B: BerModel>(
         &self,
         ber: &B,
-        shards: usize,
+        _shards: usize,
     ) -> NetworkAccumulator {
-        let nodes = self.config.channel.nodes;
-        let shards = shards.clamp(1, nodes.max(1));
-        if shards <= 1 {
-            return self.run_accumulate(ber);
-        }
-        let consts = AccountingConsts::new(&self.config);
-        let radio = &self.config.radio;
-        // Balanced contiguous rank ranges: shard `s` owns
-        // `bounds[s]..bounds[s+1]`.
-        let bounds: Vec<usize> = (0..=shards).map(|s| s * nodes / shards).collect();
-
-        self.in_arrival_order(|arrivals, levels, ws| {
-            let mut senders = Vec::with_capacity(shards);
-            let mut receivers = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<ShardMsg>>(4);
-                senders.push(tx);
-                receivers.push(rx);
-            }
-            let rank = &arrivals.rank;
-
-            let (ledgers, stats, missed_beacons, join_failures) = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(shards);
-                for (s, rx) in receivers.into_iter().enumerate() {
-                    let lo = bounds[s];
-                    let hi = bounds[s + 1];
-                    let levels = &levels[lo..hi];
-                    let consts = &consts;
-                    handles.push(scope.spawn(move || {
-                        let mut ledgers = vec![EnergyLedger::new(); hi - lo];
-                        while let Ok(batch) = rx.recv() {
-                            for msg in &batch {
-                                let i = rank[msg.node() as usize] as usize - lo;
-                                let ledger = &mut ledgers[i];
-                                match msg {
-                                    ShardMsg::Attempt(a) => {
-                                        ledger_on_attempt(ledger, radio, levels[i], consts, a);
-                                    }
-                                    ShardMsg::Transaction(_) => {
-                                        ledger_on_transaction(ledger, radio);
-                                    }
-                                    ShardMsg::Gts(r) => {
-                                        ledger_on_gts(ledger, radio, levels[i], consts, r);
-                                    }
-                                    ShardMsg::Downlink(r) => {
-                                        ledger_on_downlink(ledger, radio, levels[i], consts, r);
-                                    }
-                                    ShardMsg::Fault(r) => {
-                                        ledger_on_fault(ledger, radio, levels[i], consts, r);
-                                    }
-                                }
-                            }
-                        }
-                        ledgers
-                    }));
-                }
-
-                // The engine runs unchanged on the calling thread; the sink
-                // keeps the cross-node statistics here and relays the
-                // ledger-relevant records to their owning shards in batches.
-                let mut sink = ShardingSink::new(arrivals, &bounds, senders);
-                self.drive(ber, arrivals, levels, &mut sink, ws);
-                let (stats, missed_beacons, join_failures) = sink.finish();
-
-                // Fixed shard order: concatenating the joined ranges
-                // rebuilds the arrival-ordered ledger array the serial path
-                // produces.
-                let mut ledgers = Vec::with_capacity(nodes);
-                for handle in handles {
-                    ledgers.extend(handle.join().expect("shard worker panicked"));
-                }
-                (ledgers, stats, missed_beacons, join_failures)
-            });
-
-            finish_ledgers(
-                &self.config,
-                &ledgers,
-                rank,
-                &missed_beacons,
-                stats,
-                join_failures,
-            )
-        })
-    }
-}
-
-/// One ledger-relevant record relayed from the engine thread to the shard
-/// worker that owns its node.
-#[derive(Debug, Clone, Copy)]
-enum ShardMsg {
-    Attempt(AttemptRecord),
-    Transaction(u32),
-    Gts(GtsRecord),
-    Downlink(DownlinkRecord),
-    Fault(FaultRecord),
-}
-
-impl ShardMsg {
-    fn node(&self) -> u32 {
-        match self {
-            ShardMsg::Attempt(a) => a.node,
-            ShardMsg::Transaction(node) => *node,
-            ShardMsg::Gts(r) => r.node,
-            ShardMsg::Downlink(r) => r.node,
-            ShardMsg::Fault(r) => r.node,
-        }
-    }
-}
-
-/// Batch size of the engine→shard relay. Large enough to amortize the
-/// channel synchronization, small enough to keep workers busy during the
-/// run rather than after it.
-const SHARD_BATCH: usize = 1024;
-
-/// The engine-thread half of [`NetworkSimulator::run_accumulate_sharded`]:
-/// folds the cross-node statistics exactly like the serial
-/// [`EnergyAccountant`] and relays per-node ledger work to the shard
-/// workers, batched and in record order (each node's accrual sequence is
-/// preserved because a node lives in exactly one shard).
-struct ShardingSink {
-    stats: StatsSink,
-    missed_beacons: Vec<u32>,
-    join_failures: Counter,
-    /// node index → the shard owning its arrival rank, precomputed from
-    /// the range bounds.
-    shard_of: Vec<u32>,
-    senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
-    batches: Vec<Vec<ShardMsg>>,
-}
-
-impl ShardingSink {
-    fn new(
-        arrivals: &Arrivals,
-        bounds: &[usize],
-        senders: Vec<std::sync::mpsc::SyncSender<Vec<ShardMsg>>>,
-    ) -> Self {
-        let shards = senders.len();
-        let nodes = arrivals.order.len();
-        let mut shard_of = vec![0u32; nodes];
-        for s in 0..shards {
-            for &(_, node) in &arrivals.order[bounds[s]..bounds[s + 1]] {
-                shard_of[node as usize] = s as u32;
-            }
-        }
-        ShardingSink {
-            stats: StatsSink::new(),
-            missed_beacons: vec![0; nodes],
-            join_failures: Counter::default(),
-            shard_of,
-            senders,
-            batches: (0..shards)
-                .map(|_| Vec::with_capacity(SHARD_BATCH))
-                .collect(),
-        }
-    }
-
-    fn relay(&mut self, msg: ShardMsg) {
-        let s = self.shard_of[msg.node() as usize] as usize;
-        self.batches[s].push(msg);
-        if self.batches[s].len() == SHARD_BATCH {
-            self.flush(s);
-        }
-    }
-
-    fn flush(&mut self, s: usize) {
-        if self.batches[s].is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.batches[s], Vec::with_capacity(SHARD_BATCH));
-        self.senders[s]
-            .send(batch)
-            .expect("shard worker hung up before the engine finished");
-    }
-
-    /// Flushes the remaining batches, closes the relay (workers drain and
-    /// exit) and returns the engine-thread folds.
-    fn finish(mut self) -> (StatsSink, Vec<u32>, Counter) {
-        for s in 0..self.senders.len() {
-            self.flush(s);
-        }
-        drop(self.senders);
-        (self.stats, self.missed_beacons, self.join_failures)
-    }
-}
-
-impl TraceSink for ShardingSink {
-    fn on_attempt(&mut self, a: &AttemptRecord) {
-        self.stats.on_attempt(a);
-        self.relay(ShardMsg::Attempt(*a));
-    }
-
-    fn on_transaction(&mut self, t: &TransactionRecord) {
-        self.stats.on_transaction(t);
-        self.relay(ShardMsg::Transaction(t.node));
-    }
-
-    fn on_overrun(&mut self) {
-        self.stats.on_overrun();
-    }
-
-    fn on_gts(&mut self, r: &GtsRecord) {
-        self.stats.on_gts(r);
-        self.relay(ShardMsg::Gts(*r));
-    }
-
-    fn on_downlink(&mut self, r: &DownlinkRecord) {
-        self.stats.on_downlink(r);
-        if r.outcome != DownlinkOutcome::Deferred {
-            // Deferred polls carry no ledger cost; skip the relay.
-            self.relay(ShardMsg::Downlink(*r));
-        }
-    }
-
-    fn on_fault(&mut self, r: &FaultRecord) {
-        self.stats.on_fault(r);
-        match r.kind {
-            FaultKind::MissedBeacon { listened } => {
-                self.missed_beacons[r.node as usize] += 1;
-                if listened {
-                    self.relay(ShardMsg::Fault(*r));
-                }
-            }
-            FaultKind::JoinAttempt { success } => {
-                self.join_failures.observe(!success);
-                self.relay(ShardMsg::Fault(*r));
-            }
-            // No ledger cost: deaths, rejoin confirmations, dormancy.
-            FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
-        }
+        self.run_accumulate_counted(ber).0
     }
 }
 
 /// Per-configuration timing constants hoisted off the per-record accrual
-/// path — shared by the serial [`EnergyAccountant`] and the shard workers
-/// of [`NetworkSimulator::run_accumulate_sharded`], so cached and sharded
-/// accounting run the exact same arithmetic.
+/// path of the [`EnergyAccountant`].
 #[derive(Debug, Clone, Copy)]
 struct AccountingConsts {
     packet_airtime: Seconds,
@@ -921,11 +636,9 @@ impl AccountingConsts {
     }
 }
 
-// Ledger-side accrual, one free function per record kind. These are the
-// single source of truth for how a record becomes joules: the serial
-// `EnergyAccountant` calls them inline and the shard workers call them on
-// their arrival-rank ranges, so a sharded run accrues the exact same f64
-// sequence per node as the unsharded one (bit-identity by construction).
+// Ledger-side accrual, one free function per record kind: how a record
+// becomes joules on its node's ledger. The `EnergyAccountant` calls them
+// as the engine emits records.
 
 fn ledger_on_attempt(
     ledger: &mut EnergyLedger,
@@ -1117,8 +830,7 @@ fn ledger_on_downlink(
 
 /// Ledger-side cost of a fault record. The scalar bookkeeping
 /// (missed-beacon counts, join-failure counter, fault statistics) is the
-/// caller's job — this accrues only the radio energy, which is exactly
-/// the part that per-node shards can own.
+/// caller's job — this accrues only the radio energy.
 fn ledger_on_fault(
     ledger: &mut EnergyLedger,
     radio: &RadioModel,
@@ -1232,6 +944,11 @@ struct EnergyAccountant<'a> {
     consts: AccountingConsts,
 }
 
+/// Ledgers [`EnergyAccountant::finish`] copies out of arrival order per
+/// batch: enough independent loads to overlap their cache misses, few
+/// enough (14 KiB) to stay in L1.
+const FINISH_BATCH: usize = 64;
+
 impl<'a> EnergyAccountant<'a> {
     fn new(cfg: &'a NetworkConfig, arrivals: &'a Arrivals, levels: &'a [TxPowerLevel]) -> Self {
         EnergyAccountant {
@@ -1246,143 +963,123 @@ impl<'a> EnergyAccountant<'a> {
         }
     }
 
-    /// Adds the fixed beacon overhead and the sleep remainder, then folds
-    /// everything into an (unsealed) mergeable accumulator.
+    /// Adds the fixed beacon overhead and the sleep remainder to each
+    /// node's ledger, then folds everything into an (unsealed) mergeable
+    /// accumulator. The fold walks the arrival-ordered ledgers in node
+    /// order (`rank` maps a node id to its ledger), so its f64 operations
+    /// and their order never depend on the arrival order.
     fn finish(self) -> NetworkAccumulator {
-        finish_ledgers(
-            self.cfg,
-            &self.ledgers,
-            self.rank,
-            &self.missed_beacons,
-            self.stats,
-            self.join_failures,
-        )
-    }
-}
+        let EnergyAccountant {
+            cfg,
+            rank,
+            ledgers,
+            stats,
+            missed_beacons,
+            join_failures,
+            consts: k,
+            ..
+        } = self;
+        let radio = &cfg.radio;
+        let recorded_superframes = cfg.channel.superframes as f64 - 1.0;
+        let t_ib = cfg.channel.beacon_interval();
+        let window = t_ib * recorded_superframes;
 
-/// Ledgers `finish_ledgers` copies out of arrival order per batch: enough
-/// independent loads to overlap their cache misses, few enough (14 KiB)
-/// to stay in L1.
-const FINISH_BATCH: usize = 64;
-
-/// The shared tail of every accounting run — serial or sharded: adds the
-/// fixed beacon overhead and the sleep remainder to each node's ledger,
-/// then folds everything into an (unsealed) mergeable accumulator. Runs
-/// on one thread over the full arrival-ordered ledger array (`rank` maps
-/// a node id to its ledger) and folds in node order, so its f64
-/// operations and their order never depend on the arrival order or the
-/// shard count.
-fn finish_ledgers(
-    cfg: &NetworkConfig,
-    ledgers: &[EnergyLedger],
-    rank: &[u32],
-    missed_beacons: &[u32],
-    stats: StatsSink,
-    join_failures: Counter,
-) -> NetworkAccumulator {
-    let radio = &cfg.radio;
-    let n_nodes = cfg.channel.nodes;
-    let recorded_superframes = cfg.channel.superframes as f64 - 1.0;
-    let t_ib = cfg.channel.beacon_interval();
-    let window = t_ib * recorded_superframes;
-    let t_beacon = beacon_duration();
-
-    let mut acc = NetworkAccumulator::new();
-    acc.node_powers.reserve(n_nodes);
-    // Fixed per-superframe beacon overhead — preemptive wake-up (the
-    // shutdown→idle transition plus any margin spent in idle),
-    // receiver turn-on, beacon reception — is identical for every
-    // node, so the per-superframe accrual loop runs **once** into a
-    // prototype ledger that every node then merges: `finish` is
-    // O(nodes + superframes) instead of O(nodes × superframes). The
-    // beacon-phase cells of every per-node ledger start at zero, so
-    // the merged values are the very sums the per-node loop produced.
-    //
-    // Nodes that missed beacons (outages, churn deaths) receive fewer
-    // cycles; one ledger per distinct received count is cached so the
-    // skipped cycles still come from the same repeated-addition loop —
-    // and a fault-free run, where every node receives every beacon,
-    // merges the single full prototype bit-identically.
-    let margin = (cfg.wakeup_margin - radio.wakeup_time()).max(Seconds::ZERO);
-    let beacon_cycles = |cycles: usize| {
-        let mut l = EnergyLedger::new();
-        for _ in 0..cycles {
-            l.accrue_transition(
-                radio,
-                RadioState::Shutdown,
-                RadioState::Idle,
-                PhaseTag::Beacon,
-            );
-            l.accrue(radio, RadioState::Idle, PhaseTag::Beacon, margin);
-            l.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Beacon);
-            l.accrue(radio, RadioState::Rx, PhaseTag::Beacon, t_beacon);
-        }
-        l
-    };
-    let recorded = cfg.channel.superframes.saturating_sub(1);
-    let beacon_ledger = beacon_cycles(recorded as usize);
-    let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
-    // The fold runs in node order over arrival-ordered ledgers. Reading
-    // them one at a time would wait out each ledger's cache misses in
-    // turn, so each batch of nodes is first copied out, which overlaps the
-    // loads, and then folded from the copy.
-    let mut batch: Vec<EnergyLedger> = Vec::with_capacity(FINISH_BATCH);
-    for (b, ranks) in rank.chunks(FINISH_BATCH).enumerate() {
-        batch.clear();
-        batch.extend(ranks.iter().map(|&r| ledgers[r as usize].clone()));
-        for (j, ledger) in batch.iter_mut().enumerate() {
-            let missed = missed_beacons[b * FINISH_BATCH + j];
-            if missed == 0 {
-                ledger.merge(&beacon_ledger);
-            } else {
-                let received = recorded.saturating_sub(missed);
-                let l = partial
-                    .entry(received)
-                    .or_insert_with(|| beacon_cycles(received as usize));
-                ledger.merge(l);
+        let mut acc = NetworkAccumulator::new();
+        acc.node_powers.reserve(cfg.channel.nodes);
+        // Fixed per-superframe beacon overhead — preemptive wake-up (the
+        // shutdown→idle transition plus any margin spent in idle),
+        // receiver turn-on, beacon reception — is identical for every
+        // node, so the per-superframe accrual loop runs **once** into a
+        // prototype ledger that every node then merges: `finish` is
+        // O(nodes + superframes) instead of O(nodes × superframes). The
+        // beacon-phase cells of every per-node ledger start at zero, so
+        // the merged values are the very sums the per-node loop produced.
+        //
+        // Nodes that missed beacons (outages, churn deaths) receive fewer
+        // cycles; one ledger per distinct received count is cached so the
+        // skipped cycles still come from the same repeated-addition loop —
+        // and a fault-free run, where every node receives every beacon,
+        // merges the single full prototype bit-identically.
+        let beacon_cycles = |cycles: usize| {
+            let mut l = EnergyLedger::new();
+            for _ in 0..cycles {
+                l.accrue_transition(
+                    radio,
+                    RadioState::Shutdown,
+                    RadioState::Idle,
+                    PhaseTag::Beacon,
+                );
+                l.accrue(radio, RadioState::Idle, PhaseTag::Beacon, k.margin);
+                l.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Beacon);
+                l.accrue(radio, RadioState::Rx, PhaseTag::Beacon, k.t_beacon);
             }
-            // Sleep is the remainder of the window.
-            let active = ledger.total_time();
-            let sleep = (window - active).max(Seconds::ZERO);
-            ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
-            let power = ledger.average_power(window);
-            acc.node_power_uw.push(power.microwatts());
-            acc.node_powers.push(power);
-            // CAP vs CFP split: what this node spent contending and
-            // uplinking in the CAP versus its contention-free traffic.
-            let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
-                + ledger.energy_in_phase(PhaseTag::Transmit)
-                + ledger.energy_in_phase(PhaseTag::AckWait)
-                + ledger.energy_in_phase(PhaseTag::Ifs);
-            let cfp_energy =
-                ledger.energy_in_phase(PhaseTag::Gts) + ledger.energy_in_phase(PhaseTag::Downlink);
-            acc.cap_uw.push((cap_energy / window).microwatts());
-            acc.cfp_uw.push((cfp_energy / window).microwatts());
-            acc.ledger.merge(ledger);
+            l
+        };
+        let recorded = cfg.channel.superframes.saturating_sub(1);
+        let beacon_ledger = beacon_cycles(recorded as usize);
+        let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
+        // The fold runs in node order over arrival-ordered ledgers.
+        // Reading them one at a time would wait out each ledger's cache
+        // misses in turn, so each batch of nodes is first copied out, which
+        // overlaps the loads, and then folded from the copy.
+        let mut batch: Vec<EnergyLedger> = Vec::with_capacity(FINISH_BATCH);
+        for (b, ranks) in rank.chunks(FINISH_BATCH).enumerate() {
+            batch.clear();
+            batch.extend(ranks.iter().map(|&r| ledgers[r as usize].clone()));
+            for (j, ledger) in batch.iter_mut().enumerate() {
+                let missed = missed_beacons[b * FINISH_BATCH + j];
+                if missed == 0 {
+                    ledger.merge(&beacon_ledger);
+                } else {
+                    let received = recorded.saturating_sub(missed);
+                    let l = partial
+                        .entry(received)
+                        .or_insert_with(|| beacon_cycles(received as usize));
+                    ledger.merge(l);
+                }
+                // Sleep is the remainder of the window.
+                let active = ledger.total_time();
+                let sleep = (window - active).max(Seconds::ZERO);
+                ledger.accrue(radio, RadioState::Shutdown, PhaseTag::Sleep, sleep);
+                let power = ledger.average_power(window);
+                acc.node_power_uw.push(power.microwatts());
+                acc.node_powers.push(power);
+                // CAP vs CFP split: what this node spent contending and
+                // uplinking in the CAP versus its contention-free traffic.
+                let cap_energy = ledger.energy_in_phase(PhaseTag::Contention)
+                    + ledger.energy_in_phase(PhaseTag::Transmit)
+                    + ledger.energy_in_phase(PhaseTag::AckWait)
+                    + ledger.energy_in_phase(PhaseTag::Ifs);
+                let cfp_energy = ledger.energy_in_phase(PhaseTag::Gts)
+                    + ledger.energy_in_phase(PhaseTag::Downlink);
+                acc.cap_uw.push((cap_energy / window).microwatts());
+                acc.cfp_uw.push((cfp_energy / window).microwatts());
+                acc.ledger.merge(ledger);
+            }
         }
-    }
 
-    let delivered = stats.failures.trials() - stats.failures.hits();
-    acc.delivered_payload_bits = delivered as f64 * cfg.channel.packet.payload_bits() as f64;
-    acc.failures = stats.failures;
-    acc.attempts = stats.attempts;
-    // Delays were accumulated in superframes; rescale to seconds once,
-    // exactly, so accumulators from channels with different beacon
-    // intervals merge in common units.
-    acc.delay_secs = stats.delivery_superframes.scaled(t_ib.secs());
-    acc.overruns = stats.overruns;
-    acc.gts_failures = stats.gts_failures;
-    acc.gts_denied = cfg.channel.cfp.gts_denied as u64;
-    acc.downlink_failures = stats.downlink_failures;
-    acc.downlink_deferred = stats.downlink_deferred;
-    acc.deaths = stats.deaths;
-    acc.orphan_scans = stats.orphan_scans;
-    acc.join_failures = join_failures;
-    // Re-association latencies arrive in superframes; rescale once,
-    // like the delivery delays.
-    acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
-    acc.dormant_nodes = stats.dormant_nodes;
-    acc
+        let delivered = stats.failures.trials() - stats.failures.hits();
+        acc.delivered_payload_bits = delivered as f64 * cfg.channel.packet.payload_bits() as f64;
+        acc.failures = stats.failures;
+        acc.attempts = stats.attempts;
+        // Delays were accumulated in superframes; rescale to seconds once,
+        // exactly, so accumulators from channels with different beacon
+        // intervals merge in common units.
+        acc.delay_secs = stats.delivery_superframes.scaled(t_ib.secs());
+        acc.overruns = stats.overruns;
+        acc.gts_failures = stats.gts_failures;
+        acc.gts_denied = cfg.channel.cfp.gts_denied as u64;
+        acc.downlink_failures = stats.downlink_failures;
+        acc.downlink_deferred = stats.downlink_deferred;
+        acc.deaths = stats.deaths;
+        acc.orphan_scans = stats.orphan_scans;
+        acc.join_failures = join_failures;
+        // Re-association latencies arrive in superframes; rescale once,
+        // like the delivery delays.
+        acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
+        acc.dormant_nodes = stats.dormant_nodes;
+        acc
+    }
 }
 
 impl EnergyAccountant<'_> {
@@ -1469,6 +1166,13 @@ mod tests {
     use wsn_phy::ber::EmpiricalCc2420Ber;
     use wsn_radio::state::StateKind;
 
+    /// One sealed run's summary.
+    fn summarise(cfg: NetworkConfig, ber: &impl BerModel) -> NetworkSummary {
+        let (mut acc, _) = NetworkSimulator::new(cfg).run_accumulate_counted(ber);
+        acc.seal_replication();
+        acc.summary()
+    }
+
     fn small_config(load: f64, loss_db: f64, seed: u64) -> NetworkConfig {
         let mut channel = ChannelSimConfig::figure6(120, load, seed);
         channel.nodes = 20;
@@ -1490,7 +1194,7 @@ mod tests {
     fn average_power_is_hundreds_of_microwatts() {
         let report =
             NetworkSimulator::new(small_config(0.4, 70.0, 1)).run(&EmpiricalCc2420Ber::paper());
-        let uw = report.mean_node_power.microwatts();
+        let uw = report.summary.mean_node_power.microwatts();
         assert!(
             (50.0..1000.0).contains(&uw),
             "mean node power {uw} µW outside plausible band"
@@ -1501,7 +1205,8 @@ mod tests {
     fn sleep_dominates_time_but_not_energy() {
         let report =
             NetworkSimulator::new(small_config(0.4, 70.0, 2)).run(&EmpiricalCc2420Ber::paper());
-        let fractions = report.ledger.state_time_fractions();
+        let ledger = &report.summary.ledger;
+        let fractions = ledger.state_time_fractions();
         let shutdown_frac = fractions
             .iter()
             .find(|(k, _)| *k == StateKind::Shutdown)
@@ -1511,14 +1216,15 @@ mod tests {
             shutdown_frac > 0.90,
             "nodes should sleep ≥90 % of the time, got {shutdown_frac}"
         );
-        let sleep_energy = report.ledger.energy_in_phase(PhaseTag::Sleep);
-        assert!(sleep_energy < report.ledger.total_energy() * 0.05);
+        let sleep_energy = ledger.energy_in_phase(PhaseTag::Sleep);
+        assert!(sleep_energy < ledger.total_energy() * 0.05);
     }
 
     #[test]
     fn good_links_deliver_reliably() {
-        let report =
-            NetworkSimulator::new(small_config(0.2, 60.0, 3)).run(&EmpiricalCc2420Ber::paper());
+        let report = NetworkSimulator::new(small_config(0.2, 60.0, 3))
+            .run(&EmpiricalCc2420Ber::paper())
+            .summary;
         assert!(
             report.failure_ratio.value() < 0.1,
             "failure ratio {} too high for a 60 dB path",
@@ -1530,11 +1236,13 @@ mod tests {
 
     #[test]
     fn bad_links_fail_often_and_spend_more() {
-        let good =
-            NetworkSimulator::new(small_config(0.3, 60.0, 4)).run(&EmpiricalCc2420Ber::paper());
+        let good = NetworkSimulator::new(small_config(0.3, 60.0, 4))
+            .run(&EmpiricalCc2420Ber::paper())
+            .summary;
         // 94 dB path: even 0 dBm arrives at −94 dBm where BER is high.
-        let bad =
-            NetworkSimulator::new(small_config(0.3, 94.0, 4)).run(&EmpiricalCc2420Ber::paper());
+        let bad = NetworkSimulator::new(small_config(0.3, 94.0, 4))
+            .run(&EmpiricalCc2420Ber::paper())
+            .summary;
         assert!(bad.failure_ratio.value() > good.failure_ratio.value());
         assert!(bad.mean_attempts > good.mean_attempts);
         assert!(bad.energy_per_bit_nj > good.energy_per_bit_nj);
@@ -1554,8 +1262,9 @@ mod tests {
 
     #[test]
     fn ledger_views_agree() {
-        let report =
-            NetworkSimulator::new(small_config(0.4, 75.0, 5)).run(&EmpiricalCc2420Ber::paper());
+        let report = NetworkSimulator::new(small_config(0.4, 75.0, 5))
+            .run(&EmpiricalCc2420Ber::paper())
+            .summary;
         let by_state: f64 = StateKind::ALL
             .iter()
             .map(|&k| report.ledger.energy_in(k).joules())
@@ -1569,8 +1278,12 @@ mod tests {
 
     #[test]
     fn deterministic_reports() {
-        let a = NetworkSimulator::new(small_config(0.4, 70.0, 9)).run(&EmpiricalCc2420Ber::paper());
-        let b = NetworkSimulator::new(small_config(0.4, 70.0, 9)).run(&EmpiricalCc2420Ber::paper());
+        let run = || {
+            NetworkSimulator::new(small_config(0.4, 70.0, 9))
+                .run(&EmpiricalCc2420Ber::paper())
+                .summary
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.mean_node_power, b.mean_node_power);
         assert_eq!(a.failure_ratio, b.failure_ratio);
     }
@@ -1590,8 +1303,7 @@ mod tests {
 
     #[test]
     fn cap_only_runs_report_zero_cfp_power() {
-        let summary = NetworkSimulator::new(small_config(0.4, 70.0, 21))
-            .run_streaming(&EmpiricalCc2420Ber::paper());
+        let summary = summarise(small_config(0.4, 70.0, 21), &EmpiricalCc2420Ber::paper());
         assert_eq!(summary.cfp_power.microwatts(), 0.0);
         assert!(summary.cap_power.microwatts() > 0.0);
         assert_eq!(summary.gts_transactions, 0);
@@ -1605,8 +1317,8 @@ mod tests {
         let base = small_config(0.4, 70.0, 22);
         let mut gts = base.clone();
         gts.channel.cfp = plan_channel_cfp(gts.channel.nodes as u32, 7, 1, 8, 0.0);
-        let cap_only = NetworkSimulator::new(base).run_streaming(&ber);
-        let offloaded = NetworkSimulator::new(gts).run_streaming(&ber);
+        let cap_only = summarise(base, &ber);
+        let offloaded = summarise(gts, &ber);
         assert!(offloaded.cfp_power.microwatts() > 0.0);
         assert!(offloaded.cap_power < cap_only.cap_power);
         assert!(offloaded.gts_transactions > 0);
@@ -1624,8 +1336,8 @@ mod tests {
         let base = small_config(0.3, 65.0, 23);
         let mut polled = base.clone();
         polled.channel.cfp = plan_channel_cfp(polled.channel.nodes as u32, 0, 1, 8, 0.8);
-        let quiet = NetworkSimulator::new(base).run_streaming(&ber);
-        let busy = NetworkSimulator::new(polled).run_streaming(&ber);
+        let quiet = summarise(base, &ber);
+        let busy = summarise(polled, &ber);
         assert!(busy.downlink_polls > 0);
         assert!(busy.cfp_power.microwatts() > 0.0);
         assert!(busy.ledger.energy_in_phase(PhaseTag::Downlink).joules() > 0.0);
@@ -1639,7 +1351,7 @@ mod tests {
     fn cfp_ledger_views_still_agree() {
         let mut cfg = small_config(0.4, 75.0, 24);
         cfg.channel.cfp = plan_channel_cfp(cfg.channel.nodes as u32, 5, 1, 8, 0.5);
-        let summary = NetworkSimulator::new(cfg).run_streaming(&EmpiricalCc2420Ber::paper());
+        let summary = summarise(cfg, &EmpiricalCc2420Ber::paper());
         let by_state: f64 = StateKind::ALL
             .iter()
             .map(|&k| summary.ledger.energy_in(k).joules())
@@ -1660,8 +1372,7 @@ mod tests {
         // 20 nodes all want a slot; 7 granted, 13 denied.
         cfg.channel.cfp = plan_channel_cfp(cfg.channel.nodes as u32, 20, 1, 8, 0.0);
         let ber = EmpiricalCc2420Ber::paper();
-        let sim = NetworkSimulator::new(cfg);
-        let mut a = sim.run_accumulate(&ber);
+        let (mut a, _) = NetworkSimulator::new(cfg).run_accumulate_counted(&ber);
         a.seal_replication();
         let b = a.clone();
         a.merge(&b);
@@ -1683,16 +1394,20 @@ mod tests {
         cfg
     }
 
-    /// Network goldens: digests of the sealed `run_accumulate` summaries,
-    /// hashed like the engine goldens. `Debug` prints `node_powers` in
-    /// node order and the merged ledger to the last bit, so a ledger
-    /// billed at another node's level, or an oracle asked with another
-    /// node's probability, moves the digest. The configurations:
+    /// Network goldens: digests of the sealed `run_accumulate_counted`
+    /// summaries, hashed like the engine goldens. `Debug` prints
+    /// `node_powers` in node order and the merged ledger to the last bit,
+    /// so a ledger billed at another node's level, or an oracle asked with
+    /// another node's probability, moves the digest. The configurations:
     ///
     /// * CAP-only, with per-node path losses;
     /// * GTS holders plus downlink polling;
     /// * churn and coordinator outages with GTS, which reach the
     ///   re-association, orphan-scan and missed-beacon accounting.
+    ///
+    /// Each configuration runs twice: once deriving its corruption
+    /// probabilities, once with them given in node order through
+    /// `NetworkConfig::corrupt_probs`. Both must give the golden digests.
     ///
     /// The digests were captured before the accountant stored its
     /// per-node state in arrival order, which had to leave them as they
@@ -1710,11 +1425,8 @@ mod tests {
             .with_outages(0.1, 1);
 
         let ber = EmpiricalCc2420Ber::paper();
-        let summaries = [cap, polled, churned].map(|cfg| {
-            let mut acc = NetworkSimulator::new(cfg).run_accumulate(&ber);
-            acc.seal_replication();
-            acc.summary()
-        });
+        let configs = [cap, polled, churned];
+        let summaries = configs.clone().map(|cfg| summarise(cfg, &ber));
         // The workloads reach the paths they are meant to.
         assert!(summaries.iter().all(|s| s.failure_ratio.value() > 0.0));
         assert!(summaries[1].gts_transactions > 0 && summaries[1].downlink_polls > 0);
@@ -1731,6 +1443,19 @@ mod tests {
                 0xa861_13fc_b401_7527,
             ],
             "network output changed: CAP-only, GTS and polling, churned"
+        );
+
+        let given = configs.map(|mut cfg| {
+            let levels = cfg.tx_policy.resolve(&cfg.path_losses);
+            let probs = cfg.path_losses.iter().zip(&levels).map(|(&loss, &level)| {
+                corruption_probability(&ber, cfg.channel.packet, cfg.coordinator_tx, loss, level)
+            });
+            cfg.corrupt_probs = Some(probs.collect());
+            crate::contention::tests::digest(&summarise(cfg, &ber))
+        });
+        assert_eq!(
+            given, digests,
+            "precomputed corruption probabilities changed the output"
         );
     }
 

@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use crate::network::NetworkSummary;
 use crate::runner::Runner;
-use crate::scenario::{AssignmentCache, Scenario, ScenarioOutcome};
+use crate::scenario::{Scenario, ScenarioOutcome};
 
 /// What a policy sees at the end of a round.
 #[derive(Debug)]
@@ -496,14 +496,6 @@ impl PolicyEngine {
 
         let fplan = scenario.faults;
         let mut drifted: Vec<wsn_units::Db> = Vec::new();
-        // Per-drift corruption caches: the BER/loss math depends only on
-        // the (possibly drifted) population losses, so rounds sharing a
-        // drift value — round 0 and every on-period round of the triangle
-        // wave — reuse one full-population table and skip the per-node
-        // packet-error derivation entirely. `None` values record that the
-        // scenario's policy is uncacheable (explicit per-node levels).
-        let mut corruption_caches: std::collections::HashMap<u64, Option<AssignmentCache>> =
-            std::collections::HashMap::new();
         for round in 0..self.rounds {
             // Round-level fault dynamics: drift the whole population's
             // path losses, then storm the downlink on burst rounds. Both
@@ -518,15 +510,8 @@ impl PolicyEngine {
             } else {
                 &losses
             };
-            let cache = corruption_caches
-                .entry(drift_db.to_bits())
-                .or_insert_with(|| scenario.assignment_cache(round_losses, &bers));
-            let mut configs = scenario.compile_assignment_cached(
-                round_losses,
-                &assignment,
-                round as u64,
-                cache.as_ref(),
-            );
+            let mut configs =
+                scenario.compile_assignment_with_losses(round_losses, &assignment, round as u64);
             let boost = fplan.downlink_boost(round as u32);
             if boost > 0.0 {
                 for cfg in &mut configs {

@@ -40,8 +40,7 @@ use crate::cfp::{plan_channel_cfp, CfpPlan};
 use crate::contention::ChannelSimConfig;
 use crate::faults::FaultPlan;
 use crate::network::{
-    corruption_probability, NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary,
-    TxPowerPolicy,
+    NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary, TxPowerPolicy,
 };
 use crate::runner::{panic_message, replication_seed, Runner};
 
@@ -51,8 +50,8 @@ const MAX_SUPERFRAMES: u32 = 1_000_000;
 /// The most replications per channel [`Scenario::validate`] accepts; the
 /// studies default to at most 4.
 const MAX_REPLICATIONS: u32 = 1_000;
-/// The most accounting shards per channel job [`Scenario::validate`]
-/// accepts; the benchmark runs 2.
+/// The largest [`Scenario::shards`] value [`Scenario::validate`] accepts.
+/// The key has no effect; format-1 files keep it and this bound.
 const MAX_SHARDS: usize = 16;
 /// The most per-node power samples, channels × nodes per channel ×
 /// replications, [`Scenario::validate`] accepts. Every job holds its
@@ -389,22 +388,10 @@ pub struct Scenario {
     /// ([`FaultPlan::inert`] by default — provably invisible; see
     /// [`crate::faults`]).
     pub faults: FaultPlan,
-    /// Shards for the per-node energy accounting of each channel
-    /// job ([`NetworkSimulator::run_accumulate_sharded`]). `1` (the
-    /// default) keeps the serial per-job path; any value is bit-identical
-    /// to it. Raise for single huge channels, where the runner's
-    /// per-channel parallelism alone would pin one core.
+    /// Accepted and validated (at most 16) for format-1 files, and hashed
+    /// into the scenario's fingerprint, but without effect: each
+    /// channel's energy accounting runs on its job's thread.
     pub shards: usize,
-}
-
-/// Full-population corruption table for the adaptive policy loop:
-/// `probs[c][i]` is node `i`'s packet-or-ACK corruption probability as-if
-/// assigned to channel `c` (channel loss offset, packet layout and BER
-/// model applied). Built once per distinct loss drift by
-/// [`Scenario::assignment_cache`]; each round's compile remaps it by
-/// global node index instead of re-deriving the BER math per replication.
-pub(crate) struct AssignmentCache {
-    probs: Vec<Vec<f64>>,
 }
 
 impl Scenario {
@@ -873,7 +860,8 @@ impl Scenario {
             ));
         }
         // Sizes read from a file: every job's result is held until its
-        // grid reduces, and each shard of a job is a thread.
+        // grid reduces. `shards` has no effect, but format-1 files keep
+        // the key and its bound.
         if self.superframes > MAX_SUPERFRAMES {
             return Err(format!(
                 "at most {MAX_SUPERFRAMES} superframes, got {}",
@@ -1137,60 +1125,6 @@ impl Scenario {
         assignment: &[usize],
         salt: u64,
     ) -> Vec<NetworkConfig> {
-        self.compile_assignment_cached(losses, assignment, salt, None)
-    }
-
-    /// Builds the policy loop's full-population corruption table: for each
-    /// channel `c`, the corruption probability every node *would* have if
-    /// assigned to `c` (channel loss offset, packet layout and BER model
-    /// included), computed through the simulator's own
-    /// [`corruption_probability`] so a cached round is bit-identical to an
-    /// uncached one. The table depends only on `losses` — one build per
-    /// distinct loss drift covers every round and assignment at that
-    /// drift.
-    ///
-    /// Returns `None` for [`TxPowerPolicy::PerNode`]: explicit level
-    /// tables are positional within one compiled assignment, so there is
-    /// no assignment-independent per-node level to cache.
-    pub(crate) fn assignment_cache(
-        &self,
-        losses: &[Db],
-        bers: &[ResolvedBer],
-    ) -> Option<AssignmentCache> {
-        if matches!(self.tx_policy, TxPowerPolicy::PerNode(_)) {
-            return None;
-        }
-        assert_eq!(bers.len(), self.channels, "one BER model per channel");
-        let probs = (0..self.channels)
-            .map(|c| {
-                let offset = self.channel_loss_offset(c);
-                let packet = self.channel_packet(c);
-                let offset_losses: Vec<Db> = losses.iter().map(|&l| l + offset).collect();
-                let levels = self.tx_policy.resolve(&offset_losses);
-                offset_losses
-                    .iter()
-                    .zip(&levels)
-                    .map(|(&a, &lvl)| {
-                        corruption_probability(&bers[c], packet, self.coordinator_tx, a, lvl)
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(AssignmentCache { probs })
-    }
-
-    /// [`compile_assignment_with_losses`](Self::compile_assignment_with_losses)
-    /// with an optional [`AssignmentCache`]: when present, each compiled
-    /// config carries its nodes' precomputed corruption probabilities
-    /// (remapped by global node index, O(nodes) per round) and the
-    /// simulator skips the per-replication BER math.
-    pub(crate) fn compile_assignment_cached(
-        &self,
-        losses: &[Db],
-        assignment: &[usize],
-        salt: u64,
-        cache: Option<&AssignmentCache>,
-    ) -> Vec<NetworkConfig> {
         assert_eq!(
             assignment.len(),
             self.total_nodes(),
@@ -1224,7 +1158,7 @@ impl Scenario {
                     tx_policy: self.tx_policy.clone(),
                     coordinator_tx: self.coordinator_tx,
                     wakeup_margin: self.wakeup_margin,
-                    corrupt_probs: cache.map(|k| part.iter().map(|&i| k.probs[c][i]).collect()),
+                    corrupt_probs: None,
                 }
             })
             .collect()
@@ -1282,7 +1216,7 @@ impl Scenario {
         }
     }
 
-    /// This scenario's replications and shards over `configs`, ready for
+    /// This scenario's replications over `configs`, ready for
     /// [`run_grid`].
     ///
     /// # Panics
@@ -1303,19 +1237,17 @@ impl Scenario {
             configs,
             bers,
             replications: self.replications.max(1),
-            shards: self.shards.max(1),
         }
     }
 }
 
 /// One compiled scenario for [`run_grid`]: a config and a BER model per
-/// channel, the replications per channel and the accounting shards per job.
+/// channel, and the replications per channel.
 pub(crate) struct Grid<'a, B> {
     name: &'a str,
     configs: &'a [NetworkConfig],
     bers: &'a [B],
     replications: u32,
-    shards: usize,
 }
 
 /// One grid job's output: the unsealed accumulator and the job's wall
@@ -1353,7 +1285,7 @@ impl<B: BerModel> Grid<'_, B> {
         // the replication seed written below.
         let mut cfg = self.configs[c].clone();
         cfg.channel.seed = replication_seed(cfg.channel.seed, r);
-        let acc = NetworkSimulator::new(cfg).run_accumulate_sharded(&self.bers[c], self.shards);
+        let (acc, _) = NetworkSimulator::new(cfg).run_accumulate_counted(&self.bers[c]);
         Some((acc, t.elapsed().as_secs_f64() * 1e3))
     }
 

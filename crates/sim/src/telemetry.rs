@@ -565,18 +565,12 @@ impl Default for TimingStat {
     }
 }
 
-/// A wall-clock span kind; see [`Span`] and [`record_phase_ms`].
+/// A wall-clock span kind; see [`Span`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// One runner job, on its worker.
-    Job,
     /// One runner streaming call, open to close (`Runner::map`, a
     /// scenario grid or a farm stream).
     Map,
-    /// One policy round (its full scenario grid).
-    PolicyRound,
-    /// One farm wave: the calling thread's wait for its last result.
-    Wave,
     /// One whole batch farm.
     Batch,
 }
@@ -629,10 +623,7 @@ impl TimingSet {
 
     fn stat_mut(&mut self, phase: Phase) -> &mut TimingStat {
         match phase {
-            Phase::Job => &mut self.job,
             Phase::Map => &mut self.map,
-            Phase::PolicyRound => &mut self.policy_round,
-            Phase::Wave => &mut self.wave,
             Phase::Batch => &mut self.batch,
         }
     }
@@ -867,8 +858,8 @@ pub fn note_wave(wall_ms: f64) {
     reg.timing.wave.record(wall_ms);
 }
 
-/// Records one pre-measured wall-clock span.
-pub fn record_phase_ms(phase: Phase, ms: f64) {
+/// Records one measured wall-clock span.
+fn record_phase_ms(phase: Phase, ms: f64) {
     registry().timing.stat_mut(phase).record(ms);
 }
 

@@ -207,7 +207,11 @@ fn network_accumulator_channel_merge_pools_exactly() {
     // combination.
     let ber = EmpiricalCc2420Ber::paper();
     let accs: Vec<NetworkAccumulator> = (0..3u64)
-        .map(|c| NetworkSimulator::new(small_network(12, 0xC0FFEE + c)).run_accumulate(&ber))
+        .map(|c| {
+            NetworkSimulator::new(small_network(12, 0xC0FFEE + c))
+                .run_accumulate_counted(&ber)
+                .0
+        })
         .collect();
     let mut merged = NetworkAccumulator::new();
     for a in &accs {
@@ -237,7 +241,11 @@ fn network_accumulator_merge_is_split_invariant() {
     // rounding for the floating accumulators.
     let ber = EmpiricalCc2420Ber::paper();
     let accs: Vec<NetworkAccumulator> = (0..3u64)
-        .map(|c| NetworkSimulator::new(small_network(10, 0xAB + c)).run_accumulate(&ber))
+        .map(|c| {
+            NetworkSimulator::new(small_network(10, 0xAB + c))
+                .run_accumulate_counted(&ber)
+                .0
+        })
         .collect();
     let mut left = accs[0].clone();
     left.merge(&accs[1]);
@@ -265,7 +273,7 @@ fn cfp_counters_merge_exactly() {
         .map(|c| {
             let mut cfg = small_network(12, 0xCF9 + c);
             cfg.channel.cfp = wsn_sim::plan_channel_cfp(cfg.channel.nodes as u32, 12, 1, 8, 0.5);
-            NetworkSimulator::new(cfg).run_accumulate(&ber)
+            NetworkSimulator::new(cfg).run_accumulate_counted(&ber).0
         })
         .collect();
     let mut merged = NetworkAccumulator::new();
@@ -321,7 +329,7 @@ fn fault_counters_merge_exactly() {
             cfg.channel.faults = wsn_sim::FaultPlan::inert()
                 .with_churn(0.06, 1, 1)
                 .with_outages(0.12, 1);
-            NetworkSimulator::new(cfg).run_accumulate(&ber)
+            NetworkSimulator::new(cfg).run_accumulate_counted(&ber).0
         })
         .collect();
     let mut merged = NetworkAccumulator::new();
@@ -381,11 +389,10 @@ fn fault_counters_merge_exactly() {
 
 #[test]
 fn sharded_energy_accounting_is_bit_identical_at_1_3_7_shards() {
-    // The sharded path must reproduce the serial accounting bit for
-    // bit at every shard count — the single-channel analogue of the
-    // runner's thread-count contract. The probe carries CAP, CFP (GTS +
-    // downlink) and fault traffic so every record kind crosses the
-    // engine→shard relay.
+    // `run_accumulate_sharded` is kept for its callers' sake and ignores
+    // the shard count: it must give the serial accounting bit for bit at
+    // every count. The probe carries CAP, CFP (GTS + downlink) and fault
+    // traffic so every record kind is billed.
     let ber = EmpiricalCc2420Ber::paper();
     let mut cfg = small_network(30, 0x5AAD);
     cfg.channel.superframes = 8;
@@ -394,7 +401,7 @@ fn sharded_energy_accounting_is_bit_identical_at_1_3_7_shards() {
         .with_churn(0.06, 1, 1)
         .with_outages(0.12, 1);
     let sim = NetworkSimulator::new(cfg);
-    let mut reference = sim.run_accumulate(&ber);
+    let (mut reference, _) = sim.run_accumulate_counted(&ber);
     reference.seal_replication();
     let want = reference.summary();
     assert!(want.deaths > 0, "the probe actually churned");
@@ -466,7 +473,8 @@ fn sealed_replications_drive_the_standard_errors() {
     let ber = EmpiricalCc2420Ber::paper();
     let mut total = NetworkAccumulator::new();
     for r in 0..4u64 {
-        let mut shard = NetworkSimulator::new(small_network(10, 0x5EA1 + r)).run_accumulate(&ber);
+        let (mut shard, _) =
+            NetworkSimulator::new(small_network(10, 0x5EA1 + r)).run_accumulate_counted(&ber);
         shard.seal_replication();
         total.merge(&shard);
     }

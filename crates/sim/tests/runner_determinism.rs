@@ -196,7 +196,11 @@ fn network_sweep_is_bit_identical_to_serial_streaming() {
     // Reference: one serial streaming run per config, replication 0's seed.
     let serial: Vec<NetworkSummary> = configs
         .iter()
-        .map(|cfg| serial_replication(cfg, 0).run_streaming(&ber))
+        .map(|cfg| {
+            let (mut acc, _) = serial_replication(cfg, 0).run_accumulate_counted(&ber);
+            acc.seal_replication();
+            acc.summary()
+        })
         .collect();
 
     for threads in [1, 2, 4] {
@@ -220,7 +224,7 @@ fn network_replications_are_bit_identical_across_1_2_4_threads() {
         .map(|cfg| {
             let mut merged = NetworkAccumulator::new();
             for r in 0..u64::from(reps) {
-                let mut acc = serial_replication(cfg, r).run_accumulate(&ber);
+                let (mut acc, _) = serial_replication(cfg, r).run_accumulate_counted(&ber);
                 acc.seal_replication();
                 merged.merge(&acc);
             }
@@ -340,12 +344,14 @@ fn policy_loop_is_bit_identical_across_1_2_4_threads() {
     assert!(serial.rounds.iter().any(|r| r.moved > 0));
 }
 
-/// The policy loop's per-drift corruption cache must be invisible: every
-/// round of a cached engine run reproduces, bit-for-bit, a manual
-/// replication of the same round through the *uncached* compile path
-/// (`compile_assignment_with_losses` carries no precomputed
-/// probabilities). Drifting faults exercise several distinct cache keys,
-/// downlink-burst rounds pin that the boost composes with caching.
+/// Every round of the policy loop reproduces, bit for bit, compiling and
+/// running the same round by hand: the round's drifted losses through
+/// `compile_assignment_with_losses` (which carries no precomputed
+/// probabilities), its downlink boost, then `run_compiled`. Drifting
+/// faults give the rounds several distinct loss drifts, and
+/// downlink-burst rounds pin that the boost composes with them. The loop
+/// once cached corruption probabilities per drift; the name is kept from
+/// then.
 #[test]
 fn policy_corruption_cache_matches_uncached_rounds_bitwise() {
     let scenario = Scenario::new(
@@ -368,8 +374,8 @@ fn policy_corruption_cache_matches_uncached_rounds_bitwise() {
     let trace = engine.run(&runner, &mut wsn_sim::policy::StaticAllocation);
     assert_eq!(trace.rounds.len(), rounds);
 
-    // Manual uncached replication: StaticAllocation never moves a node, so
-    // every round re-runs the initial assignment at salt = round.
+    // Manual replication: StaticAllocation never moves a node, so every
+    // round re-runs the initial assignment at salt = round.
     let losses = scenario.population_losses();
     let assignment = scenario.initial_assignment();
     for (round, recorded) in trace.rounds.iter().enumerate() {
@@ -402,7 +408,7 @@ fn policy_corruption_cache_matches_uncached_rounds_bitwise() {
             assert_summaries_identical(a, b, &format!("{context} ch{c}"));
         }
     }
-    // The probe exercised at least two distinct drift values (cache keys).
+    // The probe exercised at least two distinct drift values.
     let drifts: std::collections::BTreeSet<u64> = (0..rounds)
         .map(|r| scenario.faults.loss_drift_db(r as u32).to_bits())
         .collect();

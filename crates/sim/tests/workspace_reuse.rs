@@ -93,9 +93,10 @@ fn identical_configs_give_identical_traces_through_one_workspace() {
 
 #[test]
 fn network_runs_are_identical_across_thread_local_reuse() {
-    // `run_streaming` uses the calling thread's implicit workspace, so a
-    // second invocation on this thread reuses dirty scratch; a run on a
-    // brand-new thread starts from a pristine one. All three must agree.
+    // `run_accumulate_counted` uses the calling thread's implicit
+    // workspace, so a second invocation on this thread reuses dirty
+    // scratch; a run on a brand-new thread starts from a pristine one. All
+    // three must agree.
     let mut channel = cfg(120, 20, 0.4, 0x11EE);
     channel.superframes = 5;
     let nodes = channel.nodes;
@@ -112,14 +113,15 @@ fn network_runs_are_identical_across_thread_local_reuse() {
         wakeup_margin: Seconds::from_millis(1.0),
         corrupt_probs: None,
     };
-    let ber = EmpiricalCc2420Ber::paper();
-    let run = {
-        let config = config.clone();
-        move || NetworkSimulator::new(config.clone()).run_streaming(&EmpiricalCc2420Ber::paper())
+    let run = move || {
+        let (mut acc, _) = NetworkSimulator::new(config.clone())
+            .run_accumulate_counted(&EmpiricalCc2420Ber::paper());
+        acc.seal_replication();
+        acc.summary()
     };
 
-    let warm = NetworkSimulator::new(config.clone()).run_streaming(&ber);
-    let reused = NetworkSimulator::new(config.clone()).run_streaming(&ber);
+    let warm = run();
+    let reused = run();
     let pristine = std::thread::spawn(run).join().expect("fresh-thread run");
 
     for (name, other) in [("reused", &reused), ("pristine thread", &pristine)] {

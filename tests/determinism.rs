@@ -34,6 +34,7 @@ fn network_sim_is_bit_reproducible() {
             corrupt_probs: None,
         })
         .run(&EmpiricalCc2420Ber::paper())
+        .summary
     };
     let a = run();
     let b = run();

@@ -29,7 +29,7 @@ fn simulator_ledger_balances_between_views() {
         wakeup_margin: Seconds::from_millis(1.0),
         corrupt_probs: None,
     });
-    let report = sim.run(&EmpiricalCc2420Ber::paper());
+    let report = sim.run(&EmpiricalCc2420Ber::paper()).summary;
 
     let by_state: f64 = StateKind::ALL
         .iter()
@@ -117,7 +117,7 @@ fn per_superframe_energy_is_population_invariant_at_fixed_load() {
             wakeup_margin: Seconds::from_millis(1.0),
             corrupt_probs: None,
         });
-        let report = sim.run(&EmpiricalCc2420Ber::paper());
+        let report = sim.run(&EmpiricalCc2420Ber::paper()).summary;
         report.mean_node_power.watts() * t_ib.secs()
     };
     let small = run(25, 9);

@@ -65,9 +65,9 @@ fn compare(loss_db: f64, level: TxPowerLevel, load: f64, seed: u64) -> Compariso
 
     Comparison {
         model_uw,
-        sim_uw: net.mean_node_power.microwatts(),
+        sim_uw: net.summary.mean_node_power.microwatts(),
         model_fail: out.pr_fail.value(),
-        sim_fail: net.failure_ratio.value(),
+        sim_fail: net.summary.failure_ratio.value(),
     }
 }
 
