@@ -180,7 +180,9 @@ fn main() {
                 max_db: 95.0,
             },
         )
-        .with_traffic(TrafficSpec::per_channel(vec![30, 40, 60, 80, 100, 110, 120, 123])),
+        .with_traffic(TrafficSpec::per_channel(vec![
+            30, 40, 60, 80, 100, 110, 120, 123,
+        ])),
         Scenario::new(
             "per-channel clusters (one cluster per channel)",
             base_channels,

@@ -165,7 +165,9 @@ fn main() {
     }
 
     println!("\n## summary (final round vs the static baseline)");
-    println!("scenario,policy,final_worst_fail_pct,delta_vs_static_pct,rounds_to_stabilize,total_moved");
+    println!(
+        "scenario,policy,final_worst_fail_pct,delta_vs_static_pct,rounds_to_stabilize,total_moved"
+    );
     for (scenario, traces) in &results {
         let static_final = traces[0].final_round().worst_failure();
         for trace in traces {

@@ -187,7 +187,9 @@ fn main() {
     let set = if let Some(dir) = &args.dir {
         BatchSet::load_dir(Path::new(dir))
     } else {
-        BatchSet::load_manifest(Path::new(args.manifest.as_deref().expect("checked in parse")))
+        BatchSet::load_manifest(Path::new(
+            args.manifest.as_deref().expect("checked in parse"),
+        ))
     };
     let set = match set {
         Ok(set) => set,

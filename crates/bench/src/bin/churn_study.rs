@@ -143,8 +143,7 @@ fn main() {
 
     println!("\n## readings");
     for &out_sf in &OUTAGE_SF {
-        let curve: Vec<&SweepPoint> =
-            points.iter().filter(|p| p.outage_sf == out_sf).collect();
+        let curve: Vec<&SweepPoint> = points.iter().filter(|p| p.outage_sf == out_sf).collect();
         let clean = curve.first().expect("sweep covers death_rate 0");
         let worst = curve.last().expect("sweep covers the max churn rate");
         println!(
@@ -158,9 +157,9 @@ fn main() {
             worst.outcome.overall.deaths,
             worst.outcome.overall.dormant_nodes,
         );
-        let monotone_deaths = curve.windows(2).all(|w| {
-            w[0].outcome.overall.deaths <= w[1].outcome.overall.deaths
-        });
+        let monotone_deaths = curve
+            .windows(2)
+            .all(|w| w[0].outcome.overall.deaths <= w[1].outcome.overall.deaths);
         let bounded_joins = curve.iter().all(|p| {
             p.outcome.overall.join_attempts
                 <= p.outcome.overall.deaths * (MAX_JOIN_RETRIES as u64 + 1)

@@ -194,10 +194,7 @@ impl Deployment {
                 });
             }
         }
-        let radius = radii
-            .iter()
-            .copied()
-            .fold(Meters::ZERO, Meters::max);
+        let radius = radii.iter().copied().fold(Meters::ZERO, Meters::max);
         Deployment { positions, radius }
     }
 
@@ -429,10 +426,7 @@ mod tests {
             // All nodes of a cluster fit in a 2×cluster_radius-diameter disc.
             let xs: Vec<f64> = part.iter().map(|&i| d.positions()[i].x).collect();
             let ys: Vec<f64> = part.iter().map(|&i| d.positions()[i].y).collect();
-            let (cx, cy) = (
-                xs.iter().sum::<f64>() / 25.0,
-                ys.iter().sum::<f64>() / 25.0,
-            );
+            let (cx, cy) = (xs.iter().sum::<f64>() / 25.0, ys.iter().sum::<f64>() / 25.0);
             for (&x, &y) in xs.iter().zip(&ys) {
                 let dist = ((x - cx).powi(2) + (y - cy).powi(2)).sqrt();
                 assert!(dist <= 10.0, "node {dist} m from its cluster centroid");

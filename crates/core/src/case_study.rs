@@ -136,8 +136,7 @@ impl CaseStudy {
         superframes: u32,
         replications: u32,
     ) -> ScenarioOutcome {
-        let (scenario, configs) =
-            self.adapted_configs(ber, contention, superframes, replications);
+        let (scenario, configs) = self.adapted_configs(ber, contention, superframes, replications);
         scenario.run_with(runner, &configs, ber)
     }
 
@@ -409,8 +408,16 @@ mod tests {
                 study.load()
             );
             // Population span matches the 55–95 dB case study.
-            let min = cfg.path_losses.iter().map(|l| l.db()).fold(f64::MAX, f64::min);
-            let max = cfg.path_losses.iter().map(|l| l.db()).fold(f64::MIN, f64::max);
+            let min = cfg
+                .path_losses
+                .iter()
+                .map(|l| l.db())
+                .fold(f64::MAX, f64::min);
+            let max = cfg
+                .path_losses
+                .iter()
+                .map(|l| l.db())
+                .fold(f64::MIN, f64::max);
             assert!(min > 55.0 && max < 95.0);
         }
     }
@@ -423,7 +430,10 @@ mod tests {
         let parallel = study.simulate(&Runner::with_threads(4), &ber, &IdealContention, 4, 2);
         assert_eq!(serial.per_channel.len(), 16);
         assert_eq!(serial.overall.replications, 2);
-        assert_eq!(serial.overall.mean_node_power, parallel.overall.mean_node_power);
+        assert_eq!(
+            serial.overall.mean_node_power,
+            parallel.overall.mean_node_power
+        );
         assert_eq!(serial.overall.failure_ratio, parallel.overall.failure_ratio);
         assert_eq!(
             serial.overall.power_standard_error,

@@ -175,8 +175,7 @@ impl MonteCarloContention {
             let cache = self.cache.lock().expect("cache poisoned");
             for &(load, packet) in points {
                 let key = Self::key(load, packet);
-                if !cache.contains_key(&key)
-                    && !fresh.iter().any(|&(l, p)| Self::key(l, p) == key)
+                if !cache.contains_key(&key) && !fresh.iter().any(|&(l, p)| Self::key(l, p) == key)
                 {
                     fresh.push((load, packet));
                 }

@@ -634,9 +634,8 @@ impl BatchSet {
         if telem {
             crate::telemetry::note_farm_start(self.entries.len() as u64, skipped as u64);
         }
-        let batch_span = telem.then(|| {
-            crate::telemetry::Span::enter(crate::telemetry::Phase::Batch)
-        });
+        let batch_span =
+            telem.then(|| crate::telemetry::Span::enter(crate::telemetry::Phase::Batch));
         let mut out = Emitter {
             sink,
             journal,
@@ -1190,7 +1189,10 @@ fn write_metrics_snapshot(out: &mut dyn Write, last: bool) -> Result<(), BatchEr
 fn summary_json(s: &NetworkSummary) -> Node {
     json::obj(vec![
         ("power_uw", json::num(s.mean_node_power.microwatts())),
-        ("power_se_uw", json::num(s.power_standard_error.microwatts())),
+        (
+            "power_se_uw",
+            json::num(s.power_standard_error.microwatts()),
+        ),
         ("cap_power_uw", json::num(s.cap_power.microwatts())),
         (
             "cap_power_se_uw",
@@ -1225,7 +1227,10 @@ fn summary_json(s: &NetworkSummary) -> Node {
         ("deaths", json::uint(s.deaths)),
         ("orphan_scans", json::uint(s.orphan_scans)),
         ("join_attempts", json::uint(s.join_attempts)),
-        ("join_failure_ratio", json::num(s.join_failure_ratio.value())),
+        (
+            "join_failure_ratio",
+            json::num(s.join_failure_ratio.value()),
+        ),
         (
             "reassociation_delay_s",
             json::num(s.mean_reassociation_delay.secs()),
@@ -1287,8 +1292,11 @@ impl BatchReport {
     /// skipped/failed/timed-out tallies resume and isolation produce),
     /// timing and pooled transaction totals over the `ok` records.
     pub fn aggregate_json(&self) -> Node {
-        let outcomes: Vec<&ScenarioOutcome> =
-            self.records.iter().filter_map(|r| r.outcome.as_ref()).collect();
+        let outcomes: Vec<&ScenarioOutcome> = self
+            .records
+            .iter()
+            .filter_map(|r| r.outcome.as_ref())
+            .collect();
         let total_transactions: u64 = outcomes.iter().map(|o| o.overall.transactions).sum();
         let total_failures: f64 = outcomes
             .iter()
@@ -1359,8 +1367,7 @@ mod tests {
 
     #[test]
     fn batch_matches_standalone_runs_bit_for_bit() {
-        let set =
-            BatchSet::from_entries(vec![entry("a", 11), entry("b", 22)], None).unwrap();
+        let set = BatchSet::from_entries(vec![entry("a", 11), entry("b", 22)], None).unwrap();
         let runner = Runner::serial();
         let mut sink = Vec::new();
         let report = set.run(&runner, &mut sink).unwrap();
@@ -1373,7 +1380,10 @@ mod tests {
                 .map(|e| set.effective_scenario(e).run(&runner))
                 .unwrap();
             let outcome = record.outcome.as_ref().unwrap();
-            assert_eq!(outcome.overall.mean_node_power, alone.overall.mean_node_power);
+            assert_eq!(
+                outcome.overall.mean_node_power,
+                alone.overall.mean_node_power
+            );
             assert_eq!(outcome.overall.failure_ratio, alone.overall.failure_ratio);
             assert_eq!(
                 outcome.overall.power_standard_error,
@@ -1456,7 +1466,15 @@ mod tests {
         let (choice, rounds_run) = report.records[0].policy.unwrap();
         assert_eq!(choice.name(), "static");
         assert!(rounds_run >= 1);
-        assert!(report.records[0].outcome.as_ref().unwrap().overall.transactions > 0);
+        assert!(
+            report.records[0]
+                .outcome
+                .as_ref()
+                .unwrap()
+                .overall
+                .transactions
+                > 0
+        );
     }
 
     /// A scenario that panics in `compile` (the deliberate poison of the
@@ -1742,9 +1760,16 @@ mod tests {
         assert_eq!(third.skipped, 1);
         assert_eq!(third.records.len(), 1);
         assert_eq!(third.records[0].name, "b");
-        let alone = changed.effective_scenario(&changed.entries()[1]).run(&runner);
+        let alone = changed
+            .effective_scenario(&changed.entries()[1])
+            .run(&runner);
         assert_eq!(
-            third.records[0].outcome.as_ref().unwrap().overall.mean_node_power,
+            third.records[0]
+                .outcome
+                .as_ref()
+                .unwrap()
+                .overall
+                .mean_node_power,
             alone.overall.mean_node_power
         );
         std::fs::remove_file(&journal).unwrap();

@@ -226,11 +226,7 @@ impl<E> EventQueue<E> {
     /// off. Counting is inert: it never changes queue behavior, only the
     /// [`stats`](Self::stats) readout.
     pub fn set_stats_enabled(&mut self, on: bool) {
-        self.stats = if on {
-            Some(Box::default())
-        } else {
-            None
-        };
+        self.stats = if on { Some(Box::default()) } else { None };
     }
 
     /// The operation counters accumulated since

@@ -365,7 +365,10 @@ mod tests {
         let path = temp_path("corrupt");
         fs::write(&path, "{\"garbage\n{\"journal\":1}\n").unwrap();
         let err = load_journal(&path).unwrap_err();
-        assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "{err}");
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 1, .. }),
+            "{err}"
+        );
         fs::remove_file(&path).unwrap();
     }
 

@@ -130,8 +130,8 @@ pub mod stats;
 pub mod telemetry;
 
 pub use batch::{
-    scenario_master_seed, BatchEntry, BatchError, BatchReport, BatchSet, RunConfig,
-    ScenarioRecord, ScenarioStatus,
+    scenario_master_seed, BatchEntry, BatchError, BatchReport, BatchSet, RunConfig, ScenarioRecord,
+    ScenarioStatus,
 };
 pub use journal::{
     load_journal, repair_jsonl_tail, JournalError, JournalLoad, JournalRecord, JournalWriter,

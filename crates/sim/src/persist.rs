@@ -46,8 +46,8 @@ use wsn_units::{DBm, Seconds};
 use crate::faults::FaultPlan;
 use crate::network::TxPowerPolicy;
 use crate::policy::{AllocationPolicy, GreedyRebalance, ProportionalFair, StaticAllocation};
-use crate::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, PayloadSpec, Scenario};
 use crate::scenario::TrafficSpec;
+use crate::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, PayloadSpec, Scenario};
 
 use json::{arr, boolean, node, null, obj, string, uint};
 
@@ -88,7 +88,11 @@ impl ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, col {}: expected {}", self.line, self.col, self.expected)
+        write!(
+            f,
+            "line {}, col {}: expected {}",
+            self.line, self.col, self.expected
+        )
     }
 }
 
@@ -752,8 +756,7 @@ pub(crate) fn as_u64(node: &Node) -> Result<u64, ParseError> {
 }
 
 fn as_u32(node: &Node) -> Result<u32, ParseError> {
-    u32::try_from(as_u64(node)?)
-        .map_err(|_| ParseError::node(node, "an integer within 32 bits"))
+    u32::try_from(as_u64(node)?).map_err(|_| ParseError::node(node, "an integer within 32 bits"))
 }
 
 fn as_u8(node: &Node) -> Result<u8, ParseError> {
@@ -946,7 +949,10 @@ fn encode_deployment(d: &DeploymentSpec) -> Result<Node, SaveError> {
             ("kind", string("disc")),
             ("radius_m", num("deployment.radius_m", *radius_m)?),
             ("exponent", num("deployment.exponent", *exponent)?),
-            ("shadowing_db", num("deployment.shadowing_db", *shadowing_db)?),
+            (
+                "shadowing_db",
+                num("deployment.shadowing_db", *shadowing_db)?,
+            ),
         ]),
         DeploymentSpec::Rings {
             radii_m,
@@ -961,7 +967,10 @@ fn encode_deployment(d: &DeploymentSpec) -> Result<Node, SaveError> {
                 ("kind", string("rings")),
                 ("radii_m", arr(radii)),
                 ("exponent", num("deployment.exponent", *exponent)?),
-                ("shadowing_db", num("deployment.shadowing_db", *shadowing_db)?),
+                (
+                    "shadowing_db",
+                    num("deployment.shadowing_db", *shadowing_db)?,
+                ),
             ])
         }
         DeploymentSpec::Clustered {
@@ -980,7 +989,10 @@ fn encode_deployment(d: &DeploymentSpec) -> Result<Node, SaveError> {
                 num("deployment.cluster_radius_m", *cluster_radius_m)?,
             ),
             ("exponent", num("deployment.exponent", *exponent)?),
-            ("shadowing_db", num("deployment.shadowing_db", *shadowing_db)?),
+            (
+                "shadowing_db",
+                num("deployment.shadowing_db", *shadowing_db)?,
+            ),
         ]),
     })
 }
@@ -1076,7 +1088,10 @@ pub fn encode_scenario(saved: &SavedScenario) -> Result<Node, SaveError> {
     };
     let traffic = obj(vec![
         ("payload_bytes", payloads),
-        ("gts_slots_per_node", uint(s.traffic.gts_slots_per_node as u64)),
+        (
+            "gts_slots_per_node",
+            uint(s.traffic.gts_slots_per_node as u64),
+        ),
         (
             "gts_demand",
             match s.traffic.gts_demand {
@@ -1606,17 +1621,15 @@ mod tests {
 
     #[test]
     fn per_node_tx_policy_round_trips() {
-        let mut saved = SavedScenario::open_loop(
-            Scenario::new(
-                "per-node",
-                1,
-                3,
-                DeploymentSpec::UniformLossGrid {
-                    min_db: 60.0,
-                    max_db: 80.0,
-                },
-            ),
-        );
+        let mut saved = SavedScenario::open_loop(Scenario::new(
+            "per-node",
+            1,
+            3,
+            DeploymentSpec::UniformLossGrid {
+                min_db: 60.0,
+                max_db: 80.0,
+            },
+        ));
         saved.scenario.tx_policy = TxPowerPolicy::PerNode(
             vec![TxPowerLevel::Neg25, TxPowerLevel::Neg5, TxPowerLevel::Zero].into(),
         );

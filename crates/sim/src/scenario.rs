@@ -1804,8 +1804,7 @@ mod tests {
         assert_eq!(16 * 2048 * 512, MAX_NODE_SAMPLES);
         assert_eq!(s.validate(), Ok(()));
         let mut s = tiny(grid(55.0, 95.0));
-        (s.superframes, s.replications, s.shards) =
-            (MAX_SUPERFRAMES, MAX_REPLICATIONS, MAX_SHARDS);
+        (s.superframes, s.replications, s.shards) = (MAX_SUPERFRAMES, MAX_REPLICATIONS, MAX_SHARDS);
         assert_eq!(s.validate(), Ok(()));
     }
 

@@ -138,7 +138,12 @@ impl Hist {
             ("max", json::uint(self.max)),
             (
                 "buckets",
-                json::arr(self.buckets[..last].iter().map(|&b| json::uint(b)).collect()),
+                json::arr(
+                    self.buckets[..last]
+                        .iter()
+                        .map(|&b| json::uint(b))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -528,7 +533,11 @@ impl TimingStat {
 
     /// Records one span of `ms` milliseconds.
     pub fn record(&mut self, ms: f64) {
-        self.min_ms = if self.count == 0 { ms } else { self.min_ms.min(ms) };
+        self.min_ms = if self.count == 0 {
+            ms
+        } else {
+            self.min_ms.min(ms)
+        };
         self.count += 1;
         self.total_ms += ms;
         self.max_ms = self.max_ms.max(ms);
@@ -663,7 +672,10 @@ impl TimingSet {
                     ("peak_workers", json::uint(self.peak_workers)),
                     ("maps", json::uint(self.maps)),
                     ("waves", json::uint(self.waves)),
-                    ("queue_window_growths", json::uint(self.queue_window_growths)),
+                    (
+                        "queue_window_growths",
+                        json::uint(self.queue_window_growths),
+                    ),
                 ]),
             ),
             (
@@ -896,7 +908,9 @@ mod tests {
 
     /// Deterministic pseudo-random fill (no external entropy in tests).
     fn lcg(state: &mut u64) -> u64 {
-        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         *state >> 16
     }
 
@@ -972,7 +986,11 @@ mod tests {
             reverse.merge(s);
         }
         let mut interleaved = MetricSet::NEW;
-        for s in shards.iter().step_by(2).chain(shards.iter().skip(1).step_by(2)) {
+        for s in shards
+            .iter()
+            .step_by(2)
+            .chain(shards.iter().skip(1).step_by(2))
+        {
             interleaved.merge(s);
         }
         assert_eq!(forward, reverse);
@@ -1020,7 +1038,10 @@ mod tests {
         let timing = render_compact(&TimingSet::NEW.to_json(0, true));
         assert!(det.starts_with("{\"telemetry\":2,\"section\":\"deterministic\",\"final\":true"));
         assert!(timing.starts_with("{\"telemetry\":2,\"section\":\"timing\",\"final\":true"));
-        assert!(!det.contains("_ms"), "no wall clocks in the deterministic record");
+        assert!(
+            !det.contains("_ms"),
+            "no wall clocks in the deterministic record"
+        );
     }
 
     #[test]

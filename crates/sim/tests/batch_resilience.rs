@@ -64,11 +64,10 @@ fn killed_and_resumed_fixture_batch_matches_an_uninterrupted_run() {
         .run_with(&runner, &mut reference_sink, &RunConfig::default())
         .unwrap();
     assert!(clean.all_ok());
-    let reference: BTreeSet<String> = record_lines(
-        std::str::from_utf8(&reference_sink.into_inner()).unwrap(),
-    )
-    .into_iter()
-    .collect();
+    let reference: BTreeSet<String> =
+        record_lines(std::str::from_utf8(&reference_sink.into_inner()).unwrap())
+            .into_iter()
+            .collect();
     assert_eq!(reference.len(), 6);
 
     // First leg: run with a journal, then simulate the kill. The journal
@@ -122,8 +121,7 @@ fn killed_and_resumed_fixture_batch_matches_an_uninterrupted_run() {
     // with scenario 4 duplicated (it was emitted before its journal
     // append tore — emit-then-journal duplicates, never loses). The
     // deduplicated set is bit-identical to the uninterrupted run.
-    let mut combined: Vec<String> =
-        record_lines(&std::fs::read_to_string(&output_path).unwrap());
+    let mut combined: Vec<String> = record_lines(&std::fs::read_to_string(&output_path).unwrap());
     combined.extend(record_lines(
         std::str::from_utf8(resume_sink.into_inner().as_slice()).unwrap(),
     ));
@@ -135,7 +133,9 @@ fn killed_and_resumed_fixture_batch_matches_an_uninterrupted_run() {
     // for every fixture.
     let journal = load_journal(&journal_path).unwrap();
     for entry in set.entries() {
-        let latest = journal.latest(&entry.name).expect("every fixture journaled");
+        let latest = journal
+            .latest(&entry.name)
+            .expect("every fixture journaled");
         assert_eq!(latest.status, "ok");
     }
 

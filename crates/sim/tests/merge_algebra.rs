@@ -557,7 +557,9 @@ fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> MetricSet {
         m.engine.queue_pushes += rng.next_u64() % 2_048;
         m.engine.queue_pops += rng.next_u64() % 2_048;
         // Histogram samples across the whole bucket range, including 0.
-        m.engine.queue_skip_slots.record(rng.next_u64() >> rng.index(64));
+        m.engine
+            .queue_skip_slots
+            .record(rng.next_u64() >> rng.index(64));
         m.engine.cohort_size.record(rng.next_u64() % 128);
         m.engine.ccas_per_attempt.record(rng.next_u64() % 8);
         m.engine.contention_slots.record(rng.next_u64() % 4_096);
@@ -566,7 +568,9 @@ fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> MetricSet {
         m.policy.rounds += 1;
         m.policy.moves += rng.next_u64() % 32;
         m.policy.moves_per_round.record(rng.next_u64() % 32);
-        m.policy.convergence_delta_permille.record(rng.next_u64() % 1_000);
+        m.policy
+            .convergence_delta_permille
+            .record(rng.next_u64() % 1_000);
         m.farm.total_scenarios = m.farm.total_scenarios.max(rng.next_u64() % 512);
         m.farm.ok += rng.next_u64() % 16;
         m.farm.failed += rng.next_u64() % 4;

@@ -170,7 +170,10 @@ fn loaded_fixtures_run_bit_identically_to_the_in_code_scenarios() {
             loaded.overall.transactions, reference.overall.transactions,
             "{file}: transactions"
         );
-        assert_eq!(loaded.gts_denied, reference.gts_denied, "{file}: gts denied");
+        assert_eq!(
+            loaded.gts_denied, reference.gts_denied,
+            "{file}: gts denied"
+        );
         for (c, (a, b)) in loaded
             .per_channel
             .iter()
@@ -219,8 +222,7 @@ fn truncated_fixture_reports_a_positioned_error() {
     let chars: Vec<char> = text.chars().collect();
     for cut in [1, chars.len() / 4, chars.len() / 2, chars.len() - 2] {
         let truncated: String = chars[..cut].iter().collect();
-        let err = load_scenario(&truncated)
-            .expect_err("a truncated document must not decode");
+        let err = load_scenario(&truncated).expect_err("a truncated document must not decode");
         assert!(err.line >= 1, "cut at {cut}: line {}", err.line);
         assert!(!err.expected.is_empty(), "cut at {cut}: empty diagnostic");
     }
@@ -242,10 +244,7 @@ fn wrong_types_are_rejected_with_position() {
 #[test]
 fn duplicate_keys_are_rejected() {
     let text = fixture_text("uniform_55_95_db_population.json");
-    let bad = text.replace(
-        "\"channels\": 4,",
-        "\"channels\": 4,\n  \"channels\": 4,",
-    );
+    let bad = text.replace("\"channels\": 4,", "\"channels\": 4,\n  \"channels\": 4,");
     assert_ne!(bad, text, "the replacement must hit");
     let err = load_scenario(&bad).expect_err("duplicate keys must not decode");
     assert!(
@@ -257,10 +256,7 @@ fn duplicate_keys_are_rejected() {
 #[test]
 fn unknown_fields_are_rejected() {
     let text = fixture_text("uniform_with_gts_and_downlink.json");
-    let bad = text.replace(
-        "\"shards\": 1,",
-        "\"shards\": 1,\n  \"turbo\": true,",
-    );
+    let bad = text.replace("\"shards\": 1,", "\"shards\": 1,\n  \"turbo\": true,");
     assert_ne!(bad, text, "the replacement must hit");
     let err = load_scenario(&bad).expect_err("unknown fields must not decode");
     assert!(
@@ -275,5 +271,8 @@ fn format_version_is_enforced() {
     let bad = text.replace("\"format\": 1,", "\"format\": 2,");
     assert_ne!(bad, text, "the replacement must hit");
     let err = load_scenario(&bad).expect_err("an unknown format version must not decode");
-    assert!(err.expected.contains('1'), "diagnostic names format 1: {err}");
+    assert!(
+        err.expected.contains('1'),
+        "diagnostic names format 1: {err}"
+    );
 }

@@ -709,12 +709,17 @@ fn fixture_batch() -> BatchSet {
 #[test]
 fn batch_of_fixtures_is_bit_identical_across_1_2_4_threads() {
     let set = fixture_batch();
-    assert!(set.entries().len() >= 4, "the fixture set stays non-trivial");
+    assert!(
+        set.entries().len() >= 4,
+        "the fixture set stays non-trivial"
+    );
 
     let mut sink = Vec::new();
     let serial = set.run(&Runner::with_threads(1), &mut sink).unwrap();
     for threads in [2, 4] {
-        let parallel = set.run(&Runner::with_threads(threads), &mut Vec::new()).unwrap();
+        let parallel = set
+            .run(&Runner::with_threads(threads), &mut Vec::new())
+            .unwrap();
         assert_eq!(serial.records.len(), parallel.records.len());
         assert_eq!(serial.jobs, parallel.jobs, "threads={threads}");
         for (a, b) in serial.records.iter().zip(&parallel.records) {

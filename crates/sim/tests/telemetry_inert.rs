@@ -55,11 +55,19 @@ fn churn_scenario(seed: u64) -> Scenario {
             max_db: 88.0,
         },
     )
-    .with_traffic(TrafficSpec::uniform(32).with_gts_demand(2).with_downlink(0.5))
+    .with_traffic(
+        TrafficSpec::uniform(32)
+            .with_gts_demand(2)
+            .with_downlink(0.5),
+    )
     .with_superframes(4)
     .with_replications(2)
     .with_seed(seed)
-    .with_faults(FaultPlan::inert().with_churn(0.08, 2, 2).with_outages(0.05, 1))
+    .with_faults(
+        FaultPlan::inert()
+            .with_churn(0.08, 2, 2)
+            .with_outages(0.05, 1),
+    )
 }
 
 #[test]
@@ -69,7 +77,8 @@ fn engine_stats_are_bit_identical_with_telemetry_on() {
     for (payload, load) in [(20usize, 0.3), (50, 0.6), (100, 0.85)] {
         let mut cfg = ChannelSimConfig::figure6(payload, load, 0xF16_6 + payload as u64);
         cfg.superframes = 12;
-        let (off, on): (ContentionStats, ContentionStats) = off_then_on(|| simulate_contention(&cfg));
+        let (off, on): (ContentionStats, ContentionStats) =
+            off_then_on(|| simulate_contention(&cfg));
         assert_eq!(off, on, "payload {payload} load {load}");
     }
 }
@@ -139,7 +148,8 @@ fn farm_records_are_bit_identical_with_telemetry_on() {
     let runner = Runner::with_threads(2);
     let (off, on) = off_then_on(|| {
         let mut sink = WriteSink::new(Vec::new());
-        set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
+        set.run_with(&runner, &mut sink, &RunConfig::default())
+            .unwrap();
         strip_job_ms(std::str::from_utf8(&sink.into_inner()).unwrap())
     });
     assert_eq!(off, on, "farm record bytes changed under telemetry");
@@ -177,7 +187,8 @@ fn final_deterministic_snapshot_is_thread_count_invariant() {
         telemetry::set_enabled(true);
         let runner = Runner::with_threads(threads);
         let mut sink = WriteSink::new(Vec::new());
-        set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
+        set.run_with(&runner, &mut sink, &RunConfig::default())
+            .unwrap();
         let (det, _timing) = telemetry::snapshot_lines(true);
         telemetry::set_enabled(false);
         lines.push((threads, det));
@@ -200,21 +211,29 @@ fn enabled_registry_collects_and_disabled_registry_does_not() {
     telemetry::reset();
     telemetry::set_enabled(true);
     let mut sink = WriteSink::new(Vec::new());
-    set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
+    set.run_with(&runner, &mut sink, &RunConfig::default())
+        .unwrap();
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     assert!(snap.engine.runs > 0, "engine shards folded");
     assert!(snap.engine.events > 0, "events counted");
     assert!(snap.engine.queue_pushes > 0, "queue instrumented");
-    assert!(snap.engine.queue_skip_slots.count > 0, "skip histogram filled");
+    assert!(
+        snap.engine.queue_skip_slots.count > 0,
+        "skip histogram filled"
+    );
     assert!(snap.runner.jobs > 0, "runner jobs counted");
     assert_eq!(snap.farm.ok, 6, "all six scenarios tallied ok");
     let timing = telemetry::timing_snapshot();
-    assert!(timing.job.count > 0 && timing.batch.count == 1, "spans recorded");
+    assert!(
+        timing.job.count > 0 && timing.batch.count == 1,
+        "spans recorded"
+    );
 
     telemetry::reset();
     let mut sink = WriteSink::new(Vec::new());
-    set.run_with(&runner, &mut sink, &RunConfig::default()).unwrap();
+    set.run_with(&runner, &mut sink, &RunConfig::default())
+        .unwrap();
     assert_eq!(telemetry::snapshot(), wsn_sim::telemetry::MetricSet::NEW);
 }
 
@@ -272,7 +291,10 @@ fn farm_trace_spans_one_stream_and_waits_within_the_batch() {
         .unwrap();
     telemetry::set_enabled(false);
     let (det, timing) = (telemetry::snapshot(), telemetry::timing_snapshot());
-    assert_eq!(det.runner.jobs, 24, "six entries of 2 channels x 2 replications");
+    assert_eq!(
+        det.runner.jobs, 24,
+        "six entries of 2 channels x 2 replications"
+    );
     assert_eq!(timing.job.count, det.runner.jobs);
     assert_eq!(timing.map.count, 1);
     // Two 4-job entries fill a wave on 2 threads (4 jobs per worker).

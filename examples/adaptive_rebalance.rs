@@ -34,7 +34,9 @@ fn main() {
     .with_superframes(args.superframes)
     .with_replications(reps);
 
-    let engine = PolicyEngine::new(scenario).with_rounds(rounds).run_all_rounds();
+    let engine = PolicyEngine::new(scenario)
+        .with_rounds(rounds)
+        .run_all_rounds();
     let static_trace = engine.run(&runner, &mut StaticAllocation);
     let greedy_trace = engine.run(&runner, &mut GreedyRebalance::new(3));
 

@@ -11,9 +11,7 @@
 //!
 //! Run with: `cargo run --release --example scenario_sweep -- [superframes] [--threads N] [--reps N] [--save-dir DIR]`
 
-use ieee802154_energy::sim::scenario::{
-    ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec,
-};
+use ieee802154_energy::sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
 use wsn_bench::{export_scenario_file, Flag, RunArgs};
 use wsn_sim::SavedScenario;
 
