@@ -9,6 +9,8 @@
 //! uniform 55–95 dB path-loss population with per-node energy-optimal
 //! transmit power (link adaptation).
 
+use std::sync::Arc;
+
 use wsn_channel::UniformPathLossPopulation;
 use wsn_mac::BeaconOrder;
 use wsn_phy::ber::BerModel;
@@ -159,11 +161,8 @@ impl CaseStudy {
         // The paper scenario compiles identical loss populations and loads
         // for every channel, so the (expensive) per-node adaptation is
         // computed once per distinct (losses, load) pair and reused.
-        let mut adapted: Vec<(
-            std::sync::Arc<[wsn_units::Db]>,
-            f64,
-            std::sync::Arc<[wsn_radio::TxPowerLevel]>,
-        )> = Vec::new();
+        type Adapted = (Arc<[Db]>, f64, Arc<[TxPowerLevel]>);
+        let mut adapted: Vec<Adapted> = Vec::new();
         for cfg in &mut configs {
             let levels = match adapted
                 .iter()
@@ -171,7 +170,7 @@ impl CaseStudy {
             {
                 Some((_, _, levels)) => levels.clone(),
                 None => {
-                    let levels: std::sync::Arc<[wsn_radio::TxPowerLevel]> = cfg
+                    let levels: Arc<[TxPowerLevel]> = cfg
                         .path_losses
                         .iter()
                         .map(|&a| {

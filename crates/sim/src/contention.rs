@@ -1215,7 +1215,7 @@ where
                         }
                         n.tx_start_slot = start_slot;
                         debug_assert!(
-                            pending_air.map_or(true, |(s, _)| s == start_slot),
+                            pending_air.is_none_or(|(s, _)| s == start_slot),
                             "at most one undecided cohort can be pending"
                         );
                         // A cohort mixing packet and data-request airtimes

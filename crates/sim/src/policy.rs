@@ -273,8 +273,8 @@ impl ProportionalFair {
         }
 
         // Clamp, then repair the sum deterministically.
-        for c in 0..obs.channels {
-            targets[c] = targets[c].clamp(1, obs.capacity[c].max(1));
+        for (c, target) in targets.iter_mut().enumerate().take(obs.channels) {
+            *target = (*target).clamp(1, obs.capacity[c].max(1));
         }
         loop {
             let sum: usize = targets.iter().sum();

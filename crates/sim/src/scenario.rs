@@ -669,7 +669,7 @@ impl Scenario {
                 shadowing_db,
             } => {
                 assert!(
-                    !radii_m.is_empty() && n % radii_m.len() == 0,
+                    !radii_m.is_empty() && n.is_multiple_of(radii_m.len()),
                     "total node count {} must divide over {} rings",
                     n,
                     radii_m.len()
@@ -739,7 +739,7 @@ impl Scenario {
             let offset = self.channel_loss_offset(c);
             if offset.db() != 0.0 {
                 for loss in losses.iter_mut() {
-                    *loss = *loss + offset;
+                    *loss += offset;
                 }
             }
         }
@@ -946,7 +946,7 @@ impl Scenario {
                 t.downlink_rate
             ));
         }
-        let demand_nonzero = t.gts_slots_per_node > 0 && t.gts_demand.map_or(true, |d| d > 0);
+        let demand_nonzero = t.gts_slots_per_node > 0 && t.gts_demand.is_none_or(|d| d > 0);
         if demand_nonzero && t.gts_slots_per_node > 15 {
             return Err(format!(
                 "a GTS allocation must span 1..=15 slots, got {}",
@@ -997,7 +997,7 @@ impl Scenario {
             DeploymentSpec::Rings {
                 radii_m, exponent, ..
             } => {
-                if radii_m.is_empty() || self.total_nodes() % radii_m.len() != 0 {
+                if radii_m.is_empty() || !self.total_nodes().is_multiple_of(radii_m.len()) {
                     return Err(format!(
                         "total node count {} must divide over {} rings",
                         self.total_nodes(),

@@ -116,7 +116,7 @@ fn drive_equivalence(seed: u64, ops: usize, window: u64, pop_bias: f64, backdate
         } else {
             // Cluster times to force same-slot ties (FIFO coverage) while
             // still exercising the whole window.
-            let spread = if rng.next_u64() % 4 == 0 {
+            let spread = if rng.next_u64().is_multiple_of(4) {
                 rng.next_u64() % window
             } else {
                 rng.next_u64() % 4
@@ -220,7 +220,7 @@ fn pop_order_matches_heap_for_cfp_class_storms() {
                 let time = now + rng.next_u64() % 3;
                 // Half the pushes land in the CFP class, the rest spread
                 // over the CAP classes — maximal cross-class tie density.
-                let priority = if rng.next_u64() % 2 == 0 {
+                let priority = if rng.next_u64().is_multiple_of(2) {
                     (PRIORITY_CLASSES - 1) as u8
                 } else {
                     (rng.next_u64() % (PRIORITY_CLASSES as u64 - 1)) as u8

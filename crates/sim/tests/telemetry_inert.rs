@@ -75,7 +75,7 @@ fn engine_stats_are_bit_identical_with_telemetry_on() {
     let _guard = lock();
     // A figure-6-style contention point per payload class.
     for (payload, load) in [(20usize, 0.3), (50, 0.6), (100, 0.85)] {
-        let mut cfg = ChannelSimConfig::figure6(payload, load, 0xF16_6 + payload as u64);
+        let mut cfg = ChannelSimConfig::figure6(payload, load, 0xF166 + payload as u64);
         cfg.superframes = 12;
         let (off, on): (ContentionStats, ContentionStats) =
             off_then_on(|| simulate_contention(&cfg));
