@@ -36,7 +36,7 @@ use wsn_sim::policy::{
     AllocationPolicy, GreedyRebalance, PolicyEngine, ProportionalFair, StaticAllocation,
 };
 use wsn_sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
-use wsn_sim::ChannelSimConfig;
+use wsn_sim::{ChannelSimConfig, StatsSink};
 
 fn main() {
     let args = RunArgs::parse(50, &[Flag::Reps, Flag::Rounds]);
@@ -71,7 +71,11 @@ fn main() {
         cfg.superframes = superframes;
         configs.push(cfg);
     }
-    let sweep = runner.sweep_contention(&configs);
+    let sweep: Vec<_> = runner
+        .sweep_contention(&configs, 1)
+        .iter()
+        .map(StatsSink::contention_stats)
+        .collect();
 
     println!("# Ablation 1 — CSMA parameter presets at the case-study load (λ={load:.2})");
     println!("preset,T_cont_ms,N_CCA,Pr_col,Pr_cf");

@@ -15,8 +15,8 @@
 //!   config fingerprint already completed and re-runs changed ones, so a
 //!   `kill -9` mid-farm loses at most the waves in flight (eight; one
 //!   one-scenario wave under `--timeout-s`).
-//! * A panicking scenario becomes a `"status":"failed"` record (retried
-//!   `--retries` times) and the rest of the farm keeps running;
+//! * Each scenario runs once. A panicking scenario becomes a
+//!   `"status":"failed"` record and the rest of the farm keeps running;
 //!   `--timeout-s` turns runaway scenarios into `"timeout"` records.
 //! * Results go to stdout or a file (`--out`, whose torn final line is
 //!   repaired before appending on `--resume`). Pipe stdout onward if the
@@ -50,14 +50,13 @@ struct BatchArgs {
     journal: Option<PathBuf>,
     resume: bool,
     strict: bool,
-    retries: u32,
     timeout: Option<Duration>,
     out: Option<PathBuf>,
     metrics: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: batch_run (--dir DIR | --manifest FILE) [--threads N]\n\
-     \x20                [--journal FILE] [--resume] [--strict] [--retries N] [--timeout-s S]\n\
+     \x20                [--journal FILE] [--resume] [--strict] [--timeout-s S]\n\
      \x20                [--out FILE] [--metrics PATH|-] [--help]";
 
 fn usage(problem: &str) -> ! {
@@ -102,7 +101,6 @@ fn parse_args() -> BatchArgs {
         journal: None,
         resume: false,
         strict: false,
-        retries: 0,
         timeout: None,
         out: None,
         metrics: None,
@@ -134,10 +132,6 @@ fn parse_args() -> BatchArgs {
             },
             "--resume" => out.resume = true,
             "--strict" => out.strict = true,
-            "--retries" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => out.retries = n,
-                None => usage("--retries requires a non-negative integer"),
-            },
             "--timeout-s" => {
                 let value = args
                     .next()
@@ -211,7 +205,6 @@ fn main() {
         resume: args.resume,
         strict: args.strict,
         timeout: args.timeout,
-        retries: args.retries,
         metrics: args.metrics.clone(),
         heartbeat: true,
     };

@@ -6,19 +6,18 @@
 //! of CCAs, collision probability and channel-access-failure probability —
 //! as `value±stderr` cells: the standard error of the means comes from the
 //! merged per-procedure accumulators, the probability errors are binomial.
-//! `--reps N` merges N independent replications per point (seeds derived
-//! with the splitmix scheme) for tighter errors.
+//! `--reps N` merges N independent replications per point for tighter
+//! errors.
 //!
-//! The `points × reps` grid runs as independent simulations on the
-//! parallel [`Runner`]; results are bit-identical to the serial sweep.
+//! The `points × reps` grid is one [`wsn_sim::Runner::sweep_contention`];
+//! results are bit-identical for every thread count.
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig6 [superframes] [--threads N] [--reps N] [--metrics PATH|-]`
 
 use std::time::Instant;
 
 use wsn_bench::{Flag, RunArgs};
-use wsn_sim::contention::run_channel_sim_into;
-use wsn_sim::{replication_seed, ChannelSimConfig, Runner, StatsSink};
+use wsn_sim::{ChannelSimConfig, StatsSink};
 
 fn configs_for(payloads: &[usize], loads: &[f64], superframes: u32) -> Vec<ChannelSimConfig> {
     let mut configs = Vec::with_capacity(payloads.len() * loads.len());
@@ -32,34 +31,6 @@ fn configs_for(payloads: &[usize], loads: &[f64], superframes: u32) -> Vec<Chann
     configs
 }
 
-/// Runs the sweep with `reps` replications per point and returns the
-/// merged sink of every point in config order. Replication 0 keeps the
-/// point's base seed so a single-replication sweep matches the
-/// pre-replication outputs; further replications derive their seeds with
-/// [`replication_seed`].
-fn sweep(runner: &Runner, configs: &[ChannelSimConfig], reps: u32) -> Vec<StatsSink> {
-    let shards = runner.map_replicated(configs, reps, |_, base, r| {
-        let mut cfg = base.clone();
-        if r > 0 {
-            cfg.seed = replication_seed(base.seed, r);
-        }
-        let timings = cfg.timings();
-        let mut sink = StatsSink::new();
-        run_channel_sim_into(&cfg, &timings, |_| false, &mut sink);
-        sink
-    });
-    shards
-        .into_iter()
-        .map(|point_shards| {
-            let mut merged = StatsSink::new();
-            for sink in &point_shards {
-                merged.merge(sink);
-            }
-            merged
-        })
-        .collect()
-}
-
 fn main() {
     let args = RunArgs::parse(60, &[Flag::Reps, Flag::Metrics]);
     wsn_bench::init_metrics(&args);
@@ -71,7 +42,7 @@ fn main() {
     let configs = configs_for(&payloads, &loads, args.superframes);
 
     let t0 = Instant::now();
-    let rows = sweep(&runner, &configs, reps);
+    let rows = runner.sweep_contention(&configs, reps);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!("# Figure 6 — slotted CSMA/CA behaviour, 100 nodes/channel");

@@ -5,8 +5,10 @@
 //! packet layout. The paper obtains them by Monte-Carlo simulation
 //! (Figure 6); this module offers that source plus two alternatives:
 //!
-//! * [`MonteCarloContention`] — runs `wsn-sim`'s contention simulator on
-//!   demand and caches the result per `(λ, payload)`;
+//! * [`MonteCarloContention`] — runs `wsn-sim`'s replicated contention
+//!   sweep ([`Runner::sweep_contention`]) on demand or ahead of time
+//!   ([`MonteCarloContention::prewarm`]) and caches the result per
+//!   `(λ, payload)`;
 //! * [`AnalyticContention`] — a closed-form fixed-point approximation
 //!   (extension beyond the paper: no simulation required, useful for
 //!   design-space exploration; cruder on collision clustering);
@@ -19,10 +21,7 @@ use wsn_mac::csma::CsmaParams;
 use wsn_mac::timing::{ack_wait_min, unit_backoff_period};
 use wsn_mac::RetryPolicy;
 use wsn_phy::frame::{ack_duration, PacketLayout};
-use wsn_sim::contention::run_channel_sim_into;
-use wsn_sim::{
-    replication_seed, simulate_contention, ChannelSimConfig, ContentionStats, Runner, StatsSink,
-};
+use wsn_sim::{ChannelSimConfig, ContentionStats, Runner};
 use wsn_units::{Probability, Seconds};
 
 /// Supplies contention statistics for a given load and packet layout.
@@ -94,9 +93,9 @@ impl MonteCarloContention {
     }
 
     /// Overrides the number of independent replications merged per point
-    /// (clamped to at least 1). With `r > 1` every `(load, payload)`
-    /// point is the exact replication-order merge of `r` simulations with
-    /// [`replication_seed`]-derived seeds — tighter statistics, and
+    /// (clamped to at least 1): every `(load, payload)` point is the
+    /// [`Runner::sweep_contention`] of its configuration with `r`
+    /// replications — tighter statistics, and
     /// [`prewarm`](Self::prewarm) parallelizes over the full
     /// `points × replications` grid.
     pub fn with_replications(mut self, replications: u32) -> Self {
@@ -129,45 +128,11 @@ impl MonteCarloContention {
         }
     }
 
-    /// One replication's statistics sink for a point. Replication 0
-    /// always keeps the point's base seed (so a single-replication source
-    /// reproduces pre-replication outputs exactly, and `fig6 --reps N`
-    /// follows the same convention); further replications derive their
-    /// seeds with [`replication_seed`].
-    fn replication_sink(&self, base: &ChannelSimConfig, i: u64) -> StatsSink {
-        let mut cfg = base.clone();
-        if i > 0 {
-            cfg.seed = replication_seed(base.seed, i);
-        }
-        let timings = cfg.timings();
-        let mut sink = StatsSink::new();
-        run_channel_sim_into(&cfg, &timings, |_| false, &mut sink);
-        sink
-    }
-
-    /// The uncached Monte-Carlo evaluation of one `(load, packet)` point:
-    /// the fixed-order merge over this source's replications.
-    fn compute(&self, load: f64, packet: PacketLayout) -> ContentionStats {
-        let base = self.config_for(load, packet);
-        if self.replications == 1 {
-            return simulate_contention(&base);
-        }
-        let mut merged = StatsSink::new();
-        for i in 0..self.replications as u64 {
-            merged.merge(&self.replication_sink(&base, i));
-        }
-        merged.contention_stats()
-    }
-
-    /// Evaluates the given `(load, packet)` points on the parallel runner
-    /// and fills the memoization cache, so the model's subsequent
-    /// [`ContentionModel::stats`] calls are cache hits.
-    ///
-    /// The full `points × replications` grid is one flat job list, and
-    /// each point's replications merge in replication order afterwards —
-    /// so the cached values are bit-identical to what serial on-demand
-    /// evaluation would have produced, regardless of the runner's thread
-    /// count.
+    /// Evaluates the given `(load, packet)` points that are not cached yet
+    /// with one [`Runner::sweep_contention`] over this source's
+    /// replications and fills the memoization cache, so the model's
+    /// subsequent [`ContentionModel::stats`] calls are cache hits. The
+    /// cached values are bit-identical for every thread count.
     pub fn prewarm(&self, runner: &Runner, points: &[(f64, PacketLayout)]) {
         // Skip cached points and duplicates, preserving first-seen order.
         let mut fresh: Vec<(f64, PacketLayout)> = Vec::new();
@@ -181,35 +146,23 @@ impl MonteCarloContention {
                 }
             }
         }
-        if fresh.is_empty() {
-            return;
-        }
-        let sinks = runner.map_replicated(&fresh, self.replications, |_, &(load, packet), r| {
-            self.replication_sink(&self.config_for(load, packet), r)
-        });
+        let configs: Vec<ChannelSimConfig> = fresh
+            .iter()
+            .map(|&(load, packet)| self.config_for(load, packet))
+            .collect();
+        let sinks = runner.sweep_contention(&configs, self.replications);
         let mut cache = self.cache.lock().expect("cache poisoned");
-        for (&(load, packet), point_sinks) in fresh.iter().zip(&sinks) {
-            let mut merged = StatsSink::new();
-            for sink in point_sinks {
-                merged.merge(sink);
-            }
-            cache.insert(Self::key(load, packet), merged.contention_stats());
+        for (&(load, packet), sink) in fresh.iter().zip(&sinks) {
+            cache.insert(Self::key(load, packet), sink.contention_stats());
         }
     }
 }
 
 impl ContentionModel for MonteCarloContention {
+    /// A cached point, or a one-point serial sweep on a miss.
     fn stats(&self, load: f64, packet: PacketLayout) -> ContentionStats {
-        let key = Self::key(load, packet);
-        if let Some(hit) = self.cache.lock().expect("cache poisoned").get(&key) {
-            return *hit;
-        }
-        let stats = self.compute(load, packet);
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, stats);
-        stats
+        self.prewarm(&Runner::serial(), &[(load, packet)]);
+        self.cache.lock().expect("cache poisoned")[&Self::key(load, packet)]
     }
 }
 

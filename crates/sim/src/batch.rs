@@ -42,9 +42,11 @@
 //!   [config fingerprint](crate::persist::fingerprint_scenario) already
 //!   completed, and re-runs ones whose file changed — resumed records are
 //!   bit-identical to an uninterrupted run), a panicking scenario is
-//!   isolated into a typed `"status":"failed"` record (with a retry
-//!   budget) while the rest of the farm keeps running, and a per-scenario
-//!   wall-clock watchdog turns runaway configs into `"timeout"` records.
+//!   isolated into a typed `"status":"failed"` record while the rest of
+//!   the farm keeps running, and a per-scenario wall-clock watchdog turns
+//!   runaway configs into `"timeout"` records. Each scenario runs once:
+//!   a validated scenario's jobs are deterministic, so a second attempt
+//!   would panic with the same message.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -63,7 +65,7 @@ use crate::persist::{
 };
 use crate::policy::PolicyEngine;
 use crate::runner::{panic_message, replication_seed, Runner, Stream};
-use crate::scenario::{run_grid, GridFailure, JobOutput, ResolvedBer, Scenario, ScenarioOutcome};
+use crate::scenario::{GridFailure, JobOutput, ResolvedBer, Scenario, ScenarioOutcome};
 use crate::sink::{ResultSink, WriteSink};
 
 /// The per-scenario master seed under a manifest batch seed: a pure
@@ -184,9 +186,9 @@ pub struct BatchSet {
     batch_seed: Option<u64>,
 }
 
-/// How the farm runs a batch: journaling, resume, isolation and
-/// watchdog knobs. [`Default`] reproduces the original always-run-everything
-/// behaviour (no journal, no retries, no watchdog).
+/// How the farm runs a batch: journaling, resume, strict mode, the
+/// watchdog and observability. [`Default`] runs every scenario once with
+/// no journal and no watchdog.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Progress journal path. Every completed scenario appends one
@@ -215,13 +217,7 @@ pub struct RunConfig {
     /// clock to represent means no deadline. When set, the in-flight
     /// window shrinks to one one-scenario wave, so the clock measures a
     /// single scenario and a kill loses at most that scenario.
-    /// Timed-out scenarios are not retried.
     pub timeout: Option<Duration>,
-    /// Extra attempts for a scenario whose jobs panicked (0 = one
-    /// attempt). Simulation is deterministic, so this matters for panics
-    /// from the *environment* (allocation failure, filesystem pressure
-    /// under a custom sink) rather than from the config itself.
-    pub retries: u32,
     /// Telemetry snapshot stream: after every wave (and once at the end)
     /// append one deterministic and one timing JSONL record
     /// ([`crate::telemetry::snapshot_lines`], `SCHEMA.md`
@@ -251,9 +247,10 @@ impl RunConfig {
 pub enum ScenarioStatus {
     /// Ran to completion; the record carries the outcome.
     Ok,
-    /// Every attempt panicked; the record carries the panic text.
+    /// The scenario's compile or one of its jobs panicked; the record
+    /// carries the panic text.
     Failed {
-        /// The (first) panic payload of the final attempt.
+        /// The first panic message in job order.
         panic: String,
     },
     /// The wall-clock watchdog fired before the jobs finished.
@@ -288,7 +285,8 @@ pub struct ScenarioRecord {
     pub fingerprint: String,
     /// How the scenario ended.
     pub status: ScenarioStatus,
-    /// Attempts consumed (1 + retries used).
+    /// Always 1: each scenario runs once. Kept as a format-1 record and
+    /// journal field.
     pub attempts: u32,
     /// Channels the scenario spans (available even when it failed).
     pub channels: usize,
@@ -319,8 +317,7 @@ pub struct BatchReport {
     /// Elapsed wall-clock of the whole batch in milliseconds.
     pub wall_ms: f64,
     /// Jobs whose results the farm used (open-loop channels ×
-    /// replications, retries included; policy rounds are counted per
-    /// round grid). Work simulated ahead of a strict abort and discarded
+    /// replications; policy rounds are counted per round grid). Work simulated ahead of a strict abort and discarded
     /// is not counted.
     pub jobs: usize,
 }
@@ -500,7 +497,7 @@ impl BatchSet {
     }
 
     /// Runs the whole batch with the default [`RunConfig`] (no journal,
-    /// no retries, no watchdog) into any `Write` — the original entry
+    /// no watchdog) into any `Write` — the original entry
     /// point, kept for callers that just want the stream.
     ///
     /// # Errors
@@ -536,8 +533,8 @@ impl BatchSet {
     /// reach telemetry).
     ///
     /// A panicking scenario — in `compile` or in any job — becomes a
-    /// `"status":"failed"` record (after [`RunConfig::retries`] extra
-    /// attempts) and the rest of the farm keeps running; the
+    /// `"status":"failed"` record and the rest of the farm keeps running;
+    /// the
     /// [`RunConfig::timeout`] watchdog likewise yields `"timeout"`
     /// records. With [`RunConfig::strict`], the batch stops after the
     /// first non-`ok` record.
@@ -743,10 +740,10 @@ impl BatchSet {
         }
     }
 
-    /// Runs one closed-loop (policy) entry with panic isolation and the
-    /// retry budget. The watchdog is checked before the entry starts (a
-    /// policy loop is inherently sequential; only the `Some(ZERO)`
-    /// deterministic hook can interrupt it).
+    /// Runs one closed-loop (policy) entry with panic isolation. The
+    /// watchdog is checked before the entry starts (a policy loop is
+    /// inherently sequential; only the `Some(ZERO)` deterministic hook can
+    /// interrupt it).
     fn run_policy_entry(
         &self,
         runner: &Runner,
@@ -764,47 +761,36 @@ impl BatchSet {
                 ..base
             };
         }
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let t = Instant::now();
-            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let mut policy = choice.build();
-                PolicyEngine::new(scenario.clone())
-                    .with_rounds(choice.rounds() as usize)
-                    .run(runner, &mut *policy)
-            }));
-            match run {
-                Ok(trace) => {
-                    let rounds_run = trace.rounds.len();
-                    *jobs_run +=
-                        rounds_run * scenario.channels * scenario.replications.max(1) as usize;
-                    let outcome = trace
-                        .rounds
-                        .into_iter()
-                        .last()
-                        .map(|round| round.outcome)
-                        .expect("a policy loop runs at least one round");
-                    return ScenarioRecord {
-                        attempts,
-                        outcome: Some(outcome),
-                        policy: Some((choice, rounds_run)),
-                        job_ms: t.elapsed().as_secs_f64() * 1e3,
-                        ..base.clone()
-                    };
-                }
-                Err(payload) => {
-                    if attempts > config.retries {
-                        return ScenarioRecord {
-                            status: ScenarioStatus::Failed {
-                                panic: panic_message(payload),
-                            },
-                            attempts,
-                            ..base.clone()
-                        };
-                    }
+        let t = Instant::now();
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut policy = choice.build();
+            PolicyEngine::new(scenario.clone())
+                .with_rounds(choice.rounds() as usize)
+                .run(runner, &mut *policy)
+        }));
+        match run {
+            Ok(trace) => {
+                let rounds_run = trace.rounds.len();
+                *jobs_run += rounds_run * scenario.channels * scenario.replications.max(1) as usize;
+                let outcome = trace
+                    .rounds
+                    .into_iter()
+                    .last()
+                    .map(|round| round.outcome)
+                    .expect("a policy loop runs at least one round");
+                ScenarioRecord {
+                    outcome: Some(outcome),
+                    policy: Some((choice, rounds_run)),
+                    job_ms: t.elapsed().as_secs_f64() * 1e3,
+                    ..base
                 }
             }
+            Err(payload) => ScenarioRecord {
+                status: ScenarioStatus::Failed {
+                    panic: panic_message(payload),
+                },
+                ..base
+            },
         }
     }
 }
@@ -925,7 +911,6 @@ impl<'a> OpenLoop<'a> {
             let scenario = &self.scenarios[idx];
             // Compile with panic isolation: a config that blows up in
             // `compile` (calling-thread work) must poison only itself.
-            // Compile panics are deterministic, so they are not retried.
             let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 let configs = scenario.compile();
                 let bers = (0..configs.len())
@@ -964,8 +949,7 @@ impl<'a> OpenLoop<'a> {
     }
 
     /// Reduces a finished wave's results (in feed order) into its
-    /// records, in entry order. A panicked grid re-runs alone on the
-    /// runner while its retry budget lasts.
+    /// records, in entry order.
     fn finish_wave(
         &self,
         wave: Wave,
@@ -989,33 +973,18 @@ impl<'a> OpenLoop<'a> {
                 };
                 let grid = scenario.grid(&compiled.0, &compiled.1);
                 *jobs_run += grid.jobs();
-                let mut result = grid.reduce(results.by_ref());
-                let mut attempts = 1u32;
-                // Retry budget: only panicked attempts retry (timeouts
-                // would just burn another budget on the same runaway
-                // config).
-                while matches!(result, Err(GridFailure::Panicked(_)))
-                    && attempts <= self.config.retries
-                {
-                    attempts += 1;
-                    *jobs_run += grid.jobs();
-                    result = run_grid(self.runner, &grid, self.config.deadline());
-                }
-                match result {
+                match grid.reduce(results.by_ref()) {
                     Ok((outcome, job_ms)) => ScenarioRecord {
-                        attempts,
                         outcome: Some(outcome),
                         job_ms,
                         ..base
                     },
                     Err(GridFailure::Panicked(panic)) => ScenarioRecord {
                         status: ScenarioStatus::Failed { panic },
-                        attempts,
                         ..base
                     },
                     Err(GridFailure::TimedOut) => ScenarioRecord {
                         status: ScenarioStatus::Timeout,
-                        attempts,
                         ..base
                     },
                 }
@@ -1075,10 +1044,7 @@ impl Emitter<'_> {
                     ScenarioStatus::Failed { .. } => crate::telemetry::FarmOutcome::Failed,
                     ScenarioStatus::Timeout => crate::telemetry::FarmOutcome::Timeout,
                 };
-                crate::telemetry::note_farm_record(
-                    outcome,
-                    u64::from(record.attempts.saturating_sub(1)),
-                );
+                crate::telemetry::note_farm_record(outcome);
             }
             let ok = record.status.is_ok();
             self.records.push(record);

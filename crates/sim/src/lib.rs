@@ -36,7 +36,9 @@
 //! [`stats::ContentionStats`] exchange type), [`sink`] (streaming trace
 //! reduction — the engine pushes records into a [`sink::TraceSink`]
 //! instead of materializing `Vec`s), and [`runner`] (the deterministic
-//! parallel replication/sweep runner). The engine's scratch — queue ring,
+//! parallel runner; every replicated contention sweep, Figure 6's and the
+//! model's Monte-Carlo statistics alike, is one
+//! [`Runner::sweep_contention`]). The engine's scratch — queue ring,
 //! node array, corruption buffer — lives in a reusable per-thread
 //! [`SimWorkspace`] ([`with_workspace`]): serial runs reuse one workspace
 //! across entire sweeps and policy loops, and each parallel worker
@@ -62,9 +64,12 @@
 //!    share the grid's per-job body and per-grid reduction;
 //! 4. **accumulator** — every run streams into a mergeable
 //!    [`network::NetworkAccumulator`] (built on [`Accumulator`],
-//!    [`Counter`] and `EnergyLedger::merge`); shards merge in a fixed
-//!    order and finalize into [`NetworkSummary`] with replication-based
-//!    standard errors.
+//!    [`Counter`] and `EnergyLedger::merge`) through
+//!    [`NetworkSimulator::run_accumulate_counted`], of which
+//!    [`NetworkSimulator::run`] is the sealed one-replication form; the
+//!    accumulator also keeps the run's own contention statistics. Shards
+//!    merge in a fixed order and finalize into [`NetworkSummary`] with
+//!    replication-based standard errors.
 //!
 //! A fifth layer, [`policy`], closes the loop: a [`policy::PolicyEngine`]
 //! re-runs a scenario in rounds, feeding each round's per-channel
@@ -84,8 +89,8 @@
 //! ([`persist::fingerprint_scenario`]) so a killed run resumes exactly
 //! where it stopped ([`batch::RunConfig::resume`]), records are written
 //! through a [`sink::ResultSink`] ([`sink::WriteSink`] over a file or
-//! stdout), and each scenario is isolated — a panicking config or a
-//! wall-clock overrun becomes a typed `"status":"failed"` / `"timeout"`
+//! stdout), and each scenario runs once, isolated — a panicking config or
+//! a wall-clock overrun becomes a typed `"status":"failed"` / `"timeout"`
 //! record while the rest of the farm keeps running (every runner job
 //! runs under panic isolation). The journal plus resume is the
 //! farm's delivery guarantee: a record is emitted before its journal entry
@@ -149,8 +154,7 @@ pub use contention::{
 pub use events::WindowError;
 pub use faults::{FaultKind, FaultPlan, FaultRecord};
 pub use network::{
-    NetworkAccumulator, NetworkConfig, NetworkReport, NetworkSimulator, NetworkSummary,
-    TxPowerPolicy,
+    NetworkAccumulator, NetworkConfig, NetworkSimulator, NetworkSummary, TxPowerPolicy,
 };
 pub use policy::{
     AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, ProportionalFair,

@@ -35,13 +35,13 @@ use std::sync::Arc;
 
 use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord, DATA_REQUEST_AIR_BYTES};
 use crate::contention::{
-    run_drawn, with_workspace, Arrivals, AttemptOutcome, AttemptRecord, ChannelSimConfig, SimTrace,
+    run_drawn, with_workspace, Arrivals, AttemptOutcome, AttemptRecord, ChannelSimConfig,
     SimWorkspace, TransactionRecord,
 };
 use crate::faults::{FaultKind, FaultRecord};
 use crate::rng::Xoshiro256StarStar;
-use crate::sink::{StatsSink, TeeSink, TraceCollector, TraceSink};
-use crate::stats::{Accumulator, Counter};
+use crate::sink::{StatsSink, TraceSink};
+use crate::stats::{Accumulator, ContentionAccumulator, Counter};
 
 /// Per-node transmit power assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,9 +250,9 @@ pub struct NetworkSummary {
 
 /// Mergeable sufficient statistics of one or more network simulation runs.
 ///
-/// This is the network-level analogue of
-/// [`ContentionAccumulator`](crate::stats::ContentionAccumulator): every
-/// field merges exactly ([`Accumulator::merge`] / [`Counter::merge`] /
+/// This is the network-level analogue of [`ContentionAccumulator`]
+/// (which it carries as [`contention`](Self::contention)): every field
+/// merges exactly ([`Accumulator::merge`] / [`Counter::merge`] /
 /// [`EnergyLedger::merge`]), so per-channel and per-replication shards
 /// reduced on worker threads and combined in a fixed order are
 /// bit-identical to a serial fold.
@@ -318,6 +318,9 @@ pub struct NetworkAccumulator {
     pub reassoc_delay_secs: Accumulator,
     /// Nodes that exhausted their join-retry budget and went dormant.
     pub dormant_nodes: u64,
+    /// The run's own contention statistics (Figure 6 quantities), from
+    /// the CAP attempts the accountant billed.
+    pub contention: ContentionAccumulator,
 }
 
 impl NetworkAccumulator {
@@ -353,6 +356,7 @@ impl NetworkAccumulator {
         self.join_failures.merge(&other.join_failures);
         self.reassoc_delay_secs.merge(&other.reassoc_delay_secs);
         self.dormant_nodes += other.dormant_nodes;
+        self.contention.merge(&other.contention);
     }
 
     /// Records the current aggregate scalars as one replication sample.
@@ -441,15 +445,6 @@ impl NetworkAccumulator {
             energy_per_delivered_packet_uj,
         }
     }
-}
-
-/// Aggregated results of a network simulation plus the raw trace.
-#[derive(Debug, Clone)]
-pub struct NetworkReport {
-    /// The run's sealed summary (one replication).
-    pub summary: NetworkSummary,
-    /// The raw contention trace (for further analysis).
-    pub trace: SimTrace,
 }
 
 /// The network energy simulator.
@@ -545,29 +540,22 @@ impl NetworkSimulator {
         events
     }
 
-    /// Runs the simulation against a BER model, keeping the raw trace.
-    pub fn run<B: BerModel>(&self, ber: &B) -> NetworkReport {
-        let timings = self.config.channel.timings();
-        let (mut acc, collector) = self.in_arrival_order(|arrivals, levels, ws| {
-            let mut tee = TeeSink(
-                EnergyAccountant::new(&self.config, arrivals, levels),
-                TraceCollector::new(timings.superframe_slots),
-            );
-            self.drive(ber, arrivals, levels, &mut tee, ws);
-            let TeeSink(accountant, collector) = tee;
-            (accountant.finish(), collector)
-        });
+    /// One run as one sealed replication:
+    /// [`run_accumulate_counted`](Self::run_accumulate_counted), then
+    /// [`seal_replication`](NetworkAccumulator::seal_replication) and
+    /// [`summary`](NetworkAccumulator::summary).
+    pub fn run<B: BerModel>(&self, ber: &B) -> NetworkSummary {
+        let (mut acc, _) = self.run_accumulate_counted(ber);
         acc.seal_replication();
-        NetworkReport {
-            summary: acc.summary(),
-            trace: collector.into_trace(),
-        }
+        acc.summary()
     }
 
     /// Runs the simulation fully streaming into a mergeable
     /// [`NetworkAccumulator`]: every attempt/transaction is folded into
     /// the energy ledgers and statistics as it happens, and no trace `Vec`
-    /// is ever allocated. Also returns the number of engine events
+    /// is ever allocated. This is the one network run: [`run`](Self::run),
+    /// the scenario grid and the policy loop all go through it. Also
+    /// returns the number of engine events
     /// processed — the work counter that normalises a run's wall clock to
     /// time per event, counted in the same pass so throughput and energy
     /// come from one run.
@@ -576,8 +564,6 @@ impl NetworkSimulator {
     /// has been recorded — so callers aggregating the channels of one
     /// replication can merge first and
     /// [`seal_replication`](NetworkAccumulator::seal_replication) once.
-    /// A single run seals it and finalizes with
-    /// [`summary`](NetworkAccumulator::summary).
     pub fn run_accumulate_counted<B: BerModel>(&self, ber: &B) -> (NetworkAccumulator, u64) {
         self.in_arrival_order(|arrivals, levels, ws| {
             let mut accountant = EnergyAccountant::new(&self.config, arrivals, levels);
@@ -1078,6 +1064,7 @@ impl<'a> EnergyAccountant<'a> {
         // like the delivery delays.
         acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
         acc.dormant_nodes = stats.dormant_nodes;
+        acc.contention = stats.contention;
         acc
     }
 }
@@ -1166,13 +1153,6 @@ mod tests {
     use wsn_phy::ber::EmpiricalCc2420Ber;
     use wsn_radio::state::StateKind;
 
-    /// One sealed run's summary.
-    fn summarise(cfg: NetworkConfig, ber: &impl BerModel) -> NetworkSummary {
-        let (mut acc, _) = NetworkSimulator::new(cfg).run_accumulate_counted(ber);
-        acc.seal_replication();
-        acc.summary()
-    }
-
     fn small_config(load: f64, loss_db: f64, seed: u64) -> NetworkConfig {
         let mut channel = ChannelSimConfig::figure6(120, load, seed);
         channel.nodes = 20;
@@ -1194,7 +1174,7 @@ mod tests {
     fn average_power_is_hundreds_of_microwatts() {
         let report =
             NetworkSimulator::new(small_config(0.4, 70.0, 1)).run(&EmpiricalCc2420Ber::paper());
-        let uw = report.summary.mean_node_power.microwatts();
+        let uw = report.mean_node_power.microwatts();
         assert!(
             (50.0..1000.0).contains(&uw),
             "mean node power {uw} µW outside plausible band"
@@ -1205,7 +1185,7 @@ mod tests {
     fn sleep_dominates_time_but_not_energy() {
         let report =
             NetworkSimulator::new(small_config(0.4, 70.0, 2)).run(&EmpiricalCc2420Ber::paper());
-        let ledger = &report.summary.ledger;
+        let ledger = &report.ledger;
         let fractions = ledger.state_time_fractions();
         let shutdown_frac = fractions
             .iter()
@@ -1222,9 +1202,8 @@ mod tests {
 
     #[test]
     fn good_links_deliver_reliably() {
-        let report = NetworkSimulator::new(small_config(0.2, 60.0, 3))
-            .run(&EmpiricalCc2420Ber::paper())
-            .summary;
+        let report =
+            NetworkSimulator::new(small_config(0.2, 60.0, 3)).run(&EmpiricalCc2420Ber::paper());
         assert!(
             report.failure_ratio.value() < 0.1,
             "failure ratio {} too high for a 60 dB path",
@@ -1236,13 +1215,11 @@ mod tests {
 
     #[test]
     fn bad_links_fail_often_and_spend_more() {
-        let good = NetworkSimulator::new(small_config(0.3, 60.0, 4))
-            .run(&EmpiricalCc2420Ber::paper())
-            .summary;
+        let good =
+            NetworkSimulator::new(small_config(0.3, 60.0, 4)).run(&EmpiricalCc2420Ber::paper());
         // 94 dB path: even 0 dBm arrives at −94 dBm where BER is high.
-        let bad = NetworkSimulator::new(small_config(0.3, 94.0, 4))
-            .run(&EmpiricalCc2420Ber::paper())
-            .summary;
+        let bad =
+            NetworkSimulator::new(small_config(0.3, 94.0, 4)).run(&EmpiricalCc2420Ber::paper());
         assert!(bad.failure_ratio.value() > good.failure_ratio.value());
         assert!(bad.mean_attempts > good.mean_attempts);
         assert!(bad.energy_per_bit_nj > good.energy_per_bit_nj);
@@ -1262,9 +1239,8 @@ mod tests {
 
     #[test]
     fn ledger_views_agree() {
-        let report = NetworkSimulator::new(small_config(0.4, 75.0, 5))
-            .run(&EmpiricalCc2420Ber::paper())
-            .summary;
+        let report =
+            NetworkSimulator::new(small_config(0.4, 75.0, 5)).run(&EmpiricalCc2420Ber::paper());
         let by_state: f64 = StateKind::ALL
             .iter()
             .map(|&k| report.ledger.energy_in(k).joules())
@@ -1278,11 +1254,8 @@ mod tests {
 
     #[test]
     fn deterministic_reports() {
-        let run = || {
-            NetworkSimulator::new(small_config(0.4, 70.0, 9))
-                .run(&EmpiricalCc2420Ber::paper())
-                .summary
-        };
+        let run =
+            || NetworkSimulator::new(small_config(0.4, 70.0, 9)).run(&EmpiricalCc2420Ber::paper());
         let (a, b) = (run(), run());
         assert_eq!(a.mean_node_power, b.mean_node_power);
         assert_eq!(a.failure_ratio, b.failure_ratio);
@@ -1303,7 +1276,8 @@ mod tests {
 
     #[test]
     fn cap_only_runs_report_zero_cfp_power() {
-        let summary = summarise(small_config(0.4, 70.0, 21), &EmpiricalCc2420Ber::paper());
+        let summary =
+            NetworkSimulator::new(small_config(0.4, 70.0, 21)).run(&EmpiricalCc2420Ber::paper());
         assert_eq!(summary.cfp_power.microwatts(), 0.0);
         assert!(summary.cap_power.microwatts() > 0.0);
         assert_eq!(summary.gts_transactions, 0);
@@ -1317,8 +1291,8 @@ mod tests {
         let base = small_config(0.4, 70.0, 22);
         let mut gts = base.clone();
         gts.channel.cfp = plan_channel_cfp(gts.channel.nodes as u32, 7, 1, 8, 0.0);
-        let cap_only = summarise(base, &ber);
-        let offloaded = summarise(gts, &ber);
+        let cap_only = NetworkSimulator::new(base).run(&ber);
+        let offloaded = NetworkSimulator::new(gts).run(&ber);
         assert!(offloaded.cfp_power.microwatts() > 0.0);
         assert!(offloaded.cap_power < cap_only.cap_power);
         assert!(offloaded.gts_transactions > 0);
@@ -1336,8 +1310,8 @@ mod tests {
         let base = small_config(0.3, 65.0, 23);
         let mut polled = base.clone();
         polled.channel.cfp = plan_channel_cfp(polled.channel.nodes as u32, 0, 1, 8, 0.8);
-        let quiet = summarise(base, &ber);
-        let busy = summarise(polled, &ber);
+        let quiet = NetworkSimulator::new(base).run(&ber);
+        let busy = NetworkSimulator::new(polled).run(&ber);
         assert!(busy.downlink_polls > 0);
         assert!(busy.cfp_power.microwatts() > 0.0);
         assert!(busy.ledger.energy_in_phase(PhaseTag::Downlink).joules() > 0.0);
@@ -1351,7 +1325,7 @@ mod tests {
     fn cfp_ledger_views_still_agree() {
         let mut cfg = small_config(0.4, 75.0, 24);
         cfg.channel.cfp = plan_channel_cfp(cfg.channel.nodes as u32, 5, 1, 8, 0.5);
-        let summary = summarise(cfg, &EmpiricalCc2420Ber::paper());
+        let summary = NetworkSimulator::new(cfg).run(&EmpiricalCc2420Ber::paper());
         let by_state: f64 = StateKind::ALL
             .iter()
             .map(|&k| summary.ledger.energy_in(k).joules())
@@ -1377,6 +1351,33 @@ mod tests {
         let b = a.clone();
         a.merge(&b);
         assert_eq!(a.summary().gts_denied, 26, "13 denied per merged run");
+    }
+
+    /// At 55 dB with every node and the coordinator at 0 dBm, the
+    /// hard-decision receiver's packet-or-ACK corruption probability is
+    /// exactly 0 (the paper's empirical curve never reaches 0). The
+    /// oracle then never fires and the engine runs the pure-MAC channel of
+    /// Figure 6, so the run's own contention statistics are
+    /// `simulate_contention`'s, bit for bit.
+    #[test]
+    fn clean_run_keeps_the_pure_mac_contention_statistics() {
+        let mut cfg = small_config(0.42, 55.0, 0xC1EA);
+        cfg.channel.nodes = 100;
+        cfg.path_losses = vec![Db::new(55.0); 100].into();
+        cfg.tx_policy = TxPowerPolicy::Fixed(TxPowerLevel::strongest());
+        let ber = wsn_phy::ber::HardDecisionDsssBer::new(Db::new(10.0));
+        let p = corruption_probability(
+            &ber,
+            cfg.channel.packet,
+            cfg.coordinator_tx,
+            Db::new(55.0),
+            TxPowerLevel::strongest(),
+        );
+        assert_eq!(p, 0.0);
+        let (acc, _) = NetworkSimulator::new(cfg.clone()).run_accumulate_counted(&ber);
+        let stats = acc.contention.finish();
+        assert!(stats.pr_collision.value() > 0.0);
+        assert_eq!(stats, crate::simulate_contention(&cfg.channel));
     }
 
     // --- Network goldens ---------------------------------------------------
@@ -1426,7 +1427,9 @@ mod tests {
 
         let ber = EmpiricalCc2420Ber::paper();
         let configs = [cap, polled, churned];
-        let summaries = configs.clone().map(|cfg| summarise(cfg, &ber));
+        let summaries = configs
+            .clone()
+            .map(|cfg| NetworkSimulator::new(cfg).run(&ber));
         // The workloads reach the paths they are meant to.
         assert!(summaries.iter().all(|s| s.failure_ratio.value() > 0.0));
         assert!(summaries[1].gts_transactions > 0 && summaries[1].downlink_polls > 0);
@@ -1451,7 +1454,7 @@ mod tests {
                 corruption_probability(&ber, cfg.channel.packet, cfg.coordinator_tx, loss, level)
             });
             cfg.corrupt_probs = Some(probs.collect());
-            crate::contention::tests::digest(&summarise(cfg, &ber))
+            crate::contention::tests::digest(&NetworkSimulator::new(cfg).run(&ber))
         });
         assert_eq!(
             given, digests,

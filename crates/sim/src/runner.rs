@@ -15,7 +15,10 @@
 //! advances by a fixed constant: a [`SplitMix64`] started at
 //! `m + i·0x9E37_79B9_7F4A_7C15` yields it as its first output). Each
 //! replication's seed therefore depends only on
-//! `(master, i)`, never on which thread ran it or in what order.
+//! `(master, i)`, never on which thread ran it or in what order. The one
+//! exception is [`Runner::sweep_contention`]: its replication 0 keeps the
+//! configuration's own seed, so a one-replication sweep is the plain
+//! single run.
 //!
 //! ## Determinism guarantee
 //!
@@ -63,7 +66,6 @@ use wsn_phy::noise::SplitMix64;
 
 use crate::contention::{run_channel_sim_into, ChannelSimConfig};
 use crate::sink::StatsSink;
-use crate::stats::ContentionStats;
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "WSN_SIM_THREADS";
@@ -445,42 +447,43 @@ impl Runner {
         })
     }
 
-    /// Simulates every configuration of a parameter sweep in parallel,
-    /// reducing each point online ([`StatsSink`] — no trace allocation).
-    /// Results are in `configs` order and bit-identical to running
-    /// [`crate::simulate_contention`] over the slice serially.
-    pub fn sweep_contention(&self, configs: &[ChannelSimConfig]) -> Vec<ContentionStats> {
-        self.map(configs, |_, cfg| {
-            let timings = cfg.timings();
-            let mut sink = StatsSink::new();
-            run_channel_sim_into(cfg, &timings, |_| false, &mut sink);
-            sink.contention_stats()
-        })
-    }
-
-    /// Maps `f` over the flat `items × replications` grid, returning one
-    /// `Vec` of per-replication results per item (item order preserved,
-    /// replication order within each item). `f` receives
-    /// `(item_index, &item, replication_index)`.
+    /// Simulates every configuration of a contention sweep `replications`
+    /// times (at least once) and returns one [`StatsSink`] per
+    /// configuration, in `configs` order — the one replicated Monte-Carlo
+    /// sweep behind Figure 6 and the model's contention statistics.
     ///
-    /// This is the shared fan-out discipline behind every replicated
-    /// contention sweep — contention prewarming and figure timing sweeps:
-    /// all jobs go to the pool as one list (maximum parallelism),
-    /// and callers merge each item's replications in replication order,
-    /// which keeps the reduction bit-identical for every thread count.
-    pub fn map_replicated<T, R, F>(&self, items: &[T], replications: u32, f: F) -> Vec<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T, u64) -> R + Sync,
-    {
+    /// Replication 0 runs on the configuration's own seed, so a
+    /// one-replication sweep is [`crate::simulate_contention`] point by
+    /// point; replication `r > 0` runs on [`replication_seed`]`(seed, r)`.
+    /// The `configs × replications` grid is one flat [`map`](Self::map)
+    /// job list (maximum parallelism), and each configuration's sinks
+    /// merge in replication order on the caller, so the result is
+    /// bit-identical for every thread count.
+    pub fn sweep_contention(
+        &self,
+        configs: &[ChannelSimConfig],
+        replications: u32,
+    ) -> Vec<StatsSink> {
         let reps = replications.max(1) as usize;
-        let jobs: Vec<(usize, u64)> = (0..items.len())
-            .flat_map(|i| (0..reps as u64).map(move |r| (i, r)))
+        let jobs: Vec<(usize, u64)> = (0..configs.len())
+            .flat_map(|c| (0..reps as u64).map(move |r| (c, r)))
             .collect();
-        let mut flat = self.map(&jobs, |_, &(i, r)| f(i, &items[i], r)).into_iter();
-        (0..items.len())
-            .map(|_| flat.by_ref().take(reps).collect())
+        let sinks = self.map(&jobs, |_, &(c, r)| {
+            let mut cfg = configs[c].clone();
+            if r > 0 {
+                cfg.seed = replication_seed(cfg.seed, r);
+            }
+            let mut sink = StatsSink::new();
+            run_channel_sim_into(&cfg, &cfg.timings(), |_| false, &mut sink);
+            sink
+        });
+        sinks
+            .chunks(reps)
+            .map(|point| {
+                let mut merged = StatsSink::new();
+                point.iter().for_each(|sink| merged.merge(sink));
+                merged
+            })
             .collect()
     }
 }
@@ -643,8 +646,8 @@ mod tests {
                 c
             })
             .collect();
-        let serial = Runner::serial().sweep_contention(&configs);
-        let parallel = Runner::with_threads(3).sweep_contention(&configs);
+        let serial = Runner::serial().sweep_contention(&configs, 2);
+        let parallel = Runner::with_threads(3).sweep_contention(&configs, 2);
         assert_eq!(serial, parallel);
     }
 }

@@ -1200,24 +1200,37 @@ impl Scenario {
     }
 
     /// Runs one grid of this scenario with one BER model per channel and
-    /// no deadline. A job's panic re-panics here with the job's own
-    /// message. `pub(crate)` so the policy loop can resolve its BER models
-    /// once and reuse them across rounds.
+    /// no deadline: the one grid executor behind [`Scenario::run`] and the
+    /// policy loop (the batch farm feeds the same per-job body and per-grid
+    /// reduction through its own long-lived stream). The grid's (channel,
+    /// replication) jobs go to one runner stream, each under panic
+    /// isolation, and reduce in feed order, so the outcome is
+    /// bit-identical for every thread count. A job's panic re-panics here
+    /// with the job's own message. `pub(crate)` so the policy loop can
+    /// resolve its BER models once and reuse them across rounds.
     pub(crate) fn run_resolved<B: BerModel + Sync>(
         &self,
         runner: &Runner,
         configs: &[NetworkConfig],
         bers: &[B],
     ) -> ScenarioOutcome {
-        match run_grid(runner, &self.grid(configs, bers), None) {
+        let grid = self.grid(configs, bers);
+        let result = runner.stream(
+            grid.jobs(),
+            |(c, r): (usize, u64)| grid.run_job(c, r, None),
+            |s| {
+                grid.job_keys().for_each(|job| s.feed(job));
+                grid.reduce(std::iter::from_fn(|| s.recv()))
+            },
+        );
+        match result {
             Ok((outcome, _)) => outcome,
             Err(GridFailure::Panicked(message)) => std::panic::panic_any(message),
             Err(GridFailure::TimedOut) => unreachable!("a grid without a deadline never times out"),
         }
     }
 
-    /// This scenario's replications over `configs`, ready for
-    /// [`run_grid`].
+    /// This scenario's replications over `configs`, ready to run.
     ///
     /// # Panics
     ///
@@ -1241,7 +1254,7 @@ impl Scenario {
     }
 }
 
-/// One compiled scenario for [`run_grid`]: a config and a BER model per
+/// One compiled scenario ready to run: a config and a BER model per
 /// channel, and the replications per channel.
 pub(crate) struct Grid<'a, B> {
     name: &'a str,
@@ -1342,29 +1355,6 @@ pub(crate) enum GridFailure {
     Panicked(String),
     /// The deadline passed before a job started.
     TimedOut,
-}
-
-/// The one grid executor behind [`Scenario::run`] and the policy loop;
-/// the batch farm feeds the same per-job body and per-grid reduction
-/// through its own long-lived stream.
-///
-/// The grid's (channel, replication) jobs go to one runner stream, each
-/// under panic isolation; a job that starts after `deadline` is skipped.
-/// The grid reduces in feed order, so its outcome is bit-identical for
-/// every thread count.
-pub(crate) fn run_grid<B: BerModel + Sync>(
-    runner: &Runner,
-    grid: &Grid<'_, B>,
-    deadline: Option<Instant>,
-) -> GridResult {
-    runner.stream(
-        grid.jobs(),
-        |(c, r): (usize, u64)| grid.run_job(c, r, deadline),
-        |s| {
-            grid.job_keys().for_each(|job| s.feed(job));
-            grid.reduce(std::iter::from_fn(|| s.recv()))
-        },
-    )
 }
 
 /// Results of a scenario run: one summary per channel plus the

@@ -66,38 +66,6 @@ impl<T: TraceSink + ?Sized> TraceSink for &mut T {
     }
 }
 
-/// Fans records out to two sinks (e.g. an online reducer plus a trace
-/// collector).
-#[derive(Debug)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn on_attempt(&mut self, record: &AttemptRecord) {
-        self.0.on_attempt(record);
-        self.1.on_attempt(record);
-    }
-    fn on_transaction(&mut self, record: &TransactionRecord) {
-        self.0.on_transaction(record);
-        self.1.on_transaction(record);
-    }
-    fn on_overrun(&mut self) {
-        self.0.on_overrun();
-        self.1.on_overrun();
-    }
-    fn on_gts(&mut self, record: &GtsRecord) {
-        self.0.on_gts(record);
-        self.1.on_gts(record);
-    }
-    fn on_downlink(&mut self, record: &DownlinkRecord) {
-        self.0.on_downlink(record);
-        self.1.on_downlink(record);
-    }
-    fn on_fault(&mut self, record: &FaultRecord) {
-        self.0.on_fault(record);
-        self.1.on_fault(record);
-    }
-}
-
 /// Collects every record into a [`SimTrace`] — the pre-streaming
 /// behaviour, still used by trace-level analyses.
 #[derive(Debug, Clone)]
@@ -150,7 +118,7 @@ impl TraceSink for TraceCollector {
 
 /// Online reducer: folds the event stream straight into the statistics the
 /// figures consume, allocating nothing.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StatsSink {
     /// Per-procedure contention statistics (Figure 6 material).
     pub contention: ContentionAccumulator,
@@ -402,20 +370,5 @@ mod tests {
             trace.mean_delivery_superframes()
         );
         assert_eq!(sink.overruns, trace.overruns);
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let trace = run_channel_sim(&cfg(), |_| false);
-        let mut tee = TeeSink(
-            StatsSink::new(),
-            TraceCollector::new(trace.superframe_slots),
-        );
-        trace.replay(&mut tee);
-        let TeeSink(stats, collector) = tee;
-        let copy = collector.into_trace();
-        assert_eq!(copy.attempts, trace.attempts);
-        assert_eq!(copy.transactions, trace.transactions);
-        assert_eq!(stats.contention_stats(), trace.contention_stats());
     }
 }

@@ -266,62 +266,6 @@ impl ContentionStats {
             transmissions: 0,
         }
     }
-
-    /// Merges statistics from two disjoint sample populations, weighting
-    /// means by procedure counts and probabilities by their respective
-    /// trial counts.
-    ///
-    /// Prefer merging [`ContentionAccumulator`]s when the sufficient
-    /// statistics are still available — this method reconstructs hit
-    /// counts from the published ratios, which is exact only up to
-    /// floating-point rounding.
-    pub fn merge(&self, other: &ContentionStats) -> ContentionStats {
-        if other.procedures == 0 && other.transmissions == 0 {
-            return *self;
-        }
-        if self.procedures == 0 && self.transmissions == 0 {
-            return *other;
-        }
-        let wp_a = self.procedures as f64;
-        let wp_b = other.procedures as f64;
-        let wp = wp_a + wp_b;
-        let wt_a = self.transmissions as f64;
-        let wt_b = other.transmissions as f64;
-        let wt = wt_a + wt_b;
-        let wavg = |a: f64, b: f64, wa: f64, wb: f64, w: f64| {
-            if w == 0.0 {
-                0.0
-            } else {
-                (a * wa + b * wb) / w
-            }
-        };
-        ContentionStats {
-            mean_contention: Seconds::from_secs(wavg(
-                self.mean_contention.secs(),
-                other.mean_contention.secs(),
-                wp_a,
-                wp_b,
-                wp,
-            )),
-            mean_ccas: wavg(self.mean_ccas, other.mean_ccas, wp_a, wp_b, wp),
-            pr_collision: Probability::clamped(wavg(
-                self.pr_collision.value(),
-                other.pr_collision.value(),
-                wt_a,
-                wt_b,
-                wt,
-            )),
-            pr_access_failure: Probability::clamped(wavg(
-                self.pr_access_failure.value(),
-                other.pr_access_failure.value(),
-                wp_a,
-                wp_b,
-                wp,
-            )),
-            procedures: self.procedures + other.procedures,
-            transmissions: self.transmissions + other.transmissions,
-        }
-    }
 }
 
 impl fmt::Display for ContentionStats {
@@ -471,41 +415,6 @@ mod tests {
         assert_eq!(merged.pr_collision, direct.pr_collision);
         assert_eq!(merged.pr_access_failure, direct.pr_access_failure);
         assert!((merged.mean_ccas - direct.mean_ccas).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contention_stats_merge_weights_by_counts() {
-        let a = ContentionStats {
-            mean_contention: Seconds::from_micros(1000.0),
-            mean_ccas: 2.0,
-            pr_collision: Probability::clamped(0.1),
-            pr_access_failure: Probability::clamped(0.0),
-            procedures: 100,
-            transmissions: 100,
-        };
-        let b = ContentionStats {
-            mean_contention: Seconds::from_micros(3000.0),
-            mean_ccas: 4.0,
-            pr_collision: Probability::clamped(0.3),
-            pr_access_failure: Probability::clamped(0.2),
-            procedures: 300,
-            transmissions: 100,
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.procedures, 400);
-        assert_eq!(m.transmissions, 200);
-        assert!((m.mean_contention.micros() - 2500.0).abs() < 1e-9);
-        assert!((m.mean_ccas - 3.5).abs() < 1e-12);
-        assert!((m.pr_collision.value() - 0.2).abs() < 1e-12);
-        assert!((m.pr_access_failure.value() - 0.15).abs() < 1e-12);
-        // Merging with an empty side is the identity.
-        let empty = ContentionStats {
-            procedures: 0,
-            transmissions: 0,
-            ..ContentionStats::ideal()
-        };
-        assert_eq!(a.merge(&empty), a);
-        assert_eq!(empty.merge(&a), a);
     }
 
     #[test]

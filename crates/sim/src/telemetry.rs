@@ -408,14 +408,12 @@ pub struct FarmMetrics {
     pub total_scenarios: u64,
     /// Scenarios that completed ok.
     pub ok: u64,
-    /// Scenarios that failed (panicked past the retry budget).
+    /// Scenarios that failed (a compile or job panicked).
     pub failed: u64,
     /// Scenarios that hit the wall-clock watchdog.
     pub timeout: u64,
     /// Scenarios skipped by `--resume` (journal said done).
     pub skipped: u64,
-    /// Extra attempts spent on panicking scenarios (retry budget draws).
-    pub retries: u64,
 }
 
 impl FarmMetrics {
@@ -426,7 +424,6 @@ impl FarmMetrics {
         self.failed += other.failed;
         self.timeout += other.timeout;
         self.skipped += other.skipped;
-        self.retries += other.retries;
     }
 
     fn to_json(&self) -> Node {
@@ -436,7 +433,9 @@ impl FarmMetrics {
             ("failed", json::uint(self.failed)),
             ("timeout", json::uint(self.timeout)),
             ("skipped", json::uint(self.skipped)),
-            ("retries", json::uint(self.retries)),
+            // A format-1 key: each scenario runs once, so no attempt is
+            // ever an extra one.
+            ("retries", json::uint(0)),
         ])
     }
 }
@@ -468,7 +467,6 @@ impl MetricSet {
             failed: 0,
             timeout: 0,
             skipped: 0,
-            retries: 0,
         },
     };
 
@@ -844,22 +842,20 @@ pub fn note_farm_start(total: u64, skipped: u64) {
 pub enum FarmOutcome {
     /// Completed ok.
     Ok,
-    /// Panicked past the retry budget.
+    /// Its compile or one of its jobs panicked.
     Failed,
     /// Hit the wall-clock watchdog.
     Timeout,
 }
 
-/// Notes one completed farm scenario and the extra attempts its retry
-/// budget consumed.
-pub fn note_farm_record(outcome: FarmOutcome, extra_attempts: u64) {
+/// Notes one completed farm scenario.
+pub fn note_farm_record(outcome: FarmOutcome) {
     let mut reg = registry();
     match outcome {
         FarmOutcome::Ok => reg.det.farm.ok += 1,
         FarmOutcome::Failed => reg.det.farm.failed += 1,
         FarmOutcome::Timeout => reg.det.farm.timeout += 1,
     }
-    reg.det.farm.retries += extra_attempts;
 }
 
 /// Notes one finished farm wave and the calling thread's wait for its

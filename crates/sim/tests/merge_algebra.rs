@@ -230,6 +230,17 @@ fn network_accumulator_channel_merge_pools_exactly() {
     assert!((merged.ledger.total_energy().joules() - energy_sum).abs() < 1e-15);
     let bits_sum: f64 = accs.iter().map(|a| a.delivered_payload_bits).sum();
     assert_eq!(merged.delivered_payload_bits, bits_sum);
+    let pooled = merged.contention.finish();
+    assert_eq!(
+        (pooled.procedures, pooled.transmissions),
+        accs.iter().fold((0, 0), |(procedures, transmissions), a| {
+            let own = a.contention.finish();
+            (
+                procedures + own.procedures,
+                transmissions + own.transmissions,
+            )
+        })
+    );
     // Merge order of replication-less accumulators leaves reps at zero
     // until sealed.
     assert_eq!(merged.replications(), 0);
@@ -576,7 +587,6 @@ fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> MetricSet {
         m.farm.failed += rng.next_u64() % 4;
         m.farm.timeout += rng.next_u64() % 2;
         m.farm.skipped += rng.next_u64() % 4;
-        m.farm.retries += rng.next_u64() % 4;
     }
     m
 }

@@ -125,25 +125,34 @@ fn parallel_sweep_is_bit_identical_to_serial_engine() {
     let serial: Vec<_> = configs.iter().map(simulate_contention).collect();
 
     for threads in [1, 2, 4, 8] {
-        let parallel = Runner::with_threads(threads).sweep_contention(&configs);
+        let parallel: Vec<_> = Runner::with_threads(threads)
+            .sweep_contention(&configs, 1)
+            .iter()
+            .map(StatsSink::contention_stats)
+            .collect();
         assert_eq!(serial, parallel, "threads={threads}");
     }
 }
 
 #[test]
 fn parallel_replications_are_bit_identical_to_serial() {
-    let base = [point(50, 0.42, 0xB0B)];
-    let replicate = |runner: Runner| {
-        runner.map_replicated(&base, 6, |_, cfg, r| {
-            let mut cfg = cfg.clone();
-            cfg.seed = replication_seed(cfg.seed, r);
-            simulate_contention(&cfg)
-        })
-    };
-    let serial = replicate(Runner::serial());
-    for threads in [2, 3, 6, 12] {
-        let parallel = replicate(Runner::with_threads(threads));
-        assert_eq!(serial, parallel, "threads={threads}");
+    let base = point(50, 0.42, 0xB0B);
+    // Reference: six traces run one by one on this thread, reduced and
+    // merged in replication order; replication 0 keeps the base seed.
+    let mut serial = StatsSink::new();
+    for r in 0..6 {
+        let mut cfg = base.clone();
+        if r > 0 {
+            cfg.seed = replication_seed(base.seed, r);
+        }
+        let mut sink = StatsSink::new();
+        run_channel_sim(&cfg, |_| false).replay(&mut sink);
+        serial.merge(&sink);
+    }
+    for threads in [1, 2, 3, 6, 12] {
+        let parallel =
+            Runner::with_threads(threads).sweep_contention(std::slice::from_ref(&base), 6);
+        assert_eq!(parallel, [serial], "threads={threads}");
     }
 }
 
@@ -160,8 +169,8 @@ fn streaming_reduction_equals_trace_reduction() {
 #[test]
 fn runner_output_is_reproducible_across_invocations() {
     let configs = [point(50, 0.42, 42), point(100, 0.6, 43)];
-    let a = Runner::from_env().sweep_contention(&configs);
-    let b = Runner::from_env().sweep_contention(&configs);
+    let a = Runner::from_env().sweep_contention(&configs, 2);
+    let b = Runner::from_env().sweep_contention(&configs, 2);
     assert_eq!(a, b);
 }
 

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         wakeup_margin: Seconds::from_millis(1.0),
         corrupt_probs: None,
     });
-    let report = sim.run(&ber).summary;
+    let report = sim.run(&ber);
 
     println!("indoor channel, 100 nodes, 40 superframes:");
     println!("  mean node power : {}", report.mean_node_power);

@@ -40,11 +40,13 @@ fn compare(loss_db: f64, level: TxPowerLevel, load: f64, seed: u64) -> Compariso
         wakeup_margin: Seconds::from_millis(1.0),
         corrupt_probs: None,
     });
-    let net = sim.run(&ber);
+    let (mut acc, _) = sim.run_accumulate_counted(&ber);
 
     // The model consumes the contention statistics measured by this very
     // simulation run, with the physical refinements the simulator bills.
-    let stats = net.trace.contention_stats();
+    let stats = acc.contention.finish();
+    acc.seal_replication();
+    let net = acc.summary();
     let bo = BeaconOrder::smallest_covering(channel.beacon_interval()).expect("coverable interval");
     // Scale: the sim's T_ib is not exactly a power of two; evaluate the
     // model at the sim's interval by scaling the BO-based output.
@@ -65,9 +67,9 @@ fn compare(loss_db: f64, level: TxPowerLevel, load: f64, seed: u64) -> Compariso
 
     Comparison {
         model_uw,
-        sim_uw: net.summary.mean_node_power.microwatts(),
+        sim_uw: net.mean_node_power.microwatts(),
         model_fail: out.pr_fail.value(),
-        sim_fail: net.summary.failure_ratio.value(),
+        sim_fail: net.failure_ratio.value(),
     }
 }
 
