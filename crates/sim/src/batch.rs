@@ -317,8 +317,8 @@ pub struct BatchReport {
     /// Elapsed wall-clock of the whole batch in milliseconds.
     pub wall_ms: f64,
     /// Jobs whose results the farm used (open-loop channels ×
-    /// replications; policy rounds are counted per round grid). Work simulated ahead of a strict abort and discarded
-    /// is not counted.
+    /// replications; policy rounds are counted per round grid). Work
+    /// simulated ahead of a strict abort and discarded is not counted.
     pub jobs: usize,
 }
 
@@ -497,8 +497,8 @@ impl BatchSet {
     }
 
     /// Runs the whole batch with the default [`RunConfig`] (no journal,
-    /// no watchdog) into any `Write` — the original entry
-    /// point, kept for callers that just want the stream.
+    /// no watchdog) into any `Write` — the original entry point, kept for
+    /// callers that just want the stream.
     ///
     /// # Errors
     ///
@@ -534,8 +534,7 @@ impl BatchSet {
     ///
     /// A panicking scenario — in `compile` or in any job — becomes a
     /// `"status":"failed"` record and the rest of the farm keeps running;
-    /// the
-    /// [`RunConfig::timeout`] watchdog likewise yields `"timeout"`
+    /// the [`RunConfig::timeout`] watchdog likewise yields `"timeout"`
     /// records. With [`RunConfig::strict`], the batch stops after the
     /// first non-`ok` record.
     ///

@@ -555,10 +555,9 @@ impl NetworkSimulator {
     /// the energy ledgers and statistics as it happens, and no trace `Vec`
     /// is ever allocated. This is the one network run: [`run`](Self::run),
     /// the scenario grid and the policy loop all go through it. Also
-    /// returns the number of engine events
-    /// processed — the work counter that normalises a run's wall clock to
-    /// time per event, counted in the same pass so throughput and energy
-    /// come from one run.
+    /// returns the number of engine events processed — the work counter
+    /// that normalises a run's wall clock to time per event, counted in
+    /// the same pass so throughput and energy come from one run.
     ///
     /// The returned accumulator is **unsealed** — no replication sample
     /// has been recorded — so callers aggregating the channels of one
