@@ -1429,12 +1429,19 @@ mod tests {
         let summaries = configs
             .clone()
             .map(|cfg| NetworkSimulator::new(cfg).run(&ber));
-        // The workloads reach the paths they are meant to.
+        // The workloads reach the paths they are meant to, with both
+        // outcomes of every GTS, downlink and join exchange.
+        let mixed = |p: Probability| p.value() > 0.0 && p.value() < 1.0;
         assert!(summaries.iter().all(|s| s.failure_ratio.value() > 0.0));
-        assert!(summaries[1].gts_transactions > 0 && summaries[1].downlink_polls > 0);
+        let polled = &summaries[1];
+        assert!(polled.gts_transactions > 0 && polled.downlink_polls > 0);
+        assert!(mixed(polled.gts_failure_ratio) && mixed(polled.downlink_failure_ratio));
+        assert!(polled.downlink_deferred > 0);
         let churned = &summaries[2];
         assert!(churned.gts_transactions > 0 && churned.deaths > 0);
         assert!(churned.orphan_scans > 0 && churned.join_attempts > 0);
+        assert!(mixed(churned.gts_failure_ratio) && mixed(churned.join_failure_ratio));
+        assert!(churned.dormant_nodes > 0);
 
         let digests = summaries.each_ref().map(crate::contention::tests::digest);
         assert_eq!(
