@@ -579,7 +579,7 @@ pub struct SimWorkspace {
     dl_offsets: Vec<u64>,
     /// Per-node packet/ACK corruption probabilities in arrival order —
     /// the network simulator's oracle scratch (see
-    /// `NetworkSimulator::drive`).
+    /// `NetworkSimulator::run_accumulate_counted`).
     pub(crate) corrupt_probs: Vec<f64>,
 }
 

@@ -2,21 +2,24 @@
 //! paper's radio activation policy and per-node energy ledgers.
 //!
 //! For every node and superframe the simulated lifecycle is the one in the
-//! paper's Figure 5:
+//! paper's Figure 5, billed as a list of radio procedures:
 //!
-//! 1. wake the chip ~1 ms before the beacon (shutdown → idle), turn the
-//!    receiver on (`T_ia`) and receive the beacon;
-//! 2. return to shutdown until the node's packet is ready, then wake again
-//!    and run slotted CSMA/CA — idle between CCAs, receiver on for each
-//!    194 µs turn-on plus the 128 µs assessment;
-//! 3. transmit the packet at the node's power level;
-//! 4. turn around to RX and listen for the acknowledgement (ACK duration
-//!    when acknowledged, the full `t_ack⁺ − t_ack⁻` window otherwise);
-//! 5. observe the interframe spacing and shut down.
+//! 1. the **beacon window**: wake the chip ~1 ms before the beacon
+//!    (shutdown → idle), turn the receiver on (`T_ia`) and receive the
+//!    beacon;
+//! 2. return to shutdown until the node's packet is ready, then **wake**
+//!    again and run **slotted CSMA/CA** — idle between CCAs, receiver on
+//!    for each 194 µs turn-on plus the 128 µs assessment;
+//! 3. **send** the packet at the node's power level and turn around to RX;
+//! 4. the **ACK listen**: the ACK duration when acknowledged, the full
+//!    `t_ack⁺ − t_ack⁻` window otherwise;
+//! 5. the **IFS**: observe the interframe spacing and shut down.
 //!
-//! Energy is derived from the contention trace (backoff wall-time, CCA
-//! counts, attempts, outcomes) — every state residency is known exactly, so
-//! the ledger is bit-deterministic given the seed.
+//! GTS transmissions, downlink polls, orphan scans and re-association
+//! exchanges are lists of the same procedures, each billed by one piece of
+//! code. Energy is derived from the contention trace (backoff wall-time,
+//! CCA counts, attempts, outcomes) — every state residency is known
+//! exactly, so the ledger is bit-deterministic given the seed.
 
 use wsn_channel::received_power;
 use wsn_mac::timing::{
@@ -35,8 +38,7 @@ use std::sync::Arc;
 
 use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord, DATA_REQUEST_AIR_BYTES};
 use crate::contention::{
-    run_drawn, with_workspace, Arrivals, AttemptOutcome, AttemptRecord, ChannelSimConfig,
-    SimWorkspace, TransactionRecord,
+    run_drawn, with_workspace, AttemptOutcome, AttemptRecord, ChannelSimConfig, TransactionRecord,
 };
 use crate::faults::{FaultKind, FaultRecord};
 use crate::rng::Xoshiro256StarStar;
@@ -146,8 +148,8 @@ impl NetworkConfig {
 /// Packet-or-ACK corruption probability of one uplink transaction: the
 /// packet at the node's `level` over `loss`, the acknowledgement back at
 /// `coordinator_tx` over the same loss, either direction failing costing
-/// the acknowledgement. `NetworkSimulator::drive` derives each run's
-/// probabilities through it.
+/// the acknowledgement. [`NetworkSimulator::run_accumulate_counted`]
+/// derives each run's probabilities through it.
 fn corruption_probability<B: BerModel>(
     ber: &B,
     packet: PacketLayout,
@@ -464,82 +466,6 @@ impl NetworkSimulator {
         NetworkSimulator { config }
     }
 
-    /// Runs `f` on the calling thread's reusable [`SimWorkspace`] with
-    /// this configuration's arrival order drawn into it, and with the
-    /// resolved transmit levels laid out in that order. The engine runs
-    /// on the same draw ([`drive`](Self::drive)), so it happens once per
-    /// run.
-    fn in_arrival_order<R>(
-        &self,
-        f: impl FnOnce(&Arrivals, &[TxPowerLevel], &mut SimWorkspace) -> R,
-    ) -> R {
-        let cfg = &self.config;
-        let by_node = cfg.tx_policy.resolve(&cfg.path_losses);
-        with_workspace(|ws| {
-            // The engine borrows the rest of the workspace while the
-            // caller's sink and the oracle read the order: take it out for
-            // the run, hand it back after.
-            let mut arrivals = std::mem::take(&mut ws.arrivals);
-            arrivals.draw(&cfg.channel, &cfg.channel.timings());
-            let levels: Vec<TxPowerLevel> = arrivals
-                .order
-                .iter()
-                .map(|&(_, node)| by_node[node as usize])
-                .collect();
-            let result = f(&arrivals, &levels, ws);
-            ws.arrivals = arrivals;
-            result
-        })
-    }
-
-    /// Drives the contention engine on `arrivals` into `sink` with the
-    /// BER-driven corruption oracle attached. `levels` are in arrival
-    /// order, and so are the oracle's probabilities: the oracle maps each
-    /// node id it is asked about to its rank. The probability buffer is
-    /// the workspace's, so repeated drives allocate nothing.
-    fn drive<B: BerModel, S: TraceSink>(
-        &self,
-        ber: &B,
-        arrivals: &Arrivals,
-        levels: &[TxPowerLevel],
-        sink: &mut S,
-        ws: &mut SimWorkspace,
-    ) -> u64 {
-        let cfg = &self.config;
-        let timings = cfg.channel.timings();
-        let mut noise_rng =
-            Xoshiro256StarStar::seed_from_u64(cfg.channel.seed ^ 0x5EED_CAFE_F00D_u64);
-        // The oracle closure borrows the probability buffer while the
-        // engine borrows the rest of the workspace: take it out for the
-        // run, hand it back after.
-        let mut probs = std::mem::take(&mut ws.corrupt_probs);
-        probs.clear();
-        let nodes = arrivals.order.iter().map(|&(_, node)| node as usize);
-        match &cfg.corrupt_probs {
-            // Precomputed in node order: copy it into arrival order and
-            // skip the per-node BER math.
-            Some(given) => probs.extend(nodes.map(|node| given[node])),
-            None => {
-                let packet = cfg.channel.packet;
-                probs.extend(nodes.zip(levels).map(|(node, &level)| {
-                    let loss = cfg.path_losses[node];
-                    corruption_probability(ber, packet, cfg.coordinator_tx, loss, level)
-                }));
-            }
-        }
-        let rank = &arrivals.rank;
-        let events = run_drawn(
-            &cfg.channel,
-            &timings,
-            arrivals,
-            |node| noise_rng.bernoulli(probs[rank[node as usize] as usize]),
-            sink,
-            ws,
-        );
-        ws.corrupt_probs = probs;
-        events
-    }
-
     /// One run as one sealed replication:
     /// [`run_accumulate_counted`](Self::run_accumulate_counted), then
     /// [`seal_replication`](NetworkAccumulator::seal_replication) and
@@ -564,10 +490,46 @@ impl NetworkSimulator {
     /// replication can merge first and
     /// [`seal_replication`](NetworkAccumulator::seal_replication) once.
     pub fn run_accumulate_counted<B: BerModel>(&self, ber: &B) -> (NetworkAccumulator, u64) {
-        self.in_arrival_order(|arrivals, levels, ws| {
-            let mut accountant = EnergyAccountant::new(&self.config, arrivals, levels);
-            let events = self.drive(ber, arrivals, levels, &mut accountant, ws);
-            (accountant.finish(), events)
+        let cfg = &self.config;
+        let timings = cfg.channel.timings();
+        let by_node = cfg.tx_policy.resolve(&cfg.path_losses);
+        let mut noise_rng =
+            Xoshiro256StarStar::seed_from_u64(cfg.channel.seed ^ 0x5EED_CAFE_F00D_u64);
+        with_workspace(|ws| {
+            // The accountant and the oracle read the arrival order and the
+            // probability buffer while the engine borrows the rest of the
+            // workspace: take both out for the run, hand them back after.
+            let mut arrivals = std::mem::take(&mut ws.arrivals);
+            let mut probs = std::mem::take(&mut ws.corrupt_probs);
+            // The engine runs on this draw too, so it happens once per run.
+            arrivals.draw(&cfg.channel, &timings);
+            // Levels and probabilities are laid out in arrival order; the
+            // oracle maps each node id it is asked about to its rank.
+            let nodes = || arrivals.order.iter().map(|&(_, node)| node as usize);
+            let levels: Vec<TxPowerLevel> = nodes().map(|node| by_node[node]).collect();
+            probs.clear();
+            match &cfg.corrupt_probs {
+                // Precomputed in node order: skip the per-node BER math.
+                Some(given) => probs.extend(nodes().map(|node| given[node])),
+                None => probs.extend(nodes().zip(&levels).map(|(node, &level)| {
+                    let loss = cfg.path_losses[node];
+                    corruption_probability(ber, cfg.channel.packet, cfg.coordinator_tx, loss, level)
+                })),
+            }
+            let rank = &arrivals.rank;
+            let mut accountant = EnergyAccountant::new(cfg, rank, &levels);
+            let events = run_drawn(
+                &cfg.channel,
+                &timings,
+                &arrivals,
+                |node| noise_rng.bernoulli(probs[rank[node as usize] as usize]),
+                &mut accountant,
+                ws,
+            );
+            let acc = accountant.finish();
+            ws.arrivals = arrivals;
+            ws.corrupt_probs = probs;
+            (acc, events)
         })
     }
 
@@ -621,282 +583,78 @@ impl AccountingConsts {
     }
 }
 
-// Ledger-side accrual, one free function per record kind: how a record
-// becomes joules on its node's ledger. The `EnergyAccountant` calls them
-// as the engine emits records.
-
-fn ledger_on_attempt(
-    ledger: &mut EnergyLedger,
-    radio: &RadioModel,
-    level: TxPowerLevel,
-    k: &AccountingConsts,
-    a: &AttemptRecord,
-) {
-    // Contention wall time: idle except for the CCA turn-ons.
-    let wall = k.slot * a.contention_slots as f64;
-    let cca_active = (k.turn_on + k.cca_sense) * a.ccas as f64;
-    let idle_time = (wall - cca_active).max(Seconds::ZERO);
-    ledger.accrue(radio, RadioState::Idle, PhaseTag::Contention, idle_time);
-    for _ in 0..a.ccas {
-        ledger.accrue_transition(
-            radio,
-            RadioState::Idle,
-            RadioState::Rx,
-            PhaseTag::Contention,
-        );
-        ledger.accrue_listen(radio, PhaseTag::Contention, k.cca_sense);
-    }
-
-    if a.outcome == AttemptOutcome::AccessFailure {
-        return;
-    }
-
-    // Transmission.
-    ledger.accrue_transition(
-        radio,
-        RadioState::Idle,
-        RadioState::Tx(level),
-        PhaseTag::Transmit,
-    );
-    ledger.accrue(
-        radio,
-        RadioState::Tx(level),
-        PhaseTag::Transmit,
-        k.packet_airtime,
-    );
-
-    // Acknowledgement window.
-    ledger.accrue_transition(
-        radio,
-        RadioState::Tx(level),
-        RadioState::Rx,
-        PhaseTag::AckWait,
-    );
-    match a.outcome {
-        AttemptOutcome::Delivered => {
-            ledger.accrue_listen(radio, PhaseTag::AckWait, k.t_ack);
-        }
-        AttemptOutcome::Corrupted | AttemptOutcome::Collided => {
-            ledger.accrue_listen(radio, PhaseTag::AckWait, k.noack_listen);
-        }
-        AttemptOutcome::AccessFailure => unreachable!("handled above"),
-    }
-    ledger.accrue(radio, RadioState::Idle, PhaseTag::Ifs, k.ifs);
+/// One node's ledger seen through the radio procedures of Figure 5: each
+/// method bills one procedure to the ledger phase it is given, so a record
+/// kind reads as the list of its procedures. The transmit level is an
+/// argument of the procedures that transmit, so the beacon prototype in
+/// [`EnergyAccountant::finish`] bills through the same view without one.
+struct Bill<'a> {
+    ledger: &'a mut EnergyLedger,
+    radio: &'a RadioModel,
+    k: &'a AccountingConsts,
 }
 
-fn ledger_on_transaction(ledger: &mut EnergyLedger, radio: &RadioModel) {
-    // Second wake-up for the transaction (the node slept between the
-    // beacon and its packet-ready offset).
-    ledger.accrue_transition(
-        radio,
-        RadioState::Shutdown,
-        RadioState::Idle,
-        PhaseTag::Contention,
-    );
-}
+impl Bill<'_> {
+    /// Wakes the chip: shutdown → idle.
+    fn wake(&mut self, phase: PhaseTag) {
+        self.ledger
+            .accrue_transition(self.radio, RadioState::Shutdown, RadioState::Idle, phase);
+    }
 
-fn ledger_on_gts(
-    ledger: &mut EnergyLedger,
-    radio: &RadioModel,
-    level: TxPowerLevel,
-    k: &AccountingConsts,
-    r: &GtsRecord,
-) {
-    // Wake for the dedicated slot, transmit without any contention,
-    // listen for the acknowledgement, observe the interframe spacing.
-    // Everything is attributed to the GTS phase, so the CFP energy
-    // split is exact.
-    ledger.accrue_transition(radio, RadioState::Shutdown, RadioState::Idle, PhaseTag::Gts);
-    ledger.accrue_transition(
-        radio,
-        RadioState::Idle,
-        RadioState::Tx(level),
-        PhaseTag::Gts,
-    );
-    ledger.accrue(
-        radio,
-        RadioState::Tx(level),
-        PhaseTag::Gts,
-        k.packet_airtime,
-    );
-    ledger.accrue_transition(radio, RadioState::Tx(level), RadioState::Rx, PhaseTag::Gts);
-    let listen = if r.delivered { k.t_ack } else { k.noack_listen };
-    ledger.accrue_listen(radio, PhaseTag::Gts, listen);
-    ledger.accrue(radio, RadioState::Idle, PhaseTag::Gts, k.ifs);
-}
+    /// Stays in `state` for `duration`.
+    fn hold(&mut self, state: RadioState, duration: Seconds, phase: PhaseTag) {
+        self.ledger.accrue(self.radio, state, phase, duration);
+    }
 
-fn ledger_on_downlink(
-    ledger: &mut EnergyLedger,
-    radio: &RadioModel,
-    level: TxPowerLevel,
-    k: &AccountingConsts,
-    r: &DownlinkRecord,
-) {
-    if r.outcome == DownlinkOutcome::Deferred {
-        // The node was mid-uplink; its radio time is already billed.
-        return;
+    /// The beacon window: wake ahead of the beacon, idle out the margin,
+    /// turn the receiver on and listen for the beacon's airtime.
+    fn beacon_window(&mut self, phase: PhaseTag) {
+        self.wake(phase);
+        self.hold(RadioState::Idle, self.k.margin, phase);
+        self.ledger
+            .accrue_transition(self.radio, RadioState::Idle, RadioState::Rx, phase);
+        self.hold(RadioState::Rx, self.k.t_beacon, phase);
     }
-    // One wake-up per poll (the downlink analogue of the
-    // per-transaction wake `on_transaction` charges to Contention),
-    // then data-request contention: idle between the CCA turn-ons,
-    // the uplink attempt pattern attributed to the downlink phase.
-    ledger.accrue_transition(
-        radio,
-        RadioState::Shutdown,
-        RadioState::Idle,
-        PhaseTag::Downlink,
-    );
-    let wall = k.slot * r.contention_slots as f64;
-    let cca_active = (k.turn_on + k.cca_sense) * r.ccas as f64;
-    ledger.accrue(
-        radio,
-        RadioState::Idle,
-        PhaseTag::Downlink,
-        (wall - cca_active).max(Seconds::ZERO),
-    );
-    for _ in 0..r.ccas {
-        ledger.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Downlink);
-        ledger.accrue_listen(radio, PhaseTag::Downlink, k.cca_sense);
-    }
-    if r.outcome == DownlinkOutcome::AccessFailure {
-        return;
-    }
-    // Transmit the data request.
-    ledger.accrue_transition(
-        radio,
-        RadioState::Idle,
-        RadioState::Tx(level),
-        PhaseTag::Downlink,
-    );
-    ledger.accrue(
-        radio,
-        RadioState::Tx(level),
-        PhaseTag::Downlink,
-        k.dl_request_air,
-    );
-    ledger.accrue_transition(
-        radio,
-        RadioState::Tx(level),
-        RadioState::Rx,
-        PhaseTag::Downlink,
-    );
-    if r.outcome == DownlinkOutcome::Collided {
-        // No acknowledgement ever comes: wait out t_ack⁺.
-        ledger.accrue_listen(radio, PhaseTag::Downlink, k.noack_listen);
-        ledger.accrue(radio, RadioState::Idle, PhaseTag::Downlink, k.ifs);
-        return;
-    }
-    // Request acknowledgement, then the (promptly answered) downlink
-    // frame — the receiver stays on throughout.
-    ledger.accrue(
-        radio,
-        RadioState::Rx,
-        PhaseTag::Downlink,
-        k.turnaround + k.t_ack,
-    );
-    ledger.accrue(
-        radio,
-        RadioState::Rx,
-        PhaseTag::Downlink,
-        k.turnaround + k.packet_airtime,
-    );
-    if r.outcome == DownlinkOutcome::Delivered {
-        // Acknowledge the frame (turnaround + ACK airtime at TX
-        // power).
-        ledger.accrue(
-            radio,
-            RadioState::Tx(level),
-            PhaseTag::Downlink,
-            k.turnaround + k.t_ack,
-        );
-    }
-    ledger.accrue(radio, RadioState::Idle, PhaseTag::Downlink, k.ifs);
-}
 
-/// Ledger-side cost of a fault record. The scalar bookkeeping
-/// (missed-beacon counts, join-failure counter, fault statistics) is the
-/// caller's job — this accrues only the radio energy.
-fn ledger_on_fault(
-    ledger: &mut EnergyLedger,
-    radio: &RadioModel,
-    level: TxPowerLevel,
-    k: &AccountingConsts,
-    r: &FaultRecord,
-) {
-    match r.kind {
-        FaultKind::MissedBeacon { listened } => {
-            if listened {
-                // Orphan scan: the node wakes on schedule, turns the
-                // receiver on and listens out the beacon window, but
-                // nothing comes. Same residencies as a received
-                // beacon, charged to the association phase.
-                ledger.accrue_transition(
-                    radio,
-                    RadioState::Shutdown,
-                    RadioState::Idle,
-                    PhaseTag::Association,
-                );
-                ledger.accrue(radio, RadioState::Idle, PhaseTag::Association, k.margin);
-                ledger.accrue_transition(
-                    radio,
-                    RadioState::Idle,
-                    RadioState::Rx,
-                    PhaseTag::Association,
-                );
-                ledger.accrue(radio, RadioState::Rx, PhaseTag::Association, k.t_beacon);
-            }
+    /// Slotted CSMA/CA over `slots` backoff slots with `ccas`
+    /// clear-channel assessments: idle except for each assessment's
+    /// receiver turn-on and listen.
+    fn csma(&mut self, slots: u64, ccas: u32, phase: PhaseTag) {
+        let k = self.k;
+        let wall = k.slot * slots as f64;
+        let cca_active = (k.turn_on + k.cca_sense) * ccas as f64;
+        let idle = (wall - cca_active).max(Seconds::ZERO);
+        self.hold(RadioState::Idle, idle, phase);
+        for _ in 0..ccas {
+            self.ledger
+                .accrue_transition(self.radio, RadioState::Idle, RadioState::Rx, phase);
+            self.ledger.accrue_listen(self.radio, phase, k.cca_sense);
         }
-        FaultKind::JoinAttempt { success } => {
-            // Association request/response exchange: wake, transmit
-            // the request (a MAC command the size of a data request),
-            // then wait for the acknowledgement and — on success — the
-            // association response after a turnaround, receiver on
-            // throughout. A lost response costs the full no-ACK window.
-            ledger.accrue_transition(
-                radio,
-                RadioState::Shutdown,
-                RadioState::Idle,
-                PhaseTag::Association,
-            );
-            ledger.accrue_transition(
-                radio,
-                RadioState::Idle,
-                RadioState::Tx(level),
-                PhaseTag::Association,
-            );
-            ledger.accrue(
-                radio,
-                RadioState::Tx(level),
-                PhaseTag::Association,
-                k.dl_request_air,
-            );
-            ledger.accrue_transition(
-                radio,
-                RadioState::Tx(level),
-                RadioState::Rx,
-                PhaseTag::Association,
-            );
-            if success {
-                ledger.accrue(
-                    radio,
-                    RadioState::Rx,
-                    PhaseTag::Association,
-                    k.turnaround + k.t_ack,
-                );
-                ledger.accrue(
-                    radio,
-                    RadioState::Rx,
-                    PhaseTag::Association,
-                    k.turnaround + k.t_ack,
-                );
-            } else {
-                ledger.accrue_listen(radio, PhaseTag::Association, k.noack_listen);
-            }
-            ledger.accrue(radio, RadioState::Idle, PhaseTag::Association, k.ifs);
-        }
-        // Deaths, rejoin confirmations and dormancy carry no radio
-        // activity of their own.
-        FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
+    }
+
+    /// Sends a frame of airtime `air` at `level` (idle → TX, then the
+    /// airtime), billed to `phase`, then turns around to RX, billed to
+    /// `turn`.
+    fn send(&mut self, level: TxPowerLevel, air: Seconds, phase: PhaseTag, turn: PhaseTag) {
+        let tx = RadioState::Tx(level);
+        self.ledger
+            .accrue_transition(self.radio, RadioState::Idle, tx, phase);
+        self.hold(tx, air, phase);
+        self.ledger
+            .accrue_transition(self.radio, tx, RadioState::Rx, turn);
+    }
+
+    /// Listens for an acknowledgement: its airtime when it comes, the full
+    /// `t_ack⁺ − t_ack⁻` window when it does not.
+    fn ack_listen(&mut self, acked: bool, phase: PhaseTag) {
+        let k = self.k;
+        let listen = if acked { k.t_ack } else { k.noack_listen };
+        self.ledger.accrue_listen(self.radio, phase, listen);
+    }
+
+    /// Observes the interframe spacing in idle.
+    fn ifs(&mut self, phase: PhaseTag) {
+        self.hold(RadioState::Idle, self.k.ifs, phase);
     }
 }
 
@@ -935,10 +693,10 @@ struct EnergyAccountant<'a> {
 const FINISH_BATCH: usize = 64;
 
 impl<'a> EnergyAccountant<'a> {
-    fn new(cfg: &'a NetworkConfig, arrivals: &'a Arrivals, levels: &'a [TxPowerLevel]) -> Self {
+    fn new(cfg: &'a NetworkConfig, rank: &'a [u32], levels: &'a [TxPowerLevel]) -> Self {
         EnergyAccountant {
             cfg,
-            rank: &arrivals.rank,
+            rank,
             levels,
             ledgers: vec![EnergyLedger::new(); cfg.channel.nodes],
             stats: StatsSink::new(),
@@ -946,6 +704,17 @@ impl<'a> EnergyAccountant<'a> {
             join_failures: Counter::default(),
             consts: AccountingConsts::new(cfg),
         }
+    }
+
+    /// The billing view of `node`'s ledger, and the node's transmit level.
+    fn bill(&mut self, node: u32) -> (Bill<'_>, TxPowerLevel) {
+        let r = self.rank[node as usize] as usize;
+        let bill = Bill {
+            ledger: &mut self.ledgers[r],
+            radio: &self.cfg.radio,
+            k: &self.consts,
+        };
+        (bill, self.levels[r])
     }
 
     /// Adds the fixed beacon overhead and the sleep remainder to each
@@ -971,37 +740,32 @@ impl<'a> EnergyAccountant<'a> {
 
         let mut acc = NetworkAccumulator::new();
         acc.node_powers.reserve(cfg.channel.nodes);
-        // Fixed per-superframe beacon overhead — preemptive wake-up (the
-        // shutdown→idle transition plus any margin spent in idle),
-        // receiver turn-on, beacon reception — is identical for every
-        // node, so the per-superframe accrual loop runs **once** into a
-        // prototype ledger that every node then merges: `finish` is
-        // O(nodes + superframes) instead of O(nodes × superframes). The
-        // beacon-phase cells of every per-node ledger start at zero, so
-        // the merged values are the very sums the per-node loop produced.
+        // The beacon window of every superframe is identical for every
+        // node, so it is billed **once** per superframe into a prototype
+        // ledger that every node then merges: `finish` is O(nodes +
+        // superframes) instead of O(nodes × superframes). The beacon-phase
+        // cells of every per-node ledger start at zero, so the merged
+        // values are the very sums the per-node loop produced.
         //
         // Nodes that missed beacons (outages, churn deaths) receive fewer
-        // cycles; one ledger per distinct received count is cached so the
-        // skipped cycles still come from the same repeated-addition loop —
-        // and a fault-free run, where every node receives every beacon,
-        // merges the single full prototype bit-identically.
-        let beacon_cycles = |cycles: usize| {
+        // windows; one prototype per distinct received count is cached so
+        // the skipped windows still come from the same repeated-addition
+        // loop — and a fault-free run, where every node receives every
+        // beacon, merges the single full prototype bit-identically.
+        let beacon_windows = |windows: u32| {
             let mut l = EnergyLedger::new();
-            for _ in 0..cycles {
-                l.accrue_transition(
-                    radio,
-                    RadioState::Shutdown,
-                    RadioState::Idle,
-                    PhaseTag::Beacon,
-                );
-                l.accrue(radio, RadioState::Idle, PhaseTag::Beacon, k.margin);
-                l.accrue_transition(radio, RadioState::Idle, RadioState::Rx, PhaseTag::Beacon);
-                l.accrue(radio, RadioState::Rx, PhaseTag::Beacon, k.t_beacon);
+            let mut bill = Bill {
+                ledger: &mut l,
+                radio,
+                k: &k,
+            };
+            for _ in 0..windows {
+                bill.beacon_window(PhaseTag::Beacon);
             }
             l
         };
         let recorded = cfg.channel.superframes.saturating_sub(1);
-        let beacon_ledger = beacon_cycles(recorded as usize);
+        let beacon_ledger = beacon_windows(recorded);
         let mut partial: HashMap<u32, EnergyLedger> = HashMap::new();
         // The fold runs in node order over arrival-ordered ledgers.
         // Reading them one at a time would wait out each ledger's cache
@@ -1019,7 +783,7 @@ impl<'a> EnergyAccountant<'a> {
                     let received = recorded.saturating_sub(missed);
                     let l = partial
                         .entry(received)
-                        .or_insert_with(|| beacon_cycles(received as usize));
+                        .or_insert_with(|| beacon_windows(received));
                     ledger.merge(l);
                 }
                 // Sleep is the remainder of the window.
@@ -1068,30 +832,30 @@ impl<'a> EnergyAccountant<'a> {
     }
 }
 
-impl EnergyAccountant<'_> {
-    /// The arrival rank of `node`: the index of its ledger and level.
-    fn rank(&self, node: u32) -> usize {
-        self.rank[node as usize] as usize
-    }
-}
-
+// Each record kind is billed as the list of its radio procedures.
 impl TraceSink for EnergyAccountant<'_> {
     fn on_attempt(&mut self, a: &AttemptRecord) {
         self.stats.on_attempt(a);
-        let k = self.rank(a.node);
-        ledger_on_attempt(
-            &mut self.ledgers[k],
-            &self.cfg.radio,
-            self.levels[k],
-            &self.consts,
-            a,
+        let (mut bill, level) = self.bill(a.node);
+        bill.csma(a.contention_slots, a.ccas, PhaseTag::Contention);
+        if a.outcome == AttemptOutcome::AccessFailure {
+            return;
+        }
+        bill.send(
+            level,
+            bill.k.packet_airtime,
+            PhaseTag::Transmit,
+            PhaseTag::AckWait,
         );
+        bill.ack_listen(a.outcome == AttemptOutcome::Delivered, PhaseTag::AckWait);
+        bill.ifs(PhaseTag::Ifs);
     }
 
     fn on_transaction(&mut self, t: &TransactionRecord) {
         self.stats.on_transaction(t);
-        let k = self.rank(t.node);
-        ledger_on_transaction(&mut self.ledgers[k], &self.cfg.radio);
+        // Second wake-up for the transaction (the node slept between the
+        // beacon and its packet-ready offset).
+        self.bill(t.node).0.wake(PhaseTag::Contention);
     }
 
     fn on_overrun(&mut self) {
@@ -1100,49 +864,83 @@ impl TraceSink for EnergyAccountant<'_> {
 
     fn on_gts(&mut self, r: &GtsRecord) {
         self.stats.on_gts(r);
-        let k = self.rank(r.node);
-        ledger_on_gts(
-            &mut self.ledgers[k],
-            &self.cfg.radio,
-            self.levels[k],
-            &self.consts,
-            r,
-        );
+        // Wake for the dedicated slot and send without any contention, all
+        // billed to the GTS phase so the CFP energy split is exact.
+        let (mut bill, level) = self.bill(r.node);
+        bill.wake(PhaseTag::Gts);
+        bill.send(level, bill.k.packet_airtime, PhaseTag::Gts, PhaseTag::Gts);
+        bill.ack_listen(r.delivered, PhaseTag::Gts);
+        bill.ifs(PhaseTag::Gts);
     }
 
     fn on_downlink(&mut self, r: &DownlinkRecord) {
         self.stats.on_downlink(r);
-        let k = self.rank(r.node);
-        ledger_on_downlink(
-            &mut self.ledgers[k],
-            &self.cfg.radio,
-            self.levels[k],
-            &self.consts,
-            r,
-        );
+        if r.outcome == DownlinkOutcome::Deferred {
+            // The node was mid-uplink; its radio time is already billed.
+            return;
+        }
+        // One wake-up per poll (the downlink analogue of the
+        // per-transaction wake), then the data request's contention.
+        let phase = PhaseTag::Downlink;
+        let (mut bill, level) = self.bill(r.node);
+        let k = bill.k;
+        bill.wake(phase);
+        bill.csma(r.contention_slots, r.ccas, phase);
+        if r.outcome == DownlinkOutcome::AccessFailure {
+            return;
+        }
+        bill.send(level, k.dl_request_air, phase, phase);
+        if r.outcome == DownlinkOutcome::Collided {
+            // No acknowledgement ever comes.
+            bill.ack_listen(false, phase);
+        } else {
+            // Request acknowledgement, then the (promptly answered)
+            // downlink frame, the receiver on throughout; a delivered frame
+            // is acknowledged (turnaround + ACK airtime at TX power).
+            bill.hold(RadioState::Rx, k.turnaround + k.t_ack, phase);
+            bill.hold(RadioState::Rx, k.turnaround + k.packet_airtime, phase);
+            if r.outcome == DownlinkOutcome::Delivered {
+                bill.hold(RadioState::Tx(level), k.turnaround + k.t_ack, phase);
+            }
+        }
+        bill.ifs(phase);
     }
 
     fn on_fault(&mut self, r: &FaultRecord) {
         self.stats.on_fault(r);
+        let phase = PhaseTag::Association;
         match r.kind {
-            FaultKind::MissedBeacon { .. } => {
-                // This superframe's fixed beacon cycle must not be billed
-                // in `finish` — the beacon never arrived.
+            FaultKind::MissedBeacon { listened } => {
+                // This superframe's beacon window must not be billed in
+                // `finish` — the beacon never arrived. A node that woke for
+                // it ran an orphan scan: the same window, nothing received.
                 self.missed_beacons[r.node as usize] += 1;
+                if listened {
+                    self.bill(r.node).0.beacon_window(phase);
+                }
             }
             FaultKind::JoinAttempt { success } => {
                 self.join_failures.observe(!success);
+                // Association request (a MAC command the size of a data
+                // request), then its acknowledgement and — on success — the
+                // association response, each after a turnaround with the
+                // receiver on. A lost response costs the no-ACK window.
+                let (mut bill, level) = self.bill(r.node);
+                let k = bill.k;
+                bill.wake(phase);
+                bill.send(level, k.dl_request_air, phase, phase);
+                if success {
+                    bill.hold(RadioState::Rx, k.turnaround + k.t_ack, phase);
+                    bill.hold(RadioState::Rx, k.turnaround + k.t_ack, phase);
+                } else {
+                    bill.ack_listen(false, phase);
+                }
+                bill.ifs(phase);
             }
+            // Deaths, rejoin confirmations and dormancy carry no radio
+            // activity of their own.
             FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
         }
-        let k = self.rank(r.node);
-        ledger_on_fault(
-            &mut self.ledgers[k],
-            &self.cfg.radio,
-            self.levels[k],
-            &self.consts,
-            r,
-        );
     }
 }
 
