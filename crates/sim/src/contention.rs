@@ -669,11 +669,12 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut SimWorkspace) -> R) -> R {
     WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
 }
 
-/// Applies a deferred death at the end of the procedure that was in
-/// flight when the node drew it. `death_pending` is only ever set when a
-/// fault plan is active, so the engine calls this only then: fault-free
-/// runs never load the fault array.
-fn resolve_pending_death<S: TraceSink>(
+/// Takes `node` down: its radio goes off, its down and retry counters
+/// reset, a GTS holder frees its descriptor, and outside warm-up a Death
+/// record is written. A death drawn at the beacon runs it at once, or at
+/// the end of the procedure in flight (`death_pending`). Only fault plans
+/// draw deaths, so fault-free runs never load the fault array.
+fn die<S: TraceSink>(
     f: &mut NodeFault,
     node: u32,
     in_warmup: bool,
@@ -681,10 +682,6 @@ fn resolve_pending_death<S: TraceSink>(
     gts_registry: &mut Option<GtsRegistry>,
     sink: &mut S,
 ) {
-    if !f.death_pending {
-        return;
-    }
-    f.death_pending = false;
     f.alive = false;
     f.down_superframes = 0;
     f.join_retries = 0;
@@ -945,20 +942,7 @@ where
                                 f.death_pending = true;
                                 continue;
                             }
-                            f.alive = false;
-                            f.down_superframes = 0;
-                            f.join_retries = 0;
-                            if (i as u32) < gts_nodes {
-                                if let Some(reg) = gts_registry.as_mut() {
-                                    reg.deallocate(i as u16);
-                                }
-                            }
-                            if !in_warmup {
-                                sink.on_fault(&FaultRecord {
-                                    node: i as u32,
-                                    kind: FaultKind::Death,
-                                });
-                            }
+                            die(f, i as u32, in_warmup, gts_nodes, &mut gts_registry, sink);
                         }
                     }
                     // Beacon bookkeeping: missed beacons, orphan scans
@@ -1278,14 +1262,9 @@ where
                         }
                         if faults_active {
                             let f = &mut fault[n.id as usize];
-                            resolve_pending_death(
-                                f,
-                                n.id,
-                                slot < sf_slots,
-                                gts_nodes,
-                                &mut gts_registry,
-                                sink,
-                            );
+                            if std::mem::take(&mut f.death_pending) {
+                                die(f, n.id, slot < sf_slots, gts_nodes, &mut gts_registry, sink);
+                            }
                         }
                     }
                 }
@@ -1406,14 +1385,9 @@ where
                 }
                 if faults_active {
                     let f = &mut fault[n.id as usize];
-                    resolve_pending_death(
-                        f,
-                        n.id,
-                        slot < sf_slots,
-                        gts_nodes,
-                        &mut gts_registry,
-                        sink,
-                    );
+                    if std::mem::take(&mut f.death_pending) {
+                        die(f, n.id, slot < sf_slots, gts_nodes, &mut gts_registry, sink);
+                    }
                 }
             }
             Ev::GtsTx { rec } => {
