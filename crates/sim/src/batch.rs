@@ -88,12 +88,7 @@ use crate::sink::{ResultSink, WriteSink};
 /// );
 /// ```
 pub fn scenario_master_seed(batch_seed: u64, name: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64; // FNV-1a offset basis
-    for &b in name.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    replication_seed(batch_seed, hash)
+    replication_seed(batch_seed, persist::fnv1a64(name.as_bytes()))
 }
 
 /// Why a batch failed to load or validate. Everything is diagnosed up

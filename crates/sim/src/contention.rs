@@ -1877,19 +1877,7 @@ pub(crate) mod tests {
     /// computes it: `Debug` prints every field and every record in engine
     /// order, so two digests agree exactly when the traces do.
     pub(crate) fn digest(value: &impl core::fmt::Debug) -> u64 {
-        struct Fnv(u64);
-        impl core::fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> core::fmt::Result {
-                for b in s.bytes() {
-                    self.0 ^= u64::from(b);
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv(0xCBF2_9CE4_8422_2325);
-        core::fmt::write(&mut h, format_args!("{value:?}")).expect("hashing never fails");
-        h.0
+        crate::persist::fnv1a64(format!("{value:?}").as_bytes())
     }
 
     /// The trace of `cfg` under a seeded corruption oracle. The oracle

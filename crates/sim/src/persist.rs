@@ -1211,12 +1211,15 @@ pub fn fingerprint_scenario(saved: &SavedScenario) -> String {
         Ok(text) => text,
         Err(e) => format!("unsaveable:{e}:{saved:?}"),
     };
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in text.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a64(text.as_bytes()))
+}
+
+/// FNV-1a 64 of `bytes`: the scenario fingerprint and the manifest
+/// seeds' name hash.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 // ---------------------------------------------------------------------------
