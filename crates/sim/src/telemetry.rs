@@ -45,7 +45,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
 use crate::persist::{json, render_compact, Node};
@@ -80,14 +80,6 @@ pub struct Hist {
 }
 
 impl Hist {
-    /// The empty histogram.
-    pub const NEW: Hist = Hist {
-        count: 0,
-        sum: 0,
-        max: 0,
-        buckets: [0; HIST_BUCKETS],
-    };
-
     /// Bucket index of `v`: 0 for 0, otherwise `floor(log2(v)) + 1`.
     pub fn bucket(v: u64) -> usize {
         if v == 0 {
@@ -149,9 +141,15 @@ impl Hist {
     }
 }
 
+// `Default` is derived for arrays of at most 32 elements only.
 impl Default for Hist {
     fn default() -> Self {
-        Hist::NEW
+        Hist {
+            count: 0,
+            sum: 0,
+            max: 0,
+            buckets: [0; HIST_BUCKETS],
+        }
     }
 }
 
@@ -164,7 +162,7 @@ impl Default for Hist {
 /// included) for event/queue metrics; attempt, transaction and downlink
 /// metrics mirror the accumulators and count the recorded (post-warm-up)
 /// window only.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineMetrics {
     /// Simulation runs folded into this set.
     pub runs: u64,
@@ -217,31 +215,6 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// The zeroed shard.
-    pub const NEW: EngineMetrics = EngineMetrics {
-        runs: 0,
-        events: 0,
-        ev_beacon: 0,
-        ev_arrival: 0,
-        ev_cca: 0,
-        ev_tx_end: 0,
-        ev_gts: 0,
-        ev_dl_poll: 0,
-        attempts_delivered: 0,
-        attempts_collided: 0,
-        attempts_corrupted: 0,
-        attempts_access_failure: 0,
-        transactions: 0,
-        transactions_delivered: 0,
-        queue_pushes: 0,
-        queue_pops: 0,
-        queue_skip_slots: Hist::NEW,
-        cohort_size: Hist::NEW,
-        ccas_per_attempt: Hist::NEW,
-        contention_slots: Hist::NEW,
-        attempts_per_transaction: Hist::NEW,
-    };
-
     /// Folds `other` into `self` (commutative, associative).
     pub fn merge(&mut self, other: &EngineMetrics) {
         self.runs += other.runs;
@@ -318,12 +291,6 @@ impl EngineMetrics {
     }
 }
 
-impl Default for EngineMetrics {
-    fn default() -> Self {
-        EngineMetrics::NEW
-    }
-}
-
 /// Runner-layer deterministic metrics. The total *job* count is a
 /// property of the work list, not of scheduling, so it stays in the
 /// deterministic section; the `map` call count describes how the work
@@ -348,7 +315,7 @@ impl RunnerMetrics {
 }
 
 /// Policy-loop deterministic metrics.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PolicyMetrics {
     /// Policy rounds executed.
     pub rounds: u64,
@@ -362,14 +329,6 @@ pub struct PolicyMetrics {
 }
 
 impl PolicyMetrics {
-    /// The zeroed set.
-    pub const NEW: PolicyMetrics = PolicyMetrics {
-        rounds: 0,
-        moves: 0,
-        moves_per_round: Hist::NEW,
-        convergence_delta_permille: Hist::NEW,
-    };
-
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &PolicyMetrics) {
         self.rounds += other.rounds;
@@ -389,12 +348,6 @@ impl PolicyMetrics {
                 self.convergence_delta_permille.to_json(),
             ),
         ])
-    }
-}
-
-impl Default for PolicyMetrics {
-    fn default() -> Self {
-        PolicyMetrics::NEW
     }
 }
 
@@ -443,7 +396,7 @@ impl FarmMetrics {
 /// The full deterministic section: every value is bit-identical across
 /// 1/2/4 worker threads, shard orderings and wave splits, because every
 /// merge is a commutative integer fold over a fixed job set.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricSet {
     /// Engine-layer metrics.
     pub engine: EngineMetrics,
@@ -456,20 +409,6 @@ pub struct MetricSet {
 }
 
 impl MetricSet {
-    /// The zeroed registry section.
-    pub const NEW: MetricSet = MetricSet {
-        engine: EngineMetrics::NEW,
-        runner: RunnerMetrics { jobs: 0 },
-        policy: PolicyMetrics::NEW,
-        farm: FarmMetrics {
-            total_scenarios: 0,
-            ok: 0,
-            failed: 0,
-            timeout: 0,
-            skipped: 0,
-        },
-    };
-
     /// Folds `other` into `self` (commutative, associative).
     pub fn merge(&mut self, other: &MetricSet) {
         self.engine.merge(&other.engine);
@@ -496,19 +435,13 @@ impl MetricSet {
     }
 }
 
-impl Default for MetricSet {
-    fn default() -> Self {
-        MetricSet::NEW
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Timing section (nondeterministic)
 // ---------------------------------------------------------------------------
 
 /// Wall-clock statistics for one span kind. Host- and scheduling-
 /// dependent; never mixed into the deterministic section.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingStat {
     /// Spans recorded.
     pub count: u64,
@@ -521,14 +454,6 @@ pub struct TimingStat {
 }
 
 impl TimingStat {
-    /// The empty statistic.
-    pub const NEW: TimingStat = TimingStat {
-        count: 0,
-        total_ms: 0.0,
-        min_ms: 0.0,
-        max_ms: 0.0,
-    };
-
     /// Records one span of `ms` milliseconds.
     pub fn record(&mut self, ms: f64) {
         self.min_ms = if self.count == 0 {
@@ -563,12 +488,6 @@ impl TimingStat {
             ("min_ms", json::num(self.min_ms)),
             ("max_ms", json::num(self.max_ms)),
         ])
-    }
-}
-
-impl Default for TimingStat {
-    fn default() -> Self {
-        TimingStat::NEW
     }
 }
 
@@ -615,19 +534,6 @@ pub struct TimingSet {
 }
 
 impl TimingSet {
-    /// The empty set.
-    pub const NEW: TimingSet = TimingSet {
-        job: TimingStat::NEW,
-        map: TimingStat::NEW,
-        policy_round: TimingStat::NEW,
-        wave: TimingStat::NEW,
-        batch: TimingStat::NEW,
-        peak_workers: 0,
-        maps: 0,
-        waves: 0,
-        queue_window_growths: 0,
-    };
-
     fn stat_mut(&mut self, phase: Phase) -> &mut TimingStat {
         match phase {
             Phase::Map => &mut self.map,
@@ -691,16 +597,14 @@ impl TimingSet {
 // The global registry
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Registry {
     det: MetricSet,
     timing: TimingSet,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<Registry> = Mutex::new(Registry {
-    det: MetricSet::NEW,
-    timing: TimingSet::NEW,
-});
+static GLOBAL: LazyLock<Mutex<Registry>> = LazyLock::new(Mutex::default);
 
 fn registry() -> std::sync::MutexGuard<'static, Registry> {
     // A panic while holding this lock means a telemetry bug; recovering
@@ -722,9 +626,7 @@ pub fn enabled() -> bool {
 
 /// Zeroes both registry sections (test isolation and run boundaries).
 pub fn reset() {
-    let mut reg = registry();
-    reg.det = MetricSet::NEW;
-    reg.timing = TimingSet::NEW;
+    *registry() = Registry::default();
 }
 
 /// Clones the deterministic section.
@@ -912,7 +814,7 @@ mod tests {
 
     fn random_set(seed: u64) -> MetricSet {
         let mut s = seed;
-        let mut set = MetricSet::NEW;
+        let mut set = MetricSet::default();
         set.engine.runs = lcg(&mut s) % 10;
         set.engine.events = lcg(&mut s) % 100_000;
         set.engine.ev_cca = lcg(&mut s) % 50_000;
@@ -938,7 +840,7 @@ mod tests {
         assert_eq!(Hist::bucket(3), 2);
         assert_eq!(Hist::bucket(4), 3);
         assert_eq!(Hist::bucket(u64::MAX), 64);
-        let mut h = Hist::NEW;
+        let mut h = Hist::default();
         h.record(0);
         h.record(5);
         h.record(5);
@@ -973,15 +875,15 @@ mod tests {
     #[test]
     fn shard_order_never_changes_the_total() {
         let shards: Vec<MetricSet> = (0..6).map(|i| random_set(100 + i)).collect();
-        let mut forward = MetricSet::NEW;
+        let mut forward = MetricSet::default();
         for s in &shards {
             forward.merge(s);
         }
-        let mut reverse = MetricSet::NEW;
+        let mut reverse = MetricSet::default();
         for s in shards.iter().rev() {
             reverse.merge(s);
         }
-        let mut interleaved = MetricSet::NEW;
+        let mut interleaved = MetricSet::default();
         for s in shards
             .iter()
             .step_by(2)
@@ -1002,36 +904,36 @@ mod tests {
     fn merging_the_identity_is_a_noop() {
         let a = random_set(7);
         let mut merged = a.clone();
-        merged.merge(&MetricSet::NEW);
+        merged.merge(&MetricSet::default());
         assert_eq!(merged, a);
-        let mut from_zero = MetricSet::NEW;
+        let mut from_zero = MetricSet::default();
         from_zero.merge(&a);
         assert_eq!(from_zero, a);
     }
 
     #[test]
     fn timing_stat_merges_like_its_records() {
-        let mut whole = TimingStat::NEW;
+        let mut whole = TimingStat::default();
         for ms in [3.0, 1.0, 2.0, 8.0] {
             whole.record(ms);
         }
-        let mut left = TimingStat::NEW;
+        let mut left = TimingStat::default();
         left.record(3.0);
         left.record(1.0);
-        let mut right = TimingStat::NEW;
+        let mut right = TimingStat::default();
         right.record(2.0);
         right.record(8.0);
         let mut merged = left.clone();
         merged.merge(&right);
         assert_eq!(merged, whole);
-        merged.merge(&TimingStat::NEW);
+        merged.merge(&TimingStat::default());
         assert_eq!(merged, whole);
     }
 
     #[test]
     fn snapshot_records_split_sections_and_carry_the_version() {
         let det = render_compact(&random_set(9).to_json(true));
-        let timing = render_compact(&TimingSet::NEW.to_json(0, true));
+        let timing = render_compact(&TimingSet::default().to_json(0, true));
         assert!(det.starts_with("{\"telemetry\":2,\"section\":\"deterministic\",\"final\":true"));
         assert!(timing.starts_with("{\"telemetry\":2,\"section\":\"timing\",\"final\":true"));
         assert!(
@@ -1046,9 +948,11 @@ mod tests {
         // telemetry happens to be enabled, so assert monotonically (≥).
         set_enabled(false);
         reset();
-        let mut shard = EngineMetrics::NEW;
-        shard.runs = 1;
-        shard.events = 42;
+        let shard = EngineMetrics {
+            runs: 1,
+            events: 42,
+            ..Default::default()
+        };
         merge_engine(&shard, 0);
         let snap = snapshot();
         assert!(snap.engine.runs >= 1);

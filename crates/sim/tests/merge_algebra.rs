@@ -549,7 +549,7 @@ fn contention_accumulator_split_merge_matches_reduce() {
 /// field gets data, so a merge bug in any single field fails the
 /// properties below.
 fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> MetricSet {
-    let mut m = MetricSet::NEW;
+    let mut m = MetricSet::default();
     for _ in 0..(1 + rng.index(30)) {
         m.engine.runs += 1;
         m.engine.events += rng.next_u64() % 1_000;
@@ -602,11 +602,11 @@ fn telemetry_shard_merge_is_order_invariant_and_associative() {
             .map(|_| random_metric_shard(&mut rng))
             .collect();
 
-        let mut forward = MetricSet::NEW;
+        let mut forward = MetricSet::default();
         for s in &shards {
             forward.merge(s);
         }
-        let mut reverse = MetricSet::NEW;
+        let mut reverse = MetricSet::default();
         for s in shards.iter().rev() {
             reverse.merge(s);
         }
@@ -615,7 +615,7 @@ fn telemetry_shard_merge_is_order_invariant_and_associative() {
         // Arbitrary grouping: fold a random prefix into one sub-total,
         // the rest into another, then combine — associativity.
         let cut = rng.index(shards.len() + 1);
-        let (mut left, mut right) = (MetricSet::NEW, MetricSet::NEW);
+        let (mut left, mut right) = (MetricSet::default(), MetricSet::default());
         for s in &shards[..cut] {
             left.merge(s);
         }
@@ -645,7 +645,7 @@ fn telemetry_hist_merge_of_random_splits_matches_single_pass() {
             })
             .collect();
 
-        let mut whole = Hist::NEW;
+        let mut whole = Hist::default();
         for &x in &xs {
             whole.record(x);
         }
@@ -654,10 +654,10 @@ fn telemetry_hist_merge_of_random_splits_matches_single_pass() {
         let mut cuts: Vec<usize> = (0..n_cuts).map(|_| rng.index(n + 1)).collect();
         cuts.sort_unstable();
 
-        let mut merged = Hist::NEW;
+        let mut merged = Hist::default();
         let mut start = 0;
         for &cut in cuts.iter().chain(std::iter::once(&n)) {
-            let mut shard = Hist::NEW;
+            let mut shard = Hist::default();
             for &x in &xs[start..cut] {
                 shard.record(x);
             }
@@ -675,9 +675,9 @@ fn telemetry_empty_shard_is_the_merge_identity() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x1DE4);
     let shard = random_metric_shard(&mut rng);
     let mut merged = shard.clone();
-    merged.merge(&MetricSet::NEW);
+    merged.merge(&MetricSet::default());
     assert_eq!(merged, shard);
-    let mut from_empty = MetricSet::NEW;
+    let mut from_empty = MetricSet::default();
     from_empty.merge(&shard);
     assert_eq!(from_empty, shard);
 }

@@ -234,7 +234,10 @@ fn enabled_registry_collects_and_disabled_registry_does_not() {
     let mut sink = WriteSink::new(Vec::new());
     set.run_with(&runner, &mut sink, &RunConfig::default())
         .unwrap();
-    assert_eq!(telemetry::snapshot(), wsn_sim::telemetry::MetricSet::NEW);
+    assert_eq!(
+        telemetry::snapshot(),
+        wsn_sim::telemetry::MetricSet::default()
+    );
 }
 
 /// Only received jobs reach the registry: a stream that ends with work
