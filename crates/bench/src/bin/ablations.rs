@@ -22,7 +22,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin ablations [superframes] [--threads N] [--reps N] [--rounds N]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{
@@ -77,10 +77,10 @@ fn main() {
         .map(StatsSink::contention_stats)
         .collect();
 
-    println!("# Ablation 1 — CSMA parameter presets at the case-study load (λ={load:.2})");
-    println!("preset,T_cont_ms,N_CCA,Pr_col,Pr_cf");
+    outln!("# Ablation 1 — CSMA parameter presets at the case-study load (λ={load:.2})");
+    outln!("preset,T_cont_ms,N_CCA,Pr_col,Pr_cf");
     for ((name, _), s) in presets.iter().zip(&sweep) {
-        println!(
+        outln!(
             "{name},{:.2},{:.2},{:.4},{:.4}",
             s.mean_contention.millis(),
             s.mean_ccas,
@@ -89,10 +89,10 @@ fn main() {
         );
     }
 
-    println!("\n# Ablation 2 — arrival pattern at the case-study load");
-    println!("arrivals,T_cont_ms,N_CCA,Pr_col,Pr_cf");
+    outln!("\n# Ablation 2 — arrival pattern at the case-study load");
+    outln!("arrivals,T_cont_ms,N_CCA,Pr_col,Pr_cf");
     for ((name, _), s) in arrivals.iter().zip(&sweep[presets.len()..]) {
-        println!(
+        outln!(
             "{name},{:.2},{:.2},{:.4},{:.4}",
             s.mean_contention.millis(),
             s.mean_ccas,
@@ -101,8 +101,8 @@ fn main() {
         );
     }
 
-    println!("\n# Ablation 3 — contention source for the full case study");
-    println!("source,power_uW,fail_pct,delay_s");
+    outln!("\n# Ablation 3 — contention source for the full case study");
+    outln!("source,power_uW,fail_pct,delay_s");
     let mc = MonteCarloContention::figure6().with_superframes(superframes);
     mc.prewarm(&runner, &[(study.load(), study.packet())]);
     let sources: [(&str, &dyn ContentionModel); 3] = [
@@ -112,7 +112,7 @@ fn main() {
     ];
     for (name, source) in sources {
         let report = study.run(&ber, &source);
-        println!(
+        outln!(
             "{name},{:.1},{:.1},{:.2}",
             report.average_power.microwatts(),
             report.mean_failure.value() * 100.0,
@@ -120,18 +120,18 @@ fn main() {
         );
     }
 
-    println!("\n# Ablation 4 — GTS capacity versus the dense scenario");
+    outln!("\n# Ablation 4 — GTS capacity versus the dense scenario");
     let nodes = study.nodes_per_channel();
-    println!(
+    outln!(
         "guaranteed time slots per superframe : {} devices",
         max_gts_devices()
     );
-    println!("nodes sharing each channel           : {nodes}");
-    println!(
+    outln!("nodes sharing each channel           : {nodes}");
+    outln!(
         "coverage if GTS were used            : {:.1} % of nodes",
         max_gts_devices() as f64 / nodes as f64 * 100.0
     );
-    println!(
+    outln!(
         "⇒ the contention access period is unavoidable in this regime, as \
          the paper argues in §2."
     );
@@ -201,12 +201,12 @@ fn main() {
         .with_allocation(ChannelAllocation::Contiguous),
     ];
 
-    println!(
+    outln!(
         "\n# Ablation 5 — deployment scenarios beyond the paper \
          ({base_channels} channels × {nodes} nodes, {sim_superframes} superframes × {reps} reps, {} threads)",
         runner.threads()
     );
-    println!("scenario,power_uW,power_se_uW,fail_pct,fail_se_pct,delay_s,ch_power_min_uW,ch_power_max_uW,worst_ch_fail_pct");
+    outln!("scenario,power_uW,power_se_uW,fail_pct,fail_se_pct,delay_s,ch_power_min_uW,ch_power_max_uW,worst_ch_fail_pct");
     for scenario in scenarios {
         let outcome = scenario
             .with_superframes(sim_superframes)
@@ -215,7 +215,7 @@ fn main() {
         let o = &outcome.overall;
         let (lo, hi) = outcome.power_spread_uw();
         let (_, worst) = outcome.worst_channel();
-        println!(
+        outln!(
             "{},{:.1},{:.1},{:.1},{:.1},{:.2},{:.1},{:.1},{:.1}",
             outcome.name,
             o.mean_node_power.microwatts(),
@@ -228,7 +228,7 @@ fn main() {
             worst.failure_ratio.value() * 100.0
         );
     }
-    println!(
+    outln!(
         "⇒ stratifying channels by distance narrows each channel's link \
          budget spread; heterogeneous loads move the failure floor per \
          channel — conclusions the uniform-population model cannot express."
@@ -265,11 +265,11 @@ fn main() {
         .with_allocation(ChannelAllocation::Contiguous),
     ];
 
-    println!(
+    outln!(
         "\n# Ablation 6 — adaptive channel assignment \
          ({base_channels} channels × {nodes} nodes, {sim_superframes} superframes × {reps} reps × {rounds} rounds)"
     );
-    println!("scenario,policy,worst_fail_round0_pct,worst_fail_final_pct,power_final_uW,rounds_to_stabilize,total_moved");
+    outln!("scenario,policy,worst_fail_round0_pct,worst_fail_final_pct,power_final_uW,rounds_to_stabilize,total_moved");
     for scenario in policy_scenarios {
         let engine = PolicyEngine::new(
             scenario
@@ -286,7 +286,7 @@ fn main() {
         ];
         for policy in policies.iter_mut() {
             let trace = engine.run(&runner, policy.as_mut());
-            println!(
+            outln!(
                 "{},{},{:.2},{:.2},{:.1},{},{}",
                 scenario.name,
                 trace.policy,
@@ -305,7 +305,7 @@ fn main() {
             );
         }
     }
-    println!(
+    outln!(
         "⇒ feedback re-allocation drains the saturated channels the static \
          split leaves overloaded — load balancing from per-channel failure \
          statistics alone, no per-node state."

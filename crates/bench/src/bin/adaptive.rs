@@ -29,7 +29,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin adaptive [superframes] [--threads N] [--reps N] [--rounds N] [--metrics PATH|-]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_sim::policy::{
     AllocationPolicy, GreedyRebalance, PolicyEngine, PolicyTrace, ProportionalFair,
     StaticAllocation,
@@ -118,7 +118,7 @@ fn policies() -> Vec<Box<dyn AllocationPolicy>> {
 // byte-identical across runs and thread counts — CI diffs them.
 fn print_trace(scenario: &str, trace: &PolicyTrace) {
     for round in &trace.rounds {
-        println!(
+        outln!(
             "{scenario},{},{},{:.2},{:.1},{:.1},{:.4},{}",
             trace.policy,
             round.round,
@@ -138,14 +138,14 @@ fn main() {
     let reps = args.reps_or(2);
     let rounds = args.rounds_or(6) as usize;
 
-    println!(
+    outln!(
         "# Adaptive channel assignment — 8 channels × 100 nodes, \
          {} superframes × {reps} reps × {rounds} rounds ({} threads)",
         args.superframes,
         runner.threads()
     );
-    println!("\n## per-round trajectories");
-    println!("scenario,policy,round,worst_fail_pct,power_uW,cfp_uW,energy_J,moved");
+    outln!("\n## per-round trajectories");
+    outln!("scenario,policy,round,worst_fail_pct,power_uW,cfp_uW,energy_J,moved");
 
     // (scenario, policy) → trace, every policy on every scenario. Rounds
     // align across policies (no early stop), so per-round columns compare
@@ -164,15 +164,15 @@ fn main() {
         results.push((scenario.name.clone(), traces));
     }
 
-    println!("\n## summary (final round vs the static baseline)");
-    println!(
+    outln!("\n## summary (final round vs the static baseline)");
+    outln!(
         "scenario,policy,final_worst_fail_pct,delta_vs_static_pct,rounds_to_stabilize,total_moved"
     );
     for (scenario, traces) in &results {
         let static_final = traces[0].final_round().worst_failure();
         for trace in traces {
             let final_worst = trace.final_round().worst_failure();
-            println!(
+            outln!(
                 "{scenario},{},{:.2},{:+.2},{},{}",
                 trace.policy,
                 final_worst * 100.0,
@@ -184,7 +184,7 @@ fn main() {
             );
         }
     }
-    println!(
+    outln!(
         "⇒ rebalancing is pure load relief: nodes keep their links, only \
          their contention population changes — the lever the paper's \
          static 16-channel split leaves unused."

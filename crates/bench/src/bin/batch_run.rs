@@ -37,6 +37,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use wsn_bench::outln;
 use wsn_sim::persist::{json, render_compact};
 use wsn_sim::{
     repair_jsonl_tail, BatchReport, BatchSet, ResultSink, RunConfig, Runner, ScenarioStatus,
@@ -66,8 +67,8 @@ fn usage(problem: &str) -> ! {
 }
 
 fn help() -> ! {
-    println!("{USAGE}");
-    println!(
+    outln!("{USAGE}");
+    outln!(
         "\nRun a directory or manifest of saved scenarios as one fault-tolerant\n\
          job farm. One JSON record per scenario (JSON-lines) plus a final\n\
          aggregate record go to stdout, or to FILE with --out (pipe stdout\n\

@@ -19,7 +19,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin case_study [superframes] [--threads N] [--reps N] [--export-scenario PATH] [--metrics PATH|-]`
 
-use wsn_bench::{export_scenario_file, Flag, RunArgs};
+use wsn_bench::{export_scenario_file, outln, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::{ContentionModel, IdealContention, MonteCarloContention};
@@ -53,13 +53,13 @@ fn main() {
     let mc = MonteCarloContention::figure6().with_superframes(args.superframes);
     mc.prewarm(&runner, &[(study.load(), study.packet())]);
 
-    println!("# Case study (paper §5)");
-    println!(
+    outln!("# Case study (paper §5)");
+    outln!(
         "channel load λ            : {:.3}  (paper: 0.42)",
         study.load()
     );
     let stats = mc.stats(study.load(), study.packet());
-    println!("contention stats at λ     : {stats}");
+    outln!("contention stats at λ     : {stats}");
 
     for (name, report) in [
         ("monte-carlo contention", study.run(&ber, &mc)),
@@ -68,44 +68,44 @@ fn main() {
             study.run(&ber, &IdealContention),
         ),
     ] {
-        println!("\n## model: {name}");
-        println!(
+        outln!("\n## model: {name}");
+        outln!(
             "average power             : {:.1} µW   (paper: 211 µW)",
             report.average_power.microwatts()
         );
-        println!(
+        outln!(
             "mean delivery delay       : {:.2} s    (paper: 1.45 s)",
             report.mean_delay.secs()
         );
-        println!(
+        outln!(
             "transmission failure      : {:.1} %    (paper: 16 %)",
             report.mean_failure.value() * 100.0
         );
-        println!("energy breakdown (Figure 9a):");
+        outln!("energy breakdown (Figure 9a):");
         for phase in [
             PhaseTag::Beacon,
             PhaseTag::Contention,
             PhaseTag::Transmit,
             PhaseTag::AckWait,
         ] {
-            println!(
+            outln!(
                 "  {:<11}: {:5.1} %",
                 phase.to_string(),
                 report.phase_fraction(phase) * 100.0
             );
         }
-        println!("time breakdown (Figure 9b):");
+        outln!("time breakdown (Figure 9b):");
         for state in StateKind::ALL {
-            println!(
+            outln!(
                 "  {:<11}: {:7.3} %",
                 state.to_string(),
                 report.state_fraction(state) * 100.0
             );
         }
-        println!("tx-level shares:");
+        outln!("tx-level shares:");
         for (level, share) in report.level_shares {
             if share > 0.0 {
-                println!("  {:<11}: {:5.1} %", level.to_string(), share * 100.0);
+                outln!("  {:<11}: {:5.1} %", level.to_string(), share * 100.0);
             }
         }
     }
@@ -114,47 +114,47 @@ fn main() {
     // one parallel job grid, per-node link-adapted transmit power.
     let (scenario, configs) = study.adapted_configs(&ber, &mc, args.superframes, reps);
     let outcome = &scenario.run_with(&runner, &configs, &ber);
-    println!(
+    outln!(
         "\n## simulator: 16 parallel channels × {reps} replications ({} threads)",
         runner.threads()
     );
-    println!(
+    outln!(
         "average power             : {:.1} ± {:.1} µW   (paper: 211 µW)",
         outcome.overall.mean_node_power.microwatts(),
         outcome.overall.power_standard_error.microwatts()
     );
-    println!(
+    outln!(
         "mean delivery delay       : {:.2} ± {:.2} s    (paper: 1.45 s)",
         outcome.overall.mean_delay.secs(),
         outcome.overall.delay_standard_error.secs()
     );
-    println!(
+    outln!(
         "transmission failure      : {:.1} ± {:.1} %    (paper: 16 %)",
         outcome.overall.failure_ratio.value() * 100.0,
         outcome.overall.failure_standard_error * 100.0
     );
-    println!(
+    outln!(
         "energy per delivered bit  : {:.0} nJ",
         outcome.overall.energy_per_bit_nj
     );
-    println!("energy breakdown (simulated):");
+    outln!("energy breakdown (simulated):");
     for (phase, f) in outcome.overall.ledger.phase_energy_fractions() {
         if f > 0.0005 && phase != PhaseTag::Sleep {
-            println!("  {:<11}: {:5.1} %", phase.to_string(), f * 100.0);
+            outln!("  {:<11}: {:5.1} %", phase.to_string(), f * 100.0);
         }
     }
-    println!("per-channel spread:");
+    outln!("per-channel spread:");
     let (lo, hi) = outcome.power_spread_uw();
-    println!("  node power : {lo:.1} – {hi:.1} µW across the 16 channels");
+    outln!("  node power : {lo:.1} – {hi:.1} µW across the 16 channels");
     let (worst, summary) = outcome.worst_channel();
-    println!(
+    outln!(
         "  worst failure: channel {worst} at {:.1} ± {:.1} %",
         summary.failure_ratio.value() * 100.0,
         summary.failure_standard_error * 100.0
     );
-    println!("\nchannel,power_uW,power_se_uW,fail_pct,fail_se_pct,delay_s,attempts");
+    outln!("\nchannel,power_uW,power_se_uW,fail_pct,fail_se_pct,delay_s,attempts");
     for (c, s) in outcome.per_channel.iter().enumerate() {
-        println!(
+        outln!(
             "{c},{:.2},{:.2},{:.2},{:.2},{:.3},{:.3}",
             s.mean_node_power.microwatts(),
             s.power_standard_error.microwatts(),

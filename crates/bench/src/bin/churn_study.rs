@@ -24,7 +24,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin churn_study [superframes] [--threads N] [--reps N] [--export-scenario PATH] [--metrics PATH|-]`
 
-use wsn_bench::{export_scenario_file, Flag, RunArgs};
+use wsn_bench::{export_scenario_file, outln, Flag, RunArgs};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{FaultPlan, Runner, ScenarioOutcome};
 
@@ -111,7 +111,7 @@ fn main() {
 
     let runner = args.runner();
 
-    println!(
+    outln!(
         "# churn / outage study — {CHANNELS} channels × {NODES_PER_CHANNEL} nodes, \
          BO 3, {} superframes × {reps} reps ({} threads)",
         args.superframes,
@@ -119,13 +119,13 @@ fn main() {
     );
     let points = run_sweep(&runner, args.superframes, reps);
 
-    println!(
+    outln!(
         "\ndeath_rate,outage_sf,delivery_pct,power_uW,uj_per_pkt,deaths,orphan_scans,\
          join_attempts,join_fail_pct,reassoc_s,dormant"
     );
     for p in &points {
         let o = &p.outcome.overall;
-        println!(
+        outln!(
             "{:.2},{},{:.1},{:.1},{:.2},{},{},{},{:.1},{:.3},{}",
             p.death_rate,
             p.outage_sf,
@@ -141,12 +141,12 @@ fn main() {
         );
     }
 
-    println!("\n## readings");
+    outln!("\n## readings");
     for &out_sf in &OUTAGE_SF {
         let curve: Vec<&SweepPoint> = points.iter().filter(|p| p.outage_sf == out_sf).collect();
         let clean = curve.first().expect("sweep covers death_rate 0");
         let worst = curve.last().expect("sweep covers the max churn rate");
-        println!(
+        outln!(
             "outage={out_sf} sf: delivery {:.1} % → {:.1} % and {:.2} → {:.2} µJ/pkt \
              as churn rises 0 → {:.0} %/sf ({} deaths, {} dormant at the top)",
             clean.delivery_ratio() * 100.0,
@@ -164,7 +164,7 @@ fn main() {
             p.outcome.overall.join_attempts
                 <= p.outcome.overall.deaths * (MAX_JOIN_RETRIES as u64 + 1)
         });
-        println!(
+        outln!(
             "  deaths monotone in churn: {monotone_deaths}; join attempts bounded by \
              deaths × (retries+1): {bounded_joins}"
         );

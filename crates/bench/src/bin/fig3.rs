@@ -7,17 +7,18 @@
 //!
 //! Usage: `cargo run -p wsn-bench --bin fig3`
 
+use wsn_bench::outln;
 use wsn_radio::{RadioModel, RadioState, TxPowerLevel};
 
 fn main() {
     let radio = RadioModel::cc2420();
 
-    println!(
+    outln!(
         "# Figure 3 — CC2420 characterization at VDD = {}",
         radio.vdd()
     );
-    println!("\n## steady states");
-    println!("{:<14} {:>12} {:>14}", "state", "current", "power");
+    outln!("\n## steady states");
+    outln!("{:<14} {:>12} {:>14}", "state", "current", "power");
     for (name, state) in [
         ("shutdown", RadioState::Shutdown),
         ("idle", RadioState::Idle),
@@ -25,11 +26,11 @@ fn main() {
     ] {
         let p = radio.state_power(state);
         let i = p.watts() / radio.vdd().volts();
-        println!("{:<14} {:>9.3} mA {:>14}", name, i * 1e3, p.to_string());
+        outln!("{:<14} {:>9.3} mA {:>14}", name, i * 1e3, p.to_string());
     }
     for level in TxPowerLevel::ALL {
         let p = radio.state_power(RadioState::Tx(level));
-        println!(
+        outln!(
             "{:<14} {:>9.3} mA {:>14}",
             format!("tx {}", level),
             level.supply_current().milliamps(),
@@ -37,8 +38,8 @@ fn main() {
         );
     }
 
-    println!("\n## transitions (worst case: E = T × P(target))");
-    println!("{:<22} {:>12} {:>14}", "transition", "time", "energy");
+    outln!("\n## transitions (worst case: E = T × P(target))");
+    outln!("{:<22} {:>12} {:>14}", "transition", "time", "energy");
     for (name, from, to) in [
         ("shutdown → idle", RadioState::Shutdown, RadioState::Idle),
         ("idle → rx", RadioState::Idle, RadioState::Rx),
@@ -59,7 +60,7 @@ fn main() {
         ),
     ] {
         let t = radio.transition(from, to).expect("legal transition");
-        println!(
+        outln!(
             "{:<22} {:>9.0} µs {:>14}",
             name,
             t.time.micros(),
@@ -67,16 +68,16 @@ fn main() {
         );
     }
 
-    println!("\n## paper cross-checks");
+    outln!("\n## paper cross-checks");
     let idle = radio.state_power(RadioState::Idle);
-    println!(
+    outln!(
         "idle power vs 100 µW scavenging budget : {:.1}× over",
         idle.microwatts() / 100.0
     );
     let si = radio
         .transition(RadioState::Shutdown, RadioState::Idle)
         .expect("legal");
-    println!(
+    outln!(
         "shutdown→idle energy (paper text prints '691 pJ'; the paper's own \
          worst-case rule gives {:.0} nJ)",
         si.energy.nanojoules()

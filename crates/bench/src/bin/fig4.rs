@@ -9,6 +9,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig4 [bits_per_point]`
 
+use wsn_bench::outln;
 use wsn_phy::baseband::{ber_sweep, BasebandConfig};
 use wsn_phy::ber::{calibrate_noise_figure, BerModel, EmpiricalCc2420Ber, HardDecisionDsssBer};
 use wsn_phy::regression::ExponentialFit;
@@ -25,17 +26,17 @@ fn main() {
     let anchor = DBm::new(-90.0);
     let target = paper.bit_error_probability(anchor).value();
     let nf = calibrate_noise_figure(anchor, target);
-    println!("# Figure 4 — BER vs received power");
-    println!("calibrated effective noise figure: {nf} (anchor −90 dBm @ {target:.3e})");
+    outln!("# Figure 4 — BER vs received power");
+    outln!("calibrated effective noise figure: {nf} (anchor −90 dBm @ {target:.3e})");
 
     let powers: Vec<f64> = (-94..=-85).map(|p| p as f64).collect();
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xF164);
     let points = ber_sweep(BasebandConfig::new(nf), &powers, min_bits, 400, &mut rng);
 
-    println!("\np_rx_dbm,ber_simulated,ber_paper_eq1,ber_analytic_union_bound");
+    outln!("\np_rx_dbm,ber_simulated,ber_paper_eq1,ber_analytic_union_bound");
     let analytic = HardDecisionDsssBer::new(nf);
     for &(dbm, ber) in &points {
-        println!(
+        outln!(
             "{:.0},{:.4e},{:.4e},{:.4e}",
             dbm,
             ber,
@@ -47,13 +48,13 @@ fn main() {
     let positive: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.1 > 0.0).collect();
     match ExponentialFit::fit(&positive) {
         Ok(fit) => {
-            println!("\nregression over simulated points: {fit}");
-            println!("paper eq. (1):                    y = 2.350e-30 · exp(-0.6590·x)");
-            println!(
+            outln!("\nregression over simulated points: {fit}");
+            outln!("paper eq. (1):                    y = 2.350e-30 · exp(-0.6590·x)");
+            outln!(
                 "slope ratio (sim/paper): {:.3}",
                 -fit.slope() / paper.slope_per_dbm()
             );
         }
-        Err(e) => println!("regression failed: {e}"),
+        Err(e) => outln!("regression failed: {e}"),
     }
 }

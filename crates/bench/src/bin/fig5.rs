@@ -8,7 +8,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig5 [superframes] [--threads N]`
 
-use wsn_bench::RunArgs;
+use wsn_bench::{outln, RunArgs};
 use wsn_core::contention::{ContentionModel, MonteCarloContention};
 use wsn_mac::timing::{ack_wait_min, LIFS_SYMBOLS};
 use wsn_phy::consts::symbols;
@@ -54,10 +54,13 @@ fn main() {
         ),
     ];
 
-    println!("# Figure 5 — expected uplink transaction timeline (λ = 0.43, −5 dBm)");
-    println!(
+    outln!("# Figure 5 — expected uplink transaction timeline (λ = 0.43, −5 dBm)");
+    outln!(
         "{:<34} {:>12} {:>10} {:>12}",
-        "phase", "duration", "state", "energy"
+        "phase",
+        "duration",
+        "state",
+        "energy"
     );
     let mut t_total = Seconds::ZERO;
     let mut e_total = 0.0;
@@ -65,7 +68,7 @@ fn main() {
         let energy = radio.state_power(state) * duration;
         e_total += energy.microjoules();
         t_total += duration;
-        println!(
+        outln!(
             "{:<34} {:>9.0} µs {:>10} {:>9.2} µJ",
             name,
             duration.micros(),
@@ -73,14 +76,14 @@ fn main() {
             energy.microjoules()
         );
     }
-    println!(
+    outln!(
         "{:<34} {:>9.0} µs {:>10} {:>9.2} µJ",
         "TOTAL (active)",
         t_total.micros(),
         "-",
         e_total
     );
-    println!(
+    outln!(
         "\nactive fraction of the 983 ms superframe: {:.2} % — the radio sleeps the rest",
         t_total.secs() / 0.98304 * 100.0
     );

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_sim::{ChannelSimConfig, StatsSink};
 
 fn configs_for(payloads: &[usize], loads: &[f64], superframes: u32) -> Vec<ChannelSimConfig> {
@@ -45,8 +45,8 @@ fn main() {
     let rows = runner.sweep_contention(&configs, reps);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    println!("# Figure 6 — slotted CSMA/CA behaviour, 100 nodes/channel");
-    println!(
+    outln!("# Figure 6 — slotted CSMA/CA behaviour, 100 nodes/channel");
+    outln!(
         "# ({} superframes per point, {} replication(s), standard CSMA parameters, {} threads, {:.0} ms)",
         args.superframes,
         reps,
@@ -89,20 +89,18 @@ fn main() {
             }),
         ),
     ] {
-        println!("\n## {title}");
-        print!("load");
-        for &p in &payloads {
-            print!(",{p}B");
-        }
-        println!();
+        outln!("\n## {title}");
+        let header: String = payloads.iter().map(|p| format!(",{p}B")).collect();
+        outln!("load{header}");
         for (load_idx, &load) in loads.iter().enumerate() {
-            print!("{load:.2}");
-            for payload_idx in 0..payloads.len() {
-                // Rows are laid out payload-major by construction.
-                let (value, se) = f(&rows[payload_idx * loads.len() + load_idx]);
-                print!(",{value:.4}±{se:.4}");
-            }
-            println!();
+            // Rows are laid out payload-major by construction.
+            let cells: String = (0..payloads.len())
+                .map(|payload_idx| {
+                    let (value, se) = f(&rows[payload_idx * loads.len() + load_idx]);
+                    format!(",{value:.4}±{se:.4}")
+                })
+                .collect();
+            outln!("{load:.2}{cells}");
         }
     }
 

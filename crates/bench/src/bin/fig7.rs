@@ -12,7 +12,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig7 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::contention::MonteCarloContention;
 use wsn_core::link_adaptation::LinkAdaptation;
@@ -44,14 +44,14 @@ fn main() {
     let points: Vec<(f64, PacketLayout)> = loads.iter().map(|&l| (l, packet)).collect();
     mc.prewarm(&args.runner(), &points);
 
-    println!("# Figure 7 — optimal energy per bit vs path loss (120 B payload)");
-    println!("\npath_loss_db,e_bit_nj@0.10,e_bit_nj@0.42,e_bit_nj@0.70,level@0.42");
+    outln!("# Figure 7 — optimal energy per bit vs path loss (120 B payload)");
+    outln!("\npath_loss_db,e_bit_nj@0.10,e_bit_nj@0.42,e_bit_nj@0.70,level@0.42");
     let sweeps: Vec<_> = loads
         .iter()
         .map(|&l| study.sweep(&losses, l, &ber, &mc))
         .collect();
     for (i, loss) in losses.iter().enumerate() {
-        println!(
+        outln!(
             "{:.0},{:.1},{:.1},{:.1},{}",
             loss.db(),
             sweeps[0][i].energy_per_bit.nanojoules(),
@@ -61,7 +61,7 @@ fn main() {
         );
     }
 
-    println!("\n## switching thresholds per load (paper: load-independent)");
+    outln!("\n## switching thresholds per load (paper: load-independent)");
     for (load, sweep) in loads.iter().zip(&sweeps) {
         let policy = LinkAdaptation::thresholds(sweep);
         let text: Vec<String> = policy
@@ -69,13 +69,13 @@ fn main() {
             .iter()
             .map(|(a, l)| format!("{}→{}", a, l))
             .collect();
-        println!("λ={load:.2}: {}", text.join(", "));
+        outln!("λ={load:.2}: {}", text.join(", "));
     }
 
     // The ~40 % adaptation saving at low path loss.
     let adaptive = sweeps[1][5].energy_per_bit; // 55 dB entry
     let fixed_max = study.energy_at(Db::new(55.0), TxPowerLevel::Zero, 0.42, &ber, &mc);
-    println!(
+    outln!(
         "\nadaptation saving at 55 dB: {:.1} %  (paper: up to 40 %)",
         (1.0 - adaptive.joules() / fixed_max.joules()) * 100.0
     );

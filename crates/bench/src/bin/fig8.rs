@@ -10,7 +10,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig8 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::contention::MonteCarloContention;
 use wsn_core::packet_sizing::PacketSizing;
@@ -50,14 +50,14 @@ fn main() {
         .collect();
     mc.prewarm(&args.runner(), &points);
 
-    println!("# Figure 8 — energy per bit vs payload size (75 dB, −5 dBm)");
-    println!("\npayload_bytes,e_bit_nj@0.10,e_bit_nj@0.42,e_bit_nj@0.70");
+    outln!("# Figure 8 — energy per bit vs payload size (75 dB, −5 dBm)");
+    outln!("\npayload_bytes,e_bit_nj@0.10,e_bit_nj@0.42,e_bit_nj@0.70");
     let sweeps: Vec<_> = loads
         .iter()
         .map(|&l| study.sweep(&payloads, l, &ber, &mc))
         .collect();
     for (i, payload) in payloads.iter().enumerate() {
-        println!(
+        outln!(
             "{},{:.1},{:.1},{:.1}",
             payload,
             sweeps[0][i].energy_per_bit.nanojoules(),
@@ -68,6 +68,6 @@ fn main() {
 
     for (load, sweep) in loads.iter().zip(&sweeps) {
         let best = PacketSizing::optimal_payload(sweep);
-        println!("optimal payload at λ={load:.2}: {best} bytes  (paper: 123, the maximum)");
+        outln!("optimal payload at λ={load:.2}: {best} bytes  (paper: 123, the maximum)");
     }
 }

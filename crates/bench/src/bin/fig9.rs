@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin fig9 [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::MonteCarloContention;
@@ -30,8 +30,8 @@ fn main() {
     mc.prewarm(&args.runner(), &[(study.load(), study.packet())]);
     let report = study.run(&ber, &mc);
 
-    println!("# Figure 9 — breakdowns for the case study");
-    println!("\n## (model) energy per phase  [paper: beacon 20 %, contention 25 %, transmit <50 %, ack 15 %]");
+    outln!("# Figure 9 — breakdowns for the case study");
+    outln!("\n## (model) energy per phase  [paper: beacon 20 %, contention 25 %, transmit <50 %, ack 15 %]");
     for phase in [
         PhaseTag::Beacon,
         PhaseTag::Contention,
@@ -39,17 +39,17 @@ fn main() {
         PhaseTag::AckWait,
         PhaseTag::Ifs,
     ] {
-        println!(
+        outln!(
             "  {:<11}: {:5.1} %",
             phase.to_string(),
             report.phase_fraction(phase) * 100.0
         );
     }
-    println!(
+    outln!(
         "\n## (model) time per state  [paper: shutdown 98.77 %, idle 0.47 %, tx 0.48 %, rx 0.28 %]"
     );
     for state in StateKind::ALL {
-        println!(
+        outln!(
             "  {:<11}: {:7.3} %",
             state.to_string(),
             report.state_fraction(state) * 100.0
@@ -63,30 +63,30 @@ fn main() {
     let outcome = study.simulate(&args.runner(), &ber, &mc, superframes.max(10), reps);
     let net = &outcome.overall;
 
-    println!("\n## (simulator, 16 channels × {reps} replications) energy per phase");
+    outln!("\n## (simulator, 16 channels × {reps} replications) energy per phase");
     let fractions = net.ledger.phase_energy_fractions();
     for (phase, f) in fractions {
         if f > 0.0 {
-            println!("  {:<11}: {:5.1} %", phase.to_string(), f * 100.0);
+            outln!("  {:<11}: {:5.1} %", phase.to_string(), f * 100.0);
         }
     }
-    println!("\n## (simulator) time per state");
+    outln!("\n## (simulator) time per state");
     for (state, f) in net.ledger.state_time_fractions() {
-        println!("  {:<11}: {:7.3} %", state.to_string(), f * 100.0);
+        outln!("  {:<11}: {:7.3} %", state.to_string(), f * 100.0);
     }
-    println!(
+    outln!(
         "\nsimulator mean node power : {:.1} ± {:.1} µW  (model: {:.1} µW, paper: 211 µW)",
         net.mean_node_power.microwatts(),
         net.power_standard_error.microwatts(),
         report.average_power.microwatts()
     );
-    println!(
+    outln!(
         "simulator failure ratio   : {:.1} ± {:.1} %  (model: {:.1} %, paper: 16 %)",
         net.failure_ratio.value() * 100.0,
         net.failure_standard_error * 100.0,
         report.mean_failure.value() * 100.0
     );
-    println!(
+    outln!(
         "simulator mean delay      : {:.2} ± {:.2} s  (model: {:.2} s, paper: 1.45 s)",
         net.mean_delay.secs(),
         net.delay_standard_error.secs(),

@@ -26,7 +26,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin gts_study [superframes] [--threads N] [--reps N] [--metrics PATH|-]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{Runner, ScenarioOutcome};
 
@@ -98,7 +98,7 @@ fn main() {
     let reps = args.reps_or(3);
     let runner = args.runner();
 
-    println!(
+    outln!(
         "# GTS / downlink study — {CHANNELS} channels × {NODES_PER_CHANNEL} nodes, \
          BO 3, {} superframes × {reps} reps ({} threads)",
         args.superframes,
@@ -106,13 +106,13 @@ fn main() {
     );
     let points = run_sweep(&runner, args.superframes, reps);
 
-    println!(
+    outln!(
         "\ngts_nodes,dl_rate,power_uW,power_se_uW,cap_uW,cap_se_uW,cfp_uW,cfp_se_uW,\
          fail_pct,fail_se_pct,gts_denied,dl_polls,dl_deferred"
     );
     for p in &points {
         let o = &p.outcome.overall;
-        println!(
+        outln!(
             "{},{:.2},{:.1},{:.1},{:.2},{:.2},{:.2},{:.2},{:.1},{:.1},{},{},{}",
             p.gts_nodes,
             p.downlink_rate,
@@ -130,14 +130,14 @@ fn main() {
         );
     }
 
-    println!("\n## readings");
+    outln!("\n## readings");
     for &dl in &DL_RATES {
         match crossover(&points, dl) {
-            Some(gts) => println!(
+            Some(gts) => outln!(
                 "dl={dl:.2}: CFP energy overtakes CAP energy at {gts} GTS nodes \
                  of {NODES_PER_CHANNEL}"
             ),
-            None => println!(
+            None => outln!(
                 "dl={dl:.2}: CAP energy dominates across the whole sweep \
                  (no crossover within 7 descriptors)"
             ),
@@ -148,7 +148,7 @@ fn main() {
         .iter()
         .find(|p| p.gts_nodes == 7 && p.downlink_rate == 0.0)
         .expect("sweep covers 7 GTS nodes");
-    println!(
+    outln!(
         "7 GTS nodes cut total node power {:.1} → {:.1} µW and failure \
          {:.1} % → {:.1} % — but a 100-node channel could hand that saving \
          to only 7 % of its population, the paper's scaling argument.",

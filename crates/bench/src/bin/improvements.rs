@@ -8,6 +8,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin improvements [superframes]`
 
+use wsn_bench::outln;
 use wsn_core::activation::ActivationModel;
 use wsn_core::case_study::CaseStudy;
 use wsn_core::contention::MonteCarloContention;
@@ -27,8 +28,8 @@ fn main() {
     let ber = EmpiricalCc2420Ber::paper();
     let mc = MonteCarloContention::figure6().with_superframes(superframes);
 
-    println!("# Improvement perspectives (case-study what-ifs)");
-    println!("\nvariant,power_uW,reduction_pct,paper_claim_pct");
+    outln!("# Improvement perspectives (case-study what-ifs)");
+    outln!("\nvariant,power_uW,reduction_pct,paper_claim_pct");
     for (name, radio, claim) in [
         ("transitions ×0.5", faster_transitions_radio(0.5), "12"),
         (
@@ -45,14 +46,14 @@ fn main() {
         ("combined (×0.5, ×0.25)", combined_radio(0.5, 0.25), "-"),
     ] {
         let r = evaluate_variant(&study, radio, &ber, &mc);
-        println!(
+        outln!(
             "{name},{:.1},{:.1},{claim}",
             r.variant.microwatts(),
             r.reduction() * 100.0
         );
     }
     let baseline = study.run(&ber, &mc);
-    println!(
+    outln!(
         "\nbaseline power: {:.1} µW (paper: 211 µW)",
         baseline.average_power.microwatts()
     );

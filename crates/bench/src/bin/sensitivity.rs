@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p wsn-bench --bin sensitivity [superframes] [--threads N] [--reps N]`
 
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 use wsn_core::activation::{ActivationModel, ModelInputs};
 use wsn_core::contention::{ContentionModel, MonteCarloContention};
 use wsn_mac::{BeaconOrder, RetryPolicy};
@@ -41,14 +41,14 @@ fn main() {
     let loss = Db::new(75.0);
     let level = TxPowerLevel::Neg5;
 
-    println!("# Sensitivity — beacon order (packet cadence follows T_ib)");
-    println!("BO,T_ib_ms,load,power_uW,delay_s,fail_pct");
+    outln!("# Sensitivity — beacon order (packet cadence follows T_ib)");
+    outln!("BO,T_ib_ms,load,power_uW,delay_s,fail_pct");
     for bo in 4..=9u8 {
         let beacon_order = BeaconOrder::new(bo).expect("valid");
         let t_ib = beacon_order.beacon_interval();
         let load = nodes * packet.duration().secs() / t_ib.secs();
         if load >= 1.0 {
-            println!("{bo},{:.2},saturated,-,-,-", t_ib.millis());
+            outln!("{bo},{:.2},saturated,-,-,-", t_ib.millis());
             continue;
         }
         let stats = mc.stats(load, packet);
@@ -62,7 +62,7 @@ fn main() {
             },
             &ber,
         );
-        println!(
+        outln!(
             "{bo},{:.2},{:.3},{:.1},{:.2},{:.1}",
             t_ib.millis(),
             load,
@@ -72,8 +72,8 @@ fn main() {
         );
     }
 
-    println!("\n# Sensitivity — retry budget N_max (85 dB path, −1 dBm)");
-    println!("n_max,power_uW,fail_pct,attempts");
+    outln!("\n# Sensitivity — retry budget N_max (85 dB path, −1 dBm)");
+    outln!("n_max,power_uW,fail_pct,attempts");
     let bo6 = BeaconOrder::new(6).expect("valid");
     let load = nodes * packet.duration().secs() / bo6.beacon_interval().secs();
     let stats = mc.stats(load, packet);
@@ -90,7 +90,7 @@ fn main() {
             },
             &ber,
         );
-        println!(
+        outln!(
             "{n_max},{:.1},{:.2},{:.2}",
             out.average_power.microwatts(),
             out.pr_fail.value() * 100.0,
@@ -98,8 +98,8 @@ fn main() {
         );
     }
 
-    println!("\n# Sensitivity — beacon airtime (payload-dependent beacons)");
-    println!("beacon_bytes,power_uW");
+    outln!("\n# Sensitivity — beacon airtime (payload-dependent beacons)");
+    outln!("beacon_bytes,power_uW");
     for beacon_bytes in [15usize, 19, 26, 40, 60] {
         let model = ActivationModel::paper_defaults(RadioModel::cc2420())
             .with_beacon_duration(wsn_phy::consts::bytes(beacon_bytes));
@@ -113,6 +113,6 @@ fn main() {
             },
             &ber,
         );
-        println!("{beacon_bytes},{:.1}", out.average_power.microwatts());
+        outln!("{beacon_bytes},{:.1}", out.average_power.microwatts());
     }
 }

@@ -9,6 +9,24 @@
 
 use wsn_sim::Runner;
 
+/// Writes one line to standard output, like `println!`, for the figure
+/// and study binaries. A reader that stops early (`fig6 | head -1`) ends
+/// the process quietly with status 0; any other write error ends it with
+/// status 1 and `error: stdout: …` on stderr.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        if let Err(e) = ::std::writeln!(::std::io::stdout().lock(), $($arg)*) {
+            if e.kind() == ::std::io::ErrorKind::BrokenPipe {
+                ::std::process::exit(0);
+            }
+            ::std::eprintln!("error: stdout: {e}");
+            ::std::process::exit(1);
+        }
+    }};
+}
+
 /// An optional command-line flag a binary implements. Every binary
 /// accepts a positional superframe count and `--threads N`; any other
 /// argument is a usage error unless the binary passes its flag to
@@ -202,10 +220,9 @@ pub fn init_metrics(args: &RunArgs) {
 pub fn finish_metrics(args: &RunArgs) {
     let Some(path) = &args.metrics else { return };
     let (det, timing) = wsn_sim::telemetry::snapshot_lines(true);
-    let payload = format!("{det}\n{timing}\n");
     if path == "-" {
-        print!("{payload}");
-    } else if let Err(e) = std::fs::write(path, payload) {
+        outln!("{det}\n{timing}");
+    } else if let Err(e) = std::fs::write(path, format!("{det}\n{timing}\n")) {
         eprintln!("error: cannot write metrics {path}: {e}");
         std::process::exit(1);
     }
@@ -250,7 +267,7 @@ pub fn export_scenario_file(path: &str, saved: &wsn_sim::SavedScenario) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(2);
     }
-    println!("wrote {path} ({} bytes)", text.len());
+    outln!("wrote {path} ({} bytes)", text.len());
 }
 
 #[cfg(test)]
