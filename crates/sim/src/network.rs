@@ -832,7 +832,6 @@ impl<'a> EnergyAccountant<'a> {
     }
 }
 
-// Each record kind is billed as the list of its radio procedures.
 impl TraceSink for EnergyAccountant<'_> {
     fn on_attempt(&mut self, a: &AttemptRecord) {
         self.stats.on_attempt(a);
