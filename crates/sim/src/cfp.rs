@@ -106,21 +106,6 @@ impl CfpPlan {
     pub fn is_inert(&self) -> bool {
         self.gts_nodes == 0 && self.downlink_rate == 0.0
     }
-
-    /// `true` when any node transmits in the CFP.
-    pub fn has_gts(&self) -> bool {
-        self.gts_nodes > 0
-    }
-
-    /// First MAC slot of GTS holder `k`'s allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not an allocated holder.
-    pub fn gts_start_slot(&self, k: u32) -> u8 {
-        assert!(k < self.gts_nodes, "node {k} holds no GTS");
-        16 - (k as u8 + 1) * self.slots_per_gts
-    }
 }
 
 impl Default for CfpPlan {
@@ -231,7 +216,7 @@ mod tests {
     fn inert_plan_is_inert() {
         let plan = CfpPlan::inert();
         assert!(plan.is_inert());
-        assert!(!plan.has_gts());
+        assert_eq!(plan.gts_nodes, 0);
         assert_eq!(plan.cfp_start_slot, 16);
         assert_eq!(plan, CfpPlan::default());
     }
@@ -240,7 +225,7 @@ mod tests {
     fn downlink_only_plan_is_not_inert() {
         let plan = plan_channel_cfp(10, 0, 1, 8, 0.5);
         assert!(!plan.is_inert());
-        assert!(!plan.has_gts());
+        assert_eq!(plan.gts_nodes, 0);
         assert_eq!(plan.downlink_rate, 0.5);
         assert_eq!(plan.gts_denied, 0);
     }
@@ -253,7 +238,7 @@ mod tests {
         assert_eq!(plan.gts_nodes, MAX_GTS_DESCRIPTORS as u32);
         assert_eq!(plan.gts_denied, 93);
         assert_eq!(plan.cfp_start_slot, 9);
-        assert!(plan.has_gts() && !plan.is_inert());
+        assert!(!plan.is_inert());
     }
 
     #[test]
@@ -270,9 +255,6 @@ mod tests {
         let plan = plan_channel_cfp(8, 3, 2, 8, 0.0);
         assert_eq!(plan.gts_nodes, 3);
         assert_eq!(plan.cfp_start_slot, 10);
-        assert_eq!(plan.gts_start_slot(0), 14);
-        assert_eq!(plan.gts_start_slot(1), 12);
-        assert_eq!(plan.gts_start_slot(2), 10);
     }
 
     #[test]
@@ -298,11 +280,5 @@ mod tests {
     #[should_panic(expected = "1..=15 slots")]
     fn zero_slot_length_with_demand_rejected() {
         let _ = plan_channel_cfp(10, 5, 0, 8, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "holds no GTS")]
-    fn gts_slot_of_non_holder_rejected() {
-        CfpPlan::inert().gts_start_slot(0);
     }
 }

@@ -35,7 +35,7 @@ use wsn_mac::RetryPolicy;
 use wsn_phy::consts::SYMBOL_PERIOD_US;
 use wsn_phy::frame::{ack_duration, beacon_duration, PacketLayout};
 use wsn_phy::noise::UniformSource;
-use wsn_units::{Probability, Seconds};
+use wsn_units::Seconds;
 
 use crate::cfp::{CfpPlan, DownlinkOutcome, DownlinkRecord, GtsRecord, DATA_REQUEST_AIR_BYTES};
 use crate::events::{EventQueue, WindowError};
@@ -229,7 +229,7 @@ impl ChannelSimConfig {
     /// parameters, and a non-inert CFP's 16-slot span and GTS fit — as a
     /// `Result` instead of a panic.
     ///
-    /// `validate().is_ok()` guarantees [`run_channel_sim_into`] will not
+    /// `validate().is_ok()` guarantees [`run_channel_sim_into_ws`] will not
     /// panic on configuration checks; the engine's panic messages match
     /// this error's [`Display`](core::fmt::Display) text.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -333,6 +333,20 @@ pub struct TransactionRecord {
     pub superframes_waited: u32,
 }
 
+impl TransactionRecord {
+    /// The transaction of a superframe's packet that was never sent: the
+    /// node's radio was down or the coordinator was silent.
+    fn lost(node: u32) -> Self {
+        TransactionRecord {
+            node,
+            attempts: 0,
+            delivered: false,
+            access_failure: false,
+            superframes_waited: 0,
+        }
+    }
+}
+
 /// Full simulation trace.
 #[derive(Debug, Clone)]
 pub struct SimTrace {
@@ -381,41 +395,6 @@ impl SimTrace {
         for _ in 0..self.overruns {
             sink.on_overrun();
         }
-    }
-
-    fn reduce_transactions(&self) -> StatsSink {
-        let mut sink = StatsSink::new();
-        for t in &self.transactions {
-            sink.on_transaction(t);
-        }
-        sink
-    }
-
-    /// Reduces the trace to the model's contention statistics.
-    pub fn contention_stats(&self) -> ContentionStats {
-        let mut sink = StatsSink::new();
-        for a in &self.attempts {
-            sink.on_attempt(a);
-        }
-        sink.contention_stats()
-    }
-
-    /// Fraction of transactions that failed (channel access failure or
-    /// retries exhausted) — the simulated counterpart of the model's
-    /// `Pr_fail`.
-    pub fn transaction_failure_ratio(&self) -> Probability {
-        self.reduce_transactions().failure_ratio()
-    }
-
-    /// Mean attempts per transaction (delivered or not).
-    pub fn mean_attempts(&self) -> f64 {
-        self.reduce_transactions().mean_attempts()
-    }
-
-    /// Mean delivery delay in superframes (`1.0` = delivered in the first
-    /// superframe), over delivered packets.
-    pub fn mean_delivery_superframes(&self) -> f64 {
-        self.reduce_transactions().mean_delivery_superframes()
     }
 }
 
@@ -500,14 +479,44 @@ struct Node {
 }
 
 impl Node {
-    /// Starts a CSMA/CA procedure; returns its initial backoff in slots.
-    fn start_csma(&mut self, params: CsmaParams) -> u64 {
+    /// Starts a CSMA/CA procedure at `slot`; returns the slot of its first
+    /// CCA.
+    fn start_csma(&mut self, slot: u64, params: CsmaParams) -> u64 {
         let machine = SlottedCsmaCa::start(params, &mut self.rng);
         let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
             unreachable!("CSMA always begins with a backoff");
         };
         self.csma = Some(machine);
-        u64::from(periods)
+        self.cont_start_slot = slot;
+        slot + u64::from(periods)
+    }
+
+    /// Takes up this superframe's packet: one carried over has waited a
+    /// superframe more, a fresh one none.
+    fn take_packet(&mut self) {
+        self.superframes_waited = if self.carry_packet {
+            self.superframes_waited + 1
+        } else {
+            0
+        };
+    }
+
+    /// Ends the uplink transaction on its last attempt's `outcome` and
+    /// returns its record; an undelivered packet is carried to the next
+    /// superframe. An access failure ends it before that attempt
+    /// transmits.
+    fn end_transaction(&mut self, outcome: AttemptOutcome) -> TransactionRecord {
+        let access_failure = outcome == AttemptOutcome::AccessFailure;
+        let delivered = outcome == AttemptOutcome::Delivered;
+        self.active = false;
+        self.carry_packet = !delivered;
+        TransactionRecord {
+            node: self.id,
+            attempts: self.attempt - u32::from(access_failure),
+            delivered,
+            access_failure,
+            superframes_waited: self.superframes_waited,
+        }
     }
 }
 
@@ -561,9 +570,10 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 /// runs (of *any* mix of configurations) is bit-identical to fresh
 /// allocation; it merely skips the allocations. The `workspace_reuse`
 /// integration suite pins that equivalence. Most callers never construct
-/// one: [`run_channel_sim_into`] borrows the calling thread's implicit
-/// workspace via [`with_workspace`], which is how the parallel
-/// [`Runner`](crate::runner::Runner) gives each worker thread its own.
+/// one: [`run_channel_sim`], [`simulate_contention`] and the network layer
+/// borrow the calling thread's implicit workspace via [`with_workspace`],
+/// which is how the parallel [`Runner`](crate::runner::Runner) gives each
+/// worker thread its own.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     queue: EventQueue<Ev>,
@@ -706,34 +716,14 @@ fn die<S: TraceSink>(
 /// [`SimTrace`]) and [`simulate_contention`] (which reduces online via
 /// [`StatsSink`]). `timings` must come from [`ChannelSimConfig::timings`]
 /// for the same configuration; passing it in lets replication sweeps
-/// compute the frame arithmetic once. Scratch comes from the calling
-/// thread's implicit workspace ([`with_workspace`]); use
-/// [`run_channel_sim_into_ws`] to manage the workspace explicitly.
+/// compute the frame arithmetic once. The workspace is scratch only —
+/// results are bit-identical whether it is fresh or reused, and
+/// regardless of what configuration it last ran; [`with_workspace`] lends
+/// the calling thread's.
 ///
 /// # Panics
 ///
 /// Panics if [`ChannelSimConfig::validate`] rejects the configuration.
-pub fn run_channel_sim_into<F, S>(
-    config: &ChannelSimConfig,
-    timings: &SlotTimings,
-    corrupt: F,
-    sink: &mut S,
-) -> u64
-where
-    F: FnMut(u32) -> bool,
-    S: TraceSink,
-{
-    with_workspace(|ws| run_channel_sim_into_ws(config, timings, corrupt, sink, ws))
-}
-
-/// [`run_channel_sim_into`] over an explicit reusable [`SimWorkspace`]:
-/// the zero-allocation fast path. The workspace is scratch only — results
-/// are bit-identical whether it is fresh or reused, and regardless of what
-/// configuration it last ran.
-///
-/// # Panics
-///
-/// As [`run_channel_sim_into`].
 pub fn run_channel_sim_into_ws<F, S>(
     config: &ChannelSimConfig,
     timings: &SlotTimings,
@@ -814,6 +804,18 @@ where
             timings.beacon_slots + (dl_rng.next_f64() * span as f64) as u64
         }));
     }
+    // The live GTS table: holder `k` is allocated in holder order, so its
+    // descriptor packs down from MAC slot 16. A dying holder releases its
+    // descriptor and the freed slots re-resolve into the CFP at the next
+    // superframe boundary; a rejoining holder re-allocates.
+    let mut gts_registry = (gts_nodes > 0).then(|| {
+        let mut reg = GtsRegistry::new(plan.cfp_start_slot);
+        for k in 0..gts_nodes {
+            reg.allocate(k as u16, plan.slots_per_gts)
+                .expect("plan allocations fit their own CFP envelope");
+        }
+        reg
+    });
 
     // --- Fault plan ------------------------------------------------------
     // Faults draw from their own stream and every branch is gated on
@@ -825,19 +827,6 @@ where
     let mut fault_rng = root.split(u64::MAX - 2);
     // Remaining superframes of the current coordinator outage window.
     let mut outage_left: u32 = 0;
-    // Live GTS lease state: a dying holder releases its descriptor via
-    // the real registry and the freed slots re-resolve into the CFP at
-    // the next superframe boundary; a rejoining holder re-allocates.
-    let mut gts_registry = if faults_active && plan.has_gts() {
-        let mut reg = GtsRegistry::new(plan.cfp_start_slot);
-        for k in 0..gts_nodes {
-            reg.allocate(k as u16, plan.slots_per_gts)
-                .expect("plan allocations fit their own CFP envelope");
-        }
-        Some(reg)
-    } else {
-        None
-    };
 
     let SimWorkspace {
         queue,
@@ -908,9 +897,9 @@ where
             }
         }
         let slot_us = slot * SLOT_US;
+        let in_warmup = slot < sf_slots;
         match ev {
             Ev::Beacon => {
-                let in_warmup = slot < sf_slots;
                 let mut in_outage = false;
                 if faults_active {
                     // Outage draw: consumed every superframe so the fault
@@ -1034,24 +1023,20 @@ where
                     busy_until_us = busy_until_us.max(slot_us + beacon_us);
                     // Lazy scheduling: this superframe's arrivals and the
                     // next beacon. GTS holders skip CSMA entirely: their
-                    // packet transmits in their dedicated CFP slot instead.
-                    // Under churn the holder set is the live registry's
-                    // (re-resolved each superframe); dead and dormant nodes
+                    // packet transmits in their dedicated CFP slot, which
+                    // starts where the live registry says (re-resolved
+                    // each superframe under churn); dead and dormant nodes
                     // schedule nothing. Only the plan's holders ever hold
                     // a descriptor, and the `< gts_nodes` guard keeps a
                     // node id past the registry's 16-bit short addresses
                     // from aliasing one.
-                    let gts_start = |i: usize| {
-                        if i as u32 >= gts_nodes {
-                            None
-                        } else if let Some(reg) = gts_registry.as_ref() {
-                            reg.allocations()
-                                .iter()
-                                .find(|d| d.short_address == i as u16)
-                                .map(|d| d.starting_slot)
-                        } else {
-                            Some(plan.gts_start_slot(i as u32))
-                        }
+                    let gts_start = |i: usize| match &gts_registry {
+                        Some(reg) if (i as u32) < gts_nodes => reg
+                            .allocations()
+                            .iter()
+                            .find(|d| d.short_address == i as u16)
+                            .map(|d| d.starting_slot),
+                        _ => None,
                     };
                     let down = |i: usize| faults_active && !fault[i].alive;
                     // Dead-node records and GTS pushes keep node order.
@@ -1064,13 +1049,7 @@ where
                             // delivery ratio degrade with churn instead
                             // of silently shrinking the denominator.
                             if !in_warmup {
-                                sink.on_transaction(&TransactionRecord {
-                                    node: i as u32,
-                                    attempts: 0,
-                                    delivered: false,
-                                    access_failure: false,
-                                    superframes_waited: 0,
-                                });
+                                sink.on_transaction(&TransactionRecord::lost(i as u32));
                             }
                         } else if let Some(start) = gts_start(i) {
                             let gts_off = start as u64 * timings.mac_slot_backoffs;
@@ -1121,13 +1100,7 @@ where
                         if nodes[k as usize].active {
                             sink.on_overrun();
                         } else {
-                            sink.on_transaction(&TransactionRecord {
-                                node: i as u32,
-                                attempts: 0,
-                                delivered: false,
-                                access_failure: false,
-                                superframes_waited: 0,
-                            });
+                            sink.on_transaction(&TransactionRecord::lost(i as u32));
                         }
                     }
                 }
@@ -1137,7 +1110,6 @@ where
                 }
             }
             Ev::Arrival { rec } => {
-                let in_warmup = slot < sf_slots;
                 let n = &mut nodes[rec as usize];
                 if faults_active && !fault[n.id as usize].alive {
                     // Scheduled at the beacon, but a deferred death
@@ -1150,18 +1122,12 @@ where
                     }
                     continue;
                 }
-                if n.carry_packet {
-                    n.superframes_waited += 1;
-                } else {
-                    n.superframes_waited = 0;
-                }
+                n.take_packet();
                 n.active = true;
                 n.kind = CsmaKind::Uplink;
                 n.recording = !in_warmup;
                 n.attempt = 1;
-                n.cont_start_slot = slot;
-                let periods = n.start_csma(config.csma);
-                queue.push(slot + periods, PRIO_CCA, Ev::Cca { rec });
+                queue.push(n.start_csma(slot, config.csma), PRIO_CCA, Ev::Cca { rec });
             }
             Ev::Cca { rec } => {
                 let busy = slot_us < busy_until_us;
@@ -1219,40 +1185,34 @@ where
                         );
                     }
                     CsmaAction::Failure => {
-                        let machine = n.csma.take().expect("machine present");
+                        let ccas = n.csma.take().expect("machine present").ccas_performed();
+                        let contention_slots = slot - n.cont_start_slot;
                         match n.kind {
                             CsmaKind::Uplink => {
+                                let record = n.end_transaction(AttemptOutcome::AccessFailure);
                                 if n.recording {
                                     sink.on_attempt(&AttemptRecord {
                                         node: n.id,
-                                        contention_slots: slot - n.cont_start_slot,
-                                        ccas: machine.ccas_performed(),
+                                        contention_slots,
+                                        ccas,
                                         outcome: AttemptOutcome::AccessFailure,
                                     });
-                                    sink.on_transaction(&TransactionRecord {
-                                        node: n.id,
-                                        attempts: n.attempt - 1,
-                                        delivered: false,
-                                        access_failure: true,
-                                        superframes_waited: n.superframes_waited,
-                                    });
+                                    sink.on_transaction(&record);
                                     if let Some(t) = telem.as_deref_mut() {
                                         t.attempts_access_failure += 1;
-                                        t.ccas_per_attempt.record(machine.ccas_performed() as u64);
-                                        t.contention_slots.record(slot - n.cont_start_slot);
+                                        t.ccas_per_attempt.record(ccas as u64);
+                                        t.contention_slots.record(contention_slots);
                                         t.transactions += 1;
-                                        t.attempts_per_transaction.record((n.attempt - 1) as u64);
+                                        t.attempts_per_transaction.record(record.attempts as u64);
                                     }
                                 }
-                                n.active = false;
-                                n.carry_packet = true;
                             }
                             CsmaKind::DataRequest => {
                                 if n.recording {
                                     sink.on_downlink(&DownlinkRecord {
                                         node: n.id,
-                                        contention_slots: slot - n.cont_start_slot,
-                                        ccas: machine.ccas_performed(),
+                                        contention_slots,
+                                        ccas,
                                         outcome: DownlinkOutcome::AccessFailure,
                                     });
                                 }
@@ -1263,7 +1223,7 @@ where
                         if faults_active {
                             let f = &mut fault[n.id as usize];
                             if std::mem::take(&mut f.death_pending) {
-                                die(f, n.id, slot < sf_slots, gts_nodes, &mut gts_registry, sink);
+                                die(f, n.id, in_warmup, gts_nodes, &mut gts_registry, sink);
                             }
                         }
                     }
@@ -1341,52 +1301,28 @@ where
                     if outcome == AttemptOutcome::Delivered {
                         // The acknowledgement occupies the channel too.
                         busy_until_us = busy_until_us.max(end_us + ack_hold_us);
-                        if n.recording {
-                            sink.on_transaction(&TransactionRecord {
-                                node: n.id,
-                                attempts: n.attempt,
-                                delivered: true,
-                                access_failure: false,
-                                superframes_waited: n.superframes_waited,
-                            });
-                            if let Some(t) = telem.as_deref_mut() {
-                                t.transactions += 1;
-                                t.transactions_delivered += 1;
-                                t.attempts_per_transaction.record(n.attempt as u64);
-                            }
-                        }
-                        n.active = false;
-                        n.carry_packet = false;
                     } else if n.attempt < config.retries.n_max() {
                         // Wait out t_ack⁺, then contend again.
                         n.attempt += 1;
                         let retry_slot = (end_us + ack_timeout_us).div_ceil(SLOT_US);
-                        n.cont_start_slot = retry_slot;
-                        let periods = n.start_csma(config.csma);
-                        queue.push(retry_slot + periods, PRIO_CCA, Ev::Cca { rec });
+                        let cca_slot = n.start_csma(retry_slot, config.csma);
+                        queue.push(cca_slot, PRIO_CCA, Ev::Cca { rec });
                         continue;
-                    } else {
-                        if n.recording {
-                            sink.on_transaction(&TransactionRecord {
-                                node: n.id,
-                                attempts: n.attempt,
-                                delivered: false,
-                                access_failure: false,
-                                superframes_waited: n.superframes_waited,
-                            });
-                            if let Some(t) = telem.as_deref_mut() {
-                                t.transactions += 1;
-                                t.attempts_per_transaction.record(n.attempt as u64);
-                            }
+                    }
+                    let record = n.end_transaction(outcome);
+                    if n.recording {
+                        sink.on_transaction(&record);
+                        if let Some(t) = telem.as_deref_mut() {
+                            t.transactions += 1;
+                            t.transactions_delivered += u64::from(record.delivered);
+                            t.attempts_per_transaction.record(record.attempts as u64);
                         }
-                        n.active = false;
-                        n.carry_packet = true;
                     }
                 }
                 if faults_active {
                     let f = &mut fault[n.id as usize];
                     if std::mem::take(&mut f.death_pending) {
-                        die(f, n.id, slot < sf_slots, gts_nodes, &mut gts_registry, sink);
+                        die(f, n.id, in_warmup, gts_nodes, &mut gts_registry, sink);
                     }
                 }
             }
@@ -1397,18 +1333,13 @@ where
                 // packet is carried to the holder's slot in the next
                 // superframe (persistence costs no contention, so N_max
                 // does not apply).
-                let in_warmup = slot < sf_slots;
                 let n = &mut nodes[rec as usize];
                 if faults_active && !fault[n.id as usize].alive {
                     // The holder died mid-superframe (deferred death)
                     // after this slot was scheduled.
                     continue;
                 }
-                if n.carry_packet {
-                    n.superframes_waited += 1;
-                } else {
-                    n.superframes_waited = 0;
-                }
+                n.take_packet();
                 let delivered = !corrupt(n.id);
                 if !in_warmup {
                     sink.on_gts(&GtsRecord {
@@ -1423,7 +1354,6 @@ where
                 // The beacon listed this node's address: contend in the
                 // CAP with a data request, unless the node is mid-uplink
                 // (the frame then stays pending — a deferral).
-                let in_warmup = slot < sf_slots;
                 let n = &mut nodes[rec as usize];
                 if faults_active && !fault[n.id as usize].alive {
                     // The node died mid-superframe after the poll was
@@ -1444,9 +1374,7 @@ where
                 n.active = true;
                 n.kind = CsmaKind::DataRequest;
                 n.recording = !in_warmup;
-                n.cont_start_slot = slot;
-                let periods = n.start_csma(config.csma);
-                queue.push(slot + periods, PRIO_CCA, Ev::Cca { rec });
+                queue.push(n.start_csma(slot, config.csma), PRIO_CCA, Ev::Cca { rec });
             }
         }
     }
@@ -1480,7 +1408,7 @@ where
 {
     let timings = config.timings();
     let mut collector = TraceCollector::new(timings.superframe_slots);
-    run_channel_sim_into(config, &timings, corrupt, &mut collector);
+    with_workspace(|ws| run_channel_sim_into_ws(config, &timings, corrupt, &mut collector, ws));
     collector.into_trace()
 }
 
@@ -1501,18 +1429,26 @@ where
 pub fn simulate_contention(config: &ChannelSimConfig) -> ContentionStats {
     let timings = config.timings();
     let mut sink = StatsSink::new();
-    run_channel_sim_into(config, &timings, |_| false, &mut sink);
+    with_workspace(|ws| run_channel_sim_into_ws(config, &timings, |_| false, &mut sink, ws));
     sink.contention_stats()
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use wsn_units::Probability;
 
     fn quick(payload: usize, load: f64, seed: u64) -> ChannelSimConfig {
         let mut c = ChannelSimConfig::figure6(payload, load, seed);
         c.superframes = 12;
         c
+    }
+
+    /// The trace's records folded into a [`StatsSink`].
+    fn reduced(trace: &SimTrace) -> StatsSink {
+        let mut sink = StatsSink::new();
+        trace.replay(&mut sink);
+        sink
     }
 
     #[test]
@@ -1561,12 +1497,12 @@ pub(crate) mod tests {
     #[test]
     fn corruption_forces_retries() {
         let cfg = quick(50, 0.2, 5);
-        let clean = run_channel_sim(&cfg, |_| false);
-        let noisy = run_channel_sim(&cfg, |_| true); // every packet corrupted
+        let clean = reduced(&run_channel_sim(&cfg, |_| false));
+        let noisy = reduced(&run_channel_sim(&cfg, |_| true)); // every packet corrupted
         assert!(noisy.mean_attempts() > clean.mean_attempts());
         // All transactions fail when every packet is corrupted.
-        assert!((noisy.transaction_failure_ratio().value() - 1.0).abs() < 1e-12);
-        assert!(clean.transaction_failure_ratio().value() < 0.2);
+        assert!((noisy.failure_ratio().value() - 1.0).abs() < 1e-12);
+        assert!(clean.failure_ratio().value() < 0.2);
     }
 
     #[test]
@@ -1607,7 +1543,7 @@ pub(crate) mod tests {
             let delivered = |o| trace.attempts.iter().filter(|a| a.outcome == o).count();
             let done = trace.transactions.iter().filter(|t| t.delivered).count();
             assert_eq!(delivered(AttemptOutcome::Delivered), done, "case {case}");
-            let st = trace.contention_stats();
+            let st = reduced(&trace).contention_stats();
             assert!(st.procedures == 0 || st.mean_ccas >= 1.0, "case {case}");
         }
     }
@@ -1629,8 +1565,7 @@ pub(crate) mod tests {
     #[test]
     fn delivery_delay_at_low_load_is_one_superframe() {
         let cfg = quick(20, 0.05, 13);
-        let trace = run_channel_sim(&cfg, |_| false);
-        let mean = trace.mean_delivery_superframes();
+        let mean = reduced(&run_channel_sim(&cfg, |_| false)).mean_delivery_superframes();
         assert!(
             (mean - 1.0).abs() < 0.05,
             "mean delivery superframes {mean}"

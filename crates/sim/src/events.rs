@@ -24,14 +24,13 @@
 //!   assign the time from its own position. The ring grows (doubling,
 //!   amortized O(1)) whenever a push would violate the span — simulators
 //!   that schedule at most one superframe ahead never grow after warm-up.
-//! * **Pop is a bitmap hop.** A two-level occupancy bitmap shadows the
-//!   ring — one bit per slot, one summary bit per 64-slot word — so `pop`
-//!   jumps the cursor straight to the next occupied slot in O(1) word
-//!   probes instead of scanning empty cells, then takes that slot's head.
-//!   Sparse/low-load superframes (the million-node regime, where most
-//!   slots hold nothing) stop paying per-slot scans; the cursor still
-//!   never rewinds while events are pending, and each event costs O(1)
-//!   beyond the hop.
+//! * **Pop is a bitmap hop.** An occupancy bitmap shadows the ring, one
+//!   bit per slot, so `pop` walks 64-slot words from the cursor to the
+//!   next occupied slot instead of scanning empty cells, then takes that
+//!   slot's head. The cursor never rewinds while events are pending, so
+//!   one pass over the ring crosses at most ring/64 words: a simulator
+//!   whose ring spans one superframe pays O(1) per event plus at most
+//!   ring/64 word probes per superframe.
 //!
 //! # Determinism contract
 //!
@@ -73,11 +72,10 @@ pub const MAX_WINDOW: u64 = 1 << 28;
 /// Typed rejection of a ring window/span request that exceeds
 /// [`MAX_WINDOW`].
 ///
-/// Surfaced by [`EventQueue::try_reserve_window`] and
-/// [`WindowError::check`] so callers can validate a simulation horizon up
-/// front; the infallible paths ([`EventQueue::push`],
-/// [`EventQueue::with_window`], [`EventQueue::reserve_window`]) panic with
-/// this error's message instead of a bare assert.
+/// Surfaced by [`WindowError::check`] so callers can validate a
+/// simulation horizon up front; [`EventQueue::push`] and
+/// [`EventQueue::reserve_window`] panic with this error's message instead
+/// of a bare assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowError {
     /// The offending window/span request, in slots.
@@ -166,12 +164,9 @@ pub struct EventQueue<E> {
     free: u32,
     /// Pending event count.
     len: usize,
-    /// One bit per ring slot, set while the slot holds events — the lower
-    /// bitmap level behind the cursor hop.
+    /// One bit per ring slot, set while the slot holds events — the bitmap
+    /// behind the cursor hop.
     occupied: Vec<u64>,
-    /// One bit per `occupied` word, set while that word is nonzero — the
-    /// upper level, skipping 4096 empty slots per probe.
-    summary: Vec<u64>,
     /// Ring size − 1 (ring size is a power of two).
     mask: u64,
     /// Scan position: every pending event has `time ≥ cursor`.
@@ -190,32 +185,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the default 256-slot window (grown on
-    /// demand).
+    /// Creates an empty queue with a 256-slot ring (grown on demand).
     pub fn new() -> Self {
-        EventQueue::with_window(256)
-    }
-
-    /// Creates an empty queue whose ring covers at least `window` slots,
-    /// so pushes spanning up to `window` need never grow the ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` exceeds [`MAX_WINDOW`].
-    pub fn with_window(window: u64) -> Self {
-        if let Err(e) = WindowError::check(window) {
-            panic!("{e}");
-        }
-        let ring = window.max(2).next_power_of_two();
-        let words = Self::bitmap_words(ring);
+        const RING: u64 = 256;
         EventQueue {
-            tails: vec![NIL; ring as usize],
+            tails: vec![NIL; RING as usize],
             arena: Vec::new(),
             free: NIL,
             len: 0,
-            occupied: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
-            mask: ring - 1,
+            occupied: vec![0; Self::bitmap_words(RING)],
+            mask: RING - 1,
             cursor: 0,
             max_pending: 0,
             stats: None,
@@ -242,22 +221,12 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `window` exceeds [`MAX_WINDOW`]; use
-    /// [`try_reserve_window`](Self::try_reserve_window) to get the typed
-    /// error instead.
+    /// Panics if `window` exceeds [`MAX_WINDOW`]; [`WindowError::check`]
+    /// tests a window up front.
     pub fn reserve_window(&mut self, window: u64) {
         if let Err(e) = self.ensure_window(window) {
             panic!("{e}");
         }
-    }
-
-    /// Fallible [`reserve_window`](Self::reserve_window): grows the ring to
-    /// cover `window` slots, or reports a typed [`WindowError`] when the
-    /// request exceeds [`MAX_WINDOW`] — the config-validation path uses
-    /// this to reject over-long horizons before a run starts instead of
-    /// aborting mid-simulation.
-    pub fn try_reserve_window(&mut self, window: u64) -> Result<(), WindowError> {
-        self.ensure_window(window)
     }
 
     /// Ring size in slots.
@@ -270,21 +239,14 @@ impl<E> EventQueue<E> {
         (ring as usize).div_ceil(64)
     }
 
-    /// Marks ring slot `slot` occupied at both bitmap levels.
+    /// Marks ring slot `slot` occupied.
     fn set_occupied(&mut self, slot: usize) {
-        let w = slot >> 6;
-        self.occupied[w] |= 1u64 << (slot & 63);
-        self.summary[w >> 6] |= 1u64 << (w & 63);
+        self.occupied[slot >> 6] |= 1u64 << (slot & 63);
     }
 
-    /// Clears ring slot `slot`'s occupancy bit, and its summary bit once
-    /// the whole word drains.
+    /// Clears ring slot `slot`'s occupancy bit.
     fn clear_occupied(&mut self, slot: usize) {
-        let w = slot >> 6;
-        self.occupied[w] &= !(1u64 << (slot & 63));
-        if self.occupied[w] == 0 {
-            self.summary[w >> 6] &= !(1u64 << (w & 63));
-        }
+        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
     }
 
     /// `true` while ring slot `slot` holds events.
@@ -298,45 +260,30 @@ impl<E> EventQueue<E> {
     /// guarantees the cyclically-next set bit is exactly where the old
     /// linear cursor scan would have stopped.
     fn next_occupied(&self, pos: usize) -> usize {
-        let w0 = pos >> 6;
+        let (w0, last) = (pos >> 6, self.occupied.len() - 1);
         let b = (pos & 63) as u32;
-        // Bits strictly above `pos` in its own word.
-        let above = if b == 63 {
+        // Bits strictly above `pos` in its own word, then whole words,
+        // wrapping. The walk ends because a pending event sets a bit.
+        let mut w = w0;
+        let mut bits = if b == 63 {
             0
         } else {
-            self.occupied[w0] & (!0u64 << (b + 1))
+            self.occupied[w] & (!0u64 << (b + 1))
         };
-        if above != 0 {
-            return (w0 << 6) + above.trailing_zeros() as usize;
+        while bits == 0 {
+            w = if w == last { 0 } else { w + 1 };
+            bits = self.occupied[w];
+            debug_assert!(
+                bits != 0 || w != w0,
+                "occupancy bitmap empty while events pending"
+            );
         }
-        // Summary level: the next nonzero occupancy word, wrapping. The
-        // loop terminates because a pending event guarantees a set bit.
-        let nsum = self.summary.len();
-        let s0 = w0 >> 6;
-        let sb = (w0 & 63) as u32;
-        let sabove = if sb == 63 {
-            0
-        } else {
-            self.summary[s0] & (!0u64 << (sb + 1))
-        };
-        let w = if sabove != 0 {
-            (s0 << 6) + sabove.trailing_zeros() as usize
-        } else {
-            let mut s = if s0 + 1 == nsum { 0 } else { s0 + 1 };
-            loop {
-                if self.summary[s] != 0 {
-                    break (s << 6) + self.summary[s].trailing_zeros() as usize;
-                }
-                debug_assert!(s != s0, "occupancy bitmap empty while events pending");
-                s = if s + 1 == nsum { 0 } else { s + 1 };
-            }
-        };
-        (w << 6) + self.occupied[w].trailing_zeros() as usize
+        (w << 6) + bits.trailing_zeros() as usize
     }
 
     /// Grows the ring to cover at least `needed` slots, moving each
     /// pending slot's list wholesale (its order is kept) and rebuilding the
-    /// occupancy bitmaps.
+    /// occupancy bitmap.
     fn ensure_window(&mut self, needed: u64) -> Result<(), WindowError> {
         if needed <= self.ring() {
             return Ok(());
@@ -347,10 +294,8 @@ impl<E> EventQueue<E> {
         }
         let new_ring = needed.next_power_of_two();
         let new_mask = new_ring - 1;
-        let words = Self::bitmap_words(new_ring);
         let mut tails = vec![NIL; new_ring as usize];
-        let mut occupied = vec![0u64; words];
-        let mut summary = vec![0u64; words.div_ceil(64)];
+        let mut occupied = vec![0u64; Self::bitmap_words(new_ring)];
         if self.len > 0 {
             // The old window invariant (span < old ring) makes every old
             // cell hold exactly one time value, so scanning the pending
@@ -362,14 +307,11 @@ impl<E> EventQueue<E> {
                 }
                 let slot = (t & new_mask) as usize;
                 tails[slot] = self.tails[old];
-                let w = slot >> 6;
-                occupied[w] |= 1u64 << (slot & 63);
-                summary[w >> 6] |= 1u64 << (w & 63);
+                occupied[slot >> 6] |= 1u64 << (slot & 63);
             }
         }
         self.tails = tails;
         self.occupied = occupied;
-        self.summary = summary;
         self.mask = new_mask;
         Ok(())
     }
@@ -507,20 +449,6 @@ impl<E> EventQueue<E> {
         Some((self.cursor, event))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let slot = (self.cursor & self.mask) as usize;
-        if self.slot_occupied(slot) {
-            return Some(self.cursor);
-        }
-        let next = self.next_occupied(slot);
-        let dist = (next.wrapping_sub(slot) as u64) & self.mask;
-        Some(self.cursor + dist)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -594,16 +522,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(7, 0, ());
         q.push(3, 0, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(3));
         q.pop();
-        assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -715,36 +641,34 @@ mod tests {
     }
 
     #[test]
-    fn sparse_hops_cross_word_and_summary_boundaries() {
-        // Gaps larger than 64 slots (one occupancy word) and larger than
-        // 4096 slots (one summary word) exercise both bitmap levels, and
-        // the final pair wraps the cursor around the ring.
-        let mut q = EventQueue::with_window(1 << 14);
-        let times = [0u64, 1, 65, 70, 4100, 8200, 8201, 16350, 16383 + 5];
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, (i % PRIORITY_CLASSES) as u8, i);
-        }
-        for (i, &t) in times.iter().enumerate() {
-            assert_eq!(q.pop(), Some((t, i)));
-            assert_eq!(q.peek_time(), times.get(i + 1).copied());
+    fn sparse_hops_cross_words_and_wrap_the_ring() {
+        // Gaps wider than one 64-slot occupancy word, and a last hop from
+        // slot 16350 to slot 4 of the ring's next turn. Each event is
+        // pushed after the one two places before it pops, so the pending
+        // span stays under the 2¹⁴-slot ring, the ring never grows, and
+        // that hop wraps past the ring's last word into its first.
+        let mut q = EventQueue::new();
+        q.reserve_window(1 << 14);
+        let times = [0u64, 1, 65, 70, 4100, 8200, 8201, 16350, (1 << 14) + 4];
+        for i in 0..times.len() + 2 {
+            if i >= 2 {
+                assert_eq!(q.pop(), Some((times[i - 2], i - 2)));
+            }
+            if i < times.len() {
+                q.push(times[i], (i % PRIORITY_CLASSES) as u8, i);
+            }
         }
         assert_eq!(q.pop(), None);
+        assert_eq!(q.ring(), 1 << 14);
     }
 
     #[test]
-    fn try_reserve_window_reports_typed_error() {
-        let mut q = EventQueue::<()>::new();
-        assert_eq!(q.try_reserve_window(1 << 20), Ok(()));
-        let err = q
-            .try_reserve_window(MAX_WINDOW + 1)
-            .expect_err("over-ceiling window must be rejected");
+    fn window_check_reports_typed_error() {
+        assert_eq!(WindowError::check(MAX_WINDOW), Ok(()));
+        let err =
+            WindowError::check(MAX_WINDOW + 1).expect_err("over-ceiling window must be rejected");
         assert_eq!(err.requested, MAX_WINDOW + 1);
         assert!(err.to_string().contains("ceiling"), "{err}");
-        assert_eq!(WindowError::check(MAX_WINDOW), Ok(()));
-        assert!(WindowError::check(MAX_WINDOW + 1).is_err());
-        // The failed reservation left the queue usable.
-        q.push(9, 0, ());
-        assert_eq!(q.pop(), Some((9, ())));
     }
 
     #[test]
@@ -785,6 +709,6 @@ mod tests {
     fn window_past_the_largest_power_of_two_rejected() {
         // Rounding 2⁶³ + 1 up to a power of two overflows; the ceiling
         // check must come first.
-        let _ = EventQueue::<()>::with_window((1 << 63) + 1);
+        EventQueue::<()>::new().reserve_window((1 << 63) + 1);
     }
 }

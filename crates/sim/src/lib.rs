@@ -148,8 +148,8 @@ pub use persist::{
 
 pub use cfp::{plan_channel_cfp, CfpPlan, DownlinkOutcome, DownlinkRecord, GtsRecord};
 pub use contention::{
-    run_channel_sim_into, run_channel_sim_into_ws, simulate_contention, with_workspace,
-    ChannelSimConfig, ConfigError, SimTrace, SimWorkspace, SlotTimings,
+    run_channel_sim_into_ws, simulate_contention, with_workspace, ChannelSimConfig, ConfigError,
+    SimTrace, SimWorkspace, SlotTimings,
 };
 pub use events::WindowError;
 pub use faults::{FaultKind, FaultPlan, FaultRecord};

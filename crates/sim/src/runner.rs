@@ -64,7 +64,7 @@ use std::thread;
 
 use wsn_phy::noise::SplitMix64;
 
-use crate::contention::{run_channel_sim_into, ChannelSimConfig};
+use crate::contention::{run_channel_sim_into_ws, with_workspace, ChannelSimConfig};
 use crate::sink::StatsSink;
 
 /// Environment variable overriding the default worker-thread count.
@@ -474,7 +474,8 @@ impl Runner {
                 cfg.seed = replication_seed(cfg.seed, r);
             }
             let mut sink = StatsSink::new();
-            run_channel_sim_into(&cfg, &cfg.timings(), |_| false, &mut sink);
+            let timings = cfg.timings();
+            with_workspace(|ws| run_channel_sim_into_ws(&cfg, &timings, |_| false, &mut sink, ws));
             sink
         });
         sinks
