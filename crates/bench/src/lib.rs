@@ -10,9 +10,9 @@
 use wsn_sim::Runner;
 
 /// Writes one line to standard output, like `println!`, for the figure
-/// and study binaries. A reader that stops early (`fig6 | head -1`) ends
-/// the process quietly with status 0; any other write error ends it with
-/// status 1 and `error: stdout: …` on stderr.
+/// and study binaries and the examples. A reader that stops early
+/// (`fig6 | head -1`) ends the process quietly with status 0; any other
+/// write error ends it with status 1 and `error: stdout: …` on stderr.
 #[macro_export]
 macro_rules! outln {
     ($($arg:tt)*) => {{

@@ -9,7 +9,7 @@
 
 use ieee802154_energy::sim::policy::{GreedyRebalance, PolicyEngine, StaticAllocation};
 use ieee802154_energy::sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario};
-use wsn_bench::{Flag, RunArgs};
+use wsn_bench::{outln, Flag, RunArgs};
 
 fn main() {
     let args = RunArgs::parse(8, &[Flag::Reps, Flag::Rounds]);
@@ -40,18 +40,18 @@ fn main() {
     let static_trace = engine.run(&runner, &mut StaticAllocation);
     let greedy_trace = engine.run(&runner, &mut GreedyRebalance::new(3));
 
-    println!(
+    outln!(
         "adaptive rebalance — 4 channels × 16 nodes, {} superframes × {reps} reps × {rounds} rounds ({} threads)\n",
         args.superframes,
         runner.threads()
     );
-    println!("round | static worst-fail | greedy worst-fail | moved | greedy ch-loads");
+    outln!("round | static worst-fail | greedy worst-fail | moved | greedy ch-loads");
     for (s, g) in static_trace.rounds.iter().zip(&greedy_trace.rounds) {
         let mut counts = [0usize; 4];
         for &c in &g.assignment {
             counts[c] += 1;
         }
-        println!(
+        outln!(
             "  {:>3} | {:16.1} % | {:16.1} % | {:>5} | {:?}",
             s.round,
             s.worst_failure() * 100.0,
@@ -63,14 +63,14 @@ fn main() {
 
     let static_final = static_trace.final_round().worst_failure();
     let greedy_final = greedy_trace.final_round().worst_failure();
-    println!(
+    outln!(
         "\nfinal worst-channel failure: static {:.1} % → greedy {:.1} % ({:+.1} pts)",
         static_final * 100.0,
         greedy_final * 100.0,
         (greedy_final - static_final) * 100.0
     );
     match greedy_trace.rounds_to_stabilize() {
-        Some(r) => println!("greedy stabilized at round {r}"),
-        None => println!("greedy still rebalancing after {rounds} rounds"),
+        Some(r) => outln!("greedy stabilized at round {r}"),
+        None => outln!("greedy still rebalancing after {rounds} rounds"),
     }
 }

@@ -10,6 +10,7 @@ use ieee802154_energy::model::improvements::{combined_radio, evaluate_variant};
 use ieee802154_energy::phy::ber::EmpiricalCc2420Ber;
 use ieee802154_energy::radio::RadioModel;
 use ieee802154_energy::units::{Energy, Power};
+use wsn_bench::outln;
 
 /// Hours in a coin cell of the given capacity at an average power draw.
 fn lifetime_hours(capacity: Energy, draw: Power) -> f64 {
@@ -26,29 +27,29 @@ fn main() {
     let mc = MonteCarloContention::figure6().with_superframes(30);
 
     let baseline = study.run(&ber, &mc);
-    println!("case-study node, stock CC2420:");
-    println!("  average power : {}", baseline.average_power);
-    println!(
+    outln!("case-study node, stock CC2420:");
+    outln!("  average power : {}", baseline.average_power);
+    outln!(
         "  coin-cell life: {:.0} days",
         lifetime_hours(coin_cell, baseline.average_power) / 24.0
     );
-    println!(
+    outln!(
         "  vs 100 µW scavenging budget: {:.1}× over",
         baseline.average_power.watts() / scavenging_budget.watts()
     );
 
     let improved = evaluate_variant(&study, combined_radio(0.5, 0.25), &ber, &mc);
-    println!("\nwith the paper's hardware improvements (fast transitions + scalable RX):");
-    println!("  average power : {}", improved.variant);
-    println!(
+    outln!("\nwith the paper's hardware improvements (fast transitions + scalable RX):");
+    outln!("  average power : {}", improved.variant);
+    outln!(
         "  coin-cell life: {:.0} days",
         lifetime_hours(coin_cell, improved.variant) / 24.0
     );
-    println!(
+    outln!(
         "  vs 100 µW scavenging budget: {:.2}× over",
         improved.variant.watts() / scavenging_budget.watts()
     );
-    println!(
+    outln!(
         "\nreduction: {:.1} % — the gap to self-powered operation the paper's \
          conclusions call for",
         improved.reduction() * 100.0

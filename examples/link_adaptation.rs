@@ -14,6 +14,7 @@ use ieee802154_energy::phy::frame::PacketLayout;
 use ieee802154_energy::phy::noise::SplitMix64;
 use ieee802154_energy::radio::RadioModel;
 use ieee802154_energy::units::{Db, Meters};
+use wsn_bench::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = LinkAdaptation::new(
@@ -28,9 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sweep = study.sweep(&losses, 0.42, &ber, &IdealContention);
     let policy = LinkAdaptation::thresholds(&sweep);
 
-    println!("switching thresholds (path loss → level):");
+    outln!("switching thresholds (path loss → level):");
     for (loss, level) in policy.thresholds() {
-        println!("  ≥ {loss} → {level}");
+        outln!("  ≥ {loss} → {level}");
     }
 
     // Apply to a physical deployment: 100 nodes in a 40 m indoor disc.
@@ -43,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for loss in &node_losses {
         *counts.entry(policy.level_for(*loss)).or_insert(0usize) += 1;
     }
-    println!("\nlevel assignment for 100 nodes in a 40 m indoor disc:");
+    outln!("\nlevel assignment for 100 nodes in a 40 m indoor disc:");
     for (level, count) in counts {
-        println!("  {level}: {count} nodes");
+        outln!("  {level}: {count} nodes");
     }
 
     Ok(())

@@ -18,6 +18,7 @@ use ieee802154_energy::radio::RadioModel;
 use ieee802154_energy::sim::network::{NetworkConfig, NetworkSimulator, TxPowerPolicy};
 use ieee802154_energy::sim::ChannelSimConfig;
 use ieee802154_energy::units::{DBm, Db, Meters, Seconds};
+use wsn_bench::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Geometry: 100 nodes in a 35 m indoor disc, exponent-3 path loss with
@@ -53,20 +54,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let report = sim.run(&ber);
 
-    println!("indoor channel, 100 nodes, 40 superframes:");
-    println!("  mean node power : {}", report.mean_node_power);
-    println!(
+    outln!("indoor channel, 100 nodes, 40 superframes:");
+    outln!("  mean node power : {}", report.mean_node_power);
+    outln!(
         "  failure ratio   : {:.1} %",
         report.failure_ratio.value() * 100.0
     );
-    println!("  mean delay      : {}", report.mean_delay);
-    println!("  mean attempts   : {:.2}", report.mean_attempts);
-    println!("  energy per bit  : {:.0} nJ", report.energy_per_bit_nj);
+    outln!("  mean delay      : {}", report.mean_delay);
+    outln!("  mean attempts   : {:.2}", report.mean_attempts);
+    outln!("  energy per bit  : {:.0} nJ", report.energy_per_bit_nj);
 
-    println!("\nper-phase energy:");
+    outln!("\nper-phase energy:");
     for (phase, frac) in report.ledger.phase_energy_fractions() {
         if frac > 0.0005 {
-            println!("  {:<11}: {:5.1} %", phase.to_string(), frac * 100.0);
+            outln!("  {:<11}: {:5.1} %", phase.to_string(), frac * 100.0);
         }
     }
 
@@ -78,9 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|(i, p)| (i, p.microwatts()))
         .collect();
     by_power.sort_by(|a, b| b.1.total_cmp(&a.1));
-    println!("\nhungriest nodes (path loss → power):");
+    outln!("\nhungriest nodes (path loss → power):");
     for (i, uw) in by_power.iter().take(5) {
-        println!("  node {i:>3}: {} → {uw:.0} µW", losses[*i]);
+        outln!("  node {i:>3}: {} → {uw:.0} µW", losses[*i]);
     }
 
     Ok(())

@@ -10,6 +10,7 @@ use ieee802154_energy::model::packet_sizing::PacketSizing;
 use ieee802154_energy::phy::ber::EmpiricalCc2420Ber;
 use ieee802154_energy::radio::{RadioModel, TxPowerLevel};
 use ieee802154_energy::units::Db;
+use wsn_bench::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = PacketSizing::new(
@@ -23,10 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let payloads: Vec<usize> = (1..=12).map(|i| i * 10).chain([123]).collect();
     let points = study.sweep(&payloads, 0.42, &ber, &IdealContention);
 
-    println!("payload  energy/bit   (sensing 1 B / 8 ms ⇒ send every …)");
+    outln!("payload  energy/bit   (sensing 1 B / 8 ms ⇒ send every …)");
     for p in &points {
         let cadence_ms = p.payload_bytes as f64 * 8.0;
-        println!(
+        outln!(
             "{:>5} B  {:>10}   {:>7.0} ms",
             p.payload_bytes,
             p.energy_per_bit.to_string(),
@@ -35,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let best = PacketSizing::optimal_payload(&points);
-    println!(
+    outln!(
         "\noptimal payload: {best} bytes — buffering to the maximum packet \
          size minimizes energy per bit, at the price of {:.2} s of latency",
         best as f64 * 8.0 / 1000.0

@@ -13,6 +13,7 @@ use ieee802154_energy::phy::ber::EmpiricalCc2420Ber;
 use ieee802154_energy::phy::frame::PacketLayout;
 use ieee802154_energy::radio::{RadioModel, TxPowerLevel};
 use ieee802154_energy::units::Db;
+use wsn_bench::outln;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The radio: the paper's measured CC2420 characterization.
@@ -34,16 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Evaluate.
     let out = model.evaluate(&inputs, &EmpiricalCc2420Ber::paper());
 
-    println!("inter-beacon period : {}", out.t_ib);
-    println!("average power       : {}", out.average_power);
-    println!("failure probability : {}", out.pr_fail);
-    println!("delivery delay      : {}", out.delay);
-    println!("energy per bit      : {}", out.energy_per_data_bit);
-    println!();
-    println!("radio residencies per superframe:");
-    println!("  idle : {}", out.t_idle);
-    println!("  tx   : {}", out.t_tx);
-    println!("  rx   : {}", out.t_rx);
+    outln!("inter-beacon period : {}", out.t_ib);
+    outln!("average power       : {}", out.average_power);
+    outln!("failure probability : {}", out.pr_fail);
+    outln!("delivery delay      : {}", out.delay);
+    outln!("energy per bit      : {}", out.energy_per_data_bit);
+    outln!();
+    outln!("radio residencies per superframe:");
+    outln!("  idle : {}", out.t_idle);
+    outln!("  tx   : {}", out.t_tx);
+    outln!("  rx   : {}", out.t_rx);
 
     Ok(())
 }

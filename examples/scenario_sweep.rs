@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example scenario_sweep -- [superframes] [--threads N] [--reps N] [--save-dir DIR]`
 
 use ieee802154_energy::sim::scenario::{ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
-use wsn_bench::{export_scenario_file, Flag, RunArgs};
+use wsn_bench::{export_scenario_file, outln, Flag, RunArgs};
 use wsn_sim::SavedScenario;
 
 /// The scenario name as a file stem: lowercase alphanumerics, runs of
@@ -91,7 +91,7 @@ fn main() {
     }
 
     let runner = args.runner();
-    println!(
+    outln!(
         "scenario sweep — 4 channels × 50 nodes, {} superframes × {reps} replications ({} threads)\n",
         args.superframes,
         runner.threads()
@@ -102,25 +102,25 @@ fn main() {
             .with_replications(reps)
             .run(&runner);
         let o = &outcome.overall;
-        println!("{}", outcome.name);
-        println!(
+        outln!("{}", outcome.name);
+        outln!(
             "  power    : {:.1} ± {:.1} µW",
             o.mean_node_power.microwatts(),
             o.power_standard_error.microwatts()
         );
-        println!(
+        outln!(
             "  failures : {:.1} ± {:.1} %",
             o.failure_ratio.value() * 100.0,
             o.failure_standard_error * 100.0
         );
-        println!("  delay    : {:.2} s", o.mean_delay.secs());
+        outln!("  delay    : {:.2} s", o.mean_delay.secs());
         for (c, s) in outcome.per_channel.iter().enumerate() {
-            println!(
+            outln!(
                 "    ch{c}: {:6.1} µW, fail {:5.1} %",
                 s.mean_node_power.microwatts(),
                 s.failure_ratio.value() * 100.0
             );
         }
-        println!();
+        outln!();
     }
 }
