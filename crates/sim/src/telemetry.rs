@@ -158,10 +158,12 @@ impl Default for Hist {
 // ---------------------------------------------------------------------------
 
 /// Engine-layer metrics: one shard per simulation run, folded into the
-/// global registry at run end. Counts cover the whole horizon (warm-up
-/// included) for event/queue metrics; attempt, transaction and downlink
-/// metrics mirror the accumulators and count the recorded (post-warm-up)
-/// window only.
+/// global registry at run end. Event and queue metrics cover the whole
+/// horizon, warm-up included. Attempt and transaction metrics count the
+/// recorded (post-warm-up) window only, and only the uplink packets that
+/// contend with CSMA/CA: they leave out data requests, GTS transmissions
+/// and the lost transactions of down nodes and silent coordinators, all
+/// of which the result records count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineMetrics {
     /// Simulation runs folded into this set.
@@ -188,7 +190,8 @@ pub struct EngineMetrics {
     pub attempts_corrupted: u64,
     /// Recorded uplink attempts abandoned at channel-access failure.
     pub attempts_access_failure: u64,
-    /// Recorded transactions (delivered or finally failed).
+    /// Recorded uplink transactions that ran CSMA/CA (delivered or
+    /// finally failed).
     pub transactions: u64,
     /// Recorded transactions that delivered.
     pub transactions_delivered: u64,

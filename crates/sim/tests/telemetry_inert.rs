@@ -44,7 +44,8 @@ fn off_then_on<T>(mut f: impl FnMut() -> T) -> (T, T) {
 }
 
 /// A small but non-trivial closed-loop scenario: faults and GTS/downlink
-/// traffic exercise every instrumented engine path.
+/// traffic exercise every instrumented engine path (checked in
+/// `scenario_outcomes_are_bit_identical_with_telemetry_on`).
 fn churn_scenario(seed: u64) -> Scenario {
     Scenario::new(
         "telemetry-churn",
@@ -57,6 +58,7 @@ fn churn_scenario(seed: u64) -> Scenario {
     )
     .with_traffic(
         TrafficSpec::uniform(32)
+            .with_gts(1)
             .with_gts_demand(2)
             .with_downlink(0.5),
     )
@@ -95,12 +97,26 @@ fn scenario_outcomes_are_bit_identical_with_telemetry_on() {
         .with_superframes(3)
         .with_replications(1)
         .with_seed(0xCA5E);
-    let (off, on) = off_then_on(|| format!("{:?}", case.run(&runner)));
-    assert_eq!(off, on, "case study outcome changed under telemetry");
+    let (off, on) = off_then_on(|| case.run(&runner));
+    let same = format!("{off:?}") == format!("{on:?}");
+    assert!(same, "case study outcome changed under telemetry");
+    // `engine.transactions` counts the uplink transactions that ran
+    // CSMA/CA, which are all of a CAP-only run's.
+    let engine = telemetry::snapshot().engine;
+    assert_eq!(engine.transactions, on.overall.transactions);
 
     let churn = churn_scenario(0xC0FE);
-    let (off, on) = off_then_on(|| format!("{:?}", churn.run(&runner)));
-    assert_eq!(off, on, "churn outcome changed under telemetry");
+    let (off, on) = off_then_on(|| churn.run(&runner));
+    let same = format!("{off:?}") == format!("{on:?}");
+    assert!(same, "churn outcome changed under telemetry");
+    let o = &on.overall;
+    assert!(o.gts_transactions > 0, "no GTS transmission");
+    assert!(o.downlink_polls > 0, "no downlink poll");
+    assert!(o.deaths > 0, "no node death");
+    // The record's transactions also count GTS transmissions and the
+    // packets of down nodes and silent coordinators, which never contend.
+    let engine = telemetry::snapshot().engine;
+    assert!(engine.transactions + o.gts_transactions < o.transactions);
 }
 
 /// One farm entry per seed, cheap enough for a 6-scenario batch.
