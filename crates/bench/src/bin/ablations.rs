@@ -299,7 +299,7 @@ fn main() {
                     .mean_node_power
                     .microwatts(),
                 trace
-                    .rounds_to_stabilize()
+                    .converged_at
                     .map_or("never".to_string(), |r| r.to_string()),
                 trace.rounds.iter().map(|r| r.moved).sum::<usize>()
             );

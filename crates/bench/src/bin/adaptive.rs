@@ -178,7 +178,7 @@ fn main() {
                 final_worst * 100.0,
                 (final_worst - static_final) * 100.0,
                 trace
-                    .rounds_to_stabilize()
+                    .converged_at
                     .map_or("never".to_string(), |r| r.to_string()),
                 trace.rounds.iter().map(|r| r.moved).sum::<usize>()
             );

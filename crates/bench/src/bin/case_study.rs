@@ -37,9 +37,9 @@ fn main() {
     // `--export-scenario`: write the study's exact Scenario as saved JSON
     // (the batch-service fixture) instead of running anything. The export
     // is the plain scenario — the link-adapted per-node levels
-    // `adapted_configs` swaps in are a runtime refinement, not scenario
-    // state — so `Scenario::run` on the loaded file is the bit-identity
-    // reference.
+    // `CaseStudy::simulate` swaps in are a runtime refinement, not
+    // scenario state — so `Scenario::run` on the loaded file is the
+    // bit-identity reference.
     if let Some(path) = &args.export_scenario {
         let scenario = study
             .scenario()
@@ -112,8 +112,7 @@ fn main() {
 
     // The discrete-event reproduction: 16 channels × reps replications as
     // one parallel job grid, per-node link-adapted transmit power.
-    let (scenario, configs) = study.adapted_configs(&ber, &mc, args.superframes, reps);
-    let outcome = &scenario.run_with(&runner, &configs, &ber);
+    let outcome = study.simulate(&runner, &ber, &mc, args.superframes, reps);
     outln!(
         "\n## simulator: 16 parallel channels × {reps} replications ({} threads)",
         runner.threads()

@@ -12,12 +12,11 @@
 use std::sync::Arc;
 
 use wsn_channel::UniformPathLossPopulation;
-use wsn_mac::BeaconOrder;
 use wsn_phy::ber::BerModel;
 use wsn_phy::frame::PacketLayout;
 use wsn_radio::{PhaseTag, StateKind, TxPowerLevel};
 use wsn_sim::network::TxPowerPolicy;
-use wsn_sim::scenario::{DeploymentSpec, Scenario, ScenarioOutcome, TrafficSpec};
+use wsn_sim::scenario::{Scenario, ScenarioOutcome};
 use wsn_sim::Runner;
 use wsn_units::{Db, Power, Probability, Seconds};
 
@@ -25,16 +24,14 @@ use crate::activation::{ActivationModel, ModelInputs, ModelOutput};
 use crate::contention::ContentionModel;
 use crate::link_adaptation::LinkAdaptation;
 
-/// The dense-network scenario.
+/// The dense-network scenario: the activation model and its population
+/// grid over [`Scenario::paper_case_study`], which states the channels,
+/// nodes, payload, beacon order and loss band both reproductions read.
 #[derive(Debug, Clone)]
 pub struct CaseStudy {
     model: ActivationModel,
-    packet: PacketLayout,
-    beacon_order: BeaconOrder,
-    channels: usize,
-    nodes_per_channel: usize,
-    population: UniformPathLossPopulation,
     grid_points: usize,
+    scenario: Scenario,
 }
 
 impl CaseStudy {
@@ -43,12 +40,8 @@ impl CaseStudy {
     pub fn paper(model: ActivationModel) -> Self {
         CaseStudy {
             model,
-            packet: PacketLayout::with_payload(120).expect("120 ≤ 123"),
-            beacon_order: BeaconOrder::new(6).expect("BO 6 valid"),
-            channels: 16,
-            nodes_per_channel: 100,
-            population: UniformPathLossPopulation::paper_case_study(),
             grid_points: 81,
+            scenario: Scenario::paper_case_study(),
         }
     }
 
@@ -74,54 +67,27 @@ impl CaseStudy {
         &self.model
     }
 
-    /// The packet layout in use.
+    /// The packet layout every channel carries.
     pub fn packet(&self) -> PacketLayout {
-        self.packet
-    }
-
-    /// The beacon order in use.
-    pub fn beacon_order(&self) -> BeaconOrder {
-        self.beacon_order
-    }
-
-    /// Number of independent channels.
-    pub fn channels(&self) -> usize {
-        self.channels
+        self.scenario.channel_packet(0)
     }
 
     /// Nodes sharing each channel.
     pub fn nodes_per_channel(&self) -> usize {
-        self.nodes_per_channel
+        self.scenario.nodes_per_channel
     }
 
-    /// The path-loss population.
-    pub fn population(&self) -> UniformPathLossPopulation {
-        self.population
-    }
-
-    /// Network load λ per channel: `N·T_packet / T_ib` (≈ 0.43, the
-    /// paper's "42 %").
+    /// Network load λ per channel, [`Scenario::load_for`]: `N·T_packet /
+    /// T_ib` (≈ 0.43, the paper's "42 %").
     pub fn load(&self) -> f64 {
-        self.nodes_per_channel as f64 * self.packet.duration().secs()
-            / self.beacon_order.beacon_interval().secs()
+        self.scenario.load_for(0, self.scenario.nodes_per_channel)
     }
 
-    /// The case study as a declarative [`Scenario`]: 16 channels × 100
-    /// nodes on the uniform 55–95 dB loss grid, 120-byte payloads, BO = 6
-    /// — the discrete-event counterpart of [`run`](Self::run). Compiled
-    /// per-channel loads equal [`load`](Self::load) by construction.
+    /// The case study as a declarative [`Scenario`]:
+    /// [`Scenario::paper_case_study`], the discrete-event counterpart of
+    /// [`run`](Self::run).
     pub fn scenario(&self) -> Scenario {
-        Scenario::new(
-            "paper §5 case study",
-            self.channels,
-            self.nodes_per_channel,
-            DeploymentSpec::UniformLossGrid {
-                min_db: self.population.min().db(),
-                max_db: self.population.max().db(),
-            },
-        )
-        .with_traffic(TrafficSpec::uniform(self.packet.payload_bytes()))
-        .with_beacon_order(self.beacon_order)
+        self.scenario.clone()
     }
 
     /// Simulates the case study end to end on the parallel runner: the
@@ -138,25 +104,12 @@ impl CaseStudy {
         superframes: u32,
         replications: u32,
     ) -> ScenarioOutcome {
-        let (scenario, configs) = self.adapted_configs(ber, contention, superframes, replications);
-        scenario.run_with(runner, &configs, ber)
-    }
-
-    /// The simulation scenario plus its compiled per-channel configs with
-    /// per-node energy-optimal transmit levels swapped in — the shared
-    /// front half of [`simulate`](Self::simulate).
-    pub fn adapted_configs<B: BerModel, C: ContentionModel>(
-        &self,
-        ber: &B,
-        contention: &C,
-        superframes: u32,
-        replications: u32,
-    ) -> (Scenario, Vec<wsn_sim::NetworkConfig>) {
         let scenario = self
             .scenario()
             .with_superframes(superframes)
             .with_replications(replications);
-        let adaptation = LinkAdaptation::new(self.model.clone(), self.packet, self.beacon_order);
+        let adaptation =
+            LinkAdaptation::new(self.model.clone(), self.packet(), scenario.beacon_order);
         let mut configs = scenario.compile();
         // The paper scenario compiles identical loss populations and loads
         // for every channel, so the (expensive) per-node adaptation is
@@ -185,14 +138,16 @@ impl CaseStudy {
             };
             cfg.tx_policy = TxPowerPolicy::PerNode(levels);
         }
-        (scenario, configs)
+        scenario.run_with(runner, &configs, ber)
     }
 
     /// Runs the study.
     pub fn run<B: BerModel, C: ContentionModel>(&self, ber: &B, contention: &C) -> CaseStudyReport {
         let load = self.load();
-        let adaptation = LinkAdaptation::new(self.model.clone(), self.packet, self.beacon_order);
-        let stats = contention.stats(load, self.packet);
+        let packet = self.packet();
+        let beacon_order = self.scenario.beacon_order;
+        let adaptation = LinkAdaptation::new(self.model.clone(), packet, beacon_order);
+        let stats = contention.stats(load, packet);
 
         let mut points = Vec::with_capacity(self.grid_points);
         let mut power_sum = 0.0;
@@ -202,12 +157,14 @@ impl CaseStudy {
         let mut state_sums = [0.0f64; 4];
         let mut level_counts = [0usize; 8];
 
-        for loss in self.population.grid(self.grid_points) {
+        // The loss band `Scenario::paper_case_study` takes, integrated on
+        // the model's own grid.
+        for loss in UniformPathLossPopulation::paper_case_study().grid(self.grid_points) {
             let best = adaptation.best_level(loss, load, ber, contention);
             let out = self.model.evaluate(
                 &ModelInputs {
-                    packet: self.packet,
-                    beacon_order: self.beacon_order,
+                    packet,
+                    beacon_order,
                     tx_level: best.level,
                     path_loss: loss,
                     contention: stats,
@@ -254,7 +211,7 @@ impl CaseStudy {
 
         CaseStudyReport {
             load,
-            beacon_interval: self.beacon_order.beacon_interval(),
+            beacon_interval: beacon_order.beacon_interval(),
             average_power: Power::from_watts(power_sum / n),
             mean_delay: Seconds::from_secs(delay_sum / n),
             mean_failure: Probability::clamped(fail_sum / n),
@@ -393,15 +350,17 @@ mod tests {
     #[test]
     fn scenario_compiles_to_16_channels_of_100_nodes_at_the_paper_load() {
         let study = CaseStudy::paper(ActivationModel::paper_defaults(RadioModel::cc2420()));
+        assert_eq!(study.scenario(), Scenario::paper_case_study());
         let configs = study.scenario().compile();
         assert_eq!(configs.len(), 16, "paper uses 16 channels");
         for (c, cfg) in configs.iter().enumerate() {
             assert_eq!(cfg.channel.nodes, 100, "channel {c}");
             assert_eq!(cfg.path_losses.len(), 100, "channel {c}");
-            // The compiled load is the same `N·T_packet / T_ib` the
-            // analytical study uses.
-            assert!(
-                (cfg.channel.load - study.load()).abs() < 1e-12,
+            // The compiled load is the analytical study's: both are
+            // `Scenario::load_for`.
+            assert_eq!(
+                cfg.channel.load.to_bits(),
+                study.load().to_bits(),
                 "channel {c}: compiled load {} vs model load {}",
                 cfg.channel.load,
                 study.load()

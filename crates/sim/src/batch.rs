@@ -6,7 +6,7 @@
 //! ([`BatchSet::load_dir`]) or the files a manifest lists
 //! ([`BatchSet::load_manifest`]), validates **all** of them up front
 //! (one bad file fails the batch before any simulation starts), and
-//! [`BatchSet::run`] executes the whole set through one [`Runner`]:
+//! [`BatchSet::run_with`] executes the whole set through one [`Runner`]:
 //!
 //! * **Long-lived workers, pipelined waves.** Consecutive open-loop
 //!   scenarios run as one [`Runner::stream`] on one set of workers. The
@@ -35,7 +35,7 @@
 //!   record (JSON-lines) with the full [`NetworkSummary`] surface —
 //!   CAP/CFP split, fault counters and standard errors included — and
 //!   the batch ends with one aggregate record, all through a
-//!   [`ResultSink`] (any `Write` via [`WriteSink`]).
+//!   [`ResultSink`] (any `Write` via [`WriteSink`](crate::sink::WriteSink)).
 //! * **Fault tolerance.** [`BatchSet::run_with`] takes a [`RunConfig`]:
 //!   an fsync'd progress [journal](crate::journal) makes a killed farm
 //!   resumable ([`RunConfig::resume`] skips scenarios whose
@@ -65,8 +65,8 @@ use crate::persist::{
 };
 use crate::policy::PolicyEngine;
 use crate::runner::{panic_message, replication_seed, Runner, Stream};
-use crate::scenario::{GridFailure, JobOutput, ResolvedBer, Scenario, ScenarioOutcome};
-use crate::sink::{ResultSink, WriteSink};
+use crate::scenario::{JobOutput, ResolvedBer, Scenario, ScenarioOutcome};
+use crate::sink::ResultSink;
 
 /// The per-scenario master seed under a manifest batch seed: a pure
 /// function of `(batch_seed, name)` (FNV-1a over the name, fed through
@@ -137,6 +137,16 @@ pub enum BatchError {
         /// The I/O error text.
         error: String,
     },
+}
+
+impl BatchError {
+    /// Maps an I/O failure on `path` to [`BatchError::Io`].
+    fn io(path: &Path) -> impl Fn(io::Error) -> BatchError + '_ {
+        move |e| BatchError::Io {
+            path: path.to_path_buf(),
+            error: e.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for BatchError {
@@ -404,16 +414,10 @@ impl BatchSet {
     /// Returns the first I/O, parse, validation or duplicate-name
     /// failure — nothing runs until the whole directory is good.
     pub fn load_dir(dir: &Path) -> Result<Self, BatchError> {
-        let read = std::fs::read_dir(dir).map_err(|e| BatchError::Io {
-            path: dir.to_path_buf(),
-            error: e.to_string(),
-        })?;
+        let read = std::fs::read_dir(dir).map_err(BatchError::io(dir))?;
         let mut paths: Vec<PathBuf> = Vec::new();
         for dirent in read {
-            let dirent = dirent.map_err(|e| BatchError::Io {
-                path: dir.to_path_buf(),
-                error: e.to_string(),
-            })?;
+            let dirent = dirent.map_err(BatchError::io(dir))?;
             let path = dirent.path();
             let is_scenario = path.extension().is_some_and(|x| x == "json")
                 && path.file_name().is_some_and(|f| f != "manifest.json");
@@ -450,18 +454,12 @@ impl BatchSet {
     /// Returns the first I/O, parse, validation or duplicate-name
     /// failure.
     pub fn load_manifest(path: &Path) -> Result<Self, BatchError> {
-        let text = std::fs::read_to_string(path).map_err(|e| BatchError::Io {
-            path: path.to_path_buf(),
-            error: e.to_string(),
-        })?;
-        let root = persist::parse_document(&text).map_err(|error| BatchError::Parse {
-            path: path.to_path_buf(),
-            error,
-        })?;
+        let text = std::fs::read_to_string(path).map_err(BatchError::io(path))?;
         let parse_err = |error: ParseError| BatchError::Parse {
             path: path.to_path_buf(),
             error,
         };
+        let root = persist::parse_document(&text).map_err(parse_err)?;
         let (batch_seed, files) = decode_manifest(&root).map_err(parse_err)?;
         let base = path.parent().unwrap_or(Path::new("."));
         let entries = files
@@ -489,20 +487,6 @@ impl BatchSet {
             scenario.seed = scenario_master_seed(batch_seed, &entry.name);
         }
         scenario
-    }
-
-    /// Runs the whole batch with the default [`RunConfig`] (no journal,
-    /// no watchdog) into any `Write` — the original entry point, kept for
-    /// callers that just want the stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `sink` write failures; simulation itself is
-    /// infallible once the set validated.
-    pub fn run(&self, runner: &Runner, sink: &mut dyn Write) -> io::Result<BatchReport> {
-        let mut sink = WriteSink::new(sink);
-        self.run_with(runner, &mut sink, &RunConfig::default())
-            .map_err(|e| io::Error::other(e.to_string()))
     }
 
     /// Runs the whole batch on `runner`, streaming one compact JSON
@@ -806,10 +790,10 @@ struct FarmJob<'a> {
     deadline: Option<Instant>,
 }
 
-/// A wave in flight: its entries in order, each compiled or carrying its
-/// compile panic, and how many jobs it fed.
+/// A wave in flight: its entries in order, each compiled or failed by
+/// its compile panic, and how many jobs it fed.
 struct Wave {
-    entries: Vec<(usize, Result<Arc<Compiled>, String>)>,
+    entries: Vec<(usize, Result<Arc<Compiled>, ScenarioStatus>)>,
     jobs: usize,
 }
 
@@ -912,7 +896,9 @@ impl<'a> OpenLoop<'a> {
                     .collect();
                 Arc::new((configs, bers)) as Arc<Compiled>
             }))
-            .map_err(panic_message);
+            .map_err(|payload| ScenarioStatus::Failed {
+                panic: panic_message(payload),
+            });
             entries.push((idx, compiled));
             wave_jobs += scenario.channels * scenario.replications.max(1) as usize;
             if wave_jobs >= target || self.config.timeout.is_some() {
@@ -956,31 +942,18 @@ impl<'a> OpenLoop<'a> {
             .map(|(idx, compiled)| {
                 let scenario = &self.scenarios[idx];
                 let base = self.set.base_record(idx, scenario, &self.fingerprints[idx]);
-                let compiled = match compiled {
-                    Ok(compiled) => compiled,
-                    Err(panic) => {
-                        return ScenarioRecord {
-                            status: ScenarioStatus::Failed { panic },
-                            ..base
-                        }
-                    }
-                };
-                let grid = scenario.grid(&compiled.0, &compiled.1);
-                *jobs_run += grid.jobs();
-                match grid.reduce(results.by_ref()) {
+                let reduced = compiled.and_then(|compiled| {
+                    let grid = scenario.grid(&compiled.0, &compiled.1);
+                    *jobs_run += grid.jobs();
+                    grid.reduce(results.by_ref())
+                });
+                match reduced {
                     Ok((outcome, job_ms)) => ScenarioRecord {
                         outcome: Some(outcome),
                         job_ms,
                         ..base
                     },
-                    Err(GridFailure::Panicked(panic)) => ScenarioRecord {
-                        status: ScenarioStatus::Failed { panic },
-                        ..base
-                    },
-                    Err(GridFailure::TimedOut) => ScenarioRecord {
-                        status: ScenarioStatus::Timeout,
-                        ..base
-                    },
+                    Err(status) => ScenarioRecord { status, ..base },
                 }
             })
             .collect()
@@ -1033,12 +1006,7 @@ impl Emitter<'_> {
                     .map_err(|error| BatchError::Journal { error })?;
             }
             if self.telem {
-                let outcome = match &record.status {
-                    ScenarioStatus::Ok => crate::telemetry::FarmOutcome::Ok,
-                    ScenarioStatus::Failed { .. } => crate::telemetry::FarmOutcome::Failed,
-                    ScenarioStatus::Timeout => crate::telemetry::FarmOutcome::Timeout,
-                };
-                crate::telemetry::note_farm_record(outcome);
+                crate::telemetry::note_farm_record(&record.status);
             }
             let ok = record.status.is_ok();
             self.records.push(record);
@@ -1098,10 +1066,7 @@ fn ms_since(t: Instant) -> f64 {
 }
 
 fn load_entry(path: PathBuf) -> Result<BatchEntry, BatchError> {
-    let text = std::fs::read_to_string(&path).map_err(|e| BatchError::Io {
-        path: path.clone(),
-        error: e.to_string(),
-    })?;
+    let text = std::fs::read_to_string(&path).map_err(BatchError::io(&path))?;
     let saved = load_scenario(&text).map_err(|error| BatchError::Parse {
         path: path.clone(),
         error,
@@ -1299,6 +1264,7 @@ impl BatchReport {
 mod tests {
     use super::*;
     use crate::scenario::DeploymentSpec;
+    use crate::sink::WriteSink;
 
     fn tiny(name: &str, seed: u64) -> SavedScenario {
         SavedScenario::open_loop(
@@ -1329,8 +1295,10 @@ mod tests {
     fn batch_matches_standalone_runs_bit_for_bit() {
         let set = BatchSet::from_entries(vec![entry("a", 11), entry("b", 22)], None).unwrap();
         let runner = Runner::serial();
-        let mut sink = Vec::new();
-        let report = set.run(&runner, &mut sink).unwrap();
+        let mut sink = WriteSink::new(Vec::new());
+        let report = set
+            .run_with(&runner, &mut sink, &RunConfig::default())
+            .unwrap();
         assert!(report.all_ok());
         for record in &report.records {
             let alone = set
@@ -1351,7 +1319,7 @@ mod tests {
             );
         }
         // One JSONL line per scenario plus the aggregate.
-        let text = String::from_utf8(sink).unwrap();
+        let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert!(text.lines().last().unwrap().contains("\"aggregate\":true"));
     }
@@ -1421,8 +1389,10 @@ mod tests {
         let mut e = entry("looped", 5);
         e.saved.policy = Some(PolicyChoice::Static { rounds: 2 });
         let set = BatchSet::from_entries(vec![e], None).unwrap();
-        let mut sink = Vec::new();
-        let report = set.run(&Runner::serial(), &mut sink).unwrap();
+        let mut sink = WriteSink::new(Vec::new());
+        let report = set
+            .run_with(&Runner::serial(), &mut sink, &RunConfig::default())
+            .unwrap();
         let (choice, rounds_run) = report.records[0].policy.unwrap();
         assert_eq!(choice.name(), "static");
         assert!(rounds_run >= 1);

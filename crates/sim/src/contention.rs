@@ -27,7 +27,7 @@
 //!   horizon is tracked in microseconds so packet airtimes stay exact.
 
 use wsn_mac::csma::{CsmaAction, CsmaParams, InvalidCsmaParams, SlottedCsmaCa};
-use wsn_mac::gts::GtsRegistry;
+use wsn_mac::gts::{GtsRegistry, MAX_GTS_DESCRIPTORS};
 use wsn_mac::timing::{
     ack_wait_max, ack_wait_min, TURNAROUND_SYMBOLS, UNIT_BACKOFF_PERIOD_SYMBOLS,
 };
@@ -98,6 +98,18 @@ pub enum ConfigError {
         /// MAC slots per allocation.
         slots: u8,
     },
+    /// GTS allocations the engine's descriptor table cannot hold: more
+    /// holders than [`MAX_GTS_DESCRIPTORS`], an allocation outside
+    /// `1..=15` slots, or allocations that run past slot 16 from the
+    /// plan's CFP start.
+    GtsPlan {
+        /// GTS holders: the plan's `gts_nodes`, at most the node count.
+        holders: u32,
+        /// MAC slots per allocation.
+        slots: u8,
+        /// First MAC slot of the plan's CFP.
+        cfp_start_slot: u8,
+    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -116,6 +128,15 @@ impl core::fmt::Display for ConfigError {
             ConfigError::GtsFit { packet_us, slots } => {
                 write!(f, "a {packet_us} µs packet does not fit a {slots}-slot GTS")
             }
+            ConfigError::GtsPlan {
+                holders,
+                slots,
+                cfp_start_slot,
+            } => write!(
+                f,
+                "{holders} GTS of {slots} slots from slot {cfp_start_slot} do not fit \
+                 {MAX_GTS_DESCRIPTORS} descriptors of 1..=15 slots ending at slot 16"
+            ),
         }
     }
 }
@@ -226,8 +247,8 @@ impl ChannelSimConfig {
     /// Checks every precondition the engine asserts on entry — node count,
     /// load interval, superframe count, the calendar-queue window ceiling
     /// the implied superframe length must fit under, the CSMA/CA
-    /// parameters, and a non-inert CFP's 16-slot span and GTS fit — as a
-    /// `Result` instead of a panic.
+    /// parameters, and a non-inert CFP's 16-slot span, GTS allocations
+    /// and GTS fit — as a `Result` instead of a panic.
     ///
     /// `validate().is_ok()` guarantees [`run_channel_sim_into_ws`] will not
     /// panic on configuration checks; the engine's panic messages match
@@ -252,13 +273,29 @@ impl ChannelSimConfig {
             if t.superframe_slots < 16 {
                 return Err(ConfigError::CfpSpan);
             }
-            let slots = self.cfp.slots_per_gts;
-            let gts_us = slots as u64 * t.mac_slot_backoffs * SLOT_US;
-            if self.cfp.gts_nodes.min(self.nodes as u32) > 0 && t.packet_us > gts_us {
-                return Err(ConfigError::GtsFit {
-                    packet_us: t.packet_us,
-                    slots,
-                });
+            let plan = self.cfp;
+            let holders = plan.gts_nodes.min(self.nodes as u32);
+            if holders > 0 {
+                // The engine allocates `holders` GTS of `slots` slots each
+                // down from slot 16 and keeps slots below the plan's CFP
+                // start free; these bounds are exactly when it succeeds.
+                let slots = plan.slots_per_gts;
+                let fits = holders as usize <= MAX_GTS_DESCRIPTORS
+                    && (1..=15).contains(&slots)
+                    && u32::from(plan.cfp_start_slot) + holders * u32::from(slots) <= 16;
+                if !fits {
+                    return Err(ConfigError::GtsPlan {
+                        holders,
+                        slots,
+                        cfp_start_slot: plan.cfp_start_slot,
+                    });
+                }
+                if t.packet_us > u64::from(slots) * t.mac_slot_backoffs * SLOT_US {
+                    return Err(ConfigError::GtsFit {
+                        packet_us: t.packet_us,
+                        slots,
+                    });
+                }
             }
         }
         Ok(())
@@ -1499,10 +1536,10 @@ pub(crate) mod tests {
         let cfg = quick(50, 0.2, 5);
         let clean = reduced(&run_channel_sim(&cfg, |_| false));
         let noisy = reduced(&run_channel_sim(&cfg, |_| true)); // every packet corrupted
-        assert!(noisy.mean_attempts() > clean.mean_attempts());
+        assert!(noisy.attempts.mean() > clean.attempts.mean());
         // All transactions fail when every packet is corrupted.
-        assert!((noisy.failure_ratio().value() - 1.0).abs() < 1e-12);
-        assert!(clean.failure_ratio().value() < 0.2);
+        assert!((noisy.failures.ratio().value() - 1.0).abs() < 1e-12);
+        assert!(clean.failures.ratio().value() < 0.2);
     }
 
     #[test]
@@ -1565,7 +1602,9 @@ pub(crate) mod tests {
     #[test]
     fn delivery_delay_at_low_load_is_one_superframe() {
         let cfg = quick(20, 0.05, 13);
-        let mean = reduced(&run_channel_sim(&cfg, |_| false)).mean_delivery_superframes();
+        let mean = reduced(&run_channel_sim(&cfg, |_| false))
+            .delivery_superframes
+            .mean();
         assert!(
             (mean - 1.0).abs() < 0.05,
             "mean delivery superframes {mean}"
@@ -1639,6 +1678,53 @@ pub(crate) mod tests {
         assert!(ConfigError::TooFewSuperframes(1)
             .to_string()
             .starts_with("need at least two superframes"));
+    }
+
+    #[test]
+    fn validate_rejects_gts_plans_the_engine_cannot_allocate() {
+        // Two hand-built plans the engine's allocation loop cannot hold:
+        // a CFP start left at 16, and eight holders for seven descriptors.
+        let mut cfg = ChannelSimConfig::figure6(20, 0.3, 7);
+        cfg.superframes = 3;
+        let no_room = CfpPlan {
+            gts_nodes: 2,
+            ..CfpPlan::inert()
+        };
+        let too_many = CfpPlan {
+            gts_nodes: 8,
+            slots_per_gts: 1,
+            cfp_start_slot: 8,
+            ..CfpPlan::inert()
+        };
+        for (plan, holders, cfp_start_slot) in [(no_room, 2, 16), (too_many, 8, 8)] {
+            let mut bad = cfg.clone();
+            bad.cfp = plan;
+            let err = ConfigError::GtsPlan {
+                holders,
+                slots: 1,
+                cfp_start_slot,
+            };
+            assert_eq!(bad.validate(), Err(err));
+            assert!(err.to_string().contains("7 descriptors"));
+        }
+        // Every plan `plan_channel_cfp` builds in the tests validates and
+        // runs: (nodes, GTS demand, slots per GTS, minimum CAP, downlink).
+        for (nodes, demand, slots, min_cap, downlink) in [
+            (10, 0, 1, 8, 0.5),
+            (100, 100, 1, 8, 0.0),
+            (10, 10, 1, 12, 0.0),
+            (8, 3, 2, 8, 0.0),
+            (3, 100, 1, 8, 0.0),
+            (20, 7, 1, 8, 0.5),
+            (200, 9, 1, 8, 0.5),
+            (120, 6, 1, 8, 1.0),
+            (65_540, 3, 1, 8, 0.0),
+        ] {
+            let mut good = cfg.clone();
+            good.cfp = plan_channel_cfp(nodes, demand, slots, min_cap, downlink);
+            assert_eq!(good.validate(), Ok(()), "plan {:?}", good.cfp);
+            simulate_contention(&good);
+        }
     }
 
     // --- CFP engine ------------------------------------------------------

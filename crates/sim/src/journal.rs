@@ -249,11 +249,6 @@ impl JournalWriter {
         })
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one record and syncs it to disk before returning — after
     /// this call the completion survives `kill -9`.
     ///

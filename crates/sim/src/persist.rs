@@ -1546,7 +1546,7 @@ mod tests {
     use crate::scenario::TrafficSpec;
 
     fn sample() -> SavedScenario {
-        let scenario = Scenario::new(
+        let mut scenario = Scenario::new(
             "sample",
             4,
             10,
@@ -1573,7 +1573,6 @@ mod tests {
             },
             BerChoice::EmpiricalCc2420,
         ])
-        .with_channel_loss_offsets(vec![0.0, 1.5, -2.0, 0.75])
         .with_faults(
             FaultPlan::inert()
                 .with_churn(0.02, 1, 3)
@@ -1583,6 +1582,7 @@ mod tests {
         )
         .with_seed(0xDEAD_BEEF_CAFE_F00D)
         .with_replications(3);
+        scenario.channel_loss_offsets_db = Some(vec![0.0, 1.5, -2.0, 0.75]);
         SavedScenario {
             scenario,
             policy: Some(PolicyChoice::Greedy {

@@ -368,12 +368,6 @@ pub struct PolicyTrace {
 }
 
 impl PolicyTrace {
-    /// Rounds until the assignment stabilized (alias of
-    /// [`converged_at`](Self::converged_at), the paper-facing name).
-    pub fn rounds_to_stabilize(&self) -> Option<usize> {
-        self.converged_at
-    }
-
     /// The last executed round.
     ///
     /// # Panics
@@ -381,19 +375,6 @@ impl PolicyTrace {
     /// Panics if the trace is empty.
     pub fn final_round(&self) -> &PolicyRound {
         self.rounds.last().expect("at least one round")
-    }
-
-    /// Worst-channel failure ratio per round.
-    pub fn worst_failure_trajectory(&self) -> Vec<f64> {
-        self.rounds.iter().map(PolicyRound::worst_failure).collect()
-    }
-
-    /// Network-wide total energy per round, in joules.
-    pub fn energy_trajectory_j(&self) -> Vec<f64> {
-        self.rounds
-            .iter()
-            .map(|r| r.outcome.overall.ledger.total_energy().joules())
-            .collect()
     }
 }
 
@@ -837,9 +818,9 @@ mod tests {
         for round in &trace.rounds {
             assert_eq!(round.assignment.len(), 24);
             assert_eq!(round.outcome.per_channel.len(), 3);
+            assert!((0.0..=1.0).contains(&round.worst_failure()));
+            assert!(round.outcome.overall.ledger.total_energy().joules() > 0.0);
         }
-        assert_eq!(trace.worst_failure_trajectory().len(), trace.rounds.len());
-        assert_eq!(trace.energy_trajectory_j().len(), trace.rounds.len());
     }
 
     #[test]

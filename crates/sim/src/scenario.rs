@@ -36,6 +36,7 @@ use wsn_phy::noise::SplitMix64;
 use wsn_radio::RadioModel;
 use wsn_units::{DBm, Db, Meters, Seconds};
 
+use crate::batch::ScenarioStatus;
 use crate::cfp::{plan_channel_cfp, CfpPlan};
 use crate::contention::ChannelSimConfig;
 use crate::faults::FaultPlan;
@@ -434,15 +435,17 @@ impl Scenario {
     }
 
     /// The paper's §5 dense-network case study: 16 channels × 100 nodes,
-    /// 120-byte payloads, BO = 6, path losses uniform in 55–95 dB.
+    /// 120-byte payloads, BO = 6, path losses uniform over
+    /// [`UniformPathLossPopulation::paper_case_study`] (55–95 dB).
     pub fn paper_case_study() -> Self {
+        let band = UniformPathLossPopulation::paper_case_study();
         Scenario::new(
             "paper §5 case study",
             16,
             100,
             DeploymentSpec::UniformLossGrid {
-                min_db: 55.0,
-                max_db: 95.0,
+                min_db: band.min().db(),
+                max_db: band.max().db(),
             },
         )
     }
@@ -484,12 +487,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the minimum CAP slots GTS allocations must preserve.
-    pub fn with_min_cap_slots(mut self, min_cap_slots: u8) -> Self {
-        self.min_cap_slots = min_cap_slots;
-        self
-    }
-
     /// Attaches a fault-injection plan: node churn, coordinator outages
     /// and round-level load/quality dynamics, all derived from the master
     /// seed (see [`crate::faults`]). The inert plan leaves every compiled
@@ -504,13 +501,6 @@ impl Scenario {
     /// [`ber`](Self::ber). One entry per channel.
     pub fn with_channel_ber(mut self, channel_ber: Vec<BerChoice>) -> Self {
         self.channel_ber = Some(channel_ber);
-        self
-    }
-
-    /// Adds a per-channel link-budget penalty in dB to every path loss
-    /// compiled onto that channel. One entry per channel.
-    pub fn with_channel_loss_offsets(mut self, offsets_db: Vec<f64>) -> Self {
-        self.channel_loss_offsets_db = Some(offsets_db);
         self
     }
 
@@ -601,23 +591,18 @@ impl Scenario {
         )
     }
 
-    /// The network load λ of channel `c` implied by its traffic and the
-    /// beacon order: `N·T_packet / T_ib`.
-    pub fn channel_load(&self, c: usize) -> f64 {
-        self.load_for(c, self.nodes_per_channel)
-    }
-
-    /// The load channel `c` would carry with `nodes` nodes assigned to it
-    /// — the assignment-aware generalization of
-    /// [`channel_load`](Self::channel_load).
+    /// The network load λ channel `c` carries with `nodes` nodes assigned
+    /// to it, implied by its traffic and the beacon order:
+    /// `N·T_packet / T_ib`.
     pub fn load_for(&self, c: usize, nodes: usize) -> f64 {
         nodes as f64 * self.channel_packet(c).duration().secs()
             / self.beacon_order.beacon_interval().secs()
     }
 
     /// Channel `c`'s contention configuration with `nodes` nodes and
-    /// contention seed `seed` — the one place [`compile`](Self::compile),
-    /// the assignment compiles and [`validate`](Self::validate) build it.
+    /// contention seed `seed` — the one place
+    /// [`network_config`](Self::network_config) and
+    /// [`validate`](Self::validate) build it.
     fn channel_sim_config(&self, c: usize, nodes: usize, seed: u64) -> ChannelSimConfig {
         ChannelSimConfig {
             nodes,
@@ -652,7 +637,7 @@ impl Scenario {
         // A dedicated geometry stream, disjoint from the per-channel
         // contention seeds (which use small indices).
         let mut rng = SplitMix64::new(replication_seed(self.seed, 0xDE9_1077));
-        let (losses, deployment) = match &self.deployment {
+        let (deployment, exponent, shadowing_db) = match &self.deployment {
             DeploymentSpec::UniformLossGrid { .. } => return None,
             DeploymentSpec::Disc {
                 radius_m,
@@ -660,8 +645,7 @@ impl Scenario {
                 shadowing_db,
             } => {
                 let d = Deployment::uniform_disc(n, Meters::new(*radius_m), &mut rng);
-                let losses = Self::losses_for(&d, *exponent, *shadowing_db, &mut rng);
-                (losses, d)
+                (d, exponent, shadowing_db)
             }
             DeploymentSpec::Rings {
                 radii_m,
@@ -676,8 +660,7 @@ impl Scenario {
                 );
                 let radii: Vec<Meters> = radii_m.iter().map(|&r| Meters::new(r)).collect();
                 let d = Deployment::rings(n / radii.len(), &radii, &mut rng);
-                let losses = Self::losses_for(&d, *exponent, *shadowing_db, &mut rng);
-                (losses, d)
+                (d, exponent, shadowing_db)
             }
             DeploymentSpec::Clustered {
                 field_radius_m,
@@ -692,9 +675,18 @@ impl Scenario {
                     Meters::new(*cluster_radius_m),
                     &mut rng,
                 );
-                let losses = Self::losses_for(&d, *exponent, *shadowing_db, &mut rng);
-                (losses, d)
+                (d, exponent, shadowing_db)
             }
+        };
+        // Path losses draw their shadowing after the positions, from the
+        // same stream.
+        let model = LogDistance::free_space_2450().with_exponent(*exponent);
+        let losses = if *shadowing_db > 0.0 {
+            let shadowed =
+                LogNormalShadowing::new(model, Db::new(*shadowing_db), deployment.len(), &mut rng);
+            shadowed_population(&shadowed, &deployment.ranges())
+        } else {
+            deployment.path_losses(&model)
         };
         Some((losses, deployment))
     }
@@ -712,7 +704,7 @@ impl Scenario {
     }
 
     /// Per-node path losses for every channel, from the deployment spec,
-    /// with any [per-channel loss offsets](Self::with_channel_loss_offsets)
+    /// with any [per-channel loss offsets](Self::channel_loss_offsets_db)
     /// applied.
     ///
     /// Deterministic in the master seed: the geometry RNG stream is
@@ -720,15 +712,7 @@ impl Scenario {
     /// seeds.
     pub fn channel_losses(&self) -> Vec<Vec<Db>> {
         let mut per_channel: Vec<Vec<Db>> = match self.geometry() {
-            None => {
-                let (min_db, max_db) = match self.deployment {
-                    DeploymentSpec::UniformLossGrid { min_db, max_db } => (min_db, max_db),
-                    _ => unreachable!("geometry() is None only for the uniform grid"),
-                };
-                let population = UniformPathLossPopulation::new(Db::new(min_db), Db::new(max_db));
-                let grid = population.grid(self.nodes_per_channel);
-                vec![grid; self.channels]
-            }
+            None => vec![self.loss_grid(self.nodes_per_channel); self.channels],
             Some((losses, deployment)) => self
                 .geometric_partition(&deployment)
                 .iter()
@@ -758,15 +742,18 @@ impl Scenario {
     pub fn population_losses(&self) -> Vec<Db> {
         match self.geometry() {
             Some((losses, _)) => losses,
-            None => {
-                let (min_db, max_db) = match self.deployment {
-                    DeploymentSpec::UniformLossGrid { min_db, max_db } => (min_db, max_db),
-                    _ => unreachable!("geometry() is None only for the uniform grid"),
-                };
-                UniformPathLossPopulation::new(Db::new(min_db), Db::new(max_db))
-                    .grid(self.total_nodes())
-            }
+            None => self.loss_grid(self.total_nodes()),
         }
+    }
+
+    /// The geometry-free [`DeploymentSpec::UniformLossGrid`]'s `n`
+    /// midpoint losses, the population of every scenario without a
+    /// [`geometry`](Self::geometry).
+    fn loss_grid(&self, n: usize) -> Vec<Db> {
+        let DeploymentSpec::UniformLossGrid { min_db, max_db } = self.deployment else {
+            unreachable!("geometry() is None only for the uniform grid");
+        };
+        UniformPathLossPopulation::new(Db::new(min_db), Db::new(max_db)).grid(n)
     }
 
     /// The node→channel assignment the scenario's [`ChannelAllocation`]
@@ -814,19 +801,30 @@ impl Scenario {
         assignment
     }
 
-    fn losses_for(
-        deployment: &Deployment,
-        exponent: f64,
-        shadowing_db: f64,
-        rng: &mut SplitMix64,
-    ) -> Vec<Db> {
-        let model = LogDistance::free_space_2450().with_exponent(exponent);
-        if shadowing_db > 0.0 {
-            let shadowed =
-                LogNormalShadowing::new(model, Db::new(shadowing_db), deployment.len(), rng);
-            shadowed_population(&shadowed, &deployment.ranges())
-        } else {
-            deployment.path_losses(&model)
+    /// Channel `c`'s network configuration over `path_losses`, one per
+    /// node, with contention seed `seed` — the one place
+    /// [`compile`](Self::compile) and the assignment compiles build it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel's load leaves `(0, 1)`, as it does for a
+    /// channel without nodes.
+    fn network_config(&self, c: usize, path_losses: Arc<[Db]>, seed: u64) -> NetworkConfig {
+        let channel = self.channel_sim_config(c, path_losses.len(), seed);
+        let load = channel.load;
+        assert!(
+            load > 0.0 && load < 1.0,
+            "channel {c} load {load:.3} outside (0,1) — keep every channel populated, \
+             lower the traffic or raise BO"
+        );
+        NetworkConfig {
+            channel,
+            radio: self.radio.clone(),
+            path_losses,
+            tx_policy: self.tx_policy.clone(),
+            coordinator_tx: self.coordinator_tx,
+            wakeup_margin: self.wakeup_margin,
+            corrupt_probs: None,
         }
     }
 
@@ -897,15 +895,13 @@ impl Scenario {
                 ));
             }
         }
-        let interval = self.beacon_order.beacon_interval().secs();
         for c in 0..self.channels {
             let bytes = match &self.traffic.payloads {
                 PayloadSpec::Uniform { payload_bytes } => *payload_bytes,
                 PayloadSpec::PerChannel { payload_bytes } => payload_bytes[c],
             };
-            let packet = PacketLayout::with_payload(bytes)
-                .map_err(|e| format!("channel {c} payload: {e}"))?;
-            let load = self.nodes_per_channel as f64 * packet.duration().secs() / interval;
+            PacketLayout::with_payload(bytes).map_err(|e| format!("channel {c} payload: {e}"))?;
+            let load = self.load_for(c, self.nodes_per_channel);
             if !(load > 0.0 && load < 1.0) {
                 return Err(format!(
                     "channel {c} load {load:.3} outside (0,1) — lower the traffic or raise BO"
@@ -1065,27 +1061,11 @@ impl Scenario {
     pub fn compile(&self) -> Vec<NetworkConfig> {
         assert!(self.channels > 0, "at least one channel required");
         assert!(self.nodes_per_channel > 0, "at least one node per channel");
-        let losses: Vec<Arc<[Db]>> = self.channel_losses().into_iter().map(Arc::from).collect();
-        (0..self.channels)
-            .map(|c| {
-                let load = self.channel_load(c);
-                assert!(
-                    load > 0.0 && load < 1.0,
-                    "channel {c} load {load:.3} outside (0,1) — lower the traffic or raise BO"
-                );
-                NetworkConfig {
-                    channel: self.channel_sim_config(
-                        c,
-                        self.nodes_per_channel,
-                        replication_seed(self.seed, c as u64),
-                    ),
-                    radio: self.radio.clone(),
-                    path_losses: losses[c].clone(),
-                    tx_policy: self.tx_policy.clone(),
-                    coordinator_tx: self.coordinator_tx,
-                    wakeup_margin: self.wakeup_margin,
-                    corrupt_probs: None,
-                }
+        self.channel_losses()
+            .into_iter()
+            .enumerate()
+            .map(|(c, losses)| {
+                self.network_config(c, losses.into(), replication_seed(self.seed, c as u64))
             })
             .collect()
     }
@@ -1137,29 +1117,9 @@ impl Scenario {
             .iter()
             .enumerate()
             .map(|(c, part)| {
-                assert!(
-                    !part.is_empty(),
-                    "channel {c} has no nodes — policies must keep every channel populated"
-                );
                 let offset = self.channel_loss_offset(c);
-                let load = self.load_for(c, part.len());
-                assert!(
-                    load > 0.0 && load < 1.0,
-                    "channel {c} load {load:.3} outside (0,1) — the assignment overloads it"
-                );
-                NetworkConfig {
-                    channel: self.channel_sim_config(
-                        c,
-                        part.len(),
-                        replication_seed(salted, c as u64),
-                    ),
-                    radio: self.radio.clone(),
-                    path_losses: part.iter().map(|&i| losses[i] + offset).collect(),
-                    tx_policy: self.tx_policy.clone(),
-                    coordinator_tx: self.coordinator_tx,
-                    wakeup_margin: self.wakeup_margin,
-                    corrupt_probs: None,
-                }
+                let losses = part.iter().map(|&i| losses[i] + offset).collect();
+                self.network_config(c, losses, replication_seed(salted, c as u64))
             })
             .collect()
     }
@@ -1225,8 +1185,8 @@ impl Scenario {
         );
         match result {
             Ok((outcome, _)) => outcome,
-            Err(GridFailure::Panicked(message)) => std::panic::panic_any(message),
-            Err(GridFailure::TimedOut) => unreachable!("a grid without a deadline never times out"),
+            Err(ScenarioStatus::Failed { panic }) => std::panic::panic_any(panic),
+            Err(_) => unreachable!("a grid without a deadline never times out"),
         }
     }
 
@@ -1268,10 +1228,6 @@ pub(crate) struct Grid<'a, B> {
 /// job started.
 pub(crate) type JobOutput = Option<(NetworkAccumulator, f64)>;
 
-/// A reduced grid: its outcome and summed job wall clock in
-/// milliseconds, or why it has none.
-pub(crate) type GridResult = Result<(ScenarioOutcome, f64), GridFailure>;
-
 impl<B: BerModel> Grid<'_, B> {
     /// Jobs the grid puts on the runner: channels × replications, fed
     /// channel-major.
@@ -1303,13 +1259,14 @@ impl<B: BerModel> Grid<'_, B> {
     }
 
     /// The per-grid reduction over the grid's [`jobs`](Self::jobs)
-    /// results in feed order (it consumes exactly that many): a panic
-    /// wins over a timeout, and a complete grid reduces in fixed order
-    /// through [`ScenarioOutcome::reduce`].
+    /// results in feed order (it consumes exactly that many): the outcome
+    /// and summed job wall clock in milliseconds, or how the grid ended
+    /// without one — a panic wins over a timeout. A complete grid reduces
+    /// in fixed order through [`ScenarioOutcome::reduce`].
     pub(crate) fn reduce(
         &self,
         mut results: impl Iterator<Item = std::thread::Result<JobOutput>>,
-    ) -> GridResult {
+    ) -> Result<(ScenarioOutcome, f64), ScenarioStatus> {
         let mut accs = Vec::with_capacity(self.configs.len());
         let mut job_ms = 0.0;
         let mut panic = None;
@@ -1330,11 +1287,11 @@ impl<B: BerModel> Grid<'_, B> {
             }
             accs.push(reps);
         }
-        if let Some(message) = panic {
-            return Err(GridFailure::Panicked(message));
+        if let Some(panic) = panic {
+            return Err(ScenarioStatus::Failed { panic });
         }
         if timed_out {
-            return Err(GridFailure::TimedOut);
+            return Err(ScenarioStatus::Timeout);
         }
         let mut outcome = ScenarioOutcome::reduce(self.name, &accs);
         // Compile-time CFP bookkeeping rides on the configs, not the
@@ -1347,14 +1304,6 @@ impl<B: BerModel> Grid<'_, B> {
             .collect();
         Ok((outcome, job_ms))
     }
-}
-
-/// Why a grid produced no outcome.
-pub(crate) enum GridFailure {
-    /// A job panicked; the first message in job order.
-    Panicked(String),
-    /// The deadline passed before a job started.
-    TimedOut,
 }
 
 /// Results of a scenario run: one summary per channel plus the
@@ -1639,12 +1588,12 @@ mod tests {
 
     #[test]
     fn min_cap_floor_limits_gts_grants() {
-        let s = tiny(DeploymentSpec::UniformLossGrid {
+        let mut s = tiny(DeploymentSpec::UniformLossGrid {
             min_db: 60.0,
             max_db: 85.0,
         })
-        .with_traffic(TrafficSpec::uniform(80).with_gts(2))
-        .with_min_cap_slots(10);
+        .with_traffic(TrafficSpec::uniform(80).with_gts(2));
+        s.min_cap_slots = 10;
         // Two-slot allocations above a 10-slot CAP: only 3 fit (slots
         // 10..16).
         let configs = s.compile();

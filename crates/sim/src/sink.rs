@@ -17,8 +17,6 @@
 
 use std::io::{self, Write};
 
-use wsn_units::Probability;
-
 use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord};
 use crate::contention::{AttemptOutcome, AttemptRecord, SimTrace, TransactionRecord, SLOT_US};
 use crate::faults::{FaultKind, FaultRecord};
@@ -181,21 +179,6 @@ impl StatsSink {
     /// The contention statistics.
     pub fn contention_stats(&self) -> ContentionStats {
         self.contention.finish()
-    }
-
-    /// Fraction of transactions that failed.
-    pub fn failure_ratio(&self) -> Probability {
-        self.failures.ratio()
-    }
-
-    /// Mean attempts per transaction.
-    pub fn mean_attempts(&self) -> f64 {
-        self.attempts.mean()
-    }
-
-    /// Mean delivery delay in superframes over delivered packets.
-    pub fn mean_delivery_superframes(&self) -> f64 {
-        self.delivery_superframes.mean()
     }
 }
 

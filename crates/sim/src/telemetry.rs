@@ -48,6 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
+use crate::batch::ScenarioStatus;
 use crate::persist::{json, render_compact, Node};
 
 /// Version key carried by every metrics record (`"telemetry"`).
@@ -742,24 +743,13 @@ pub fn note_farm_start(total: u64, skipped: u64) {
     reg.det.farm.skipped += skipped;
 }
 
-/// How one farm scenario ended; see [`note_farm_record`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FarmOutcome {
-    /// Completed ok.
-    Ok,
-    /// Its compile or one of its jobs panicked.
-    Failed,
-    /// Hit the wall-clock watchdog.
-    Timeout,
-}
-
-/// Notes one completed farm scenario.
-pub fn note_farm_record(outcome: FarmOutcome) {
+/// Notes one completed farm scenario and how it ended.
+pub fn note_farm_record(status: &ScenarioStatus) {
     let mut reg = registry();
-    match outcome {
-        FarmOutcome::Ok => reg.det.farm.ok += 1,
-        FarmOutcome::Failed => reg.det.farm.failed += 1,
-        FarmOutcome::Timeout => reg.det.farm.timeout += 1,
+    match status {
+        ScenarioStatus::Ok => reg.det.farm.ok += 1,
+        ScenarioStatus::Failed { .. } => reg.det.farm.failed += 1,
+        ScenarioStatus::Timeout => reg.det.farm.timeout += 1,
     }
 }
 

@@ -12,8 +12,8 @@ use wsn_sim::network::{NetworkAccumulator, NetworkConfig, NetworkSummary, TxPowe
 use wsn_sim::policy::{GreedyRebalance, PolicyEngine, ProportionalFair};
 use wsn_sim::scenario::{BerChoice, ChannelAllocation, DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::{
-    replication_seed, simulate_contention, BatchSet, ChannelSimConfig, FaultPlan, NetworkSimulator,
-    Runner, StatsSink,
+    replication_seed, simulate_contention, BatchReport, BatchSet, ChannelSimConfig, FaultPlan,
+    NetworkSimulator, RunConfig, Runner, StatsSink, WriteSink,
 };
 use wsn_units::{DBm, Db, Seconds};
 
@@ -453,17 +453,13 @@ fn proportional_fair_loop_is_bit_identical_across_threads() {
         for (a, b) in serial.rounds.iter().zip(&parallel.rounds) {
             assert_eq!(a.assignment, b.assignment, "threads={threads}");
             assert_eq!(a.moved, b.moved, "threads={threads}");
+            assert_eq!(a.worst_failure(), b.worst_failure(), "threads={threads}");
+            assert_eq!(
+                a.outcome.overall.ledger.total_energy().joules(),
+                b.outcome.overall.ledger.total_energy().joules(),
+                "threads={threads}"
+            );
         }
-        assert_eq!(
-            serial.worst_failure_trajectory(),
-            parallel.worst_failure_trajectory(),
-            "threads={threads}"
-        );
-        assert_eq!(
-            serial.energy_trajectory_j(),
-            parallel.energy_trajectory_j(),
-            "threads={threads}"
-        );
     }
 }
 
@@ -711,6 +707,13 @@ fn fixture_batch() -> BatchSet {
     BatchSet::load_dir(&dir).expect("the committed fixture directory loads")
 }
 
+/// Runs `set` with the default [`RunConfig`] into an in-memory sink.
+fn run_batch(set: &BatchSet, runner: &Runner) -> BatchReport {
+    let mut sink = WriteSink::new(Vec::new());
+    set.run_with(runner, &mut sink, &RunConfig::default())
+        .unwrap()
+}
+
 /// The batch service flattens every scenario's jobs onto one shared pool,
 /// so its per-scenario records inherit the runner's contract: bit-identical
 /// for 1, 2 and 4 worker threads across the whole committed fixture set.
@@ -722,12 +725,9 @@ fn batch_of_fixtures_is_bit_identical_across_1_2_4_threads() {
         "the fixture set stays non-trivial"
     );
 
-    let mut sink = Vec::new();
-    let serial = set.run(&Runner::with_threads(1), &mut sink).unwrap();
+    let serial = run_batch(&set, &Runner::with_threads(1));
     for threads in [2, 4] {
-        let parallel = set
-            .run(&Runner::with_threads(threads), &mut Vec::new())
-            .unwrap();
+        let parallel = run_batch(&set, &Runner::with_threads(threads));
         assert_eq!(serial.records.len(), parallel.records.len());
         assert_eq!(serial.jobs, parallel.jobs, "threads={threads}");
         for (a, b) in serial.records.iter().zip(&parallel.records) {
@@ -756,8 +756,8 @@ fn batch_results_are_invariant_to_entry_ordering() {
     let reversed = BatchSet::from_entries(reversed_entries, None).unwrap();
 
     let runner = Runner::from_env();
-    let a = forward.run(&runner, &mut Vec::new()).unwrap();
-    let b = reversed.run(&runner, &mut Vec::new()).unwrap();
+    let a = run_batch(&forward, &runner);
+    let b = run_batch(&reversed, &runner);
     assert_eq!(a.records.len(), b.records.len());
     for record in &a.records {
         let twin = b

@@ -15,6 +15,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use wsn_sim::scenario::{DeploymentSpec, Scenario, TrafficSpec};
 use wsn_sim::telemetry;
@@ -254,6 +255,29 @@ fn enabled_registry_collects_and_disabled_registry_does_not() {
         telemetry::snapshot(),
         wsn_sim::telemetry::MetricSet::default()
     );
+}
+
+/// A zero watchdog times every scenario out before its jobs start: the
+/// farm tally counts six timeouts and nothing else, like the report.
+#[test]
+fn farm_tallies_timeouts_under_a_zero_watchdog() {
+    let _guard = lock();
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let config = RunConfig {
+        timeout: Some(Duration::ZERO),
+        ..RunConfig::default()
+    };
+    let mut sink = WriteSink::new(Vec::new());
+    let report = tiny_batch()
+        .run_with(&Runner::with_threads(2), &mut sink, &config)
+        .unwrap();
+    telemetry::set_enabled(false);
+    let farm = telemetry::snapshot().farm;
+    assert_eq!(farm.timeout, 6, "six scenarios timed out");
+    assert_eq!((farm.ok, farm.failed), (0, 0));
+    assert_eq!(report.timed_out(), 6);
+    assert_eq!(report.records.len(), 6);
 }
 
 /// Only received jobs reach the registry: a stream that ends with work

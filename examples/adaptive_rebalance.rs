@@ -69,7 +69,7 @@ fn main() {
         greedy_final * 100.0,
         (greedy_final - static_final) * 100.0
     );
-    match greedy_trace.rounds_to_stabilize() {
+    match greedy_trace.converged_at {
         Some(r) => outln!("greedy stabilized at round {r}"),
         None => outln!("greedy still rebalancing after {rounds} rounds"),
     }
