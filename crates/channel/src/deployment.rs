@@ -5,7 +5,7 @@
 //! area around a base-station". [`Deployment::uniform_disc`] realizes that
 //! geometry; combined with a distance-based
 //! [`PathLossModel`] it yields a per-node
-//! path-loss population, and [`Deployment::channel_partition`] splits the
+//! path-loss population, and [`round_robin_partition`] splits the
 //! population over the 16 channels as the paper does (100 nodes/channel).
 
 use wsn_units::Meters;
@@ -36,7 +36,6 @@ impl Position {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     positions: Vec<Position>,
-    radius: Meters,
 }
 
 impl Deployment {
@@ -60,7 +59,7 @@ impl Deployment {
                 }
             })
             .collect();
-        Deployment { positions, radius }
+        Deployment { positions }
     }
 
     /// Number of nodes.
@@ -71,16 +70,6 @@ impl Deployment {
     /// `true` if the deployment has no nodes.
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
-    }
-
-    /// The disc radius.
-    pub fn radius(&self) -> Meters {
-        self.radius
-    }
-
-    /// Node positions.
-    pub fn positions(&self) -> &[Position] {
-        &self.positions
     }
 
     /// Distances of every node from the base station.
@@ -96,46 +85,6 @@ impl Deployment {
             .collect()
     }
 
-    /// Splits node indices round-robin over `channels` channels — the
-    /// paper's 1600-node / 16-channel partition yields 100 nodes per
-    /// channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels == 0`.
-    pub fn channel_partition(&self, channels: usize) -> Vec<Vec<usize>> {
-        assert!(channels > 0, "at least one channel required");
-        let mut parts = vec![Vec::new(); channels];
-        for i in 0..self.positions.len() {
-            parts[i % channels].push(i);
-        }
-        parts
-    }
-
-    /// Splits node indices into `channels` contiguous index blocks (the
-    /// first `⌈n/channels⌉`-ish nodes on channel 0, and so on). Useful when
-    /// the deployment was generated group-by-group — e.g.
-    /// [`clustered`](Self::clustered) emits nodes cluster-major, so a
-    /// contiguous partition assigns one cluster per channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels == 0`.
-    pub fn contiguous_partition(&self, channels: usize) -> Vec<Vec<usize>> {
-        assert!(channels > 0, "at least one channel required");
-        let n = self.positions.len();
-        let base = n / channels;
-        let extra = n % channels;
-        let mut parts = Vec::with_capacity(channels);
-        let mut next = 0usize;
-        for c in 0..channels {
-            let take = base + usize::from(c < extra);
-            parts.push((next..next + take).collect());
-            next += take;
-        }
-        parts
-    }
-
     /// Splits node indices into `channels` concentric distance bands: nodes
     /// are sorted by range from the base station and the nearest block goes
     /// to channel 0, the farthest to channel `channels − 1`. This is the
@@ -149,7 +98,6 @@ impl Deployment {
     ///
     /// Panics if `channels == 0`.
     pub fn ring_partition(&self, channels: usize) -> Vec<Vec<usize>> {
-        assert!(channels > 0, "at least one channel required");
         let mut order: Vec<usize> = (0..self.positions.len()).collect();
         order.sort_by(|&a, &b| {
             self.positions[a]
@@ -158,22 +106,12 @@ impl Deployment {
                 .total_cmp(&self.positions[b].range().meters())
                 .then(a.cmp(&b))
         });
-        let n = order.len();
-        let base = n / channels;
-        let extra = n % channels;
-        let mut parts = Vec::with_capacity(channels);
-        let mut next = 0usize;
-        for c in 0..channels {
-            let take = base + usize::from(c < extra);
-            parts.push(order[next..next + take].to_vec());
-            next += take;
-        }
-        parts
+        block_partition(order.into_iter(), channels)
     }
 
     /// Places `per_ring` nodes on each of the given concentric `radii`
     /// (uniform random angles), emitting nodes ring-major: ring 0's nodes
-    /// first. The disc radius is the largest ring radius.
+    /// first.
     ///
     /// # Panics
     ///
@@ -194,17 +132,15 @@ impl Deployment {
                 });
             }
         }
-        let radius = radii.iter().copied().fold(Meters::ZERO, Meters::max);
-        Deployment { positions, radius }
+        Deployment { positions }
     }
 
     /// Places `clusters × per_cluster` nodes in compact clusters: cluster
     /// centers are spread evenly around a circle of radius
     /// `field_radius − cluster_radius`, and each cluster's nodes are
     /// uniform (by area) in a disc of `cluster_radius` around its center.
-    /// Nodes are emitted cluster-major, so
-    /// [`contiguous_partition`](Self::contiguous_partition) maps one
-    /// cluster per channel.
+    /// Nodes are emitted cluster-major, so a [`block_partition`] of the
+    /// index order maps one cluster per channel.
     ///
     /// # Panics
     ///
@@ -236,18 +172,51 @@ impl Deployment {
                 });
             }
         }
-        Deployment {
-            positions,
-            radius: field_radius,
-        }
+        Deployment { positions }
     }
+}
+
+/// Splits nodes `0..n` round-robin over `channels` channels — the paper's
+/// 1600-node / 16-channel partition yields 100 nodes per channel.
+///
+/// # Panics
+///
+/// Panics if `channels == 0`.
+pub fn round_robin_partition(n: usize, channels: usize) -> Vec<Vec<usize>> {
+    assert!(channels > 0, "at least one channel required");
+    let mut parts = vec![Vec::new(); channels];
+    for i in 0..n {
+        parts[i % channels].push(i);
+    }
+    parts
+}
+
+/// Splits the node indices of `order` into `channels` consecutive blocks,
+/// balanced: the first `n % channels` blocks take one node more than the
+/// rest. Over the index order `0..n` this pairs with group-major
+/// deployments (rings, clusters); over the nodes sorted by range it is
+/// [`Deployment::ring_partition`].
+///
+/// # Panics
+///
+/// Panics if `channels == 0`.
+pub fn block_partition(
+    mut order: impl ExactSizeIterator<Item = usize>,
+    channels: usize,
+) -> Vec<Vec<usize>> {
+    assert!(channels > 0, "at least one channel required");
+    let n = order.len();
+    let (base, extra) = (n / channels, n % channels);
+    (0..channels)
+        .map(|c| order.by_ref().take(base + usize::from(c < extra)).collect())
+        .collect()
 }
 
 /// Groups node indices by an explicit node→channel assignment: entry `c` of
 /// the result lists the nodes assigned to channel `c`, in node-index order.
 ///
-/// This is the inverse view of the partition methods above — where
-/// [`Deployment::channel_partition`] *produces* an allocation,
+/// This is the inverse view of the partitions above — where
+/// [`round_robin_partition`] *produces* an allocation,
 /// `assignment_partition` *consumes* one (e.g. an adaptive re-allocation
 /// computed from observed per-channel failure rates) and lowers it back to
 /// the per-channel index lists the simulator compiles from.
@@ -289,7 +258,7 @@ mod tests {
         let d = Deployment::uniform_disc(500, Meters::new(50.0), &mut rng);
         assert_eq!(d.len(), 500);
         assert!(!d.is_empty());
-        for p in d.positions() {
+        for p in &d.positions {
             assert!(p.range().meters() <= 50.0 + 1e-9);
         }
     }
@@ -309,7 +278,7 @@ mod tests {
     fn paper_partition_is_100_per_channel() {
         let mut rng = SplitMix64::new(3);
         let d = Deployment::uniform_disc(1600, Meters::new(30.0), &mut rng);
-        let parts = d.channel_partition(16);
+        let parts = round_robin_partition(d.len(), 16);
         assert_eq!(parts.len(), 16);
         assert!(parts.iter().all(|p| p.len() == 100));
         // Every node appears exactly once.
@@ -348,20 +317,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "radius must be positive")]
     fn zero_radius_rejected() {
-        let _ = Deployment::uniform_disc(1, Meters::ZERO, &mut SplitMix64::new(0));
+        let _ = Deployment::uniform_disc(1, Meters::new(0.0), &mut SplitMix64::new(0));
     }
 
     #[test]
     #[should_panic(expected = "at least one channel")]
     fn zero_channels_rejected() {
-        let d = Deployment::uniform_disc(4, Meters::new(1.0), &mut SplitMix64::new(0));
-        let _ = d.channel_partition(0);
+        let _ = round_robin_partition(4, 0);
     }
 
     #[test]
     fn contiguous_partition_covers_in_index_order() {
-        let d = Deployment::uniform_disc(10, Meters::new(5.0), &mut SplitMix64::new(6));
-        let parts = d.contiguous_partition(3);
+        let parts = block_partition(0..10, 3);
         assert_eq!(parts.len(), 3);
         // 10 = 4 + 3 + 3, indices in order.
         assert_eq!(parts[0], vec![0, 1, 2, 3]);
@@ -400,16 +367,15 @@ mod tests {
         let radii = [Meters::new(5.0), Meters::new(15.0), Meters::new(25.0)];
         let d = Deployment::rings(20, &radii, &mut rng);
         assert_eq!(d.len(), 60);
-        assert_eq!(d.radius(), Meters::new(25.0));
-        for (i, p) in d.positions().iter().enumerate() {
+        for (i, p) in d.positions.iter().enumerate() {
             let want = radii[i / 20].meters();
             assert!((p.range().meters() - want).abs() < 1e-9, "node {i}");
         }
         // Ring-major emission: contiguous partition isolates each ring.
-        let parts = d.contiguous_partition(3);
+        let parts = block_partition(0..d.len(), 3);
         for (k, part) in parts.iter().enumerate() {
             for &i in part {
-                assert!((d.positions()[i].range().meters() - radii[k].meters()).abs() < 1e-9);
+                assert!((d.positions[i].range().meters() - radii[k].meters()).abs() < 1e-9);
             }
         }
     }
@@ -419,13 +385,12 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         let d = Deployment::clustered(4, 25, Meters::new(40.0), Meters::new(5.0), &mut rng);
         assert_eq!(d.len(), 100);
-        assert_eq!(d.radius(), Meters::new(40.0));
-        let parts = d.contiguous_partition(4);
+        let parts = block_partition(0..d.len(), 4);
         for part in &parts {
             assert_eq!(part.len(), 25);
             // All nodes of a cluster fit in a 2×cluster_radius-diameter disc.
-            let xs: Vec<f64> = part.iter().map(|&i| d.positions()[i].x).collect();
-            let ys: Vec<f64> = part.iter().map(|&i| d.positions()[i].y).collect();
+            let xs: Vec<f64> = part.iter().map(|&i| d.positions[i].x).collect();
+            let ys: Vec<f64> = part.iter().map(|&i| d.positions[i].y).collect();
             let (cx, cy) = (xs.iter().sum::<f64>() / 25.0, ys.iter().sum::<f64>() / 25.0);
             for (&x, &y) in xs.iter().zip(&ys) {
                 let dist = ((x - cx).powi(2) + (y - cy).powi(2)).sqrt();

@@ -23,7 +23,9 @@ pub mod link;
 pub mod pathloss;
 pub mod shadowing;
 
-pub use deployment::{assignment_partition, Deployment, Position};
+pub use deployment::{
+    assignment_partition, block_partition, round_robin_partition, Deployment, Position,
+};
 pub use link::received_power;
 pub use pathloss::{FixedPathLoss, LogDistance, PathLossModel, UniformPathLossPopulation};
 pub use shadowing::{shadowed_population, LogNormalShadowing};

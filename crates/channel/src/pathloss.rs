@@ -1,20 +1,12 @@
 //! Path-loss models: fixed, log-distance, and the paper's uniform
 //! population.
 
-use core::fmt;
-
 use wsn_units::{Db, Meters};
 
 /// Maps a transmitter–receiver distance to a path loss.
 pub trait PathLossModel {
     /// Path loss at `distance`.
     fn path_loss(&self, distance: Meters) -> Db;
-}
-
-impl<T: PathLossModel + ?Sized> PathLossModel for &T {
-    fn path_loss(&self, distance: Meters) -> Db {
-        (**self).path_loss(distance)
-    }
 }
 
 /// A distance-independent path loss — the wired-attenuator testbench of the
@@ -25,12 +17,6 @@ pub struct FixedPathLoss(pub Db);
 impl PathLossModel for FixedPathLoss {
     fn path_loss(&self, _distance: Meters) -> Db {
         self.0
-    }
-}
-
-impl fmt::Display for FixedPathLoss {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fixed {}", self.0)
     }
 }
 
@@ -88,11 +74,6 @@ impl LogDistance {
     pub fn indoor_2450() -> Self {
         let fs = LogDistance::free_space_2450();
         LogDistance::new(fs.reference_loss, fs.reference_distance, 3.0)
-    }
-
-    /// The path-loss exponent `n`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// The same reference point with a different exponent — e.g. the
@@ -177,12 +158,6 @@ impl UniformPathLossPopulation {
         (0..n)
             .map(|i| self.quantile((i as f64 + 0.5) / n as f64))
             .collect()
-    }
-}
-
-impl fmt::Display for UniformPathLossPopulation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "U({}, {})", self.min, self.max)
     }
 }
 

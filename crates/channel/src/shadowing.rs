@@ -23,7 +23,6 @@ use crate::pathloss::PathLossModel;
 #[derive(Debug, Clone)]
 pub struct LogNormalShadowing<M> {
     base: M,
-    sigma: Db,
     offsets: Vec<f64>,
 }
 
@@ -40,16 +39,7 @@ impl<M: PathLossModel> LogNormalShadowing<M> {
         let offsets = (0..locations)
             .map(|_| gauss.next_gaussian() * sigma.db())
             .collect();
-        LogNormalShadowing {
-            base,
-            sigma,
-            offsets,
-        }
-    }
-
-    /// The configured standard deviation.
-    pub fn sigma(&self) -> Db {
-        self.sigma
+        LogNormalShadowing { base, offsets }
     }
 
     /// Number of frozen locations.
@@ -111,7 +101,7 @@ mod tests {
     #[test]
     fn zero_sigma_is_transparent() {
         let mut rng = SplitMix64::new(2);
-        let m = LogNormalShadowing::new(FixedPathLoss(Db::new(70.0)), Db::ZERO, 4, &mut rng);
+        let m = LogNormalShadowing::new(FixedPathLoss(Db::new(70.0)), Db::new(0.0), 4, &mut rng);
         for i in 0..4 {
             assert!((m.path_loss_at(i, Meters::new(1.0)).db() - 70.0).abs() < 1e-12);
         }

@@ -46,12 +46,6 @@ impl AckTiming {
     }
 }
 
-impl Default for AckTiming {
-    fn default() -> Self {
-        AckTiming::standard()
-    }
-}
-
 /// Retransmission policy: at most `n_max` transmissions of the same packet
 /// (the paper fixes `N_max = 5`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,12 +72,6 @@ impl RetryPolicy {
     /// Maximum number of transmissions.
     pub fn n_max(&self) -> u32 {
         self.n_max
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::paper()
     }
 }
 

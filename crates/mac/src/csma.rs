@@ -93,12 +93,6 @@ impl CsmaParams {
     }
 }
 
-impl Default for CsmaParams {
-    fn default() -> Self {
-        CsmaParams::standard_2003()
-    }
-}
-
 /// Invalid [`CsmaParams`] combinations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvalidCsmaParams {
@@ -182,7 +176,6 @@ pub struct SlottedCsmaCa {
     cw_remaining: u8,
     be: u8,
     ccas: u32,
-    backoff_periods_total: u32,
     action: CsmaAction,
 }
 
@@ -200,7 +193,6 @@ impl SlottedCsmaCa {
             cw_remaining: params.cw,
             be: params.min_be,
             ccas: 0,
-            backoff_periods_total: 0,
             action: CsmaAction::Failure, // replaced below
         };
         let periods = machine.draw_backoff(rng);
@@ -252,27 +244,10 @@ impl SlottedCsmaCa {
         self.ccas
     }
 
-    /// Sum of random backoff periods drawn (unit backoff periods).
-    pub fn backoff_periods_total(&self) -> u32 {
-        self.backoff_periods_total
-    }
-
-    /// Current backoff exponent.
-    pub fn backoff_exponent(&self) -> u8 {
-        self.be
-    }
-
-    /// Number of busy rounds suffered so far (`NB`).
-    pub fn busy_rounds(&self) -> u8 {
-        self.nb
-    }
-
     fn draw_backoff<U: UniformSource>(&mut self, rng: &mut U) -> u32 {
         let window = 1u32 << self.be; // delays in 0..2^BE
         let draw = (rng.next_f64() * window as f64) as u32;
-        let periods = draw.min(window - 1);
-        self.backoff_periods_total += periods;
-        periods
+        draw.min(window - 1)
     }
 }
 
@@ -288,7 +263,7 @@ mod tests {
             match m.current_action() {
                 CsmaAction::BackoffThenCca { .. } | CsmaAction::CcaAgain => {
                     if m.on_cca(true, &mut rng) == CsmaAction::Failure {
-                        return (m.ccas_performed(), m.busy_rounds());
+                        return (m.ccas_performed(), m.nb);
                     }
                 }
                 CsmaAction::Failure => unreachable!("loop exits on failure"),
@@ -308,7 +283,7 @@ mod tests {
         assert_eq!(m.on_cca(false, &mut rng), CsmaAction::CcaAgain);
         assert_eq!(m.on_cca(false, &mut rng), CsmaAction::Transmit);
         assert_eq!(m.ccas_performed(), 2);
-        assert_eq!(m.busy_rounds(), 0);
+        assert_eq!(m.nb, 0);
     }
 
     #[test]
@@ -330,13 +305,13 @@ mod tests {
     fn exponent_saturates_at_max_be() {
         let mut rng = SplitMix64::new(3);
         let mut m = SlottedCsmaCa::start(CsmaParams::standard_2003(), &mut rng);
-        assert_eq!(m.backoff_exponent(), 3);
+        assert_eq!(m.be, 3);
         m.on_cca(true, &mut rng);
-        assert_eq!(m.backoff_exponent(), 4);
+        assert_eq!(m.be, 4);
         m.on_cca(true, &mut rng);
-        assert_eq!(m.backoff_exponent(), 5);
+        assert_eq!(m.be, 5);
         m.on_cca(true, &mut rng);
-        assert_eq!(m.backoff_exponent(), 5, "BE must saturate at aMaxBE");
+        assert_eq!(m.be, 5, "BE must saturate at aMaxBE");
     }
 
     #[test]
@@ -384,12 +359,12 @@ mod tests {
             let mut action = m.current_action();
             while !matches!(action, CsmaAction::Transmit | CsmaAction::Failure) {
                 if let CsmaAction::BackoffThenCca { periods } = action {
-                    assert!(periods < 1 << m.backoff_exponent(), "case {case}");
+                    assert!(periods < 1 << m.be, "case {case}");
                 }
                 action = m.on_cca(rng.next_f64() < 0.5, &mut rng);
-                let be = m.backoff_exponent();
+                let be = m.be;
                 assert!((params.min_be..=params.max_be).contains(&be), "case {case}");
-                assert!(u32::from(m.busy_rounds()) <= rounds, "case {case}");
+                assert!(u32::from(m.nb) <= rounds, "case {case}");
                 assert!(m.ccas_performed() <= max_ccas, "case {case}");
             }
         }

@@ -80,12 +80,6 @@ impl BeaconOrder {
     }
 }
 
-impl fmt::Display for BeaconOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BO{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +90,7 @@ mod tests {
         assert!((prev.millis() - 15.36).abs() < 1e-9);
         for bo in 1..=14u8 {
             let t = BeaconOrder::new(bo).unwrap().beacon_interval();
-            assert!((t / prev - 2.0).abs() < 1e-12);
+            assert!((t.secs() / prev.secs() - 2.0).abs() < 1e-12);
             prev = t;
         }
     }

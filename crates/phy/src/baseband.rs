@@ -47,12 +47,6 @@ impl BerEstimate {
         assert!(self.bits > 0, "BER of an empty run is undefined");
         self.bit_errors as f64 / self.bits as f64
     }
-
-    /// Approximate standard error of the estimate (binomial).
-    pub fn standard_error(&self) -> f64 {
-        let p = self.ber();
-        (p * (1.0 - p) / self.bits as f64).sqrt()
-    }
 }
 
 /// Simulates transmission of random symbols at a fixed received power and
@@ -188,7 +182,6 @@ mod tests {
             bits: 10_000,
         };
         assert!((est.ber() - 1e-3).abs() < 1e-12);
-        assert!(est.standard_error() > 0.0);
     }
 
     #[test]

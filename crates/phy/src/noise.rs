@@ -93,11 +93,6 @@ impl<U: UniformSource> GaussianSource<U> {
         self.cached = Some(r * theta.sin());
         r * theta.cos()
     }
-
-    /// Recovers the inner uniform source.
-    pub fn into_inner(self) -> U {
-        self.uniform
-    }
 }
 
 /// Complementary error function.

@@ -92,16 +92,6 @@ impl ExponentialFit {
     pub fn slope(&self) -> f64 {
         self.b
     }
-
-    /// Goodness of fit in log space, `R² ∈ [0, 1]` for meaningful fits.
-    pub fn r_squared(&self) -> f64 {
-        self.r_squared
-    }
-
-    /// Evaluates the fitted model at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        (self.ln_c + self.b * x).exp()
-    }
 }
 
 impl fmt::Display for ExponentialFit {
@@ -132,7 +122,7 @@ mod tests {
             "coefficient {}",
             fit.coefficient()
         );
-        assert!(fit.r_squared() > 0.999_999);
+        assert!(fit.r_squared > 0.999_999);
         for (log_c, slope) in [(-40.0, 2.0), (-20.0, 0.3), (-5.0, 0.05)] {
             let c = 10f64.powf(log_c);
             let points: Vec<(f64, f64)> = (-94..=-85)
@@ -142,15 +132,8 @@ mod tests {
             let log_fit = fit.coefficient().log10();
             assert!((fit.slope() + slope).abs() < 1e-6, "slope {slope}");
             assert!((log_fit - log_c).abs() < 1e-6, "10^{log_c}");
-            assert!(fit.r_squared() > 0.999_99);
+            assert!(fit.r_squared > 0.999_99);
         }
-    }
-
-    #[test]
-    fn eval_interpolates() {
-        let points = vec![(0.0, 1.0), (1.0, core::f64::consts::E)];
-        let fit = ExponentialFit::fit(&points).unwrap();
-        assert!((fit.eval(0.5) - (0.5f64).exp()).abs() < 1e-9);
     }
 
     #[test]
@@ -179,7 +162,7 @@ mod tests {
             .collect();
         let fit = ExponentialFit::fit(&points).unwrap();
         assert!((fit.slope() + 0.659).abs() < 0.05);
-        assert!(fit.r_squared() > 0.99);
+        assert!(fit.r_squared > 0.99);
     }
 
     #[test]

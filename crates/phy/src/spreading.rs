@@ -12,8 +12,6 @@
 //! * sequences 8–15 are sequences 0–7 with every odd-indexed chip inverted
 //!   (a conjugation in the half-sine O-QPSK constellation).
 
-use core::fmt;
-
 use crate::consts::CHIPS_PER_SYMBOL;
 
 /// Chip sequence for data symbol 0, chips `c0..c31`, `c0` in the LSB.
@@ -71,12 +69,6 @@ impl Symbol {
     }
 }
 
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:X}", self.0)
-    }
-}
-
 /// A 32-chip pseudo-noise sequence, bit-packed with chip `c0` in the LSB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChipSequence(u32);
@@ -88,8 +80,9 @@ impl ChipSequence {
     /// use wsn_phy::spreading::{ChipSequence, Symbol};
     ///
     /// let seq = ChipSequence::for_symbol(Symbol::new(0).unwrap());
-    /// assert_eq!(seq.chip(0), true);  // c0 = 1
-    /// assert_eq!(seq.chip(2), false); // c2 = 0
+    /// let chips: Vec<f64> = seq.antipodal().collect();
+    /// assert_eq!(chips[0], 1.0); // c0 = 1
+    /// assert_eq!(chips[2], -1.0); // c2 = 0
     /// ```
     #[inline]
     pub fn for_symbol(symbol: Symbol) -> Self {
@@ -105,23 +98,6 @@ impl ChipSequence {
     #[inline]
     pub fn from_raw(chips: u32) -> Self {
         ChipSequence(chips)
-    }
-
-    /// Returns the raw packed chips.
-    #[inline]
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Returns chip `i` (`0..32`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 32`.
-    #[inline]
-    pub fn chip(self, i: u32) -> bool {
-        assert!(i < CHIPS_PER_SYMBOL, "chip index {i} out of range");
-        (self.0 >> i) & 1 == 1
     }
 
     /// Returns the Hamming distance to another sequence.
@@ -142,15 +118,6 @@ impl ChipSequence {
     }
 }
 
-impl fmt::Display for ChipSequence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..CHIPS_PER_SYMBOL {
-            write!(f, "{}", (self.0 >> i) & 1)?;
-        }
-        Ok(())
-    }
-}
-
 /// Hard-decision despreader: returns the symbol whose sequence has maximum
 /// correlation with the received chips.
 ///
@@ -163,9 +130,10 @@ impl fmt::Display for ChipSequence {
 /// use wsn_phy::spreading::{despread, ChipSequence, Symbol};
 ///
 /// let tx = Symbol::new(0x7).unwrap();
-/// let mut chips = ChipSequence::for_symbol(tx).raw();
-/// chips ^= 0b1011; // corrupt three chips
-/// assert_eq!(despread(ChipSequence::from_raw(chips)), tx);
+/// let clean = ChipSequence::for_symbol(tx);
+/// let rx = ChipSequence::from_raw(0xB744_AC39 ^ 0b1011); // three chips corrupted
+/// assert_eq!(rx.hamming_distance(clean), 3);
+/// assert_eq!(despread(rx), tx);
 /// ```
 pub fn despread(received: ChipSequence) -> Symbol {
     let mut best = Symbol(0);
@@ -178,37 +146,6 @@ pub fn despread(received: ChipSequence) -> Symbol {
         }
     }
     best
-}
-
-/// Returns the minimum pairwise Hamming distance over all 16 sequences.
-///
-/// This is the error-correction head-room of the hard-decision receiver; the
-/// standard's sequence family achieves at least 12.
-pub fn minimum_pairwise_distance() -> u32 {
-    let mut min = CHIPS_PER_SYMBOL;
-    for a in Symbol::all() {
-        for b in Symbol::all() {
-            if a < b {
-                let d = ChipSequence::for_symbol(a).hamming_distance(ChipSequence::for_symbol(b));
-                min = min.min(d);
-            }
-        }
-    }
-    min
-}
-
-/// Returns the average number of bit errors caused by decoding to a
-/// uniformly random wrong symbol (used by the analytic BER model).
-pub fn mean_bit_errors_per_symbol_error() -> f64 {
-    let mut total = 0u32;
-    for a in Symbol::all() {
-        for b in Symbol::all() {
-            if a != b {
-                total += (a.value() ^ b.value()).count_ones();
-            }
-        }
-    }
-    total as f64 / (16.0 * 15.0)
 }
 
 #[cfg(test)]
@@ -253,15 +190,9 @@ mod tests {
             assert_eq!(
                 got,
                 seq_from_str(expect),
-                "symbol {i}: got {got}, expected {expect}"
+                "symbol {i}: got {got:?}, expected {expect}"
             );
         }
-    }
-
-    #[test]
-    fn display_renders_chip_string() {
-        let s = ChipSequence::for_symbol(Symbol::new(0).unwrap());
-        assert_eq!(s.to_string(), TABLE24[0]);
     }
 
     #[test]
@@ -272,7 +203,7 @@ mod tests {
                     assert_ne!(
                         ChipSequence::for_symbol(a),
                         ChipSequence::for_symbol(b),
-                        "symbols {a} and {b} share a sequence"
+                        "symbols {a:?} and {b:?} share a sequence"
                     );
                 }
             }
@@ -281,9 +212,20 @@ mod tests {
 
     #[test]
     fn minimum_distance_supports_error_correction() {
-        // The family's minimum pairwise Hamming distance: enough to correct
-        // at least 5 chip errors per symbol.
-        assert!(minimum_pairwise_distance() >= 12);
+        // The family's minimum pairwise Hamming distance, the
+        // error-correction head-room of the hard-decision receiver: enough
+        // to correct at least 5 chip errors per symbol.
+        let mut min = CHIPS_PER_SYMBOL;
+        for a in Symbol::all() {
+            for b in Symbol::all() {
+                if a < b {
+                    let d =
+                        ChipSequence::for_symbol(a).hamming_distance(ChipSequence::for_symbol(b));
+                    min = min.min(d);
+                }
+            }
+        }
+        assert!(min >= 12);
     }
 
     #[test]
@@ -300,14 +242,14 @@ mod tests {
         let corruption = 0b10010010_01000001_u32; // 5 bits set
         assert_eq!(corruption.count_ones(), 5);
         for s in Symbol::all() {
-            let rx = ChipSequence::from_raw(ChipSequence::for_symbol(s).raw() ^ corruption);
-            assert_eq!(despread(rx), s, "symbol {s} not corrected");
+            let rx = ChipSequence::from_raw(ChipSequence::for_symbol(s).0 ^ corruption);
+            assert_eq!(despread(rx), s, "symbol {s:?} not corrected");
         }
         // And every random pattern of at most five chip errors.
         let mut rng = crate::noise::SplitMix64::new(0xC41F);
         for case in 0..2000 {
             let s = Symbol::new((rng.next_u64() % 16) as u8).unwrap();
-            let mut raw = ChipSequence::for_symbol(s).raw();
+            let mut raw = ChipSequence::for_symbol(s).0;
             for _ in 0..rng.next_u64() % 6 {
                 raw ^= 1 << (rng.next_u64() % 32);
             }
@@ -317,9 +259,18 @@ mod tests {
 
     #[test]
     fn mean_bit_errors_matches_closed_form() {
-        // Over all ordered pairs of distinct nibbles, the mean Hamming
-        // distance is 4·8/15 + ... = 32/15 ≈ 2.1333.
-        let m = mean_bit_errors_per_symbol_error();
+        // The mean number of bit errors of decoding to a uniformly random
+        // wrong symbol: over all ordered pairs of distinct nibbles, the mean
+        // Hamming distance is 4·8/15 + ... = 32/15 ≈ 2.1333.
+        let mut total = 0u32;
+        for a in Symbol::all() {
+            for b in Symbol::all() {
+                if a != b {
+                    total += (a.value() ^ b.value()).count_ones();
+                }
+            }
+        }
+        let m = total as f64 / (16.0 * 15.0);
         assert!((m - 32.0 / 15.0).abs() < 1e-12);
     }
 

@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn listen_mode_uses_listen_power() {
         let scalable = RadioModel::builder()
-            .rx_listen_power(Power::from_milliwatts(17.64))
+            .rx_listen_power(Power::from_microwatts(17_640.0))
             .build();
         let mut l = EnergyLedger::new();
         l.accrue_listen(&scalable, PhaseTag::AckWait, Seconds::from_millis(1.0));

@@ -20,7 +20,7 @@
 //!
 //! let radio = RadioModel::cc2420();
 //! let rx = radio.state_power(RadioState::Rx);
-//! assert!((rx.milliwatts() - 35.28).abs() < 1e-9);
+//! assert!((rx.microwatts() - 35_280.0).abs() < 1e-6);
 //!
 //! let t = radio.transition(RadioState::Shutdown, RadioState::Idle).unwrap();
 //! assert!((t.time.micros() - 970.0).abs() < 1e-9);

@@ -164,7 +164,7 @@ impl RadioModel {
 ///
 /// // Improvement (b): a scalable receiver listening at half power.
 /// let scalable = RadioModel::builder()
-///     .rx_listen_power(Power::from_milliwatts(17.64))
+///     .rx_listen_power(Power::from_microwatts(17_640.0))
 ///     .build();
 /// assert!(scalable.rx_listen_power() < scalable.state_power(RadioState::Rx));
 /// ```
@@ -253,22 +253,22 @@ mod tests {
     #[test]
     fn cc2420_figure3_steady_states() {
         let r = RadioModel::cc2420();
-        assert!((r.state_power(RadioState::Shutdown).nanowatts() - 144.0).abs() < 1e-9);
+        assert!((r.state_power(RadioState::Shutdown).microwatts() - 0.144).abs() < 1e-12);
         assert!((r.state_power(RadioState::Idle).microwatts() - 712.8).abs() < 1e-9);
-        assert!((r.state_power(RadioState::Rx).milliwatts() - 35.28).abs() < 1e-9);
+        assert!((r.state_power(RadioState::Rx).microwatts() - 35_280.0).abs() < 1e-6);
         assert!(
             (r.state_power(RadioState::Tx(TxPowerLevel::Zero))
-                .milliwatts()
-                - 30.672)
+                .microwatts()
+                - 30_672.0)
                 .abs()
-                < 1e-9
+                < 1e-6
         );
         assert!(
             (r.state_power(RadioState::Tx(TxPowerLevel::Neg25))
-                .milliwatts()
-                - 15.156)
+                .microwatts()
+                - 15_156.0)
                 .abs()
-                < 1e-9
+                < 1e-6
         );
     }
 
@@ -376,9 +376,9 @@ mod tests {
         let stock = RadioModel::cc2420();
         assert_eq!(stock.rx_listen_power(), stock.state_power(RadioState::Rx));
         let scalable = RadioModel::builder()
-            .rx_listen_power(Power::from_milliwatts(10.0))
+            .rx_listen_power(Power::from_microwatts(10_000.0))
             .build();
-        assert!((scalable.rx_listen_power().milliwatts() - 10.0).abs() < 1e-12);
+        assert!((scalable.rx_listen_power().microwatts() - 10_000.0).abs() < 1e-9);
     }
 
     #[test]

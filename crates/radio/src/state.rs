@@ -94,11 +94,6 @@ impl TxPowerLevel {
     pub fn strongest() -> TxPowerLevel {
         TxPowerLevel::Zero
     }
-
-    /// The weakest available level.
-    pub fn weakest() -> TxPowerLevel {
-        TxPowerLevel::Neg25
-    }
 }
 
 impl fmt::Display for TxPowerLevel {
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn ordering_follows_power() {
         assert!(TxPowerLevel::Neg25 < TxPowerLevel::Zero);
-        assert!(TxPowerLevel::weakest() < TxPowerLevel::strongest());
+        assert!(TxPowerLevel::Neg25 < TxPowerLevel::strongest());
     }
 
     #[test]

@@ -890,11 +890,7 @@ impl<'a> OpenLoop<'a> {
             // Compile with panic isolation: a config that blows up in
             // `compile` (calling-thread work) must poison only itself.
             let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let configs = scenario.compile();
-                let bers = (0..configs.len())
-                    .map(|c| scenario.channel_ber(c).model())
-                    .collect();
-                Arc::new((configs, bers)) as Arc<Compiled>
+                Arc::new((scenario.compile(), scenario.channel_bers())) as Arc<Compiled>
             }))
             .map_err(|payload| ScenarioStatus::Failed {
                 panic: panic_message(payload),

@@ -108,12 +108,6 @@ impl CfpPlan {
     }
 }
 
-impl Default for CfpPlan {
-    fn default() -> Self {
-        CfpPlan::inert()
-    }
-}
-
 /// Resolves one channel's contention-free demand into a [`CfpPlan`]
 /// through a real [`GtsRegistry`]: the leading `gts_demand` nodes request
 /// `slots_per_gts` slots each, in node order, until the descriptor table
@@ -218,7 +212,6 @@ mod tests {
         assert!(plan.is_inert());
         assert_eq!(plan.gts_nodes, 0);
         assert_eq!(plan.cfp_start_slot, 16);
-        assert_eq!(plan, CfpPlan::default());
     }
 
     #[test]

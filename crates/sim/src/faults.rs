@@ -64,8 +64,6 @@
 //!   a triangle-wave path-loss drift and periodic downlink burst storms,
 //!   both pure functions of the round index (no RNG at all).
 
-use core::fmt;
-
 /// Declarative fault-injection plan (see the [module docs](self) for the
 /// determinism contract).
 ///
@@ -105,22 +103,11 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// `true` when the plan injects nothing anywhere.
-    pub fn is_inert(&self) -> bool {
-        self.is_engine_inert() && self.is_round_inert()
-    }
-
     /// `true` when the *event engine* has nothing to inject (churn and
     /// outages off). Round-level dynamics may still be active — they
     /// live entirely in the policy loop.
     pub fn is_engine_inert(&self) -> bool {
         self.death_rate == 0.0 && self.outage_rate == 0.0
-    }
-
-    /// `true` when the per-round dynamics (drift, bursts) are off.
-    pub fn is_round_inert(&self) -> bool {
-        (self.drift_amplitude_db == 0.0 || self.drift_period_rounds == 0)
-            && (self.burst_downlink_rate == 0.0 || self.burst_every_rounds == 0)
     }
 
     /// Adds node churn: `death_rate` deaths per node per superframe,
@@ -167,22 +154,6 @@ impl FaultPlan {
     pub fn with_drift(mut self, amplitude_db: f64, period_rounds: u32) -> Self {
         self.drift_amplitude_db = amplitude_db;
         self.drift_period_rounds = period_rounds;
-        self
-    }
-
-    /// Adds downlink burst storms: every `every_rounds`-th round gains
-    /// `downlink_rate` extra polling.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `downlink_rate` is in `[0, 1]`.
-    pub fn with_bursts(mut self, every_rounds: u32, downlink_rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&downlink_rate),
-            "burst downlink rate must be in [0,1], got {downlink_rate}"
-        );
-        self.burst_every_rounds = every_rounds;
-        self.burst_downlink_rate = downlink_rate;
         self
     }
 
@@ -253,22 +224,6 @@ pub struct FaultRecord {
     pub kind: FaultKind,
 }
 
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::Death => write!(f, "death"),
-            FaultKind::MissedBeacon { listened: true } => write!(f, "missed-beacon (listened)"),
-            FaultKind::MissedBeacon { listened: false } => write!(f, "missed-beacon (radio off)"),
-            FaultKind::JoinAttempt { success: true } => write!(f, "join-attempt (ok)"),
-            FaultKind::JoinAttempt { success: false } => write!(f, "join-attempt (failed)"),
-            FaultKind::Reassociated {
-                latency_superframes,
-            } => write!(f, "reassociated after {latency_superframes} superframes"),
-            FaultKind::Dormant => write!(f, "dormant"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,9 +231,7 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let p = FaultPlan::default();
-        assert!(p.is_inert());
         assert!(p.is_engine_inert());
-        assert!(p.is_round_inert());
         assert_eq!(p, FaultPlan::inert());
         assert_eq!(p.loss_drift_db(17), 0.0);
         assert_eq!(p.downlink_boost(17), 0.0);
@@ -288,15 +241,14 @@ mod tests {
     fn builders_flip_the_right_inertness_axis() {
         let churn = FaultPlan::inert().with_churn(0.05, 2, 3);
         assert!(!churn.is_engine_inert());
-        assert!(churn.is_round_inert());
+        assert_eq!(churn.loss_drift_db(4), 0.0);
 
         let outage = FaultPlan::inert().with_outages(0.1, 4);
         assert!(!outage.is_engine_inert());
 
         let drift = FaultPlan::inert().with_drift(6.0, 8);
         assert!(drift.is_engine_inert());
-        assert!(!drift.is_round_inert());
-        assert!(!drift.is_inert());
+        assert_ne!(drift.loss_drift_db(4), 0.0);
     }
 
     #[test]
@@ -316,7 +268,11 @@ mod tests {
 
     #[test]
     fn bursts_fire_on_the_last_round_of_each_period() {
-        let p = FaultPlan::inert().with_bursts(4, 0.6);
+        let p = FaultPlan {
+            burst_every_rounds: 4,
+            burst_downlink_rate: 0.6,
+            ..FaultPlan::inert()
+        };
         let boosts: Vec<f64> = (0..8).map(|r| p.downlink_boost(r)).collect();
         assert_eq!(boosts, vec![0.0, 0.0, 0.0, 0.6, 0.0, 0.0, 0.0, 0.6]);
     }
@@ -331,17 +287,5 @@ mod tests {
     #[should_panic(expected = "at least one superframe")]
     fn zero_length_outage_rejected() {
         let _ = FaultPlan::inert().with_outages(0.2, 0);
-    }
-
-    #[test]
-    fn fault_kind_display() {
-        assert_eq!(FaultKind::Death.to_string(), "death");
-        assert_eq!(
-            FaultKind::Reassociated {
-                latency_superframes: 3
-            }
-            .to_string(),
-            "reassociated after 3 superframes"
-        );
     }
 }

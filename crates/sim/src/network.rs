@@ -1132,8 +1132,8 @@ mod tests {
             .sum();
         assert!((by_state - by_phase).abs() < 1e-12);
         // cap + cfp + beacon + sleep ≈ total mean power.
-        let split = summary.cap_power + summary.cfp_power;
-        assert!(split < summary.mean_node_power);
+        let split = summary.cap_power.watts() + summary.cfp_power.watts();
+        assert!(split < summary.mean_node_power.watts());
     }
 
     #[test]

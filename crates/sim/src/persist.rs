@@ -1573,13 +1573,14 @@ mod tests {
             },
             BerChoice::EmpiricalCc2420,
         ])
-        .with_faults(
-            FaultPlan::inert()
+        .with_faults(FaultPlan {
+            burst_every_rounds: 4,
+            burst_downlink_rate: 0.5,
+            ..FaultPlan::inert()
                 .with_churn(0.02, 1, 3)
                 .with_outages(0.1, 2)
                 .with_drift(3.0, 6)
-                .with_bursts(4, 0.5),
-        )
+        })
         .with_seed(0xDEAD_BEEF_CAFE_F00D)
         .with_replications(3);
         scenario.channel_loss_offsets_db = Some(vec![0.0, 1.5, -2.0, 0.75]);

@@ -181,12 +181,6 @@ impl GreedyRebalance {
     }
 }
 
-impl Default for GreedyRebalance {
-    fn default() -> Self {
-        GreedyRebalance::new(4)
-    }
-}
-
 impl AllocationPolicy for GreedyRebalance {
     fn name(&self) -> &str {
         "greedy-rebalance"
@@ -456,9 +450,7 @@ impl PolicyEngine {
         // across rounds; pay for the deployment geometry and the model
         // resolution once, not once per round.
         let losses = scenario.population_losses();
-        let bers: Vec<_> = (0..scenario.channels)
-            .map(|c| scenario.channel_ber(c).model())
-            .collect();
+        let bers = scenario.channel_bers();
         let mut assignment = scenario.initial_assignment();
         // Floor each capacity at the initial allocation: a scenario whose
         // static split already exceeds the load cap must still run (the

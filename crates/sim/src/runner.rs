@@ -489,12 +489,6 @@ impl Runner {
     }
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Runner::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

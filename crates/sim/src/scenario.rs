@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use wsn_channel::{
-    assignment_partition, shadowed_population, Deployment, LogDistance, LogNormalShadowing,
-    UniformPathLossPopulation,
+    assignment_partition, block_partition, round_robin_partition, shadowed_population, Deployment,
+    LogDistance, LogNormalShadowing, UniformPathLossPopulation,
 };
 use wsn_mac::csma::CsmaParams;
 use wsn_mac::{BeaconOrder, RetryPolicy};
@@ -117,10 +117,10 @@ pub enum DeploymentSpec {
 /// How node indices map onto channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelAllocation {
-    /// Round-robin interleaving ([`Deployment::channel_partition`]) — the
+    /// Round-robin interleaving ([`round_robin_partition`]) — the
     /// paper's reading: every channel samples the whole population.
     RoundRobin,
-    /// Contiguous index blocks ([`Deployment::contiguous_partition`]) —
+    /// Contiguous index blocks ([`block_partition`] of the index order) —
     /// pairs with group-major deployments (rings, clusters).
     Contiguous,
     /// Concentric distance bands ([`Deployment::ring_partition`]) —
@@ -524,6 +524,15 @@ impl Scenario {
         }
     }
 
+    /// Every channel's resolved BER model, in channel order — what
+    /// [`run_compiled`](Self::run_compiled), the farm and the policy loop
+    /// run the channels against.
+    pub(crate) fn channel_bers(&self) -> Vec<ResolvedBer> {
+        (0..self.channels)
+            .map(|c| self.channel_ber(c).model())
+            .collect()
+    }
+
     /// The link-budget penalty of channel `c` in dB (0 when none is set).
     ///
     /// # Panics
@@ -557,19 +566,24 @@ impl Scenario {
     /// Panics if a per-channel payload list is shorter than the channel
     /// count or a payload exceeds the 123-byte maximum.
     pub fn channel_packet(&self, c: usize) -> PacketLayout {
-        let bytes = match &self.traffic.payloads {
-            PayloadSpec::Uniform { payload_bytes } => *payload_bytes,
-            PayloadSpec::PerChannel { payload_bytes } => {
-                assert!(
-                    payload_bytes.len() >= self.channels,
+        let bytes = self.payload_bytes(c).unwrap_or_else(|e| panic!("{e}"));
+        PacketLayout::with_payload(bytes).expect("payload within the 123-byte maximum")
+    }
+
+    /// The payload size of channel `c` in bytes, or why a per-channel
+    /// list cannot give one: it is shorter than the channel count.
+    fn payload_bytes(&self, c: usize) -> Result<usize, String> {
+        match &self.traffic.payloads {
+            PayloadSpec::Uniform { payload_bytes } => Ok(*payload_bytes),
+            PayloadSpec::PerChannel { payload_bytes } if payload_bytes.len() < self.channels => {
+                Err(format!(
                     "one payload per channel required ({} < {})",
                     payload_bytes.len(),
                     self.channels
-                );
-                payload_bytes[c]
+                ))
             }
-        };
-        PacketLayout::with_payload(bytes).expect("payload within the 123-byte maximum")
+            PayloadSpec::PerChannel { payload_bytes } => Ok(payload_bytes[c]),
+        }
     }
 
     /// The contention-free plan of a channel holding `nodes` nodes: the
@@ -697,8 +711,8 @@ impl Scenario {
     /// [`initial_assignment`](Self::initial_assignment).
     fn geometric_partition(&self, deployment: &Deployment) -> Vec<Vec<usize>> {
         match self.allocation {
-            ChannelAllocation::RoundRobin => deployment.channel_partition(self.channels),
-            ChannelAllocation::Contiguous => deployment.contiguous_partition(self.channels),
+            ChannelAllocation::RoundRobin => round_robin_partition(deployment.len(), self.channels),
+            ChannelAllocation::Contiguous => block_partition(0..deployment.len(), self.channels),
             ChannelAllocation::RingStratified => deployment.ring_partition(self.channels),
         }
     }
@@ -769,26 +783,11 @@ impl Scenario {
         let parts = match self.geometry() {
             Some((_, deployment)) => self.geometric_partition(&deployment),
             None => match self.allocation {
-                ChannelAllocation::RoundRobin => {
-                    let mut parts = vec![Vec::new(); self.channels];
-                    for i in 0..n {
-                        parts[i % self.channels].push(i);
-                    }
-                    parts
-                }
+                ChannelAllocation::RoundRobin => round_robin_partition(n, self.channels),
                 // The grid is sorted ascending in loss, so contiguous
                 // blocks are loss bands — the stratified reading.
                 ChannelAllocation::Contiguous | ChannelAllocation::RingStratified => {
-                    let base = n / self.channels;
-                    let extra = n % self.channels;
-                    let mut parts = Vec::with_capacity(self.channels);
-                    let mut next = 0usize;
-                    for c in 0..self.channels {
-                        let take = base + usize::from(c < extra);
-                        parts.push((next..next + take).collect());
-                        next += take;
-                    }
-                    parts
+                    block_partition(0..n, self.channels)
                 }
             },
         };
@@ -886,21 +885,9 @@ impl Scenario {
                  (channels × nodes per channel × replications), got {samples}"
             ));
         }
-        if let PayloadSpec::PerChannel { payload_bytes } = &self.traffic.payloads {
-            if payload_bytes.len() < self.channels {
-                return Err(format!(
-                    "one payload per channel required ({} < {})",
-                    payload_bytes.len(),
-                    self.channels
-                ));
-            }
-        }
         for c in 0..self.channels {
-            let bytes = match &self.traffic.payloads {
-                PayloadSpec::Uniform { payload_bytes } => *payload_bytes,
-                PayloadSpec::PerChannel { payload_bytes } => payload_bytes[c],
-            };
-            PacketLayout::with_payload(bytes).map_err(|e| format!("channel {c} payload: {e}"))?;
+            PacketLayout::with_payload(self.payload_bytes(c)?)
+                .map_err(|e| format!("channel {c} payload: {e}"))?;
             let load = self.load_for(c, self.nodes_per_channel);
             if !(load > 0.0 && load < 1.0) {
                 return Err(format!(
@@ -1131,16 +1118,18 @@ impl Scenario {
         self.run_compiled(runner, &configs)
     }
 
-    /// Runs pre-compiled (possibly caller-adjusted) channel configs with
-    /// the scenario's BER choice(s) — e.g. after swapping per-node
-    /// link-adapted transmit levels onto each config. Per-channel BER
-    /// overrides ([`with_channel_ber`](Self::with_channel_ber)) apply
-    /// here: config `c` runs against [`channel_ber(c)`](Self::channel_ber).
+    /// Runs pre-compiled (possibly caller-adjusted) channel configs, one
+    /// per channel, with the scenario's BER choice(s) — e.g. after
+    /// swapping per-node link-adapted transmit levels onto each config.
+    /// Per-channel BER overrides
+    /// ([`with_channel_ber`](Self::with_channel_ber)) apply here: config
+    /// `c` runs against [`channel_ber(c)`](Self::channel_ber).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one config per channel.
     pub fn run_compiled(&self, runner: &Runner, configs: &[NetworkConfig]) -> ScenarioOutcome {
-        let bers: Vec<ResolvedBer> = (0..configs.len())
-            .map(|c| self.channel_ber(c).model())
-            .collect();
-        self.run_resolved(runner, configs, &bers)
+        self.run_resolved(runner, configs, &self.channel_bers())
     }
 
     /// Runs pre-compiled configs with an explicit BER model shared by all
@@ -1705,6 +1694,26 @@ mod tests {
             (s.csma.min_be, s.csma.max_be, s.csma.cw) = (min_be, max_be, cw);
             let err = s.validate().unwrap_err();
             assert!(err.contains("invalid CSMA parameters"), "{err}");
+        }
+        // Payloads `channel_packet` panics on: over the 123-byte maximum
+        // on every channel or on one, and a per-channel list shorter than
+        // the channel count.
+        for (traffic, message) in [
+            (TrafficSpec::uniform(124), "channel 0 payload"),
+            (
+                TrafficSpec::per_channel(vec![120, 120, 124, 120]),
+                "channel 2 payload",
+            ),
+            (
+                TrafficSpec::per_channel(vec![120, 120, 120]),
+                "one payload per channel required (3 < 4)",
+            ),
+        ] {
+            let err = tiny(grid(55.0, 95.0))
+                .with_traffic(traffic)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains(message), "{err}");
         }
         let mut s = tiny(grid(55.0, 95.0))
             .with_beacon_order(BeaconOrder::new(0).unwrap())

@@ -43,27 +43,6 @@ pub trait TraceSink {
     fn on_fault(&mut self, _record: &FaultRecord) {}
 }
 
-impl<T: TraceSink + ?Sized> TraceSink for &mut T {
-    fn on_attempt(&mut self, record: &AttemptRecord) {
-        (**self).on_attempt(record);
-    }
-    fn on_transaction(&mut self, record: &TransactionRecord) {
-        (**self).on_transaction(record);
-    }
-    fn on_overrun(&mut self) {
-        (**self).on_overrun();
-    }
-    fn on_gts(&mut self, record: &GtsRecord) {
-        (**self).on_gts(record);
-    }
-    fn on_downlink(&mut self, record: &DownlinkRecord) {
-        (**self).on_downlink(record);
-    }
-    fn on_fault(&mut self, record: &FaultRecord) {
-        (**self).on_fault(record);
-    }
-}
-
 /// Collects every record into a [`SimTrace`] — the pre-streaming
 /// behaviour, still used by trace-level analyses.
 #[derive(Debug, Clone)]

@@ -12,7 +12,7 @@ use wsn_units::{Probability, Seconds};
 /// ```
 /// use wsn_sim::stats::Accumulator;
 ///
-/// let mut acc = Accumulator::new();
+/// let mut acc = Accumulator::default();
 /// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
 ///     acc.push(x);
 /// }
@@ -27,11 +27,6 @@ pub struct Accumulator {
 }
 
 impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator::default()
-    }
-
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
@@ -54,8 +49,8 @@ impl Accumulator {
     /// use wsn_sim::stats::Accumulator;
     ///
     /// let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-    /// let mut whole = Accumulator::new();
-    /// let (mut left, mut right) = (Accumulator::new(), Accumulator::new());
+    /// let mut whole = Accumulator::default();
+    /// let (mut left, mut right) = (Accumulator::default(), Accumulator::default());
     /// for (i, &x) in xs.iter().enumerate() {
     ///     whole.push(x);
     ///     if i < 3 { left.push(x) } else { right.push(x) }
@@ -133,11 +128,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Registers a trial, counting it as a hit when `hit` is true.
     pub fn observe(&mut self, hit: bool) {
         self.trials += 1;
@@ -204,11 +194,6 @@ pub struct ContentionAccumulator {
 }
 
 impl ContentionAccumulator {
-    /// Creates an empty reducer.
-    pub fn new() -> Self {
-        ContentionAccumulator::default()
-    }
-
     /// Merges another reducer into this one (exact; see
     /// [`Accumulator::merge`]).
     pub fn merge(&mut self, other: &ContentionAccumulator) {
@@ -288,7 +273,7 @@ mod tests {
 
     #[test]
     fn accumulator_welford_reference() {
-        let mut acc = Accumulator::new();
+        let mut acc = Accumulator::default();
         assert_eq!(acc.mean(), 0.0);
         assert_eq!(acc.population_variance(), 0.0);
         for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
@@ -303,7 +288,7 @@ mod tests {
     #[test]
     fn accumulator_is_shift_stable() {
         // Welford should not lose precision with a large offset.
-        let mut acc = Accumulator::new();
+        let mut acc = Accumulator::default();
         for x in [1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0] {
             acc.push(x);
         }
@@ -314,12 +299,12 @@ mod tests {
     #[test]
     fn accumulator_merge_matches_single_pass() {
         let xs: Vec<f64> = (0..57).map(|i| (i as f64).sin() * 100.0 + 1e6).collect();
-        let mut whole = Accumulator::new();
+        let mut whole = Accumulator::default();
         for &x in &xs {
             whole.push(x);
         }
         for split in [0, 1, 28, 56, 57] {
-            let (mut a, mut b) = (Accumulator::new(), Accumulator::new());
+            let (mut a, mut b) = (Accumulator::default(), Accumulator::default());
             for &x in &xs[..split] {
                 a.push(x);
             }
@@ -338,13 +323,13 @@ mod tests {
 
     #[test]
     fn accumulator_merge_with_empty_is_identity() {
-        let mut acc = Accumulator::new();
+        let mut acc = Accumulator::default();
         acc.push(3.0);
         acc.push(5.0);
         let snapshot = acc;
-        acc.merge(&Accumulator::new());
+        acc.merge(&Accumulator::default());
         assert_eq!(acc, snapshot);
-        let mut empty = Accumulator::new();
+        let mut empty = Accumulator::default();
         empty.merge(&snapshot);
         assert_eq!(empty, snapshot);
     }
@@ -353,8 +338,8 @@ mod tests {
     fn accumulator_scaled_matches_scaling_the_samples() {
         let xs = [2.0, 4.0, 4.0, 5.0, 7.0, 9.0];
         let factor = 0.98304;
-        let mut raw = Accumulator::new();
-        let mut reference = Accumulator::new();
+        let mut raw = Accumulator::default();
+        let mut reference = Accumulator::default();
         for &x in &xs {
             raw.push(x);
             reference.push(x * factor);
@@ -368,7 +353,7 @@ mod tests {
 
     #[test]
     fn counter_standard_error_is_binomial() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         assert_eq!(c.standard_error(), 0.0);
         for i in 0..100 {
             c.observe(i < 16);
@@ -379,8 +364,8 @@ mod tests {
 
     #[test]
     fn counter_merge_adds_counts() {
-        let mut a = Counter::new();
-        let mut b = Counter::new();
+        let mut a = Counter::default();
+        let mut b = Counter::default();
         for i in 0..7 {
             a.observe(i % 2 == 0);
         }
@@ -394,8 +379,11 @@ mod tests {
 
     #[test]
     fn contention_accumulator_merge_is_exact() {
-        let mut whole = ContentionAccumulator::new();
-        let (mut left, mut right) = (ContentionAccumulator::new(), ContentionAccumulator::new());
+        let mut whole = ContentionAccumulator::default();
+        let (mut left, mut right) = (
+            ContentionAccumulator::default(),
+            ContentionAccumulator::default(),
+        );
         for i in 0..40u32 {
             let part = if i < 17 { &mut left } else { &mut right };
             for acc in [&mut whole, part] {
@@ -419,7 +407,7 @@ mod tests {
 
     #[test]
     fn counter_ratio() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         assert_eq!(c.ratio(), Probability::ZERO);
         for i in 0..10 {
             c.observe(i % 4 == 0);

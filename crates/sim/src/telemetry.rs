@@ -5,11 +5,12 @@
 //! OBSERVABILITY makes the split a schema rule:
 //!
 //! * **Deterministic** ([`MetricSet`]): monotonic `u64` counters,
-//!   max-merged gauges and log₂-bucketed histograms ([`Hist`]). Every
-//!   merge operation is a commutative, associative integer fold, so the
-//!   totals are bit-identical for every worker count and every shard
-//!   arrival order — the same merge-algebra discipline as the
-//!   accumulator shards in [`crate::stats`].
+//!   max-merged gauges and log₂-bucketed histograms ([`Hist`]). Engine
+//!   shards fold in with [`EngineMetrics::merge`], a commutative,
+//!   associative integer fold, and the runner, policy and farm values are
+//!   integer sums and maxima, so the totals are bit-identical for every
+//!   worker count and every shard arrival order — the same merge-algebra
+//!   discipline as the accumulator shards in [`crate::stats`].
 //! * **Timing** ([`TimingSet`]): wall-clock span statistics
 //!   ([`TimingStat`]) and pool-occupancy gauges. These depend on the
 //!   host and scheduling and are emitted as a *separate* JSONL record so
@@ -105,15 +106,6 @@ impl Hist {
         self.max = self.max.max(other.max);
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
-        }
-    }
-
-    /// Mean sample value, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
         }
     }
 
@@ -308,11 +300,6 @@ pub struct RunnerMetrics {
 }
 
 impl RunnerMetrics {
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &RunnerMetrics) {
-        self.jobs += other.jobs;
-    }
-
     fn to_json(&self) -> Node {
         json::obj(vec![("jobs", json::uint(self.jobs))])
     }
@@ -333,15 +320,6 @@ pub struct PolicyMetrics {
 }
 
 impl PolicyMetrics {
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &PolicyMetrics) {
-        self.rounds += other.rounds;
-        self.moves += other.moves;
-        self.moves_per_round.merge(&other.moves_per_round);
-        self.convergence_delta_permille
-            .merge(&other.convergence_delta_permille);
-    }
-
     fn to_json(&self) -> Node {
         json::obj(vec![
             ("rounds", json::uint(self.rounds)),
@@ -360,8 +338,8 @@ impl PolicyMetrics {
 /// [`TimingSet`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FarmMetrics {
-    /// Scenarios known to the farm (skipped ones included); max-merged
-    /// gauge, so concurrent farms report the largest.
+    /// Scenarios known to the farm (skipped ones included); a max gauge,
+    /// so concurrent farms report the largest.
     pub total_scenarios: u64,
     /// Scenarios that completed ok.
     pub ok: u64,
@@ -374,15 +352,6 @@ pub struct FarmMetrics {
 }
 
 impl FarmMetrics {
-    /// Folds `other` into `self` (adds; `total_scenarios` merges by max).
-    pub fn merge(&mut self, other: &FarmMetrics) {
-        self.total_scenarios = self.total_scenarios.max(other.total_scenarios);
-        self.ok += other.ok;
-        self.failed += other.failed;
-        self.timeout += other.timeout;
-        self.skipped += other.skipped;
-    }
-
     fn to_json(&self) -> Node {
         json::obj(vec![
             ("total_scenarios", json::uint(self.total_scenarios)),
@@ -399,7 +368,7 @@ impl FarmMetrics {
 
 /// The full deterministic section: every value is bit-identical across
 /// 1/2/4 worker threads, shard orderings and wave splits, because every
-/// merge is a commutative integer fold over a fixed job set.
+/// value is an integer sum, maximum or histogram over a fixed job set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricSet {
     /// Engine-layer metrics.
@@ -413,14 +382,6 @@ pub struct MetricSet {
 }
 
 impl MetricSet {
-    /// Folds `other` into `self` (commutative, associative).
-    pub fn merge(&mut self, other: &MetricSet) {
-        self.engine.merge(&other.engine);
-        self.runner.merge(&other.runner);
-        self.policy.merge(&other.policy);
-        self.farm.merge(&other.farm);
-    }
-
     /// The deterministic snapshot record (one JSONL object; see
     /// `SCHEMA.md` § OBSERVABILITY). `last` marks the end-of-run
     /// snapshot — the one whose bytes are thread-count invariant
@@ -468,21 +429,6 @@ impl TimingStat {
         self.count += 1;
         self.total_ms += ms;
         self.max_ms = self.max_ms.max(ms);
-    }
-
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &TimingStat) {
-        if other.count == 0 {
-            return;
-        }
-        self.min_ms = if self.count == 0 {
-            other.min_ms
-        } else {
-            self.min_ms.min(other.min_ms)
-        };
-        self.count += other.count;
-        self.total_ms += other.total_ms;
-        self.max_ms = self.max_ms.max(other.max_ms);
     }
 
     fn to_json(&self) -> Node {
@@ -846,9 +792,9 @@ mod tests {
 
     #[test]
     fn merges_are_commutative_and_associative() {
-        let a = random_set(1);
-        let b = random_set(2);
-        let c = random_set(3);
+        let a = random_set(1).engine;
+        let b = random_set(2).engine;
+        let c = random_set(3).engine;
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -867,16 +813,16 @@ mod tests {
 
     #[test]
     fn shard_order_never_changes_the_total() {
-        let shards: Vec<MetricSet> = (0..6).map(|i| random_set(100 + i)).collect();
-        let mut forward = MetricSet::default();
+        let shards: Vec<EngineMetrics> = (0..6).map(|i| random_set(100 + i).engine).collect();
+        let mut forward = EngineMetrics::default();
         for s in &shards {
             forward.merge(s);
         }
-        let mut reverse = MetricSet::default();
+        let mut reverse = EngineMetrics::default();
         for s in shards.iter().rev() {
             reverse.merge(s);
         }
-        let mut interleaved = MetricSet::default();
+        let mut interleaved = EngineMetrics::default();
         for s in shards
             .iter()
             .step_by(2)
@@ -888,39 +834,20 @@ mod tests {
         assert_eq!(forward, interleaved);
         // The rendered record is therefore order-invariant too.
         assert_eq!(
-            render_compact(&forward.to_json(true)),
-            render_compact(&reverse.to_json(true))
+            render_compact(&forward.to_json()),
+            render_compact(&reverse.to_json())
         );
     }
 
     #[test]
     fn merging_the_identity_is_a_noop() {
-        let a = random_set(7);
+        let a = random_set(7).engine;
         let mut merged = a.clone();
-        merged.merge(&MetricSet::default());
+        merged.merge(&EngineMetrics::default());
         assert_eq!(merged, a);
-        let mut from_zero = MetricSet::default();
+        let mut from_zero = EngineMetrics::default();
         from_zero.merge(&a);
         assert_eq!(from_zero, a);
-    }
-
-    #[test]
-    fn timing_stat_merges_like_its_records() {
-        let mut whole = TimingStat::default();
-        for ms in [3.0, 1.0, 2.0, 8.0] {
-            whole.record(ms);
-        }
-        let mut left = TimingStat::default();
-        left.record(3.0);
-        left.record(1.0);
-        let mut right = TimingStat::default();
-        right.record(2.0);
-        right.record(8.0);
-        let mut merged = left.clone();
-        merged.merge(&right);
-        assert_eq!(merged, whole);
-        merged.merge(&TimingStat::default());
-        assert_eq!(merged, whole);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use wsn_phy::noise::UniformSource;
 use wsn_radio::ledger::{EnergyLedger, PhaseTag};
 use wsn_radio::{RadioModel, RadioState};
 use wsn_sim::network::{NetworkConfig, TxPowerPolicy};
-use wsn_sim::telemetry::{Hist, MetricSet};
+use wsn_sim::telemetry::{EngineMetrics, Hist};
 use wsn_sim::{
     Accumulator, ChannelSimConfig, ContentionAccumulator, Counter, NetworkAccumulator,
     NetworkSimulator, Xoshiro256StarStar,
@@ -18,10 +18,10 @@ use wsn_units::{DBm, Db, Seconds};
 /// Splits `xs` at the given sorted cut points and reduces each shard
 /// separately, then merges the shards left-to-right.
 fn merge_accumulator_shards(xs: &[f64], cuts: &[usize]) -> Accumulator {
-    let mut merged = Accumulator::new();
+    let mut merged = Accumulator::default();
     let mut start = 0;
     for &cut in cuts.iter().chain(std::iter::once(&xs.len())) {
-        let mut shard = Accumulator::new();
+        let mut shard = Accumulator::default();
         for &x in &xs[start..cut] {
             shard.push(x);
         }
@@ -43,7 +43,7 @@ fn accumulator_merge_of_random_splits_matches_single_pass() {
             .map(|_| offset + rng.next_f64() * 1e4 - 5e3)
             .collect();
 
-        let mut whole = Accumulator::new();
+        let mut whole = Accumulator::default();
         for &x in &xs {
             whole.push(x);
         }
@@ -78,7 +78,7 @@ fn accumulator_merge_is_associative_up_to_rounding() {
     for case in 0..100 {
         let shards: Vec<Accumulator> = (0..4)
             .map(|_| {
-                let mut acc = Accumulator::new();
+                let mut acc = Accumulator::default();
                 for _ in 0..rng.index(50) {
                     acc.push(rng.next_f64() * 100.0);
                 }
@@ -111,13 +111,13 @@ fn counter_merge_of_random_splits_is_exact() {
         let n = rng.index(500);
         let hits: Vec<bool> = (0..n).map(|_| rng.bernoulli(0.3)).collect();
 
-        let mut whole = Counter::new();
+        let mut whole = Counter::default();
         for &h in &hits {
             whole.observe(h);
         }
 
         let cut = if n == 0 { 0 } else { rng.index(n + 1) };
-        let (mut a, mut b) = (Counter::new(), Counter::new());
+        let (mut a, mut b) = (Counter::default(), Counter::default());
         for &h in &hits[..cut] {
             a.observe(h);
         }
@@ -505,8 +505,11 @@ fn contention_accumulator_split_merge_matches_reduce() {
     for case in 0..50 {
         let n = 1 + rng.index(300);
         let cut = rng.index(n + 1);
-        let mut whole = ContentionAccumulator::new();
-        let (mut a, mut b) = (ContentionAccumulator::new(), ContentionAccumulator::new());
+        let mut whole = ContentionAccumulator::default();
+        let (mut a, mut b) = (
+            ContentionAccumulator::default(),
+            ContentionAccumulator::default(),
+        );
         for i in 0..n {
             let part = if i < cut { &mut a } else { &mut b };
             let cont = rng.next_f64() * 1e4;
@@ -545,68 +548,55 @@ fn contention_accumulator_split_merge_matches_reduce() {
 
 // --- telemetry merge algebra -------------------------------------------
 
-/// A pseudo-random telemetry shard: every counter, gauge and histogram
-/// field gets data, so a merge bug in any single field fails the
-/// properties below.
-fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> MetricSet {
-    let mut m = MetricSet::default();
+/// A pseudo-random engine shard, what one simulation run folds into the
+/// registry: every counter and histogram field gets data, so a merge bug
+/// in any single field fails the properties below.
+fn random_metric_shard(rng: &mut Xoshiro256StarStar) -> EngineMetrics {
+    let mut m = EngineMetrics::default();
     for _ in 0..(1 + rng.index(30)) {
-        m.engine.runs += 1;
-        m.engine.events += rng.next_u64() % 1_000;
-        m.engine.ev_beacon += rng.next_u64() % 16;
-        m.engine.ev_arrival += rng.next_u64() % 256;
-        m.engine.ev_cca += rng.next_u64() % 256;
-        m.engine.ev_tx_end += rng.next_u64() % 256;
-        m.engine.ev_gts += rng.next_u64() % 16;
-        m.engine.ev_dl_poll += rng.next_u64() % 16;
-        m.engine.attempts_delivered += rng.next_u64() % 64;
-        m.engine.attempts_collided += rng.next_u64() % 64;
-        m.engine.attempts_corrupted += rng.next_u64() % 8;
-        m.engine.attempts_access_failure += rng.next_u64() % 8;
-        m.engine.transactions += rng.next_u64() % 64;
-        m.engine.transactions_delivered += rng.next_u64() % 64;
-        m.engine.queue_pushes += rng.next_u64() % 2_048;
-        m.engine.queue_pops += rng.next_u64() % 2_048;
+        m.runs += 1;
+        m.events += rng.next_u64() % 1_000;
+        m.ev_beacon += rng.next_u64() % 16;
+        m.ev_arrival += rng.next_u64() % 256;
+        m.ev_cca += rng.next_u64() % 256;
+        m.ev_tx_end += rng.next_u64() % 256;
+        m.ev_gts += rng.next_u64() % 16;
+        m.ev_dl_poll += rng.next_u64() % 16;
+        m.attempts_delivered += rng.next_u64() % 64;
+        m.attempts_collided += rng.next_u64() % 64;
+        m.attempts_corrupted += rng.next_u64() % 8;
+        m.attempts_access_failure += rng.next_u64() % 8;
+        m.transactions += rng.next_u64() % 64;
+        m.transactions_delivered += rng.next_u64() % 64;
+        m.queue_pushes += rng.next_u64() % 2_048;
+        m.queue_pops += rng.next_u64() % 2_048;
         // Histogram samples across the whole bucket range, including 0.
-        m.engine
-            .queue_skip_slots
-            .record(rng.next_u64() >> rng.index(64));
-        m.engine.cohort_size.record(rng.next_u64() % 128);
-        m.engine.ccas_per_attempt.record(rng.next_u64() % 8);
-        m.engine.contention_slots.record(rng.next_u64() % 4_096);
-        m.engine.attempts_per_transaction.record(rng.next_u64() % 6);
-        m.runner.jobs += rng.next_u64() % 64;
-        m.policy.rounds += 1;
-        m.policy.moves += rng.next_u64() % 32;
-        m.policy.moves_per_round.record(rng.next_u64() % 32);
-        m.policy
-            .convergence_delta_permille
-            .record(rng.next_u64() % 1_000);
-        m.farm.total_scenarios = m.farm.total_scenarios.max(rng.next_u64() % 512);
-        m.farm.ok += rng.next_u64() % 16;
-        m.farm.failed += rng.next_u64() % 4;
-        m.farm.timeout += rng.next_u64() % 2;
-        m.farm.skipped += rng.next_u64() % 4;
+        m.queue_skip_slots.record(rng.next_u64() >> rng.index(64));
+        m.cohort_size.record(rng.next_u64() % 128);
+        m.ccas_per_attempt.record(rng.next_u64() % 8);
+        m.contention_slots.record(rng.next_u64() % 4_096);
+        m.attempts_per_transaction.record(rng.next_u64() % 6);
     }
     m
 }
 
 /// Worker scheduling must never show up in the deterministic metric
-/// section: merging the same shards in any order (and any grouping)
-/// yields the identical `MetricSet`.
+/// section: the registry folds every run's engine shard with
+/// `EngineMetrics::merge`, and merging the same shards in any order (and
+/// any grouping) yields the identical totals.
 #[test]
 fn telemetry_shard_merge_is_order_invariant_and_associative() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x7E1E);
     for case in 0..100 {
-        let shards: Vec<MetricSet> = (0..2 + rng.index(5))
+        let shards: Vec<EngineMetrics> = (0..2 + rng.index(5))
             .map(|_| random_metric_shard(&mut rng))
             .collect();
 
-        let mut forward = MetricSet::default();
+        let mut forward = EngineMetrics::default();
         for s in &shards {
             forward.merge(s);
         }
-        let mut reverse = MetricSet::default();
+        let mut reverse = EngineMetrics::default();
         for s in shards.iter().rev() {
             reverse.merge(s);
         }
@@ -615,7 +605,7 @@ fn telemetry_shard_merge_is_order_invariant_and_associative() {
         // Arbitrary grouping: fold a random prefix into one sub-total,
         // the rest into another, then combine — associativity.
         let cut = rng.index(shards.len() + 1);
-        let (mut left, mut right) = (MetricSet::default(), MetricSet::default());
+        let (mut left, mut right) = (EngineMetrics::default(), EngineMetrics::default());
         for s in &shards[..cut] {
             left.merge(s);
         }
@@ -675,9 +665,9 @@ fn telemetry_empty_shard_is_the_merge_identity() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x1DE4);
     let shard = random_metric_shard(&mut rng);
     let mut merged = shard.clone();
-    merged.merge(&MetricSet::default());
+    merged.merge(&EngineMetrics::default());
     assert_eq!(merged, shard);
-    let mut from_empty = MetricSet::default();
+    let mut from_empty = EngineMetrics::default();
     from_empty.merge(&shard);
     assert_eq!(from_empty, shard);
 }

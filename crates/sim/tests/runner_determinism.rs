@@ -373,7 +373,11 @@ fn policy_corruption_cache_matches_uncached_rounds_bitwise() {
     )
     .with_superframes(4)
     .with_replications(2)
-    .with_faults(FaultPlan::inert().with_drift(2.5, 3).with_bursts(4, 0.3));
+    .with_faults(FaultPlan {
+        burst_every_rounds: 4,
+        burst_downlink_rate: 0.3,
+        ..FaultPlan::inert().with_drift(2.5, 3)
+    });
     let runner = Runner::with_threads(1);
     let rounds = 5usize;
     let engine = PolicyEngine::new(scenario.clone())

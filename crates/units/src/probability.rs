@@ -1,20 +1,7 @@
-//! Validated probability newtype.
+//! Probability newtype, clamped into `[0, 1]`.
 
 use core::fmt;
 use core::ops::Mul;
-
-/// Error returned when constructing a [`Probability`] from a value outside
-/// `[0, 1]` or from a non-finite value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbabilityError(f64);
-
-impl fmt::Display for ProbabilityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "value {} is not a probability in [0, 1]", self.0)
-    }
-}
-
-impl std::error::Error for ProbabilityError {}
 
 /// A probability, guaranteed to lie in `[0, 1]`.
 ///
@@ -29,12 +16,11 @@ impl std::error::Error for ProbabilityError {}
 /// ```
 /// use wsn_units::Probability;
 ///
-/// let pr_col = Probability::new(0.1)?;
-/// let pr_e = Probability::new(0.05)?;
+/// let pr_col = Probability::clamped(0.1);
+/// let pr_e = Probability::clamped(0.05);
 /// // Paper eq. (9): Pr_tf = 1 − (1 − Pr_col)(1 − Pr_e)
 /// let pr_tf = (pr_col.complement() * pr_e.complement()).complement();
 /// assert!((pr_tf.value() - 0.145).abs() < 1e-12);
-/// # Ok::<(), wsn_units::ProbabilityError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Probability(f64);
@@ -42,23 +28,6 @@ pub struct Probability(f64);
 impl Probability {
     /// The impossible event.
     pub const ZERO: Probability = Probability(0.0);
-    /// The certain event.
-    pub const ONE: Probability = Probability(1.0);
-
-    /// Creates a probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProbabilityError`] if `p` is NaN, infinite, or outside
-    /// `[0, 1]`.
-    #[inline]
-    pub fn new(p: f64) -> Result<Self, ProbabilityError> {
-        if p.is_finite() && (0.0..=1.0).contains(&p) {
-            Ok(Probability(p))
-        } else {
-            Err(ProbabilityError(p))
-        }
-    }
 
     /// Creates a probability, clamping out-of-range finite values into
     /// `[0, 1]`.
@@ -85,12 +54,6 @@ impl Probability {
     #[inline]
     pub fn complement(self) -> Probability {
         Probability(1.0 - self.0)
-    }
-
-    /// Returns `pⁿ`, the probability that `n` independent trials all succeed.
-    #[inline]
-    pub fn pow(self, n: u32) -> Probability {
-        Probability(self.0.powi(n as i32))
     }
 
     /// Returns `pˣ` for a real-valued exponent `x ≥ 0`.
@@ -122,31 +85,9 @@ impl Mul for Probability {
     }
 }
 
-impl From<Probability> for f64 {
-    #[inline]
-    fn from(p: Probability) -> f64 {
-        p.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accepts_unit_interval() {
-        assert!(Probability::new(0.0).is_ok());
-        assert!(Probability::new(0.5).is_ok());
-        assert!(Probability::new(1.0).is_ok());
-    }
-
-    #[test]
-    fn rejects_out_of_range() {
-        assert!(Probability::new(-0.1).is_err());
-        assert!(Probability::new(1.1).is_err());
-        assert!(Probability::new(f64::NAN).is_err());
-        assert!(Probability::new(f64::INFINITY).is_err());
-    }
 
     #[test]
     fn clamped_saturates() {
@@ -163,35 +104,21 @@ mod tests {
 
     #[test]
     fn complement_involution() {
-        let p = Probability::new(0.37).unwrap();
+        let p = Probability::clamped(0.37);
         assert!((p.complement().complement().value() - 0.37).abs() < 1e-15);
     }
 
     #[test]
     fn independent_joint() {
-        let p = Probability::new(0.5).unwrap() * Probability::new(0.5).unwrap();
+        let p = Probability::clamped(0.5) * Probability::clamped(0.5);
         assert_eq!(p.value(), 0.25);
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let p = Probability::new(0.9).unwrap();
-        let three = p * p * p;
-        assert!((p.pow(3).value() - three.value()).abs() < 1e-15);
-        assert_eq!(p.pow(0).value(), 1.0);
     }
 
     #[test]
     fn powf_packet_error_formula() {
         // Pr_e = 1 − (1 − Pr_bit)^(8·(133−4)) at Pr_bit = 1e-4.
-        let pr_bit = Probability::new(1e-4).unwrap();
+        let pr_bit = Probability::clamped(1e-4);
         let pr_e = pr_bit.complement().powf(8.0 * 129.0).complement();
         assert!((pr_e.value() - 0.0981).abs() < 1e-3);
-    }
-
-    #[test]
-    fn error_displays_value() {
-        let err = Probability::new(1.5).unwrap_err();
-        assert_eq!(err.to_string(), "value 1.5 is not a probability in [0, 1]");
     }
 }
