@@ -212,6 +212,7 @@ impl SlottedCsmaCa {
     ///
     /// Panics if called after the machine already decided
     /// [`CsmaAction::Transmit`] or [`CsmaAction::Failure`].
+    #[inline(always)] // once per engine CCA event
     pub fn on_cca<U: UniformSource>(&mut self, busy: bool, rng: &mut U) -> CsmaAction {
         assert!(
             !matches!(self.action, CsmaAction::Transmit | CsmaAction::Failure),
@@ -244,10 +245,11 @@ impl SlottedCsmaCa {
         self.ccas
     }
 
+    /// A uniform delay in `0..2^BE` periods: `floor(next_f64() · 2^BE)`,
+    /// drawn as the word's shift (see [`UniformSource`]). `BE ≤ 8`, so the
+    /// delay fits a `u32`.
     fn draw_backoff<U: UniformSource>(&mut self, rng: &mut U) -> u32 {
-        let window = 1u32 << self.be; // delays in 0..2^BE
-        let draw = (rng.next_f64() * window as f64) as u32;
-        draw.min(window - 1)
+        rng.next_bits(u32::from(self.be)) as u32
     }
 }
 

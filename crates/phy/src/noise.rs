@@ -7,16 +7,43 @@
 //! standalone; `wsn-sim`'s higher-quality generator also implements the
 //! trait.
 
-/// A source of uniformly distributed `f64` samples in `[0, 1)`.
+/// A source of uniformly distributed 64-bit words, and the uniform samples
+/// drawn from them.
+///
+/// An implementor provides [`next_u64`](Self::next_u64) only. Both samples
+/// are provided, and both use the word's 53 high bits `m = next_u64() >> 11`:
+///
+/// * [`next_f64`](Self::next_f64) is `m · 2⁻⁵³`, in `[0, 1)`;
+/// * [`next_bits`](Self::next_bits)`(bits)` is `m >> (53 − bits)`, in
+///   `0..2^bits`.
+///
+/// The two agree: `next_bits(bits) == (next_f64() · 2^bits) as u64` for
+/// every `bits ≤ 53` on the same word. `m < 2⁵³` is exact in `f64`, and so
+/// is scaling it by `2^(bits − 53)`, so the float's truncation is the shift.
 pub trait UniformSource {
+    /// Returns the next raw 64-bit word.
+    fn next_u64(&mut self) -> u64;
+
     /// Returns the next uniform sample in `[0, 1)`.
-    fn next_f64(&mut self) -> f64;
+    #[inline]
+    fn next_f64(&mut self) -> f64 {
+        // 53 high bits → [0, 1) with full double precision.
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Returns the next uniform integer in `0..2^bits`, equal to
+    /// `floor(next_f64() · 2^bits)` from the same word; `bits` is at most
+    /// 53.
+    #[inline(always)] // the CSMA backoff draw, once per engine event
+    fn next_bits(&mut self, bits: u32) -> u64 {
+        (self.next_u64() >> 11) >> (53 - bits)
+    }
 }
 
 impl<T: UniformSource + ?Sized> UniformSource for &mut T {
     #[inline]
-    fn next_f64(&mut self) -> f64 {
-        (**self).next_f64()
+    fn next_u64(&mut self) -> u64 {
+        (**self).next_u64()
     }
 }
 
@@ -57,9 +84,8 @@ impl SplitMix64 {
 
 impl UniformSource for SplitMix64 {
     #[inline]
-    fn next_f64(&mut self) -> f64 {
-        // 53 high bits → [0, 1) with full double precision.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    fn next_u64(&mut self) -> u64 {
+        SplitMix64::next_u64(self)
     }
 }
 

@@ -177,6 +177,7 @@ impl EnergyLedger {
     /// *target* state (the paper counts `T_ia` as RX/TX time and `T_si` as
     /// idle time) and the transition energy to `phase`. Returns the
     /// transition, or `None` if illegal.
+    #[inline(always)] // once per billed transition of every record
     pub fn accrue_transition(
         &mut self,
         model: &RadioModel,

@@ -440,7 +440,9 @@ impl SimTrace {
 // ---------------------------------------------------------------------------
 
 /// Engine events. A node event names the node by `rec`, the index of its
-/// `Node` record in the arrival-ordered node array, not by node id.
+/// `Node` record in the arrival-ordered node array, not by node id. Every
+/// event is 8 bytes: what a node event needs beyond `rec` lives in the
+/// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Beacon transmission starts (occupies the channel).
@@ -449,8 +451,9 @@ enum Ev {
     Arrival { rec: u32 },
     /// A node performs a CCA.
     Cca { rec: u32 },
-    /// A node's transmission ends (`end_us` is the exact airtime end).
-    TxEnd { rec: u32, end_us: u64 },
+    /// A node's transmission ends; its exact airtime end is
+    /// [`Node::tx_end_us`].
+    TxEnd { rec: u32 },
     /// A GTS holder transmits in its dedicated CFP slot (bypasses CSMA
     /// and the collision-cohort accounting entirely).
     GtsTx { rec: u32 },
@@ -499,7 +502,8 @@ struct Node {
     cont_start_slot: u64,
     /// Start slot of this node's in-flight transmission (valid between
     /// its Transmit decision and its TxEnd) — the per-node half of the
-    /// collision-cohort bookkeeping.
+    /// collision-cohort bookkeeping, and with `kind` the transmission's
+    /// end.
     tx_start_slot: u64,
     /// CCAs of the in-flight transmission's procedure, saved at Transmit.
     /// Between Transmit and TxEnd the node starts no procedure (an arrival
@@ -518,6 +522,7 @@ struct Node {
 impl Node {
     /// Starts a CSMA/CA procedure at `slot`; returns the slot of its first
     /// CCA.
+    #[inline(always)] // once per arrival, poll and retry event
     fn start_csma(&mut self, slot: u64, params: CsmaParams) -> u64 {
         let machine = SlottedCsmaCa::start(params, &mut self.rng);
         let CsmaAction::BackoffThenCca { periods } = machine.current_action() else {
@@ -526,6 +531,18 @@ impl Node {
         self.csma = Some(machine);
         self.cont_start_slot = slot;
         slot + u64::from(periods)
+    }
+
+    /// Microsecond at which the in-flight transmission's airtime ends: its
+    /// start slot plus the airtime of what it carries. Both stay as they
+    /// are until its TxEnd (an arrival meanwhile is an overrun, a poll is
+    /// deferred), so the Transmit and TxEnd events compute the same value.
+    fn tx_end_us(&self, timings: &SlotTimings) -> u64 {
+        let airtime_us = match self.kind {
+            CsmaKind::Uplink => timings.packet_us,
+            CsmaKind::DataRequest => timings.data_request_us,
+        };
+        self.tx_start_slot * SLOT_US + airtime_us
     }
 
     /// Takes up this superframe's packet: one carried over has waited a
@@ -586,7 +603,8 @@ const NODE_FAULT_INIT: NodeFault = NodeFault {
 
 /// Reusable per-thread scratch of the contention engine: the calendar
 /// queue, one record per node, the arrival order, the cold fault state
-/// and the network layer's corruption-probability buffer.
+/// (sized only while the run's fault plan is engine-active) and the
+/// network layer's corruption-probability buffer.
 ///
 /// Each node's contention state is one record (`Node`), and the records
 /// are stored in arrival order: record `k` belongs to the `k`-th node when
@@ -619,7 +637,8 @@ pub struct SimWorkspace {
     /// The arrival order of the last run.
     pub(crate) arrivals: Arrivals,
     /// Cold per-node fault state (alive/dormant/retry bookkeeping),
-    /// indexed by node id.
+    /// indexed by node id. Empty unless the run's fault plan is
+    /// engine-active: every read is gated on that.
     fault: Vec<NodeFault>,
     /// Per-node downlink poll offsets (drawn only when the configuration
     /// polls at all).
@@ -821,8 +840,6 @@ where
         recording: false,
         kind: CsmaKind::Uplink,
     }));
-    ws.fault.clear();
-    ws.fault.resize(config.nodes, NODE_FAULT_INIT);
 
     // --- Contention-free period plan -----------------------------------
     // Every branch below is gated so an inert plan leaves the event
@@ -861,6 +878,10 @@ where
     // engine (see `crate::faults` for the determinism contract).
     let fplan = config.faults;
     let faults_active = !fplan.is_engine_inert();
+    ws.fault.clear();
+    if faults_active {
+        ws.fault.resize(config.nodes, NODE_FAULT_INIT);
+    }
     let mut fault_rng = root.split(u64::MAX - 2);
     // Remaining superframes of the current coordinator outage window.
     let mut outage_left: u32 = 0;
@@ -1180,11 +1201,8 @@ where
                     CsmaAction::Transmit => {
                         let machine = n.csma.take().expect("machine present");
                         let start_slot = slot + 1;
-                        let airtime_us = match n.kind {
-                            CsmaKind::Uplink => packet_us,
-                            CsmaKind::DataRequest => timings.data_request_us,
-                        };
-                        let end_us = start_slot * SLOT_US + airtime_us;
+                        n.tx_start_slot = start_slot;
+                        let end_us = n.tx_end_us(timings);
                         n.ccas = machine.ccas_performed();
                         // Same-slot starters collide with each other:
                         // joining the current cohort (or opening a new
@@ -1200,7 +1218,6 @@ where
                             cohort_slot = start_slot;
                             cohort_size = 1;
                         }
-                        n.tx_start_slot = start_slot;
                         debug_assert!(
                             pending_air.is_none_or(|(s, _)| s == start_slot),
                             "at most one undecided cohort can be pending"
@@ -1215,11 +1232,7 @@ where
                             _ => end_us,
                         };
                         pending_air = Some((start_slot, merged_end));
-                        queue.push(
-                            end_us.div_ceil(SLOT_US),
-                            PRIO_TXEND,
-                            Ev::TxEnd { rec, end_us },
-                        );
+                        queue.push(end_us.div_ceil(SLOT_US), PRIO_TXEND, Ev::TxEnd { rec });
                     }
                     CsmaAction::Failure => {
                         let ccas = n.csma.take().expect("machine present").ccas_performed();
@@ -1266,10 +1279,11 @@ where
                     }
                 }
             }
-            Ev::TxEnd { rec, end_us } => {
+            Ev::TxEnd { rec } => {
+                let n = &mut nodes[rec as usize];
+                let end_us = n.tx_end_us(timings);
                 // The transmission itself kept the channel busy.
                 busy_until_us = busy_until_us.max(end_us);
-                let n = &mut nodes[rec as usize];
                 debug_assert_eq!(
                     n.tx_start_slot, cohort_slot,
                     "TxEnd must belong to the current cohort"
@@ -1890,6 +1904,16 @@ pub(crate) mod tests {
             holders.is_empty(),
             "CAP attempts of GTS holders {holders:?}"
         );
+    }
+
+    #[test]
+    fn an_event_and_a_node_record_stay_slim() {
+        // A node event carries only its record index; what else it needs
+        // is in the record. A field that regrows either shows here: 8 B per
+        // pending event (16 B with its arena entry), 88 B per node.
+        assert_eq!(std::mem::size_of::<Ev>(), 8);
+        let node = std::mem::size_of::<Node>();
+        assert!(node <= 88, "a node record takes {node} bytes");
     }
 
     // --- Engine goldens ---------------------------------------------------

@@ -14,7 +14,9 @@
 //!   head. Entries, which carry their class, live in a free-listed arena,
 //!   so steady-state push/pop churn allocates nothing. Memory is 4 B per
 //!   ring slot (plus one occupancy bit) and one arena entry per pending
-//!   event — 24 B for the contention engine's event type.
+//!   event — 16 B for the contention engine's 8-byte event type. The arena
+//!   stores payloads by value (`E: Copy`), so a vacated entry keeps its
+//!   stale payload until the next push overwrites it.
 //! * **Push appends, or walks its slot.** A push whose class is at least
 //!   the tail's appends in O(1). One that lands ahead of a higher class
 //!   walks from the head past the slot's entries of a lower or equal
@@ -123,10 +125,12 @@ pub struct QueueStats {
     pub skip_slots: crate::telemetry::Hist,
 }
 
+/// One arena entry: a payload, its list link and its class — 16 bytes
+/// for an 8-byte payload.
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    /// `Some` while queued; `None` on the free list.
-    payload: Option<E>,
+    /// The event while queued; a stale copy while on the free list.
+    payload: E,
     /// Next entry in the slot's circular list (the tail's `next` is the
     /// head), or the next free entry.
     next: u32,
@@ -178,13 +182,13 @@ pub struct EventQueue<E> {
     stats: Option<Box<QueueStats>>,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue with a 256-slot ring (grown on demand).
     pub fn new() -> Self {
         const RING: u64 = 256;
@@ -323,6 +327,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `priority ≥` [`PRIORITY_CLASSES`], or if the pending-time
     /// span would exceed [`MAX_WINDOW`].
+    #[inline(always)] // once per engine event; without it the engine kept the call
     pub fn push(&mut self, time: u64, priority: u8, event: E) {
         assert!(
             (priority as usize) < PRIORITY_CLASSES,
@@ -352,7 +357,7 @@ impl<E> EventQueue<E> {
             let idx = self.free;
             let entry = &mut self.arena[idx as usize];
             self.free = entry.next;
-            entry.payload = Some(event);
+            entry.payload = event;
             entry.class = priority;
             idx
         } else {
@@ -361,7 +366,7 @@ impl<E> EventQueue<E> {
                 "event arena exhausted (u32 index space)"
             );
             self.arena.push(Entry {
-                payload: Some(event),
+                payload: event,
                 next: NIL,
                 class: priority,
             });
@@ -405,6 +410,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event (ties: lowest priority
     /// class first, then insertion order).
+    #[inline(always)] // once per engine event; without it the engine kept the call
     pub fn pop(&mut self) -> Option<(u64, E)> {
         if self.len == 0 {
             return None;
@@ -430,10 +436,7 @@ impl<E> EventQueue<E> {
         debug_assert!(tail != NIL, "occupied ring slot holds no events");
         let head = self.arena[tail as usize].next;
         let entry = &mut self.arena[head as usize];
-        let event = entry
-            .payload
-            .take()
-            .expect("queued entry has a payload — queue invariant broken");
+        let event = entry.payload;
         let next = std::mem::replace(&mut entry.next, self.free);
         self.free = head;
         if head == tail {
@@ -638,6 +641,14 @@ mod tests {
             q.arena.len()
         );
         assert_eq!(q.pop(), Some((50_000, 0)));
+    }
+
+    #[test]
+    fn an_eight_byte_event_takes_a_sixteen_byte_entry() {
+        // The contention engine's event is 8 bytes at 4-byte alignment.
+        // Stored by value beside its link and class it takes 16 bytes; an
+        // `Option` wrapper or a wider link would regrow every pending event.
+        assert_eq!(std::mem::size_of::<Entry<[u32; 2]>>(), 16);
     }
 
     #[test]

@@ -449,9 +449,8 @@ impl PolicyEngine {
         // The physical population and the per-channel BER models are fixed
         // across rounds; pay for the deployment geometry and the model
         // resolution once, not once per round.
-        let losses = scenario.population_losses();
+        let (losses, mut assignment) = scenario.population();
         let bers = scenario.channel_bers();
-        let mut assignment = scenario.initial_assignment();
         // Floor each capacity at the initial allocation: a scenario whose
         // static split already exceeds the load cap must still run (the
         // engine produced that assignment itself) — policies just may not

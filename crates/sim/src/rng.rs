@@ -101,8 +101,9 @@ impl Xoshiro256StarStar {
 }
 
 impl UniformSource for Xoshiro256StarStar {
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        Xoshiro256StarStar::next_u64(self)
     }
 }
 
@@ -178,6 +179,29 @@ mod tests {
         let mut c = root.split(0);
         let mut d = root.split(0);
         assert_eq!(c.next_u64(), d.next_u64());
+    }
+
+    #[test]
+    fn integer_draw_is_the_truncated_float_draw() {
+        // The CSMA backoff draws `next_bits` where it used to truncate
+        // `next_f64() · 2^bits`; both generators must give the same integer
+        // from the same word, for every backoff exponent and the widest
+        // draw, or every backoff moves.
+        fn check<U: UniformSource + Clone>(mut rng: U, case: u64) {
+            for bits in (0..=8).chain([53]) {
+                for draw in 0..10_000 {
+                    let int = rng.clone().next_bits(bits);
+                    let float = (rng.next_f64() * (1u64 << bits) as f64) as u64;
+                    assert_eq!(int, float, "case {case}, bits {bits}, draw {draw}");
+                }
+            }
+        }
+        let mut seeds = Xoshiro256StarStar::seed_from_u64(0xB17);
+        for case in 0..4 {
+            let seed = seeds.next_u64();
+            check(SplitMix64::new(seed), case);
+            check(Xoshiro256StarStar::seed_from_u64(seed), case);
+        }
     }
 
     #[test]

@@ -708,7 +708,7 @@ impl Scenario {
     /// The scenario's [`ChannelAllocation`] applied to a geometric
     /// deployment — the single dispatch point shared by
     /// [`channel_losses`](Self::channel_losses) and
-    /// [`initial_assignment`](Self::initial_assignment).
+    /// [`population`](Self::population).
     fn geometric_partition(&self, deployment: &Deployment) -> Vec<Vec<usize>> {
         match self.allocation {
             ChannelAllocation::RoundRobin => round_robin_partition(deployment.len(), self.channels),
@@ -754,10 +754,7 @@ impl Scenario {
     /// over the *total* node count, so an assignment-driven experiment
     /// still spans the full 55–95 dB band.
     pub fn population_losses(&self) -> Vec<Db> {
-        match self.geometry() {
-            Some((losses, _)) => losses,
-            None => self.loss_grid(self.total_nodes()),
-        }
+        self.population().0
     }
 
     /// The geometry-free [`DeploymentSpec::UniformLossGrid`]'s `n`
@@ -779,17 +776,28 @@ impl Scenario {
     /// channels while `Contiguous`/`RingStratified` both stratify it into
     /// consecutive loss bands.
     pub fn initial_assignment(&self) -> Vec<usize> {
+        self.population().1
+    }
+
+    /// [`population_losses`](Self::population_losses) and
+    /// [`initial_assignment`](Self::initial_assignment) from one
+    /// [`geometry`](Self::geometry), which places every node and draws its
+    /// shadowing.
+    pub(crate) fn population(&self) -> (Vec<Db>, Vec<usize>) {
         let n = self.total_nodes();
-        let parts = match self.geometry() {
-            Some((_, deployment)) => self.geometric_partition(&deployment),
-            None => match self.allocation {
-                ChannelAllocation::RoundRobin => round_robin_partition(n, self.channels),
-                // The grid is sorted ascending in loss, so contiguous
-                // blocks are loss bands — the stratified reading.
-                ChannelAllocation::Contiguous | ChannelAllocation::RingStratified => {
-                    block_partition(0..n, self.channels)
-                }
-            },
+        let (losses, parts) = match self.geometry() {
+            Some((losses, deployment)) => (losses, self.geometric_partition(&deployment)),
+            None => {
+                let parts = match self.allocation {
+                    ChannelAllocation::RoundRobin => round_robin_partition(n, self.channels),
+                    // The grid is sorted ascending in loss, so contiguous
+                    // blocks are loss bands — the stratified reading.
+                    ChannelAllocation::Contiguous | ChannelAllocation::RingStratified => {
+                        block_partition(0..n, self.channels)
+                    }
+                };
+                (self.loss_grid(n), parts)
+            }
         };
         let mut assignment = vec![0usize; n];
         for (c, part) in parts.iter().enumerate() {
@@ -797,7 +805,7 @@ impl Scenario {
                 assignment[i] = c;
             }
         }
-        assignment
+        (losses, assignment)
     }
 
     /// Channel `c`'s network configuration over `path_losses`, one per
