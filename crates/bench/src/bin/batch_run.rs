@@ -10,11 +10,13 @@
 //!
 //! Fault tolerance:
 //!
-//! * `--journal FILE` appends an fsync'd progress record per completed
-//!   scenario; `--resume` (requires `--journal`) skips scenarios whose
-//!   config fingerprint already completed and re-runs changed ones, so a
-//!   `kill -9` mid-farm loses at most the waves in flight (eight; one
-//!   one-scenario wave under `--timeout-s`).
+//! * `--journal FILE` writes a progress line per completed scenario and
+//!   syncs the journal once per wave; `--resume` (requires `--journal`)
+//!   skips scenarios whose config fingerprint already completed and
+//!   re-runs changed ones, so a `kill -9` mid-farm loses at most the waves
+//!   in flight (eight; one one-scenario wave under `--timeout-s`). A kill
+//!   needs only the journal write; an OS crash loses at most the last
+//!   wave's journal lines, which re-run on resume.
 //! * Each scenario runs once. A panicking scenario becomes a
 //!   `"status":"failed"` record and the rest of the farm keeps running;
 //!   `--timeout-s` turns runaway scenarios into `"timeout"` records.
@@ -228,7 +230,7 @@ fn main() {
             .open(path);
         match file {
             // Unbuffered on purpose: a record must reach the OS before its
-            // journal entry is fsync'd, or a kill -9 could lose an output
+            // journal line is written, or a kill -9 could lose an output
             // line the journal says is done (emit-then-journal). One
             // line-sized write syscall per scenario is noise next to the
             // simulation itself.

@@ -11,13 +11,14 @@
 //! * **Long-lived workers, pipelined waves.** Consecutive open-loop
 //!   scenarios run as one [`Runner::stream`] on one set of workers. The
 //!   calling thread compiles *waves* — consecutive scenarios carrying
-//!   four jobs per worker — and queues up to eight of them ahead; it
+//!   sixteen jobs per worker — and queues up to eight of them ahead; it
 //!   receives each wave's channels × replications results in feed order,
-//!   reduces them and emits and journals the wave's records while the
-//!   workers simulate the waves behind it. Compile, emission and journal
-//!   fsyncs thus overlap simulation, and a 10 000-scenario directory
-//!   saturates every core for the entire batch. Each scenario runs the
-//!   same per-job body and reduces through the same per-grid reduction
+//!   reduces them, emits and journals the wave's records and syncs the
+//!   journal once while the workers simulate the waves behind it.
+//!   Compile, emission and the journal's one sync per wave thus overlap
+//!   simulation, and a 10 000-scenario directory saturates every core for
+//!   the entire batch. Each scenario runs the same per-job body and
+//!   reduces through the same per-grid reduction
 //!   ([`ScenarioOutcome::reduce`] in fixed order) as [`Scenario::run`],
 //!   so every per-scenario summary is **bit-identical** to running that
 //!   scenario alone, for any thread count and any file ordering (results
@@ -37,8 +38,9 @@
 //!   the batch ends with one aggregate record, all through a
 //!   [`ResultSink`] (any `Write` via [`WriteSink`](crate::sink::WriteSink)).
 //! * **Fault tolerance.** [`BatchSet::run_with`] takes a [`RunConfig`]:
-//!   an fsync'd progress [journal](crate::journal) makes a killed farm
-//!   resumable ([`RunConfig::resume`] skips scenarios whose
+//!   a progress [journal](crate::journal), written per record and synced
+//!   once per wave, makes a killed farm resumable ([`RunConfig::resume`]
+//!   skips scenarios whose
 //!   [config fingerprint](crate::persist::fingerprint_scenario) already
 //!   completed, and re-runs ones whose file changed — resumed records are
 //!   bit-identical to an uninterrupted run), a panicking scenario is
@@ -126,7 +128,7 @@ pub enum BatchError {
     },
     /// The directory or manifest listed no scenarios.
     Empty,
-    /// The progress journal could not be loaded or appended.
+    /// The progress journal could not be loaded, written or synced.
     Journal {
         /// The typed journal diagnostic.
         error: JournalError,
@@ -196,13 +198,16 @@ pub struct BatchSet {
 /// no journal and no watchdog.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
-    /// Progress journal path. Every completed scenario appends one
-    /// fsync'd [`JournalRecord`] *after* its result record was emitted
-    /// (emit-then-journal: a crash between the two duplicates at most one
+    /// Progress journal path. Every completed scenario writes one
+    /// [`JournalRecord`] line *after* its result record was emitted
+    /// (emit-then-journal: a kill between the two duplicates at most one
     /// record on resume — identifiable by fingerprint — and never loses
-    /// one). Records are emitted and journaled wave by wave while up to
-    /// eight later waves are in flight, so a kill loses at most that
-    /// in-flight window, which a resume re-runs.
+    /// one), and the journal is synced once per wave, after the wave's
+    /// last line. A `kill -9` needs only the write; an OS crash loses at
+    /// most the last wave's journal lines, which re-run on resume.
+    /// Records are emitted and journaled wave by wave while up to eight
+    /// later waves are in flight, so a kill loses at most that in-flight
+    /// window, which a resume re-runs.
     pub journal: Option<PathBuf>,
     /// With a journal: skip scenarios whose config fingerprint already
     /// completed `ok` in the journal, append to the journal instead of
@@ -496,10 +501,11 @@ impl BatchSet {
     /// Consecutive open-loop scenarios execute in *waves* on one
     /// [`Runner::stream`] of long-lived workers: the calling thread
     /// compiles and queues up to eight waves ahead (each sized to give
-    /// every worker four jobs), and emits and journals each wave's
-    /// records, strictly in entry order, once its last result arrives —
-    /// so a killed farm loses at most the in-flight window, one
-    /// one-scenario wave under a [`RunConfig::timeout`] watchdog.
+    /// every worker sixteen jobs), and once a wave's last result arrives
+    /// emits and journals its records, strictly in entry order, then
+    /// syncs the journal once — so a killed farm loses at most the
+    /// in-flight window, one one-scenario wave under a
+    /// [`RunConfig::timeout`] watchdog.
     /// Policy-bearing scenarios end the stream and run alone, each
     /// through a [`PolicyEngine`] on the same runner. A single-threaded
     /// runner runs every job inline on the calling thread. Per-scenario
@@ -520,9 +526,9 @@ impl BatchSet {
     /// # Errors
     ///
     /// [`BatchError::Sink`] when a record cannot be written;
-    /// [`BatchError::Journal`] when the progress journal
-    /// cannot be read, repaired or appended. Simulation failures are
-    /// *not* errors — they are typed records.
+    /// [`BatchError::Journal`] when the progress journal cannot be read,
+    /// repaired, written or synced. Simulation failures are *not* errors —
+    /// they are typed records.
     pub fn run_with(
         &self,
         runner: &Runner,
@@ -774,9 +780,15 @@ impl BatchSet {
 }
 
 /// Waves a farm stream keeps in flight: while the calling thread reduces,
-/// emits and journals one wave, the workers simulate up to this many
-/// later ones, so a burst of slow fsyncs does not drain the pool.
+/// emits, journals and syncs one wave, the workers simulate up to this
+/// many later ones, so a slow sync does not drain the pool.
 const WINDOW_WAVES: usize = 8;
+
+/// Jobs a farm wave gives each worker. The calling thread syncs the
+/// journal once per wave, so larger waves mean fewer syncs; with
+/// [`WINDOW_WAVES`] in flight, each worker has `8 × 16` jobs queued
+/// behind the wave being emitted.
+const WAVE_JOBS_PER_WORKER: usize = 16;
 
 /// An entry's compiled channel configs and BER models, shared by its jobs.
 type Compiled = (Vec<NetworkConfig>, Vec<ResolvedBer>);
@@ -816,11 +828,11 @@ impl<'a> OpenLoop<'a> {
     /// in feed order, reduces them into records and emits those before
     /// topping the window up again.
     fn run(&self, span: Range<usize>, out: &mut Emitter<'_>) -> Result<(), BatchError> {
-        // Wave sizing: enough jobs to give every worker several, so
-        // per-wave emission costs almost no parallelism. A watchdog keeps
-        // one one-scenario wave in flight so the clock measures a single
-        // scenario.
-        let target = self.runner.threads() * 4;
+        // Wave sizing: sixteen jobs per worker, so per-wave emission and
+        // the journal's one sync per wave cost almost no parallelism. A
+        // watchdog keeps one one-scenario wave in flight so the clock
+        // measures a single scenario.
+        let target = self.runner.threads() * WAVE_JOBS_PER_WORKER;
         let window = if self.config.timeout.is_some() {
             1
         } else {
@@ -851,8 +863,8 @@ impl<'a> OpenLoop<'a> {
                     .collect();
                 let wait_ms = ms_since(t);
                 // Refill the freed slot before the slow part, so the
-                // workers simulate while this wave is emitted and
-                // journaled — except under a watchdog, whose clock starts
+                // workers simulate while this wave is emitted, journaled
+                // and synced — except under a watchdog, whose clock starts
                 // when a wave is fed and must not include this emission.
                 if self.config.timeout.is_none() {
                     top_up(&mut waves, stream);
@@ -957,7 +969,8 @@ impl<'a> OpenLoop<'a> {
 }
 
 /// The calling thread's half of a farm run: emits, journals and accounts
-/// finished waves, strictly in entry order.
+/// finished waves, strictly in entry order, syncing the journal once per
+/// wave.
 struct Emitter<'s> {
     sink: &'s mut dyn ResultSink,
     journal: Option<JournalWriter>,
@@ -977,10 +990,11 @@ struct Emitter<'s> {
 
 impl Emitter<'_> {
     /// Emits a finished wave's records in entry order — each record, then
-    /// its fsync'd journal line — and stops after the first non-`ok` one
-    /// under strict mode; otherwise writes the wave's metrics snapshot
-    /// and (rate-limited) heartbeat. `wait_ms` is the calling thread's
-    /// wait for the wave's last result.
+    /// its journal line — and stops after the first non-`ok` one under
+    /// strict mode. Then it syncs the journal once, also after a strict
+    /// stop, and unless stopped writes the wave's metrics snapshot and
+    /// (rate-limited) heartbeat. `wait_ms` is the calling thread's wait
+    /// for the wave's last result.
     fn wave(&mut self, wait_ms: f64, records: Vec<ScenarioRecord>) -> Result<(), BatchError> {
         if self.telem {
             crate::telemetry::note_wave(wait_ms);
@@ -992,7 +1006,7 @@ impl Emitter<'_> {
             })?;
             if let Some(journal) = self.journal.as_mut() {
                 journal
-                    .append(&JournalRecord {
+                    .write(&JournalRecord {
                         scenario: record.name.clone(),
                         fingerprint: record.fingerprint.clone(),
                         status: record.status.as_str().to_string(),
@@ -1008,8 +1022,16 @@ impl Emitter<'_> {
             self.records.push(record);
             if !ok && self.strict {
                 self.strict_aborted = true;
-                return Ok(());
+                break;
             }
+        }
+        if let Some(journal) = self.journal.as_mut() {
+            journal
+                .sync()
+                .map_err(|error| BatchError::Journal { error })?;
+        }
+        if self.strict_aborted {
+            return Ok(());
         }
         if let Some(metrics) = self.metrics.as_mut() {
             write_metrics_snapshot(metrics.as_mut(), false)?;
@@ -1519,9 +1541,12 @@ mod tests {
         e
     }
 
-    /// Forty tiny entries (4 jobs each) — 40, 20 and 10 waves on 1, 2 and
-    /// 4 threads — with a policy entry mid-stream, a scenario that panics
-    /// in `compile` and one that panics in its jobs.
+    /// Forty tiny entries (4 jobs each) with a policy entry mid-stream, a
+    /// scenario that panics in `compile` and one that panics in its jobs.
+    /// The policy entry `e17` is a wave of its own and splits the
+    /// open-loop entries into streams of 17 and 22, whose waves hold 4, 8
+    /// and 16 entries on 1, 2 and 4 threads: 5 + 1 + 6 = 12, 3 + 1 + 3 = 7
+    /// and 2 + 1 + 2 = 5 waves.
     fn mixed_batch() -> BatchSet {
         let entries = (0..40)
             .map(|k| match k {
@@ -1604,6 +1629,67 @@ mod tests {
         }
     }
 
+    /// A sink that, at every emit, reads the journal through its own
+    /// handle and checks it holds exactly the lines of the records emitted
+    /// before, in order: each record's journal line is written right after
+    /// the record, not before it and not deferred to the wave's sync.
+    struct JournalWatch {
+        journal: PathBuf,
+        emitted: Vec<String>,
+    }
+
+    /// The `scenario`, `fingerprint` and `status` values of a record or a
+    /// journal line.
+    fn identity(line: &str) -> String {
+        ["scenario", "fingerprint", "status"]
+            .map(|key| {
+                let tag = format!("\"{key}\":\"");
+                let start = line.find(&tag).expect("field present") + tag.len();
+                let len = line[start..].find('"').expect("string terminated");
+                &line[start..start + len]
+            })
+            .join(" ")
+    }
+
+    impl ResultSink for JournalWatch {
+        fn emit(&mut self, line: &str) -> io::Result<()> {
+            let journaled: Vec<String> = std::fs::read_to_string(&self.journal)?
+                .lines()
+                .map(identity)
+                .collect();
+            assert_eq!(journaled, self.emitted, "emit {}", self.emitted.len());
+            if !line.contains("\"aggregate\":true") {
+                self.emitted.push(identity(line));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_record_is_journaled_right_after_it_is_emitted() {
+        let set = mixed_batch();
+        for threads in [1, 2, 4] {
+            let journal = std::env::temp_dir().join(format!(
+                "wsn_batch_watch_{threads}_{}.jsonl",
+                std::process::id()
+            ));
+            let config = RunConfig {
+                journal: Some(journal.clone()),
+                ..RunConfig::default()
+            };
+            let mut sink = JournalWatch {
+                journal: journal.clone(),
+                emitted: Vec::new(),
+            };
+            let report = set
+                .run_with(&Runner::with_threads(threads), &mut sink, &config)
+                .unwrap();
+            assert_eq!(report.records.len(), 40, "threads={threads}");
+            assert_eq!(sink.emitted.len(), 40, "threads={threads}");
+            std::fs::remove_file(&journal).unwrap();
+        }
+    }
+
     #[test]
     fn strict_mode_emits_nothing_after_the_first_failure_on_four_threads() {
         let mut entries: Vec<BatchEntry> = (0..80)
@@ -1615,8 +1701,9 @@ mod tests {
             strict: true,
             ..RunConfig::default()
         };
-        // On 4 threads a wave is 4 entries, so `e21` fails in the sixth
-        // wave while up to eight later waves are already simulating.
+        // On 4 threads a wave is 16 four-job entries, so `e21` fails in
+        // the second wave while the three later waves are already
+        // simulating.
         let (report, records, journal) = run_journaled(&set, 4, strict.clone(), "strict");
         assert!(report.strict_aborted);
         assert_eq!(report.records.len(), 22);
@@ -1628,11 +1715,12 @@ mod tests {
             records[21]
         );
         // `jobs` counts the waves the farm consumed — through the failing
-        // wave, `e20`..`e23` — never the work simulated ahead of the abort.
-        assert_eq!(report.jobs, 24 * 4);
-        // The serial reference runs nothing ahead and emits the same.
+        // wave, `e16`..`e31` — never the work simulated ahead of the abort.
+        assert_eq!(report.jobs, 32 * 4);
+        // The serial reference runs nothing ahead and emits the same; its
+        // waves hold 4 entries, so it consumes through `e20`..`e23`.
         let (serial, serial_records, serial_journal) = run_journaled(&set, 1, strict, "strict");
-        assert_eq!(serial.jobs, 22 * 4);
+        assert_eq!(serial.jobs, 24 * 4);
         assert_eq!(serial_records, records);
         assert_eq!(serial_journal, journal);
     }

@@ -1,14 +1,19 @@
 //! Durable progress journal for restartable batch runs.
 //!
 //! A long farm run should survive `kill -9`. The batch service therefore
-//! appends one fsync'd JSONL record to a journal file after *emitting* each
-//! scenario's result (emit-then-journal: a crash between the two can only
+//! writes one JSONL line to a journal file after *emitting* each
+//! scenario's result (emit-then-journal: a kill between the two can only
 //! duplicate a record on resume, never lose one — and duplicates are
-//! trivially identified by the `fingerprint`). On `--resume`, the journal is
-//! reloaded and scenarios whose [config fingerprint]
-//! [`crate::persist::fingerprint_scenario`] matches an `ok` journal entry
-//! are skipped; scenarios whose file changed (different fingerprint), or
-//! that previously failed or timed out, re-run.
+//! trivially identified by the `fingerprint`), and syncs the journal once
+//! per wave. A `kill -9` needs only the write: a written line sits in the
+//! OS page cache, which outlives the process. An OS crash can lose at
+//! most the lines written since the last sync, the last wave's, and
+//! those scenarios re-run on resume.
+//!
+//! On `--resume`, the journal is reloaded and scenarios whose
+//! [config fingerprint][`crate::persist::fingerprint_scenario`] matches an
+//! `ok` journal entry are skipped; scenarios whose file changed (different
+//! fingerprint), or that previously failed or timed out, re-run.
 //!
 //! One journal line looks like:
 //!
@@ -205,7 +210,8 @@ pub fn load_journal(path: &Path) -> Result<JournalLoad, JournalError> {
     Ok(JournalLoad { records, torn_tail })
 }
 
-/// Appends fsync'd journal records.
+/// Appends journal lines ([`write`](Self::write)) and syncs them to disk
+/// ([`sync`](Self::sync)).
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,
@@ -249,21 +255,49 @@ impl JournalWriter {
         })
     }
 
-    /// Appends one record and syncs it to disk before returning — after
-    /// this call the completion survives `kill -9`.
+    /// Writes one record's line and syncs it to disk before returning
+    /// ([`write`](Self::write) then [`sync`](Self::sync)) — after this
+    /// call the completion survives an OS crash too. For single-record
+    /// callers; the farm writes a wave's lines and syncs once.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write or sync failure.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        let io_err = |e: io::Error| JournalError::Io {
-            path: self.path.clone(),
-            error: e.to_string(),
-        };
+        self.write(record)?;
+        self.sync()
+    }
+
+    /// Writes one record's line without syncing it. After this call the
+    /// completion survives `kill -9`: the line is in the OS page cache,
+    /// where any reader sees it. Only an OS crash before the next
+    /// [`sync`](Self::sync) can lose it.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on write failure.
+    pub fn write(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let mut line = persist::render_compact(&record.to_json());
         line.push('\n');
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
-        self.file.sync_data().map_err(io_err)
+        self.file
+            .write_all(line.as_bytes())
+            .map_err(|e| self.io_error(e))
+    }
+
+    /// Syncs every line written so far to disk (`fdatasync`).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on sync failure.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.file.sync_data().map_err(|e| self.io_error(e))
+    }
+
+    fn io_error(&self, e: io::Error) -> JournalError {
+        JournalError::Io {
+            path: self.path.clone(),
+            error: e.to_string(),
+        }
     }
 }
 
@@ -330,6 +364,40 @@ mod tests {
         assert!(!load.latest("a").unwrap().skippable("fp-other"));
         assert!(!load.latest("b").unwrap().skippable("fp-b"));
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_written_line_is_readable_before_any_sync() {
+        // What makes a `kill -9` safe between syncs: the written line
+        // already sits in the OS page cache, where any handle reads it.
+        let path = temp_path("unsynced");
+        let mut w = JournalWriter::create(&path).unwrap();
+        w.write(&record("a", "ok")).unwrap();
+        assert_eq!(
+            load_journal(&path).unwrap().records,
+            vec![record("a", "ok")]
+        );
+        w.write(&record("b", "failed")).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.ends_with('\n'));
+        w.sync().unwrap();
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn append_writes_what_write_then_sync_writes() {
+        let (appended, written) = (temp_path("append"), temp_path("write_sync"));
+        let mut a = JournalWriter::create(&appended).unwrap();
+        let mut w = JournalWriter::create(&written).unwrap();
+        for r in [record("a", "ok"), record("b", "timeout")] {
+            a.append(&r).unwrap();
+            w.write(&r).unwrap();
+            w.sync().unwrap();
+        }
+        assert_eq!(fs::read(&appended).unwrap(), fs::read(&written).unwrap());
+        fs::remove_file(&appended).unwrap();
+        fs::remove_file(&written).unwrap();
     }
 
     #[test]

@@ -84,17 +84,18 @@
 //! or manifest of saved scenarios as one deterministic job stream on
 //! long-lived workers, streaming per-scenario JSON result records.
 //!
-//! The batch service is a **fault-tolerant farm**: [`journal`] keeps an
-//! fsync'd progress journal keyed by config fingerprint
-//! ([`persist::fingerprint_scenario`]) so a killed run resumes exactly
-//! where it stopped ([`batch::RunConfig::resume`]), records are written
+//! The batch service is a **fault-tolerant farm**: [`journal`] keeps a
+//! progress journal, written per record and synced once per wave, keyed
+//! by config fingerprint ([`persist::fingerprint_scenario`]) so a killed
+//! run resumes exactly where it stopped ([`batch::RunConfig::resume`]),
+//! records are written
 //! through a [`sink::ResultSink`] ([`sink::WriteSink`] over a file or
 //! stdout), and each scenario runs once, isolated — a panicking config or
 //! a wall-clock overrun becomes a typed `"status":"failed"` / `"timeout"`
 //! record while the rest of the farm keeps running (every runner job
 //! runs under panic isolation). The journal plus resume is the
-//! farm's delivery guarantee: a record is emitted before its journal entry
-//! is fsync'd, so a crash can duplicate one record but never lose one. The
+//! farm's delivery guarantee: a record is emitted before its journal line
+//! is written, so a kill can duplicate one record but never lose one. The
 //! journal and record schemas — including the `status` field — are
 //! documented in `SCHEMA.md` alongside the scenario format.
 //!

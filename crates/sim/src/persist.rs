@@ -36,7 +36,7 @@
 //! The batch driver ([`crate::batch`]) executes directories or manifests
 //! of saved scenarios as one deterministic job grid.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use wsn_mac::csma::CsmaParams;
 use wsn_mac::{BeaconOrder, RetryPolicy};
@@ -572,30 +572,46 @@ pub fn render_compact(node: &Node) -> String {
     out
 }
 
+// Writing into a `String` cannot fail, so the `write!` results below are
+// ignored.
 fn write_scalar(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(x) => out.push_str(&format!("{x}")),
-        Value::Str(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => {
-                        out.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
         }
+        Value::Float(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Value::Str(s) => write_str(s, out),
         Value::Arr(_) | Value::Obj(_) => unreachable!("containers handled by the caller"),
+    }
+}
+
+/// Writes `s` as a quoted JSON string: string values and object keys.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes `level` two-space indents.
+fn write_indent(level: usize, out: &mut String) {
+    for _ in 0..level {
+        out.push_str("  ");
     }
 }
 
@@ -608,14 +624,14 @@ fn write_node(node: &Node, out: &mut String, indent: usize) {
             }
             out.push_str("[\n");
             for (i, item) in items.iter().enumerate() {
-                out.push_str(&"  ".repeat(indent + 1));
+                write_indent(indent + 1, out);
                 write_node(item, out, indent + 1);
                 if i + 1 < items.len() {
                     out.push(',');
                 }
                 out.push('\n');
             }
-            out.push_str(&"  ".repeat(indent));
+            write_indent(indent, out);
             out.push(']');
         }
         Value::Obj(pairs) => {
@@ -625,8 +641,8 @@ fn write_node(node: &Node, out: &mut String, indent: usize) {
             }
             out.push_str("{\n");
             for (i, (key, value)) in pairs.iter().enumerate() {
-                out.push_str(&"  ".repeat(indent + 1));
-                write_scalar(&Value::Str(key.name.clone()), out);
+                write_indent(indent + 1, out);
+                write_str(&key.name, out);
                 out.push_str(": ");
                 write_node(value, out, indent + 1);
                 if i + 1 < pairs.len() {
@@ -634,7 +650,7 @@ fn write_node(node: &Node, out: &mut String, indent: usize) {
                 }
                 out.push('\n');
             }
-            out.push_str(&"  ".repeat(indent));
+            write_indent(indent, out);
             out.push('}');
         }
         scalar => write_scalar(scalar, out),
@@ -659,7 +675,7 @@ fn write_compact(node: &Node, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_scalar(&Value::Str(key.name.clone()), out);
+                write_str(&key.name, out);
                 out.push(':');
                 write_compact(value, out);
             }
@@ -1732,6 +1748,56 @@ mod tests {
         assert!(!compact.contains('\n'));
         let reparsed = parse_document(&compact).unwrap();
         assert_eq!(decode_scenario(&reparsed).unwrap(), sample());
+    }
+
+    /// Both layouts, byte for byte, for every scalar kind and escape:
+    /// scenario fingerprints hash the rendered text, so any drift here
+    /// moves every fingerprint.
+    #[test]
+    fn render_pins_every_scalar_kind_and_escape() {
+        let node = json::obj(vec![
+            ("q\"b\\s\n", json::string("\"\\\n\t\r\u{1f}é→")),
+            ("empty", json::arr(vec![])),
+            (
+                "items",
+                json::arr(vec![
+                    json::null(),
+                    json::boolean(true),
+                    json::boolean(false),
+                    json::uint(0),
+                    json::uint(u64::MAX),
+                    json::num(-2.5e-12),
+                    json::num(1.25e22),
+                    json::obj(vec![]),
+                    json::obj(vec![("k", json::num(0.1))]),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            render_compact(&node),
+            r#"{"q\"b\\s\n":"\"\\\n\t\r\u001fé→","empty":[],"items":[null,true,false,0,18446744073709551615,-0.0000000000025,12500000000000000000000,{},{"k":0.1}]}"#
+        );
+        assert_eq!(
+            render_document(&node),
+            r#"{
+  "q\"b\\s\n": "\"\\\n\t\r\u001fé→",
+  "empty": [],
+  "items": [
+    null,
+    true,
+    false,
+    0,
+    18446744073709551615,
+    -0.0000000000025,
+    12500000000000000000000,
+    {},
+    {
+      "k": 0.1
+    }
+  ]
+}
+"#
+        );
     }
 
     #[test]

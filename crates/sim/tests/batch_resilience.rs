@@ -71,7 +71,7 @@ fn killed_and_resumed_fixture_batch_matches_an_uninterrupted_run() {
     assert_eq!(reference.len(), 6);
 
     // First leg: run with a journal, then simulate the kill. The journal
-    // is fsync'd per record, so it tears mid-append of record 4; the
+    // is written per record, so it tears mid-write of record 4; the
     // output rides a buffered writer, so an arbitrary byte prefix is on
     // disk — here 4 full lines plus half of line 5.
     let mut first_sink = WriteSink::new(Vec::new());

@@ -328,19 +328,24 @@ fn farm_trace_spans_one_stream_and_waits_within_the_batch() {
     let _guard = lock();
     telemetry::reset();
     telemetry::set_enabled(true);
+    // Eight 4-job entries fill a wave on 2 threads (16 jobs per worker),
+    // so 24 entries make three waves.
+    let entries = (0..24)
+        .map(|k| tiny_entry(&format!("w{k:02}"), 100 + k))
+        .collect();
     let mut sink = WriteSink::new(Vec::new());
-    tiny_batch()
+    BatchSet::from_entries(entries, None)
+        .unwrap()
         .run_with(&Runner::with_threads(2), &mut sink, &RunConfig::default())
         .unwrap();
     telemetry::set_enabled(false);
     let (det, timing) = (telemetry::snapshot(), telemetry::timing_snapshot());
     assert_eq!(
-        det.runner.jobs, 24,
-        "six entries of 2 channels x 2 replications"
+        det.runner.jobs, 96,
+        "24 entries of 2 channels x 2 replications"
     );
     assert_eq!(timing.job.count, det.runner.jobs);
     assert_eq!(timing.map.count, 1);
-    // Two 4-job entries fill a wave on 2 threads (4 jobs per worker).
     assert_eq!(timing.waves, 3);
     assert_eq!(timing.wave.count, 3);
     assert!(timing.wave.total_ms <= timing.batch.total_ms);
