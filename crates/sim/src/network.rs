@@ -1265,6 +1265,82 @@ mod tests {
         );
     }
 
+    /// Every record the engine streams reaches the run's statistics once.
+    /// The test replays the run's engine into a trace with the run's own
+    /// corruption oracle (the noise stream `seed ^ 0x5EED_CAFE_F00D`, one
+    /// probability per node at its resolved level) and holds each tally
+    /// of the accumulator to the trace's record count. The configuration
+    /// reaches every record kind, so a kind folded twice, or not at all,
+    /// fails.
+    #[test]
+    fn each_record_is_folded_once() {
+        let mut cfg = ramped_config(40, 0.5, 0xF01D);
+        cfg.channel.superframes = 12;
+        cfg.channel.cfp = plan_channel_cfp(40, 5, 1, 8, 0.4);
+        cfg.channel.faults = crate::faults::FaultPlan::inert()
+            .with_churn(0.05, 1, 1)
+            .with_outages(0.3, 1);
+        let ber = EmpiricalCc2420Ber::paper();
+        let (acc, _) = NetworkSimulator::new(cfg.clone()).run_accumulate_counted(&ber);
+
+        let levels = cfg.tx_policy.resolve(&cfg.path_losses);
+        let probs: Vec<f64> = (cfg.path_losses.iter().zip(&levels))
+            .map(|(&loss, &level)| {
+                corruption_probability(&ber, cfg.channel.packet, cfg.coordinator_tx, loss, level)
+            })
+            .collect();
+        let mut noise = Xoshiro256StarStar::seed_from_u64(cfg.channel.seed ^ 0x5EED_CAFE_F00D);
+        let trace = crate::contention::run_channel_sim(&cfg.channel, |node| {
+            noise.bernoulli(probs[node as usize])
+        });
+
+        let faults = |kind: fn(&FaultKind) -> bool| {
+            trace.faults.iter().filter(|f| kind(&f.kind)).count() as u64
+        };
+        let transactions = trace.transactions.len() as u64;
+        let gts = trace.gts.len() as u64;
+        let delivered = trace.transactions.iter().filter(|t| t.delivered).count()
+            + trace.gts.iter().filter(|g| g.delivered).count();
+        let deferred = (trace.downlinks.iter())
+            .filter(|d| d.outcome == DownlinkOutcome::Deferred)
+            .count() as u64;
+        let polls = trace.downlinks.len() as u64 - deferred;
+        let deaths = faults(|k| *k == FaultKind::Death);
+        let orphan_scans = faults(|k| *k == FaultKind::MissedBeacon { listened: true });
+        let joins = faults(|k| matches!(k, FaultKind::JoinAttempt { .. }));
+        let rejoins = faults(|k| matches!(k, FaultKind::Reassociated { .. }));
+        let dormant = faults(|k| *k == FaultKind::Dormant);
+        let kinds = [
+            ("transactions", transactions),
+            ("GTS", gts),
+            ("polls", polls),
+            ("deferred polls", deferred),
+            ("deaths", deaths),
+            ("orphan scans", orphan_scans),
+            ("joins", joins),
+            ("rejoins", rejoins),
+            ("dormant nodes", dormant),
+        ];
+        for (kind, n) in kinds {
+            assert!(n > 0, "the run reached no {kind}");
+        }
+
+        assert_eq!(acc.failures.trials(), transactions + gts);
+        assert_eq!(acc.attempts.count(), transactions + gts);
+        assert_eq!(acc.delay_secs.count(), delivered as u64);
+        assert_eq!(acc.gts_failures.trials(), gts);
+        assert_eq!(acc.downlink_deferred, deferred);
+        assert_eq!(acc.downlink_failures.trials(), polls);
+        assert_eq!(acc.deaths, deaths);
+        assert_eq!(acc.dormant_nodes, dormant);
+        assert_eq!(acc.orphan_scans, orphan_scans);
+        assert_eq!(acc.join_failures.trials(), joins);
+        assert_eq!(acc.reassoc_delay_secs.count(), rejoins);
+        let mut replayed = StatsSink::new();
+        trace.replay(&mut replayed);
+        assert_eq!(acc.contention, replayed.contention);
+    }
+
     /// `wsn-radio` depends only on `wsn-units`, so `RadioModelBuilder`
     /// states the RX↔TX turnaround as a literal; this pins it to the
     /// 802.15.4 timing that every other constant comes from.
