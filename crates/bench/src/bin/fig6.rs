@@ -59,32 +59,25 @@ fn main() {
             "mean contention duration T_cont [ms] (±stderr)",
             Box::new(|s: &StatsSink| {
                 (
-                    s.contention.contention_us.mean() / 1e3,
-                    s.contention.contention_us.standard_error() / 1e3,
+                    s.contention_us.mean() / 1e3,
+                    s.contention_us.standard_error() / 1e3,
                 )
             }) as Cell,
         ),
         (
             "mean CCAs per procedure N_CCA (±stderr)",
-            Box::new(|s: &StatsSink| {
-                (s.contention.ccas.mean(), s.contention.ccas.standard_error())
-            }),
+            Box::new(|s: &StatsSink| (s.ccas.mean(), s.ccas.standard_error())),
         ),
         (
             "collision probability Pr_col (±binomial stderr)",
-            Box::new(|s: &StatsSink| {
-                (
-                    s.contention.collisions.ratio().value(),
-                    s.contention.collisions.standard_error(),
-                )
-            }),
+            Box::new(|s: &StatsSink| (s.collisions.ratio().value(), s.collisions.standard_error())),
         ),
         (
             "channel access failure probability Pr_cf (±binomial stderr)",
             Box::new(|s: &StatsSink| {
                 (
-                    s.contention.access_failures.ratio().value(),
-                    s.contention.access_failures.standard_error(),
+                    s.access_failures.ratio().value(),
+                    s.access_failures.standard_error(),
                 )
             }),
         ),

@@ -406,13 +406,13 @@ pub struct SimTrace {
 
 impl SimTrace {
     /// Replays the trace into a sink, grouped by record type: all
-    /// attempts (in engine order), then all transactions (in engine
-    /// order), then the overruns. The live engine interleaves the three
-    /// streams per event, and the trace does not retain that interleaving
-    /// — so replay matches a streaming run exactly for reducers that fold
-    /// each record type independently (such as [`StatsSink`] or
-    /// [`TraceCollector`]), but not for sinks whose handling of one
-    /// record type depends on the other types seen so far.
+    /// attempts, then all transactions, GTS records, downlink polls and
+    /// faults (each in engine order), then the overruns. The live engine
+    /// interleaves these streams per event, and the trace does not retain
+    /// that interleaving — so replay matches a streaming run exactly for
+    /// reducers that fold each record type independently (such as
+    /// [`StatsSink`] or [`TraceCollector`]), but not for sinks whose
+    /// handling of one record type depends on the other types seen so far.
     pub fn replay<S: TraceSink>(&self, sink: &mut S) {
         for a in &self.attempts {
             sink.on_attempt(a);
@@ -1495,13 +1495,6 @@ pub(crate) mod tests {
         c
     }
 
-    /// The trace's records folded into a [`StatsSink`].
-    fn reduced(trace: &SimTrace) -> StatsSink {
-        let mut sink = StatsSink::new();
-        trace.replay(&mut sink);
-        sink
-    }
-
     #[test]
     fn single_node_never_collides_or_fails() {
         let mut cfg = quick(50, 0.05, 1);
@@ -1545,15 +1538,27 @@ pub(crate) mod tests {
         assert_ne!(a.attempts, c.attempts, "different seeds should differ");
     }
 
+    /// Mean attempts per transaction and the failed share of a trace's
+    /// transactions.
+    fn attempts_and_failures(trace: &SimTrace) -> (f64, f64) {
+        let n = trace.transactions.len() as f64;
+        let attempts: u32 = trace.transactions.iter().map(|t| t.attempts).sum();
+        let failed = trace.transactions.iter().filter(|t| !t.delivered).count();
+        (attempts as f64 / n, failed as f64 / n)
+    }
+
     #[test]
     fn corruption_forces_retries() {
         let cfg = quick(50, 0.2, 5);
-        let clean = reduced(&run_channel_sim(&cfg, |_| false));
-        let noisy = reduced(&run_channel_sim(&cfg, |_| true)); // every packet corrupted
-        assert!(noisy.attempts.mean() > clean.attempts.mean());
+        let (clean_attempts, clean_failed) =
+            attempts_and_failures(&run_channel_sim(&cfg, |_| false));
+        // Every packet corrupted.
+        let (noisy_attempts, noisy_failed) =
+            attempts_and_failures(&run_channel_sim(&cfg, |_| true));
+        assert!(noisy_attempts > clean_attempts);
         // All transactions fail when every packet is corrupted.
-        assert!((noisy.failures.ratio().value() - 1.0).abs() < 1e-12);
-        assert!(clean.failures.ratio().value() < 0.2);
+        assert_eq!(noisy_failed, 1.0);
+        assert!(clean_failed < 0.2);
     }
 
     #[test]
@@ -1594,7 +1599,9 @@ pub(crate) mod tests {
             let delivered = |o| trace.attempts.iter().filter(|a| a.outcome == o).count();
             let done = trace.transactions.iter().filter(|t| t.delivered).count();
             assert_eq!(delivered(AttemptOutcome::Delivered), done, "case {case}");
-            let st = reduced(&trace).contention_stats();
+            let mut sink = StatsSink::new();
+            trace.replay(&mut sink);
+            let st = sink.contention_stats();
             assert!(st.procedures == 0 || st.mean_ccas >= 1.0, "case {case}");
         }
     }
@@ -1616,9 +1623,12 @@ pub(crate) mod tests {
     #[test]
     fn delivery_delay_at_low_load_is_one_superframe() {
         let cfg = quick(20, 0.05, 13);
-        let mean = reduced(&run_channel_sim(&cfg, |_| false))
-            .delivery_superframes
-            .mean();
+        let trace = run_channel_sim(&cfg, |_| false);
+        let delays: Vec<u32> = (trace.transactions.iter())
+            .filter(|t| t.delivered)
+            .map(|t| t.superframes_waited + 1)
+            .collect();
+        let mean = delays.iter().sum::<u32>() as f64 / delays.len() as f64;
         assert!(
             (mean - 1.0).abs() < 0.05,
             "mean delivery superframes {mean}"

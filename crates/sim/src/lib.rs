@@ -168,4 +168,4 @@ pub use scenario::{
     TrafficSpec,
 };
 pub use sink::{ResultSink, SinkCounters, StatsSink, TraceCollector, TraceSink, WriteSink};
-pub use stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter};
+pub use stats::{Accumulator, ContentionStats, Counter};

@@ -43,7 +43,7 @@ use crate::contention::{
 use crate::faults::{FaultKind, FaultRecord};
 use crate::rng::Xoshiro256StarStar;
 use crate::sink::{StatsSink, TraceSink};
-use crate::stats::{Accumulator, ContentionAccumulator, Counter};
+use crate::stats::{Accumulator, Counter};
 
 /// Per-node transmit power assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,14 +252,16 @@ pub struct NetworkSummary {
 
 /// Mergeable sufficient statistics of one or more network simulation runs.
 ///
-/// This is the network-level analogue of [`ContentionAccumulator`]
-/// (which it carries as [`contention`](Self::contention)): every field
-/// merges exactly ([`Accumulator::merge`] / [`Counter::merge`] /
+/// This is the network-level analogue of [`StatsSink`] (which it carries
+/// as [`contention`](Self::contention)): every field merges exactly
+/// ([`Accumulator::merge`] / [`Counter::merge`] /
 /// [`EnergyLedger::merge`]), so per-channel and per-replication shards
 /// reduced on worker threads and combined in a fixed order are
 /// bit-identical to a serial fold.
-/// [`NetworkSimulator::run_accumulate_counted`] produces one per run; the
-/// parallel runner and the scenario layer merge them.
+/// [`NetworkSimulator::run_accumulate_counted`] produces one per run, its
+/// energy accountant folding each engine record into it once, next to
+/// that record's billing; the parallel runner and the scenario layer
+/// merge them.
 ///
 /// Replication-level confidence intervals come from the `rep_*`
 /// accumulators, which receive **one sample per sealed replication**
@@ -282,8 +284,6 @@ pub struct NetworkAccumulator {
     pub delay_secs: Accumulator,
     /// Delivered payload bits (energy-per-bit denominator).
     pub delivered_payload_bits: f64,
-    /// Arrivals skipped because the node was still busy.
-    pub overruns: u64,
     /// Replication means of the per-node power (µW); one sample per
     /// sealed replication.
     pub rep_power_uw: Accumulator,
@@ -322,7 +322,7 @@ pub struct NetworkAccumulator {
     pub dormant_nodes: u64,
     /// The run's own contention statistics (Figure 6 quantities), from
     /// the CAP attempts the accountant billed.
-    pub contention: ContentionAccumulator,
+    pub contention: StatsSink,
 }
 
 impl NetworkAccumulator {
@@ -341,7 +341,6 @@ impl NetworkAccumulator {
         self.attempts.merge(&other.attempts);
         self.delay_secs.merge(&other.delay_secs);
         self.delivered_payload_bits += other.delivered_payload_bits;
-        self.overruns += other.overruns;
         self.rep_power_uw.merge(&other.rep_power_uw);
         self.rep_failure.merge(&other.rep_failure);
         self.rep_delay_secs.merge(&other.rep_delay_secs);
@@ -659,8 +658,9 @@ impl Bill<'_> {
 }
 
 /// Online energy reducer: a [`TraceSink`] that accrues each record into
-/// the per-node ledgers the moment its outcome is final, alongside the
-/// transaction statistics ([`StatsSink`]).
+/// its node's ledger the moment its outcome is final, and folds the
+/// record's statistics into the [`NetworkAccumulator`] it returns, next to
+/// that billing.
 ///
 /// The ledgers and levels are stored in the run's arrival order, the
 /// order of the engine's node records. Nodes active at the same time sit
@@ -676,13 +676,14 @@ struct EnergyAccountant<'a> {
     levels: &'a [TxPowerLevel],
     /// One ledger per node, in arrival order.
     ledgers: Vec<EnergyLedger>,
-    stats: StatsSink,
     /// Beacons each node woke for (or slept through) but did not receive,
     /// by node id — these superframes are excluded from the node's fixed
     /// beacon overhead in [`finish`](Self::finish).
     missed_beacons: Vec<u32>,
-    /// Re-association exchanges whose response was lost (hit = failure).
-    join_failures: Counter,
+    /// The run's statistics, folded record by record. Delivery delays and
+    /// re-association latencies stay in superframes until
+    /// [`finish`](Self::finish) rescales them to seconds.
+    acc: NetworkAccumulator,
     /// Per-configuration constants hoisted off the per-record path.
     consts: AccountingConsts,
 }
@@ -699,9 +700,8 @@ impl<'a> EnergyAccountant<'a> {
             rank,
             levels,
             ledgers: vec![EnergyLedger::new(); cfg.channel.nodes],
-            stats: StatsSink::new(),
             missed_beacons: vec![0; cfg.channel.nodes],
-            join_failures: Counter::default(),
+            acc: NetworkAccumulator::new(),
             consts: AccountingConsts::new(cfg),
         }
     }
@@ -717,19 +717,29 @@ impl<'a> EnergyAccountant<'a> {
         (bill, self.levels[r])
     }
 
+    /// Folds one uplink transaction's outcome. A GTS transmission is a
+    /// one-attempt transaction, so CAP-only and GTS scenarios compare on
+    /// the same transaction statistics.
+    fn fold_uplink(&mut self, delivered: bool, attempts: u32, superframes_waited: u32) {
+        self.acc.failures.observe(!delivered);
+        self.acc.attempts.push(attempts as f64);
+        if delivered {
+            self.acc.delay_secs.push(superframes_waited as f64 + 1.0);
+        }
+    }
+
     /// Adds the fixed beacon overhead and the sleep remainder to each
-    /// node's ledger, then folds everything into an (unsealed) mergeable
-    /// accumulator. The fold walks the arrival-ordered ledgers in node
-    /// order (`rank` maps a node id to its ledger), so its f64 operations
-    /// and their order never depend on the arrival order.
+    /// node's ledger, then folds the ledgers into the run's (unsealed)
+    /// mergeable accumulator. The fold walks the arrival-ordered ledgers
+    /// in node order (`rank` maps a node id to its ledger), so its f64
+    /// operations and their order never depend on the arrival order.
     fn finish(self) -> NetworkAccumulator {
         let EnergyAccountant {
             cfg,
             rank,
             ledgers,
-            stats,
             missed_beacons,
-            join_failures,
+            mut acc,
             consts: k,
             ..
         } = self;
@@ -738,7 +748,6 @@ impl<'a> EnergyAccountant<'a> {
         let t_ib = cfg.channel.beacon_interval();
         let window = t_ib * recorded_superframes;
 
-        let mut acc = NetworkAccumulator::new();
         acc.node_powers.reserve(cfg.channel.nodes);
         // The beacon window of every superframe is identical for every
         // node, so it is billed **once** per superframe into a prototype
@@ -807,34 +816,22 @@ impl<'a> EnergyAccountant<'a> {
             }
         }
 
-        let delivered = stats.failures.trials() - stats.failures.hits();
+        let delivered = acc.failures.trials() - acc.failures.hits();
         acc.delivered_payload_bits = delivered as f64 * cfg.channel.packet.payload_bits() as f64;
-        acc.failures = stats.failures;
-        acc.attempts = stats.attempts;
-        // Delays were accumulated in superframes; rescale to seconds once,
-        // exactly, so accumulators from channels with different beacon
-        // intervals merge in common units.
-        acc.delay_secs = stats.delivery_superframes.scaled(t_ib.secs());
-        acc.overruns = stats.overruns;
-        acc.gts_failures = stats.gts_failures;
         acc.gts_denied = cfg.channel.cfp.gts_denied as u64;
-        acc.downlink_failures = stats.downlink_failures;
-        acc.downlink_deferred = stats.downlink_deferred;
-        acc.deaths = stats.deaths;
-        acc.orphan_scans = stats.orphan_scans;
-        acc.join_failures = join_failures;
-        // Re-association latencies arrive in superframes; rescale once,
-        // like the delivery delays.
-        acc.reassoc_delay_secs = stats.reassoc_superframes.scaled(t_ib.secs());
-        acc.dormant_nodes = stats.dormant_nodes;
-        acc.contention = stats.contention;
+        // Delays and re-association latencies were accumulated in
+        // superframes; rescale to seconds once, exactly, so accumulators
+        // from channels with different beacon intervals merge in common
+        // units.
+        acc.delay_secs = acc.delay_secs.scaled(t_ib.secs());
+        acc.reassoc_delay_secs = acc.reassoc_delay_secs.scaled(t_ib.secs());
         acc
     }
 }
 
 impl TraceSink for EnergyAccountant<'_> {
     fn on_attempt(&mut self, a: &AttemptRecord) {
-        self.stats.on_attempt(a);
+        self.acc.contention.on_attempt(a);
         let (mut bill, level) = self.bill(a.node);
         bill.csma(a.contention_slots, a.ccas, PhaseTag::Contention);
         if a.outcome == AttemptOutcome::AccessFailure {
@@ -851,18 +848,15 @@ impl TraceSink for EnergyAccountant<'_> {
     }
 
     fn on_transaction(&mut self, t: &TransactionRecord) {
-        self.stats.on_transaction(t);
+        self.fold_uplink(t.delivered, t.attempts, t.superframes_waited);
         // Second wake-up for the transaction (the node slept between the
         // beacon and its packet-ready offset).
         self.bill(t.node).0.wake(PhaseTag::Contention);
     }
 
-    fn on_overrun(&mut self) {
-        self.stats.on_overrun();
-    }
-
     fn on_gts(&mut self, r: &GtsRecord) {
-        self.stats.on_gts(r);
+        self.acc.gts_failures.observe(!r.delivered);
+        self.fold_uplink(r.delivered, 1, r.superframes_waited);
         // Wake for the dedicated slot and send without any contention, all
         // billed to the GTS phase so the CFP energy split is exact.
         let (mut bill, level) = self.bill(r.node);
@@ -873,11 +867,14 @@ impl TraceSink for EnergyAccountant<'_> {
     }
 
     fn on_downlink(&mut self, r: &DownlinkRecord) {
-        self.stats.on_downlink(r);
         if r.outcome == DownlinkOutcome::Deferred {
             // The node was mid-uplink; its radio time is already billed.
+            self.acc.downlink_deferred += 1;
             return;
         }
+        self.acc
+            .downlink_failures
+            .observe(r.outcome != DownlinkOutcome::Delivered);
         // One wake-up per poll (the downlink analogue of the
         // per-transaction wake), then the data request's contention.
         let phase = PhaseTag::Downlink;
@@ -906,7 +903,6 @@ impl TraceSink for EnergyAccountant<'_> {
     }
 
     fn on_fault(&mut self, r: &FaultRecord) {
-        self.stats.on_fault(r);
         let phase = PhaseTag::Association;
         match r.kind {
             FaultKind::MissedBeacon { listened } => {
@@ -915,11 +911,12 @@ impl TraceSink for EnergyAccountant<'_> {
                 // it ran an orphan scan: the same window, nothing received.
                 self.missed_beacons[r.node as usize] += 1;
                 if listened {
+                    self.acc.orphan_scans += 1;
                     self.bill(r.node).0.beacon_window(phase);
                 }
             }
             FaultKind::JoinAttempt { success } => {
-                self.join_failures.observe(!success);
+                self.acc.join_failures.observe(!success);
                 // Association request (a MAC command the size of a data
                 // request), then its acknowledgement and — on success — the
                 // association response, each after a turnaround with the
@@ -937,8 +934,12 @@ impl TraceSink for EnergyAccountant<'_> {
                 bill.ifs(phase);
             }
             // Deaths, rejoin confirmations and dormancy carry no radio
-            // activity of their own.
-            FaultKind::Death | FaultKind::Reassociated { .. } | FaultKind::Dormant => {}
+            // activity of their own, only their tallies.
+            FaultKind::Death => self.acc.deaths += 1,
+            FaultKind::Reassociated {
+                latency_superframes,
+            } => self.acc.reassoc_delay_secs.push(latency_superframes as f64),
+            FaultKind::Dormant => self.acc.dormant_nodes += 1,
         }
     }
 }
@@ -1171,7 +1172,7 @@ mod tests {
         );
         assert_eq!(p, 0.0);
         let (acc, _) = NetworkSimulator::new(cfg.clone()).run_accumulate_counted(&ber);
-        let stats = acc.contention.finish();
+        let stats = acc.contention.contention_stats();
         assert!(stats.pr_collision.value() > 0.0);
         assert_eq!(stats, crate::simulate_contention(&cfg.channel));
     }
@@ -1338,7 +1339,7 @@ mod tests {
         assert_eq!(acc.reassoc_delay_secs.count(), rejoins);
         let mut replayed = StatsSink::new();
         trace.replay(&mut replayed);
-        assert_eq!(acc.contention, replayed.contention);
+        assert_eq!(acc.contention, replayed);
     }
 
     /// `wsn-radio` depends only on `wsn-units`, so `RadioModelBuilder`

@@ -9,18 +9,24 @@
 //!
 //! * [`TraceCollector`] — the original behaviour: collect everything into
 //!   a [`SimTrace`] (kept for trace-level analyses and tests);
-//! * [`StatsSink`] — the online reducer: feeds a
-//!   [`ContentionAccumulator`] plus the transaction-level tallies without
-//!   allocating. Its output is bit-identical to collecting a trace and
-//!   reducing it afterwards, because records arrive in exactly the order
-//!   they would have been pushed.
+//! * [`StatsSink`] — the Figure 6 fold: the contention statistics of
+//!   every attempt, without allocating. Its output is bit-identical to
+//!   collecting a trace and reducing it afterwards, because records
+//!   arrive in exactly the order they would have been pushed.
+//!
+//! The other reducer is the network run's energy accountant
+//! ([`NetworkSimulator::run_accumulate_counted`](crate::NetworkSimulator::run_accumulate_counted)),
+//! which bills every record to its node's ledger and folds its statistics
+//! into the run's [`NetworkAccumulator`](crate::NetworkAccumulator).
 
 use std::io::{self, Write};
 
-use crate::cfp::{DownlinkOutcome, DownlinkRecord, GtsRecord};
+use wsn_units::Seconds;
+
+use crate::cfp::{DownlinkRecord, GtsRecord};
 use crate::contention::{AttemptOutcome, AttemptRecord, SimTrace, TransactionRecord, SLOT_US};
-use crate::faults::{FaultKind, FaultRecord};
-use crate::stats::{Accumulator, ContentionAccumulator, ContentionStats, Counter};
+use crate::faults::FaultRecord;
+use crate::stats::{Accumulator, ContentionStats, Counter};
 
 /// Receives contention records as the engine finalizes them.
 ///
@@ -32,7 +38,7 @@ pub trait TraceSink {
     /// was corrupted, or access failed).
     fn on_attempt(&mut self, record: &AttemptRecord);
     /// One application-level transaction concluded.
-    fn on_transaction(&mut self, record: &TransactionRecord);
+    fn on_transaction(&mut self, _record: &TransactionRecord) {}
     /// An arrival was skipped because the node was still busy.
     fn on_overrun(&mut self) {}
     /// One GTS (contention-free) transmission concluded.
@@ -93,42 +99,25 @@ impl TraceSink for TraceCollector {
     }
 }
 
-/// Online reducer: folds the event stream straight into the statistics the
-/// figures consume, allocating nothing.
+/// The Figure 6 fold: the exact sufficient statistics behind
+/// [`ContentionStats`], folded from each contention procedure as the
+/// engine finalizes it, without allocating.
+///
+/// Only attempts feed it; the network run's energy accountant is the
+/// reducer for every other record. Every field merges exactly
+/// ([`Accumulator::merge`] / [`Counter::merge`]), so replications reduced
+/// on worker threads and merged in a fixed order are bit-identical to a
+/// serial fold.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StatsSink {
-    /// Per-procedure contention statistics (Figure 6 material).
-    pub contention: ContentionAccumulator,
-    /// Failed-transaction counter (`Pr_fail` numerator/denominator).
-    pub failures: Counter,
-    /// Attempts per transaction.
-    pub attempts: Accumulator,
-    /// Delivery delay in superframes, over delivered transactions.
-    pub delivery_superframes: Accumulator,
-    /// Arrivals skipped because the node was still busy.
-    pub overruns: u64,
-    /// Failed GTS transmissions over GTS transmissions (CFP traffic; GTS
-    /// deliveries also fold into [`failures`](Self::failures),
-    /// [`attempts`](Self::attempts) and
-    /// [`delivery_superframes`](Self::delivery_superframes) so CAP-only
-    /// and GTS scenarios compare on the same transaction statistics).
-    pub gts_failures: Counter,
-    /// Undelivered downlink polls over non-deferred polls.
-    pub downlink_failures: Counter,
-    /// Downlink polls deferred because the node was busy.
-    pub downlink_deferred: u64,
-    /// Node deaths injected by the fault plan.
-    pub deaths: u64,
-    /// Missed beacons spent listening (orphan-scan windows of alive
-    /// nodes during coordinator outages).
-    pub orphan_scans: u64,
-    /// Re-association exchanges (hit = the coordinator's response got
-    /// through).
-    pub join_attempts: Counter,
-    /// Death → successful re-association latency in superframes.
-    pub reassoc_superframes: Accumulator,
-    /// Nodes that exhausted their join-retry budget and went dormant.
-    pub dormant_nodes: u64,
+    /// Contention duration samples in microseconds.
+    pub contention_us: Accumulator,
+    /// CCAs-per-procedure samples.
+    pub ccas: Accumulator,
+    /// Collision counter over transmissions.
+    pub collisions: Counter,
+    /// Access-failure counter over procedures.
+    pub access_failures: Counter,
 }
 
 impl StatsSink {
@@ -140,90 +129,35 @@ impl StatsSink {
     /// Merges another reducer (exact; fixed merge order stays
     /// bit-deterministic).
     pub fn merge(&mut self, other: &StatsSink) {
-        self.contention.merge(&other.contention);
-        self.failures.merge(&other.failures);
-        self.attempts.merge(&other.attempts);
-        self.delivery_superframes.merge(&other.delivery_superframes);
-        self.overruns += other.overruns;
-        self.gts_failures.merge(&other.gts_failures);
-        self.downlink_failures.merge(&other.downlink_failures);
-        self.downlink_deferred += other.downlink_deferred;
-        self.deaths += other.deaths;
-        self.orphan_scans += other.orphan_scans;
-        self.join_attempts.merge(&other.join_attempts);
-        self.reassoc_superframes.merge(&other.reassoc_superframes);
-        self.dormant_nodes += other.dormant_nodes;
+        self.contention_us.merge(&other.contention_us);
+        self.ccas.merge(&other.ccas);
+        self.collisions.merge(&other.collisions);
+        self.access_failures.merge(&other.access_failures);
     }
 
-    /// The contention statistics.
+    /// Finalizes into the model's exchange type.
     pub fn contention_stats(&self) -> ContentionStats {
-        self.contention.finish()
+        ContentionStats {
+            mean_contention: Seconds::from_micros(self.contention_us.mean()),
+            mean_ccas: self.ccas.mean(),
+            pr_collision: self.collisions.ratio(),
+            pr_access_failure: self.access_failures.ratio(),
+            procedures: self.contention_us.count(),
+            transmissions: self.collisions.trials(),
+        }
     }
 }
 
 impl TraceSink for StatsSink {
     fn on_attempt(&mut self, record: &AttemptRecord) {
-        self.contention
-            .contention_us
+        self.contention_us
             .push(record.contention_slots as f64 * SLOT_US as f64);
-        self.contention.ccas.push(record.ccas as f64);
-        self.contention
-            .access_failures
+        self.ccas.push(record.ccas as f64);
+        self.access_failures
             .observe(record.outcome == AttemptOutcome::AccessFailure);
         if record.outcome != AttemptOutcome::AccessFailure {
-            self.contention
-                .collisions
+            self.collisions
                 .observe(record.outcome == AttemptOutcome::Collided);
-        }
-    }
-
-    fn on_transaction(&mut self, record: &TransactionRecord) {
-        self.failures.observe(!record.delivered);
-        self.attempts.push(record.attempts as f64);
-        if record.delivered {
-            self.delivery_superframes
-                .push(record.superframes_waited as f64 + 1.0);
-        }
-    }
-
-    fn on_overrun(&mut self) {
-        self.overruns += 1;
-    }
-
-    fn on_gts(&mut self, record: &GtsRecord) {
-        self.gts_failures.observe(!record.delivered);
-        // A GTS transmission is a one-attempt transaction: fold it into
-        // the shared transaction statistics too.
-        self.failures.observe(!record.delivered);
-        self.attempts.push(1.0);
-        if record.delivered {
-            self.delivery_superframes
-                .push(record.superframes_waited as f64 + 1.0);
-        }
-    }
-
-    fn on_downlink(&mut self, record: &DownlinkRecord) {
-        if record.outcome == DownlinkOutcome::Deferred {
-            self.downlink_deferred += 1;
-        } else {
-            self.downlink_failures
-                .observe(record.outcome != DownlinkOutcome::Delivered);
-        }
-    }
-
-    fn on_fault(&mut self, record: &FaultRecord) {
-        match record.kind {
-            FaultKind::Death => self.deaths += 1,
-            FaultKind::MissedBeacon { listened } => {
-                if listened {
-                    self.orphan_scans += 1;
-                }
-            }
-            FaultKind::JoinAttempt { success } => self.join_attempts.observe(success),
-            FaultKind::Reassociated {
-                latency_superframes,
-            } => self.reassoc_superframes.push(latency_superframes as f64),
-            FaultKind::Dormant => self.dormant_nodes += 1,
         }
     }
 }
@@ -329,6 +263,5 @@ mod tests {
         let mut reduced = StatsSink::new();
         trace.replay(&mut reduced);
         assert_eq!(streamed, reduced);
-        assert_eq!(streamed.overruns, trace.overruns);
     }
 }

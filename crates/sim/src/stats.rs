@@ -173,49 +173,6 @@ impl Counter {
     }
 }
 
-/// Online reducer for contention statistics: the exact sufficient
-/// statistics behind [`ContentionStats`], kept in mergeable form.
-///
-/// [`crate::sink::StatsSink`] feeds one of these directly from the
-/// event stream, so a replication never materializes its trace; the
-/// parallel runner merges per-shard accumulators in a fixed order
-/// ([`Accumulator::merge`] / [`Counter::merge`]), which makes the parallel
-/// reduction bit-identical to the serial one.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ContentionAccumulator {
-    /// Contention duration samples in microseconds.
-    pub contention_us: Accumulator,
-    /// CCAs-per-procedure samples.
-    pub ccas: Accumulator,
-    /// Collision counter over transmissions.
-    pub collisions: Counter,
-    /// Access-failure counter over procedures.
-    pub access_failures: Counter,
-}
-
-impl ContentionAccumulator {
-    /// Merges another reducer into this one (exact; see
-    /// [`Accumulator::merge`]).
-    pub fn merge(&mut self, other: &ContentionAccumulator) {
-        self.contention_us.merge(&other.contention_us);
-        self.ccas.merge(&other.ccas);
-        self.collisions.merge(&other.collisions);
-        self.access_failures.merge(&other.access_failures);
-    }
-
-    /// Finalizes into the model's exchange type.
-    pub fn finish(&self) -> ContentionStats {
-        ContentionStats {
-            mean_contention: Seconds::from_micros(self.contention_us.mean()),
-            mean_ccas: self.ccas.mean(),
-            pr_collision: self.collisions.ratio(),
-            pr_access_failure: self.access_failures.ratio(),
-            procedures: self.contention_us.count(),
-            transmissions: self.collisions.trials(),
-        }
-    }
-}
-
 /// The four contention quantities the analytical model consumes (paper
 /// Figure 6), plus sample counts for error estimation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,34 +332,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.trials(), 12);
         assert_eq!(a.hits(), 5);
-    }
-
-    #[test]
-    fn contention_accumulator_merge_is_exact() {
-        let mut whole = ContentionAccumulator::default();
-        let (mut left, mut right) = (
-            ContentionAccumulator::default(),
-            ContentionAccumulator::default(),
-        );
-        for i in 0..40u32 {
-            let part = if i < 17 { &mut left } else { &mut right };
-            for acc in [&mut whole, part] {
-                acc.contention_us.push(320.0 * (i % 9) as f64);
-                acc.ccas.push(2.0 + (i % 3) as f64);
-                acc.access_failures.observe(i % 10 == 0);
-                if i % 10 != 0 {
-                    acc.collisions.observe(i % 7 == 0);
-                }
-            }
-        }
-        left.merge(&right);
-        let merged = left.finish();
-        let direct = whole.finish();
-        assert_eq!(merged.procedures, direct.procedures);
-        assert_eq!(merged.transmissions, direct.transmissions);
-        assert_eq!(merged.pr_collision, direct.pr_collision);
-        assert_eq!(merged.pr_access_failure, direct.pr_access_failure);
-        assert!((merged.mean_ccas - direct.mean_ccas).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use wsn_radio::{RadioModel, RadioState};
 use wsn_sim::network::{NetworkConfig, TxPowerPolicy};
 use wsn_sim::telemetry::{EngineMetrics, Hist};
 use wsn_sim::{
-    Accumulator, ChannelSimConfig, ContentionAccumulator, Counter, NetworkAccumulator,
-    NetworkSimulator, Xoshiro256StarStar,
+    Accumulator, ChannelSimConfig, Counter, NetworkAccumulator, NetworkSimulator, StatsSink,
+    Xoshiro256StarStar,
 };
 use wsn_units::{DBm, Db, Seconds};
 
@@ -230,11 +230,11 @@ fn network_accumulator_channel_merge_pools_exactly() {
     assert!((merged.ledger.total_energy().joules() - energy_sum).abs() < 1e-15);
     let bits_sum: f64 = accs.iter().map(|a| a.delivered_payload_bits).sum();
     assert_eq!(merged.delivered_payload_bits, bits_sum);
-    let pooled = merged.contention.finish();
+    let pooled = merged.contention.contention_stats();
     assert_eq!(
         (pooled.procedures, pooled.transmissions),
         accs.iter().fold((0, 0), |(procedures, transmissions), a| {
-            let own = a.contention.finish();
+            let own = a.contention.contention_stats();
             (
                 procedures + own.procedures,
                 transmissions + own.transmissions,
@@ -266,7 +266,6 @@ fn network_accumulator_merge_is_split_invariant() {
     let mut right = accs[0].clone();
     right.merge(&right_tail);
     assert_eq!(left.failures, right.failures);
-    assert_eq!(left.overruns, right.overruns);
     assert!((left.node_power_uw.mean() - right.node_power_uw.mean()).abs() < 1e-9);
     assert!((left.attempts.mean() - right.attempts.mean()).abs() < 1e-9);
     let ls = left.summary();
@@ -500,16 +499,13 @@ fn sealed_replications_drive_the_standard_errors() {
 }
 
 #[test]
-fn contention_accumulator_split_merge_matches_reduce() {
+fn stats_sink_split_merge_matches_reduce() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x57A7);
     for case in 0..50 {
         let n = 1 + rng.index(300);
         let cut = rng.index(n + 1);
-        let mut whole = ContentionAccumulator::default();
-        let (mut a, mut b) = (
-            ContentionAccumulator::default(),
-            ContentionAccumulator::default(),
-        );
+        let mut whole = StatsSink::new();
+        let (mut a, mut b) = (StatsSink::new(), StatsSink::new());
         for i in 0..n {
             let part = if i < cut { &mut a } else { &mut b };
             let cont = rng.next_f64() * 1e4;
@@ -526,8 +522,8 @@ fn contention_accumulator_split_merge_matches_reduce() {
             }
         }
         a.merge(&b);
-        let merged = a.finish();
-        let direct = whole.finish();
+        let merged = a.contention_stats();
+        let direct = whole.contention_stats();
         assert_eq!(merged.procedures, direct.procedures, "case {case}");
         assert_eq!(merged.transmissions, direct.transmissions, "case {case}");
         assert_eq!(merged.pr_collision, direct.pr_collision, "case {case}");

@@ -44,7 +44,7 @@ fn compare(loss_db: f64, level: TxPowerLevel, load: f64, seed: u64) -> Compariso
 
     // The model consumes the contention statistics measured by this very
     // simulation run, with the physical refinements the simulator bills.
-    let stats = acc.contention.finish();
+    let stats = acc.contention.contention_stats();
     acc.seal_replication();
     let net = acc.summary();
     let bo = BeaconOrder::smallest_covering(channel.beacon_interval()).expect("coverable interval");
